@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .steadystate import CovarianceMatrix, symplectic_form
+from .steadystate import CovarianceMatrix, _require_symmetric, symplectic_form
 
 #: Tolerance scale for the radicand and inner-argument clamps: tiny negative
 #: values are roundoff and clamp to zero, anything worse is an error.
@@ -100,9 +100,7 @@ def _check_two_mode(v0: np.ndarray) -> np.ndarray:
     arr = np.asarray(v0, dtype=float)
     if arr.shape != (4, 4):
         raise DomainError("expected a 4x4 two-mode covariance")
-    scale = max(1.0, float(np.max(np.abs(arr))))
-    if float(np.max(np.abs(arr - arr.T))) > 1e-10 * scale:
-        raise DomainError("two-mode covariance must be symmetric")
+    _require_symmetric(arr, "two-mode covariance")
     return arr
 
 

@@ -20,7 +20,7 @@ from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
-from .dynamics import build_diffusion, build_drift, stability
+from .dynamics import StabilityReport, build_diffusion, build_drift, stability
 from .entanglement import (
     EntanglementReport,
     Mode,
@@ -30,7 +30,14 @@ from .entanglement import (
     two_mode_block,
 )
 from .errors import ConfigError, ConvergenceError, DomainError, OmmlabError
-from .model import TWO_PI, SystemParams, config_snapshot, params_from_mapping
+from .model import (
+    PARAM_TABLE,
+    Param,
+    SystemParams,
+    _require_real,
+    config_snapshot,
+    params_from_mapping,
+)
 from .semiclassics import SemiclassicalState, solve_semiclassics
 from .steadystate import integrate_to_steady_state, solve_lyapunov
 
@@ -43,32 +50,20 @@ _EFFICIENCY_NUMERATOR = frozenset({Mode.ATOM, Mode.MAGNON})
 _EFFICIENCY_DENOMINATOR = frozenset({Mode.ATOM, Mode.PHONON})
 
 
-def _set_detuning(field: str) -> Callable[[SystemParams, float], SystemParams]:
+def _axis_setter(param: Param) -> Callable[[SystemParams, float], SystemParams]:
+    field, to_field = param.field, param.to_field
+
     def setter(params: SystemParams, value: float) -> SystemParams:
-        return replace(params, **{field: value * params.omega_b})
+        return replace(params, **{field: to_field(value, params.omega_b)})
 
     return setter
 
 
-def _set_hz(field: str) -> Callable[[SystemParams, float], SystemParams]:
-    def setter(params: SystemParams, value: float) -> SystemParams:
-        return replace(params, **{field: TWO_PI * value})
-
-    return setter
-
-
-#: The closed set of sweepable quantities, each with the rule that maps an
-#: axis value (in config units) onto the parameter set.
+#: The closed set of sweepable quantities (the sweepable rows of
+#: :data:`ommlab.model.PARAM_TABLE`), each with the rule that maps an axis
+#: value (in config units) onto the parameter set.
 SWEEP_AXES: dict[str, Callable[[SystemParams, float], SystemParams]] = {
-    "delta_a_over_wb": _set_detuning("delta_a"),
-    "delta_c1_over_wb": _set_detuning("delta_c1"),
-    "delta_c2_over_wb": _set_detuning("delta_c2"),
-    "delta_m_over_wb": _set_detuning("delta_m"),
-    "T": lambda params, value: replace(params, temperature=value),
-    "g_c_eff_hz": _set_hz("g_c_eff"),
-    "g_mb_eff_hz": _set_hz("g_mb_eff"),
-    "g_n1_hz": _set_hz("g_n1"),
-    "g_n2_hz": _set_hz("g_n2"),
+    param.key: _axis_setter(param) for param in PARAM_TABLE if param.sweepable
 }
 
 
@@ -92,11 +87,7 @@ class Axis:
         if self.count < 2:
             raise ConfigError("axis count must be at least 2")
         for attr in ("start", "stop"):
-            value = getattr(self, attr)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"axis {attr} must be a real number")
-            if not math.isfinite(value):
-                raise ConfigError(f"axis {attr} must be finite")
+            _require_real(f"axis {attr}", getattr(self, attr))
 
     def values(self) -> np.ndarray:
         return np.linspace(float(self.start), float(self.stop), self.count)
@@ -236,13 +227,22 @@ def load_config(path: str | Path | None) -> RunConfig:
     return RunConfig(params=params, sweep=sweep, pairs=pairs)
 
 
-def _empty_entanglement(
-    parsed: list[tuple[str, tuple[Mode, Mode]]]
-) -> dict[str, EntanglementReport]:
-    return {
-        label: EntanglementReport(pair=pair, nu_minus=None, e_n=None)
-        for label, pair in parsed
-    }
+def _without_measures(
+    parsed: list[tuple[str, tuple[Mode, Mode]]],
+    error: str | None,
+    report: StabilityReport | None = None,
+    state: SemiclassicalState | None = None,
+) -> PointReport:
+    """A point with undefined measures: it failed (``error``) or is unstable."""
+    return PointReport(
+        stable=report is not None and report.stable,
+        margin=None if report is None else report.margin,
+        entanglement={
+            label: EntanglementReport(pair=pair, nu_minus=None, e_n=None)
+            for label, pair in parsed
+        },
+        efficiency=None, state=state, oracle_deviation=None, error=error,
+    )
 
 
 def evaluate_point(
@@ -265,16 +265,9 @@ def evaluate_point(
         diffusion = build_diffusion(params)
         report = stability(drift)
     except OmmlabError as exc:
-        return PointReport(
-            stable=False, margin=None, entanglement=_empty_entanglement(parsed),
-            efficiency=None, state=None, oracle_deviation=None, error=str(exc),
-        )
+        return _without_measures(parsed, str(exc))
     if not report.stable:
-        return PointReport(
-            stable=False, margin=report.margin,
-            entanglement=_empty_entanglement(parsed),
-            efficiency=None, state=state, oracle_deviation=None, error=None,
-        )
+        return _without_measures(parsed, None, report, state)
     try:
         cov = solve_lyapunov(
             drift, diffusion, scale=params.omega_b, stability_report=report
@@ -287,11 +280,7 @@ def evaluate_point(
                 pair=pair, nu_minus=nu, e_n=max(0.0, -math.log(2.0 * nu))
             )
     except OmmlabError as exc:
-        return PointReport(
-            stable=True, margin=report.margin,
-            entanglement=_empty_entanglement(parsed),
-            efficiency=None, state=state, oracle_deviation=None, error=str(exc),
-        )
+        return _without_measures(parsed, str(exc), report, state)
 
     e_ab = e_am = None
     for rep in entanglement.values():
@@ -345,7 +334,6 @@ def run_sweep(
     values1 = spec.axis1.values()
     values2 = spec.axis2.values() if spec.axis2 is not None else None
 
-    tasks: list[tuple[float, float | None]] = []
     if values2 is None:
         tasks = [(float(v1), None) for v1 in values1]
     else:
@@ -361,12 +349,7 @@ def run_sweep(
             if set2 is not None:
                 point_params = set2(point_params, v2)
         except OmmlabError as exc:
-            return PointReport(
-                stable=False, margin=None,
-                entanglement=_empty_entanglement(parsed),
-                efficiency=None, state=None, oracle_deviation=None,
-                error=str(exc),
-            )
+            return _without_measures(parsed, str(exc))
         return evaluate_point(point_params, pair_tuple, oracle=oracle)
 
     if threads is None:

@@ -9,16 +9,17 @@ exactly once, when a parameter set is built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any, Mapping
-
-from scipy.constants import c as _c_light
-from scipy.constants import hbar as _hbar
-from scipy.constants import k as _k_boltzmann
 
 from .errors import ConfigError, DomainError
 
 TWO_PI = 2.0 * math.pi
+
+#: Exact 2019 SI values: speed of light, Boltzmann constant, hbar = h / 2 pi.
+_c_light = 299792458.0
+_k_boltzmann = 1.380649e-23
+_hbar = 6.62607015e-34 / TWO_PI
 
 #: Gyromagnetic ratio of the ferrimagnetic spin ensemble, rad s^-1 T^-1.
 GYROMAGNETIC_RATIO = TWO_PI * 28e9
@@ -27,9 +28,90 @@ GYROMAGNETIC_RATIO = TWO_PI * 28e9
 #: near x = 710, and the occupation is already ~1e-304 there.
 _BOSE_OVERFLOW_CUTOFF = 700.0
 
-_COUPLING_MODES = ("direct", "derived")
-_BACKACTION_PLACEMENTS = ("y_quadrature", "x_quadrature")
-_C2_FORMULAS = ("linsolve", "closed_form")
+
+@dataclass(frozen=True)
+class Param:
+    """One row of :data:`PARAM_TABLE`: a config key and the field it sets.
+
+    ``unit`` says how a config value becomes a field value: ``"hz"`` is a
+    rate in Hz stored in rad/s (times 2 pi), ``"wb"`` a multiple of the
+    mechanical frequency omega_b, and None keeps the value as is (SI units,
+    kelvin, radians, strings and flags). ``kind`` is the config value's type.
+    ``rule`` is the field's domain check in :class:`SystemParams`:
+    ``"positive"``, ``"non_negative"``, ``"finite"``, a tuple of the allowed
+    values, or None. A ``nullable`` key may be null; a ``sweepable`` one may
+    name a sweep axis.
+    """
+
+    key: str
+    field: str
+    default: Any
+    unit: str | None
+    kind: type
+    rule: str | tuple | None
+    nullable: bool = False
+    sweepable: bool = False
+
+    def to_field(self, value: Any, omega_b: float) -> Any:
+        """A value in config units, in the units of :class:`SystemParams`."""
+        if value is None or self.unit is None:
+            return value
+        return value * (TWO_PI if self.unit == "hz" else omega_b)
+
+    def to_config(self, value: Any, omega_b: float) -> Any:
+        """The inverse of :meth:`to_field`."""
+        if value is None or self.unit is None:
+            return value
+        return value / (TWO_PI if self.unit == "hz" else omega_b)
+
+
+#: Every model parameter, in :class:`SystemParams` field order, with its
+#: default operating point in config units. The one list of config keys.
+PARAM_TABLE: tuple[Param, ...] = (
+    Param("omega_m_hz", "omega_m", 10e9, "hz", float, "positive"),
+    Param("omega_b_hz", "omega_b", 40e6, "hz", float, "positive"),
+    Param("kappa_a_hz", "kappa_a", 1e6, "hz", float, "positive"),
+    Param("kappa_c1_hz", "kappa_c1", 2e6, "hz", float, "positive"),
+    Param("kappa_c2_hz", "kappa_c2", 2e6, "hz", float, "positive"),
+    Param("kappa_m_hz", "kappa_m", 1e6, "hz", float, "positive"),
+    Param("gamma_b_hz", "gamma_b", 100.0, "hz", float, "positive"),
+    Param("g_n1_hz", "g_n1", 4e6, "hz", float, "non_negative", sweepable=True),
+    Param("g_n2_hz", "g_n2", 8e6, "hz", float, "non_negative", sweepable=True),
+    Param("g_c_hz", "g_c", 0.0, "hz", float, "non_negative"),
+    Param("g_m_hz", "g_m", 20.0, "hz", float, "non_negative"),
+    Param("g_c_eff_hz", "g_c_eff", 8e6, "hz", float, "non_negative",
+          nullable=True, sweepable=True),
+    Param("g_mb_eff_hz", "g_mb_eff", 2.5e6, "hz", float, "non_negative",
+          nullable=True, sweepable=True),
+    Param("delta_a_over_wb", "delta_a", -0.95, "wb", float, None, sweepable=True),
+    Param("delta_c1_over_wb", "delta_c1", -0.8, "wb", float, None, sweepable=True),
+    Param("delta_c2_over_wb", "delta_c2", -0.8, "wb", float, None, sweepable=True),
+    Param("delta_m_over_wb", "delta_m", 1.0, "wb", float, None, sweepable=True),
+    Param("T", "temperature", 0.01, None, float, "non_negative", sweepable=True),
+    Param("p_laser_w", "p_laser", 4.4e-3, None, float, "non_negative"),
+    Param("lambda_laser_m", "lambda_laser", 1064e-9, None, float, "positive"),
+    Param("p_microwave_w", "p_microwave", 1.44e-3, None, float, "non_negative"),
+    Param("b_field_t", "b_field", None, None, float, "non_negative", nullable=True),
+    Param("v_yig_m3", "v_yig", 1e-17, None, float, "positive"),
+    Param("rho_spin_m3", "rho_spin", 4.22e27, None, float, "positive"),
+    Param("coupling_mode", "coupling_mode", "direct", None, str, ("direct", "derived")),
+    Param("delta_c2_sign", "delta_c2_sign", -1.0, None, float, (1.0, -1.0)),
+    Param("g_c_backaction", "g_c_backaction", "y_quadrature", None, str,
+          ("y_quadrature", "x_quadrature")),
+    Param("theta_c_rad", "theta_c", 0.0, None, float, "finite"),
+    Param("theta_m_rad", "theta_m", 0.0, None, float, "finite"),
+    Param("eq9_verbatim", "eq9_verbatim", False, None, bool, None),
+    Param("c2_formula", "c2_formula", "linsolve", None, str, ("linsolve", "closed_form")),
+)
+
+
+# The per-field checks run once per axis step of a sweep, so each rule's
+# fields are gathered here once rather than looked up row by row.
+_POSITIVE = tuple(p.field for p in PARAM_TABLE if p.rule == "positive")
+_NON_NEGATIVE = tuple(p.field for p in PARAM_TABLE if p.rule == "non_negative")
+_FINITE = tuple(p.field for p in PARAM_TABLE if p.rule == "finite")
+_CHOICES = tuple((p.field, p.rule) for p in PARAM_TABLE if isinstance(p.rule, tuple))
+_NULLABLE = frozenset(p.field for p in PARAM_TABLE if p.nullable)
 
 
 @dataclass(frozen=True)
@@ -94,55 +176,32 @@ class SystemParams:
     c2_formula: str
 
     def __post_init__(self) -> None:
-        for name in ("omega_m", "omega_b"):
-            if not getattr(self, name) > 0.0:
+        values = self.__dict__
+        for name in _POSITIVE:
+            if not values[name] > 0.0:
                 raise DomainError(f"{name} must be strictly positive")
-        for name in ("kappa_a", "kappa_c1", "kappa_c2", "kappa_m", "gamma_b"):
-            if not getattr(self, name) > 0.0:
-                raise DomainError(f"decay rate {name} must be strictly positive")
-        for name in ("g_n1", "g_n2", "g_c", "g_m"):
-            if getattr(self, name) < 0.0:
-                raise DomainError(f"coupling {name} must be non-negative")
-        if self.temperature < 0.0:
-            raise DomainError("temperature must be non-negative (kelvin)")
-        for name in ("p_laser", "p_microwave"):
-            if getattr(self, name) < 0.0:
+        for name in _NON_NEGATIVE:
+            value = values[name]
+            if not (value >= 0.0 if value is not None else name in _NULLABLE):
                 raise DomainError(f"{name} must be non-negative")
-        for name in ("lambda_laser", "v_yig", "rho_spin"):
-            if not getattr(self, name) > 0.0:
-                raise DomainError(f"{name} must be strictly positive")
-        if self.b_field is not None and self.b_field < 0.0:
-            raise DomainError("b_field must be non-negative")
-        if self.coupling_mode not in _COUPLING_MODES:
-            raise DomainError(
-                f"coupling_mode must be one of {_COUPLING_MODES}, got {self.coupling_mode!r}"
-            )
-        if self.g_c_backaction not in _BACKACTION_PLACEMENTS:
-            raise DomainError(
-                "g_c_backaction must be one of "
-                f"{_BACKACTION_PLACEMENTS}, got {self.g_c_backaction!r}"
-            )
-        if self.c2_formula not in _C2_FORMULAS:
-            raise DomainError(
-                f"c2_formula must be one of {_C2_FORMULAS}, got {self.c2_formula!r}"
-            )
-        if self.delta_c2_sign not in (1.0, -1.0):
-            raise DomainError("delta_c2_sign must be +1.0 or -1.0")
-        for name in ("theta_c", "theta_m"):
-            if not math.isfinite(getattr(self, name)):
+        for name in _FINITE:
+            if not math.isfinite(values[name]):
                 raise DomainError(f"{name} must be finite")
+        for name, allowed in _CHOICES:
+            if values[name] not in allowed:
+                raise DomainError(
+                    f"{name} must be one of {allowed}, got {values[name]!r}"
+                )
         if self.coupling_mode == "direct":
             if self.g_c_eff is None or self.g_mb_eff is None:
                 raise DomainError(
                     "direct coupling mode needs explicit g_c_eff and g_mb_eff"
                 )
-            if self.g_c_eff < 0.0 or self.g_mb_eff < 0.0:
-                raise DomainError("effective couplings must be non-negative")
         else:
             if self.g_c_eff is not None or self.g_mb_eff is not None:
                 raise DomainError(
-                    "derived coupling mode must not carry direct effective "
-                    "couplings; exactly one source per coupling is allowed"
+                    "derived coupling mode must not carry g_c_eff or g_mb_eff; "
+                    "exactly one source per coupling is allowed"
                 )
             if self.b_field is None:
                 raise DomainError("derived coupling mode needs b_field (tesla)")
@@ -209,87 +268,32 @@ def laser_drive_strength(power: float, kappa: float, wavelength: float) -> float
 # ---------------------------------------------------------------------------
 
 #: Default operating point, in configuration units.
-DEFAULT_CONFIG: dict[str, Any] = {
-    "omega_m_hz": 10e9,
-    "omega_b_hz": 40e6,
-    "kappa_a_hz": 1e6,
-    "kappa_c1_hz": 2e6,
-    "kappa_c2_hz": 2e6,
-    "kappa_m_hz": 1e6,
-    "gamma_b_hz": 100.0,
-    "g_n1_hz": 4e6,
-    "g_n2_hz": 8e6,
-    "g_c_hz": 0.0,
-    "g_m_hz": 20.0,
-    "g_c_eff_hz": 8e6,
-    "g_mb_eff_hz": 2.5e6,
-    "delta_a_over_wb": -0.95,
-    "delta_c1_over_wb": -0.8,
-    "delta_c2_over_wb": -0.8,
-    "delta_m_over_wb": 1.0,
-    "T": 0.01,
-    "p_laser_w": 4.4e-3,
-    "lambda_laser_m": 1064e-9,
-    "p_microwave_w": 1.44e-3,
-    "b_field_t": None,
-    "v_yig_m3": 1e-17,
-    "rho_spin_m3": 4.22e27,
-    "coupling_mode": "direct",
-    "delta_c2_sign": -1.0,
-    "g_c_backaction": "y_quadrature",
-    "theta_c_rad": 0.0,
-    "theta_m_rad": 0.0,
-    "eq9_verbatim": False,
-    "c2_formula": "linsolve",
-}
+DEFAULT_CONFIG: dict[str, Any] = {p.key: p.default for p in PARAM_TABLE}
 
 #: Configuration keys that set model parameters (harness-level keys like
 #: "sweep" and "pairs" are stripped before this module sees the mapping).
 PARAM_KEYS = frozenset(DEFAULT_CONFIG)
 
-_HZ_KEYS = {
-    "omega_m_hz": "omega_m",
-    "omega_b_hz": "omega_b",
-    "kappa_a_hz": "kappa_a",
-    "kappa_c1_hz": "kappa_c1",
-    "kappa_c2_hz": "kappa_c2",
-    "kappa_m_hz": "kappa_m",
-    "gamma_b_hz": "gamma_b",
-    "g_n1_hz": "g_n1",
-    "g_n2_hz": "g_n2",
-    "g_c_hz": "g_c",
-    "g_m_hz": "g_m",
-}
 
-_DETUNING_KEYS = {
-    "delta_a_over_wb": "delta_a",
-    "delta_c1_over_wb": "delta_c1",
-    "delta_c2_over_wb": "delta_c2",
-    "delta_m_over_wb": "delta_m",
-}
-
-_SI_KEYS = {
-    "p_laser_w": "p_laser",
-    "lambda_laser_m": "lambda_laser",
-    "p_microwave_w": "p_microwave",
-    "v_yig_m3": "v_yig",
-    "rho_spin_m3": "rho_spin",
-}
-
-_STR_KEYS = {
-    "coupling_mode": "coupling_mode",
-    "g_c_backaction": "g_c_backaction",
-    "c2_formula": "c2_formula",
-}
-
-
-def _require_real(key: str, value: Any) -> float:
+def _require_real(what: str, value: Any) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"config key {key!r} must be a real number, got {value!r}")
+        raise ConfigError(f"{what} must be a real number, got {value!r}")
     v = float(value)
     if not math.isfinite(v):
-        raise ConfigError(f"config key {key!r} must be finite, got {value!r}")
+        raise ConfigError(f"{what} must be finite, got {value!r}")
     return v
+
+
+def _require(param: Param, value: Any) -> Any:
+    if value is None and param.nullable:
+        return None
+    what = f"config key {param.key!r}"
+    if param.kind is float:
+        return _require_real(what, value)
+    if not isinstance(value, param.kind):
+        kind = "a string" if param.kind is str else "a boolean"
+        raise ConfigError(f"{what} must be {kind}, got {value!r}")
+    return value
 
 
 def params_from_mapping(mapping: Mapping[str, Any]) -> SystemParams:
@@ -304,47 +308,16 @@ def params_from_mapping(mapping: Mapping[str, Any]) -> SystemParams:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
 
     merged = dict(DEFAULT_CONFIG)
+    if mapping.get("coupling_mode") == "derived":
+        # derived mode computes the effective couplings instead
+        merged.update(g_c_eff_hz=None, g_mb_eff_hz=None)
     merged.update(mapping)
-
-    if merged["coupling_mode"] == "derived":
-        for key in ("g_c_eff_hz", "g_mb_eff_hz"):
-            if key in mapping and mapping[key] is not None:
-                raise ConfigError(
-                    f"config key {key!r} conflicts with coupling_mode='derived'; "
-                    "exactly one source per coupling is allowed"
-                )
-            merged[key] = None
-
-    kwargs: dict[str, Any] = {}
-    for key, field in _HZ_KEYS.items():
-        kwargs[field] = TWO_PI * _require_real(key, merged[key])
-    omega_b = kwargs["omega_b"]
-    for key, field in _DETUNING_KEYS.items():
-        kwargs[field] = _require_real(key, merged[key]) * omega_b
-    for key, field in _SI_KEYS.items():
-        kwargs[field] = _require_real(key, merged[key])
-    for key, field in _STR_KEYS.items():
-        value = merged[key]
-        if not isinstance(value, str):
-            raise ConfigError(f"config key {key!r} must be a string, got {value!r}")
-        kwargs[field] = value
-
-    for key, field in (("g_c_eff_hz", "g_c_eff"), ("g_mb_eff_hz", "g_mb_eff")):
-        value = merged[key]
-        kwargs[field] = None if value is None else TWO_PI * _require_real(key, value)
-    value = merged["b_field_t"]
-    kwargs["b_field"] = None if value is None else _require_real("b_field_t", value)
-
-    kwargs["temperature"] = _require_real("T", merged["T"])
-    kwargs["delta_c2_sign"] = _require_real("delta_c2_sign", merged["delta_c2_sign"])
-    kwargs["theta_c"] = _require_real("theta_c_rad", merged["theta_c_rad"])
-    kwargs["theta_m"] = _require_real("theta_m_rad", merged["theta_m_rad"])
-    if not isinstance(merged["eq9_verbatim"], bool):
-        raise ConfigError("config key 'eq9_verbatim' must be a boolean")
-    kwargs["eq9_verbatim"] = merged["eq9_verbatim"]
-
+    values = {p.field: _require(p, merged[p.key]) for p in PARAM_TABLE}
+    omega_b = TWO_PI * values["omega_b"]
     try:
-        return SystemParams(**kwargs)
+        return SystemParams(
+            **{p.field: p.to_field(values[p.field], omega_b) for p in PARAM_TABLE}
+        )
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -363,42 +336,19 @@ def config_snapshot(params: SystemParams) -> dict[str, Any]:
     """Round-trip a parameter set back to configuration units.
 
     Used by the sweep writer to stamp outputs with the exact operating point.
-    Field order follows the dataclass definition, so the snapshot is
-    deterministic.
+    Key order follows the dataclass fields, so the snapshot is deterministic.
     """
-    snap: dict[str, Any] = {}
-    inverse_hz = {field: key for key, field in _HZ_KEYS.items()}
-    inverse_det = {field: key for key, field in _DETUNING_KEYS.items()}
-    inverse_si = {field: key for key, field in _SI_KEYS.items()}
-    for f in fields(params):
-        value = getattr(params, f.name)
-        if f.name in inverse_hz:
-            snap[inverse_hz[f.name]] = value / TWO_PI
-        elif f.name in inverse_det:
-            snap[inverse_det[f.name]] = value / params.omega_b
-        elif f.name in inverse_si:
-            snap[inverse_si[f.name]] = value
-        elif f.name == "g_c_eff":
-            snap["g_c_eff_hz"] = None if value is None else value / TWO_PI
-        elif f.name == "g_mb_eff":
-            snap["g_mb_eff_hz"] = None if value is None else value / TWO_PI
-        elif f.name == "b_field":
-            snap["b_field_t"] = value
-        elif f.name == "temperature":
-            snap["T"] = value
-        elif f.name == "theta_c":
-            snap["theta_c_rad"] = value
-        elif f.name == "theta_m":
-            snap["theta_m_rad"] = value
-        else:
-            snap[f.name] = value
-    return snap
+    return {
+        p.key: p.to_config(getattr(params, p.field), params.omega_b) for p in PARAM_TABLE
+    }
 
 
 __all__ = [
     "DEFAULT_CONFIG",
     "GYROMAGNETIC_RATIO",
     "PARAM_KEYS",
+    "PARAM_TABLE",
+    "Param",
     "SystemParams",
     "TWO_PI",
     "config_snapshot",

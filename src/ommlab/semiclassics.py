@@ -134,6 +134,18 @@ def cavity2_average(
     """
     if formula not in ("linsolve", "closed_form"):
         raise DomainError(f"unknown c2 formula {formula!r}")
+    return _cavity2(
+        formula, drive_e, kappa_a, kappa_c1, kappa_c2,
+        delta_a, delta_c1, delta_c2_eff, g_n1, g_n2,
+    )[0]
+
+
+def _cavity2(formula: str, *args: float) -> tuple[complex, float]:
+    """<c2> by ``formula``, and the relative mismatch of the two formulas.
+
+    ``args`` are those of :func:`cavity2_average` before ``formula``.
+    """
+    drive_e, kappa_a, kappa_c1, kappa_c2, delta_a, delta_c1, delta_c2_eff, g_n1, g_n2 = args
     mat = np.array(
         [
             [complex(kappa_a, delta_a), 1j * g_n1, 1j * g_n2],
@@ -153,17 +165,14 @@ def cavity2_average(
             "cavity response system is numerically degenerate"
         )
     c2_lin = complex(amps[2])
-    c2_cf = cavity2_average_closed_form(
-        drive_e, kappa_a, kappa_c1, kappa_c2,
-        delta_a, delta_c1, delta_c2_eff, g_n1, g_n2,
-    )
+    c2_cf = cavity2_average_closed_form(*args)
     mismatch = abs(c2_lin - c2_cf) / max(abs(c2_lin), abs(c2_cf), _SINGULAR_FLOOR)
     if drive_e != 0.0 and mismatch > _C2_MISMATCH_WARN:
         logger.warning(
             "cavity amplitude formulas disagree by %.3e relative "
             "(linsolve %s, closed form %s)", mismatch, c2_lin, c2_cf,
         )
-    return c2_lin if formula == "linsolve" else c2_cf
+    return (c2_lin if formula == "linsolve" else c2_cf), mismatch
 
 
 def mechanical_displacement(
@@ -197,15 +206,13 @@ def solve_semiclassics(params: SystemParams) -> SemiclassicalState:
     1e-12 relative.
     """
     sign = params.delta_c2_sign
+    drive_e = laser_drive_strength(params.p_laser, params.kappa_c2, params.lambda_laser)
+    rabi = (
+        None
+        if params.b_field is None
+        else rabi_frequency(params.b_field, params.v_yig, params.rho_spin)
+    )
     if params.coupling_mode == "direct":
-        drive_e = laser_drive_strength(
-            params.p_laser, params.kappa_c2, params.lambda_laser
-        )
-        rabi = (
-            None
-            if params.b_field is None
-            else rabi_frequency(params.b_field, params.v_yig, params.rho_spin)
-        )
         return SemiclassicalState(
             q_avg=0.0,
             m_avg=None,
@@ -220,32 +227,18 @@ def solve_semiclassics(params: SystemParams) -> SemiclassicalState:
             c2_mismatch=None,
         )
 
-    drive_e = laser_drive_strength(params.p_laser, params.kappa_c2, params.lambda_laser)
-    rabi = rabi_frequency(params.b_field, params.v_yig, params.rho_spin)
-
     q = 0.0
-    m_avg = complex(0.0)
-    c2_avg = complex(0.0)
-    mismatch = None
     for iteration in range(1, _Q_FIXED_POINT_MAX_ITER + 1):
         delta_m_eff = params.delta_m + params.g_m * q
         magnon_detuning = params.delta_c2 if params.eq9_verbatim else delta_m_eff
         m_avg = magnon_average(rabi, params.kappa_m, magnon_detuning)
         delta_c2_eff = sign * params.delta_c2 - params.g_c * q
-        c2_avg = cavity2_average(
-            drive_e,
-            params.kappa_a, params.kappa_c1, params.kappa_c2,
-            params.delta_a, params.delta_c1, delta_c2_eff,
-            params.g_n1, params.g_n2,
-            formula=params.c2_formula,
-        )
-        c2_cf = cavity2_average_closed_form(
-            drive_e,
+        c2_avg, mismatch = _cavity2(
+            params.c2_formula, drive_e,
             params.kappa_a, params.kappa_c1, params.kappa_c2,
             params.delta_a, params.delta_c1, delta_c2_eff,
             params.g_n1, params.g_n2,
         )
-        mismatch = abs(complex(c2_avg) - c2_cf) / max(abs(c2_avg), abs(c2_cf), _SINGULAR_FLOOR)
         q_next = mechanical_displacement(
             params.g_c, c2_avg, params.g_m, m_avg, params.omega_b
         )

@@ -23,7 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DiffusionMatrix, DriftMatrix, StabilityReport, stability
+from .dynamics import (
+    DiffusionMatrix,
+    DriftMatrix,
+    StabilityReport,
+    _as_matrix,
+    stability,
+)
 from .errors import ConvergenceError, DomainError, NumericalError, StabilityError
 
 #: Relative Frobenius residual allowed on the Lyapunov equation.
@@ -49,6 +55,13 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return omega
 
 
+def _require_symmetric(arr: np.ndarray, name: str) -> None:
+    """Raise unless ``arr`` is symmetric to 1e-10 of max(1, max |arr|)."""
+    scale = max(1.0, float(np.max(np.abs(arr))))
+    if float(np.max(np.abs(arr - arr.T))) > 1e-10 * scale:
+        raise DomainError(f"{name} must be symmetric")
+
+
 @dataclass(frozen=True)
 class CovarianceMatrix:
     """Symmetric covariance matrix of the quadrature fluctuations.
@@ -67,9 +80,7 @@ class CovarianceMatrix:
             raise DomainError("covariance must be a square matrix")
         if self.v.shape[0] % 2 != 0:
             raise DomainError("covariance dimension must be even (pairs of quadratures)")
-        scale = max(1.0, float(np.max(np.abs(self.v))))
-        if float(np.max(np.abs(self.v - self.v.T))) > 1e-10 * scale:
-            raise DomainError("covariance must be symmetric")
+        _require_symmetric(self.v, "covariance")
         if np.any(np.diagonal(self.v) < 0.0):
             raise DomainError("variances on the diagonal must be non-negative")
         self.v.setflags(write=False)
@@ -84,18 +95,11 @@ def _unwrap(
     d: DiffusionMatrix | np.ndarray,
     scale: float | None,
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    if isinstance(a, DriftMatrix):
-        a_arr, natural = a.a, a.omega_b
-    else:
-        a_arr = np.asarray(a, dtype=float)
-        natural = float(np.max(np.abs(a_arr))) or 1.0
+    a_arr, natural = _as_matrix(a)
     d_arr = d.d if isinstance(d, DiffusionMatrix) else np.asarray(d, dtype=float)
-    if a_arr.ndim != 2 or a_arr.shape[0] != a_arr.shape[1]:
-        raise DomainError("drift must be a square matrix")
     if d_arr.shape != a_arr.shape:
         raise DomainError("drift and diffusion shapes must match")
-    if float(np.max(np.abs(d_arr - d_arr.T))) > 1e-10 * max(1.0, float(np.max(np.abs(d_arr)))):
-        raise DomainError("diffusion must be symmetric")
+    _require_symmetric(d_arr, "diffusion")
     if scale is None:
         scale = natural
     if not scale > 0.0:
@@ -218,10 +222,7 @@ def integrate_to_steady_state(
         v_init = v0.v if isinstance(v0, CovarianceMatrix) else np.asarray(v0, dtype=float)
         if v_init.shape != (n, n):
             raise DomainError("v0 shape must match the drift")
-        if float(np.max(np.abs(v_init - v_init.T))) > 1e-10 * max(
-            1.0, float(np.max(np.abs(v_init)))
-        ):
-            raise DomainError("v0 must be symmetric")
+        _require_symmetric(v_init, "v0")
         v = v_init.copy()
 
     d_norm = float(np.linalg.norm(d_s))

@@ -7,7 +7,13 @@ pitfall).
 """
 
 import dataclasses
+import fnmatch
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +30,9 @@ from ommlab import (
     rabi_frequency,
     thermal_occupation,
 )
-from ommlab.model import GYROMAGNETIC_RATIO, TWO_PI
+from ommlab import model
+from ommlab.harness import SWEEP_AXES
+from ommlab.model import GYROMAGNETIC_RATIO, PARAM_TABLE, TWO_PI, SystemParams
 
 # mpmath references (see module docstring)
 N_B_40MHZ_10MK = 4.7251424406064838
@@ -218,3 +226,122 @@ class TestConfigIngestion:
         p = default_params()
         with pytest.raises(dataclasses.FrozenInstanceError):
             p.kappa_a = 1.0
+
+
+class TestPhysicalConstants:
+    def test_exact_si_values_equal_scipy(self):
+        from scipy import constants
+
+        assert model._c_light == constants.c
+        assert model._k_boltzmann == constants.k
+        assert model._hbar == constants.hbar
+
+    def test_import_leaves_scipy_out(self):
+        # scipy costs a fifth of a second to import; the package must not
+        # pull it in just by being imported
+        code = "import sys, ommlab; print('scipy' in sys.modules)"
+        src = Path(model.__file__).resolve().parents[1]
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert out.stdout.strip() == "False"
+
+
+def _config_value(param):
+    """Strategy for a valid config value of one table row."""
+    if isinstance(param.rule, tuple):
+        return st.sampled_from(param.rule)
+    if param.kind is bool:
+        return st.booleans()
+    bounds = {"positive": (1e-6, 1e12), "non_negative": (0.0, 1e9)}
+    low, high = bounds.get(param.rule, (-5.0, 5.0))
+    return st.floats(low, high, allow_subnormal=False)
+
+
+@st.composite
+def _configs(draw, mode):
+    """A full config in one coupling mode, drawing every key of the table."""
+    config = {p.key: draw(_config_value(p)) for p in PARAM_TABLE}
+    config["coupling_mode"] = mode
+    if mode == "derived":
+        config["g_c_eff_hz"] = config["g_mb_eff_hz"] = None
+        for key in ("g_c_hz", "g_m_hz", "p_laser_w"):
+            config[key] = draw(st.floats(1e-3, 1e9))
+    else:
+        config["b_field_t"] = draw(st.none() | st.floats(0.0, 1e-2))
+    return config
+
+
+def _assert_close(a, b, label):
+    if isinstance(a, float):
+        assert b == pytest.approx(a, rel=1e-12, abs=0.0), label
+    else:
+        assert a == b, label
+
+
+class TestParamTable:
+    def test_rows_follow_the_dataclass_fields(self):
+        fields = [f.name for f in dataclasses.fields(SystemParams)]
+        assert [p.field for p in PARAM_TABLE] == fields
+        assert list(DEFAULT_CONFIG) == [p.key for p in PARAM_TABLE]
+
+    def test_sweep_axes_are_the_sweepable_rows(self):
+        assert set(SWEEP_AXES) == {p.key for p in PARAM_TABLE if p.sweepable}
+
+    def test_readme_lists_the_sweep_axes(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        prose = re.search(r"Sweepable axes:(.*?)\n\n", readme.read_text(), re.S).group(1)
+        patterns = re.findall(r"`([^`]+)`", prose)
+        matched = [fnmatch.filter(SWEEP_AXES, pattern) for pattern in patterns]
+        assert all(matched), patterns
+        assert set().union(*map(set, matched)) == set(SWEEP_AXES)
+
+    @given(data=st.data(), mode=st.sampled_from(["direct", "derived"]))
+    @settings(max_examples=60, deadline=None)
+    def test_config_round_trips_through_the_snapshot(self, data, mode):
+        config = data.draw(_configs(mode))
+        params = params_from_mapping(config)
+        snap = config_snapshot(params)
+        assert list(snap) == list(config)
+        for key, value in config.items():
+            _assert_close(value, snap[key], key)
+        again = params_from_mapping(snap)
+        for f in dataclasses.fields(SystemParams):
+            _assert_close(getattr(params, f.name), getattr(again, f.name), f.name)
+
+    @given(data=st.data(), mode=st.sampled_from(["direct", "derived"]))
+    @settings(max_examples=60, deadline=None)
+    def test_axis_setters_agree_with_the_config_path(self, data, mode):
+        params = params_from_mapping(data.draw(_configs(mode)))
+        axes = [p for p in PARAM_TABLE if p.sweepable]
+        if mode == "derived":
+            axes = [p for p in axes if not p.nullable]
+        for param in axes:
+            value = data.draw(_config_value(param), label=param.key)
+            via_setter = SWEEP_AXES[param.key](params, value)
+            via_config = params_from_mapping({**config_snapshot(params), param.key: value})
+            for f in dataclasses.fields(SystemParams):
+                _assert_close(
+                    getattr(via_config, f.name), getattr(via_setter, f.name), param.key
+                )
+
+    @pytest.mark.parametrize(
+        "param", [p for p in PARAM_TABLE if p.rule is not None], ids=lambda p: p.key
+    )
+    def test_domain_rule_rejects_by_name(self, param):
+        bad = {"positive": 0.0, "non_negative": -1.0, "finite": float("inf")}
+        value = bad.get(param.rule, "bogus" if param.kind is str else 0.5)
+        with pytest.raises(ConfigError, match=f"{param.key}|{param.field}"):
+            default_params(**{param.key: value})
+        if param.rule == "finite":
+            # the config parser stops inf first; the field rule catches it too
+            with pytest.raises(DomainError, match=param.field):
+                dataclasses.replace(default_params(), **{param.field: float("inf")})
+
+    def test_null_is_rejected_where_the_table_forbids_it(self):
+        for param in PARAM_TABLE:
+            if not param.nullable:
+                with pytest.raises(ConfigError, match=param.key):
+                    default_params(**{param.key: None})

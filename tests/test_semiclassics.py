@@ -20,6 +20,7 @@ from ommlab import (
     rabi_frequency,
     solve_semiclassics,
 )
+from ommlab import semiclassics
 from ommlab.model import TWO_PI
 from ommlab.semiclassics import coupling_phase
 
@@ -255,6 +256,20 @@ class TestSolveSemiclassicsDerived:
         state = solve_semiclassics(p)
         expected = state.rabi / complex(p.kappa_m, p.delta_c2)
         assert state.m_avg == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("formula", ["linsolve", "closed_form"])
+    def test_mismatch_compares_both_formulas(self, formula, monkeypatch, caplog):
+        # a closed form off by 1e-6 relative shows in c2_mismatch, and in the
+        # logged warning, whichever formula the iteration runs on
+        exact = semiclassics.cavity2_average_closed_form
+        monkeypatch.setattr(
+            semiclassics,
+            "cavity2_average_closed_form",
+            lambda *args: exact(*args) * (1.0 + 1e-6),
+        )
+        state = solve_semiclassics(default_params(**self.OVERRIDES, c2_formula=formula))
+        assert state.c2_mismatch == pytest.approx(1e-6, rel=1e-5)
+        assert "cavity amplitude formulas disagree" in caplog.text
 
     def test_closed_form_mode_matches_linsolve_mode(self):
         a = solve_semiclassics(default_params(**self.OVERRIDES))
