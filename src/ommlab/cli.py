@@ -200,7 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--heatmap", action="append", metavar="PAIR",
         help="also write a PGM heatmap for this pair (repeatable)",
     )
-    p_sweep.add_argument("--threads", type=int, help="worker threads (default: all cores)")
+    p_sweep.add_argument(
+        "--threads", type=int, default=1, help="worker threads (default: 1)"
+    )
     p_sweep.add_argument(
         "--reproducible", action="store_true",
         help="omit the timestamp so identical inputs give identical bytes",

@@ -68,9 +68,12 @@ class StabilityReport:
 
     Asymptotic stability requires every eigenvalue to sit strictly in the
     left half plane. ``margin`` is -max(Re), positive when stable.
+    ``eigenvectors`` holds the right eigenvectors as columns, in the order of
+    ``eigenvalues``; the steady-state solve works in that basis.
     """
 
     eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
     max_real: float
     stable: bool
 
@@ -179,22 +182,26 @@ def _as_matrix(a: DriftMatrix | np.ndarray) -> tuple[np.ndarray, float]:
 def stability(a: DriftMatrix | np.ndarray) -> StabilityReport:
     """Classify a drift matrix by its spectrum.
 
-    Eigenvalues come from the QR algorithm on the balanced Hessenberg form
-    (LAPACK dgeev), computed on the matrix scaled by its natural frequency
-    to keep the problem well conditioned, then scaled back to rad/s. They are
-    returned sorted by real part, then imaginary part, so reports are
-    deterministic.
+    Eigenvalues and right eigenvectors come from one call of the QR algorithm
+    on the balanced Hessenberg form (LAPACK dgeev with vectors), computed on
+    the matrix scaled by its natural frequency to keep the problem well
+    conditioned; the eigenvalues are scaled back to rad/s. Both are returned
+    sorted by real part, then imaginary part, so reports are deterministic.
     """
     arr, scale = _as_matrix(a)
     try:
-        eigs = np.linalg.eigvals(arr / scale) * scale
+        eigs, vecs = np.linalg.eig(arr / scale)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolve failed: {exc}") from exc
     order = np.lexsort((eigs.imag, eigs.real))
-    eigs = eigs[order]
+    eigs = eigs[order] * scale
+    vecs = vecs[:, order]
     eigs.setflags(write=False)
+    vecs.setflags(write=False)
     max_real = float(np.max(eigs.real))
-    return StabilityReport(eigenvalues=eigs, max_real=max_real, stable=max_real < 0.0)
+    return StabilityReport(
+        eigenvalues=eigs, eigenvectors=vecs, max_real=max_real, stable=max_real < 0.0
+    )
 
 
 __all__ = [

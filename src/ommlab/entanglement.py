@@ -175,7 +175,11 @@ def log_negativity(
         block = v.v if isinstance(v, CovarianceMatrix) else np.asarray(v, dtype=float)
         if block.shape == (10, 10):
             raise DomainError("a 10x10 covariance needs an explicit mode pair")
-    nu = symplectic_nu_minus(block)
+    return _e_n(symplectic_nu_minus(block))
+
+
+def _e_n(nu: float) -> float:
+    """E_N = max(0, -ln 2 nu) from the smaller symplectic eigenvalue."""
     return max(0.0, -math.log(2.0 * nu))
 
 

@@ -10,8 +10,6 @@ recording them, and write a CSV table plus optional PGM heatmaps.
 from __future__ import annotations
 
 import json
-import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
@@ -23,6 +21,7 @@ import numpy as np
 from .dynamics import StabilityReport, build_diffusion, build_drift, stability
 from .entanglement import (
     EntanglementReport,
+    _e_n,
     Mode,
     parse_pair,
     symplectic_nu_minus,
@@ -276,9 +275,7 @@ def evaluate_point(
         for label, pair in parsed:
             block = two_mode_block(cov, pair[0], pair[1])
             nu = symplectic_nu_minus(block)
-            entanglement[label] = EntanglementReport(
-                pair=pair, nu_minus=nu, e_n=max(0.0, -math.log(2.0 * nu))
-            )
+            entanglement[label] = EntanglementReport(pair=pair, nu_minus=nu, e_n=_e_n(nu))
     except OmmlabError as exc:
         return _without_measures(parsed, str(exc), report, state)
 
@@ -318,15 +315,17 @@ def run_sweep(
     spec: SweepSpec,
     pairs: Iterable[str] = DEFAULT_PAIRS,
     *,
-    threads: int | None = None,
+    threads: int = 1,
     oracle: bool = False,
 ) -> SweepResult:
     """Evaluate a grid of operating points.
 
     The grid is row-major with axis1 as the outer loop. Points are
-    independent, so they may be evaluated by a bounded thread pool; results
-    are merged by precomputed index, which makes the output independent of
-    scheduling. A point whose parameters fail validation (for example a
+    independent, so ``threads`` > 1 evaluates them on a bounded thread pool;
+    results are merged by precomputed index, which makes the output
+    independent of scheduling. The default is one thread and no pool: a point
+    is a chain of small numpy calls that hold the GIL, so a pool adds only
+    overhead. A point whose parameters fail validation (for example a
     negative temperature reached by the axis) is recorded as an error row.
     """
     pair_tuple = tuple(pairs)
@@ -352,8 +351,6 @@ def run_sweep(
             return _without_measures(parsed, str(exc))
         return evaluate_point(point_params, pair_tuple, oracle=oracle)
 
-    if threads is None:
-        threads = os.cpu_count() or 1
     if threads < 1:
         raise DomainError("threads must be at least 1")
     if threads == 1:

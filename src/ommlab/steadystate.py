@@ -4,15 +4,22 @@ The stationary covariance V of the linearized system solves
 
     A V + V A^T + D = 0.
 
-The direct route vectorizes this into (A (x) I + I (x) A) vec(V) = -vec(D)
-and hands it to a pivoted LU solve. The independent route integrates
-dV/dt = A V + V A^T + D forward with classical fourth-order Runge-Kutta until
-the right-hand side is numerically zero; for a stable A both must agree, which
-is the package's main internal consistency check.
+The direct route works in the eigenbasis of the drift, A S = S Lambda, which
+the stability check has already computed. Writing V = S W S^H turns the
+equation into Lambda W + W Lambda^H = -S^-1 D S^-H, solved entrywise:
+
+    V = Re S [(-S^-1 D S^-H)_ij / (lambda_i + conj(lambda_j))] S^H.
+
+Near an exceptional point the eigenvectors coalesce and S becomes ill
+conditioned; there, or when the result misses the residual gate, the solve
+falls back to scipy's Schur-based Bartels-Stewart solver. The independent
+route integrates dV/dt = A V + V A^T + D forward with classical fourth-order
+Runge-Kutta until the right-hand side is numerically zero; for a stable A both
+must agree, which is the package's main internal consistency check.
 
 All solves run in dimensionless form: A and D are scaled by a natural
-frequency first (the mechanical frequency for the physical pipeline), which
-keeps the Kronecker system's conditioning independent of the unit system.
+frequency first (the mechanical frequency for the physical pipeline), so the
+tolerances below do not depend on the unit system.
 """
 
 from __future__ import annotations
@@ -37,6 +44,13 @@ _RESIDUAL_RTOL = 1e-10
 
 #: Asymmetry (relative to max |V|) beyond which the raw solution is suspect.
 _ASYMMETRY_RTOL = 1e-9
+
+#: Largest 1-norm condition estimate ||S||_1 ||S^-1||_1 of the drift's
+#: eigenvector basis that the eigenbasis solve accepts. Its forward error grows
+#: about as cond^2 epsilon: on nearly defective test drifts it was 1e-12 of
+#: max |V| at cond 3e2 and 1e-10 at 3e3, where the residual gate starts to
+#: fail. The physical maps stay below cond 10.
+_EIGENBASIS_COND_MAX = 1e3
 
 #: RK4 defaults: step as a fraction of the spectral radius, stopping tolerance
 #: relative to ||D||_F, and integration horizon in units of the slowest decay.
@@ -107,6 +121,64 @@ def _unwrap(
     return a_arr, d_arr, scale
 
 
+def _eigenbasis_solve(
+    lam: np.ndarray, vecs: np.ndarray, d_s: np.ndarray
+) -> np.ndarray | None:
+    """Raw V = Re S W S^H from eigenpairs of the scaled drift.
+
+    None when S is singular or its condition estimate exceeds
+    :data:`_EIGENBASIS_COND_MAX`.
+    """
+    try:
+        vecs_inv = np.linalg.inv(vecs)
+    except np.linalg.LinAlgError:
+        return None
+    cond = np.abs(vecs).sum(axis=0).max() * np.abs(vecs_inv).sum(axis=0).max()
+    if not cond <= _EIGENBASIS_COND_MAX:
+        return None
+    c = vecs_inv @ d_s @ vecs_inv.conj().T
+    w = -c / (lam[:, None] + lam.conj()[None, :])
+    return (vecs @ w @ vecs.conj().T).real
+
+
+def _schur_solve(a_s: np.ndarray, d_s: np.ndarray) -> np.ndarray:
+    """Raw V from scipy's Bartels-Stewart solver (Comm. ACM 15, 820, 1972).
+
+    scipy is imported here only: the fallback is rare, and the import takes
+    longer than a sweep's whole set-up.
+    """
+    import scipy.linalg
+
+    try:
+        return scipy.linalg.solve_continuous_lyapunov(a_s, -d_s)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise NumericalError(f"Schur-based Lyapunov solve failed: {exc}") from exc
+
+
+def _max_abs_scale(v: np.ndarray) -> float:
+    return max(1.0, float(np.max(np.abs(v))))
+
+
+def _symmetrized(raw: np.ndarray) -> np.ndarray:
+    """0.5 (V + V^T), with roundoff-level entries set to exactly zero.
+
+    Entries within machine epsilon of max(1, max |V|) are below the solve's
+    own forward error. Clearing them keeps structural zeros of V (decoupled
+    quadratures) free of roundoff that would otherwise depend on the scale.
+    """
+    v = 0.5 * (raw + raw.T)
+    v[np.abs(v) <= np.finfo(float).eps * _max_abs_scale(v)] = 0.0
+    return v
+
+
+def _relative_residual(a_s: np.ndarray, v: np.ndarray, d_s: np.ndarray) -> float:
+    """||A V + V A^T + D||_F / ||D||_F; 0 when D vanishes."""
+    d_norm = float(np.linalg.norm(d_s))
+    if d_norm == 0.0:
+        return 0.0
+    return float(np.linalg.norm(a_s @ v + v @ a_s.T + d_s)) / d_norm
+
+
 def solve_lyapunov(
     a: DriftMatrix | np.ndarray,
     d: DiffusionMatrix | np.ndarray,
@@ -116,12 +188,15 @@ def solve_lyapunov(
 ) -> CovarianceMatrix:
     """Solve A V + V A^T + D = 0 for the stationary covariance V.
 
-    Requires an asymptotically stable A (checked up front unless a fresh
-    ``stability_report`` is supplied). The vectorized system is solved with
-    LU and partial pivoting; the result is checked against the equation to
-    1e-10 relative in Frobenius norm and symmetrized. Raw asymmetry beyond
-    1e-9 of max |V| triggers a warning first, since it indicates the solve is
-    losing accuracy.
+    Requires an asymptotically stable A. The eigenpairs come from
+    ``stability_report`` when one is given, else from one call of
+    :func:`ommlab.dynamics.stability`, and V is solved in that eigenbasis (see
+    the module docstring). The result is symmetrized and checked against the
+    equation to 1e-10 relative in Frobenius norm. When the eigenbasis is
+    singular or worse conditioned than :data:`_EIGENBASIS_COND_MAX`, or its
+    result misses that gate, scipy's Schur-based solver runs instead and must
+    pass the same gate. A raw asymmetry beyond 1e-9 of max |V| in the returned
+    solution warns, since it indicates the solve is losing accuracy.
     """
     a_arr, d_arr, s = _unwrap(a, d, scale)
     report = stability_report if stability_report is not None else stability(a)
@@ -132,31 +207,25 @@ def solve_lyapunov(
 
     a_s = a_arr / s
     d_s = d_arr / s
-    n = a_s.shape[0]
-    eye = np.eye(n)
-    system = np.kron(a_s, eye) + np.kron(eye, a_s)
-    try:
-        vec = np.linalg.solve(system, -d_s.ravel())
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"Lyapunov system is singular: {exc}") from exc
-    v = vec.reshape(n, n)
+    raw = _eigenbasis_solve(report.eigenvalues / s, report.eigenvectors, d_s)
+    v = None if raw is None else _symmetrized(raw)
+    if v is None or _relative_residual(a_s, v, d_s) > _RESIDUAL_RTOL:
+        raw = _schur_solve(a_s, d_s)
+        v = _symmetrized(raw)
+        residual = _relative_residual(a_s, v, d_s)
+        if residual > _RESIDUAL_RTOL:
+            raise NumericalError(
+                f"Lyapunov residual {residual:.3e} ||D||_F exceeds "
+                f"{_RESIDUAL_RTOL:.0e} ||D||_F"
+            )
 
-    v_scale = max(1.0, float(np.max(np.abs(v))))
-    asym = float(np.max(np.abs(v - v.T)))
-    if asym > _ASYMMETRY_RTOL * v_scale:
+    asym = float(np.max(np.abs(raw - raw.T)))
+    if asym > _ASYMMETRY_RTOL * _max_abs_scale(raw):
         warnings.warn(
             f"Lyapunov solution asymmetry {asym:.3e} exceeds "
             f"{_ASYMMETRY_RTOL:.0e} of max |V|; solve may be ill conditioned",
             RuntimeWarning,
             stacklevel=2,
-        )
-    v = 0.5 * (v + v.T)
-
-    d_norm = float(np.linalg.norm(d_s))
-    residual = float(np.linalg.norm(a_s @ v + v @ a_s.T + d_s))
-    if d_norm > 0.0 and residual > _RESIDUAL_RTOL * d_norm:
-        raise NumericalError(
-            f"Lyapunov residual {residual:.3e} exceeds {_RESIDUAL_RTOL:.0e} ||D||_F"
         )
     return CovarianceMatrix(v=v)
 

@@ -3,9 +3,11 @@
 import json
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
+from ommlab import harness
 from ommlab.cli import main
 
 
@@ -147,6 +149,16 @@ class TestSweep:
         assert pgm.exists()
         assert f"wrote {pgm}" in out
         assert pgm.read_bytes().startswith(b"P5\n3 2\n255\n")
+
+    def test_default_runs_no_pool(self, capsys, tmp_path):
+        config = self.sweep_config(tmp_path)
+        with mock.patch.object(harness, "ThreadPoolExecutor") as pool:
+            rc, _, _ = run_cli(
+                capsys, "sweep", "--config", str(config),
+                "--out", str(tmp_path / "map.csv"),
+            )
+        assert rc == 0
+        pool.assert_not_called()
 
     def test_thread_count_is_invisible_in_the_output(self, capsys, tmp_path):
         config = self.sweep_config(tmp_path)

@@ -235,6 +235,18 @@ class TestStability:
         sorted_conj = np.sort_complex(np.conj(eigs))
         np.testing.assert_allclose(np.sort_complex(eigs), sorted_conj, rtol=1e-9)
 
+    def test_eigenvectors_match_sorted_eigenvalues(self):
+        p = default_params()
+        drift = build_drift(p, solve_semiclassics(p))
+        report = stability(drift)
+        vecs = report.eigenvectors
+        assert vecs.shape == (DIM, DIM)
+        assert not vecs.flags.writeable
+        # column k is the right eigenvector of eigenvalue k, in sorted order
+        np.testing.assert_allclose(
+            drift.a @ vecs, vecs * report.eigenvalues, atol=1e-9 * p.omega_b
+        )
+
     def test_default_point_margin(self):
         p = default_params()
         report = stability(build_drift(p, solve_semiclassics(p)))

@@ -2,6 +2,11 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +25,7 @@ from ommlab import (
     write_csv,
     write_pgm,
 )
+from ommlab import harness
 from ommlab.harness import SWEEP_AXES
 
 # Frozen outputs of the default operating point. These pin the full pipeline
@@ -217,6 +223,33 @@ class TestDefaultPoint:
                 max(0.0, -math.log(2.0 * rep.nu_minus)), abs=1e-15
             )
 
+    def test_one_eigensolve_per_point(self):
+        with mock.patch.object(
+            np.linalg, "eig", wraps=np.linalg.eig
+        ) as eig, mock.patch.object(
+            np.linalg, "eigvals", wraps=np.linalg.eigvals
+        ) as eigvals:
+            report = evaluate_point(default_params())
+        assert report.error is None
+        assert eig.call_count == 1
+        assert eigvals.call_count == 0
+
+    def test_point_evaluation_leaves_scipy_out(self):
+        # the Lyapunov solve imports scipy only on its rare fallback branch
+        code = (
+            "import sys, ommlab; "
+            "report = ommlab.evaluate_point(ommlab.default_params()); "
+            "assert report.error is None; "
+            "print('scipy' in sys.modules)"
+        )
+        src = Path(harness.__file__).resolve().parents[1]
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert out.stdout.strip() == "False"
+
     def test_oracle_deviation_is_tiny(self):
         report = evaluate_point(default_params(), pairs=("ab",), oracle=True)
         assert report.oracle_deviation is not None
@@ -283,6 +316,13 @@ class TestRunSweep:
             write_csv(result, path, reproducible=True)
             paths.append(path.read_bytes())
         assert paths[0] == paths[1]
+
+    def test_default_runs_no_pool(self):
+        spec = SweepSpec(axis1=Axis(name="T", start=0.001, stop=0.01, count=2))
+        with mock.patch.object(harness, "ThreadPoolExecutor") as pool:
+            result = run_sweep(default_params(), spec, pairs=("ab",))
+        pool.assert_not_called()
+        assert len(result.reports) == 2
 
     def test_zero_threads_rejected(self):
         spec = SweepSpec(axis1=Axis(name="T", start=0.001, stop=0.01, count=2))

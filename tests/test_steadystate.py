@@ -1,14 +1,18 @@
 """Lyapunov solve, RK4 relaxation cross-check, and covariance physicality."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.linalg
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ommlab import (
     ConvergenceError,
     CovarianceMatrix,
     DomainError,
+    NumericalError,
     StabilityError,
     build_diffusion,
     build_drift,
@@ -21,6 +25,7 @@ from ommlab import (
     symplectic_form,
     thermal_occupation,
 )
+from ommlab import steadystate
 
 
 def single_cavity(kappa=2.0, delta=0.7):
@@ -33,6 +38,24 @@ def default_system():
     p = default_params()
     state = solve_semiclassics(p)
     return p, build_drift(p, state), build_diffusion(p)
+
+
+def nearly_defective(delta, seed):
+    """A stable 6x6 drift with a Jordan-like 2x2 block split by ``delta``.
+
+    The block [[lam, 1], [0, lam + delta]] has eigenvectors at an angle of
+    about delta, so they coalesce as delta -> 0; a random orthogonal
+    similarity hides the structure, and the noise is a random PSD matrix.
+    """
+    rng = np.random.default_rng(seed)
+    lam = -rng.uniform(0.1, 1.0)
+    b = np.zeros((6, 6))
+    b[0:2, 0:2] = [[lam, 1.0], [0.0, lam + delta]]
+    b[2:4, 2:4] = [[-0.3, 1.0], [-1.0, -0.3]]
+    b[4:6, 4:6] = [[-0.5, 2.0], [-2.0, -0.5]]
+    q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+    g = rng.normal(size=(6, 6))
+    return q @ b @ q.T, g @ g.T
 
 
 class TestSymplecticForm:
@@ -115,6 +138,61 @@ class TestSolveLyapunov:
         d[0, 1] = 0.1
         with pytest.raises(DomainError):
             solve_lyapunov(-np.eye(2), d)
+
+    def test_default_point_stays_in_the_eigenbasis(self):
+        p, drift, diffusion = default_system()
+        report = stability(drift)
+        with mock.patch.object(steadystate, "_schur_solve") as schur:
+            v = solve_lyapunov(
+                drift, diffusion, scale=p.omega_b, stability_report=report
+            ).v
+        schur.assert_not_called()
+        v_ref = scipy.linalg.solve_continuous_lyapunov(
+            drift.a / p.omega_b, -diffusion.d / p.omega_b
+        )
+        assert np.max(np.abs(v - v_ref)) <= 1e-12 * np.max(np.abs(v_ref))
+
+    def test_without_a_report_one_eigensolve_runs(self):
+        a, d = single_cavity()
+        with mock.patch.object(np.linalg, "eig", wraps=np.linalg.eig) as eig:
+            solve_lyapunov(a, d)
+        assert eig.call_count == 1
+
+    @given(
+        delta=st.floats(min_value=1e-12, max_value=1e-6),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(delta=0.0, seed=0)  # exactly defective: S is singular
+    @settings(max_examples=25, deadline=None)
+    def test_nearly_defective_drift_takes_the_schur_fallback(self, delta, seed):
+        a, d = nearly_defective(delta, seed)
+        with mock.patch.object(
+            steadystate, "_schur_solve", wraps=steadystate._schur_solve
+        ) as schur:
+            v = solve_lyapunov(a, d, scale=1.0).v
+        assert schur.call_count == 1
+        assert np.linalg.norm(a @ v + v @ a.T + d) <= 1e-10 * np.linalg.norm(d)
+        v_ref = scipy.linalg.solve_continuous_lyapunov(a, -d)
+        assert np.max(np.abs(v - v_ref)) <= 1e-12 * np.max(np.abs(v_ref))
+
+    def test_fallback_taken_when_the_eigenbasis_misses_the_gate(self):
+        a, d = single_cavity()
+        with mock.patch.object(
+            steadystate, "_eigenbasis_solve", return_value=np.eye(2)
+        ), mock.patch.object(
+            steadystate, "_schur_solve", wraps=steadystate._schur_solve
+        ) as schur:
+            v = solve_lyapunov(a, d).v
+        assert schur.call_count == 1
+        assert np.max(np.abs(v - 0.5 * np.eye(2))) <= 1e-12
+
+    def test_fallback_missing_the_gate_raises(self):
+        a, d = single_cavity()
+        with mock.patch.object(
+            steadystate, "_eigenbasis_solve", return_value=None
+        ), mock.patch.object(steadystate, "_schur_solve", return_value=np.eye(2)):
+            with pytest.raises(NumericalError, match="residual"):
+                solve_lyapunov(a, d)
 
     def test_default_point_residual_and_symmetry(self):
         p, drift, diffusion = default_system()
