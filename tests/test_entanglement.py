@@ -1,5 +1,6 @@
 """Two-mode reduction, symplectic eigenvalues, and logarithmic negativity."""
 
+import itertools
 import math
 
 import numpy as np
@@ -11,12 +12,18 @@ from ommlab import (
     DomainError,
     Mode,
     NumericalError,
+    build_diffusion,
+    build_drift,
+    default_params,
+    evaluate_point,
     log_negativity,
     nu_minus_via_partial_transpose,
     pair_label,
     parse_pair,
     physicality_margin,
     random_two_mode_covariance,
+    solve_lyapunov,
+    solve_semiclassics,
     symplectic_nu_minus,
     transformation_efficiency,
     two_mode_block,
@@ -164,6 +171,49 @@ class TestSymplecticNuMinus:
             closed = symplectic_nu_minus(v)
             spectral = nu_minus_via_partial_transpose(v)
             assert abs(closed - spectral) <= 1e-10 * max(1.0, closed)
+
+    @given(
+        n=st.floats(min_value=0.5, max_value=5.0),
+        squeezes=st.tuples(
+            st.floats(min_value=-1.0, max_value=1.0),
+            st.floats(min_value=-1.0, max_value=1.0),
+        ),
+        angles=st.tuples(
+            st.floats(min_value=0.0, max_value=2 * math.pi),
+            st.floats(min_value=0.0, max_value=2 * math.pi),
+        ),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_degenerate_spectrum_keeps_full_precision(self, n, squeezes, angles):
+        # two equal thermal modes under local squeezes and rotations: a
+        # product state with nu_+ = nu_- = n, where the closed form's radicand
+        # is pure roundoff
+        s_local = np.zeros((4, 4))
+        for k, (r, phi) in enumerate(zip(squeezes, angles)):
+            c, s = math.cos(phi), math.sin(phi)
+            rot = np.array([[c, s], [-s, c]])
+            s_local[2 * k:2 * k + 2, 2 * k:2 * k + 2] = rot @ np.diag(
+                [math.exp(r), math.exp(-r)]
+            )
+        v = s_local @ (n * np.eye(4)) @ s_local.T
+        v = 0.5 * (v + v.T)
+        assert symplectic_nu_minus(v) == pytest.approx(n, rel=1e-12)
+
+    def test_decoupled_point_matches_spectral_route(self):
+        # all couplings off: every pair of optical, atomic and magnon modes is
+        # vacuum x vacuum, the most degenerate spectrum the pipeline meets
+        params = default_params(
+            g_n1_hz=0.0, g_n2_hz=0.0, g_c_eff_hz=0.0, g_mb_eff_hz=0.0
+        )
+        labels = [a.value + b.value for a, b in itertools.combinations(Mode, 2)]
+        report = evaluate_point(params, labels)
+        state = solve_semiclassics(params)
+        cov = solve_lyapunov(
+            build_drift(params, state), build_diffusion(params), scale=params.omega_b
+        )
+        for label, rep in report.entanglement.items():
+            nu = nu_minus_via_partial_transpose(two_mode_block(cov, *rep.pair))
+            assert rep.e_n == pytest.approx(max(0.0, -math.log(2.0 * nu)), abs=1e-12)
 
     def test_unphysical_input_raises(self):
         # strong cross correlations with tiny local variances cannot come
