@@ -209,11 +209,11 @@ def solve_lyapunov(
     d_s = d_arr / s
     raw = _eigenbasis_solve(report.eigenvalues / s, report.eigenvectors, d_s)
     v = None if raw is None else _symmetrized(raw)
-    if v is None or _relative_residual(a_s, v, d_s) > _RESIDUAL_RTOL:
+    if v is None or not _relative_residual(a_s, v, d_s) <= _RESIDUAL_RTOL:
         raw = _schur_solve(a_s, d_s)
         v = _symmetrized(raw)
         residual = _relative_residual(a_s, v, d_s)
-        if residual > _RESIDUAL_RTOL:
+        if not residual <= _RESIDUAL_RTOL:
             raise NumericalError(
                 f"Lyapunov residual {residual:.3e} ||D||_F exceeds "
                 f"{_RESIDUAL_RTOL:.0e} ||D||_F"

@@ -194,6 +194,12 @@ class TestSolveLyapunov:
             with pytest.raises(NumericalError, match="residual"):
                 solve_lyapunov(a, d)
 
+    def test_nan_noise_raises_instead_of_returning_nan(self):
+        a, d = single_cavity()
+        d[0, 0] = np.nan
+        with pytest.raises(NumericalError):
+            solve_lyapunov(a, d)
+
     def test_default_point_residual_and_symmetry(self):
         p, drift, diffusion = default_system()
         v = solve_lyapunov(drift, diffusion, scale=p.omega_b).v
