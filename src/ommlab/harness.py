@@ -21,8 +21,8 @@ import numpy as np
 from .dynamics import StabilityReport, build_diffusion, build_drift, stability
 from .entanglement import (
     EntanglementReport,
-    _e_n,
     Mode,
+    _e_n,
     parse_pair,
     symplectic_nu_minus,
     transformation_efficiency,
@@ -275,7 +275,9 @@ def evaluate_point(
         for label, pair in parsed:
             block = two_mode_block(cov, pair[0], pair[1])
             nu = symplectic_nu_minus(block)
-            entanglement[label] = EntanglementReport(pair=pair, nu_minus=nu, e_n=_e_n(nu))
+            entanglement[label] = EntanglementReport(
+                pair=pair, nu_minus=nu, e_n=_e_n(nu)
+            )
     except OmmlabError as exc:
         return _without_measures(parsed, str(exc), report, state)
 
