@@ -10,6 +10,10 @@ mechanical oscillator (6, 7), magnon (8, 9). The fluctuations obey
     du/dt = A u + n(t),    <n n^T>_sym = D delta(t - t'),
 
 and the steady-state covariance solves A V + V A^T + D = 0.
+
+Sweeps classify their drifts a chunk at a time: :func:`stability_stack` runs
+one batched eigensolve over an (N, 10, 10) stack, and :func:`stability` is that
+stack with one matrix in it.
 """
 
 from __future__ import annotations
@@ -179,6 +183,29 @@ def _as_matrix(a: DriftMatrix | np.ndarray) -> tuple[np.ndarray, float]:
     return arr, scale if scale > 0.0 else 1.0
 
 
+def stability_stack(
+    a: np.ndarray, scale: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenpairs of every drift in an (N, n, n) stack, from one batched eig.
+
+    Each matrix is divided by its own entry of ``scale`` (shape (N,)) to keep
+    the problem well conditioned; LAPACK dgeev with vectors runs on each
+    (numpy loops over the stack), and the eigenvalues are scaled back. Every
+    row is sorted by real part, then imaginary part, exactly as
+    :func:`stability` sorts one matrix. Returns the eigenvalues (N, n), the
+    right eigenvectors as columns (N, n, n) in that order, and max Re (N,).
+    Raises :class:`NumericalError` when the eigensolve fails for the stack.
+    """
+    try:
+        eigs, vecs = np.linalg.eig(a / scale[:, None, None])
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigensolve failed: {exc}") from exc
+    order = np.lexsort((eigs.imag, eigs.real), axis=-1)
+    eigs = np.take_along_axis(eigs, order, axis=-1) * scale[:, None]
+    vecs = np.take_along_axis(vecs, order[:, None, :], axis=-1)
+    return eigs, vecs, eigs.real.max(axis=-1)
+
+
 def stability(a: DriftMatrix | np.ndarray) -> StabilityReport:
     """Classify a drift matrix by its spectrum.
 
@@ -187,18 +214,14 @@ def stability(a: DriftMatrix | np.ndarray) -> StabilityReport:
     the matrix scaled by its natural frequency to keep the problem well
     conditioned; the eigenvalues are scaled back to rad/s. Both are returned
     sorted by real part, then imaginary part, so reports are deterministic.
+    This is :func:`stability_stack` on a stack of one.
     """
     arr, scale = _as_matrix(a)
-    try:
-        eigs, vecs = np.linalg.eig(arr / scale)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigensolve failed: {exc}") from exc
-    order = np.lexsort((eigs.imag, eigs.real))
-    eigs = eigs[order] * scale
-    vecs = vecs[:, order]
+    eigs, vecs, max_real = stability_stack(arr[None], np.array([scale]))
+    eigs, vecs = eigs[0], vecs[0]
     eigs.setflags(write=False)
     vecs.setflags(write=False)
-    max_real = float(np.max(eigs.real))
+    max_real = float(max_real[0])
     return StabilityReport(
         eigenvalues=eigs, eigenvectors=vecs, max_real=max_real, stable=max_real < 0.0
     )
@@ -213,4 +236,5 @@ __all__ = [
     "build_diffusion",
     "build_drift",
     "stability",
+    "stability_stack",
 ]

@@ -15,6 +15,11 @@ eigenvalue-based evaluation of the same quantity (partial transpose, then the
 spectrum of i Omega V) is exposed alongside as an independent cross-check; it
 also supplies nu when the two symplectic eigenvalues nearly coincide, where the
 closed form loses half its digits.
+
+:func:`nu_minus_stack` evaluates the closed form over an (N, 4, 4) stack of
+blocks, with the clamps and the spectral route decided for each block on its
+own; :func:`symplectic_nu_minus` and :func:`log_negativity` are that stack
+with one block in it.
 """
 
 from __future__ import annotations
@@ -25,8 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
-from .steadystate import CovarianceMatrix, _require_symmetric, symplectic_form
+from .errors import DomainError, NumericalError, OmmlabError
+from .steadystate import (
+    CovarianceMatrix,
+    _asymmetric,
+    _require_symmetric,
+    symplectic_form,
+)
 
 #: Tolerance scale for the radicand and inner-argument clamps: tiny negative
 #: values are roundoff and clamp to zero, anything worse is an error.
@@ -115,8 +125,59 @@ def _check_two_mode(v0: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _det2(b: np.ndarray) -> float:
-    return float(b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0])
+def _det2(b: np.ndarray) -> np.ndarray:
+    """Determinant of each 2x2 matrix in a stack."""
+    return b[..., 0, 0] * b[..., 1, 1] - b[..., 0, 1] * b[..., 1, 0]
+
+
+def nu_minus_stack(blocks: np.ndarray) -> tuple[np.ndarray, list[OmmlabError | None]]:
+    """Smaller symplectic eigenvalue of each partially transposed block.
+
+    ``blocks`` is an (N, 4, 4) stack of two-mode covariances. Each block is
+    checked and evaluated as :func:`symplectic_nu_minus` evaluates one: its
+    symmetry, the radicand and inner-argument clamps, the spectral route at a
+    nearly degenerate symplectic spectrum, and a vanishing nu_-. Returns nu_-
+    (N,), undefined where a block failed, and per block the error it raises,
+    or None.
+    """
+    det_v1 = _det2(blocks[:, 0:2, 0:2])
+    det_v2 = _det2(blocks[:, 2:4, 2:4])
+    det_v12 = _det2(blocks[:, 0:2, 2:4])
+    det_v0 = np.linalg.det(blocks)
+    sigma = det_v1 + det_v2 - 2.0 * det_v12
+    sigma_sq = sigma * sigma
+
+    radicand = sigma_sq - 4.0 * det_v0
+    inner = 0.5 * (sigma - np.sqrt(np.maximum(radicand, 0.0)))
+    nu = np.sqrt(np.maximum(inner, 0.0))
+    bad_radicand = radicand < -_CLAMP_TOL * np.maximum(1.0, sigma_sq)
+    bad_inner = inner < -_CLAMP_TOL * np.maximum(1.0, np.abs(sigma))
+    degenerate = radicand <= _DEGENERATE_RTOL * sigma * sigma
+
+    errors: list[OmmlabError | None] = [None] * len(blocks)
+    asymmetric = _asymmetric(blocks)
+    for i in np.flatnonzero(asymmetric | bad_radicand | bad_inner | degenerate):
+        if asymmetric[i]:
+            errors[i] = DomainError("two-mode covariance must be symmetric")
+        elif bad_radicand[i]:
+            errors[i] = NumericalError(
+                f"negative radicand {radicand[i]:.3e} in the symplectic eigenvalue; "
+                "input is not a physical covariance"
+            )
+        elif bad_inner[i]:
+            errors[i] = NumericalError(
+                f"negative argument {inner[i]:.3e} under the square root; "
+                "input is not a physical covariance"
+            )
+        else:
+            try:
+                nu[i] = nu_minus_via_partial_transpose(blocks[i])
+            except OmmlabError as exc:
+                errors[i] = exc
+    for i in np.flatnonzero(nu <= 0.0):
+        if errors[i] is None:
+            errors[i] = NumericalError("vanishing symplectic eigenvalue; state is singular")
+    return nu, errors
 
 
 def symplectic_nu_minus(v0: np.ndarray) -> float:
@@ -128,36 +189,12 @@ def symplectic_nu_minus(v0: np.ndarray) -> float:
     the input was not a physical covariance and raise instead. At a nearly
     degenerate symplectic spectrum (radicand below 1e-6 Sigma^2) the closed
     form loses half its digits, and :func:`nu_minus_via_partial_transpose`
-    supplies nu_- instead.
+    supplies nu_- instead. This is :func:`nu_minus_stack` on a stack of one.
     """
-    arr = _check_two_mode(v0)
-    det_v1 = _det2(arr[0:2, 0:2])
-    det_v2 = _det2(arr[2:4, 2:4])
-    det_v12 = _det2(arr[0:2, 2:4])
-    det_v0 = float(np.linalg.det(arr))
-    sigma = det_v1 + det_v2 - 2.0 * det_v12
-
-    radicand = sigma * sigma - 4.0 * det_v0
-    rad_floor = _CLAMP_TOL * max(1.0, sigma * sigma)
-    if radicand < -rad_floor:
-        raise NumericalError(
-            f"negative radicand {radicand:.3e} in the symplectic eigenvalue; "
-            "input is not a physical covariance"
-        )
-    inner = 0.5 * (sigma - math.sqrt(max(radicand, 0.0)))
-    inner_floor = _CLAMP_TOL * max(1.0, abs(sigma))
-    if inner < -inner_floor:
-        raise NumericalError(
-            f"negative argument {inner:.3e} under the square root; "
-            "input is not a physical covariance"
-        )
-    if radicand <= _DEGENERATE_RTOL * sigma * sigma:
-        nu = nu_minus_via_partial_transpose(arr)
-    else:
-        nu = math.sqrt(max(inner, 0.0))
-    if nu <= 0.0:
-        raise NumericalError("vanishing symplectic eigenvalue; state is singular")
-    return nu
+    nu, errors = nu_minus_stack(_check_two_mode(v0)[None])
+    if errors[0] is not None:
+        raise errors[0]
+    return float(nu[0])
 
 
 def nu_minus_via_partial_transpose(v0: np.ndarray) -> float:
@@ -266,6 +303,7 @@ __all__ = [
     "EntanglementReport",
     "Mode",
     "log_negativity",
+    "nu_minus_stack",
     "nu_minus_via_partial_transpose",
     "pair_label",
     "parse_pair",

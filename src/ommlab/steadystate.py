@@ -12,7 +12,13 @@ equation into Lambda W + W Lambda^H = -S^-1 D S^-H, solved entrywise:
 
 Near an exceptional point the eigenvectors coalesce and S becomes ill
 conditioned; there, or when the result misses the residual gate, the solve
-falls back to scipy's Schur-based Bartels-Stewart solver. The independent
+falls back to scipy's Schur-based Bartels-Stewart solver.
+
+:func:`solve_lyapunov_stack` runs this solve over an (N, n, n) stack of
+points at once (numpy's batched inv and matmul), with every gate, the
+symmetrization and the fallback applied to each point on its own; a point's
+failure is returned for that point alone. :func:`solve_lyapunov` is that
+stack with one point in it. The independent
 route integrates dV/dt = A V + V A^T + D forward with classical fourth-order
 Runge-Kutta until the right-hand side is numerically zero; for a stable A both
 must agree, which is the package's main internal consistency check.
@@ -37,7 +43,13 @@ from .dynamics import (
     _as_matrix,
     stability,
 )
-from .errors import ConvergenceError, DomainError, NumericalError, StabilityError
+from .errors import (
+    ConvergenceError,
+    DomainError,
+    NumericalError,
+    OmmlabError,
+    StabilityError,
+)
 
 #: Relative Frobenius residual allowed on the Lyapunov equation.
 _RESIDUAL_RTOL = 1e-10
@@ -69,10 +81,24 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return omega
 
 
+def _transpose(x: np.ndarray) -> np.ndarray:
+    """Transpose of each matrix in a stack (of the matrix itself in 2D)."""
+    return np.swapaxes(x, -1, -2)
+
+
+def _max_abs_scale(x: np.ndarray) -> np.ndarray:
+    """max(1, max |X|) of each matrix in a stack."""
+    return np.maximum(1.0, np.abs(x).max(axis=(-2, -1)))
+
+
+def _asymmetric(x: np.ndarray) -> np.ndarray:
+    """Which matrices of a stack are not symmetric to 1e-10 of max(1, max |X|)."""
+    return np.abs(x - _transpose(x)).max(axis=(-2, -1)) > 1e-10 * _max_abs_scale(x)
+
+
 def _require_symmetric(arr: np.ndarray, name: str) -> None:
     """Raise unless ``arr`` is symmetric to 1e-10 of max(1, max |arr|)."""
-    scale = max(1.0, float(np.max(np.abs(arr))))
-    if float(np.max(np.abs(arr - arr.T))) > 1e-10 * scale:
+    if _asymmetric(arr):
         raise DomainError(f"{name} must be symmetric")
 
 
@@ -123,26 +149,36 @@ def _unwrap(
 
 def _eigenbasis_solve(
     lam: np.ndarray, vecs: np.ndarray, d_s: np.ndarray
-) -> np.ndarray | None:
-    """Raw V = Re S W S^H from eigenpairs of the scaled drift.
+) -> np.ndarray:
+    """Raw V = Re S W S^H for each point of a stack, from its scaled eigenpairs.
 
-    None when S is singular or its condition estimate exceeds
-    :data:`_EIGENBASIS_COND_MAX`.
+    A point whose basis S is singular, or whose condition estimate exceeds
+    :data:`_EIGENBASIS_COND_MAX`, gets an all-NaN V, which the residual gate
+    then sends to the fallback.
     """
     try:
         vecs_inv = np.linalg.inv(vecs)
     except np.linalg.LinAlgError:
-        return None
-    cond = np.abs(vecs).sum(axis=0).max() * np.abs(vecs_inv).sum(axis=0).max()
-    if not cond <= _EIGENBASIS_COND_MAX:
-        return None
-    c = vecs_inv @ d_s @ vecs_inv.conj().T
-    w = -c / (lam[:, None] + lam.conj()[None, :])
-    return (vecs @ w @ vecs.conj().T).real
+        # some S is singular: invert point by point and mark those points
+        vecs_inv = np.full_like(vecs, np.nan)
+        for i, s in enumerate(vecs):
+            try:
+                vecs_inv[i] = np.linalg.inv(s)
+            except np.linalg.LinAlgError:
+                pass
+    cond = np.abs(vecs).sum(axis=-2).max(axis=-1) * np.abs(vecs_inv).sum(
+        axis=-2
+    ).max(axis=-1)
+    c = vecs_inv @ d_s @ _transpose(vecs_inv.conj())
+    w = -c / (lam[:, :, None] + lam.conj()[:, None, :])
+    raw = (vecs @ w @ _transpose(vecs.conj())).real
+    raw[~(cond <= _EIGENBASIS_COND_MAX)] = np.nan
+    return raw
 
 
 def _schur_solve(a_s: np.ndarray, d_s: np.ndarray) -> np.ndarray:
-    """Raw V from scipy's Bartels-Stewart solver (Comm. ACM 15, 820, 1972).
+    """Raw V of one point from scipy's Bartels-Stewart solver (Comm. ACM 15,
+    820, 1972).
 
     scipy is imported here only: the fallback is rare, and the import takes
     longer than a sweep's whole set-up.
@@ -155,28 +191,89 @@ def _schur_solve(a_s: np.ndarray, d_s: np.ndarray) -> np.ndarray:
         raise NumericalError(f"Schur-based Lyapunov solve failed: {exc}") from exc
 
 
-def _max_abs_scale(v: np.ndarray) -> float:
-    return max(1.0, float(np.max(np.abs(v))))
-
-
 def _symmetrized(raw: np.ndarray) -> np.ndarray:
-    """0.5 (V + V^T), with roundoff-level entries set to exactly zero.
+    """0.5 (V + V^T) of each matrix, with roundoff-level entries set to zero.
 
-    Entries within machine epsilon of max(1, max |V|) are below the solve's
-    own forward error. Clearing them keeps structural zeros of V (decoupled
-    quadratures) free of roundoff that would otherwise depend on the scale.
+    Entries within machine epsilon of max(1, max |V|) of their own matrix are
+    below the solve's own forward error. Clearing them keeps structural zeros
+    of V (decoupled quadratures) free of roundoff that would otherwise depend
+    on the scale.
     """
-    v = 0.5 * (raw + raw.T)
-    v[np.abs(v) <= np.finfo(float).eps * _max_abs_scale(v)] = 0.0
+    v = 0.5 * (raw + _transpose(raw))
+    floor = np.finfo(float).eps * _max_abs_scale(v)
+    v[np.abs(v) <= floor[..., None, None]] = 0.0
     return v
 
 
-def _relative_residual(a_s: np.ndarray, v: np.ndarray, d_s: np.ndarray) -> float:
-    """||A V + V A^T + D||_F / ||D||_F; 0 when D vanishes."""
-    d_norm = float(np.linalg.norm(d_s))
-    if d_norm == 0.0:
-        return 0.0
-    return float(np.linalg.norm(a_s @ v + v @ a_s.T + d_s)) / d_norm
+def _relative_residual(a_s: np.ndarray, v: np.ndarray, d_s: np.ndarray) -> np.ndarray:
+    """||A V + V A^T + D||_F / ||D||_F of each point; 0 where D vanishes."""
+    d_norm = np.linalg.norm(d_s, axis=(-2, -1))
+    r_norm = np.linalg.norm(a_s @ v + v @ _transpose(a_s) + d_s, axis=(-2, -1))
+    return np.divide(r_norm, d_norm, out=np.zeros_like(r_norm), where=d_norm != 0.0)
+
+
+def solve_lyapunov_stack(
+    a: np.ndarray,
+    d: np.ndarray,
+    scale: np.ndarray,
+    eigenvalues: np.ndarray,
+    eigenvectors: np.ndarray,
+) -> tuple[np.ndarray, list[OmmlabError | None]]:
+    """Stationary covariances of a stack of stable points, solved together.
+
+    ``a`` and ``d`` are (N, n, n) in rad/s, ``scale`` (N,) is each point's
+    natural frequency, and the eigenpairs are each drift's, as returned by
+    :func:`ommlab.dynamics.stability_stack`. Each point is checked on its
+    own, exactly as :func:`solve_lyapunov` checks one: a symmetric D, the
+    eigenbasis condition estimate, the 1e-10 residual gate (a NaN residual
+    fails it) with the Schur fallback for that point only, the asymmetry
+    warning, and non-negative variances. Returns the symmetrized V (N, n, n),
+    rows of failed points undefined, and per point the error that point
+    raises, or None.
+    """
+    errors: list[OmmlabError | None] = [None] * len(a)
+    for i in np.flatnonzero(_asymmetric(d)):
+        errors[i] = DomainError("diffusion must be symmetric")
+    a_s = a / scale[:, None, None]
+    d_s = d / scale[:, None, None]
+    raw = _eigenbasis_solve(eigenvalues / scale[:, None], eigenvectors, d_s)
+    v = _symmetrized(raw)
+    for i in np.flatnonzero(~(_relative_residual(a_s, v, d_s) <= _RESIDUAL_RTOL)):
+        if errors[i] is not None:
+            continue
+        try:
+            raw[i] = _schur_solve(a_s[i], d_s[i])
+        except NumericalError as exc:
+            errors[i] = exc
+            continue
+        one = slice(i, i + 1)
+        v[one] = _symmetrized(raw[one])
+        residual = float(_relative_residual(a_s[one], v[one], d_s[one])[0])
+        if not residual <= _RESIDUAL_RTOL:
+            errors[i] = NumericalError(
+                f"Lyapunov residual {residual:.3e} ||D||_F exceeds "
+                f"{_RESIDUAL_RTOL:.0e} ||D||_F"
+            )
+
+    asym = np.abs(raw - _transpose(raw)).max(axis=(-2, -1))
+    warn = asym > _ASYMMETRY_RTOL * _max_abs_scale(raw)
+    unsymmetric = _asymmetric(v)
+    negative = (np.diagonal(v, axis1=-2, axis2=-1) < 0.0).any(axis=-1)
+    for i, error in enumerate(errors):
+        if error is not None:
+            continue
+        if warn[i]:
+            warnings.warn(
+                f"Lyapunov solution asymmetry {asym[i]:.3e} exceeds "
+                f"{_ASYMMETRY_RTOL:.0e} of max |V|; solve may be ill conditioned",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        if unsymmetric[i]:
+            errors[i] = DomainError("covariance must be symmetric")
+        elif negative[i]:
+            errors[i] = DomainError("variances on the diagonal must be non-negative")
+    return v, errors
 
 
 def solve_lyapunov(
@@ -196,7 +293,8 @@ def solve_lyapunov(
     singular or worse conditioned than :data:`_EIGENBASIS_COND_MAX`, or its
     result misses that gate, scipy's Schur-based solver runs instead and must
     pass the same gate. A raw asymmetry beyond 1e-9 of max |V| in the returned
-    solution warns, since it indicates the solve is losing accuracy.
+    solution warns, since it indicates the solve is losing accuracy. This is
+    :func:`solve_lyapunov_stack` on a stack of one.
     """
     a_arr, d_arr, s = _unwrap(a, d, scale)
     report = stability_report if stability_report is not None else stability(a)
@@ -204,30 +302,13 @@ def solve_lyapunov(
         raise StabilityError(
             f"drift is not asymptotically stable (max Re eig = {report.max_real:.6e})"
         )
-
-    a_s = a_arr / s
-    d_s = d_arr / s
-    raw = _eigenbasis_solve(report.eigenvalues / s, report.eigenvectors, d_s)
-    v = None if raw is None else _symmetrized(raw)
-    if v is None or not _relative_residual(a_s, v, d_s) <= _RESIDUAL_RTOL:
-        raw = _schur_solve(a_s, d_s)
-        v = _symmetrized(raw)
-        residual = _relative_residual(a_s, v, d_s)
-        if not residual <= _RESIDUAL_RTOL:
-            raise NumericalError(
-                f"Lyapunov residual {residual:.3e} ||D||_F exceeds "
-                f"{_RESIDUAL_RTOL:.0e} ||D||_F"
-            )
-
-    asym = float(np.max(np.abs(raw - raw.T)))
-    if asym > _ASYMMETRY_RTOL * _max_abs_scale(raw):
-        warnings.warn(
-            f"Lyapunov solution asymmetry {asym:.3e} exceeds "
-            f"{_ASYMMETRY_RTOL:.0e} of max |V|; solve may be ill conditioned",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return CovarianceMatrix(v=v)
+    v, errors = solve_lyapunov_stack(
+        a_arr[None], d_arr[None], np.array([s]),
+        report.eigenvalues[None], report.eigenvectors[None],
+    )
+    if errors[0] is not None:
+        raise errors[0]
+    return CovarianceMatrix(v=v[0])
 
 
 def integrate_to_steady_state(
@@ -366,5 +447,6 @@ __all__ = [
     "integrate_to_steady_state",
     "physicality_margin",
     "solve_lyapunov",
+    "solve_lyapunov_stack",
     "symplectic_form",
 ]

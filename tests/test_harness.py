@@ -25,8 +25,10 @@ from ommlab import (
     write_csv,
     write_pgm,
 )
+from ommlab import build_diffusion, build_drift, solve_semiclassics, steadystate
 from ommlab import harness
-from ommlab.harness import SWEEP_AXES
+from ommlab.entanglement import parse_pair
+from ommlab.harness import CHUNK_SIZE, SWEEP_AXES
 
 # Frozen outputs of the default operating point. These pin the full pipeline
 # (semiclassics through log-negativity) against accidental drift; they are
@@ -240,6 +242,10 @@ class TestDefaultPoint:
             "import sys, ommlab; "
             "report = ommlab.evaluate_point(ommlab.default_params()); "
             "assert report.error is None; "
+            "spec = ommlab.SweepSpec(ommlab.Axis('delta_a_over_wb', -2.0, 0.0, 7), "
+            "ommlab.Axis('delta_c1_over_wb', 0.0, 2.0, 5)); "
+            "result = ommlab.run_sweep(ommlab.default_params(), spec, ('ab', 'am')); "
+            "assert all(r.error is None for r in result.reports); "
             "print('scipy' in sys.modules)"
         )
         src = Path(harness.__file__).resolve().parents[1]
@@ -284,6 +290,96 @@ class TestRunSweep:
                 assert got.entanglement["ab"].e_n == pytest.approx(
                     direct.entanglement["ab"].e_n, rel=1e-12
                 )
+
+    @pytest.mark.parametrize(
+        "overrides, axes",
+        [
+            ({}, ("delta_a_over_wb", -2.0, 0.0, "delta_c1_over_wb", 0.0, 2.0)),
+            (
+                {"coupling_mode": "derived", "b_field_t": 1.1e-3, "g_c_hz": 1.5e3},
+                ("delta_c2_over_wb", -2.0, 0.0, "delta_m_over_wb", 0.0, 2.0),
+            ),
+        ],
+        ids=["direct", "derived"],
+    )
+    def test_rows_equal_single_point_evaluation_bit_for_bit(self, overrides, axes):
+        # 17 x 17 = 289 points: two full chunks and a partial third one
+        name1, start1, stop1, name2, start2, stop2 = axes
+        params = default_params(**overrides)
+        spec = SweepSpec(
+            axis1=Axis(name=name1, start=start1, stop=stop1, count=17),
+            axis2=Axis(name=name2, start=start2, stop=stop2, count=17),
+        )
+        assert len(range(0, 17 * 17, CHUNK_SIZE)) >= 3 and 17 * 17 % CHUNK_SIZE
+        result = run_sweep(params, spec, pairs=("ab", "am"), threads=1)
+        kinds = []
+        for index, got in enumerate(result.reports):
+            i1, i2 = divmod(index, 17)
+            point = SWEEP_AXES[name2](
+                SWEEP_AXES[name1](params, float(result.values1[i1])),
+                float(result.values2[i2]),
+            )
+            direct = evaluate_point(point, pairs=("ab", "am"))
+            assert got.stable == direct.stable
+            assert got.margin == direct.margin
+            assert got.error == direct.error
+            assert got.efficiency == direct.efficiency
+            for label in ("ab", "am"):
+                assert got.entanglement[label] == direct.entanglement[label]
+            kinds.append(
+                "error" if got.error else "stable" if got.stable else "unstable"
+            )
+        if overrides:
+            chunks = [
+                set(kinds[start : start + CHUNK_SIZE])
+                for start in range(0, len(kinds), CHUNK_SIZE)
+            ]
+            assert {"error", "stable", "unstable"} in chunks
+            assert all(
+                "did not settle" in r.error for r in result.reports if r.error
+            )
+
+    def test_no_eigensolve_sees_more_than_a_chunk(self):
+        params = default_params(delta_c2_over_wb=-0.8, T=0.01)
+        spec = SweepSpec(
+            axis1=Axis(name="delta_a_over_wb", start=-2.0, stop=0.0, count=51),
+            axis2=Axis(name="delta_c1_over_wb", start=0.0, stop=2.0, count=51),
+        )
+        with mock.patch.object(np.linalg, "eig", wraps=np.linalg.eig) as eig:
+            result = run_sweep(params, spec, pairs=("ab", "am"))
+        sizes = [len(call.args[0]) for call in eig.call_args_list]
+        assert max(sizes) <= CHUNK_SIZE
+        assert sum(sizes) == len(result.reports) == 51 * 51
+
+    def test_chunked_thread_pool_does_not_change_bytes(self, tmp_path):
+        # 23 x 17 = 391 points: three full chunks and a partial fourth one
+        spec = SweepSpec(
+            axis1=Axis(name="delta_a_over_wb", start=-2.0, stop=0.0, count=23),
+            axis2=Axis(name="delta_c1_over_wb", start=0.0, stop=2.0, count=17),
+        )
+        assert 23 * 17 > 3 * CHUNK_SIZE and 23 * 17 % CHUNK_SIZE
+        blobs = []
+        for threads in (1, 3):
+            result = run_sweep(default_params(), spec, ("ab", "am"), threads=threads)
+            path = tmp_path / f"t{threads}.csv"
+            write_csv(result, path, reproducible=True)
+            blobs.append(path.read_bytes())
+        assert blobs[0] == blobs[1]
+
+    def test_axis1_value_that_breaks_validation_fails_its_whole_row(self):
+        spec = SweepSpec(
+            axis1=Axis(name="T", start=-0.01, stop=0.01, count=3),
+            axis2=Axis(name="delta_a_over_wb", start=-1.2, stop=-0.8, count=2),
+        )
+        result = run_sweep(default_params(), spec, pairs=("am",), threads=1)
+        try:
+            SWEEP_AXES["T"](default_params(), -0.01)
+        except DomainError as exc:
+            message = str(exc)
+        for i2 in range(2):
+            assert result.report_at(0, i2).error == message
+            assert not result.report_at(0, i2).stable
+            assert result.report_at(2, i2).stable
 
     def test_axis_value_that_breaks_validation_becomes_error_row(self):
         spec = SweepSpec(axis1=Axis(name="T", start=-0.01, stop=0.01, count=3))
@@ -349,6 +445,110 @@ class TestRunSweep:
             i1, i2 = divmod(flat, n2)
             best.append((float(result.values1[i1]), float(result.values2[i2])))
         assert best[0] == pytest.approx(best[1], abs=1e-12)
+
+
+def _physical_point(d_factor=1.0, **overrides):
+    p = default_params(**overrides)
+    drift = build_drift(p, solve_semiclassics(p))
+    return drift.a, d_factor * build_diffusion(p).d, p.omega_b
+
+
+def _nearly_defective_point(delta=1e-9, seed=3):
+    """A stable 10x10 drift whose first two eigenvectors nearly coincide.
+
+    The block [[-0.5, 1], [0, -0.5 + delta]] sits beside four damped
+    rotations, hidden by a random orthogonal similarity; the noise is
+    positive definite, so the steady state is a positive definite V.
+    """
+    rng = np.random.default_rng(seed)
+    b = np.zeros((10, 10))
+    b[0:2, 0:2] = [[-0.5, 1.0], [0.0, -0.5 + delta]]
+    for i, (k, w) in zip(range(2, 10, 2), ((0.3, 1.0), (0.5, 2.0), (0.2, 0.7), (0.4, 1.5))):
+        b[i : i + 2, i : i + 2] = [[-k, w], [-w, -k]]
+    q, _ = np.linalg.qr(rng.normal(size=(10, 10)))
+    g = rng.normal(size=(10, 10))
+    return q @ b @ q.T, g @ g.T + np.eye(10), 1.0
+
+
+class TestStackedCore:
+    """Each point of a mixed stack comes out as it does in a stack of one."""
+
+    PAIRS = [parse_pair(label) for label in ("ab", "am", "c2b")]
+
+    @pytest.fixture(scope="class")
+    def stack(self):
+        nan_a, nan_d, nan_scale = _physical_point()
+        nan_a = nan_a.copy()
+        nan_a[3, 2] = np.nan
+        points = [
+            _physical_point(),
+            _nearly_defective_point(),
+            _physical_point(delta_m_over_wb=-1.0),  # unstable
+            (nan_a, nan_d, nan_scale),
+            _physical_point(delta_a_over_wb=-0.3),
+            # the same weakly coupled point at max |V| about 0.5 and 5e5
+            _physical_point(g_n2_hz=1e-2),
+            _physical_point(d_factor=1e6, g_n2_hz=1e-2),
+        ]
+        a, d, scale = (np.array(column) for column in zip(*points))
+        with mock.patch.object(
+            steadystate, "_schur_solve", wraps=steadystate._schur_solve
+        ) as schur:
+            outcomes = harness._solve_stack(a, d, scale, self.PAIRS)
+        return a, d, scale, outcomes, schur.call_count
+
+    def test_every_point_equals_its_stack_of_one(self, stack):
+        a, d, scale, outcomes, _ = stack
+        for i, got in enumerate(outcomes):
+            (alone,) = harness._solve_stack(
+                a[i : i + 1], d[i : i + 1], scale[i : i + 1], self.PAIRS
+            )
+            assert got.max_real == alone.max_real
+            assert got.nus == alone.nus
+            assert got.error == alone.error
+            if alone.v is None:
+                assert got.v is None
+            else:
+                np.testing.assert_array_equal(got.v, alone.v)
+
+    def test_failures_stay_with_their_point(self, stack):
+        _, _, _, outcomes, schur_calls = stack
+        assert schur_calls == 1  # the nearly defective point only
+        assert [o.error is None for o in outcomes] == [
+            True, True, True, False, True, True, True
+        ]
+        assert "non-finite" in outcomes[3].error and outcomes[3].max_real is None
+        assert outcomes[2].max_real > 0.0 and outcomes[2].nus is None
+        assert all(outcomes[i].nus is not None for i in (0, 1, 4, 5, 6))
+
+    def test_failed_batched_eigensolve_reruns_point_by_point(self, stack):
+        a, d, scale, outcomes, _ = stack
+        eig = np.linalg.eig
+
+        def eig_failing_on_stacks(x):
+            if len(x) > 1:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eig(x)
+
+        with mock.patch.object(np.linalg, "eig", side_effect=eig_failing_on_stacks):
+            rerun = harness._solve_stack(a, d, scale, self.PAIRS)
+        assert [(o.max_real, o.nus, o.error) for o in rerun] == [
+            (o.max_real, o.nus, o.error) for o in outcomes
+        ]
+        with mock.patch.object(
+            np.linalg, "eig", side_effect=np.linalg.LinAlgError("no convergence")
+        ):
+            (failed,) = harness._solve_stack(a[:1], d[:1], scale[:1], self.PAIRS)
+        assert failed == (None, None, None, "eigensolve failed: no convergence")
+
+    def test_roundoff_floor_is_per_point(self, stack):
+        # entries between epsilon and 1e6 epsilon of max |V| survive at the
+        # small point; a floor taken from the stack's largest V would clear them
+        _, _, _, outcomes, _ = stack
+        v = np.abs(outcomes[5].v)
+        eps = np.finfo(float).eps
+        assert np.any((v > eps) & (v <= 1e6 * eps))
+        assert np.abs(outcomes[6].v).max() > 1e5
 
 
 @pytest.fixture(scope="module")

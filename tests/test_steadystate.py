@@ -178,7 +178,7 @@ class TestSolveLyapunov:
     def test_fallback_taken_when_the_eigenbasis_misses_the_gate(self):
         a, d = single_cavity()
         with mock.patch.object(
-            steadystate, "_eigenbasis_solve", return_value=np.eye(2)
+            steadystate, "_eigenbasis_solve", return_value=np.eye(2)[None]
         ), mock.patch.object(
             steadystate, "_schur_solve", wraps=steadystate._schur_solve
         ) as schur:
@@ -189,7 +189,7 @@ class TestSolveLyapunov:
     def test_fallback_missing_the_gate_raises(self):
         a, d = single_cavity()
         with mock.patch.object(
-            steadystate, "_eigenbasis_solve", return_value=None
+            steadystate, "_eigenbasis_solve", return_value=np.full((1, 2, 2), np.nan)
         ), mock.patch.object(steadystate, "_schur_solve", return_value=np.eye(2)):
             with pytest.raises(NumericalError, match="residual"):
                 solve_lyapunov(a, d)
