@@ -176,7 +176,9 @@ def nu_minus_stack(blocks: np.ndarray) -> tuple[np.ndarray, list[OmmlabError | N
                 errors[i] = exc
     for i in np.flatnonzero(nu <= 0.0):
         if errors[i] is None:
-            errors[i] = NumericalError("vanishing symplectic eigenvalue; state is singular")
+            errors[i] = NumericalError(
+                "vanishing symplectic eigenvalue; state is singular"
+            )
     return nu, errors
 
 

@@ -35,13 +35,7 @@ from .entanglement import (
     parse_pair,
     transformation_efficiency,
 )
-from .errors import (
-    ConfigError,
-    ConvergenceError,
-    DomainError,
-    NumericalError,
-    OmmlabError,
-)
+from .errors import ConfigError, ConvergenceError, DomainError, NumericalError, OmmlabError
 from .model import (
     PARAM_TABLE,
     Param,
@@ -55,10 +49,11 @@ from .steadystate import integrate_to_steady_state, solve_lyapunov_stack
 
 VERSION = "0.1.0"
 
-#: Grid points solved together by one stacked core call. Large enough to
-#: spread the per-call cost of the batched numpy routines (about 110 us per
-#: point at one point per call, 30 us at 128), small enough that the stacks
-#: of a chunk stay near 1 MB whatever the grid size.
+#: Grid points solved together by one stacked core call: large enough to
+#: spread the fixed cost of the batched numpy calls, small enough that a
+#: chunk's arrays stay at a few MB whatever the grid size. On the 51x51
+#: paper map (2 cores, OpenBLAS at one thread) run_sweep took 723 us per
+#: point at chunks of 1 and 124-139 us at 64-256, fastest at 128.
 CHUNK_SIZE = 128
 
 #: Bipartitions reported when a config does not say otherwise.
@@ -304,7 +299,7 @@ def _solve_stack(
         return [
             outcome
             for i in range(len(a))
-            for outcome in _solve_stack(a[i : i + 1], d[i : i + 1], scale[i : i + 1], pairs)
+            for outcome in _solve_stack(a[i:i + 1], d[i:i + 1], scale[i:i + 1], pairs)
         ]
     for i, value in zip(rows, max_real.tolist()):
         outcomes[i] = _Outcome(value, None, None, None)

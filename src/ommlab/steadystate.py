@@ -166,9 +166,7 @@ def _eigenbasis_solve(
                 vecs_inv[i] = np.linalg.inv(s)
             except np.linalg.LinAlgError:
                 pass
-    cond = np.abs(vecs).sum(axis=-2).max(axis=-1) * np.abs(vecs_inv).sum(
-        axis=-2
-    ).max(axis=-1)
+    cond = np.linalg.norm(vecs, 1, axis=(-2, -1)) * np.linalg.norm(vecs_inv, 1, axis=(-2, -1))
     c = vecs_inv @ d_s @ _transpose(vecs_inv.conj())
     w = -c / (lam[:, :, None] + lam.conj()[:, None, :])
     raw = (vecs @ w @ _transpose(vecs.conj())).real

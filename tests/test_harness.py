@@ -26,6 +26,7 @@ from ommlab import (
     write_pgm,
 )
 from ommlab import build_diffusion, build_drift, solve_semiclassics, steadystate
+from ommlab.dynamics import stability_stack
 from ommlab import harness
 from ommlab.entanglement import parse_pair
 from ommlab.harness import CHUNK_SIZE, SWEEP_AXES
@@ -540,6 +541,28 @@ class TestStackedCore:
         ):
             (failed,) = harness._solve_stack(a[:1], d[:1], scale[:1], self.PAIRS)
         assert failed == (None, None, None, "eigensolve failed: no convergence")
+
+    def test_singular_basis_falls_back_for_its_point_only(self, stack):
+        # make the basis of the nearly defective point (index 1) singular
+        a, d, scale, outcomes, _ = stack
+        inv = np.linalg.inv
+        basis = stability_stack(a[1:2], scale[1:2])[1][0]
+
+        def inv_singular_at_point_1(x):
+            if x.ndim == 3 or np.array_equal(x, basis):
+                raise np.linalg.LinAlgError("Singular matrix")
+            return inv(x)
+
+        with mock.patch.object(
+            np.linalg, "inv", side_effect=inv_singular_at_point_1
+        ), mock.patch.object(
+            steadystate, "_schur_solve", wraps=steadystate._schur_solve
+        ) as schur:
+            rerun = harness._solve_stack(a, d, scale, self.PAIRS)
+        assert schur.call_count == 1
+        assert [(o.max_real, o.nus, o.error) for o in rerun] == [
+            (o.max_real, o.nus, o.error) for o in outcomes
+        ]
 
     def test_roundoff_floor_is_per_point(self, stack):
         # entries between epsilon and 1e6 epsilon of max |V| survive at the
