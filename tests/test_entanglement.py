@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from ommlab import (
     transformation_efficiency,
     two_mode_block,
 )
+from ommlab.entanglement import nu_minus_stack
 
 
 def two_mode_squeezed(r: float) -> np.ndarray:
@@ -227,6 +229,46 @@ class TestSymplecticNuMinus:
     def test_wrong_shape_rejected(self):
         with pytest.raises(DomainError):
             symplectic_nu_minus(np.eye(6))
+
+
+class TestNuMinusStack:
+    """A failing block of a stack fails alone; its neighbours keep their nu_-."""
+
+    GOOD = two_mode_squeezed(0.5)
+
+    def assert_only_middle_block_fails(self, bad, error_type, match):
+        nu, errors = nu_minus_stack(np.array([self.GOOD, bad, self.GOOD]))
+        assert errors[0] is None and errors[2] is None
+        assert isinstance(errors[1], error_type)
+        assert match in str(errors[1])
+        assert nu[0] == nu[2] == symplectic_nu_minus(self.GOOD)
+
+    def test_asymmetric_block(self):
+        bad = 0.5 * np.eye(4)
+        bad[0, 1] = 0.1
+        self.assert_only_middle_block_fails(bad, DomainError, "symmetric")
+
+    def test_negative_radicand(self):
+        # Sigma = 0 and det V = 1: the radicand Sigma^2 - 4 det V is -4
+        bad = np.array(
+            [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0],
+             [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, -1.0]]
+        )
+        self.assert_only_middle_block_fails(bad, NumericalError, "negative radicand")
+
+    def test_failure_on_the_spectral_route(self):
+        # vacuum x vacuum is degenerate, so only that block takes the route
+        with mock.patch.object(
+            np.linalg, "eigvals", side_effect=np.linalg.LinAlgError("no convergence")
+        ):
+            self.assert_only_middle_block_fails(
+                0.5 * np.eye(4), NumericalError, "eigensolve failed: no convergence"
+            )
+
+    def test_vanishing_nu_minus(self):
+        self.assert_only_middle_block_fails(
+            np.zeros((4, 4)), NumericalError, "vanishing symplectic eigenvalue"
+        )
 
 
 class TestRandomCovariances:

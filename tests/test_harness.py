@@ -14,8 +14,10 @@ import pytest
 from ommlab import (
     Axis,
     ConfigError,
+    ConvergenceError,
     DEFAULT_PAIRS,
     DomainError,
+    NumericalError,
     SweepSpec,
     VERSION,
     default_params,
@@ -28,7 +30,7 @@ from ommlab import (
 from ommlab import build_diffusion, build_drift, solve_semiclassics, steadystate
 from ommlab.dynamics import stability_stack
 from ommlab import harness
-from ommlab.entanglement import parse_pair
+from ommlab.entanglement import nu_minus_stack, parse_pair
 from ommlab.harness import CHUNK_SIZE, SWEEP_AXES
 
 # Frozen outputs of the default operating point. These pin the full pipeline
@@ -272,6 +274,52 @@ class TestDefaultPoint:
         assert report.efficiency is None
 
 
+class TestPointFailures:
+    """A stable point whose later stage fails keeps its stability verdict."""
+
+    @staticmethod
+    def assert_stable_without_measures(report, reference, error):
+        assert report.stable and report.margin == reference.margin
+        assert report.error == error
+        assert all(rep.e_n is None for rep in report.entanglement.values())
+        assert report.efficiency is None
+
+    def test_failed_lyapunov_solve(self, default_point):
+        message = "Schur-based Lyapunov solve failed: test"
+        with mock.patch.object(
+            steadystate, "_eigenbasis_solve",
+            side_effect=lambda lam, vecs, d_s: np.full(d_s.shape, np.nan),
+        ), mock.patch.object(
+            steadystate, "_schur_solve", side_effect=NumericalError(message)
+        ):
+            report = evaluate_point(default_params())
+        self.assert_stable_without_measures(report, default_point, message)
+
+    def test_failed_nu_minus(self, default_point):
+        message = "vanishing symplectic eigenvalue; state is singular"
+
+        def second_block_fails(blocks):
+            nu, errors = nu_minus_stack(blocks)
+            errors[1] = NumericalError(message)
+            return nu, errors
+
+        with mock.patch.object(harness, "nu_minus_stack", second_block_fails):
+            report = evaluate_point(default_params())
+        self.assert_stable_without_measures(report, default_point, message)
+
+    def test_oracle_convergence_error_keeps_the_measures(self, default_point):
+        with mock.patch.object(
+            harness, "integrate_to_steady_state",
+            side_effect=ConvergenceError("RK4 did not reach the tolerance"),
+        ):
+            report = evaluate_point(default_params(), oracle=True)
+        assert report.error == "oracle: RK4 did not reach the tolerance"
+        assert report.oracle_deviation is None
+        assert report.stable and report.margin == default_point.margin
+        assert report.entanglement == default_point.entanglement
+        assert report.efficiency == default_point.efficiency
+
+
 class TestRunSweep:
     def test_row_major_matches_direct_evaluation(self):
         params = default_params()
@@ -381,6 +429,23 @@ class TestRunSweep:
             assert result.report_at(0, i2).error == message
             assert not result.report_at(0, i2).stable
             assert result.report_at(2, i2).stable
+
+    def test_axis2_value_that_breaks_validation_fails_its_point_only(self):
+        spec = SweepSpec(
+            axis1=Axis(name="delta_a_over_wb", start=-1.2, stop=-0.8, count=2),
+            axis2=Axis(name="T", start=-0.01, stop=0.01, count=3),
+        )
+        result = run_sweep(default_params(), spec, pairs=("am",), threads=1)
+        for i1, v1 in enumerate(result.values1):
+            row = SWEEP_AXES["delta_a_over_wb"](default_params(), float(v1))
+            with pytest.raises(DomainError) as exc:
+                SWEEP_AXES["T"](row, -0.01)
+            failed = result.report_at(i1, 0)
+            assert failed.error == str(exc.value)
+            assert not failed.stable and failed.margin is None
+            for i2 in (1, 2):
+                assert result.report_at(i1, i2).error is None
+                assert result.report_at(i1, i2).stable
 
     def test_axis_value_that_breaks_validation_becomes_error_row(self):
         spec = SweepSpec(axis1=Axis(name="T", start=-0.01, stop=0.01, count=3))
@@ -563,6 +628,16 @@ class TestStackedCore:
         assert [(o.max_real, o.nus, o.error) for o in rerun] == [
             (o.max_real, o.nus, o.error) for o in outcomes
         ]
+
+    def test_every_returned_covariance_is_exactly_symmetric(self, stack):
+        a, d, scale, outcomes, _ = stack
+        stable = [i for i, o in enumerate(outcomes) if (o.max_real or 0.0) < 0.0]
+        eigs, vecs, _ = stability_stack(a[stable], scale[stable])
+        v, errors = steadystate.solve_lyapunov_stack(
+            a[stable], d[stable], scale[stable], eigs, vecs
+        )
+        assert errors == [None] * len(stable)
+        np.testing.assert_array_equal(v, np.swapaxes(v, 1, 2))
 
     def test_roundoff_floor_is_per_point(self, stack):
         # entries between epsilon and 1e6 epsilon of max |V| survive at the

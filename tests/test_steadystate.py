@@ -26,6 +26,7 @@ from ommlab import (
     thermal_occupation,
 )
 from ommlab import steadystate
+from ommlab.dynamics import stability_stack
 
 
 def single_cavity(kappa=2.0, delta=0.7):
@@ -207,6 +208,50 @@ class TestSolveLyapunov:
         residual = np.linalg.norm(a @ v + v @ a.T + d)
         assert residual <= 1e-10 * np.linalg.norm(d)
         np.testing.assert_array_equal(v, v.T)
+
+
+class TestLyapunovStack:
+    """A failing row of :func:`solve_lyapunov_stack` fails alone."""
+
+    @staticmethod
+    def solve(a, d):
+        a, d = np.array(a), np.array(d)
+        scale = np.ones(len(a))
+        eigs, vecs, _ = stability_stack(a, scale)
+        return steadystate.solve_lyapunov_stack(a, d, scale, eigs, vecs)
+
+    def test_asymmetric_diffusion_fails_its_row_without_the_fallback(self):
+        a, d = single_cavity()
+        d_bad = d.copy()
+        d_bad[0, 1] = 0.1
+        with mock.patch.object(
+            steadystate, "_schur_solve", wraps=steadystate._schur_solve
+        ) as schur:
+            v, errors = self.solve([a, a], [d, d_bad])
+        schur.assert_not_called()
+        assert errors[0] is None
+        assert isinstance(errors[1], DomainError)
+        assert str(errors[1]) == "diffusion must be symmetric"
+        assert np.max(np.abs(v[0] - 0.5 * np.eye(2))) <= 1e-12
+
+    def test_raw_asymmetry_warns_for_its_row_only(self):
+        a, d = single_cavity()
+        skew = np.array([[0.0, 1e-6], [-1e-6, 0.0]])
+        raw = np.array([0.5 * np.eye(2) + skew, 0.5 * np.eye(2)])
+        with mock.patch.object(steadystate, "_eigenbasis_solve", return_value=raw):
+            with pytest.warns(RuntimeWarning, match="asymmetry") as record:
+                v, errors = self.solve([a, a], [d, d])
+        assert len(record) == 1
+        assert errors == [None, None]
+        np.testing.assert_array_equal(v, [0.5 * np.eye(2)] * 2)
+
+    def test_negative_variance_fails_its_row(self):
+        a, d = single_cavity()
+        v, errors = self.solve([a, -np.eye(2)], [d, np.diag([1.0, -1.0])])
+        assert errors[0] is None
+        assert isinstance(errors[1], DomainError)
+        assert "non-negative" in str(errors[1])
+        assert np.max(np.abs(v[0] - 0.5 * np.eye(2))) <= 1e-12
 
 
 class TestRelaxationIntegrator:
