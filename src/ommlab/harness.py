@@ -159,8 +159,12 @@ class SweepResult:
     reports: list[PointReport]
 
     def report_at(self, i1: int, i2: int = 0) -> PointReport:
-        """Row-major lookup: axis1 index outer, axis2 index inner."""
+        """Row-major lookup: axis1 index outer, axis2 index inner; an index
+        outside the grid raises IndexError (a 1D sweep takes only i2 = 0)."""
+        n1 = len(self.values1)
         n2 = 1 if self.values2 is None else len(self.values2)
+        if not (0 <= i1 < n1 and 0 <= i2 < n2):
+            raise IndexError(f"index ({i1}, {i2}) is outside the {n1}x{n2} grid")
         return self.reports[i1 * n2 + i2]
 
 
@@ -309,20 +313,22 @@ def _solve_stack(
     v, errors = solve_lyapunov_stack(
         a[rows], d[rows], scale[rows], eigs[stable], vecs[stable]
     )
-    # the 4x4 blocks of every pair at every solved point, as one stack
-    solved = [k for k, error in enumerate(errors) if error is None]
+    # the 4x4 blocks of every pair at every stable point, as one stack; the V
+    # of a failed point is undefined (NaN after a failed fallback), its nu_- unread
+    n = len(pairs)
     idx = np.array([mode1.rows + mode2.rows for mode1, mode2 in pairs])
-    blocks = v[solved][:, idx[:, :, None], idx[:, None, :]]
-    nu, block_errors = nu_minus_stack(blocks.reshape(-1, 4, 4))
-    nus = dict(zip(solved, nu.reshape(len(solved), len(pairs)).tolist()))
-    for j, k in enumerate(solved):
-        point_errors = block_errors[j * len(pairs) : (j + 1) * len(pairs)]
-        errors[k] = next((e for e in point_errors if e is not None), None)
-    for k, (i, error) in enumerate(zip(rows, errors)):
+    blocks = v[:, idx[:, :, None], idx[:, None, :]].reshape(-1, 4, 4)
+    with np.errstate(invalid="ignore"):
+        nu, block_errors = nu_minus_stack(blocks)
+    nu = nu.reshape(len(rows), n).tolist()
+    for k, i in enumerate(rows):
+        # a point keeps its first error, the Lyapunov solve's before its pairs'
+        point_errors = [errors[k], *block_errors[k * n : (k + 1) * n]]
+        error = next((e for e in point_errors if e is not None), None)
         if error is not None:
             outcomes[i] = outcomes[i]._replace(error=str(error))
         else:
-            outcomes[i] = outcomes[i]._replace(v=v[k], nus=tuple(nus[k]))
+            outcomes[i] = outcomes[i]._replace(v=v[k], nus=tuple(nu[k]))
     return outcomes
 
 

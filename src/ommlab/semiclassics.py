@@ -134,10 +134,13 @@ def cavity2_average(
     """
     if formula not in ("linsolve", "closed_form"):
         raise DomainError(f"unknown c2 formula {formula!r}")
-    return _cavity2(
+    c2_avg, mismatch = _cavity2(
         formula, drive_e, kappa_a, kappa_c1, kappa_c2,
         delta_a, delta_c1, delta_c2_eff, g_n1, g_n2,
-    )[0]
+    )
+    if drive_e != 0.0 and mismatch > _C2_MISMATCH_WARN:
+        logger.warning("cavity amplitude formulas disagree by %.3e relative", mismatch)
+    return c2_avg
 
 
 def _cavity2(formula: str, *args: float) -> tuple[complex, float]:
@@ -167,11 +170,6 @@ def _cavity2(formula: str, *args: float) -> tuple[complex, float]:
     c2_lin = complex(amps[2])
     c2_cf = cavity2_average_closed_form(*args)
     mismatch = abs(c2_lin - c2_cf) / max(abs(c2_lin), abs(c2_cf), _SINGULAR_FLOOR)
-    if drive_e != 0.0 and mismatch > _C2_MISMATCH_WARN:
-        logger.warning(
-            "cavity amplitude formulas disagree by %.3e relative "
-            "(linsolve %s, closed form %s)", mismatch, c2_lin, c2_cf,
-        )
     return (c2_lin if formula == "linsolve" else c2_cf), mismatch
 
 
@@ -203,7 +201,7 @@ def solve_semiclassics(params: SystemParams) -> SemiclassicalState:
     zero static displacement. Derived mode iterates the displacement to its
     fixed point; each pass recomputes the shifted detunings, the amplitudes,
     and the displacement they imply, until successive iterates agree to
-    1e-12 relative.
+    1e-12 relative. The <c2> formula mismatch is logged once, at the fixed point.
     """
     sign = params.delta_c2_sign
     drive_e = laser_drive_strength(params.p_laser, params.kappa_c2, params.lambda_laser)
@@ -250,6 +248,8 @@ def solve_semiclassics(params: SystemParams) -> SemiclassicalState:
         raise ConvergenceError(
             f"displacement fixed point did not settle in {_Q_FIXED_POINT_MAX_ITER} iterations"
         )
+    if drive_e != 0.0 and mismatch > _C2_MISMATCH_WARN:
+        logger.warning("cavity amplitude formulas disagree by %.3e relative", mismatch)
 
     delta_m_eff = params.delta_m + params.g_m * q
     delta_c2_eff = sign * params.delta_c2 - params.g_c * q

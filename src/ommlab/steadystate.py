@@ -15,13 +15,13 @@ conditioned; there, or when the result misses the residual gate, the solve
 falls back to scipy's Schur-based Bartels-Stewart solver.
 
 :func:`solve_lyapunov_stack` runs this solve over an (N, n, n) stack of
-points at once (numpy's batched inv and matmul), with every gate, the
-symmetrization and the fallback applied to each point on its own; a point's
-failure is returned for that point alone. :func:`solve_lyapunov` is that
-stack with one point in it. The independent
-route integrates dV/dt = A V + V A^T + D forward with classical fourth-order
-Runge-Kutta until the right-hand side is numerically zero; for a stable A both
-must agree, which is the package's main internal consistency check.
+points at once (numpy's batched inv and matmul); each point is gated, and
+sent to the fallback, on its own, and its failure is returned for it alone.
+:func:`solve_lyapunov` is that stack with one point in it. The
+independent route integrates dV/dt = A V + V A^T + D forward with classical
+fourth-order Runge-Kutta until the right-hand side is numerically zero; for a
+stable A both must agree, which is the package's main internal consistency
+check. Both take their stability verdict from :func:`ommlab.dynamics.stability`.
 
 All solves run in dimensionless form: A and D are scaled by a natural
 frequency first (the mechanical frequency for the physical pipeline), so the
@@ -130,11 +130,13 @@ class CovarianceMatrix:
         return self.v.shape[0] // 2
 
 
-def _unwrap(
+def _stable_system(
     a: DriftMatrix | np.ndarray,
     d: DiffusionMatrix | np.ndarray,
     scale: float | None,
-) -> tuple[np.ndarray, np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray, float, StabilityReport]:
+    """Checked A and D arrays, the scale, and the drift's stability report;
+    raises :class:`StabilityError` when the drift is not stable."""
     a_arr, natural = _as_matrix(a)
     d_arr = d.d if isinstance(d, DiffusionMatrix) else np.asarray(d, dtype=float)
     if d_arr.shape != a_arr.shape:
@@ -144,7 +146,12 @@ def _unwrap(
         scale = natural
     if not scale > 0.0:
         raise DomainError("scale must be strictly positive")
-    return a_arr, d_arr, scale
+    report = stability(a)
+    if not report.stable:
+        raise StabilityError(
+            f"drift is not asymptotically stable (max Re eig = {report.max_real:.6e})"
+        )
+    return a_arr, d_arr, scale, report
 
 
 def _eigenbasis_solve(
@@ -221,13 +228,13 @@ def solve_lyapunov_stack(
 
     ``a`` and ``d`` are (N, n, n) in rad/s, ``scale`` (N,) is each point's
     natural frequency, and the eigenpairs are each drift's, as returned by
-    :func:`ommlab.dynamics.stability_stack`. Each point is checked on its
-    own, exactly as :func:`solve_lyapunov` checks one: a symmetric D, the
-    eigenbasis condition estimate, the 1e-10 residual gate (a NaN residual
-    fails it) with the Schur fallback for that point only, the asymmetry
-    warning, and non-negative variances. Returns the symmetrized V (N, n, n),
-    rows of failed points undefined, and per point the error that point
-    raises, or None.
+    :func:`ommlab.dynamics.stability_stack`. A point with an asymmetric D
+    fails at once; the others' eigenbasis results are screened with the 1e-10
+    residual gate (a NaN residual misses it) and those that miss go to the
+    Schur fallback. The stack is then symmetrized and gated once, and each
+    point that passes is checked for the asymmetry warning and non-negative
+    variances. Returns V (N, n, n), exactly symmetric, rows of failed points
+    undefined, and per point the error that point raises, or None.
     """
     errors: list[OmmlabError | None] = [None] * len(a)
     for i in np.flatnonzero(_asymmetric(d)):
@@ -235,30 +242,27 @@ def solve_lyapunov_stack(
     a_s = a / scale[:, None, None]
     d_s = d / scale[:, None, None]
     raw = _eigenbasis_solve(eigenvalues / scale[:, None], eigenvectors, d_s)
-    v = _symmetrized(raw)
-    for i in np.flatnonzero(~(_relative_residual(a_s, v, d_s) <= _RESIDUAL_RTOL)):
-        if errors[i] is not None:
-            continue
-        try:
-            raw[i] = _schur_solve(a_s[i], d_s[i])
-        except NumericalError as exc:
-            errors[i] = exc
-            continue
-        one = slice(i, i + 1)
-        v[one] = _symmetrized(raw[one])
-        residual = float(_relative_residual(a_s[one], v[one], d_s[one])[0])
-        if not residual <= _RESIDUAL_RTOL:
-            errors[i] = NumericalError(
-                f"Lyapunov residual {residual:.3e} ||D||_F exceeds "
-                f"{_RESIDUAL_RTOL:.0e} ||D||_F"
-            )
+    missed = ~(_relative_residual(a_s, _symmetrized(raw), d_s) <= _RESIDUAL_RTOL)
+    for i in np.flatnonzero(missed):
+        if errors[i] is None:
+            try:
+                raw[i] = _schur_solve(a_s[i], d_s[i])
+            except NumericalError as exc:
+                errors[i] = exc
 
+    v = _symmetrized(raw)
+    residual = _relative_residual(a_s, v, d_s)
     asym = np.abs(raw - _transpose(raw)).max(axis=(-2, -1))
     warn = asym > _ASYMMETRY_RTOL * _max_abs_scale(raw)
-    unsymmetric = _asymmetric(v)
     negative = (np.diagonal(v, axis1=-2, axis2=-1) < 0.0).any(axis=-1)
     for i, error in enumerate(errors):
         if error is not None:
+            continue
+        if not residual[i] <= _RESIDUAL_RTOL:
+            errors[i] = NumericalError(
+                f"Lyapunov residual {residual[i]:.3e} ||D||_F exceeds "
+                f"{_RESIDUAL_RTOL:.0e} ||D||_F"
+            )
             continue
         if warn[i]:
             warnings.warn(
@@ -267,9 +271,7 @@ def solve_lyapunov_stack(
                 RuntimeWarning,
                 stacklevel=2,
             )
-        if unsymmetric[i]:
-            errors[i] = DomainError("covariance must be symmetric")
-        elif negative[i]:
+        if negative[i]:
             errors[i] = DomainError("variances on the diagonal must be non-negative")
     return v, errors
 
@@ -279,27 +281,17 @@ def solve_lyapunov(
     d: DiffusionMatrix | np.ndarray,
     *,
     scale: float | None = None,
-    stability_report: StabilityReport | None = None,
 ) -> CovarianceMatrix:
     """Solve A V + V A^T + D = 0 for the stationary covariance V.
 
-    Requires an asymptotically stable A. The eigenpairs come from
-    ``stability_report`` when one is given, else from one call of
-    :func:`ommlab.dynamics.stability`, and V is solved in that eigenbasis (see
-    the module docstring). The result is symmetrized and checked against the
-    equation to 1e-10 relative in Frobenius norm. When the eigenbasis is
-    singular or worse conditioned than :data:`_EIGENBASIS_COND_MAX`, or its
-    result misses that gate, scipy's Schur-based solver runs instead and must
-    pass the same gate. A raw asymmetry beyond 1e-9 of max |V| in the returned
-    solution warns, since it indicates the solve is losing accuracy. This is
-    :func:`solve_lyapunov_stack` on a stack of one.
+    Requires an asymptotically stable A: one call of
+    :func:`ommlab.dynamics.stability` gives the verdict and the eigenpairs.
+    This is :func:`solve_lyapunov_stack` on a stack of one (eigenbasis solve,
+    Schur fallback when the basis is singular, worse conditioned than
+    :data:`_EIGENBASIS_COND_MAX` or misses the 1e-10 residual gate, the
+    asymmetry warning); the error it returns for the point is raised.
     """
-    a_arr, d_arr, s = _unwrap(a, d, scale)
-    report = stability_report if stability_report is not None else stability(a)
-    if not report.stable:
-        raise StabilityError(
-            f"drift is not asymptotically stable (max Re eig = {report.max_real:.6e})"
-        )
+    a_arr, d_arr, s, report = _stable_system(a, d, scale)
     v, errors = solve_lyapunov_stack(
         a_arr[None], d_arr[None], np.array([s]),
         report.eigenvalues[None], report.eigenvectors[None],
@@ -336,21 +328,12 @@ def integrate_to_steady_state(
         raise DomainError("rtol must be strictly positive")
     if not horizon > 0.0:
         raise DomainError("horizon must be strictly positive")
-    a_arr, d_arr, s = _unwrap(a, d, scale)
+    a_arr, d_arr, s, report = _stable_system(a, d, scale)
     n = a_arr.shape[0]
     a_s = a_arr / s
     d_s = d_arr / s
-
-    try:
-        eigs = np.linalg.eigvals(a_s)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigensolve failed: {exc}") from exc
-    max_real = float(np.max(eigs.real))
-    if max_real >= 0.0:
-        raise StabilityError(
-            f"drift is not asymptotically stable (max Re eig = {max_real:.6e})"
-        )
-    spectral_radius = float(np.max(np.abs(eigs)))
+    max_real = report.max_real / s
+    spectral_radius = float(np.max(np.abs(report.eigenvalues))) / s
 
     if dt is None:
         dt_s = _RK4_STEP_FRACTION / spectral_radius
@@ -381,40 +364,26 @@ def integrate_to_steady_state(
     sixth = dt_s / 6.0
     half = 0.5 * dt_s
 
-    # Preallocated stage buffers: the step count runs into the tens of
-    # thousands, so the loop avoids fresh allocations entirely.
-    g = np.empty_like(v)
-    k1 = np.empty_like(v)
-    k2 = np.empty_like(v)
-    k3 = np.empty_like(v)
-    k4 = np.empty_like(v)
-    w = np.empty_like(v)
-
-    def rhs(src: np.ndarray, dst: np.ndarray) -> None:
-        # dst = A src + (A src)^T + D; valid because src stays symmetric
-        np.matmul(a_s, src, out=g)
-        np.add(g, g.T, out=dst)
-        dst += d_s
+    def rhs(x: np.ndarray) -> np.ndarray:
+        # A x + (A x)^T + D; valid because x stays symmetric
+        ax = a_s @ x
+        return ax + ax.T + d_s
 
     for _ in range(max_steps):
-        rhs(v, k1)
+        k1 = rhs(v)
         if float(np.vdot(k1, k1)) <= tol_sq:
             return CovarianceMatrix(v=0.5 * (v + v.T))
-        np.multiply(k1, half, out=w)
-        w += v
-        rhs(w, k2)
-        np.multiply(k2, half, out=w)
-        w += v
-        rhs(w, k3)
-        np.multiply(k3, dt_s, out=w)
-        w += v
-        rhs(w, k4)
-        np.add(k2, k3, out=w)
-        w *= 2.0
-        w += k1
-        w += k4
-        w *= sixth
-        v += w
+        k2 = rhs(k1 * half + v)
+        k3 = rhs(k2 * half + v)
+        k4 = rhs(k3 * dt_s + v)
+        # v + dt/6 (k1 + 2 (k2 + k3) + k4), summed in place on k2: the same
+        # bits as the out-of-place expression, without its temporaries
+        k2 += k3
+        k2 *= 2.0
+        k2 += k1
+        k2 += k4
+        k2 *= sixth
+        v += k2
 
     residual = math.sqrt(float(np.vdot(k1, k1)))
     raise ConvergenceError(

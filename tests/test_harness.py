@@ -264,6 +264,17 @@ class TestDefaultPoint:
         assert report.oracle_deviation is not None
         assert report.oracle_deviation < 1e-9
 
+    def test_oracle_takes_its_verdict_from_stability(self):
+        with mock.patch.object(
+            np.linalg, "eig", wraps=np.linalg.eig
+        ) as eig, mock.patch.object(
+            np.linalg, "eigvals", wraps=np.linalg.eigvals
+        ) as eigvals:
+            report = evaluate_point(default_params(), pairs=("ab",), oracle=True)
+        assert report.oracle_deviation is not None
+        assert eig.call_count == 2  # the point's stack, then the oracle's drift
+        assert eigvals.call_count == 0
+
     def test_unstable_point_reports_margin_without_measures(self):
         params = SWEEP_AXES["delta_m_over_wb"](default_params(), -1.0)
         report = evaluate_point(params, pairs=("am",))
@@ -321,6 +332,28 @@ class TestPointFailures:
 
 
 class TestRunSweep:
+    def test_report_at_rejects_indices_outside_the_grid(self):
+        def result(values2):
+            n2 = 1 if values2 is None else len(values2)
+            return harness.SweepResult(
+                params=default_params(), spec=None, pairs=("ab",),
+                values1=np.arange(3.0), values2=values2,
+                reports=list(range(3 * n2)),
+            )
+
+        grid = result(np.arange(2.0))
+        assert [grid.report_at(i1, i2) for i1 in range(3) for i2 in range(2)] == list(
+            range(6)
+        )
+        for i1, i2 in ((0, 2), (-1, 0), (3, 0), (0, -1)):
+            with pytest.raises(IndexError, match="3x2 grid"):
+                grid.report_at(i1, i2)
+        line = result(None)
+        assert [line.report_at(i1) for i1 in range(3)] == [0, 1, 2]
+        for i1, i2 in ((0, 1), (3, 0), (-1, 0)):
+            with pytest.raises(IndexError, match="3x1 grid"):
+                line.report_at(i1, i2)
+
     def test_row_major_matches_direct_evaluation(self):
         params = default_params()
         spec = SweepSpec(
@@ -628,6 +661,11 @@ class TestStackedCore:
         assert [(o.max_real, o.nus, o.error) for o in rerun] == [
             (o.max_real, o.nus, o.error) for o in outcomes
         ]
+
+    def test_one_index_space(self):
+        # nu_- and the first error are read straight from the two stacks
+        names = set(harness._solve_stack.__code__.co_varnames)
+        assert not names & {"solved", "nus"}
 
     def test_every_returned_covariance_is_exactly_symmetric(self, stack):
         a, d, scale, outcomes, _ = stack

@@ -1,6 +1,7 @@
 """Mean-field working point: amplitudes, displacement, effective couplings."""
 
 import cmath
+import logging
 import math
 
 import numpy as np
@@ -270,6 +271,26 @@ class TestSolveSemiclassicsDerived:
         state = solve_semiclassics(default_params(**self.OVERRIDES, c2_formula=formula))
         assert state.c2_mismatch == pytest.approx(1e-6, rel=1e-5)
         assert "cavity amplitude formulas disagree" in caplog.text
+
+    def test_mismatch_is_logged_once_per_call(self, monkeypatch, caplog):
+        # every fixed-point iteration sees the mismatch; only the working
+        # point's is logged, and a direct cavity2_average call logs its own
+        exact = semiclassics.cavity2_average_closed_form
+        monkeypatch.setattr(
+            semiclassics,
+            "cavity2_average_closed_form",
+            lambda *args: exact(*args) * (1.0 + 1e-6),
+        )
+        with caplog.at_level(logging.WARNING, logger=semiclassics.__name__):
+            state = solve_semiclassics(default_params(**self.OVERRIDES))
+            assert state.iterations > 1
+            assert len(caplog.records) == 1
+            args = (7.7e11, KAPPA_A, KAPPA_C1, KAPPA_C2, DELTA_A, DELTA_C1,
+                    DELTA_C2_EFF, G1, G2)
+            cavity2_average(*args)
+            cavity2_average(*args)
+        assert len(caplog.records) == 3
+        assert all("disagree by 1.000e-06" in r.getMessage() for r in caplog.records)
 
     def test_closed_form_mode_matches_linsolve_mode(self):
         a = solve_semiclassics(default_params(**self.OVERRIDES))

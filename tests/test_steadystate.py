@@ -1,5 +1,6 @@
 """Lyapunov solve, RK4 relaxation cross-check, and covariance physicality."""
 
+import inspect
 from unittest import mock
 
 import numpy as np
@@ -21,7 +22,6 @@ from ommlab import (
     physicality_margin,
     solve_lyapunov,
     solve_semiclassics,
-    stability,
     symplectic_form,
     thermal_occupation,
 )
@@ -142,16 +142,19 @@ class TestSolveLyapunov:
 
     def test_default_point_stays_in_the_eigenbasis(self):
         p, drift, diffusion = default_system()
-        report = stability(drift)
         with mock.patch.object(steadystate, "_schur_solve") as schur:
-            v = solve_lyapunov(
-                drift, diffusion, scale=p.omega_b, stability_report=report
-            ).v
+            v = solve_lyapunov(drift, diffusion, scale=p.omega_b).v
         schur.assert_not_called()
         v_ref = scipy.linalg.solve_continuous_lyapunov(
             drift.a / p.omega_b, -diffusion.d / p.omega_b
         )
         assert np.max(np.abs(v - v_ref)) <= 1e-12 * np.max(np.abs(v_ref))
+
+    def test_takes_no_stability_report(self):
+        assert "stability_report" not in inspect.signature(solve_lyapunov).parameters
+
+    def test_residual_gate_message_is_built_once(self):
+        assert inspect.getsource(steadystate).count('f"Lyapunov residual') == 1
 
     def test_without_a_report_one_eigensolve_runs(self):
         a, d = single_cavity()
@@ -255,6 +258,31 @@ class TestLyapunovStack:
 
 
 class TestRelaxationIntegrator:
+    def test_verdict_comes_from_one_stability_call(self):
+        a, d = single_cavity()
+        with mock.patch.object(
+            np.linalg, "eig", wraps=np.linalg.eig
+        ) as eig, mock.patch.object(
+            np.linalg, "eigvals", wraps=np.linalg.eigvals
+        ) as eigvals:
+            integrate_to_steady_state(a, d)
+        assert eig.call_count == 1
+        assert eigvals.call_count == 0
+
+    def test_unstable_message_matches_the_direct_solve(self):
+        # max Re eig is given in the drift's own units, not the scaled ones
+        a = np.array([[3.0, 1.0], [-1.0, 3.0]])
+        with pytest.raises(StabilityError) as direct:
+            solve_lyapunov(a, np.eye(2))
+        with pytest.raises(StabilityError) as oracle:
+            integrate_to_steady_state(a, np.eye(2))
+        assert str(oracle.value) == str(direct.value)
+        assert "max Re eig = 3.000000e+00" in str(oracle.value)
+
+    def test_loop_keeps_no_preallocated_buffers(self):
+        source = inspect.getsource(integrate_to_steady_state)
+        assert "empty_like" not in source and "out=" not in source
+
     def test_vacuum_fixture_from_far_start(self):
         a, d = single_cavity()
         v = integrate_to_steady_state(a, d, v0=2.0 * np.eye(2)).v
