@@ -209,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument(
         "--oracle", action="store_true",
-        help="cross-check every point against the RK4 relaxation (slow)",
+        help="cross-check every point against the RK4 relaxation",
     )
     p_sweep.set_defaults(func=_cmd_sweep)
 

@@ -18,10 +18,14 @@ falls back to scipy's Schur-based Bartels-Stewart solver.
 points at once (numpy's batched inv and matmul); each point is gated, and
 sent to the fallback, on its own, and its failure is returned for it alone.
 :func:`solve_lyapunov` is that stack with one point in it. The
-independent route integrates dV/dt = A V + V A^T + D forward with classical
-fourth-order Runge-Kutta until the right-hand side is numerically zero; for a
-stable A both must agree, which is the package's main internal consistency
-check. Both take their stability verdict from :func:`ommlab.dynamics.stability`.
+independent route relaxes dV/dt = A V + V A^T + D with classical RK4 until the
+right-hand side is numerically zero. The right-hand side is affine, so RK4's
+fixed point is the Lyapunov solution, and 2^k steps are one affine map: the
+relaxation doubles the one-step map in correction form, I + G L = M (Smith,
+SIAM J. Appl. Math. 16, 198, 1968; see :func:`integrate_to_steady_state`),
+without the drift's eigenbasis. For a stable A both routes must agree, which
+is the package's main internal consistency check. Both take their stability
+verdict from :func:`ommlab.dynamics.stability`.
 
 All solves run in dimensionless form: A and D are scaled by a natural
 frequency first (the mechanical frequency for the physical pipeline), so the
@@ -320,9 +324,16 @@ def integrate_to_steady_state(
     ||dV/dt||_F drops to ``rtol`` times ||D||_F, and gives up past ``horizon``
     times the slowest decay time.
 
-    The fixed point of the exact flow is the Lyapunov solution; because the
-    right-hand side is affine, RK4's own fixed point coincides with it, so
-    this integrator is an independent cross-check of the direct solver.
+    On x = vec(V) a step is x <- x + G r, r = L x + vec(D), with
+    L = A (x) I + I (x) A, hL = dt L, G = dt Q(hL), Q(z) = 1 + z/2 + z^2/6 +
+    z^3/24 and I + G L = M = P(hL), the degree-4 Taylor polynomial. Pass k
+    checks r, jumps x <- x + G_k r (2^k more steps in exact arithmetic) and
+    doubles: G_{k+1} = M_k G_k + G_k, M_{k+1} = M_k^2. That is about
+    log2(steps) n^2 x n^2 products, whatever the stiffness, and jumping on the
+    current residual corrects roundoff in the iterate instead of carrying it.
+    The checks fall after 0, 1, 3, 7, ..., 2^K - 1 steps, the last at the
+    first 2^K - 1 at or above the horizon's step budget, under twice the
+    horizon.
     """
     if not rtol > 0.0:
         raise DomainError("rtol must be strictly positive")
@@ -332,7 +343,6 @@ def integrate_to_steady_state(
     n = a_arr.shape[0]
     a_s = a_arr / s
     d_s = d_arr / s
-    max_real = report.max_real / s
     spectral_radius = float(np.max(np.abs(report.eigenvalues))) / s
 
     if dt is None:
@@ -350,46 +360,36 @@ def integrate_to_steady_state(
     if v0 is None:
         v = 0.5 * np.eye(n)
     else:
-        v_init = v0.v if isinstance(v0, CovarianceMatrix) else np.asarray(v0, dtype=float)
-        if v_init.shape != (n, n):
+        v = v0.v if isinstance(v0, CovarianceMatrix) else np.asarray(v0, dtype=float)
+        if v.shape != (n, n):
             raise DomainError("v0 shape must match the drift")
-        _require_symmetric(v_init, "v0")
-        v = v_init.copy()
+        _require_symmetric(v, "v0")
 
-    d_norm = float(np.linalg.norm(d_s))
-    tol = rtol * d_norm if d_norm > 0.0 else rtol
-    tol_sq = tol * tol
-    max_steps = math.ceil(horizon / abs(max_real) / dt_s)
+    tol = rtol * (float(np.linalg.norm(d_s)) or 1.0)
+    max_steps = math.ceil(horizon * s / abs(report.max_real) / dt_s)
 
-    sixth = dt_s / 6.0
-    half = 0.5 * dt_s
-
-    def rhs(x: np.ndarray) -> np.ndarray:
-        # A x + (A x)^T + D; valid because x stays symmetric
-        ax = a_s @ x
-        return ax + ax.T + d_s
-
-    for _ in range(max_steps):
-        k1 = rhs(v)
-        if float(np.vdot(k1, k1)) <= tol_sq:
+    # row-major vec: vec(A V) = (A (x) I) x and vec(V A^T) = (I (x) A) x
+    eye = np.eye(n * n)
+    h_l = dt_s * (np.kron(a_s, np.eye(n)) + np.kron(np.eye(n), a_s))
+    q = eye + h_l @ (eye + h_l @ (eye + h_l / 4.0) / 3.0) / 2.0
+    g = dt_s * q
+    m = eye + h_l @ q
+    steps = 0
+    while True:
+        r = a_s @ v + v @ a_s.T + d_s
+        residual = float(np.linalg.norm(r))
+        if residual <= tol:
             return CovarianceMatrix(v=0.5 * (v + v.T))
-        k2 = rhs(k1 * half + v)
-        k3 = rhs(k2 * half + v)
-        k4 = rhs(k3 * dt_s + v)
-        # v + dt/6 (k1 + 2 (k2 + k3) + k4), summed in place on k2: the same
-        # bits as the out-of-place expression, without its temporaries
-        k2 += k3
-        k2 *= 2.0
-        k2 += k1
-        k2 += k4
-        k2 *= sixth
-        v += k2
-
-    residual = math.sqrt(float(np.vdot(k1, k1)))
-    raise ConvergenceError(
-        f"RK4 did not reach ||dV/dt||_F <= {tol:.3e} within the horizon "
-        f"({max_steps} steps; final residual {residual:.3e})"
-    )
+        if steps >= max_steps:
+            raise ConvergenceError(
+                f"RK4 did not reach ||dV/dt||_F <= {tol:.3e} within the horizon "
+                f"({max_steps} steps, checked at {steps}; final residual "
+                f"{residual:.3e})"
+            )
+        v = v + (g @ r.ravel()).reshape(n, n)
+        steps = 2 * steps + 1
+        g = m @ g + g
+        m = m @ m
 
 
 def physicality_margin(v: CovarianceMatrix | np.ndarray) -> float:

@@ -31,7 +31,7 @@ from ommlab import (
     thermal_occupation,
 )
 from ommlab.cli import main
-from ommlab.harness import SWEEP_AXES
+from ommlab.harness import SWEEP_AXES, Axis, SweepSpec, run_sweep
 from ommlab.model import config_snapshot
 
 SET_DELTA_A = SWEEP_AXES["delta_a_over_wb"]
@@ -88,7 +88,6 @@ def test_decoupled_modes_relax_to_exact_thermal_vacuum(capsys):
     assert elapsed < 1.0
 
 
-@pytest.mark.slow
 def test_direct_steady_state_matches_rk4_relaxation_on_random_draws(capsys):
     t0 = time.perf_counter()
     rng = np.random.default_rng(20260825)
@@ -138,6 +137,34 @@ def test_direct_steady_state_matches_rk4_relaxation_on_random_draws(capsys):
     assert accepted == 50
     assert worst <= 1e-6
     assert elapsed < 60.0
+
+
+@pytest.mark.slow
+def test_rk4_oracle_agrees_across_the_paper_panel(capsys):
+    t0 = time.perf_counter()
+    spec = SweepSpec(
+        Axis("delta_a_over_wb", float(DELTA_A_GRID[0]), float(DELTA_A_GRID[-1]), 51),
+        Axis("delta_c1_over_wb", float(DELTA_C1_GRID[0]), float(DELTA_C1_GRID[-1]), 51),
+    )
+    result = run_sweep(
+        SET_DELTA_C2(default_params(), DELTA_C2_PANELS[0]), spec, ("ab", "am"),
+        threads=1, oracle=True,
+    )
+    errors = [r.error for r in result.reports if r.error is not None]
+    checked = [r.oracle_deviation for r in result.reports if r.oracle_deviation is not None]
+    worst = max(checked, default=math.inf)
+
+    elapsed = time.perf_counter() - t0
+    ok = not errors and len(checked) == 2601 and worst <= 1e-9 and elapsed < 30.0
+    verdict(
+        capsys, ok, "RK4 oracle over the paper panel",
+        f"{len(checked)} of 2601 points checked, {len(errors)} errors, worst "
+        f"rel deviation {worst:.2e} (tol 1e-9), {elapsed:.1f} s (budget 30 s)",
+    )
+    assert not errors, errors[:3]
+    assert len(checked) == 2601
+    assert worst <= 1e-9
+    assert elapsed < 30.0
 
 
 def test_log_negativity_closed_form_against_analytic_and_spectral_oracles(capsys):

@@ -1,6 +1,9 @@
 """Lyapunov solve, RK4 relaxation cross-check, and covariance physicality."""
 
 import inspect
+import math
+import re
+import time
 from unittest import mock
 
 import numpy as np
@@ -39,6 +42,43 @@ def default_system():
     p = default_params()
     state = solve_semiclassics(p)
     return p, build_drift(p, state), build_diffusion(p)
+
+
+def two_mode():
+    """Two damped rotating modes exchanging excitations at rate 0.35."""
+    a = np.array([
+        [-0.6, 1.3, 0.0, 0.35],
+        [-1.3, -0.6, -0.35, 0.0],
+        [0.0, 0.35, -0.9, 0.8],
+        [-0.35, 0.0, -0.8, -0.9],
+    ])
+    d = np.diag([0.6, 0.6, 2.7, 2.7])
+    return a, d
+
+
+def lyapunov_rhs(a, d, v):
+    return a @ v + v @ a.T + d
+
+
+def rk4_steps(a, d, v, dt, count):
+    """``count`` plain classical RK4 steps on dV/dt = A V + V A^T + D."""
+    for _ in range(count):
+        k1 = lyapunov_rhs(a, d, v)
+        k2 = lyapunov_rhs(a, d, v + 0.5 * dt * k1)
+        k3 = lyapunov_rhs(a, d, v + 0.5 * dt * k2)
+        k4 = lyapunov_rhs(a, d, v + dt * k3)
+        v = v + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return v
+
+
+def stepped_rk4(a, d, v, dt, tol):
+    """Plain RK4 from ``v`` until ||dV/dt||_F <= tol, read after 0, 1, 3, 7,
+    ... steps, where the doubling integrator reads it."""
+    steps = 0
+    while np.linalg.norm(lyapunov_rhs(a, d, v)) > tol:
+        v = rk4_steps(a, d, v, dt, steps + 1)
+        steps = 2 * steps + 1
+    return v
 
 
 def nearly_defective(delta, seed):
@@ -282,6 +322,54 @@ class TestRelaxationIntegrator:
     def test_loop_keeps_no_preallocated_buffers(self):
         source = inspect.getsource(integrate_to_steady_state)
         assert "empty_like" not in source and "out=" not in source
+
+    @pytest.mark.parametrize("system", [single_cavity, two_mode])
+    @pytest.mark.parametrize("rtol", [1e-1, 1e-12])
+    def test_doubling_follows_plain_stepping(self, system, rtol):
+        # a loose rtol stops mid-transient, so the trajectory itself is
+        # compared, not only the fixed point both approach
+        a, d = system()
+        v0 = 3.0 * np.eye(len(a))
+        dt = 0.07 / np.max(np.abs(np.linalg.eigvals(a)))
+        v_doubled = integrate_to_steady_state(a, d, v0=v0, dt=dt, rtol=rtol, scale=1.0).v
+        v_stepped = stepped_rk4(a, d, v0, dt, rtol * np.linalg.norm(d))
+        rel = np.linalg.norm(v_doubled - v_stepped) / np.linalg.norm(v_stepped)
+        assert rel <= 1e-10
+        v_star = solve_lyapunov(a, d).v
+        if rtol == 1e-1:
+            assert np.linalg.norm(v_stepped - v_star) > 1e-2 * np.linalg.norm(v_star)
+
+    def test_convergence_error_gives_budget_and_final_residual(self):
+        a, d = single_cavity()
+        rho = np.max(np.abs(np.linalg.eigvals(a)))
+        dt = 0.05 / rho
+        budget = math.ceil(0.5 / 2.0 / dt)  # horizon over the decay rate kappa
+        with pytest.raises(ConvergenceError) as exc:
+            integrate_to_steady_state(a, d, v0=5.0 * np.eye(2), horizon=0.5, scale=1.0)
+        found = re.search(
+            r"\((\d+) steps, checked at (\d+); final residual (\S+)\)", str(exc.value)
+        )
+        assert found is not None, str(exc.value)
+        assert int(found.group(1)) == budget == 11
+        assert int(found.group(2)) == 15  # the first 2^K - 1 >= the budget
+        v15 = rk4_steps(a, d, 5.0 * np.eye(2), dt, 15)
+        expected = np.linalg.norm(lyapunov_rhs(a, d, v15))
+        assert float(found.group(3)) == pytest.approx(expected, rel=1e-3)
+
+    def test_near_the_stability_boundary_converges_fast(self):
+        # margin 3.0e-4 omega_b, max |V| about 30, a budget of 3.4e6 steps:
+        # one-at-a-time stepping stalls here at a roundoff floor above the
+        # tolerance, which the correction form does not carry
+        p = default_params(delta_m_over_wb=-0.974)
+        drift = build_drift(p, solve_semiclassics(p))
+        diffusion = build_diffusion(p)
+        v_direct = solve_lyapunov(drift, diffusion, scale=p.omega_b).v
+        t0 = time.perf_counter()
+        v_rk4 = integrate_to_steady_state(drift, diffusion, scale=p.omega_b).v
+        elapsed = time.perf_counter() - t0
+        rel = np.linalg.norm(v_rk4 - v_direct) / np.linalg.norm(v_direct)
+        assert rel <= 1e-6
+        assert elapsed < 1.0
 
     def test_vacuum_fixture_from_far_start(self):
         a, d = single_cavity()
