@@ -82,7 +82,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         write_pgm(result, pair, pgm_path)
         print(f"wrote {pgm_path}")
     failures = sum(1 for r in result.reports if r.error is not None)
-    unstable = sum(1 for r in result.reports if not r.stable)
+    unstable = sum(1 for r in result.reports if r.margin is not None and not r.stable)
     if unstable:
         print(f"{unstable} unstable points")
     if failures:

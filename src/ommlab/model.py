@@ -101,7 +101,6 @@ PARAM_TABLE: tuple[Param, ...] = (
     Param("theta_c_rad", "theta_c", 0.0, None, float, "finite"),
     Param("theta_m_rad", "theta_m", 0.0, None, float, "finite"),
     Param("eq9_verbatim", "eq9_verbatim", False, None, bool, None),
-    Param("c2_formula", "c2_formula", "linsolve", None, str, ("linsolve", "closed_form")),
 )
 
 
@@ -173,7 +172,6 @@ class SystemParams:
     theta_c: float
     theta_m: float
     eq9_verbatim: bool
-    c2_formula: str
 
     def __post_init__(self) -> None:
         values = self.__dict__

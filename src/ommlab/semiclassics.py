@@ -12,7 +12,10 @@ Two ways to get there:
   displacement is zero, and no amplitudes are computed.
 * derived mode: amplitudes follow from the drive powers via a fixed-point
   iteration on <q>, since the displacement shifts the detunings that determine
-  the amplitudes that determine the displacement.
+  the amplitudes that determine the displacement. <c2> comes from one formula,
+  the closed form that eliminates <a> and <c1>; the full 3x3 system is solved
+  by pivoted LU once per working point, at the last iterate's detuning, as its
+  cross-check.
 """
 
 from __future__ import annotations
@@ -118,35 +121,32 @@ def cavity2_average(
     delta_c2_eff: float,
     g_n1: float,
     g_n2: float,
-    formula: str = "linsolve",
 ) -> complex:
     """Steady-state amplitude of the driven cavity, coupled to atoms and c1.
 
-    The primary path solves the full 3x3 complex linear system
+    Returns :func:`cavity2_average_closed_form`, cross-checked once against a
+    pivoted LU solve of the full 3x3 system (see :func:`_cavity2`).
+    """
+    args = (
+        drive_e, kappa_a, kappa_c1, kappa_c2, delta_a, delta_c1, delta_c2_eff, g_n1, g_n2
+    )
+    c2_avg = cavity2_average_closed_form(*args)
+    _cavity2(c2_avg, *args)
+    return c2_avg
+
+
+def _cavity2(c2_avg: complex, *args: float) -> float:
+    """Cross-check a closed-form ``c2_avg``; return its relative mismatch.
+
+    ``args`` are those of :func:`cavity2_average`. The cross-check solves
 
         (i Delta_a + kappa_a) <a>  + i g1 <c1> + i g2 <c2> = 0
         i g1 <a> + (i Delta_c1 + kappa_c1) <c1>            = E
         i g2 <a> + (i Delta_c2 + kappa_c2) <c2>            = E
 
-    with a pivoted LU solve. The closed form obtained by eliminating <a> and
-    <c1> is always evaluated as a cross-check; disagreement beyond 1e-9
-    relative is logged. ``formula`` selects which value is returned.
-    """
-    if formula not in ("linsolve", "closed_form"):
-        raise DomainError(f"unknown c2 formula {formula!r}")
-    c2_avg, mismatch = _cavity2(
-        formula, drive_e, kappa_a, kappa_c1, kappa_c2,
-        delta_a, delta_c1, delta_c2_eff, g_n1, g_n2,
-    )
-    if drive_e != 0.0 and mismatch > _C2_MISMATCH_WARN:
-        logger.warning("cavity amplitude formulas disagree by %.3e relative", mismatch)
-    return c2_avg
-
-
-def _cavity2(formula: str, *args: float) -> tuple[complex, float]:
-    """<c2> by ``formula``, and the relative mismatch of the two formulas.
-
-    ``args`` are those of :func:`cavity2_average` before ``formula``.
+    by pivoted LU, raises DegenerateOperatingPointError if that system is
+    singular or its solution is not finite, and logs a warning when the two
+    values disagree by more than 1e-9 relative at a nonzero drive.
     """
     drive_e, kappa_a, kappa_c1, kappa_c2, delta_a, delta_c1, delta_c2_eff, g_n1, g_n2 = args
     mat = np.array(
@@ -168,9 +168,10 @@ def _cavity2(formula: str, *args: float) -> tuple[complex, float]:
             "cavity response system is numerically degenerate"
         )
     c2_lin = complex(amps[2])
-    c2_cf = cavity2_average_closed_form(*args)
-    mismatch = abs(c2_lin - c2_cf) / max(abs(c2_lin), abs(c2_cf), _SINGULAR_FLOOR)
-    return (c2_lin if formula == "linsolve" else c2_cf), mismatch
+    mismatch = abs(c2_lin - c2_avg) / max(abs(c2_lin), abs(c2_avg), _SINGULAR_FLOOR)
+    if drive_e != 0.0 and mismatch > _C2_MISMATCH_WARN:
+        logger.warning("cavity amplitude formulas disagree by %.3e relative", mismatch)
+    return mismatch
 
 
 def mechanical_displacement(
@@ -201,7 +202,8 @@ def solve_semiclassics(params: SystemParams) -> SemiclassicalState:
     zero static displacement. Derived mode iterates the displacement to its
     fixed point; each pass recomputes the shifted detunings, the amplitudes,
     and the displacement they imply, until successive iterates agree to
-    1e-12 relative. The <c2> formula mismatch is logged once, at the fixed point.
+    1e-12 relative. <c2> is the closed form at every pass; the 3x3 LU
+    cross-check runs once, at the last pass's detuning.
     """
     sign = params.delta_c2_sign
     drive_e = laser_drive_strength(params.p_laser, params.kappa_c2, params.lambda_laser)
@@ -231,12 +233,11 @@ def solve_semiclassics(params: SystemParams) -> SemiclassicalState:
         magnon_detuning = params.delta_c2 if params.eq9_verbatim else delta_m_eff
         m_avg = magnon_average(rabi, params.kappa_m, magnon_detuning)
         delta_c2_eff = sign * params.delta_c2 - params.g_c * q
-        c2_avg, mismatch = _cavity2(
-            params.c2_formula, drive_e,
-            params.kappa_a, params.kappa_c1, params.kappa_c2,
-            params.delta_a, params.delta_c1, delta_c2_eff,
-            params.g_n1, params.g_n2,
+        c2_args = (
+            drive_e, params.kappa_a, params.kappa_c1, params.kappa_c2,
+            params.delta_a, params.delta_c1, delta_c2_eff, params.g_n1, params.g_n2,
         )
+        c2_avg = cavity2_average_closed_form(*c2_args)
         q_next = mechanical_displacement(
             params.g_c, c2_avg, params.g_m, m_avg, params.omega_b
         )
@@ -248,8 +249,7 @@ def solve_semiclassics(params: SystemParams) -> SemiclassicalState:
         raise ConvergenceError(
             f"displacement fixed point did not settle in {_Q_FIXED_POINT_MAX_ITER} iterations"
         )
-    if drive_e != 0.0 and mismatch > _C2_MISMATCH_WARN:
-        logger.warning("cavity amplitude formulas disagree by %.3e relative", mismatch)
+    mismatch = _cavity2(c2_avg, *c2_args)
 
     delta_m_eff = params.delta_m + params.g_m * q
     delta_c2_eff = sign * params.delta_c2 - params.g_c * q

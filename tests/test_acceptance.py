@@ -261,6 +261,60 @@ def test_reference_point_stays_stable_across_second_cavity_detunings(capsys):
         assert margin is not None and margin > 0.0, f"unstable at delta_c2={dc2}"
 
 
+def test_derived_map_census_and_cavity_amplitude_cross_check(capsys):
+    # This pins today's verdicts on the benchmark's 41x41 derived map. The
+    # error rows are points where the displacement iteration q <- F(q) has
+    # |F'(q*)| > 1; solving for q from the roots of the displacement
+    # polynomial (ROADMAP item 4) is expected to change the error count.
+    t0 = time.perf_counter()
+    params = default_params(coupling_mode="derived", b_field_t=1.1e-3, g_c_hz=1.5e3)
+    spec = SweepSpec(
+        Axis("delta_c2_over_wb", -2.0, 0.0, 41), Axis("delta_m_over_wb", 0.0, 2.0, 41)
+    )
+    result = run_sweep(params, spec, ("ab", "am"), threads=1)
+    errors = [r.error for r in result.reports if r.error is not None]
+    stable = [r for r in result.reports if r.error is None and r.stable]
+    unstable = sum(r.error is None and not r.stable for r in result.reports)
+    not_fixed_point = [
+        e for e in errors if "displacement fixed point did not settle" not in e
+    ]
+
+    # <c2> against the full 3x3 system by pivoted LU, at each stable point's
+    # own shifted detuning
+    worst_c2 = 0.0
+    for report in stable:
+        state = report.state
+        mat = np.array(
+            [
+                [complex(params.kappa_a, params.delta_a), 1j * params.g_n1, 1j * params.g_n2],
+                [1j * params.g_n1, complex(params.kappa_c1, params.delta_c1), 0.0],
+                [1j * params.g_n2, 0.0, complex(params.kappa_c2, state.delta_c2_eff)],
+            ]
+        )
+        rhs = np.array([0.0, state.drive_e, state.drive_e], dtype=complex)
+        c2_lin = complex(np.linalg.solve(mat, rhs)[2])
+        worst_c2 = max(worst_c2, abs(state.c2_avg - c2_lin) / abs(c2_lin))
+
+    elapsed = time.perf_counter() - t0
+    ok = (
+        (len(stable), unstable, len(errors)) == (1040, 257, 384)
+        and not not_fixed_point
+        and worst_c2 <= 1e-9
+        and elapsed < 10.0
+    )
+    verdict(
+        capsys, ok, "derived-map census",
+        f"{len(stable)} stable (want 1040), {unstable} unstable (want 257), "
+        f"{len(errors)} errors (want 384, {len(not_fixed_point)} not from the "
+        f"displacement fixed point), worst <c2> rel dev from the 3x3 solve "
+        f"{worst_c2:.2e} (tol 1e-9), {elapsed:.1f} s (budget 10 s)",
+    )
+    assert (len(stable), unstable, len(errors)) == (1040, 257, 384)
+    assert not not_fixed_point, not_fixed_point[:3]
+    assert worst_c2 <= 1e-9
+    assert elapsed < 10.0
+
+
 def test_entanglement_map_geometry_and_thermal_cutoff(capsys):
     t0 = time.perf_counter()
 

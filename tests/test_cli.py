@@ -199,7 +199,9 @@ class TestSweep:
             "--threads", "1",
         )
         assert rc == 0
-        assert "points recorded errors" in err
+        assert "1 points recorded errors" in err
+        # the failed row was never classified, so it is not counted unstable
+        assert "unstable points" not in out
 
     def test_config_without_sweep_block_fails(self, capsys, tmp_path):
         config = write_config(tmp_path, {"T": 0.01})

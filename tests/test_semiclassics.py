@@ -3,6 +3,7 @@
 import cmath
 import logging
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from ommlab import (
     laser_drive_strength,
     magnon_average,
     mechanical_displacement,
+    params_from_mapping,
     rabi_frequency,
     solve_semiclassics,
 )
@@ -59,6 +61,18 @@ G1 = TWO_PI * 4e6
 G2 = TWO_PI * 8e6
 
 
+def linsolve_c2(e, ka, k1, k2, da, d1, d2, g1, g2):
+    """<c2> as the third component of the full 3x3 system, by pivoted LU."""
+    mat = np.array(
+        [
+            [complex(ka, da), 1j * g1, 1j * g2],
+            [1j * g1, complex(k1, d1), 0.0],
+            [1j * g2, 0.0, complex(k2, d2)],
+        ]
+    )
+    return complex(np.linalg.solve(mat, np.array([0.0, e, e], dtype=complex))[2])
+
+
 class TestCavity2Average:
     def test_zero_drive_gives_zero(self):
         c2 = cavity2_average(
@@ -81,8 +95,8 @@ class TestCavity2Average:
             ka, k1, k2 = TWO_PI * rng.uniform(0.5e6, 4e6, size=3)
             da, d1, d2 = TWO_PI * 40e6 * rng.uniform(-2.0, 2.0, size=3)
             g1, g2 = TWO_PI * rng.uniform(0.0, 10e6, size=2)
-            lin = cavity2_average(e, ka, k1, k2, da, d1, d2, g1, g2, formula="linsolve")
-            cf = cavity2_average(e, ka, k1, k2, da, d1, d2, g1, g2, formula="closed_form")
+            lin = linsolve_c2(e, ka, k1, k2, da, d1, d2, g1, g2)
+            cf = cavity2_average(e, ka, k1, k2, da, d1, d2, g1, g2)
             assert abs(lin - cf) <= 1e-10 * max(abs(lin), abs(cf))
 
     def test_elimination_identity(self):
@@ -107,13 +121,6 @@ class TestCavity2Average:
             cavity2_average_closed_form(1.0, 1e-11, 1e-11, 1e-11, 0.0, 0.0, 0.0, 0.0, 0.0)
         with pytest.raises(DegenerateOperatingPointError):
             cavity2_average(1.0, 1e-11, 1e-11, 1e-11, 0.0, 0.0, 0.0, 0.0, 0.0)
-
-    def test_unknown_formula_rejected(self):
-        with pytest.raises(DomainError):
-            cavity2_average(
-                1.0, KAPPA_A, KAPPA_C1, KAPPA_C2, DELTA_A, DELTA_C1, DELTA_C2_EFF,
-                G1, G2, formula="pade",
-            )
 
 
 class TestMechanicalDisplacement:
@@ -258,23 +265,22 @@ class TestSolveSemiclassicsDerived:
         expected = state.rabi / complex(p.kappa_m, p.delta_c2)
         assert state.m_avg == pytest.approx(expected, rel=1e-12)
 
-    @pytest.mark.parametrize("formula", ["linsolve", "closed_form"])
-    def test_mismatch_compares_both_formulas(self, formula, monkeypatch, caplog):
+    def test_mismatch_compares_both_formulas(self, monkeypatch, caplog):
         # a closed form off by 1e-6 relative shows in c2_mismatch, and in the
-        # logged warning, whichever formula the iteration runs on
+        # logged warning
         exact = semiclassics.cavity2_average_closed_form
         monkeypatch.setattr(
             semiclassics,
             "cavity2_average_closed_form",
             lambda *args: exact(*args) * (1.0 + 1e-6),
         )
-        state = solve_semiclassics(default_params(**self.OVERRIDES, c2_formula=formula))
+        state = solve_semiclassics(default_params(**self.OVERRIDES))
         assert state.c2_mismatch == pytest.approx(1e-6, rel=1e-5)
         assert "cavity amplitude formulas disagree" in caplog.text
 
     def test_mismatch_is_logged_once_per_call(self, monkeypatch, caplog):
-        # every fixed-point iteration sees the mismatch; only the working
-        # point's is logged, and a direct cavity2_average call logs its own
+        # a working point found over several iterations logs its mismatch
+        # once, and a direct cavity2_average call logs its own
         exact = semiclassics.cavity2_average_closed_form
         monkeypatch.setattr(
             semiclassics,
@@ -292,11 +298,19 @@ class TestSolveSemiclassicsDerived:
         assert len(caplog.records) == 3
         assert all("disagree by 1.000e-06" in r.getMessage() for r in caplog.records)
 
-    def test_closed_form_mode_matches_linsolve_mode(self):
-        a = solve_semiclassics(default_params(**self.OVERRIDES))
-        b = solve_semiclassics(default_params(**self.OVERRIDES, c2_formula="closed_form"))
-        assert a.q_avg == pytest.approx(b.q_avg, rel=1e-9)
-        assert abs(a.c2_avg - b.c2_avg) <= 1e-9 * abs(a.c2_avg)
+    def test_linear_solve_runs_once_per_working_point(self):
+        # the iteration runs on the closed form alone; the 3x3 LU is the
+        # working point's one cross-check
+        with mock.patch.object(
+            semiclassics.np.linalg, "solve", wraps=np.linalg.solve
+        ) as solve:
+            state = solve_semiclassics(default_params(**self.OVERRIDES))
+        assert state.iterations > 1
+        assert solve.call_count == 1
+
+    def test_config_carrying_c2_formula_is_rejected(self):
+        with pytest.raises(ConfigError, match="c2_formula"):
+            params_from_mapping({**self.OVERRIDES, "c2_formula": "closed_form"})
 
 
 def test_config_rejects_half_specified_derived_mode():
