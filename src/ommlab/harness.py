@@ -7,16 +7,17 @@ evaluate a 1D or 2D grid of operating points, tolerate per-point failures by
 recording them, and write a CSV table plus optional PGM heatmaps.
 
 Every point is evaluated by :func:`_evaluate_chunk`, a chunk of points at a
-time: the working point, drift and diffusion are built per point, then one
-stacked core solves the whole chunk (one batched eig, the eigenbasis Lyapunov
-solve, nu_- per pair). :func:`run_sweep` cuts its grid into chunks of
-:data:`CHUNK_SIZE` points; :func:`evaluate_point` is a chunk of one. A point's
-failure is recorded for that point alone.
+time: the working points are solved as one stack, drift and diffusion are
+built per point, then one stacked core solves the whole chunk (one batched
+eig, the eigenbasis Lyapunov solve, nu_- per pair). :func:`run_sweep` cuts
+its grid into chunks of :data:`CHUNK_SIZE` points; :func:`evaluate_point` is
+a chunk of one. A point's failure is recorded for that point alone.
 """
 
 from __future__ import annotations
 
 import copy
+import itertools
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .dynamics import build_diffusion, build_drift, stability_stack
+from .dynamics import DriftMatrix, build_diffusion, build_drift, stability_stack
 from .entanglement import (
     EntanglementReport,
     Mode,
@@ -44,7 +45,7 @@ from .model import (
     config_snapshot,
     params_from_mapping,
 )
-from .semiclassics import SemiclassicalState, solve_semiclassics
+from .semiclassics import SemiclassicalState, solve_semiclassics_stack
 from .steadystate import integrate_to_steady_state, solve_lyapunov_stack
 
 VERSION = "0.1.0"
@@ -353,37 +354,66 @@ def _evaluate_chunk(
 ) -> list[PointReport]:
     """Evaluate a chunk of operating points end to end, one report each.
 
-    Semiclassics, drift and diffusion are built point by point; the chunk's
-    drifts and diffusions then go through :func:`_solve_stack` as one stack.
-    An :class:`OmmlabError` in place of a parameter set stands for a point
+    The chunk's working points are solved as one stack. Each point's drift
+    is built on its first branch and the chunk's drifts and diffusions go
+    through :func:`_solve_stack` as one stack. The points whose drift came
+    out unstable build their next branch's drift and go through it again,
+    until a point finds a stable branch, which it keeps, or runs out of
+    branches, when it is reported unstable on its first branch. An
+    :class:`OmmlabError` in place of a parameter set stands for a point
     whose parameters failed validation, and becomes its error row. With
     ``oracle``, each solved point is also relaxed with RK4 and compared.
     """
     reports: list[PointReport | None] = [None] * len(params_list)
-    built = []
+    valid = []
     for i, params in enumerate(params_list):
         if isinstance(params, OmmlabError):
             reports[i] = _without_measures(parsed, str(params))
-            continue
+        else:
+            valid.append((i, params))
+    built = []
+    for (i, params), branches in zip(
+        valid, solve_semiclassics_stack([params for _, params in valid])
+    ):
         try:
-            state = solve_semiclassics(params)
-            drift = build_drift(params, state)
-            diffusion = build_diffusion(params)
+            if isinstance(branches, OmmlabError):
+                raise branches
+            built.append((i, params, branches, build_diffusion(params)))
         except OmmlabError as exc:
             reports[i] = _without_measures(parsed, str(exc))
-            continue
-        built.append((i, params, state, drift, diffusion))
-    if not built:
-        return reports
 
-    _, built_params, _, drifts, diffusions = zip(*built)
-    outcomes = _solve_stack(
-        np.array([drift.a for drift in drifts]),
-        np.array([diffusion.d for diffusion in diffusions]),
-        np.array([params.omega_b for params in built_params]),
-        [pair for _, pair in parsed],
-    )
-    for (i, params, state, drift, diffusion), outcome in zip(built, outcomes):
+    pairs = [pair for _, pair in parsed]
+    chosen: dict[int, tuple[SemiclassicalState, DriftMatrix, _Outcome]] = {}
+    pending = range(len(built))
+    for branch in itertools.count():
+        tries = []
+        for k in pending:
+            i, params, branches, _ = built[k]
+            if branch >= len(branches):
+                continue
+            try:
+                tries.append((k, branches[branch], build_drift(params, branches[branch])))
+            except OmmlabError as exc:
+                if branch == 0:
+                    reports[i] = _without_measures(parsed, str(exc))
+        if not tries:
+            break
+        outcomes = _solve_stack(
+            np.array([drift.a for _, _, drift in tries]),
+            np.array([built[k][3].d for k, _, _ in tries]),
+            np.array([built[k][1].omega_b for k, _, _ in tries]),
+            pairs,
+        )
+        pending = []
+        for (k, state, drift), outcome in zip(tries, outcomes):
+            stable = outcome.max_real is not None and outcome.max_real < 0.0
+            if branch == 0 or stable:
+                chosen[k] = (state, drift, outcome)
+            if outcome.max_real is not None and not stable:
+                pending.append(k)
+
+    for k, (state, drift, outcome) in chosen.items():
+        i, params, _, diffusion = built[k]
         max_real, v, nus, error = outcome
         if nus is None:
             reports[i] = _without_measures(

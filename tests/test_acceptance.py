@@ -262,10 +262,11 @@ def test_reference_point_stays_stable_across_second_cavity_detunings(capsys):
 
 
 def test_derived_map_census_and_cavity_amplitude_cross_check(capsys):
-    # This pins today's verdicts on the benchmark's 41x41 derived map. The
-    # error rows are points where the displacement iteration q <- F(q) has
-    # |F'(q*)| > 1; solving for q from the roots of the displacement
-    # polynomial (ROADMAP item 4) is expected to change the error count.
+    # This pins the verdicts on the benchmark's 41x41 derived map. The
+    # working point comes from the roots of the displacement polynomial, so
+    # no point fails: the 384 points where the old iteration q <- F(q)
+    # diverged (|F'(q*)| > 1) have no dynamically stable branch, and count
+    # as unstable next to the 257 that were unstable before.
     t0 = time.perf_counter()
     params = default_params(coupling_mode="derived", b_field_t=1.1e-3, g_c_hz=1.5e3)
     spec = SweepSpec(
@@ -275,9 +276,6 @@ def test_derived_map_census_and_cavity_amplitude_cross_check(capsys):
     errors = [r.error for r in result.reports if r.error is not None]
     stable = [r for r in result.reports if r.error is None and r.stable]
     unstable = sum(r.error is None and not r.stable for r in result.reports)
-    not_fixed_point = [
-        e for e in errors if "displacement fixed point did not settle" not in e
-    ]
 
     # <c2> against the full 3x3 system by pivoted LU, at each stable point's
     # own shifted detuning
@@ -297,20 +295,17 @@ def test_derived_map_census_and_cavity_amplitude_cross_check(capsys):
 
     elapsed = time.perf_counter() - t0
     ok = (
-        (len(stable), unstable, len(errors)) == (1040, 257, 384)
-        and not not_fixed_point
+        (len(stable), unstable, len(errors)) == (1040, 641, 0)
         and worst_c2 <= 1e-9
         and elapsed < 10.0
     )
     verdict(
         capsys, ok, "derived-map census",
-        f"{len(stable)} stable (want 1040), {unstable} unstable (want 257), "
-        f"{len(errors)} errors (want 384, {len(not_fixed_point)} not from the "
-        f"displacement fixed point), worst <c2> rel dev from the 3x3 solve "
+        f"{len(stable)} stable (want 1040), {unstable} unstable (want 641), "
+        f"{len(errors)} errors (want 0), worst <c2> rel dev from the 3x3 solve "
         f"{worst_c2:.2e} (tol 1e-9), {elapsed:.1f} s (budget 10 s)",
     )
-    assert (len(stable), unstable, len(errors)) == (1040, 257, 384)
-    assert not not_fixed_point, not_fixed_point[:3]
+    assert (len(stable), unstable, len(errors)) == (1040, 641, 0), errors[:3]
     assert worst_c2 <= 1e-9
     assert elapsed < 10.0
 

@@ -27,11 +27,12 @@ from ommlab import (
     write_csv,
     write_pgm,
 )
-from ommlab import build_diffusion, build_drift, solve_semiclassics, steadystate
+from ommlab import build_diffusion, build_drift, solve_semiclassics, stability, steadystate
 from ommlab.dynamics import stability_stack
 from ommlab import harness
 from ommlab.entanglement import nu_minus_stack, parse_pair
 from ommlab.harness import CHUNK_SIZE, SWEEP_AXES
+from ommlab.semiclassics import solve_semiclassics_stack
 
 # Frozen outputs of the default operating point. These pin the full pipeline
 # (semiclassics through log-negativity) against accidental drift; they are
@@ -331,6 +332,46 @@ class TestPointFailures:
         assert report.efficiency == default_point.efficiency
 
 
+class TestWorkingPointBranches:
+    """A point takes its first dynamically stable branch, else its first."""
+
+    DERIVED = {"coupling_mode": "derived", "b_field_t": 1.1e-3, "g_c_hz": 1.5e3}
+
+    @staticmethod
+    def reorder(monkeypatch, pick):
+        solve = harness.solve_semiclassics_stack
+        monkeypatch.setattr(
+            harness, "solve_semiclassics_stack",
+            lambda params_list: [pick(branches) for branches in solve(params_list)],
+        )
+
+    def test_reference_point_has_one_stable_branch_of_three(self):
+        p = default_params(**self.DERIVED)
+        branches = solve_semiclassics_stack([p])[0]
+        verdicts = [stability(build_drift(p, b)).stable for b in branches]
+        assert verdicts == [True, False, False]
+        assert evaluate_point(p).state == branches[0]
+
+    def test_stable_branch_found_behind_unstable_ones(self, monkeypatch):
+        # listed last, the stable branch is still the one reported, with the
+        # same numbers as when it comes first, alone and in a chunk of two
+        p = default_params(**self.DERIVED)
+        expected = evaluate_point(p)
+        self.reorder(monkeypatch, lambda branches: branches[::-1])
+        assert evaluate_point(p) == expected
+        assert run_sweep(p, SweepSpec(Axis("T", 0.01, 0.01, 2))).reports == [expected] * 2
+
+    def test_no_stable_branch_reports_the_first(self, monkeypatch):
+        p = default_params(**self.DERIVED)
+        first = solve_semiclassics_stack([p])[0][1]
+        self.reorder(monkeypatch, lambda branches: branches[1:])
+        report = evaluate_point(p)
+        assert report.error is None and not report.stable
+        assert report.state == first
+        assert report.margin == stability(build_drift(p, first)).margin
+        assert all(rep.e_n is None for rep in report.entanglement.values())
+
+
 class TestRunSweep:
     def test_report_at_rejects_indices_outside_the_grid(self):
         def result(values2):
@@ -394,14 +435,17 @@ class TestRunSweep:
         )
         assert len(range(0, 17 * 17, CHUNK_SIZE)) >= 3 and 17 * 17 % CHUNK_SIZE
         result = run_sweep(params, spec, pairs=("ab", "am"), threads=1)
-        kinds = []
-        for index, got in enumerate(result.reports):
+
+        def point_at(index):
             i1, i2 = divmod(index, 17)
-            point = SWEEP_AXES[name2](
+            return SWEEP_AXES[name2](
                 SWEEP_AXES[name1](params, float(result.values1[i1])),
                 float(result.values2[i2]),
             )
-            direct = evaluate_point(point, pairs=("ab", "am"))
+
+        kinds = []
+        for index, got in enumerate(result.reports):
+            direct = evaluate_point(point_at(index), pairs=("ab", "am"))
             assert got.stable == direct.stable
             assert got.margin == direct.margin
             assert got.error == direct.error
@@ -416,9 +460,13 @@ class TestRunSweep:
                 set(kinds[start : start + CHUNK_SIZE])
                 for start in range(0, len(kinds), CHUNK_SIZE)
             ]
-            assert {"error", "stable", "unstable"} in chunks
-            assert all(
-                "did not settle" in r.error for r in result.reports if r.error
+            # no derived point fails; the unstable ones tried their later
+            # branches inside the chunk, as evaluate_point does alone
+            assert {"stable", "unstable"} in chunks
+            assert "error" not in kinds
+            assert any(
+                len(solve_semiclassics_stack([point_at(index)])[0]) > 1
+                for index, kind in enumerate(kinds) if kind == "unstable"
             )
 
     def test_no_eigensolve_sees_more_than_a_chunk(self):

@@ -7,21 +7,26 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ommlab import (
     ConfigError,
     DegenerateOperatingPointError,
     DomainError,
+    build_drift,
     cavity2_average,
     cavity2_average_closed_form,
     default_params,
     effective_couplings,
+    evaluate_point,
     laser_drive_strength,
     magnon_average,
     mechanical_displacement,
     params_from_mapping,
     rabi_frequency,
     solve_semiclassics,
+    stability,
 )
 from ommlab import semiclassics
 from ommlab.model import TWO_PI
@@ -279,7 +284,7 @@ class TestSolveSemiclassicsDerived:
         assert "cavity amplitude formulas disagree" in caplog.text
 
     def test_mismatch_is_logged_once_per_call(self, monkeypatch, caplog):
-        # a working point found over several iterations logs its mismatch
+        # a working point whose three branches all carry the mismatch logs it
         # once, and a direct cavity2_average call logs its own
         exact = semiclassics.cavity2_average_closed_form
         monkeypatch.setattr(
@@ -288,8 +293,11 @@ class TestSolveSemiclassicsDerived:
             lambda *args: exact(*args) * (1.0 + 1e-6),
         )
         with caplog.at_level(logging.WARNING, logger=semiclassics.__name__):
-            state = solve_semiclassics(default_params(**self.OVERRIDES))
-            assert state.iterations > 1
+            branches = semiclassics.solve_semiclassics_stack(
+                [default_params(**self.OVERRIDES)]
+            )[0]
+            assert len(branches) == 3
+            assert all(b.c2_mismatch == pytest.approx(1e-6, rel=1e-5) for b in branches)
             assert len(caplog.records) == 1
             args = (7.7e11, KAPPA_A, KAPPA_C1, KAPPA_C2, DELTA_A, DELTA_C1,
                     DELTA_C2_EFF, G1, G2)
@@ -299,13 +307,15 @@ class TestSolveSemiclassicsDerived:
         assert all("disagree by 1.000e-06" in r.getMessage() for r in caplog.records)
 
     def test_linear_solve_runs_once_per_working_point(self):
-        # the iteration runs on the closed form alone; the 3x3 LU is the
-        # working point's one cross-check
+        # the working point is a stack of one: one stacked 3x3 LU
+        # cross-checks the closed form at all of its branches
+        p = default_params(**self.OVERRIDES)
+        assert len(semiclassics.solve_semiclassics_stack([p])[0]) == 3
         with mock.patch.object(
             semiclassics.np.linalg, "solve", wraps=np.linalg.solve
         ) as solve:
-            state = solve_semiclassics(default_params(**self.OVERRIDES))
-        assert state.iterations > 1
+            state = solve_semiclassics(p)
+        assert state.iterations >= 1
         assert solve.call_count == 1
 
     def test_config_carrying_c2_formula_is_rejected(self):
@@ -316,3 +326,144 @@ class TestSolveSemiclassicsDerived:
 def test_config_rejects_half_specified_derived_mode():
     with pytest.raises(ConfigError):
         default_params(coupling_mode="derived")
+
+
+def displacement_map(p, q):
+    """F(q) = (g_c |<c2>|^2 - g_m |<m>|^2) / omega_b at an array of q, with <c2>
+    from the full 3x3 system by batched LU rather than the closed form."""
+    q = np.asarray(q, dtype=float)
+    rabi = rabi_frequency(p.b_field, p.v_yig, p.rho_spin)
+    drive = laser_drive_strength(p.p_laser, p.kappa_c2, p.lambda_laser)
+    magnon_detuning = p.delta_c2 if p.eq9_verbatim else p.delta_m + p.g_m * q
+    m_sq = rabi**2 / (p.kappa_m**2 + magnon_detuning**2)
+    mat = np.zeros(q.shape + (3, 3), dtype=complex)
+    mat[..., 0, 0] = complex(p.kappa_a, p.delta_a)
+    mat[..., 0, 1] = mat[..., 1, 0] = 1j * p.g_n1
+    mat[..., 0, 2] = mat[..., 2, 0] = 1j * p.g_n2
+    mat[..., 1, 1] = complex(p.kappa_c1, p.delta_c1)
+    mat[..., 2, 2] = p.kappa_c2 + 1j * (p.delta_c2_sign * p.delta_c2 - p.g_c * q)
+    rhs = np.zeros(q.shape + (3, 1), dtype=complex)
+    rhs[..., 1:, 0] = drive
+    c2 = np.linalg.solve(mat, rhs)[..., 2, 0]
+    return (p.g_c * np.abs(c2) ** 2 - p.g_m * m_sq) / p.omega_b
+
+
+def state_at(p, q):
+    """A working point at displacement q, built from scratch."""
+    rabi = rabi_frequency(p.b_field, p.v_yig, p.rho_spin)
+    drive = laser_drive_strength(p.p_laser, p.kappa_c2, p.lambda_laser)
+    delta_m_eff = p.delta_m + p.g_m * q
+    delta_c2_eff = p.delta_c2_sign * p.delta_c2 - p.g_c * q
+    m = rabi / complex(p.kappa_m, p.delta_c2 if p.eq9_verbatim else delta_m_eff)
+    c2 = linsolve_c2(drive, p.kappa_a, p.kappa_c1, p.kappa_c2, p.delta_a,
+                     p.delta_c1, delta_c2_eff, p.g_n1, p.g_n2)
+    return semiclassics.SemiclassicalState(
+        q_avg=q, m_avg=m, c2_avg=c2,
+        g_c_eff=1j * math.sqrt(2.0) * p.g_c * c2,
+        g_mb_eff=1j * math.sqrt(2.0) * p.g_m * m,
+        delta_c2_eff=delta_c2_eff, delta_m_eff=delta_m_eff,
+        drive_e=drive, rabi=rabi, iterations=0, c2_mismatch=None,
+    )
+
+
+#: Dense bracket over |q| <= 1e8: 0 and 20001 log-spaced points each side.
+BRACKET = np.concatenate([-np.logspace(8, -2, 20001), [0.0], np.logspace(-2, 8, 20001)])
+
+
+class TestDisplacementRoots:
+    OVERRIDES = TestSolveSemiclassicsDerived.OVERRIDES
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        verbatim=st.booleans(),
+        b_field=st.floats(0.4, 2.0),
+        g_c=st.floats(0.4, 2.0),
+        g_m=st.floats(0.5, 2.0),
+        delta_c2=st.floats(-2.0, 0.0),
+        delta_m=st.floats(0.0, 2.0),
+    )
+    # the benchmark map's reference point, which the iteration settles on,
+    # and a point where it diverges
+    @example(verbatim=False, b_field=1.0, g_c=1.0, g_m=1.0, delta_c2=-0.8, delta_m=1.0)
+    @example(verbatim=False, b_field=1.0, g_c=1.0, g_m=1.0, delta_c2=-1.9, delta_m=0.1)
+    def test_roots_and_branches(self, verbatim, b_field, g_c, g_m, delta_c2, delta_m):
+        p = default_params(
+            coupling_mode="derived", eq9_verbatim=verbatim,
+            b_field_t=1.1e-3 * b_field, g_c_hz=1.5e3 * g_c, g_m_hz=20.0 * g_m,
+            delta_c2_over_wb=delta_c2, delta_m_over_wb=delta_m,
+        )
+        roots = semiclassics._Displacement([p]).roots()[0][0]
+        roots = roots[np.isfinite(roots)]
+        branches = semiclassics.solve_semiclassics_stack([p])[0]
+        branch_q = np.array([b.q_avg for b in branches])
+
+        # every sign change of F(q) - q is a returned root; a falling one is
+        # a root with F' < 1, so a branch
+        g = displacement_map(p, BRACKET) - BRACKET
+        for i in np.flatnonzero(np.sign(g[:-1]) != np.sign(g[1:])):
+            lo, hi = BRACKET[i], BRACKET[i + 1]
+            slack = 1e-9 * max(abs(lo), abs(hi))
+            found = branch_q if g[i] > 0 else roots
+            assert np.any((found >= lo - slack) & (found <= hi + slack)), (lo, hi, roots)
+        assert set(branch_q) <= set(roots)
+
+        # a from-scratch q <- F(q) settles exactly where the first branch
+        # attracts it, and there agrees with it
+        q0 = branch_q[0]
+        h = 1e-6 * abs(q0)
+        slope = (displacement_map(p, q0 + h) - displacement_map(p, q0 - h)) / (2 * h)
+        q, settled = 0.0, False
+        for _ in range(20000):
+            q_next = float(displacement_map(p, q))
+            settled = abs(q_next - q) <= 1e-13 * max(1.0, abs(q_next))
+            q = q_next
+            if settled:
+                break
+        if abs(slope) < 0.99:
+            assert settled
+            assert q0 == pytest.approx(q, rel=1e-11)
+            # and the branch evaluate_point reports has the verdict of that q
+            verdict = stability(build_drift(p, state_at(p, q))).stable
+            assert evaluate_point(p, ("ab",)).stable == verdict
+        elif abs(slope) > 1.01:
+            assert not settled
+
+    def test_diverging_iteration_point_is_unstable_not_an_error(self):
+        # the plain iteration q <- F(q) used to end here in ConvergenceError:
+        # the one root has F' = -3.8
+        p = default_params(**self.OVERRIDES, delta_c2_over_wb=-1.9, delta_m_over_wb=0.1)
+        report = evaluate_point(p, ("ab", "am"))
+        assert report.error is None
+        assert report.stable is False
+        assert report.margin is not None and math.isfinite(report.margin)
+        q = report.state.q_avg
+        assert q == pytest.approx(-3.93e5, rel=1e-3)
+        h = 1e-6 * abs(q)
+        slope = (displacement_map(p, q + h) - displacement_map(p, q - h)) / (2 * h)
+        assert slope == pytest.approx(-3.8, rel=0.01)
+        assert stability(build_drift(p, report.state)).margin == report.margin
+
+    def test_iterations_count_the_newton_steps(self):
+        # the companion eigenvalues are close to the roots already, so the
+        # polish takes a few Newton steps, not the fixed point's dozen
+        branches = semiclassics.solve_semiclassics_stack(
+            [default_params(**self.OVERRIDES)]
+        )[0]
+        assert all(1 <= b.iterations <= 3 for b in branches)
+
+    def test_error_in_a_stack_stays_with_its_point(self, monkeypatch):
+        good = default_params(**self.OVERRIDES)
+        bad = default_params(**{**self.OVERRIDES, "b_field_t": 1.2e-3})
+        bad_rabi = rabi_frequency(bad.b_field, bad.v_yig, bad.rho_spin)
+        exact = semiclassics.magnon_average
+
+        def magnon_average(rabi, *args):
+            if np.any(rabi == bad_rabi):
+                raise DegenerateOperatingPointError("magnon response denominator vanishes")
+            return exact(rabi, *args)
+
+        alone = semiclassics.solve_semiclassics_stack([good])[0]
+        monkeypatch.setattr(semiclassics, "magnon_average", magnon_average)
+        first, error, last = semiclassics.solve_semiclassics_stack([good, bad, good])
+        assert isinstance(error, DegenerateOperatingPointError)
+        assert first == alone and last == alone
