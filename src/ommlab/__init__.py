@@ -66,7 +66,6 @@ from .model import (
 )
 from .semiclassics import (
     SemiclassicalState,
-    cavity2_average,
     cavity2_average_closed_form,
     effective_couplings,
     magnon_average,
@@ -111,7 +110,6 @@ __all__ = [
     "VERSION",
     "build_diffusion",
     "build_drift",
-    "cavity2_average",
     "cavity2_average_closed_form",
     "config_snapshot",
     "default_params",

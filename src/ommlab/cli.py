@@ -99,9 +99,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_stability(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     params = config.params
-    state = solve_semiclassics(params)
-    drift = build_drift(params, state)
-    report = stability(drift)
+    # the working point the harness keeps, which in derived mode need not be
+    # the first branch solve_semiclassics returns
+    point = evaluate_point(params, config.pairs)
+    if point.state is None:
+        raise OmmlabError(point.error)
+    report = stability(build_drift(params, point.state))
     print("eigenvalues (rad/s), sorted by real part:")
     for eig in report.eigenvalues:
         print(f"  {eig.real:+.9e}  {eig.imag:+.9e}j   ({eig.real / TWO_PI:+.4e} Hz)")

@@ -7,11 +7,17 @@ evaluate a 1D or 2D grid of operating points, tolerate per-point failures by
 recording them, and write a CSV table plus optional PGM heatmaps.
 
 Every point is evaluated by :func:`_evaluate_chunk`, a chunk of points at a
-time: the working points are solved as one stack, drift and diffusion are
-built per point, then one stacked core solves the whole chunk (one batched
-eig, the eigenbasis Lyapunov solve, nu_- per pair). :func:`run_sweep` cuts
-its grid into chunks of :data:`CHUNK_SIZE` points; :func:`evaluate_point` is
-a chunk of one. A point's failure is recorded for that point alone.
+time, in two stages. Stage 1 picks each point's working point: the chunk's
+semiclassics are solved as one stack, each point's first-branch drift goes
+through one batched eigensolve, and the points whose drift is unstable try
+their later branches with the eigensolve alone. Stage 2 solves the steady
+state of the stable points: one Lyapunov stack, in the eigenbases stage 1
+found, then one nu_- stack over every requested pair. One failure rule holds
+throughout: an error that a stacked call raises for the chunk sends its
+points through again one at a time, and at a chunk of one the error becomes
+the point's row; the Lyapunov solve and nu_- keep their errors per point.
+:func:`run_sweep` cuts its grid into chunks of :data:`CHUNK_SIZE` points;
+:func:`evaluate_point` is a chunk of one.
 """
 
 from __future__ import annotations
@@ -23,11 +29,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, NamedTuple
+from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
-from .dynamics import DriftMatrix, build_diffusion, build_drift, stability_stack
+from .dynamics import build_diffusion, build_drift, stability_stack
 from .entanglement import (
     EntanglementReport,
     Mode,
@@ -250,89 +256,6 @@ def load_config(path: str | Path | None) -> RunConfig:
     return RunConfig(params=params, sweep=sweep, pairs=pairs)
 
 
-def _without_measures(
-    parsed: list[tuple[str, tuple[Mode, Mode]]],
-    error: str | None,
-    max_real: float | None = None,
-    state: SemiclassicalState | None = None,
-) -> PointReport:
-    """A point with undefined measures: it failed (``error``) or is unstable."""
-    return PointReport(
-        stable=max_real is not None and max_real < 0.0,
-        margin=None if max_real is None else -max_real,
-        entanglement={
-            label: EntanglementReport(pair=pair, nu_minus=None, e_n=None)
-            for label, pair in parsed
-        },
-        efficiency=None, state=state, oracle_deviation=None, error=error,
-    )
-
-
-class _Outcome(NamedTuple):
-    """The stacked core's result for one point."""
-
-    max_real: float | None  # None when the drift could not be classified
-    v: np.ndarray | None  # steady-state covariance, stable points only
-    nus: tuple[float, ...] | None  # nu_- per pair, stable points only
-    error: str | None
-
-
-def _solve_stack(
-    a: np.ndarray, d: np.ndarray, scale: np.ndarray, pairs: list[tuple[Mode, Mode]]
-) -> list[_Outcome]:
-    """Stability, steady state and nu_- per pair for a stack of points.
-
-    ``a`` and ``d`` are (N, 10, 10) in rad/s and ``scale`` (N,) is each
-    point's mechanical frequency. A point with a non-finite entry fails
-    before the stack is solved; unstable points stop after the eigensolve;
-    the Lyapunov solve and nu_- run on the stable points only, each point
-    keeping its own gates and errors. Should the batched eigensolve fail for
-    the stack as a whole, the stack is solved again one point at a time.
-    """
-    outcomes = [_Outcome(None, None, None, None)] * len(a)
-    finite = np.isfinite(a).all(axis=(1, 2)) & np.isfinite(d).all(axis=(1, 2))
-    for i in np.flatnonzero(~finite):
-        outcomes[i] = _Outcome(
-            None, None, None, "non-finite entry in the drift or diffusion matrix"
-        )
-    rows = np.flatnonzero(finite)
-    try:
-        eigs, vecs, max_real = stability_stack(a[rows], scale[rows])
-    except NumericalError as exc:
-        if len(a) == 1:
-            return [_Outcome(None, None, None, str(exc))]
-        return [
-            outcome
-            for i in range(len(a))
-            for outcome in _solve_stack(a[i:i + 1], d[i:i + 1], scale[i:i + 1], pairs)
-        ]
-    for i, value in zip(rows, max_real.tolist()):
-        outcomes[i] = _Outcome(value, None, None, None)
-
-    stable = max_real < 0.0
-    rows = rows[stable]
-    v, errors = solve_lyapunov_stack(
-        a[rows], d[rows], scale[rows], eigs[stable], vecs[stable]
-    )
-    # the 4x4 blocks of every pair at every stable point, as one stack; the V
-    # of a failed point is undefined (NaN after a failed fallback), its nu_- unread
-    n = len(pairs)
-    idx = np.array([mode1.rows + mode2.rows for mode1, mode2 in pairs])
-    blocks = v[:, idx[:, :, None], idx[:, None, :]].reshape(-1, 4, 4)
-    with np.errstate(invalid="ignore"):
-        nu, block_errors = nu_minus_stack(blocks)
-    nu = nu.reshape(len(rows), n).tolist()
-    for k, i in enumerate(rows):
-        # a point keeps its first error, the Lyapunov solve's before its pairs'
-        point_errors = [errors[k], *block_errors[k * n : (k + 1) * n]]
-        error = next((e for e in point_errors if e is not None), None)
-        if error is not None:
-            outcomes[i] = outcomes[i]._replace(error=str(error))
-        else:
-            outcomes[i] = outcomes[i]._replace(v=v[k], nus=tuple(nu[k]))
-    return outcomes
-
-
 def _efficiency(entanglement: dict[str, EntanglementReport]) -> float | None:
     e_ab = e_am = None
     for rep in entanglement.values():
@@ -346,6 +269,129 @@ def _efficiency(entanglement: dict[str, EntanglementReport]) -> float | None:
     return transformation_efficiency(e_ab, e_am)
 
 
+def _report(
+    parsed: list[tuple[str, tuple[Mode, Mode]]],
+    error: str | None,
+    max_real: float | None = None,
+    state: SemiclassicalState | None = None,
+    nus: list[float] | None = None,
+    oracle_deviation: float | None = None,
+) -> PointReport:
+    """One point's report. ``max_real`` is None for a point that was never
+    classified; the measures are undefined where ``nus`` is None."""
+    entanglement = {
+        label: EntanglementReport(
+            pair=pair, nu_minus=nu, e_n=None if nu is None else _e_n(nu)
+        )
+        for (label, pair), nu in zip(parsed, nus or [None] * len(parsed))
+    }
+    return PointReport(
+        stable=max_real is not None and max_real < 0.0,
+        margin=None if max_real is None else -max_real,
+        entanglement=entanglement, efficiency=_efficiency(entanglement),
+        state=state, oracle_deviation=oracle_deviation, error=error,
+    )
+
+
+def _steady_state(
+    a: np.ndarray,
+    d: np.ndarray,
+    scale: np.ndarray,
+    eigs: np.ndarray,
+    vecs: np.ndarray,
+    pairs: list[tuple[Mode, Mode]],
+) -> tuple[np.ndarray, np.ndarray, list[str | None]]:
+    """Stage 2: the steady state and nu_- per pair of a stack of stable points.
+
+    ``a`` and ``d`` are (N, 10, 10) in rad/s, ``scale`` (N,) is each point's
+    mechanical frequency, and the eigenpairs are those stage 1 found for
+    each drift. One Lyapunov stack and one nu_- stack run over the points,
+    each point keeping its own gates. Returns V (N, 10, 10), nu_- (N, pairs)
+    and each point's first error, the Lyapunov solve's before its pairs', or
+    None; the V and nu_- of a point with an error are undefined.
+    """
+    v, errors = solve_lyapunov_stack(a, d, scale, eigs, vecs)
+    # the 4x4 blocks of every pair at every point, as one stack; the V of a
+    # failed point is undefined (NaN after a failed fallback), its nu_- unread
+    n = len(pairs)
+    idx = np.array([mode1.rows + mode2.rows for mode1, mode2 in pairs])
+    blocks = v[:, idx[:, :, None], idx[:, None, :]].reshape(-1, 4, 4)
+    with np.errstate(invalid="ignore"):
+        nu, block_errors = nu_minus_stack(blocks)
+    first_errors = [
+        next(
+            (str(e) for e in (errors[k], *block_errors[k * n : (k + 1) * n]) if e is not None),
+            None,
+        )
+        for k in range(len(a))
+    ]
+    return v, nu.reshape(len(a), n), first_errors
+
+
+def _solve_chunk(
+    params_list: list[SystemParams],
+    parsed: list[tuple[str, tuple[Mode, Mode]]],
+    oracle: bool,
+) -> list[PointReport]:
+    """The two stages on a non-empty chunk of valid parameter sets, one
+    report each; an :class:`OmmlabError` raised on the way raises for the
+    chunk.
+
+    Stage 1 solves the working points as one stack and puts every point's
+    first-branch drift through one :func:`stability_stack`. The points whose
+    drift is unstable and that have another branch try it, with the
+    eigensolve alone, until each finds a stable branch or runs out. A point
+    keeps the state, drift and eigenpairs of its first stable branch, else
+    of its first branch. Stage 2 is :func:`_steady_state` on the stable
+    points.
+    """
+    scale = np.array([params.omega_b for params in params_list])
+    d = np.array([build_diffusion(params).d for params in params_list])
+    branches = solve_semiclassics_stack(params_list)
+    states = [point[0] for point in branches]
+    drifts = [build_drift(params, state) for params, state in zip(params_list, states)]
+    a = np.array([drift.a for drift in drifts])
+    if not (np.isfinite(a).all() and np.isfinite(d).all()):
+        raise NumericalError("non-finite entry in the drift or diffusion matrix")
+    eigs, vecs, max_real = stability_stack(a, scale)
+    pending = range(len(params_list))
+    for branch in itertools.count(1):
+        pending = [
+            k for k in pending if not max_real[k] < 0.0 and branch < len(branches[k])
+        ]
+        if not pending:
+            break
+        tries = [build_drift(params_list[k], branches[k][branch]) for k in pending]
+        found = stability_stack(np.array([drift.a for drift in tries]), scale[pending])
+        for j in np.flatnonzero(found[2] < 0.0):
+            k = pending[j]
+            states[k], drifts[k], a[k] = branches[k][branch], tries[j], tries[j].a
+            eigs[k], vecs[k], max_real[k] = (column[j] for column in found)
+
+    stable = max_real < 0.0
+    v, nu, errors = _steady_state(
+        a[stable], d[stable], scale[stable], eigs[stable], vecs[stable],
+        [pair for _, pair in parsed],
+    )
+    solved = iter(zip(v, nu.tolist(), errors))
+    reports = []
+    for k, (state, drift, max_k) in enumerate(zip(states, drifts, max_real.tolist())):
+        v_k, nus, error = next(solved) if stable[k] else (None, None, None)
+        oracle_deviation = None
+        if error is not None:
+            nus = None
+        elif oracle and nus is not None:
+            try:
+                cov_rk4 = integrate_to_steady_state(drift, d[k], scale=scale[k])
+                oracle_deviation = float(
+                    np.linalg.norm(v_k - cov_rk4.v) / np.linalg.norm(v_k)
+                )
+            except ConvergenceError as exc:
+                error = f"oracle: {exc}"
+        reports.append(_report(parsed, error, max_k, state, nus, oracle_deviation))
+    return reports
+
+
 def _evaluate_chunk(
     params_list: list[SystemParams | OmmlabError],
     parsed: list[tuple[str, tuple[Mode, Mode]]],
@@ -354,93 +400,29 @@ def _evaluate_chunk(
 ) -> list[PointReport]:
     """Evaluate a chunk of operating points end to end, one report each.
 
-    The chunk's working points are solved as one stack. Each point's drift
-    is built on its first branch and the chunk's drifts and diffusions go
-    through :func:`_solve_stack` as one stack. The points whose drift came
-    out unstable build their next branch's drift and go through it again,
-    until a point finds a stable branch, which it keeps, or runs out of
-    branches, when it is reported unstable on its first branch. An
-    :class:`OmmlabError` in place of a parameter set stands for a point
-    whose parameters failed validation, and becomes its error row. With
-    ``oracle``, each solved point is also relaxed with RK4 and compared.
+    The chunk's valid points go through the two stages as one stack. Should
+    a stacked call raise an :class:`OmmlabError` for the chunk, its points
+    are evaluated again one at a time, and at a chunk of one the error
+    becomes the point's row. An :class:`OmmlabError` in place of a parameter
+    set stands for a point whose parameters failed validation, and becomes
+    its error row. With ``oracle``, each solved point is also relaxed with
+    RK4 and compared.
     """
-    reports: list[PointReport | None] = [None] * len(params_list)
-    valid = []
-    for i, params in enumerate(params_list):
-        if isinstance(params, OmmlabError):
-            reports[i] = _without_measures(parsed, str(params))
+    valid = [params for params in params_list if not isinstance(params, OmmlabError)]
+    try:
+        solved = _solve_chunk(valid, parsed, oracle) if valid else []
+    except OmmlabError as exc:
+        if len(valid) == 1:
+            solved = [_report(parsed, str(exc))]
         else:
-            valid.append((i, params))
-    built = []
-    for (i, params), branches in zip(
-        valid, solve_semiclassics_stack([params for _, params in valid])
-    ):
-        try:
-            if isinstance(branches, OmmlabError):
-                raise branches
-            built.append((i, params, branches, build_diffusion(params)))
-        except OmmlabError as exc:
-            reports[i] = _without_measures(parsed, str(exc))
-
-    pairs = [pair for _, pair in parsed]
-    chosen: dict[int, tuple[SemiclassicalState, DriftMatrix, _Outcome]] = {}
-    pending = range(len(built))
-    for branch in itertools.count():
-        tries = []
-        for k in pending:
-            i, params, branches, _ = built[k]
-            if branch >= len(branches):
-                continue
-            try:
-                tries.append((k, branches[branch], build_drift(params, branches[branch])))
-            except OmmlabError as exc:
-                if branch == 0:
-                    reports[i] = _without_measures(parsed, str(exc))
-        if not tries:
-            break
-        outcomes = _solve_stack(
-            np.array([drift.a for _, _, drift in tries]),
-            np.array([built[k][3].d for k, _, _ in tries]),
-            np.array([built[k][1].omega_b for k, _, _ in tries]),
-            pairs,
-        )
-        pending = []
-        for (k, state, drift), outcome in zip(tries, outcomes):
-            stable = outcome.max_real is not None and outcome.max_real < 0.0
-            if branch == 0 or stable:
-                chosen[k] = (state, drift, outcome)
-            if outcome.max_real is not None and not stable:
-                pending.append(k)
-
-    for k, (state, drift, outcome) in chosen.items():
-        i, params, _, diffusion = built[k]
-        max_real, v, nus, error = outcome
-        if nus is None:
-            reports[i] = _without_measures(
-                parsed, error, max_real, None if max_real is None else state
-            )
-            continue
-        entanglement = {
-            label: EntanglementReport(pair=pair, nu_minus=nu, e_n=_e_n(nu))
-            for (label, pair), nu in zip(parsed, nus)
-        }
-        oracle_deviation = None
-        if oracle:
-            try:
-                cov_rk4 = integrate_to_steady_state(
-                    drift, diffusion, scale=params.omega_b
-                )
-                oracle_deviation = float(
-                    np.linalg.norm(v - cov_rk4.v) / np.linalg.norm(v)
-                )
-            except ConvergenceError as exc:
-                error = f"oracle: {exc}"
-        reports[i] = PointReport(
-            stable=True, margin=-max_real, entanglement=entanglement,
-            efficiency=_efficiency(entanglement), state=state,
-            oracle_deviation=oracle_deviation, error=error,
-        )
-    return reports
+            solved = [
+                _evaluate_chunk([params], parsed, oracle=oracle)[0] for params in valid
+            ]
+    rows = iter(solved)
+    return [
+        _report(parsed, str(params)) if isinstance(params, OmmlabError) else next(rows)
+        for params in params_list
+    ]
 
 
 def evaluate_point(

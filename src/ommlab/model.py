@@ -38,9 +38,9 @@ class Param:
     mechanical frequency omega_b, and None keeps the value as is (SI units,
     kelvin, radians, strings and flags). ``kind`` is the config value's type.
     ``rule`` is the field's domain check in :class:`SystemParams`:
-    ``"positive"``, ``"non_negative"``, ``"finite"``, a tuple of the allowed
-    values, or None. A ``nullable`` key may be null; a ``sweepable`` one may
-    name a sweep axis.
+    ``"positive"``, ``"non_negative"`` (both also finite), ``"finite"``, a
+    tuple of the allowed values, or None. A ``nullable`` key may be null; a
+    ``sweepable`` one may name a sweep axis.
     """
 
     key: str
@@ -176,12 +176,12 @@ class SystemParams:
     def __post_init__(self) -> None:
         values = self.__dict__
         for name in _POSITIVE:
-            if not values[name] > 0.0:
-                raise DomainError(f"{name} must be strictly positive")
+            if not 0.0 < values[name] < math.inf:
+                raise DomainError(f"{name} must be finite and strictly positive")
         for name in _NON_NEGATIVE:
             value = values[name]
-            if not (value >= 0.0 if value is not None else name in _NULLABLE):
-                raise DomainError(f"{name} must be non-negative")
+            if not (0.0 <= value < math.inf if value is not None else name in _NULLABLE):
+                raise DomainError(f"{name} must be finite and non-negative")
         for name in _FINITE:
             if not math.isfinite(values[name]):
                 raise DomainError(f"{name} must be finite")

@@ -30,11 +30,17 @@ Two ways to get there:
   companion matrices, in the scaled variable x = q / |u/v|; the real ones are
   polished by Newton's method on the rational form F(q) - q. The branches of
   a point are its roots with F'(q) < 1, where the displacement is statically
-  stable, ordered by |F'|. The harness takes the first branch whose drift is
-  dynamically stable; when there is none, the point is reported unstable on
-  its first branch, with that branch's margin. <c2> comes from the closed
-  form; the full 3x3 amplitude system is solved by pivoted LU at every
-  branch, as its cross-check.
+  stable, ordered by |F'|. <c2> comes from the closed form; the full 3x3
+  amplitude system is solved by pivoted LU at every branch, as its
+  cross-check.
+
+Which branch is a point's working point is the harness's choice, made on the
+eigensolve of each branch's drift: the first dynamically stable branch, else
+the first branch, reported unstable. So :func:`solve_semiclassics`, which
+returns the first branch, need not return the working point;
+``evaluate_point(params).state`` is that. An error at any point of a stack
+raises for the whole stack, and the harness then solves its points one at a
+time.
 """
 
 from __future__ import annotations
@@ -47,12 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    DegenerateOperatingPointError,
-    DomainError,
-    OmmlabError,
-)
+from .errors import ConvergenceError, DegenerateOperatingPointError, DomainError
 from .model import SystemParams, laser_drive_strength, rabi_frequency
 
 logger = logging.getLogger(__name__)
@@ -155,35 +156,11 @@ def cavity2_average_closed_form(
     return drive_e * (d_a * d_1 + g_n1 * g_n1 - g_n1 * g_n2) / den
 
 
-def cavity2_average(
-    drive_e: float,
-    kappa_a: float,
-    kappa_c1: float,
-    kappa_c2: float,
-    delta_a: float,
-    delta_c1: float,
-    delta_c2_eff: float,
-    g_n1: float,
-    g_n2: float,
-) -> complex:
-    """Steady-state amplitude of the driven cavity, coupled to atoms and c1.
-
-    Returns :func:`cavity2_average_closed_form`, cross-checked once against a
-    pivoted LU solve of the full 3x3 system (see :func:`_cavity2`).
-    """
-    args = (
-        drive_e, kappa_a, kappa_c1, kappa_c2, delta_a, delta_c1, delta_c2_eff, g_n1, g_n2
-    )
-    c2_avg = cavity2_average_closed_form(*args)
-    _cavity2(np.array([c2_avg]), *(np.array([arg]) for arg in args))
-    return c2_avg
-
-
 def _cavity2(c2_avg: np.ndarray, *args: np.ndarray) -> np.ndarray:
     """Cross-check a stack of closed-form ``c2_avg``; return the relative mismatches.
 
-    ``args`` are those of :func:`cavity2_average`, as arrays shaped like
-    ``c2_avg``. The cross-check solves
+    ``args`` are those of :func:`cavity2_average_closed_form`, as arrays
+    shaped like ``c2_avg``. The cross-check solves
 
         (i Delta_a + kappa_a) <a>  + i g1 <c1> + i g2 <c2> = 0
         i g1 <a> + (i Delta_c1 + kappa_c1) <c1>            = E
@@ -424,65 +401,52 @@ def _derived_branches(
     return [tuple(states[end - n : end]) for end, n in zip(ends, counts.tolist())]
 
 
-def solve_semiclassics_stack(
-    params_list: list[SystemParams],
-) -> list[tuple[SemiclassicalState, ...] | OmmlabError]:
-    """Working-point branches for a stack of parameter sets.
-
-    Each parameter set gets either its branches in order, one in direct
-    mode, or the error its working point raised. Direct mode takes the
-    configured effective couplings at face value with zero static
-    displacement. Derived-mode points are solved together, as the module
-    docstring describes; should that fail for the stack as a whole, its
-    points are solved one at a time, so that an error stays with its point.
-    """
-    results: list[tuple[SemiclassicalState, ...] | OmmlabError] = [()] * len(params_list)
-    derived = []
-    for i, params in enumerate(params_list):
-        if params.coupling_mode == "derived":
-            derived.append(i)
-            continue
-        drive_e = laser_drive_strength(params.p_laser, params.kappa_c2, params.lambda_laser)
-        rabi = (
+def _direct_state(params: SystemParams) -> SemiclassicalState:
+    """The one branch of a direct-mode point: the configured effective
+    couplings at face value, with zero static displacement."""
+    return SemiclassicalState(
+        q_avg=0.0,
+        m_avg=None,
+        c2_avg=None,
+        g_c_eff=complex(params.g_c_eff),
+        g_mb_eff=complex(params.g_mb_eff),
+        delta_c2_eff=params.delta_c2_sign * params.delta_c2,
+        delta_m_eff=params.delta_m,
+        drive_e=laser_drive_strength(params.p_laser, params.kappa_c2, params.lambda_laser),
+        rabi=(
             None
             if params.b_field is None
             else rabi_frequency(params.b_field, params.v_yig, params.rho_spin)
-        )
-        results[i] = (SemiclassicalState(
-            q_avg=0.0,
-            m_avg=None,
-            c2_avg=None,
-            g_c_eff=complex(params.g_c_eff),
-            g_mb_eff=complex(params.g_mb_eff),
-            delta_c2_eff=params.delta_c2_sign * params.delta_c2,
-            delta_m_eff=params.delta_m,
-            drive_e=drive_e,
-            rabi=rabi,
-            iterations=0,
-            c2_mismatch=None,
-        ),)
-    if derived:
-        try:
-            solved = _derived_branches([params_list[i] for i in derived])
-        except OmmlabError as exc:
-            if len(derived) == 1:
-                solved = [exc]
-            else:
-                solved = [solve_semiclassics_stack([params_list[i]])[0] for i in derived]
-        for i, branches in zip(derived, solved):
-            results[i] = branches
-    return results
+        ),
+        iterations=0,
+        c2_mismatch=None,
+    )
+
+
+def solve_semiclassics_stack(
+    params_list: list[SystemParams],
+) -> list[tuple[SemiclassicalState, ...]]:
+    """Working-point branches for a stack of parameter sets, in order.
+
+    A direct-mode point has one branch. The derived-mode points are solved
+    together, as the module docstring describes; an error at any of them
+    raises for the stack.
+    """
+    derived = [params for params in params_list if params.coupling_mode == "derived"]
+    solved = iter(_derived_branches(derived) if derived else ())
+    return [
+        next(solved) if params.coupling_mode == "derived" else (_direct_state(params),)
+        for params in params_list
+    ]
 
 
 def solve_semiclassics(params: SystemParams) -> SemiclassicalState:
-    """The working point of one parameter set: a stack of one, first branch.
+    """The first branch of one parameter set, a stack of one.
 
-    Raises the error :func:`solve_semiclassics_stack` records for the point.
+    In derived mode this need not be the working point the harness keeps
+    (see the module docstring).
     """
-    branches = solve_semiclassics_stack([params])[0]
-    if isinstance(branches, OmmlabError):
-        raise branches
-    return branches[0]
+    return solve_semiclassics_stack([params])[0][0]
 
 
 def coupling_phase(g_eff: complex) -> float:
@@ -494,7 +458,6 @@ def coupling_phase(g_eff: complex) -> float:
 
 __all__ = [
     "SemiclassicalState",
-    "cavity2_average",
     "cavity2_average_closed_form",
     "coupling_phase",
     "effective_couplings",

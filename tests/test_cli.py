@@ -7,7 +7,7 @@ from unittest import mock
 
 import pytest
 
-from ommlab import harness
+from ommlab import NumericalError, harness
 from ommlab.cli import main
 
 
@@ -98,6 +98,37 @@ class TestStability:
             if l.startswith("  ")
         ]
         assert reals == sorted(reals)
+
+    def test_reports_the_working_point_that_point_reports(self, capsys, tmp_path):
+        # a derived point whose first branch is unstable and whose second,
+        # the working point, is stable
+        path = write_config(tmp_path, {
+            "coupling_mode": "derived", "b_field_t": 3.3e-3, "g_c_hz": 960,
+            "g_m_hz": 280, "p_laser_w": 4e-3, "delta_c2_over_wb": 0.28,
+            "delta_m_over_wb": -2.3, "delta_a_over_wb": 1.0, "delta_c1_over_wb": 1.8,
+        })
+        lines = {}
+        for command in ("stability", "point"):
+            rc, out, _ = run_cli(capsys, command, "--config", str(path))
+            assert rc == 0
+            lines[command] = [
+                line for line in out.splitlines()
+                if line.startswith(("stable=", "margin_rad_s="))
+            ]
+        assert lines["stability"] == lines["point"] == [
+            "stable=true", "margin_rad_s=404783.633"
+        ]
+
+    def test_error_row_fails_cleanly(self, capsys, tmp_path):
+        path = write_config(tmp_path, {"T": 0.02})
+        with mock.patch.object(
+            harness, "solve_semiclassics_stack",
+            side_effect=NumericalError("no working point"),
+        ):
+            rc, out, err = run_cli(capsys, "stability", "--config", str(path))
+        assert rc == 1
+        assert out == ""
+        assert err == "error: no working point\n"
 
 
 class TestSelftest:

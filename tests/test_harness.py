@@ -28,7 +28,8 @@ from ommlab import (
     write_pgm,
 )
 from ommlab import build_diffusion, build_drift, solve_semiclassics, stability, steadystate
-from ommlab.dynamics import stability_stack
+from ommlab import DegenerateOperatingPointError, rabi_frequency, semiclassics
+from ommlab.dynamics import DriftMatrix, stability_stack
 from ommlab import harness
 from ommlab.entanglement import nu_minus_stack, parse_pair
 from ommlab.harness import CHUNK_SIZE, SWEEP_AXES
@@ -336,6 +337,12 @@ class TestWorkingPointBranches:
     """A point takes its first dynamically stable branch, else its first."""
 
     DERIVED = {"coupling_mode": "derived", "b_field_t": 1.1e-3, "g_c_hz": 1.5e3}
+    # two branches: q about -6.48e4 with an unstable drift, then -1.27e4, stable
+    LATER_BRANCH = {
+        "coupling_mode": "derived", "b_field_t": 3.3e-3, "g_c_hz": 960, "g_m_hz": 280,
+        "p_laser_w": 4e-3, "delta_c2_over_wb": 0.28, "delta_m_over_wb": -2.3,
+        "delta_a_over_wb": 1.0, "delta_c1_over_wb": 1.8,
+    }
 
     @staticmethod
     def reorder(monkeypatch, pick):
@@ -370,6 +377,51 @@ class TestWorkingPointBranches:
         assert report.state == first
         assert report.margin == stability(build_drift(p, first)).margin
         assert all(rep.e_n is None for rep in report.entanglement.values())
+
+
+    def test_a_later_branch_is_the_working_point(self):
+        p = default_params(**self.LATER_BRANCH)
+        first, second = solve_semiclassics_stack([p])[0]
+        assert first.q_avg == pytest.approx(-6.48e4, rel=1e-3)
+        assert second.q_avg == pytest.approx(-1.27e4, rel=1e-2)
+        assert stability(build_drift(p, first)).margin == pytest.approx(-1.30e5, rel=1e-2)
+        report = evaluate_point(p)
+        assert report.error is None and report.stable
+        assert report.state == second
+        assert report.margin == stability(build_drift(p, second)).margin
+        assert report.margin == pytest.approx(4.05e5, rel=1e-2)
+        assert all(rep.e_n is not None for rep in report.entanglement.values())
+
+    def test_later_branch_row_in_a_chunk_equals_its_lone_evaluation(self):
+        points = _chunk_points()
+        parsed = [(label, parse_pair(label)) for label in DEFAULT_PAIRS]
+        reports = harness._evaluate_chunk(points, parsed)
+        assert reports[3] == evaluate_point(points[3])
+        assert reports[3].state.q_avg == pytest.approx(-1.27e4, rel=1e-2)
+        assert [r.stable for r in reports] == [True, False, True, True]
+
+    def test_error_in_a_stack_stays_with_its_point(self, monkeypatch):
+        # the stacked working-point solve raises for the chunk, whose points
+        # are then evaluated one at a time
+        good = default_params(**self.DERIVED)
+        bad = default_params(**{**self.DERIVED, "b_field_t": 1.2e-3})
+        bad_rabi = rabi_frequency(bad.b_field, bad.v_yig, bad.rho_spin)
+        exact = semiclassics.magnon_average
+
+        def magnon_average(rabi, *args):
+            if np.any(rabi == bad_rabi):
+                raise DegenerateOperatingPointError("magnon response denominator vanishes")
+            return exact(rabi, *args)
+
+        alone = evaluate_point(good)
+        parsed = [(label, parse_pair(label)) for label in DEFAULT_PAIRS]
+        monkeypatch.setattr(semiclassics, "magnon_average", magnon_average)
+        with pytest.raises(DegenerateOperatingPointError):
+            solve_semiclassics_stack([good, bad, good])
+        first, error, last = harness._evaluate_chunk([good, bad, good], parsed)
+        assert error.error == "magnon response denominator vanishes"
+        assert error.state is None and error.margin is None and not error.stable
+        assert first == alone and last == alone
 
 
 class TestRunSweep:
@@ -567,6 +619,14 @@ class TestRunSweep:
         pool.assert_not_called()
         assert len(result.reports) == 2
 
+    def test_an_error_outside_the_package_propagates(self):
+        # only an OmmlabError becomes an error row; anything else is a bug
+        spec = SweepSpec(Axis("T", 0.01, 0.02, 2))
+        with mock.patch.object(
+            harness, "build_diffusion", side_effect=ZeroDivisionError("float division by zero")
+        ), pytest.raises(ZeroDivisionError):
+            run_sweep(default_params(), spec)
+
     def test_zero_threads_rejected(self):
         spec = SweepSpec(axis1=Axis(name="T", start=0.001, stop=0.01, count=2))
         with pytest.raises(DomainError):
@@ -617,21 +677,35 @@ def _nearly_defective_point(delta=1e-9, seed=3):
     return q @ b @ q.T, g @ g.T + np.eye(10), 1.0
 
 
+def _chunk_points():
+    """A mixed chunk: the default point, an unstable one, and two derived
+    points, the second of which keeps its second branch."""
+    return [
+        default_params(),
+        default_params(delta_m_over_wb=-1.0),
+        default_params(**TestWorkingPointBranches.DERIVED),
+        default_params(**TestWorkingPointBranches.LATER_BRANCH),
+    ]
+
+
 class TestStackedCore:
-    """Each point of a mixed stack comes out as it does in a stack of one."""
+    """Each point of a mixed chunk comes out as it does alone: through the
+    chunk engine, and through its steady-state stage on a stack of stable
+    points."""
 
     PAIRS = [parse_pair(label) for label in ("ab", "am", "c2b")]
+    PARSED = list(zip(("ab", "am", "c2b"), PAIRS))
+
+    @classmethod
+    def steady_state(cls, a, d, scale):
+        eigs, vecs, _ = stability_stack(a, scale)
+        return harness._steady_state(a, d, scale, eigs, vecs, cls.PAIRS)
 
     @pytest.fixture(scope="class")
     def stack(self):
-        nan_a, nan_d, nan_scale = _physical_point()
-        nan_a = nan_a.copy()
-        nan_a[3, 2] = np.nan
         points = [
             _physical_point(),
             _nearly_defective_point(),
-            _physical_point(delta_m_over_wb=-1.0),  # unstable
-            (nan_a, nan_d, nan_scale),
             _physical_point(delta_a_over_wb=-0.3),
             # the same weakly coupled point at max |V| about 0.5 and 5e5
             _physical_point(g_n2_hz=1e-2),
@@ -641,35 +715,71 @@ class TestStackedCore:
         with mock.patch.object(
             steadystate, "_schur_solve", wraps=steadystate._schur_solve
         ) as schur:
-            outcomes = harness._solve_stack(a, d, scale, self.PAIRS)
-        return a, d, scale, outcomes, schur.call_count
+            v, nu, errors = self.steady_state(a, d, scale)
+        return a, d, scale, (v, nu, errors), schur.call_count
 
     def test_every_point_equals_its_stack_of_one(self, stack):
-        a, d, scale, outcomes, _ = stack
-        for i, got in enumerate(outcomes):
-            (alone,) = harness._solve_stack(
-                a[i : i + 1], d[i : i + 1], scale[i : i + 1], self.PAIRS
+        a, d, scale, (v, nu, errors), _ = stack
+        for i in range(len(a)):
+            v1, nu1, errors1 = self.steady_state(
+                a[i : i + 1], d[i : i + 1], scale[i : i + 1]
             )
-            assert got.max_real == alone.max_real
-            assert got.nus == alone.nus
-            assert got.error == alone.error
-            if alone.v is None:
-                assert got.v is None
-            else:
-                np.testing.assert_array_equal(got.v, alone.v)
+            np.testing.assert_array_equal(v[i], v1[0])
+            np.testing.assert_array_equal(nu[i], nu1[0])
+            assert errors[i] == errors1[0]
 
     def test_failures_stay_with_their_point(self, stack):
-        _, _, _, outcomes, schur_calls = stack
+        _, _, _, (_, nu, errors), schur_calls = stack
         assert schur_calls == 1  # the nearly defective point only
-        assert [o.error is None for o in outcomes] == [
-            True, True, True, False, True, True, True
-        ]
-        assert "non-finite" in outcomes[3].error and outcomes[3].max_real is None
-        assert outcomes[2].max_real > 0.0 and outcomes[2].nus is None
-        assert all(outcomes[i].nus is not None for i in (0, 1, 4, 5, 6))
+        assert errors == [None] * 5 and np.all(nu > 0.0)
 
-    def test_failed_batched_eigensolve_reruns_point_by_point(self, stack):
-        a, d, scale, outcomes, _ = stack
+        # a non-finite drift fails the chunk's check, and only its own row
+        points = _chunk_points()
+        parsed = self.PARSED
+        build = harness.build_drift
+
+        def nan_drift_at_point_1(params, state):
+            drift = build(params, state)
+            if params is points[1]:
+                a = drift.a.copy()
+                a[3, 2] = np.nan
+                return DriftMatrix(a=a, omega_b=drift.omega_b)
+            return drift
+
+        with mock.patch.object(harness, "build_drift", nan_drift_at_point_1):
+            reports = harness._evaluate_chunk(points, parsed)
+        assert reports[1].error == "non-finite entry in the drift or diffusion matrix"
+        assert reports[1].margin is None and reports[1].state is None
+        assert not reports[1].stable
+        for i in (0, 2, 3):
+            assert reports[i] == harness._evaluate_chunk([points[i]], parsed)[0]
+
+    def test_lyapunov_and_nu_minus_errors_stay_with_their_point(self, stack):
+        # point 1 (nearly defective) fails its fallback Lyapunov solve and
+        # one of its pairs; point 3 fails one pair; each keeps its first error
+        a, d, scale, (v, nu, errors), _ = stack
+        lyapunov_message = "Schur-based Lyapunov solve failed: test"
+        nu_message = "vanishing symplectic eigenvalue; state is singular"
+
+        def failing_blocks(blocks):
+            nu, block_errors = nu_minus_stack(blocks)
+            for k in (3 * 1 + 0, 3 * 3 + 2):
+                block_errors[k] = NumericalError(nu_message)
+            return nu, block_errors
+
+        with mock.patch.object(
+            steadystate, "_schur_solve", side_effect=NumericalError(lyapunov_message)
+        ), mock.patch.object(harness, "nu_minus_stack", failing_blocks):
+            v2, nu2, errors2 = self.steady_state(a, d, scale)
+        assert errors2 == [None, lyapunov_message, None, nu_message, None]
+        for i in (0, 2, 4):
+            np.testing.assert_array_equal(v2[i], v[i])
+            np.testing.assert_array_equal(nu2[i], nu[i])
+
+    def test_failed_batched_eigensolve_reruns_point_by_point(self):
+        points = _chunk_points()
+        parsed = self.PARSED
+        reports = harness._evaluate_chunk(points, parsed)
         eig = np.linalg.eig
 
         def eig_failing_on_stacks(x):
@@ -678,19 +788,17 @@ class TestStackedCore:
             return eig(x)
 
         with mock.patch.object(np.linalg, "eig", side_effect=eig_failing_on_stacks):
-            rerun = harness._solve_stack(a, d, scale, self.PAIRS)
-        assert [(o.max_real, o.nus, o.error) for o in rerun] == [
-            (o.max_real, o.nus, o.error) for o in outcomes
-        ]
+            assert harness._evaluate_chunk(points, parsed) == reports
         with mock.patch.object(
             np.linalg, "eig", side_effect=np.linalg.LinAlgError("no convergence")
         ):
-            (failed,) = harness._solve_stack(a[:1], d[:1], scale[:1], self.PAIRS)
-        assert failed == (None, None, None, "eigensolve failed: no convergence")
+            (failed,) = harness._evaluate_chunk(points[:1], parsed)
+        assert failed.error == "eigensolve failed: no convergence"
+        assert failed.margin is None and failed.state is None and not failed.stable
 
     def test_singular_basis_falls_back_for_its_point_only(self, stack):
         # make the basis of the nearly defective point (index 1) singular
-        a, d, scale, outcomes, _ = stack
+        a, d, scale, (v, nu, errors), _ = stack
         inv = np.linalg.inv
         basis = stability_stack(a[1:2], scale[1:2])[1][0]
 
@@ -704,35 +812,29 @@ class TestStackedCore:
         ), mock.patch.object(
             steadystate, "_schur_solve", wraps=steadystate._schur_solve
         ) as schur:
-            rerun = harness._solve_stack(a, d, scale, self.PAIRS)
+            v2, nu2, errors2 = self.steady_state(a, d, scale)
         assert schur.call_count == 1
-        assert [(o.max_real, o.nus, o.error) for o in rerun] == [
-            (o.max_real, o.nus, o.error) for o in outcomes
-        ]
+        assert errors2 == errors
+        np.testing.assert_array_equal(nu2, nu)
 
     def test_one_index_space(self):
         # nu_- and the first error are read straight from the two stacks
-        names = set(harness._solve_stack.__code__.co_varnames)
+        names = set(harness._steady_state.__code__.co_varnames)
         assert not names & {"solved", "nus"}
 
     def test_every_returned_covariance_is_exactly_symmetric(self, stack):
-        a, d, scale, outcomes, _ = stack
-        stable = [i for i, o in enumerate(outcomes) if (o.max_real or 0.0) < 0.0]
-        eigs, vecs, _ = stability_stack(a[stable], scale[stable])
-        v, errors = steadystate.solve_lyapunov_stack(
-            a[stable], d[stable], scale[stable], eigs, vecs
-        )
-        assert errors == [None] * len(stable)
+        _, _, _, (v, _, errors), _ = stack
+        assert errors == [None] * len(v)
         np.testing.assert_array_equal(v, np.swapaxes(v, 1, 2))
 
     def test_roundoff_floor_is_per_point(self, stack):
         # entries between epsilon and 1e6 epsilon of max |V| survive at the
         # small point; a floor taken from the stack's largest V would clear them
-        _, _, _, outcomes, _ = stack
-        v = np.abs(outcomes[5].v)
+        _, _, _, (v, _, _), _ = stack
+        small = np.abs(v[3])
         eps = np.finfo(float).eps
-        assert np.any((v > eps) & (v <= 1e6 * eps))
-        assert np.abs(outcomes[6].v).max() > 1e5
+        assert np.any((small > eps) & (small <= 1e6 * eps))
+        assert np.abs(v[4]).max() > 1e5
 
 
 @pytest.fixture(scope="module")

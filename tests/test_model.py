@@ -335,7 +335,7 @@ class TestParamTable:
         value = bad.get(param.rule, "bogus" if param.kind is str else 0.5)
         with pytest.raises(ConfigError, match=f"{param.key}|{param.field}"):
             default_params(**{param.key: value})
-        if param.rule == "finite":
+        if param.rule in ("finite", "positive", "non_negative"):
             # the config parser stops inf first; the field rule catches it too
             with pytest.raises(DomainError, match=param.field):
                 dataclasses.replace(default_params(), **{param.field: float("inf")})

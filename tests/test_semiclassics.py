@@ -15,7 +15,6 @@ from ommlab import (
     DegenerateOperatingPointError,
     DomainError,
     build_drift,
-    cavity2_average,
     cavity2_average_closed_form,
     default_params,
     effective_couplings,
@@ -78,16 +77,21 @@ def linsolve_c2(e, ka, k1, k2, da, d1, d2, g1, g2):
     return complex(np.linalg.solve(mat, np.array([0.0, e, e], dtype=complex))[2])
 
 
+def cross_check(c2_avg, *args):
+    """The stacked LU cross-check of one closed-form <c2>: its relative mismatch."""
+    return semiclassics._cavity2(np.array([c2_avg]), *(np.array([arg]) for arg in args))[0]
+
+
 class TestCavity2Average:
     def test_zero_drive_gives_zero(self):
-        c2 = cavity2_average(
-            0.0, KAPPA_A, KAPPA_C1, KAPPA_C2, DELTA_A, DELTA_C1, DELTA_C2_EFF, G1, G2
-        )
+        args = (0.0, KAPPA_A, KAPPA_C1, KAPPA_C2, DELTA_A, DELTA_C1, DELTA_C2_EFF, G1, G2)
+        c2 = cavity2_average_closed_form(*args)
         assert c2 == 0.0
+        assert cross_check(c2, *args) == 0.0
 
     def test_decoupled_limit_is_single_cavity_response(self):
         e = 7.7e11
-        c2 = cavity2_average(
+        c2 = cavity2_average_closed_form(
             e, KAPPA_A, KAPPA_C1, KAPPA_C2, DELTA_A, DELTA_C1, DELTA_C2_EFF, 0.0, 0.0
         )
         expected = e / complex(KAPPA_C2, DELTA_C2_EFF)
@@ -101,8 +105,9 @@ class TestCavity2Average:
             da, d1, d2 = TWO_PI * 40e6 * rng.uniform(-2.0, 2.0, size=3)
             g1, g2 = TWO_PI * rng.uniform(0.0, 10e6, size=2)
             lin = linsolve_c2(e, ka, k1, k2, da, d1, d2, g1, g2)
-            cf = cavity2_average(e, ka, k1, k2, da, d1, d2, g1, g2)
+            cf = cavity2_average_closed_form(e, ka, k1, k2, da, d1, d2, g1, g2)
             assert abs(lin - cf) <= 1e-10 * max(abs(lin), abs(cf))
+            assert cross_check(cf, e, ka, k1, k2, da, d1, d2, g1, g2) <= 1e-10
 
     def test_elimination_identity(self):
         # the closed form is the third component of the solved 3x3 system,
@@ -124,8 +129,9 @@ class TestCavity2Average:
     def test_degenerate_point_raises(self):
         with pytest.raises(DegenerateOperatingPointError):
             cavity2_average_closed_form(1.0, 1e-11, 1e-11, 1e-11, 0.0, 0.0, 0.0, 0.0, 0.0)
-        with pytest.raises(DegenerateOperatingPointError):
-            cavity2_average(1.0, 1e-11, 1e-11, 1e-11, 0.0, 0.0, 0.0, 0.0, 0.0)
+        # with every rate zero the 3x3 system of the cross-check is singular
+        with pytest.raises(DegenerateOperatingPointError, match="singular"):
+            cross_check(0j, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 class TestMechanicalDisplacement:
@@ -285,7 +291,7 @@ class TestSolveSemiclassicsDerived:
 
     def test_mismatch_is_logged_once_per_call(self, monkeypatch, caplog):
         # a working point whose three branches all carry the mismatch logs it
-        # once, and a direct cavity2_average call logs its own
+        # once, and a direct cross-check of the closed form logs its own
         exact = semiclassics.cavity2_average_closed_form
         monkeypatch.setattr(
             semiclassics,
@@ -301,8 +307,8 @@ class TestSolveSemiclassicsDerived:
             assert len(caplog.records) == 1
             args = (7.7e11, KAPPA_A, KAPPA_C1, KAPPA_C2, DELTA_A, DELTA_C1,
                     DELTA_C2_EFF, G1, G2)
-            cavity2_average(*args)
-            cavity2_average(*args)
+            cross_check(semiclassics.cavity2_average_closed_form(*args), *args)
+            cross_check(semiclassics.cavity2_average_closed_form(*args), *args)
         assert len(caplog.records) == 3
         assert all("disagree by 1.000e-06" in r.getMessage() for r in caplog.records)
 
@@ -450,20 +456,3 @@ class TestDisplacementRoots:
             [default_params(**self.OVERRIDES)]
         )[0]
         assert all(1 <= b.iterations <= 3 for b in branches)
-
-    def test_error_in_a_stack_stays_with_its_point(self, monkeypatch):
-        good = default_params(**self.OVERRIDES)
-        bad = default_params(**{**self.OVERRIDES, "b_field_t": 1.2e-3})
-        bad_rabi = rabi_frequency(bad.b_field, bad.v_yig, bad.rho_spin)
-        exact = semiclassics.magnon_average
-
-        def magnon_average(rabi, *args):
-            if np.any(rabi == bad_rabi):
-                raise DegenerateOperatingPointError("magnon response denominator vanishes")
-            return exact(rabi, *args)
-
-        alone = semiclassics.solve_semiclassics_stack([good])[0]
-        monkeypatch.setattr(semiclassics, "magnon_average", magnon_average)
-        first, error, last = semiclassics.solve_semiclassics_stack([good, bad, good])
-        assert isinstance(error, DegenerateOperatingPointError)
-        assert first == alone and last == alone
