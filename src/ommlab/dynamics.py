@@ -11,21 +11,21 @@ mechanical oscillator (6, 7), magnon (8, 9). The fluctuations obey
 
 and the steady-state covariance solves A V + V A^T + D = 0.
 
-Sweeps classify their drifts a chunk at a time: :func:`stability_stack` runs
-one batched eigensolve over an (N, 10, 10) stack, and :func:`stability` is that
-stack with one matrix in it.
+Sweeps build and classify (N, 10, 10) stacks a chunk at a time with
+:func:`drift_stack`, :func:`diffusion_stack` and :func:`stability_stack`;
+:func:`build_drift`, :func:`build_diffusion` and :func:`stability` are stacks of one.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .model import SystemParams, thermal_occupation
-from .semiclassics import SemiclassicalState, coupling_phase
+from .model import SystemParams, columns, thermal_occupation
+from .semiclassics import SemiclassicalState
 
 #: Phase-space dimension: five modes, two quadratures each.
 DIM = 10
@@ -86,90 +86,88 @@ class StabilityReport:
         return -self.max_real
 
 
-def build_drift(params: SystemParams, state: SemiclassicalState) -> DriftMatrix:
-    """Assemble the 10x10 drift matrix for a working point.
+# Entry (i, j) of the drift is sign(k) times term |k| of drift_stack, for k the entry
+# below. The terms: 0 is zero, then the ten parameters it reads first, the shifted
+# detunings, and |G| cos and |G| sin of the rotated phase of each coupling. Row p
+# holds the backaction as g_c_backaction = "y_quadrature" places it.
+_KA, _K1, _K2, _KM, _DA, _D1, _WB, _GB, _G1, _G2 = range(1, 11)
+_D2, _DM, _GCC, _GMC, _GCS, _GMS = range(11, 17)
+_DRIFT_LAYOUT = np.array([
+    #  x_a    y_a   x_c1   y_c1   x_c2   y_c2      q      p    x_m    y_m
+    [-_KA,   _DA,     0,   _G1,     0,   _G2,     0,     0,     0,     0],  # x_a
+    [-_DA,  -_KA,  -_G1,     0,  -_G2,     0,     0,     0,     0,     0],  # y_a
+    [   0,   _G1,  -_K1,   _D1,     0,     0,     0,     0,     0,     0],  # x_c1
+    [-_G1,     0,  -_D1,  -_K1,     0,     0,     0,     0,     0,     0],  # y_c1
+    [   0,   _G2,     0,     0,  -_K2,   _D2,  _GCC,     0,     0,     0],  # x_c2
+    [-_G2,     0,     0,     0,  -_D2,  -_K2,  _GCS,     0,     0,     0],  # y_c2
+    [   0,     0,     0,     0,     0,     0,     0,   _WB,     0,     0],  # q
+    [   0,     0,     0,     0,  _GCS, -_GCC,  -_WB,  -_GB, -_GMS,  _GMC],  # p
+    [   0,     0,     0,     0,     0,     0, -_GMC,     0,  -_KM,   _DM],  # x_m
+    [   0,     0,     0,     0,     0,     0, -_GMS,     0,  -_DM,  -_KM],  # y_m
+])
+_DRIFT_TERM, _DRIFT_SIGN = np.abs(_DRIFT_LAYOUT), np.sign(_DRIFT_LAYOUT) * 1.0
+
+
+def drift_stack(
+    params_list: Sequence[SystemParams], states: Sequence[SemiclassicalState]
+) -> np.ndarray:
+    """The 10x10 drift matrices of a stack of working points, (N, 10, 10).
 
     The atom and cavity-1 blocks rotate at the bare detunings; cavity 2 and
-    the magnon rotate at the shifted detunings carried by ``state``. Coupling
-    phases rotate the quadratures the mechanical element talks to: the drive
-    column picks up (cos, sin) of theta + arg(G), and the backaction row is
-    placed per ``params.g_c_backaction`` (see SystemParams).
+    the magnon rotate at the shifted detunings carried by each state.
+    Coupling phases rotate the quadratures the mechanical element talks to:
+    the drive column picks up (cos, sin) of theta + arg(G), with arg(0) = 0,
+    and the backaction row is placed per ``g_c_backaction`` (see
+    SystemParams).
     """
-    a = np.zeros((DIM, DIM))
-
-    rotating_blocks = (
-        (0, params.kappa_a, params.delta_a),
-        (2, params.kappa_c1, params.delta_c1),
-        (4, params.kappa_c2, state.delta_c2_eff),
-        (8, params.kappa_m, state.delta_m_eff),
+    fields = columns(
+        params_list, "kappa_a", "kappa_c1", "kappa_c2", "kappa_m", "delta_a", "delta_c1",
+        "omega_b", "gamma_b", "g_n1", "g_n2", "theta_c", "theta_m",
     )
-    for i, kappa, delta in rotating_blocks:
-        a[i, i] = -kappa
-        a[i + 1, i + 1] = -kappa
-        a[i, i + 1] = delta
-        a[i + 1, i] = -delta
-
-    a[6, 7] = params.omega_b
-    a[7, 6] = -params.omega_b
-    a[7, 7] = -params.gamma_b
-
-    # beam-splitter couplings of the atomic ensemble to both cavities
-    a[0, 3] += params.g_n1
-    a[1, 2] -= params.g_n1
-    a[2, 1] += params.g_n1
-    a[3, 0] -= params.g_n1
-    a[0, 5] += params.g_n2
-    a[1, 4] -= params.g_n2
-    a[4, 1] += params.g_n2
-    a[5, 0] -= params.g_n2
-
-    g_c = abs(state.g_c_eff)
-    theta_c = params.theta_c + coupling_phase(state.g_c_eff)
-    cc, sc = math.cos(theta_c), math.sin(theta_c)
-    a[4, 6] += g_c * cc
-    a[5, 6] += g_c * sc
-    if params.g_c_backaction == "y_quadrature":
-        a[7, 4] += g_c * sc
-        a[7, 5] -= g_c * cc
-    else:
-        a[7, 4] -= g_c * cc
-        a[7, 5] -= g_c * sc
-
-    g_mb = abs(state.g_mb_eff)
-    theta_m = params.theta_m + coupling_phase(state.g_mb_eff)
-    cm, sm = math.cos(theta_m), math.sin(theta_m)
-    a[8, 6] -= g_mb * cm
-    a[9, 6] -= g_mb * sm
-    a[7, 8] -= g_mb * sm
-    a[7, 9] += g_mb * cm
-
-    return DriftMatrix(a=a, omega_b=params.omega_b)
+    state = columns(states, "delta_c2_eff", "delta_m_eff", "g_c_eff", "g_mb_eff")
+    g_eff = state[2:]
+    g = np.hypot(g_eff.real, g_eff.imag)
+    theta = fields[10:] + np.where(g == 0.0, 0.0, np.arctan2(g_eff.imag, g_eff.real))
+    g_cos, g_sin = g * np.cos(theta), g * np.sin(theta)
+    terms = np.concatenate([np.zeros_like(g[:1]), fields[:10], state[:2].real, g_cos, g_sin])
+    a = terms.T[:, _DRIFT_TERM] * _DRIFT_SIGN
+    # the x_quadrature placement puts the backaction on the driven quadrature
+    x_backaction = [params.g_c_backaction == "x_quadrature" for params in params_list]
+    if any(x_backaction):
+        a[x_backaction, 7, 4] = -g_cos[0, x_backaction]
+        a[x_backaction, 7, 5] = -g_sin[0, x_backaction]
+    return a
 
 
-def build_diffusion(params: SystemParams) -> DiffusionMatrix:
-    """Assemble the diagonal diffusion matrix for the input noise.
+def build_drift(params: SystemParams, state: SemiclassicalState) -> DriftMatrix:
+    """The drift matrix of one working point, a :func:`drift_stack` of one."""
+    return DriftMatrix(a=drift_stack([params], [state])[0], omega_b=params.omega_b)
+
+
+#: Where each noise rate of :func:`diffusion_stack` sits in D, flattened: on both
+#: quadratures of its mode, but gamma_b (2 N_b + 1) on p alone.
+_NOISE_ON_DIAGONAL = np.insert(np.repeat(np.eye(5), [2, 2, 2, 1, 2], 1), 6, 0.0, 1)
+_NOISE_PLACES = (_NOISE_ON_DIAGONAL[:, :, None] * np.eye(DIM)).reshape(5, DIM * DIM)
+
+
+def diffusion_stack(params_list: Sequence[SystemParams]) -> np.ndarray:
+    """The diagonal diffusion matrices of a stack of points, (N, 10, 10).
 
     Optical and atomic baths enter at zero occupation; the mechanical and
     magnon baths carry their thermal factors 2 N + 1. The momentum row is the
     only mechanical entry because thermal force noise drives p directly.
     """
-    n_b = thermal_occupation(params.omega_b, params.temperature)
-    n_m = thermal_occupation(params.omega_m, params.temperature)
-    diag = np.array(
-        [
-            params.kappa_a,
-            params.kappa_a,
-            params.kappa_c1,
-            params.kappa_c1,
-            params.kappa_c2,
-            params.kappa_c2,
-            0.0,
-            params.gamma_b * (2.0 * n_b + 1.0),
-            params.kappa_m * (2.0 * n_m + 1.0),
-            params.kappa_m * (2.0 * n_m + 1.0),
-        ]
+    noise = columns(
+        params_list, "kappa_a", "kappa_c1", "kappa_c2", "gamma_b", "kappa_m", "omega_b",
+        "omega_m", "temperature",
     )
-    return DiffusionMatrix(d=np.diag(diag))
+    noise[3:5] *= 2.0 * thermal_occupation(noise[5:7], noise[7]) + 1.0
+    return (noise[:5].T @ _NOISE_PLACES).reshape(-1, DIM, DIM)
+
+
+def build_diffusion(params: SystemParams) -> DiffusionMatrix:
+    """The diffusion matrix of one point, a :func:`diffusion_stack` of one."""
+    return DiffusionMatrix(d=diffusion_stack([params])[0])
 
 
 def _as_matrix(a: DriftMatrix | np.ndarray) -> tuple[np.ndarray, float]:
@@ -201,8 +199,9 @@ def stability_stack(
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolve failed: {exc}") from exc
     order = np.lexsort((eigs.imag, eigs.real), axis=-1)
-    eigs = np.take_along_axis(eigs, order, axis=-1) * scale[:, None]
-    vecs = np.take_along_axis(vecs, order[:, None, :], axis=-1)
+    points = np.arange(len(a))[:, None]
+    eigs = eigs[points, order] * scale[:, None]
+    vecs = vecs[points[:, :, None], np.arange(a.shape[-1])[:, None], order[:, None, :]]
     return eigs, vecs, eigs.real.max(axis=-1)
 
 
@@ -235,6 +234,8 @@ __all__ = [
     "StabilityReport",
     "build_diffusion",
     "build_drift",
+    "diffusion_stack",
+    "drift_stack",
     "stability",
     "stability_stack",
 ]

@@ -8,14 +8,15 @@ recording them, and write a CSV table plus optional PGM heatmaps.
 
 Every point is evaluated by :func:`_evaluate_chunk`, a chunk of points at a
 time, in two stages. Stage 1 picks each point's working point: the chunk's
-semiclassics are solved as one stack, each point's first-branch drift goes
-through one batched eigensolve, and the points whose drift is unstable try
-their later branches with the eigensolve alone. Stage 2 solves the steady
-state of the stable points: one Lyapunov stack, in the eigenbases stage 1
-found, then one nu_- stack over every requested pair. One failure rule holds
-throughout: an error that a stacked call raises for the chunk sends its
-points through again one at a time, and at a chunk of one the error becomes
-the point's row; the Lyapunov solve and nu_- keep their errors per point.
+semiclassics, diffusions and first-branch drifts are built as stacks, the
+drifts go through one batched eigensolve, and the points whose drift is
+unstable try their later branches, one drift stack and eigensolve per
+branch index. Stage 2 solves the steady state of the stable points: one
+Lyapunov stack, in the eigenbases stage 1 found, then one nu_- stack over
+every requested pair. One failure rule holds throughout: an error that a
+stacked call raises for the chunk sends its halves through again, and at a
+chunk of one the error becomes the point's row; the Lyapunov solve and nu_-
+keep their errors per point.
 :func:`run_sweep` cuts its grid into chunks of :data:`CHUNK_SIZE` points;
 :func:`evaluate_point` is a chunk of one.
 """
@@ -33,7 +34,7 @@ from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
-from .dynamics import build_diffusion, build_drift, stability_stack
+from .dynamics import DriftMatrix, diffusion_stack, drift_stack, stability_stack
 from .entanglement import (
     EntanglementReport,
     Mode,
@@ -48,6 +49,7 @@ from .model import (
     Param,
     SystemParams,
     _require_real,
+    columns,
     config_snapshot,
     params_from_mapping,
 )
@@ -56,11 +58,11 @@ from .steadystate import integrate_to_steady_state, solve_lyapunov_stack
 
 VERSION = "0.1.0"
 
-#: Grid points solved together by one stacked core call: large enough to
-#: spread the fixed cost of the batched numpy calls, small enough that a
-#: chunk's arrays stay at a few MB whatever the grid size. On the 51x51
-#: paper map (2 cores, OpenBLAS at one thread) run_sweep took 723 us per
-#: point at chunks of 1 and 124-139 us at 64-256, fastest at 128.
+#: Grid points solved together by one stacked core call: large enough to spread
+#: the fixed cost of the batched numpy calls, small enough that a chunk's arrays
+#: stay at a few MB. On the 51x51 paper map (2 cores, OpenBLAS at one thread)
+#: run_sweep took 790 us per point at chunks of 1 and 107-132 us at 64-512;
+#: 128, 256 and 512 tie within noise there and on the 41x41 derived map.
 CHUNK_SIZE = 128
 
 #: Bipartitions reported when a config does not say otherwise.
@@ -190,21 +192,22 @@ def _parse_axis(raw: Any, which: str) -> Axis:
     return Axis(name=name, start=raw["start"], stop=raw["stop"], count=raw["count"])
 
 
-def _parse_pairs(raw: Any) -> tuple[str, ...]:
+def _parse_pairs(raw: Any) -> list[tuple[str, tuple[Mode, Mode]]]:
+    """(label, modes) of each pair in ``raw``, a non-empty list of distinct labels."""
     if not isinstance(raw, (list, tuple)) or not raw:
         raise ConfigError("pairs must be a non-empty list of labels")
-    labels: list[str] = []
+    parsed: list[tuple[str, tuple[Mode, Mode]]] = []
     for item in raw:
         if not isinstance(item, str):
             raise ConfigError(f"pair label must be a string, got {item!r}")
         try:
-            parse_pair(item)
+            pair = parse_pair(item)
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
-        if item in labels:
+        if any(label == item for label, _ in parsed):
             raise ConfigError(f"duplicate pair label {item!r}")
-        labels.append(item)
-    return tuple(labels)
+        parsed.append((item, pair))
+    return parsed
 
 
 def load_config(path: str | Path | None) -> RunConfig:
@@ -229,7 +232,7 @@ def load_config(path: str | Path | None) -> RunConfig:
     sweep_raw = data.pop("sweep", None)
     pairs_raw = data.pop("pairs", None)
     params = params_from_mapping(data)
-    pairs = DEFAULT_PAIRS if pairs_raw is None else _parse_pairs(pairs_raw)
+    pairs = DEFAULT_PAIRS if pairs_raw is None else tuple(dict(_parse_pairs(pairs_raw)))
 
     sweep = None
     if sweep_raw is not None:
@@ -333,24 +336,16 @@ def _solve_chunk(
     parsed: list[tuple[str, tuple[Mode, Mode]]],
     oracle: bool,
 ) -> list[PointReport]:
-    """The two stages on a non-empty chunk of valid parameter sets, one
-    report each; an :class:`OmmlabError` raised on the way raises for the
-    chunk.
-
-    Stage 1 solves the working points as one stack and puts every point's
-    first-branch drift through one :func:`stability_stack`. The points whose
-    drift is unstable and that have another branch try it, with the
-    eigensolve alone, until each finds a stable branch or runs out. A point
-    keeps the state, drift and eigenpairs of its first stable branch, else
-    of its first branch. Stage 2 is :func:`_steady_state` on the stable
-    points.
+    """The two stages of the module docstring on a non-empty chunk of valid
+    parameter sets, one report each; an :class:`OmmlabError` raised on the
+    way raises for the chunk. A point keeps the state, drift and eigenpairs
+    of its first stable branch, else of its first branch.
     """
-    scale = np.array([params.omega_b for params in params_list])
-    d = np.array([build_diffusion(params).d for params in params_list])
+    (scale,) = columns(params_list, "omega_b")
+    d = diffusion_stack(params_list)
     branches = solve_semiclassics_stack(params_list)
     states = [point[0] for point in branches]
-    drifts = [build_drift(params, state) for params, state in zip(params_list, states)]
-    a = np.array([drift.a for drift in drifts])
+    a = drift_stack(params_list, states)
     if not (np.isfinite(a).all() and np.isfinite(d).all()):
         raise NumericalError("non-finite entry in the drift or diffusion matrix")
     eigs, vecs, max_real = stability_stack(a, scale)
@@ -361,27 +356,29 @@ def _solve_chunk(
         ]
         if not pending:
             break
-        tries = [build_drift(params_list[k], branches[k][branch]) for k in pending]
-        found = stability_stack(np.array([drift.a for drift in tries]), scale[pending])
+        pending_params = [params_list[k] for k in pending]
+        tries = drift_stack(pending_params, [branches[k][branch] for k in pending])
+        found = stability_stack(tries, scale[pending])
         for j in np.flatnonzero(found[2] < 0.0):
             k = pending[j]
-            states[k], drifts[k], a[k] = branches[k][branch], tries[j], tries[j].a
+            states[k], a[k] = branches[k][branch], tries[j]
             eigs[k], vecs[k], max_real[k] = (column[j] for column in found)
 
     stable = max_real < 0.0
+    keep = slice(None) if stable.all() else stable
     v, nu, errors = _steady_state(
-        a[stable], d[stable], scale[stable], eigs[stable], vecs[stable],
-        [pair for _, pair in parsed],
+        a[keep], d[keep], scale[keep], eigs[keep], vecs[keep], [pair for _, pair in parsed]
     )
     solved = iter(zip(v, nu.tolist(), errors))
     reports = []
-    for k, (state, drift, max_k) in enumerate(zip(states, drifts, max_real.tolist())):
+    for k, (state, max_k) in enumerate(zip(states, max_real.tolist())):
         v_k, nus, error = next(solved) if stable[k] else (None, None, None)
         oracle_deviation = None
         if error is not None:
             nus = None
         elif oracle and nus is not None:
             try:
+                drift = DriftMatrix(a=a[k], omega_b=scale[k])
                 cov_rk4 = integrate_to_steady_state(drift, d[k], scale=scale[k])
                 oracle_deviation = float(
                     np.linalg.norm(v_k - cov_rk4.v) / np.linalg.norm(v_k)
@@ -401,12 +398,12 @@ def _evaluate_chunk(
     """Evaluate a chunk of operating points end to end, one report each.
 
     The chunk's valid points go through the two stages as one stack. Should
-    a stacked call raise an :class:`OmmlabError` for the chunk, its points
-    are evaluated again one at a time, and at a chunk of one the error
-    becomes the point's row. An :class:`OmmlabError` in place of a parameter
-    set stands for a point whose parameters failed validation, and becomes
-    its error row. With ``oracle``, each solved point is also relaxed with
-    RK4 and compared.
+    a stacked call raise an :class:`OmmlabError` for the chunk, its halves
+    are evaluated again, so a point that raises costs about 2 log2(N)
+    stacked solves, and at a chunk of one the error becomes its row. An
+    :class:`OmmlabError` in place of a parameter set stands for a point whose
+    parameters failed validation, and becomes its error row. With
+    ``oracle``, each solved point is also relaxed with RK4 and compared.
     """
     valid = [params for params in params_list if not isinstance(params, OmmlabError)]
     try:
@@ -415,9 +412,9 @@ def _evaluate_chunk(
         if len(valid) == 1:
             solved = [_report(parsed, str(exc))]
         else:
-            solved = [
-                _evaluate_chunk([params], parsed, oracle=oracle)[0] for params in valid
-            ]
+            half = len(valid) // 2
+            solved = _evaluate_chunk(valid[:half], parsed, oracle=oracle)
+            solved += _evaluate_chunk(valid[half:], parsed, oracle=oracle)
     rows = iter(solved)
     return [
         _report(parsed, str(params)) if isinstance(params, OmmlabError) else next(rows)
@@ -439,7 +436,7 @@ def evaluate_point(
     reported in the ``error`` field rather than raised, so sweeps keep going.
     The point is a chunk of one, evaluated exactly as a sweep evaluates it.
     """
-    parsed = [(label, parse_pair(label)) for label in pairs]
+    parsed = _parse_pairs(tuple(pairs))
     return _evaluate_chunk([params], parsed, oracle=oracle)[0]
 
 
@@ -465,7 +462,7 @@ def run_sweep(
     if threads < 1:
         raise DomainError("threads must be at least 1")
     pair_tuple = tuple(pairs)
-    parsed = [(label, parse_pair(label)) for label in pair_tuple]
+    parsed = _parse_pairs(pair_tuple)
     values1 = spec.axis1.values()
     values2 = spec.axis2.values() if spec.axis2 is not None else None
     n2 = 1 if values2 is None else len(values2)

@@ -9,8 +9,11 @@ exactly once, when a parameter set is built.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
+
+import numpy as np
 
 from .errors import ConfigError, DomainError
 
@@ -27,6 +30,9 @@ GYROMAGNETIC_RATIO = TWO_PI * 28e9
 #: Argument cutoff for the Bose factor: exp(x) overflows double precision
 #: near x = 710, and the occupation is already ~1e-304 there.
 _BOSE_OVERFLOW_CUTOFF = 700.0
+
+#: A scalar, or an array of one value per point of a stack.
+_Real = float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -211,54 +217,66 @@ class SystemParams:
                 raise DomainError("derived coupling mode needs strictly positive p_laser")
 
 
-def thermal_occupation(omega: float, temperature: float) -> float:
+def columns(records: Sequence[Any], *fields: str) -> np.ndarray:
+    """The named numeric attributes of N records, one (N,) row per field: how
+    a stack reads its points. Flags read as 0.0 and 1.0."""
+    get = operator.attrgetter(*fields)
+    return np.array([get(record) for record in records]).reshape(len(records), len(fields)).T
+
+
+def _check(bad: Any, message: str, error: type[Exception] = DomainError) -> None:
+    """Raise ``error(message)`` where a scalar or array comparison ``bad``
+    holds anywhere (np.any costs several times more on small stacks)."""
+    if bad.any() if isinstance(bad, np.ndarray) else bad:
+        raise error(message)
+
+
+def _real(x: np.ndarray) -> float | np.ndarray:
+    """``x`` as a float when it is a scalar, else as it is."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def thermal_occupation(omega: _Real, temperature: _Real) -> _Real:
     """Mean thermal occupation of a bath mode at angular frequency omega.
 
     Returns 1/(exp(hbar omega / k_B T) - 1), computed with expm1 so small
     arguments stay accurate. Exactly 0.0 at zero temperature, and 0.0 once
     the exponent would overflow double precision (the true value is below
-    the smallest normal float long before that).
+    the smallest normal float long before that). Takes scalars or arrays.
     """
-    if omega <= 0.0:
-        raise DomainError("omega must be strictly positive")
-    if temperature < 0.0:
-        raise DomainError("temperature must be non-negative")
-    if temperature == 0.0:
-        return 0.0
-    x = _hbar * omega / (_k_boltzmann * temperature)
-    if x > _BOSE_OVERFLOW_CUTOFF:
-        return 0.0
-    return 1.0 / math.expm1(x)
+    _check(omega <= 0.0, "omega must be strictly positive")
+    _check(temperature < 0.0, "temperature must be non-negative")
+    cold = temperature == 0.0
+    x = _hbar * omega / (_k_boltzmann * np.where(cold, 1.0, temperature))
+    # an infinite exponent gives exactly 0.0, without overflow
+    return _real(1.0 / np.expm1(np.where(cold | (x > _BOSE_OVERFLOW_CUTOFF), np.inf, x)))
 
 
-def rabi_frequency(b_field: float, volume: float, spin_density: float) -> float:
+def rabi_frequency(b_field: _Real, volume: _Real, spin_density: _Real) -> _Real:
     """Collective Rabi frequency of the driven magnon mode, rad/s.
 
     Omega = (sqrt(5)/4) gamma sqrt(rho V) B_0 for a fully polarized
     ferrimagnetic sphere of volume V, spin density rho, in a drive field of
-    amplitude B_0.
+    amplitude B_0. Takes scalars or equal-shape arrays.
     """
-    if b_field < 0.0:
-        raise DomainError("b_field must be non-negative")
-    if volume <= 0.0 or spin_density <= 0.0:
-        raise DomainError("volume and spin_density must be strictly positive")
-    return (math.sqrt(5.0) / 4.0) * GYROMAGNETIC_RATIO * math.sqrt(spin_density * volume) * b_field
+    _check(b_field < 0.0, "b_field must be non-negative")
+    _check((volume <= 0.0) | (spin_density <= 0.0),
+           "volume and spin_density must be strictly positive")
+    root_spins = np.sqrt(spin_density * volume)
+    return _real((math.sqrt(5.0) / 4.0) * GYROMAGNETIC_RATIO * root_spins * b_field)
 
 
-def laser_drive_strength(power: float, kappa: float, wavelength: float) -> float:
+def laser_drive_strength(power: _Real, kappa: _Real, wavelength: _Real) -> _Real:
     """Coherent drive amplitude E = sqrt(2 P kappa / (hbar omega_L)), rad/s.
 
     omega_L is the laser angular frequency 2 pi c / wavelength and kappa the
-    decay rate of the driven cavity.
+    decay rate of the driven cavity. Takes scalars or equal-shape arrays.
     """
-    if power < 0.0:
-        raise DomainError("power must be non-negative")
-    if kappa <= 0.0:
-        raise DomainError("kappa must be strictly positive")
-    if wavelength <= 0.0:
-        raise DomainError("wavelength must be strictly positive")
+    _check(power < 0.0, "power must be non-negative")
+    _check(kappa <= 0.0, "kappa must be strictly positive")
+    _check(wavelength <= 0.0, "wavelength must be strictly positive")
     omega_l = TWO_PI * _c_light / wavelength
-    return math.sqrt(2.0 * power * kappa / (_hbar * omega_l))
+    return _real(np.sqrt(2.0 * power * kappa / (_hbar * omega_l)))
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +367,7 @@ __all__ = [
     "Param",
     "SystemParams",
     "TWO_PI",
+    "columns",
     "config_snapshot",
     "default_params",
     "laser_drive_strength",

@@ -39,22 +39,20 @@ eigensolve of each branch's drift: the first dynamically stable branch, else
 the first branch, reported unstable. So :func:`solve_semiclassics`, which
 returns the first branch, need not return the working point;
 ``evaluate_point(params).state`` is that. An error at any point of a stack
-raises for the whole stack, and the harness then solves its points one at a
-time.
+raises for the whole stack, and the harness then solves the stack's halves
+apart, down to the point that raises.
 """
 
 from __future__ import annotations
 
-import cmath
 import logging
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateOperatingPointError, DomainError
-from .model import SystemParams, laser_drive_strength, rabi_frequency
+from .errors import ConvergenceError, DegenerateOperatingPointError
+from .model import SystemParams, _check, _Real, columns, laser_drive_strength, rabi_frequency
 
 logger = logging.getLogger(__name__)
 
@@ -79,7 +77,6 @@ _SINGULAR_FLOOR = 1e-30
 _C2_MISMATCH_WARN = 1e-9
 
 #: A scalar, or an array of one value per point of a stack.
-_Real = float | np.ndarray
 _Complex = complex | np.ndarray
 
 
@@ -117,11 +114,10 @@ def magnon_average(
     At zero detuning this is real and positive, Omega/kappa_m. Takes scalars
     or equal-shape arrays.
     """
-    if np.any(kappa_m <= 0.0):
-        raise DomainError("kappa_m must be strictly positive")
+    _check(kappa_m <= 0.0, "kappa_m must be strictly positive")
     den = kappa_m + 1j * delta_m_eff
-    if np.any(np.abs(den) < _SINGULAR_FLOOR):
-        raise DegenerateOperatingPointError("magnon response denominator vanishes")
+    _check(np.abs(den) < _SINGULAR_FLOOR, "magnon response denominator vanishes",
+           DegenerateOperatingPointError)
     return rabi / den
 
 
@@ -149,10 +145,8 @@ def cavity2_average_closed_form(
     d_1 = kappa_c1 + 1j * delta_c1
     d_2 = kappa_c2 + 1j * delta_c2_eff
     den = d_a * d_1 * d_2 + g_n2 * g_n2 * d_1 + g_n1 * g_n1 * d_2
-    if np.any(np.abs(den) < _SINGULAR_FLOOR):
-        raise DegenerateOperatingPointError(
-            "cavity response denominator vanishes; the operating point is degenerate"
-        )
+    _check(np.abs(den) < _SINGULAR_FLOOR, "cavity response denominator vanishes; the "
+           "operating point is degenerate", DegenerateOperatingPointError)
     return drive_e * (d_a * d_1 + g_n1 * g_n1 - g_n1 * g_n2) / den
 
 
@@ -208,8 +202,7 @@ def mechanical_displacement(
     Radiation pressure pushes the oscillator one way, magnetostriction the
     other; the restoring force balances them.
     """
-    if omega_b <= 0.0:
-        raise DomainError("omega_b must be strictly positive")
+    _check(omega_b <= 0.0, "omega_b must be strictly positive")
     return (g_c * abs(c2_avg) ** 2 - g_m * abs(m_avg) ** 2) / omega_b
 
 
@@ -219,14 +212,6 @@ def effective_couplings(
     """Linearized coupling rates G_c = i sqrt(2) g_c <c2>, G_mb = i sqrt(2) g_m <m>."""
     root2 = math.sqrt(2.0)
     return 1j * root2 * g_c * c2_avg, 1j * root2 * g_m * m_avg
-
-
-#: The parameters a derived-mode working point reads.
-_COLUMNS = operator.attrgetter(
-    "omega_b", "g_c", "g_m", "kappa_m", "delta_m", "delta_c2", "delta_c2_sign",
-    "eq9_verbatim", "kappa_a", "kappa_c1", "kappa_c2", "delta_a", "delta_c1",
-    "g_n1", "g_n2",
-)
 
 
 class _Displacement:
@@ -245,15 +230,17 @@ class _Displacement:
         (
             self.omega_b, self.g_c, self.g_m, self.kappa_m, self.delta_m, delta_c2, sign,
             verbatim, self.kappa_a, self.kappa_c1, self.kappa_c2, self.delta_a,
-            self.delta_c1, self.g_n1, self.g_n2,
-        ) = np.array([_COLUMNS(params) for params in params_list]).T
+            self.delta_c1, self.g_n1, self.g_n2, p_laser, lambda_laser, b_field, v_yig,
+            rho_spin,
+        ) = columns(
+            params_list, "omega_b", "g_c", "g_m", "kappa_m", "delta_m", "delta_c2",
+            "delta_c2_sign", "eq9_verbatim", "kappa_a", "kappa_c1", "kappa_c2", "delta_a",
+            "delta_c1", "g_n1", "g_n2", "p_laser", "lambda_laser", "b_field", "v_yig",
+            "rho_spin",
+        )
         self.delta_c2_signed = sign * delta_c2
-        self.drive_e = np.array([
-            laser_drive_strength(p.p_laser, p.kappa_c2, p.lambda_laser) for p in params_list
-        ])
-        self.rabi = np.array([
-            rabi_frequency(p.b_field, p.v_yig, p.rho_spin) for p in params_list
-        ])
+        self.drive_e = laser_drive_strength(p_laser, self.kappa_c2, lambda_laser)
+        self.rabi = rabi_frequency(b_field, v_yig, rho_spin)
         self.m0 = np.where(verbatim, delta_c2, self.delta_m)
         self.m1 = np.where(verbatim, 0.0, self.g_m)
 
@@ -449,17 +436,9 @@ def solve_semiclassics(params: SystemParams) -> SemiclassicalState:
     return solve_semiclassics_stack([params])[0][0]
 
 
-def coupling_phase(g_eff: complex) -> float:
-    """Phase of a complex effective coupling, zero for real non-negative ones."""
-    if g_eff == 0:
-        return 0.0
-    return cmath.phase(g_eff)
-
-
 __all__ = [
     "SemiclassicalState",
     "cavity2_average_closed_form",
-    "coupling_phase",
     "effective_couplings",
     "magnon_average",
     "mechanical_displacement",

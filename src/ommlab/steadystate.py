@@ -87,7 +87,7 @@ def symplectic_form(n_modes: int) -> np.ndarray:
 
 def _transpose(x: np.ndarray) -> np.ndarray:
     """Transpose of each matrix in a stack (of the matrix itself in 2D)."""
-    return np.swapaxes(x, -1, -2)
+    return x.swapaxes(-1, -2)
 
 
 def _max_abs_scale(x: np.ndarray) -> np.ndarray:
@@ -177,7 +177,7 @@ def _eigenbasis_solve(
                 vecs_inv[i] = np.linalg.inv(s)
             except np.linalg.LinAlgError:
                 pass
-    cond = np.linalg.norm(vecs, 1, axis=(-2, -1)) * np.linalg.norm(vecs_inv, 1, axis=(-2, -1))
+    cond = np.abs(vecs).sum(axis=-2).max(axis=-1) * np.abs(vecs_inv).sum(axis=-2).max(axis=-1)
     c = vecs_inv @ d_s @ _transpose(vecs_inv.conj())
     w = -c / (lam[:, :, None] + lam.conj()[:, None, :])
     raw = (vecs @ w @ _transpose(vecs.conj())).real
@@ -216,8 +216,9 @@ def _symmetrized(raw: np.ndarray) -> np.ndarray:
 
 def _relative_residual(a_s: np.ndarray, v: np.ndarray, d_s: np.ndarray) -> np.ndarray:
     """||A V + V A^T + D||_F / ||D||_F of each point; 0 where D vanishes."""
-    d_norm = np.linalg.norm(d_s, axis=(-2, -1))
-    r_norm = np.linalg.norm(a_s @ v + v @ _transpose(a_s) + d_s, axis=(-2, -1))
+    r = a_s @ v + v @ _transpose(a_s) + d_s
+    # np.linalg.norm's Frobenius sums, without its per-call overhead
+    d_norm, r_norm = (np.sqrt(np.add.reduce(x * x, axis=(-2, -1))) for x in (d_s, r))
     return np.divide(r_norm, d_norm, out=np.zeros_like(r_norm), where=d_norm != 0.0)
 
 
@@ -235,7 +236,7 @@ def solve_lyapunov_stack(
     :func:`ommlab.dynamics.stability_stack`. A point with an asymmetric D
     fails at once; the others' eigenbasis results are screened with the 1e-10
     residual gate (a NaN residual misses it) and those that miss go to the
-    Schur fallback. The stack is then symmetrized and gated once, and each
+    Schur fallback, whose results are symmetrized and gated in turn. Each
     point that passes is checked for the asymmetry warning and non-negative
     variances. Returns V (N, n, n), exactly symmetric, rows of failed points
     undefined, and per point the error that point raises, or None.
@@ -246,16 +247,18 @@ def solve_lyapunov_stack(
     a_s = a / scale[:, None, None]
     d_s = d / scale[:, None, None]
     raw = _eigenbasis_solve(eigenvalues / scale[:, None], eigenvectors, d_s)
-    missed = ~(_relative_residual(a_s, _symmetrized(raw), d_s) <= _RESIDUAL_RTOL)
-    for i in np.flatnonzero(missed):
+    v = _symmetrized(raw)
+    residual = _relative_residual(a_s, v, d_s)
+    missed = np.flatnonzero(~(residual <= _RESIDUAL_RTOL))
+    for i in missed:
         if errors[i] is None:
             try:
                 raw[i] = _schur_solve(a_s[i], d_s[i])
             except NumericalError as exc:
                 errors[i] = exc
-
-    v = _symmetrized(raw)
-    residual = _relative_residual(a_s, v, d_s)
+    if missed.size:
+        v[missed] = _symmetrized(raw[missed])
+        residual[missed] = _relative_residual(a_s[missed], v[missed], d_s[missed])
     asym = np.abs(raw - _transpose(raw)).max(axis=(-2, -1))
     warn = asym > _ASYMMETRY_RTOL * _max_abs_scale(raw)
     negative = (np.diagonal(v, axis1=-2, axis2=-1) < 0.0).any(axis=-1)

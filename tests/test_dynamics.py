@@ -1,5 +1,6 @@
 """Drift and diffusion assembly, and the stability classifier."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,8 +17,9 @@ from ommlab import (
     stability,
     thermal_occupation,
 )
-from ommlab.dynamics import DIM, DriftMatrix
+from ommlab.dynamics import DIM, DriftMatrix, diffusion_stack, drift_stack
 from ommlab.model import TWO_PI
+from ommlab.semiclassics import solve_semiclassics_stack
 
 
 def drift_at(**overrides) -> np.ndarray:
@@ -144,6 +146,58 @@ class TestDriftLayout:
         a = drift_at()
         with pytest.raises(ValueError):
             a[0, 0] = 1.0
+
+
+#: Derived-mode points: the reference point, whose working point has three
+#: branches, and a point with two, whose second is its working point.
+DERIVED = {"coupling_mode": "derived", "b_field_t": 1.1e-3, "g_c_hz": 1.5e3}
+LATER_BRANCH = {
+    "coupling_mode": "derived", "b_field_t": 3.3e-3, "g_c_hz": 960, "g_m_hz": 280,
+    "p_laser_w": 4e-3, "delta_c2_over_wb": 0.28, "delta_m_over_wb": -2.3,
+    "delta_a_over_wb": 1.0, "delta_c1_over_wb": 1.8,
+}
+
+
+class TestDriftStack:
+    @staticmethod
+    def mixed_stack():
+        """Every branch of points that take each path through the builders."""
+        points = []
+        for overrides in (
+            {}, DERIVED, LATER_BRANCH, {"g_c_backaction": "x_quadrature"},
+            {"theta_c_rad": 0.7, "theta_m_rad": -2.1}, {"T": 0.0}, {"g_c_eff_hz": 0.0},
+        ):
+            p = default_params(**overrides)
+            points += [(p, state) for state in solve_semiclassics_stack([p])[0]]
+        return points
+
+    def test_stacks_equal_their_stacks_of_one(self):
+        points = self.mixed_stack()
+        assert len(points) == 10
+        params_list, states = zip(*points)
+        a, d = drift_stack(params_list, states), diffusion_stack(params_list)
+        assert a.shape == d.shape == (10, DIM, DIM)
+        for i, (p, state) in enumerate(points):
+            assert a[i].tobytes() == drift_stack([p], [state])[0].tobytes()
+            assert a[i].tobytes() == build_drift(p, state).a.tobytes()
+            assert d[i].tobytes() == diffusion_stack([p])[0].tobytes()
+            assert d[i].tobytes() == build_diffusion(p).d.tobytes()
+
+    def test_coupling_phase(self):
+        # the cavity-2 drive column is |G| (cos, sin) of arg G
+        p = default_params()
+        base = solve_semiclassics(p)
+
+        def drive_column(g_c_eff):
+            a = build_drift(p, dataclasses.replace(base, g_c_eff=complex(g_c_eff))).a
+            return a[4, 6], a[5, 6]
+
+        for g_c_eff, phase in ((3.0, 0.0), (2.0j, math.pi / 2.0), (-1.0, math.pi)):
+            want = (abs(g_c_eff) * math.cos(phase), abs(g_c_eff) * math.sin(phase))
+            assert drive_column(g_c_eff) == pytest.approx(want, abs=1e-15)
+        # a vanishing coupling has phase 0 whatever the signs of its zeros
+        # (arg(-0 + 0j) is pi, and 0 cos(pi) would be -0)
+        assert [math.copysign(1.0, x) for x in drive_column(complex(-0.0, 0.0))] == [1.0, 1.0]
 
 
 class TestDiffusion:

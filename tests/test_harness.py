@@ -29,7 +29,7 @@ from ommlab import (
 )
 from ommlab import build_diffusion, build_drift, solve_semiclassics, stability, steadystate
 from ommlab import DegenerateOperatingPointError, rabi_frequency, semiclassics
-from ommlab.dynamics import DriftMatrix, stability_stack
+from ommlab.dynamics import stability_stack
 from ommlab import harness
 from ommlab.entanglement import nu_minus_stack, parse_pair
 from ommlab.harness import CHUNK_SIZE, SWEEP_AXES
@@ -177,6 +177,21 @@ class TestLoadConfig:
         path.write_text(json.dumps({"pairs": pairs}))
         with pytest.raises(ConfigError, match=message):
             load_config(path)
+
+    @pytest.mark.parametrize(
+        "pairs, message", [((), "non-empty"), (("ab", "ab"), "duplicate"), (("ax",), "pair")]
+    )
+    def test_evaluate_point_checks_pairs_as_a_config_does(self, pairs, message):
+        with pytest.raises(ConfigError, match=message):
+            evaluate_point(default_params(), pairs=pairs)
+
+    @pytest.mark.parametrize(
+        "pairs, message", [([], "non-empty"), (["am", "am"], "duplicate"), (["ax"], "pair")]
+    )
+    def test_run_sweep_checks_pairs_as_a_config_does(self, pairs, message):
+        spec = SweepSpec(Axis("T", 0.01, 0.02, 2))
+        with pytest.raises(ConfigError, match=message):
+            run_sweep(default_params(), spec, pairs=pairs)
 
     def test_derived_mode_conflicts_with_coupling_axis(self, tmp_path):
         path = tmp_path / "conflict.json"
@@ -400,11 +415,13 @@ class TestWorkingPointBranches:
         assert reports[3].state.q_avg == pytest.approx(-1.27e4, rel=1e-2)
         assert [r.stable for r in reports] == [True, False, True, True]
 
-    def test_error_in_a_stack_stays_with_its_point(self, monkeypatch):
-        # the stacked working-point solve raises for the chunk, whose points
-        # are then evaluated one at a time
-        good = default_params(**self.DERIVED)
-        bad = default_params(**{**self.DERIVED, "b_field_t": 1.2e-3})
+    BAD = {**DERIVED, "b_field_t": 1.2e-3}
+
+    @classmethod
+    def fail_at_bad(cls, monkeypatch):
+        """Make the working-point solve raise for any stack that holds the
+        point ``BAD``, as a degenerate point would."""
+        bad = default_params(**cls.BAD)
         bad_rabi = rabi_frequency(bad.b_field, bad.v_yig, bad.rho_spin)
         exact = semiclassics.magnon_average
 
@@ -413,15 +430,38 @@ class TestWorkingPointBranches:
                 raise DegenerateOperatingPointError("magnon response denominator vanishes")
             return exact(rabi, *args)
 
+        monkeypatch.setattr(semiclassics, "magnon_average", magnon_average)
+        return bad
+
+    def test_error_in_a_stack_stays_with_its_point(self, monkeypatch):
+        # the stacked working-point solve raises for the chunk, whose halves
+        # are then evaluated apart, down to the point that raises
+        good = default_params(**self.DERIVED)
         alone = evaluate_point(good)
         parsed = [(label, parse_pair(label)) for label in DEFAULT_PAIRS]
-        monkeypatch.setattr(semiclassics, "magnon_average", magnon_average)
+        bad = self.fail_at_bad(monkeypatch)
         with pytest.raises(DegenerateOperatingPointError):
             solve_semiclassics_stack([good, bad, good])
         first, error, last = harness._evaluate_chunk([good, bad, good], parsed)
         assert error.error == "magnon response denominator vanishes"
         assert error.state is None and error.margin is None and not error.stable
         assert first == alone and last == alone
+
+    def test_a_failing_chunk_is_bisected(self, monkeypatch):
+        # one point of 16 raises: the chunk is halved down to it, which takes
+        # 2 log2(16) + 1 = 9 stacked solves (one point at a time took 17),
+        # and every row is the one the point gets alone
+        points = [
+            default_params(**{**self.DERIVED, "delta_m_over_wb": x})
+            for x in np.linspace(0.5, 1.5, 15)
+        ]
+        points.insert(11, self.fail_at_bad(monkeypatch))
+        parsed = [(label, parse_pair(label)) for label in ("ab", "am")]
+        alone = [harness._evaluate_chunk([p], parsed)[0] for p in points]
+        assert alone[11].error == "magnon response denominator vanishes"
+        with mock.patch.object(harness, "_solve_chunk", wraps=harness._solve_chunk) as solve:
+            assert harness._evaluate_chunk(points, parsed) == alone
+        assert solve.call_count == 9
 
 
 class TestRunSweep:
@@ -623,7 +663,7 @@ class TestRunSweep:
         # only an OmmlabError becomes an error row; anything else is a bug
         spec = SweepSpec(Axis("T", 0.01, 0.02, 2))
         with mock.patch.object(
-            harness, "build_diffusion", side_effect=ZeroDivisionError("float division by zero")
+            harness, "diffusion_stack", side_effect=ZeroDivisionError("float division by zero")
         ), pytest.raises(ZeroDivisionError):
             run_sweep(default_params(), spec)
 
@@ -736,17 +776,16 @@ class TestStackedCore:
         # a non-finite drift fails the chunk's check, and only its own row
         points = _chunk_points()
         parsed = self.PARSED
-        build = harness.build_drift
+        build = harness.drift_stack
 
-        def nan_drift_at_point_1(params, state):
-            drift = build(params, state)
-            if params is points[1]:
-                a = drift.a.copy()
-                a[3, 2] = np.nan
-                return DriftMatrix(a=a, omega_b=drift.omega_b)
-            return drift
+        def nan_drift_at_point_1(params_list, states):
+            a = build(params_list, states)
+            for i, params in enumerate(params_list):
+                if params is points[1]:
+                    a[i, 3, 2] = np.nan
+            return a
 
-        with mock.patch.object(harness, "build_drift", nan_drift_at_point_1):
+        with mock.patch.object(harness, "drift_stack", nan_drift_at_point_1):
             reports = harness._evaluate_chunk(points, parsed)
         assert reports[1].error == "non-finite entry in the drift or diffusion matrix"
         assert reports[1].margin is None and reports[1].state is None

@@ -15,6 +15,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -126,6 +127,66 @@ class TestDriveFormulas:
             laser_drive_strength(4.4e-3, 0.0, 1064e-9)
         with pytest.raises(DomainError):
             rabi_frequency(-1e-3, 1e-17, 4.22e27)
+
+
+def _omega_at(x, temperature):
+    """The angular frequency whose Bose exponent at ``temperature`` is x."""
+    return x * model._k_boltzmann * temperature / model._hbar
+
+
+class TestArrayArguments:
+    """Each helper takes equal-shape arrays and returns, entry by entry, the
+    floats of its scalar calls, and raises as a scalar call raises when any
+    entry is out of its domain."""
+
+    # T = 0, and exponents just below and just above the overflow cutoff
+    OMEGA = np.array([
+        TWO_PI * 40e6, TWO_PI * 10e9, TWO_PI * 10e9, TWO_PI * 40e6,
+        _omega_at(699.0, 1e-3), _omega_at(701.0, 1e-3), 1e20, TWO_PI * 1e3,
+    ])
+    T = np.array([0.01, 0.01, 0.2, 0.0, 1e-3, 1e-3, 1e-3, 1.0])
+
+    @staticmethod
+    def assert_elementwise(fn, *columns):
+        got = fn(*columns)
+        want = [fn(*args) for args in zip(*(column.tolist() for column in columns))]
+        assert all(type(value) is float for value in want)
+        assert got.shape == columns[0].shape
+        np.testing.assert_array_equal(got, want)
+        return got
+
+    def test_thermal_occupation(self):
+        n = self.assert_elementwise(thermal_occupation, self.OMEGA, self.T)
+        assert n[3] == 0.0 and n[4] > 0.0 and n[5] == n[6] == 0.0
+
+    def test_drive_formulas(self):
+        self.assert_elementwise(
+            rabi_frequency, np.array([0.0, 1e-3, 1.0]), np.array([1e-17, 1e-17, 1.0]),
+            np.array([4.22e27, 4 * 4.22e27, 1.0]),
+        )
+        self.assert_elementwise(
+            laser_drive_strength, np.array([0.0, 4.4e-3, 4.4e-3]),
+            np.array([TWO_PI * 2e6, TWO_PI * 2e6, 1.0]), np.array([1064e-9, 1064e-9, 1.0]),
+        )
+
+    @pytest.mark.parametrize(
+        "fn, good, bad",
+        [
+            (thermal_occupation, (TWO_PI * 40e6, 0.01), (0.0, 0.01)),
+            (thermal_occupation, (TWO_PI * 40e6, 0.01), (TWO_PI * 40e6, -0.01)),
+            (rabi_frequency, (1e-3, 1e-17, 4.22e27), (-1e-3, 1e-17, 4.22e27)),
+            (rabi_frequency, (1e-3, 1e-17, 4.22e27), (1e-3, 0.0, 4.22e27)),
+            (laser_drive_strength, (4.4e-3, 1e6, 1064e-9), (-1e-3, 1e6, 1064e-9)),
+            (laser_drive_strength, (4.4e-3, 1e6, 1064e-9), (4.4e-3, 0.0, 1064e-9)),
+            (laser_drive_strength, (4.4e-3, 1e6, 1064e-9), (4.4e-3, 1e6, 0.0)),
+        ],
+    )
+    def test_one_bad_entry_raises_the_scalar_error(self, fn, good, bad):
+        with pytest.raises(DomainError) as scalar:
+            fn(*bad)
+        columns = [np.array([g, b, g]) for g, b in zip(good, bad)]
+        with pytest.raises(DomainError, match=f"^{re.escape(str(scalar.value))}$"):
+            fn(*columns)
 
 
 class TestConfigIngestion:

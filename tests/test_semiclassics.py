@@ -29,7 +29,6 @@ from ommlab import (
 )
 from ommlab import semiclassics
 from ommlab.model import TWO_PI
-from ommlab.semiclassics import coupling_phase
 
 
 class TestMagnonAverage:
@@ -180,12 +179,6 @@ class TestEffectiveCouplings:
         assert gc_eff == pytest.approx(math.sqrt(2.0) * g_c * 5.0)
         assert gc_eff.imag == 0.0
         assert gmb_eff == pytest.approx(1j * math.sqrt(2.0) * g_m * 2.0)
-
-    def test_coupling_phase(self):
-        assert coupling_phase(0.0) == 0.0
-        assert coupling_phase(3.0) == 0.0
-        assert coupling_phase(2.0j) == pytest.approx(math.pi / 2.0)
-        assert coupling_phase(-1.0) == pytest.approx(math.pi)
 
 
 class TestSolveSemiclassicsDirect:
