@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import build_diffusion, build_drift, stability
+from .dynamics import build_diffusion, build_drift
 from .entanglement import (
     log_negativity,
     nu_minus_via_partial_transpose,
@@ -27,6 +27,7 @@ from .entanglement import (
 from .errors import OmmlabError
 from .harness import (
     VERSION,
+    _working_points,
     evaluate_point,
     load_config,
     run_sweep,
@@ -98,18 +99,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_stability(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    params = config.params
-    # the working point the harness keeps, which in derived mode need not be
-    # the first branch solve_semiclassics returns
-    point = evaluate_point(params, config.pairs)
-    if point.state is None:
-        raise OmmlabError(point.error)
-    report = stability(build_drift(params, point.state))
+    # the spectrum of the working point the harness keeps, which in derived
+    # mode need not be the first branch solve_semiclassics returns
+    *_, eigs, _, max_real = _working_points([config.params])
+    max_real = float(max_real[0])
     print("eigenvalues (rad/s), sorted by real part:")
-    for eig in report.eigenvalues:
+    for eig in eigs[0]:
         print(f"  {eig.real:+.9e}  {eig.imag:+.9e}j   ({eig.real / TWO_PI:+.4e} Hz)")
-    print(f"stable={'true' if report.stable else 'false'}")
-    print(f"margin_rad_s={report.margin:.9g}")
+    print(f"stable={'true' if max_real < 0.0 else 'false'}")
+    print(f"margin_rad_s={-max_real:.9g}")
     return 0
 
 

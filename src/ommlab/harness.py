@@ -7,16 +7,18 @@ evaluate a 1D or 2D grid of operating points, tolerate per-point failures by
 recording them, and write a CSV table plus optional PGM heatmaps.
 
 Every point is evaluated by :func:`_evaluate_chunk`, a chunk of points at a
-time, in two stages. Stage 1 picks each point's working point: the chunk's
-semiclassics, diffusions and first-branch drifts are built as stacks, the
-drifts go through one batched eigensolve, and the points whose drift is
-unstable try their later branches, one drift stack and eigensolve per
-branch index. Stage 2 solves the steady state of the stable points: one
-Lyapunov stack, in the eigenbases stage 1 found, then one nu_- stack over
-every requested pair. One failure rule holds throughout: an error that a
-stacked call raises for the chunk sends its halves through again, and at a
-chunk of one the error becomes the point's row; the Lyapunov solve and nu_-
-keep their errors per point.
+time, in two stages. Stage 1, :func:`_working_points`, picks each point's
+working point: the chunk's semiclassics, diffusions and first-branch drifts
+are built as stacks, and the drifts go through one batched eigensolve. The
+later branches of every point whose first drift is unstable are then tried
+together, in one more drift stack and eigensolve, and a point keeps its
+earliest stable branch, else its first. ``ommlab stability`` prints the
+spectrum stage 1 keeps. Stage 2 solves the steady state of the stable
+points: one Lyapunov stack, in the eigenbases stage 1 found, then one nu_-
+stack over every requested pair. One failure rule holds throughout: an error
+that a stacked call raises for the chunk sends its halves through again, and
+at a chunk of one the error becomes the point's row; the Lyapunov solve and
+nu_- keep their errors per point.
 :func:`run_sweep` cuts its grid into chunks of :data:`CHUNK_SIZE` points;
 :func:`evaluate_point` is a chunk of one.
 """
@@ -24,7 +26,6 @@ keep their errors per point.
 from __future__ import annotations
 
 import copy
-import itertools
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -331,15 +332,15 @@ def _steady_state(
     return v, nu.reshape(len(a), n), first_errors
 
 
-def _solve_chunk(
+def _working_points(
     params_list: list[SystemParams],
-    parsed: list[tuple[str, tuple[Mode, Mode]]],
-    oracle: bool,
-) -> list[PointReport]:
-    """The two stages of the module docstring on a non-empty chunk of valid
-    parameter sets, one report each; an :class:`OmmlabError` raised on the
-    way raises for the chunk. A point keeps the state, drift and eigenpairs
-    of its first stable branch, else of its first branch.
+) -> tuple[np.ndarray, np.ndarray, list[SemiclassicalState], np.ndarray, np.ndarray,
+           np.ndarray, np.ndarray]:
+    """Stage 1 of the module docstring on a non-empty stack of valid
+    parameter sets; an :class:`OmmlabError` raised on the way raises for the
+    stack. Returns the mechanical frequencies (N,) that scale the solves, the
+    diffusions (N, 10, 10), and each point's kept state, drift (N, 10, 10),
+    eigenvalues (N, 10), eigenvectors (N, 10, 10) and max Re (N,).
     """
     (scale,) = columns(params_list, "omega_b")
     d = diffusion_stack(params_list)
@@ -349,21 +350,30 @@ def _solve_chunk(
     if not (np.isfinite(a).all() and np.isfinite(d).all()):
         raise NumericalError("non-finite entry in the drift or diffusion matrix")
     eigs, vecs, max_real = stability_stack(a, scale)
-    pending = range(len(params_list))
-    for branch in itertools.count(1):
-        pending = [
-            k for k in pending if not max_real[k] < 0.0 and branch < len(branches[k])
-        ]
-        if not pending:
-            break
-        pending_params = [params_list[k] for k in pending]
-        tries = drift_stack(pending_params, [branches[k][branch] for k in pending])
-        found = stability_stack(tries, scale[pending])
+    # every later branch of every point whose first branch is unstable
+    tries = [(k, s) for k in np.flatnonzero(~(max_real < 0.0)) for s in branches[k][1:]]
+    if tries:
+        points = [k for k, _ in tries]
+        a_tries = drift_stack([params_list[k] for k in points], [state for _, state in tries])
+        found = stability_stack(a_tries, scale[points])
         for j in np.flatnonzero(found[2] < 0.0):
-            k = pending[j]
-            states[k], a[k] = branches[k][branch], tries[j]
-            eigs[k], vecs[k], max_real[k] = (column[j] for column in found)
+            k, state = tries[j]
+            if not max_real[k] < 0.0:
+                states[k], a[k] = state, a_tries[j]
+                eigs[k], vecs[k], max_real[k] = (column[j] for column in found)
+    return scale, d, states, a, eigs, vecs, max_real
 
+
+def _solve_chunk(
+    params_list: list[SystemParams],
+    parsed: list[tuple[str, tuple[Mode, Mode]]],
+    oracle: bool,
+) -> list[PointReport]:
+    """The two stages of the module docstring on a non-empty chunk of valid
+    parameter sets, one report each; an :class:`OmmlabError` raised on the
+    way raises for the chunk.
+    """
+    scale, d, states, a, eigs, vecs, max_real = _working_points(params_list)
     stable = max_real < 0.0
     keep = slice(None) if stable.all() else stable
     v, nu, errors = _steady_state(
@@ -596,27 +606,19 @@ def write_pgm(result: SweepResult, pair: str, path: str | Path) -> None:
         raise DomainError(f"pair {pair!r} was not requested in this sweep")
     width = len(result.values1)
     height = len(result.values2)
-
-    values: list[float | None] = []
-    for report in result.reports:
-        e_n = report.entanglement[pair].e_n
-        values.append(e_n if report.stable and e_n is not None else None)
-
-    finite = [v for v in values if v is not None]
-    vmin = min(finite) if finite else 0.0
-    vmax = max(finite) if finite else 0.0
-    span = vmax - vmin
-
-    pixels = bytearray(width * height)
-    for y in range(height):
-        for x in range(width):
-            value = values[x * height + y]
-            if value is None or span <= 0.0:
-                continue
-            pixels[y * width + x] = round(255.0 * (value - vmin) / span)
+    # None, for unstable, failed and missing points, reads as NaN
+    values = np.array(
+        [r.entanglement[pair].e_n if r.stable else None for r in result.reports], dtype=float
+    ).reshape(width, height).T
+    known = ~np.isnan(values)
+    pixels = np.zeros((height, width), dtype=np.uint8)
+    if known.any():
+        vmin, vmax = values[known].min(), values[known].max()
+        if vmax > vmin:
+            pixels[known] = np.rint(255.0 * (values[known] - vmin) / (vmax - vmin))
 
     header = f"P5\n{width} {height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + bytes(pixels))
+    Path(path).write_bytes(header + pixels.tobytes())
 
 
 __all__ = [

@@ -96,7 +96,6 @@ PARAM_TABLE: tuple[Param, ...] = (
     Param("T", "temperature", 0.01, None, float, "non_negative", sweepable=True),
     Param("p_laser_w", "p_laser", 4.4e-3, None, float, "non_negative"),
     Param("lambda_laser_m", "lambda_laser", 1064e-9, None, float, "positive"),
-    Param("p_microwave_w", "p_microwave", 1.44e-3, None, float, "non_negative"),
     Param("b_field_t", "b_field", None, None, float, "non_negative", nullable=True),
     Param("v_yig_m3", "v_yig", 1e-17, None, float, "positive"),
     Param("rho_spin_m3", "rho_spin", 4.22e27, None, float, "positive"),
@@ -168,7 +167,6 @@ class SystemParams:
     temperature: float
     p_laser: float
     lambda_laser: float
-    p_microwave: float
     b_field: float | None
     v_yig: float
     rho_spin: float

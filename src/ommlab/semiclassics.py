@@ -34,13 +34,14 @@ Two ways to get there:
   amplitude system is solved by pivoted LU at every branch, as its
   cross-check.
 
-Which branch is a point's working point is the harness's choice, made on the
-eigensolve of each branch's drift: the first dynamically stable branch, else
-the first branch, reported unstable. So :func:`solve_semiclassics`, which
-returns the first branch, need not return the working point;
-``evaluate_point(params).state`` is that. An error at any point of a stack
-raises for the whole stack, and the harness then solves the stack's halves
-apart, down to the point that raises.
+:func:`solve_semiclassics_stack` solves the points of each mode in a stack
+together. Which branch is a point's working point is the harness's choice,
+made in its stage 1 on the eigensolve of each branch's drift: the first
+dynamically stable branch, else the first branch, reported unstable. So
+:func:`solve_semiclassics`, which returns the first branch, need not return
+the working point; ``evaluate_point(params).state`` is that. An error at any
+point of a stack raises for the whole stack, and the harness then solves the
+stack's halves apart, down to the point that raises.
 """
 
 from __future__ import annotations
@@ -388,26 +389,22 @@ def _derived_branches(
     return [tuple(states[end - n : end]) for end, n in zip(ends, counts.tolist())]
 
 
-def _direct_state(params: SystemParams) -> SemiclassicalState:
-    """The one branch of a direct-mode point: the configured effective
-    couplings at face value, with zero static displacement."""
-    return SemiclassicalState(
-        q_avg=0.0,
-        m_avg=None,
-        c2_avg=None,
-        g_c_eff=complex(params.g_c_eff),
-        g_mb_eff=complex(params.g_mb_eff),
-        delta_c2_eff=params.delta_c2_sign * params.delta_c2,
-        delta_m_eff=params.delta_m,
-        drive_e=laser_drive_strength(params.p_laser, params.kappa_c2, params.lambda_laser),
-        rabi=(
-            None
-            if params.b_field is None
-            else rabi_frequency(params.b_field, params.v_yig, params.rho_spin)
-        ),
-        iterations=0,
-        c2_mismatch=None,
+def _direct_branches(params_list: list[SystemParams]) -> list[tuple[SemiclassicalState]]:
+    """The one branch of each point of a direct-mode stack: the configured
+    effective couplings at face value, with zero static displacement."""
+    g_c, g_mb, sign, delta_c2, delta_m, p_laser, kappa_c2, wavelength, v_yig, rho = columns(
+        params_list, "g_c_eff", "g_mb_eff", "delta_c2_sign", "delta_c2", "delta_m", "p_laser",
+        "kappa_c2", "lambda_laser", "v_yig", "rho_spin",
     )
+    b_field = [params.b_field for params in params_list]
+    rabi = rabi_frequency(np.array([b or 0.0 for b in b_field]), v_yig, rho).tolist()
+    drive_e = laser_drive_strength(p_laser, kappa_c2, wavelength)
+    states = zip(
+        g_c.astype(complex).tolist(), g_mb.astype(complex).tolist(),
+        (sign * delta_c2).tolist(), delta_m.tolist(), drive_e.tolist(),
+        [None if b is None else r for b, r in zip(b_field, rabi)],
+    )
+    return [(SemiclassicalState(0.0, None, None, *fields, 0, None),) for fields in states]
 
 
 def solve_semiclassics_stack(
@@ -415,16 +412,17 @@ def solve_semiclassics_stack(
 ) -> list[tuple[SemiclassicalState, ...]]:
     """Working-point branches for a stack of parameter sets, in order.
 
-    A direct-mode point has one branch. The derived-mode points are solved
+    A direct-mode point has one branch. The points of each mode are solved
     together, as the module docstring describes; an error at any of them
     raises for the stack.
     """
     derived = [params for params in params_list if params.coupling_mode == "derived"]
-    solved = iter(_derived_branches(derived) if derived else ())
-    return [
-        next(solved) if params.coupling_mode == "derived" else (_direct_state(params),)
-        for params in params_list
-    ]
+    direct = [params for params in params_list if params.coupling_mode == "direct"]
+    solved = {
+        "derived": iter(_derived_branches(derived) if derived else ()),
+        "direct": iter(_direct_branches(direct) if direct else ()),
+    }
+    return [next(solved[params.coupling_mode]) for params in params_list]
 
 
 def solve_semiclassics(params: SystemParams) -> SemiclassicalState:

@@ -5,9 +5,10 @@ import subprocess
 import sys
 from unittest import mock
 
+import numpy as np
 import pytest
 
-from ommlab import NumericalError, harness
+from ommlab import NumericalError, harness, steadystate
 from ommlab.cli import main
 
 
@@ -118,6 +119,22 @@ class TestStability:
         assert lines["stability"] == lines["point"] == [
             "stable=true", "margin_rad_s=404783.633"
         ]
+
+    def test_prints_the_spectrum_stage_one_found(self, capsys):
+        # one eigensolve, and no steady state: the Lyapunov solve and nu_-
+        # are never called
+        expected = run_cli(capsys, "stability")
+        solved = AssertionError("the steady state was solved")
+        with mock.patch.object(
+            steadystate, "solve_lyapunov_stack", side_effect=solved
+        ), mock.patch.object(
+            harness, "solve_lyapunov_stack", side_effect=solved
+        ), mock.patch.object(
+            harness, "nu_minus_stack", side_effect=solved
+        ), mock.patch.object(np.linalg, "eig", wraps=np.linalg.eig) as eig:
+            assert run_cli(capsys, "stability") == expected
+        assert eig.call_count == 1
+        assert expected[0] == 0 and "stable=true" in expected[1].splitlines()
 
     def test_error_row_fails_cleanly(self, capsys, tmp_path):
         path = write_config(tmp_path, {"T": 0.02})

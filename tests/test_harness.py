@@ -1,7 +1,9 @@
 """Config loading, sweep execution, and CSV/PGM artifact formats."""
 
+import collections
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -238,8 +240,6 @@ class TestDefaultPoint:
         )
 
     def test_nu_consistent_with_e_n(self, default_point):
-        import math
-
         for rep in default_point.entanglement.values():
             assert rep.e_n == pytest.approx(
                 max(0.0, -math.log(2.0 * rep.nu_minus)), abs=1e-15
@@ -406,6 +406,64 @@ class TestWorkingPointBranches:
         assert report.margin == stability(build_drift(p, second)).margin
         assert report.margin == pytest.approx(4.05e5, rel=1e-2)
         assert all(rep.e_n is not None for rep in report.entanglement.values())
+
+    # three branches: q about -3.70e3 and 2.00e3, both dynamically stable,
+    # then -1.53e5, unstable
+    TWO_STABLE = {
+        "coupling_mode": "derived", "b_field_t": 2.3e-4, "g_c_hz": 3906, "g_m_hz": 211,
+        "p_laser_w": 2e-4, "delta_c2_over_wb": -0.16, "delta_m_over_wb": 0.7,
+        "delta_a_over_wb": 1.09, "delta_c1_over_wb": 0.62,
+    }
+
+    @pytest.mark.parametrize("order", [(2, 0, 1), (2, 1, 0)])
+    def test_earliest_stable_later_branch_is_kept(self, monkeypatch, order):
+        # behind an unstable first branch, the earlier of two stable branches
+        # is the working point, alone and in a chunk whose other points try
+        # later branches too
+        p = default_params(**self.TWO_STABLE)
+        branches = solve_semiclassics_stack([p])[0]
+        margins = [stability(build_drift(p, b)).margin for b in branches]
+        assert [margin > 0.0 for margin in margins] == [True, True, False]
+        self.reorder(
+            monkeypatch,
+            lambda found: tuple(found[i] for i in order) if found == branches else found,
+        )
+        report = evaluate_point(p)
+        assert report.stable and report.state == branches[order[1]]
+        assert report.margin == margins[order[1]]
+        chunk = [default_params(), default_params(**self.LATER_BRANCH), p]
+        parsed = [(label, parse_pair(label)) for label in DEFAULT_PAIRS]
+        reports = harness._evaluate_chunk(chunk, parsed)
+        assert reports == [evaluate_point(point) for point in chunk]
+        assert reports[2] == report
+
+    def test_stage_one_takes_at_most_two_eigensolves_per_chunk(self, monkeypatch):
+        # one drift stack and eigensolve for the first branches, at most one
+        # more of each for every later branch of the chunk
+        chunks = []
+
+        def count(name):
+            call = getattr(harness, name)
+
+            def counted(*args):
+                if name == "solve_semiclassics_stack":
+                    chunks.append(collections.Counter())
+                else:
+                    chunks[-1][name] += 1
+                return call(*args)
+
+            monkeypatch.setattr(harness, name, counted)
+
+        for name in ("solve_semiclassics_stack", "drift_stack", "stability_stack"):
+            count(name)
+        spec = SweepSpec(
+            Axis("delta_c2_over_wb", -2.0, 0.0, 41), Axis("delta_m_over_wb", 0.0, 2.0, 41)
+        )
+        result = run_sweep(default_params(**self.DERIVED), spec, ("ab", "am"))
+        assert all(report.error is None for report in result.reports)
+        assert len(chunks) == math.ceil(41 * 41 / CHUNK_SIZE)
+        calls = [(chunk["drift_stack"], chunk["stability_stack"]) for chunk in chunks]
+        assert set(calls) <= {(1, 1), (2, 2)} and (2, 2) in calls
 
     def test_later_branch_row_in_a_chunk_equals_its_lone_evaluation(self):
         points = _chunk_points()
@@ -995,6 +1053,37 @@ class TestPgmFormat:
         write_pgm(result, "ab", path)
         pixels = path.read_bytes()[len(b"P5\n2 2\n255\n") :]
         assert pixels == bytes(4)
+
+    @pytest.mark.parametrize(
+        "overrides, axes",
+        [
+            ({}, (("delta_a_over_wb", -2.0, 0.0, 7), ("delta_c1_over_wb", 0.0, 2.0, 6))),
+            # a row of negative T fails validation; delta_m = -1 is unstable
+            ({}, (("T", -0.1, 0.3, 5), ("delta_m_over_wb", -1.5, 1.5, 7))),
+            # decoupled: every E_N is 0, an all-equal field
+            (
+                {"g_n1_hz": 0.0, "g_n2_hz": 0.0, "g_c_eff_hz": 0.0, "g_mb_eff_hz": 0.0},
+                (("delta_a_over_wb", -2.0, 0.0, 3), ("delta_c1_over_wb", 0.0, 2.0, 4)),
+            ),
+        ],
+    )
+    def test_pixels_equal_the_per_pixel_loop(self, tmp_path, overrides, axes):
+        spec = SweepSpec(*(Axis(*axis) for axis in axes))
+        result = run_sweep(default_params(**overrides), spec, pairs=("ab",))
+        write_pgm(result, "ab", tmp_path / "map.pgm")
+        width, height = len(result.values1), len(result.values2)
+        values = [r.entanglement["ab"].e_n if r.stable else None for r in result.reports]
+        finite = [v for v in values if v is not None]
+        vmin = min(finite, default=0.0)
+        span = max(finite, default=0.0) - vmin
+        pixels = bytearray(width * height)
+        for y in range(height):
+            for x in range(width):
+                value = values[x * height + y]
+                if value is not None and span > 0.0:
+                    pixels[y * width + x] = round(255.0 * (value - vmin) / span)
+        header = f"P5\n{width} {height}\n255\n".encode("ascii")
+        assert (tmp_path / "map.pgm").read_bytes() == header + pixels
 
     def test_needs_two_dimensions(self, tmp_path):
         spec = SweepSpec(axis1=Axis(name="T", start=0.01, stop=0.02, count=2))

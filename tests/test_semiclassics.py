@@ -1,6 +1,7 @@
 """Mean-field working point: amplitudes, displacement, effective couplings."""
 
 import cmath
+import dataclasses
 import logging
 import math
 from unittest import mock
@@ -205,6 +206,35 @@ class TestSolveSemiclassicsDirect:
         p = default_params(delta_c2_sign=1.0)
         state = solve_semiclassics(p)
         assert state.delta_c2_eff == pytest.approx(-0.8 * p.omega_b, rel=1e-14)
+
+
+    def test_stack_equals_each_stack_of_one(self):
+        # and each equals the point's fields read one by one, the reference
+        points = [
+            default_params(),
+            default_params(b_field_t=1.1e-3),
+            default_params(T=0.0),
+            default_params(g_c_backaction="x_quadrature"),
+        ]
+        stack = semiclassics.solve_semiclassics_stack(points)
+        for p, branches in zip(points, stack):
+            (alone,) = semiclassics.solve_semiclassics_stack([p])
+            reference = semiclassics.SemiclassicalState(
+                q_avg=0.0, m_avg=None, c2_avg=None, g_c_eff=complex(p.g_c_eff),
+                g_mb_eff=complex(p.g_mb_eff), delta_c2_eff=p.delta_c2_sign * p.delta_c2,
+                delta_m_eff=p.delta_m,
+                drive_e=laser_drive_strength(p.p_laser, p.kappa_c2, p.lambda_laser),
+                rabi=None if p.b_field is None else rabi_frequency(
+                    p.b_field, p.v_yig, p.rho_spin
+                ),
+                iterations=0, c2_mismatch=None,
+            )
+            assert len(branches) == len(alone) == 1
+            for field in dataclasses.fields(reference):
+                want = getattr(reference, field.name)
+                for got in (getattr(branches[0], field.name), getattr(alone[0], field.name)):
+                    assert type(got) is type(want) and repr(got) == repr(want), field.name
+        assert [branches[0].rabi is None for branches in stack] == [True, False, True, True]
 
 
 class TestSolveSemiclassicsDerived:
