@@ -5,8 +5,8 @@ magnetostrictively.
 
 The pipeline: physical parameters -> semiclassical working point -> linearized
 drift and diffusion matrices -> steady-state covariance (Lyapunov solve, with
-an independent RK4 relaxation as cross-check) -> bipartite logarithmic
-negativities and detuning/temperature sweeps.
+an independent relaxation along the exact flow as cross-check) -> bipartite
+logarithmic negativities and detuning/temperature sweeps.
 """
 
 from .dynamics import (

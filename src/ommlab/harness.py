@@ -35,7 +35,7 @@ from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
-from .dynamics import DriftMatrix, diffusion_stack, drift_stack, stability_stack
+from .dynamics import diffusion_stack, drift_stack, stability_stack
 from .entanglement import (
     EntanglementReport,
     Mode,
@@ -44,7 +44,7 @@ from .entanglement import (
     parse_pair,
     transformation_efficiency,
 )
-from .errors import ConfigError, ConvergenceError, DomainError, NumericalError, OmmlabError
+from .errors import ConfigError, DomainError, NumericalError, OmmlabError
 from .model import (
     PARAM_TABLE,
     Param,
@@ -55,7 +55,7 @@ from .model import (
     params_from_mapping,
 )
 from .semiclassics import SemiclassicalState, solve_semiclassics_stack
-from .steadystate import integrate_to_steady_state, solve_lyapunov_stack
+from .steadystate import integrate_to_steady_state_stack, solve_lyapunov_stack
 
 VERSION = "0.1.0"
 
@@ -147,7 +147,8 @@ class PointReport:
     ``entanglement`` is keyed by the requested pair labels. Unstable or
     failed points carry None measures; ``error`` holds the reason for
     failures. ``oracle_deviation`` is the relative Frobenius distance between
-    the direct Lyapunov solution and the RK4 relaxation, when requested.
+    the direct Lyapunov solution and the relaxation along the exact flow, when
+    requested.
     """
 
     stable: bool
@@ -370,8 +371,9 @@ def _solve_chunk(
     oracle: bool,
 ) -> list[PointReport]:
     """The two stages of the module docstring on a non-empty chunk of valid
-    parameter sets, one report each; an :class:`OmmlabError` raised on the
-    way raises for the chunk.
+    parameter sets, one report each, and with ``oracle`` one exact-flow stack
+    over the points stage 2 solved; an :class:`OmmlabError` raised on the way
+    raises for the chunk.
     """
     scale, d, states, a, eigs, vecs, max_real = _working_points(params_list)
     stable = max_real < 0.0
@@ -379,23 +381,27 @@ def _solve_chunk(
     v, nu, errors = _steady_state(
         a[keep], d[keep], scale[keep], eigs[keep], vecs[keep], [pair for _, pair in parsed]
     )
-    solved = iter(zip(v, nu.tolist(), errors))
+    deviations: list[float | None] = [None] * len(errors)
+    oracle_errors: list[str | None] = [None] * len(errors)
+    solved = [j for j, error in enumerate(errors) if error is None] if oracle else []
+    if solved:
+        k = np.flatnonzero(stable)[solved]
+        v_flow, flow_errors = integrate_to_steady_state_stack(a[k], d[k], scale[k])
+        deviation = np.linalg.norm(v[solved] - v_flow, axis=(1, 2)) / np.linalg.norm(
+            v[solved], axis=(1, 2)
+        )
+        for j, dev, error in zip(solved, deviation.tolist(), flow_errors):
+            if error is None:
+                deviations[j] = dev
+            else:
+                oracle_errors[j] = f"oracle: {error}"
+    rows = iter(zip(nu.tolist(), errors, deviations, oracle_errors))
     reports = []
-    for k, (state, max_k) in enumerate(zip(states, max_real.tolist())):
-        v_k, nus, error = next(solved) if stable[k] else (None, None, None)
-        oracle_deviation = None
+    for state, max_k, stable_k in zip(states, max_real.tolist(), stable):
+        nus, error, deviation, oracle_error = next(rows) if stable_k else (None,) * 4
         if error is not None:
             nus = None
-        elif oracle and nus is not None:
-            try:
-                drift = DriftMatrix(a=a[k], omega_b=scale[k])
-                cov_rk4 = integrate_to_steady_state(drift, d[k], scale=scale[k])
-                oracle_deviation = float(
-                    np.linalg.norm(v_k - cov_rk4.v) / np.linalg.norm(v_k)
-                )
-            except ConvergenceError as exc:
-                error = f"oracle: {exc}"
-        reports.append(_report(parsed, error, max_k, state, nus, oracle_deviation))
+        reports.append(_report(parsed, error or oracle_error, max_k, state, nus, deviation))
     return reports
 
 
@@ -413,7 +419,9 @@ def _evaluate_chunk(
     stacked solves, and at a chunk of one the error becomes its row. An
     :class:`OmmlabError` in place of a parameter set stands for a point whose
     parameters failed validation, and becomes its error row. With
-    ``oracle``, each solved point is also relaxed with RK4 and compared.
+    ``oracle``, the solved points of a stack are also relaxed along the exact
+    flow, as one more stack, and compared; a point whose relaxation fails
+    keeps its measures and gets an ``oracle:`` error.
     """
     valid = [params for params in params_list if not isinstance(params, OmmlabError)]
     try:

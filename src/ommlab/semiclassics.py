@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateOperatingPointError
+from .errors import ConvergenceError, DegenerateOperatingPointError, NumericalError
 from .model import SystemParams, _check, _Real, columns, laser_drive_strength, rabi_frequency
 
 logger = logging.getLogger(__name__)
@@ -307,7 +307,10 @@ class _Displacement:
         companion = np.zeros((len(s), degree, degree))
         companion[:, 0, :] = -coeffs[:, 1:]
         companion[:, np.arange(1, degree), np.arange(degree - 1)] = 1.0
-        x = np.linalg.eigvals(companion)
+        try:
+            x = np.linalg.eigvals(companion)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"displacement polynomial root solve failed: {exc}") from exc
         real = np.abs(x.imag) <= _REAL_ROOT_RTOL * np.abs(x)
         return np.where(real, x.real * s[:, None], np.nan)
 

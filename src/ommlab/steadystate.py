@@ -1,4 +1,4 @@
-"""Steady-state covariance: direct Lyapunov solve and RK4 cross-check.
+"""Steady-state covariance: direct Lyapunov solve and exact-flow cross-check.
 
 The stationary covariance V of the linearized system solves
 
@@ -18,14 +18,18 @@ falls back to scipy's Schur-based Bartels-Stewart solver.
 points at once (numpy's batched inv and matmul); each point is gated, and
 sent to the fallback, on its own, and its failure is returned for it alone.
 :func:`solve_lyapunov` is that stack with one point in it. The
-independent route relaxes dV/dt = A V + V A^T + D with classical RK4 until the
-right-hand side is numerically zero. The right-hand side is affine, so RK4's
-fixed point is the Lyapunov solution, and 2^k steps are one affine map: the
-relaxation doubles the one-step map in correction form, I + G L = M (Smith,
-SIAM J. Appl. Math. 16, 198, 1968; see :func:`integrate_to_steady_state`),
-without the drift's eigenbasis. For a stable A both routes must agree, which
-is the package's main internal consistency check. Both take their stability
-verdict from :func:`ommlab.dynamics.stability`.
+independent route follows the exact flow of dV/dt = A V + V A^T + D until
+the right-hand side is numerically zero: over a step h it is
+V <- Phi V Phi^T + Q_h, with Phi and Q_h from one matrix exponential of a
+2n x 2n block (Van Loan, IEEE TAC 23, 395, 1978), and 2^k steps are the same
+map with Phi and Q_h doubled k times (Smith, SIAM J. Appl. Math. 16, 198,
+1968). It uses scipy's Pade scaling-and-squaring ``expm``; the drift's
+eigenvalues set its step and horizon, and its eigenvectors are not used (see
+:func:`integrate_to_steady_state_stack`; :func:`integrate_to_steady_state`
+is a stack of one). For a stable A both
+routes must agree, which is the package's main internal consistency check.
+Both take their stability verdict from the drift's eigenvalues
+(:func:`ommlab.dynamics.stability` and its stacked form).
 
 All solves run in dimensionless form: A and D are scaled by a natural
 frequency first (the mechanical frequency for the physical pipeline), so the
@@ -34,7 +38,6 @@ tolerances below do not depend on the unit system.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -43,9 +46,9 @@ import numpy as np
 from .dynamics import (
     DiffusionMatrix,
     DriftMatrix,
-    StabilityReport,
     _as_matrix,
     stability,
+    stability_stack,
 )
 from .errors import (
     ConvergenceError,
@@ -68,12 +71,13 @@ _ASYMMETRY_RTOL = 1e-9
 #: fail. The physical maps stay below cond 10.
 _EIGENBASIS_COND_MAX = 1e3
 
-#: RK4 defaults: step as a fraction of the spectral radius, stopping tolerance
-#: relative to ||D||_F, and integration horizon in units of the slowest decay.
-_RK4_STEP_FRACTION = 0.05
-_RK4_MAX_STEP_FRACTION = 0.1
-_RK4_RTOL = 1e-12
-_RK4_HORIZON = 50.0
+#: Exact-flow defaults: base step as a fraction of the spectral radius, its
+#: largest allowed value, stopping tolerance relative to ||D||_F, and horizon
+#: in units of the slowest decay.
+_FLOW_STEP_FRACTION = 0.05
+_FLOW_MAX_STEP_FRACTION = 0.1
+_FLOW_RTOL = 1e-12
+_FLOW_HORIZON = 50.0
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -134,13 +138,12 @@ class CovarianceMatrix:
         return self.v.shape[0] // 2
 
 
-def _stable_system(
+def _checked_system(
     a: DriftMatrix | np.ndarray,
     d: DiffusionMatrix | np.ndarray,
     scale: float | None,
-) -> tuple[np.ndarray, np.ndarray, float, StabilityReport]:
-    """Checked A and D arrays, the scale, and the drift's stability report;
-    raises :class:`StabilityError` when the drift is not stable."""
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Checked A and D arrays and the scale of one point."""
     a_arr, natural = _as_matrix(a)
     d_arr = d.d if isinstance(d, DiffusionMatrix) else np.asarray(d, dtype=float)
     if d_arr.shape != a_arr.shape:
@@ -150,12 +153,14 @@ def _stable_system(
         scale = natural
     if not scale > 0.0:
         raise DomainError("scale must be strictly positive")
-    report = stability(a)
-    if not report.stable:
-        raise StabilityError(
-            f"drift is not asymptotically stable (max Re eig = {report.max_real:.6e})"
-        )
-    return a_arr, d_arr, scale, report
+    return a_arr, d_arr, scale
+
+
+def _unstable(max_real: float) -> StabilityError:
+    """The error of a drift whose largest real part is ``max_real`` (rad/s)."""
+    return StabilityError(
+        f"drift is not asymptotically stable (max Re eig = {max_real:.6e})"
+    )
 
 
 def _eigenbasis_solve(
@@ -298,7 +303,10 @@ def solve_lyapunov(
     :data:`_EIGENBASIS_COND_MAX` or misses the 1e-10 residual gate, the
     asymmetry warning); the error it returns for the point is raised.
     """
-    a_arr, d_arr, s, report = _stable_system(a, d, scale)
+    a_arr, d_arr, s = _checked_system(a, d, scale)
+    report = stability(a)
+    if not report.stable:
+        raise _unstable(report.max_real)
     v, errors = solve_lyapunov_stack(
         a_arr[None], d_arr[None], np.array([s]),
         report.eigenvalues[None], report.eigenvectors[None],
@@ -308,58 +316,169 @@ def solve_lyapunov(
     return CovarianceMatrix(v=v[0])
 
 
+def _flow(a_s: np.ndarray, forcing: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Phi = e^(A h) and int_0^h e^(A s) F e^(A^T s) ds of each point of a stack.
+
+    Both come from one batched scipy ``expm`` of the Van Loan blocks
+    [[-A, F], [0, A^T]] h (IEEE TAC 23, 395, 1978), whose exponential is
+    [[., X], [0, Phi^T]] with the integral Phi X. scipy is imported here
+    only, as for the Schur fallback.
+    """
+    import scipy.linalg
+
+    n = a_s.shape[-1]
+    block = np.zeros((len(a_s), 2 * n, 2 * n))
+    block[:, :n, :n] = -a_s
+    block[:, :n, n:] = forcing
+    block[:, n:, n:] = _transpose(a_s)
+    e = scipy.linalg.expm(block * h[:, None, None])
+    phi = _transpose(e[:, n:, n:]).copy()
+    return phi, phi @ e[:, :n, n:].copy()
+
+
+def _doubled(phi: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The flow over twice the time: Phi^2 and Phi Q Phi^T + Q (Smith 1968)."""
+    return phi @ phi, phi @ q @ _transpose(phi) + q
+
+
+def _square_sums(x: np.ndarray) -> np.ndarray:
+    """||X||_F^2 of each matrix of a stack (einsum: half the time of x * x
+    and a reduce on (128, 10, 10) stacks)."""
+    return np.einsum("nij,nij->n", x, x)
+
+
+def integrate_to_steady_state_stack(
+    a: np.ndarray,
+    d: np.ndarray,
+    scale: np.ndarray,
+    v0: np.ndarray | None = None,
+    dt: np.ndarray | None = None,
+    *,
+    rtol: float = _FLOW_RTOL,
+    horizon: float = _FLOW_HORIZON,
+) -> tuple[np.ndarray, list[OmmlabError | None]]:
+    """Relax each point of a stack along the exact flow of
+    dV/dt = A V + V A^T + D to its fixed point.
+
+    ``a`` and ``d`` are (N, n, n) in rad/s, ``scale`` (N,) is each point's
+    natural frequency, ``v0`` (N, n, n) defaults to the vacuum and ``dt``
+    (N,), in seconds, to 0.05 / spectral radius. One
+    :func:`ommlab.dynamics.stability_stack` gives the verdict, the radius and
+    the slowest decay, not V. Pass k checks ||A V + V A^T + D||_F against
+    ``rtol`` ||D||_F, then advances V by 2^k steps, V <- Phi V Phi^T + Q
+    (:func:`_flow`), and doubles Phi and Q, so the checks fall after 0, 1,
+    3, 7, ... steps. A point freezes at its first passing check, whatever the
+    other points do, and fails with :class:`ConvergenceError` at its first
+    check at or past ``horizon`` slowest decay times. The flow takes the
+    residual R to Phi R Phi^T, so a residual above ||Phi||_F^2 times the one
+    before it is the plain update's roundoff floor, and that point takes the
+    pass in correction form, V <- V + int_0^T e^(A s) R e^(A^T s) ds over
+    the same T, from a flow of R doubled alike. Returns V (N, n, n),
+    symmetrized, undefined for failed points, and each point's error or
+    None; an unstable drift gets :class:`StabilityError` and a step above
+    0.1 / spectral radius :class:`DomainError`.
+    """
+    eigs, _, max_real = stability_stack(a, scale)
+    a_s = a / scale[:, None, None]
+    d_s = d / scale[:, None, None]
+    radius = np.abs(eigs).max(axis=-1) / scale
+    with np.errstate(divide="ignore"):
+        h = _FLOW_STEP_FRACTION / radius if dt is None else dt * scale
+        budget = np.ceil(horizon * scale / -max_real / h)
+    errors: list[OmmlabError | None] = [None] * len(a)
+    for i in range(len(a)):
+        if not max_real[i] < 0.0:
+            errors[i] = _unstable(max_real[i])
+        elif h[i] > _FLOW_MAX_STEP_FRACTION / radius[i]:
+            errors[i] = DomainError(
+                "dt exceeds the stability budget of "
+                f"{_FLOW_MAX_STEP_FRACTION} / spectral radius"
+            )
+    d_norm = np.sqrt(np.add.reduce(d_s * d_s, axis=(-2, -1)))
+    tol = rtol * np.where(d_norm > 0.0, d_norm, 1.0)
+    v = np.broadcast_to(0.5 * np.eye(a.shape[-1]), a.shape) if v0 is None else v0
+    out = np.full(a.shape, np.nan)
+
+    live = np.flatnonzero([error is None for error in errors])
+    a_s, d_s, h, tol, budget = (x[live] for x in (a_s, d_s, h, tol, budget))
+    phi, q = _flow(a_s, d_s, h)
+    # V and Q_h side by side: one congruence by Phi advances V and doubles Q_h
+    vq = np.stack([v[live], q], axis=1)
+    # the flow takes R to Phi R Phi^T, so ||R||_F falls by at least the
+    # factor ||Phi||_F^2 over a pass: a residual above this bound is the plain
+    # update's roundoff floor, and that point's pass is a correction
+    bound = np.full(len(live), np.inf)
+    steps = passes = 0
+    first_budget = budget.min(initial=np.inf)
+    while len(live):
+        v = vq[:, 0]
+        # V is symmetric up to roundoff, and this R exactly
+        av = a_s @ v
+        r = av + _transpose(av) + d_s
+        residual = np.sqrt(_square_sums(r))
+        # the usual pass: no point passes, reaches its budget or stalls
+        if steps >= first_budget or ((residual <= tol) | (residual > bound)).any():
+            done = residual <= tol
+            over = ~done & (steps >= budget)
+            out[live[done]] = 0.5 * (v[done] + _transpose(v[done]))
+            for i, tol_i, budget_i, res in zip(
+                live[over], tol[over], budget[over], residual[over]
+            ):
+                errors[i] = ConvergenceError(
+                    f"the exact flow did not reach ||dV/dt||_F <= {tol_i:.3e} within "
+                    f"the horizon ({budget_i:.0f} steps, checked at {steps}; final "
+                    f"residual {res:.3e})"
+                )
+            keep = ~(done | over)
+            live, a_s, d_s, h, tol, budget, vq, v, r, residual, bound, phi = (
+                x[keep] for x in (live, a_s, d_s, h, tol, budget, vq, v, r, residual, bound, phi)
+            )
+            first_budget = budget.min(initial=np.inf)
+            stalled = np.flatnonzero(residual > bound)
+        else:
+            stalled = ()
+        bound = residual * _square_sums(phi)
+        vq = phi[:, None] @ vq @ _transpose(phi)[:, None] + vq[:, 1:]
+        if len(stalled):
+            phi_r, g = _flow(a_s[stalled], r[stalled], h[stalled])
+            for _ in range(passes):
+                phi_r, g = _doubled(phi_r, g)
+            vq[stalled, 0] = v[stalled] + g
+        phi = phi @ phi
+        steps = 2 * steps + 1
+        passes += 1
+    return out, errors
+
+
 def integrate_to_steady_state(
     a: DriftMatrix | np.ndarray,
     d: DiffusionMatrix | np.ndarray,
     v0: np.ndarray | CovarianceMatrix | None = None,
     dt: float | None = None,
     *,
-    rtol: float = _RK4_RTOL,
-    horizon: float = _RK4_HORIZON,
+    rtol: float = _FLOW_RTOL,
+    horizon: float = _FLOW_HORIZON,
     scale: float | None = None,
 ) -> CovarianceMatrix:
-    """Relax dV/dt = A V + V A^T + D to its fixed point with classical RK4.
+    """Relax dV/dt = A V + V A^T + D to its fixed point along the exact flow.
 
-    ``dt`` is in seconds (of the same unit system as ``a``); the default is
-    0.05 divided by the spectral radius, and anything above 0.1/spectral
-    radius is rejected as unstable for RK4. Integration starts from the
-    vacuum covariance (identity over two) unless ``v0`` is given, stops when
+    ``dt`` is the base step in seconds (of the same unit system as ``a``);
+    the default is 0.05 divided by the spectral radius, and anything above
+    0.1/spectral radius is rejected. The flow starts from the vacuum
+    covariance (identity over two) unless ``v0`` is given, stops when
     ||dV/dt||_F drops to ``rtol`` times ||D||_F, and gives up past ``horizon``
-    times the slowest decay time.
-
-    On x = vec(V) a step is x <- x + G r, r = L x + vec(D), with
-    L = A (x) I + I (x) A, hL = dt L, G = dt Q(hL), Q(z) = 1 + z/2 + z^2/6 +
-    z^3/24 and I + G L = M = P(hL), the degree-4 Taylor polynomial. Pass k
-    checks r, jumps x <- x + G_k r (2^k more steps in exact arithmetic) and
-    doubles: G_{k+1} = M_k G_k + G_k, M_{k+1} = M_k^2. That is about
-    log2(steps) n^2 x n^2 products, whatever the stiffness, and jumping on the
-    current residual corrects roundoff in the iterate instead of carrying it.
-    The checks fall after 0, 1, 3, 7, ..., 2^K - 1 steps, the last at the
-    first 2^K - 1 at or above the horizon's step budget, under twice the
-    horizon.
+    times the slowest decay time. This is
+    :func:`integrate_to_steady_state_stack` on a stack of one; the error it
+    returns for the point is raised.
     """
     if not rtol > 0.0:
         raise DomainError("rtol must be strictly positive")
     if not horizon > 0.0:
         raise DomainError("horizon must be strictly positive")
-    a_arr, d_arr, s, report = _stable_system(a, d, scale)
+    a_arr, d_arr, s = _checked_system(a, d, scale)
     n = a_arr.shape[0]
-    a_s = a_arr / s
-    d_s = d_arr / s
-    spectral_radius = float(np.max(np.abs(report.eigenvalues))) / s
-
-    if dt is None:
-        dt_s = _RK4_STEP_FRACTION / spectral_radius
-    else:
-        dt_s = dt * s
-        if not dt_s > 0.0:
-            raise DomainError("dt must be strictly positive")
-        if dt_s > _RK4_MAX_STEP_FRACTION / spectral_radius:
-            raise DomainError(
-                "dt exceeds the RK4 stability budget of "
-                f"{_RK4_MAX_STEP_FRACTION} / spectral radius"
-            )
-
+    if dt is not None and not dt * s > 0.0:
+        raise DomainError("dt must be strictly positive")
     if v0 is None:
         v = 0.5 * np.eye(n)
     else:
@@ -367,32 +486,13 @@ def integrate_to_steady_state(
         if v.shape != (n, n):
             raise DomainError("v0 shape must match the drift")
         _require_symmetric(v, "v0")
-
-    tol = rtol * (float(np.linalg.norm(d_s)) or 1.0)
-    max_steps = math.ceil(horizon * s / abs(report.max_real) / dt_s)
-
-    # row-major vec: vec(A V) = (A (x) I) x and vec(V A^T) = (I (x) A) x
-    eye = np.eye(n * n)
-    h_l = dt_s * (np.kron(a_s, np.eye(n)) + np.kron(np.eye(n), a_s))
-    q = eye + h_l @ (eye + h_l @ (eye + h_l / 4.0) / 3.0) / 2.0
-    g = dt_s * q
-    m = eye + h_l @ q
-    steps = 0
-    while True:
-        r = a_s @ v + v @ a_s.T + d_s
-        residual = float(np.linalg.norm(r))
-        if residual <= tol:
-            return CovarianceMatrix(v=0.5 * (v + v.T))
-        if steps >= max_steps:
-            raise ConvergenceError(
-                f"RK4 did not reach ||dV/dt||_F <= {tol:.3e} within the horizon "
-                f"({max_steps} steps, checked at {steps}; final residual "
-                f"{residual:.3e})"
-            )
-        v = v + (g @ r.ravel()).reshape(n, n)
-        steps = 2 * steps + 1
-        g = m @ g + g
-        m = m @ m
+    out, errors = integrate_to_steady_state_stack(
+        a_arr[None], d_arr[None], np.array([s]), v[None],
+        None if dt is None else np.array([dt]), rtol=rtol, horizon=horizon,
+    )
+    if errors[0] is not None:
+        raise errors[0]
+    return CovarianceMatrix(v=out[0])
 
 
 def physicality_margin(v: CovarianceMatrix | np.ndarray) -> float:
@@ -415,6 +515,7 @@ def physicality_margin(v: CovarianceMatrix | np.ndarray) -> float:
 __all__ = [
     "CovarianceMatrix",
     "integrate_to_steady_state",
+    "integrate_to_steady_state_stack",
     "physicality_margin",
     "solve_lyapunov",
     "solve_lyapunov_stack",

@@ -12,7 +12,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from ommlab import (
     build_diffusion,
@@ -139,7 +138,6 @@ def test_direct_steady_state_matches_rk4_relaxation_on_random_draws(capsys):
     assert elapsed < 60.0
 
 
-@pytest.mark.slow
 def test_rk4_oracle_agrees_across_the_paper_panel(capsys):
     t0 = time.perf_counter()
     spec = SweepSpec(
@@ -157,7 +155,7 @@ def test_rk4_oracle_agrees_across_the_paper_panel(capsys):
     elapsed = time.perf_counter() - t0
     ok = not errors and len(checked) == 2601 and worst <= 1e-9 and elapsed < 30.0
     verdict(
-        capsys, ok, "RK4 oracle over the paper panel",
+        capsys, ok, "exact-flow oracle over the paper panel",
         f"{len(checked)} of 2601 points checked, {len(errors)} errors, worst "
         f"rel deviation {worst:.2e} (tol 1e-9), {elapsed:.1f} s (budget 30 s)",
     )

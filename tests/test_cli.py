@@ -65,6 +65,18 @@ class TestPoint:
         line = next(l for l in out.splitlines() if l.startswith("oracle_deviation="))
         assert float(line.split("=")[1]) < 1e-9
 
+    def test_non_finite_working_point_fails_cleanly(self, capsys, tmp_path):
+        path = write_config(tmp_path, {
+            "coupling_mode": "derived", "b_field_t": 1.1e-3, "g_c_hz": 1.5e3,
+            "p_laser_w": 1e300,
+        })
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            rc, out, err = run_cli(capsys, "point", "--config", str(path))
+        assert rc == 1
+        assert "stable=false" in out and "E_ab=undefined" in out
+        assert err.startswith("error=displacement polynomial root solve failed")
+        assert "Traceback" not in err
+
     def test_bad_config_path_fails_cleanly(self, capsys):
         rc, out, err = run_cli(capsys, "point", "--config", "/does/not/exist.json")
         assert rc == 1

@@ -292,6 +292,32 @@ class TestDefaultPoint:
         assert eig.call_count == 2  # the point's stack, then the oracle's drift
         assert eigvals.call_count == 0
 
+    #: one chunk of the paper's detuning map, every point stable
+    CHUNK_SPEC = SweepSpec(
+        Axis("delta_a_over_wb", -1.5, -0.5, 16), Axis("delta_c1_over_wb", 0.5, 1.5, 8)
+    )
+
+    def test_oracle_deviation_is_the_same_alone_and_in_a_chunk(self):
+        # from the point near the stability boundary, which freezes last and
+        # after a correction pass, to points that freeze several checks earlier
+        spec = SweepSpec(Axis("delta_m_over_wb", -0.974, 0.5, CHUNK_SIZE))
+        result = run_sweep(default_params(), spec, ("ab",), oracle=True)
+        for i in (0, 1, 40, CHUNK_SIZE - 1):
+            point = SWEEP_AXES["delta_m_over_wb"](default_params(), float(result.values1[i]))
+            alone = evaluate_point(point, ("ab",), oracle=True)
+            assert alone.oracle_deviation is not None
+            assert alone.oracle_deviation == result.report_at(i).oracle_deviation
+
+    def test_a_chunk_makes_one_expm_call(self):
+        import scipy.linalg
+
+        base = default_params(delta_c2_over_wb=-0.8)
+        with mock.patch.object(scipy.linalg, "expm", wraps=scipy.linalg.expm) as expm:
+            result = run_sweep(base, self.CHUNK_SPEC, ("ab",), oracle=True)
+        assert all(r.oracle_deviation is not None for r in result.reports)
+        assert expm.call_count == 1
+        assert expm.call_args.args[0].shape == (CHUNK_SIZE, 20, 20)
+
     def test_unstable_point_reports_margin_without_measures(self):
         params = SWEEP_AXES["delta_m_over_wb"](default_params(), -1.0)
         report = evaluate_point(params, pairs=("am",))
@@ -336,12 +362,12 @@ class TestPointFailures:
         self.assert_stable_without_measures(report, default_point, message)
 
     def test_oracle_convergence_error_keeps_the_measures(self, default_point):
-        with mock.patch.object(
-            harness, "integrate_to_steady_state",
-            side_effect=ConvergenceError("RK4 did not reach the tolerance"),
-        ):
+        def flow_fails(a, d, scale):
+            return np.full_like(a, np.nan), [ConvergenceError("the flow did not converge")]
+
+        with mock.patch.object(harness, "integrate_to_steady_state_stack", flow_fails):
             report = evaluate_point(default_params(), oracle=True)
-        assert report.error == "oracle: RK4 did not reach the tolerance"
+        assert report.error == "oracle: the flow did not converge"
         assert report.oracle_deviation is None
         assert report.stable and report.margin == default_point.margin
         assert report.entanglement == default_point.entanglement
@@ -474,6 +500,30 @@ class TestWorkingPointBranches:
         assert [r.stable for r in reports] == [True, False, True, True]
 
     BAD = {**DERIVED, "b_field_t": 1.2e-3}
+
+    #: the laser drive amplitude overflows to inf, and so does the
+    #: displacement polynomial
+    OVERFLOW = {**DERIVED, "p_laser_w": 1e300}
+
+    def test_non_finite_polynomial_is_its_points_error(self):
+        good = default_params(**self.DERIVED)
+        bad = default_params(**self.OVERFLOW)
+        parsed = [(label, parse_pair(label)) for label in DEFAULT_PAIRS]
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(NumericalError, match="displacement polynomial"):
+                solve_semiclassics_stack([good, bad])
+            first, error = harness._evaluate_chunk([good, bad], parsed)
+        assert first == evaluate_point(good)
+        assert error.error.startswith("displacement polynomial root solve failed")
+        assert error.state is None and error.margin is None and not error.stable
+
+    def test_non_finite_polynomial_keeps_every_row_of_a_sweep(self):
+        spec = SweepSpec(Axis("T", 0.01, 0.02, 2))
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            result = run_sweep(default_params(**self.OVERFLOW), spec, ("ab",))
+        assert len(result.reports) == 2
+        for report in result.reports:
+            assert report.error.startswith("displacement polynomial root solve failed")
 
     @classmethod
     def fail_at_bad(cls, monkeypatch):

@@ -1,9 +1,10 @@
-"""Lyapunov solve, RK4 relaxation cross-check, and covariance physicality."""
+"""Lyapunov solve, exact-flow relaxation cross-check, and covariance physicality."""
 
 import inspect
 import math
 import re
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -21,6 +22,7 @@ from ommlab import (
     build_diffusion,
     build_drift,
     default_params,
+    evaluate_point,
     integrate_to_steady_state,
     physicality_margin,
     solve_lyapunov,
@@ -79,6 +81,33 @@ def stepped_rk4(a, d, v, dt, tol):
         v = rk4_steps(a, d, v, dt, steps + 1)
         steps = 2 * steps + 1
     return v
+
+
+def single_cavity_flow(v0, t, kappa=2.0, delta=0.7):
+    """V(t) of :func:`single_cavity` in closed form: e^(At) = e^(-kappa t) R(delta t)."""
+    c, s = math.cos(delta * t), math.sin(delta * t)
+    rot = np.array([[c, s], [-s, c]])
+    decay = math.exp(-2.0 * kappa * t)
+    return decay * rot @ v0 @ rot.T + 0.5 * (1.0 - decay) * np.eye(2)
+
+
+def two_mode_flow(v0, t):
+    """V(t) of :func:`two_mode` in closed form, V* + e^(At) (V0 - V*) e^(A^T t),
+    with e^(At) from the eigendecomposition of A and V* from scipy."""
+    a, d = two_mode()
+    lam, s = np.linalg.eig(a)
+    e = (s @ np.diag(np.exp(lam * t)) @ np.linalg.inv(s)).real
+    v_star = scipy.linalg.solve_continuous_lyapunov(a, -d)
+    return v_star + e @ (v0 - v_star) @ e.T
+
+
+def stepped_flow(flow, a, d, v0, dt, tol):
+    """The closed-form flow from ``v0`` read after 0, 1, 3, 7, ... steps of
+    ``dt`` until ||dV/dt||_F <= tol, where the doubling integrator reads it."""
+    steps = 0
+    while np.linalg.norm(lyapunov_rhs(a, d, flow(v0, steps * dt))) > tol:
+        steps = 2 * steps + 1
+    return flow(v0, steps * dt)
 
 
 def nearly_defective(delta, seed):
@@ -320,19 +349,26 @@ class TestRelaxationIntegrator:
         assert "max Re eig = 3.000000e+00" in str(oracle.value)
 
     def test_loop_keeps_no_preallocated_buffers(self):
-        source = inspect.getsource(integrate_to_steady_state)
-        assert "empty_like" not in source and "out=" not in source
+        for function in (integrate_to_steady_state, steadystate.integrate_to_steady_state_stack):
+            source = inspect.getsource(function)
+            assert "empty_like" not in source and "out=" not in source
 
     @pytest.mark.parametrize("system", [single_cavity, two_mode])
     @pytest.mark.parametrize("rtol", [1e-1, 1e-12])
     def test_doubling_follows_plain_stepping(self, system, rtol):
         # a loose rtol stops mid-transient, so the trajectory itself is
-        # compared, not only the fixed point both approach
+        # compared with the closed-form flow stepped one step at a time; the
+        # converged result is compared with plain RK4 stepping
         a, d = system()
         v0 = 3.0 * np.eye(len(a))
         dt = 0.07 / np.max(np.abs(np.linalg.eigvals(a)))
+        tol = rtol * np.linalg.norm(d)
         v_doubled = integrate_to_steady_state(a, d, v0=v0, dt=dt, rtol=rtol, scale=1.0).v
-        v_stepped = stepped_rk4(a, d, v0, dt, rtol * np.linalg.norm(d))
+        if rtol == 1e-1:
+            flow = {single_cavity: single_cavity_flow, two_mode: two_mode_flow}[system]
+            v_stepped = stepped_flow(flow, a, d, v0, dt, tol)
+        else:
+            v_stepped = stepped_rk4(a, d, v0, dt, tol)
         rel = np.linalg.norm(v_doubled - v_stepped) / np.linalg.norm(v_stepped)
         assert rel <= 1e-10
         v_star = solve_lyapunov(a, d).v
@@ -370,6 +406,47 @@ class TestRelaxationIntegrator:
         rel = np.linalg.norm(v_rk4 - v_direct) / np.linalg.norm(v_direct)
         assert rel <= 1e-6
         assert elapsed < 1.0
+
+    def test_plain_flow_stalls_near_the_boundary_and_one_correction_converges(self):
+        # at dt = 0.05 / spectral radius the plain update V <- Phi V Phi^T + Q
+        # stalls at a roundoff floor above the tolerance; the point stalls
+        # once, and its correction pass takes it below
+        p = default_params(delta_m_over_wb=-0.974)
+        drift = build_drift(p, solve_semiclassics(p))
+        diffusion = build_diffusion(p)
+        a, d = drift.a / p.omega_b, diffusion.d / p.omega_b
+        h = 0.05 / np.max(np.abs(np.linalg.eigvals(a)))
+        n = len(a)
+        e = scipy.linalg.expm(np.block([[-a, d], [np.zeros((n, n)), a.T]]) * h)
+        phi = e[n:, n:].T
+        q = phi @ e[:n, n:]
+        v = 0.5 * np.eye(n)
+        residuals = []
+        for _ in range(40):
+            residuals.append(np.linalg.norm(lyapunov_rhs(a, d, v)))
+            v = phi @ v @ phi.T + q
+            phi, q = phi @ phi, q + phi @ q @ phi.T
+        assert min(residuals) > 1e-12 * np.linalg.norm(d)
+        v_direct = solve_lyapunov(drift, diffusion, scale=p.omega_b).v
+        with mock.patch.object(scipy.linalg, "expm", wraps=scipy.linalg.expm) as expm:
+            v_flow = integrate_to_steady_state(
+                drift, diffusion, dt=h / p.omega_b, scale=p.omega_b
+            ).v
+        assert expm.call_count == 2  # the flow of D, then the flow of the residual
+        assert np.linalg.norm(v_flow - v_direct) <= 1e-9 * np.linalg.norm(v_direct)
+
+    def test_floor_reached_two_checks_before_the_horizon_is_corrected(self):
+        # a derived-mode point of the acceptance map, margin 1.6e-5 omega_b:
+        # its plain update reaches the floor at the check 2^25 - 1, still
+        # falling but by less than ||Phi||_F^2 allows, and two checks before
+        # its horizon, so the stall must be seen before the residual rises
+        p = default_params(
+            coupling_mode="derived", b_field_t=1.1e-3, g_c_hz=1.5e3,
+            delta_c2_over_wb=-1.55, delta_m_over_wb=2.0,
+        )
+        report = evaluate_point(p, ("ab",), oracle=True)
+        assert report.error is None
+        assert report.oracle_deviation <= 1e-9
 
     def test_vacuum_fixture_from_far_start(self):
         a, d = single_cavity()
@@ -426,6 +503,48 @@ class TestRelaxationIntegrator:
             integrate_to_steady_state(a, d, rtol=0.0)
         with pytest.raises(DomainError):
             integrate_to_steady_state(a, d, horizon=-1.0)
+
+
+class TestFlowStack:
+    def test_each_point_keeps_its_own_result_and_error(self):
+        a1, d1 = single_cavity()
+        a2, d2 = single_cavity(kappa=1.1, delta=0.9)
+        unstable = np.array([[3.0, 1.0], [-1.0, 3.0]])
+        rho = np.max(np.abs(np.linalg.eigvals(a1)))
+        v, errors = steadystate.integrate_to_steady_state_stack(
+            np.array([a1, unstable, a1, a2]), np.array([d1, np.eye(2), d1, d2]),
+            np.ones(4), dt=np.array([0.05, 0.05, 0.2, 0.05]) / rho,
+        )
+        assert errors[0] is None and errors[3] is None
+        assert isinstance(errors[1], StabilityError)
+        assert isinstance(errors[2], DomainError) and "stability budget" in str(errors[2])
+        alone = integrate_to_steady_state(a1, d1, dt=0.05 / rho, scale=1.0).v
+        np.testing.assert_array_equal(v[0], alone)
+        np.testing.assert_array_equal(v[3], integrate_to_steady_state(a2, d2, dt=0.05 / rho).v)
+
+    def test_a_point_past_its_horizon_fails_alone(self):
+        a, d = single_cavity()
+        v, errors = steadystate.integrate_to_steady_state_stack(
+            np.array([a, a]), np.array([d, d]), np.ones(2),
+            np.array([0.5 * np.eye(2), 5.0 * np.eye(2)]), horizon=1e-3,
+        )
+        assert errors[0] is None
+        assert isinstance(errors[1], ConvergenceError)
+        assert "checked at 1" in str(errors[1])
+        np.testing.assert_array_equal(v[0], 0.5 * np.eye(2))
+
+    def test_a_lone_point_builds_no_kronecker_operator(self):
+        # an n^2 x n^2 operator of the 10x10 system alone takes 80 kB
+        p, drift, diffusion = default_system()
+        args = drift.a[None], diffusion.d[None], np.array([p.omega_b])
+        steadystate.integrate_to_steady_state_stack(*args)
+        tracemalloc.start()
+        try:
+            steadystate.integrate_to_steady_state_stack(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 100 * 8
 
 
 class TestPhysicalityMargin:
