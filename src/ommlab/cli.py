@@ -77,23 +77,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         oracle=args.oracle,
     )
     write_csv(result, args.out, reproducible=args.reproducible)
-    print(f"wrote {args.out} ({len(result.reports)} points)")
+    table = result.reports
+    print(f"wrote {args.out} ({len(table)} points)")
     for pair in args.heatmap or []:
         pgm_path = Path(args.out).with_suffix(f".{pair}.pgm")
         write_pgm(result, pair, pgm_path)
         print(f"wrote {pgm_path}")
-    failures = sum(1 for r in result.reports if r.error is not None)
-    unstable = sum(1 for r in result.reports if r.margin is not None and not r.stable)
+    failures = np.count_nonzero(np.not_equal(table.error, None))
+    unstable = np.count_nonzero(~table.stable & ~np.isnan(table.margin))
     if unstable:
         print(f"{unstable} unstable points")
     if failures:
         print(f"{failures} points recorded errors", file=sys.stderr)
-    if args.oracle:
-        deviations = [
-            r.oracle_deviation for r in result.reports if r.oracle_deviation is not None
-        ]
-        if deviations:
-            print(f"max_oracle_deviation={max(deviations):.9g}")
+    deviations = table.oracle_deviation[~np.isnan(table.oracle_deviation)]
+    if args.oracle and deviations.size:
+        print(f"max_oracle_deviation={deviations.max():.9g}")
     return 0
 
 
@@ -178,10 +176,8 @@ def _cmd_selftest(_args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ommlab",
-        description=(
-            "Steady-state Gaussian entanglement of a five-mode "
-            "atom-optomagnomechanical system"
-        ),
+        description="Steady-state Gaussian entanglement of a five-mode "
+        "atom-optomagnomechanical system",
     )
     parser.add_argument("--version", action="version", version=f"ommlab {VERSION}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -201,9 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--heatmap", action="append", metavar="PAIR",
         help="also write a PGM heatmap for this pair (repeatable)",
     )
-    p_sweep.add_argument(
-        "--threads", type=int, default=1, help="worker threads (default: 1)"
-    )
+    p_sweep.add_argument("--threads", type=int, default=1, help="worker threads (default: 1)")
     p_sweep.add_argument(
         "--reproducible", action="store_true",
         help="omit the timestamp so identical inputs give identical bytes",

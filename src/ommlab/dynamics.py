@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .model import SystemParams, columns, thermal_occupation
+from .model import Points, SystemParams, columns, thermal_occupation
 from .semiclassics import SemiclassicalState
 
 #: Phase-space dimension: five modes, two quadratures each.
@@ -108,9 +108,7 @@ _DRIFT_LAYOUT = np.array([
 _DRIFT_TERM, _DRIFT_SIGN = np.abs(_DRIFT_LAYOUT), np.sign(_DRIFT_LAYOUT) * 1.0
 
 
-def drift_stack(
-    params_list: Sequence[SystemParams], states: Sequence[SemiclassicalState]
-) -> np.ndarray:
+def drift_stack(params_list: Points, states: Sequence[SemiclassicalState]) -> np.ndarray:
     """The 10x10 drift matrices of a stack of working points, (N, 10, 10).
 
     The atom and cavity-1 blocks rotate at the bare detunings; cavity 2 and
@@ -132,7 +130,8 @@ def drift_stack(
     terms = np.concatenate([np.zeros_like(g[:1]), fields[:10], state[:2].real, g_cos, g_sin])
     a = terms.T[:, _DRIFT_TERM] * _DRIFT_SIGN
     # the x_quadrature placement puts the backaction on the driven quadrature
-    x_backaction = [params.g_c_backaction == "x_quadrature" for params in params_list]
+    (backaction,) = columns(params_list, "g_c_backaction").tolist()
+    x_backaction = [b == "x_quadrature" for b in backaction]
     if any(x_backaction):
         a[x_backaction, 7, 4] = -g_cos[0, x_backaction]
         a[x_backaction, 7, 5] = -g_sin[0, x_backaction]
@@ -150,7 +149,7 @@ _NOISE_ON_DIAGONAL = np.insert(np.repeat(np.eye(5), [2, 2, 2, 1, 2], 1), 6, 0.0,
 _NOISE_PLACES = (_NOISE_ON_DIAGONAL[:, :, None] * np.eye(DIM)).reshape(5, DIM * DIM)
 
 
-def diffusion_stack(params_list: Sequence[SystemParams]) -> np.ndarray:
+def diffusion_stack(params_list: Points) -> np.ndarray:
     """The diagonal diffusion matrices of a stack of points, (N, 10, 10).
 
     Optical and atomic baths enter at zero occupation; the mechanical and

@@ -25,6 +25,7 @@ with one block in it.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -79,8 +80,10 @@ _ABBREV_ORDER = ("c1", "c2", "a", "b", "m")
 _ABBREV_TO_MODE = {mode.value: mode for mode in Mode}
 
 
+@functools.lru_cache(maxsize=None)
 def parse_pair(label: str) -> tuple[Mode, Mode]:
-    """Parse a pair label like "am" or "c2b" into two distinct modes."""
+    """Parse a pair label like "am" or "c2b" into two distinct modes (memoized:
+    every point parses its pairs)."""
     if not isinstance(label, str) or not label:
         raise DomainError(f"pair label must be a non-empty string, got {label!r}")
     modes: list[Mode] = []
@@ -140,9 +143,9 @@ def nu_minus_stack(blocks: np.ndarray) -> tuple[np.ndarray, list[OmmlabError | N
     (N,), undefined where a block failed, and per block the error it raises,
     or None.
     """
-    det_v1 = _det2(blocks[:, 0:2, 0:2])
-    det_v2 = _det2(blocks[:, 2:4, 2:4])
-    det_v12 = _det2(blocks[:, 0:2, 2:4])
+    # the determinants of the four 2x2 blocks of each, [n, I, J] of block (I, J)
+    det = _det2(blocks.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4))
+    det_v1, det_v2, det_v12 = det[:, 0, 0], det[:, 1, 1], det[:, 0, 1]
     det_v0 = np.linalg.det(blocks)
     sigma = det_v1 + det_v2 - 2.0 * det_v12
     sigma_sq = sigma * sigma
@@ -156,7 +159,7 @@ def nu_minus_stack(blocks: np.ndarray) -> tuple[np.ndarray, list[OmmlabError | N
 
     errors: list[OmmlabError | None] = [None] * len(blocks)
     asymmetric = _asymmetric(blocks)
-    for i in np.flatnonzero(asymmetric | bad_radicand | bad_inner | degenerate):
+    for i in (asymmetric | bad_radicand | bad_inner | degenerate).nonzero()[0]:
         if asymmetric[i]:
             errors[i] = DomainError("two-mode covariance must be symmetric")
         elif bad_radicand[i]:
@@ -174,7 +177,7 @@ def nu_minus_stack(blocks: np.ndarray) -> tuple[np.ndarray, list[OmmlabError | N
                 nu[i] = nu_minus_via_partial_transpose(blocks[i])
             except OmmlabError as exc:
                 errors[i] = exc
-    for i in np.flatnonzero(nu <= 0.0):
+    for i in (nu <= 0.0).nonzero()[0]:
         if errors[i] is None:
             errors[i] = NumericalError(
                 "vanishing symplectic eigenvalue; state is singular"

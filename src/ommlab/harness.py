@@ -6,7 +6,7 @@ optional ``"pairs"`` list selecting which bipartitions to report. Sweeps
 evaluate a 1D or 2D grid of operating points, tolerate per-point failures by
 recording them, and write a CSV table plus optional PGM heatmaps.
 
-Every point is evaluated by :func:`_evaluate_chunk`, a chunk of points at a
+Every point is evaluated by :func:`_evaluate_chunk`, a stack of points at a
 time, in two stages. Stage 1, :func:`_working_points`, picks each point's
 working point: the chunk's semiclassics, diffusions and first-branch drifts
 are built as stacks, and the drifts go through one batched eigensolve. The
@@ -19,16 +19,18 @@ stack over every requested pair. One failure rule holds throughout: an error
 that a stacked call raises for the chunk sends its halves through again, and
 at a chunk of one the error becomes the point's row; the Lyapunov solve and
 nu_- keep their errors per point.
-:func:`run_sweep` cuts its grid into chunks of :data:`CHUNK_SIZE` points;
-:func:`evaluate_point` is a chunk of one.
+:func:`evaluate_point` is a stack of one. :func:`run_sweep` checks each axis
+value once and hands each chunk of :data:`CHUNK_SIZE` grid points to the
+stages as the base parameters plus one array per swept field; a stack's
+results come back as :class:`Reports` columns, which the writers read.
 """
 
 from __future__ import annotations
 
-import copy
 import json
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping
@@ -37,22 +39,12 @@ import numpy as np
 
 from .dynamics import diffusion_stack, drift_stack, stability_stack
 from .entanglement import (
-    EntanglementReport,
-    Mode,
-    _e_n,
-    nu_minus_stack,
-    parse_pair,
-    transformation_efficiency,
+    EntanglementReport, Mode, _e_n, nu_minus_stack, parse_pair, transformation_efficiency,
 )
 from .errors import ConfigError, DomainError, NumericalError, OmmlabError
 from .model import (
-    PARAM_TABLE,
-    Param,
-    SystemParams,
-    _require_real,
-    columns,
-    config_snapshot,
-    params_from_mapping,
+    PARAM_TABLE, Param, Points, SweptParams, SystemParams, _require_real, columns,
+    config_snapshot, params_from_mapping, take,
 )
 from .semiclassics import SemiclassicalState, solve_semiclassics_stack
 from .steadystate import integrate_to_steady_state_stack, solve_lyapunov_stack
@@ -62,29 +54,23 @@ VERSION = "0.1.0"
 #: Grid points solved together by one stacked core call: large enough to spread
 #: the fixed cost of the batched numpy calls, small enough that a chunk's arrays
 #: stay at a few MB. On the 51x51 paper map (2 cores, OpenBLAS at one thread)
-#: run_sweep took 790 us per point at chunks of 1 and 107-132 us at 64-512;
-#: 128, 256 and 512 tie within noise there and on the 41x41 derived map.
+#: run_sweep took 630 us per point at chunks of 1 and 65-82 us at 64-512 (medians
+#: of 5); 128, 256 and 512 tie within noise there and on the 41x41 derived map.
 CHUNK_SIZE = 128
 
 #: Bipartitions reported when a config does not say otherwise.
 DEFAULT_PAIRS = ("ab", "am", "c2b")
 
-_EFFICIENCY_NUMERATOR = frozenset({Mode.ATOM, Mode.MAGNON})
-_EFFICIENCY_DENOMINATOR = frozenset({Mode.ATOM, Mode.PHONON})
+#: The pairs, in either order, of the efficiency E_am / E_ab.
+_EFFICIENCY_NUMERATOR = ((Mode.ATOM, Mode.MAGNON), (Mode.MAGNON, Mode.ATOM))
+_EFFICIENCY_DENOMINATOR = ((Mode.ATOM, Mode.PHONON), (Mode.PHONON, Mode.ATOM))
+
+#: Requested pairs as (label, modes), in order.
+_Parsed = list[tuple[str, tuple[Mode, Mode]]]
 
 
 def _axis_setter(param: Param) -> Callable[[SystemParams, float], SystemParams]:
-    field, to_field = param.field, param.to_field
-
-    def setter(params: SystemParams, value: float) -> SystemParams:
-        # dataclasses.replace would pass all fields through __init__ again;
-        # a copy with the one field set and the same checks rerun is 3x faster
-        point = copy.copy(params)
-        object.__setattr__(point, field, to_field(value, params.omega_b))
-        point.__post_init__()
-        return point
-
-    return setter
+    return lambda p, value: replace(p, **{param.field: param.to_field(value, p.omega_b)})
 
 
 #: The closed set of sweepable quantities (the sweepable rows of
@@ -160,14 +146,70 @@ class PointReport:
     error: str | None
 
 
+def _known(value: Any) -> Any:
+    """None for NaN, the value otherwise."""
+    return None if value != value else value
+
+
+@dataclass(eq=False)
+class Reports(Sequence[PointReport]):
+    """The reports of N points as columns, (N, pairs) for ``nu_minus`` and
+    ``e_n`` and (N,) for the rest, NaN standing for None; each
+    :class:`PointReport` is built when it is read. ``pairs`` holds each
+    requested pair as (label, modes). Equal to any sequence of the same reports.
+    """
+
+    pairs: tuple[tuple[str, tuple[Mode, Mode]], ...]
+    stable: np.ndarray
+    margin: np.ndarray
+    nu_minus: np.ndarray
+    e_n: np.ndarray
+    efficiency: np.ndarray
+    error: np.ndarray
+    oracle_deviation: np.ndarray
+    state: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.stable)
+
+    def __getitem__(self, index: Any) -> Any:
+        k = range(len(self))[index]
+        if isinstance(k, range):
+            return [self[i] for i in k]
+        nus, e_ns = self.nu_minus[k].tolist(), self.e_n[k].tolist()
+        entanglement = {
+            label: EntanglementReport(pair, _known(nu), _known(e_n))
+            for (label, pair), nu, e_n in zip(self.pairs, nus, e_ns)
+        }
+        margin, efficiency, deviation = (
+            _known(x.item(k)) for x in (self.margin, self.efficiency, self.oracle_deviation)
+        )
+        stable, state, error = self.stable.item(k), self.state[k], self.error[k]
+        return PointReport(stable, margin, entanglement, efficiency, state, deviation, error)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+
+def _joined(parts: list[Reports], order: np.ndarray | slice = slice(None)) -> Reports:
+    """The reports of ``parts``, a non-empty list, one after another, at ``order``."""
+    return Reports(parts[0].pairs, *(
+        np.concatenate([getattr(part, f.name) for part in parts])[order]
+        for f in fields(Reports)[1:]
+    ))
+
+
 @dataclass(frozen=True)
 class SweepResult:
+    """A grid and its points. ``reports`` holds one report per point in
+    row-major order, as :class:`Reports` columns, which the writers read."""
+
     params: SystemParams
     spec: SweepSpec
     pairs: tuple[str, ...]
     values1: np.ndarray
     values2: np.ndarray | None
-    reports: list[PointReport]
+    reports: Reports
 
     def report_at(self, i1: int, i2: int = 0) -> PointReport:
         """Row-major lookup: axis1 index outer, axis2 index inner; an index
@@ -194,11 +236,11 @@ def _parse_axis(raw: Any, which: str) -> Axis:
     return Axis(name=name, start=raw["start"], stop=raw["stop"], count=raw["count"])
 
 
-def _parse_pairs(raw: Any) -> list[tuple[str, tuple[Mode, Mode]]]:
+def _parse_pairs(raw: Any) -> _Parsed:
     """(label, modes) of each pair in ``raw``, a non-empty list of distinct labels."""
     if not isinstance(raw, (list, tuple)) or not raw:
         raise ConfigError("pairs must be a non-empty list of labels")
-    parsed: list[tuple[str, tuple[Mode, Mode]]] = []
+    parsed: _Parsed = []
     for item in raw:
         if not isinstance(item, str):
             raise ConfigError(f"pair label must be a string, got {item!r}")
@@ -246,64 +288,46 @@ def load_config(path: str | Path | None) -> RunConfig:
         if "axis1" not in sweep_raw:
             raise ConfigError("sweep needs an axis1")
         axis1 = _parse_axis(sweep_raw["axis1"], "axis1")
-        axis2 = (
-            _parse_axis(sweep_raw["axis2"], "axis2")
-            if sweep_raw.get("axis2") is not None
-            else None
-        )
+        raw2 = sweep_raw.get("axis2")
+        axis2 = None if raw2 is None else _parse_axis(raw2, "axis2")
         sweep = SweepSpec(axis1=axis1, axis2=axis2)
         if params.coupling_mode == "derived":
             for axis in (axis1, axis2):
                 if axis is not None and axis.name in ("g_c_eff_hz", "g_mb_eff_hz"):
-                    raise ConfigError(
-                        f"axis {axis.name!r} conflicts with coupling_mode='derived'"
-                    )
+                    raise ConfigError(f"axis {axis.name!r} conflicts with coupling_mode='derived'")
     return RunConfig(params=params, sweep=sweep, pairs=pairs)
 
 
-def _efficiency(entanglement: dict[str, EntanglementReport]) -> float | None:
-    e_ab = e_am = None
-    for rep in entanglement.values():
-        mode_set = frozenset(rep.pair)
-        if mode_set == _EFFICIENCY_DENOMINATOR:
-            e_ab = rep.e_n
-        elif mode_set == _EFFICIENCY_NUMERATOR:
-            e_am = rep.e_n
-    if e_ab is None or e_am is None:
-        return None
-    return transformation_efficiency(e_ab, e_am)
-
-
-def _report(
-    parsed: list[tuple[str, tuple[Mode, Mode]]],
-    error: str | None,
-    max_real: float | None = None,
-    state: SemiclassicalState | None = None,
-    nus: list[float] | None = None,
-    oracle_deviation: float | None = None,
-) -> PointReport:
-    """One point's report. ``max_real`` is None for a point that was never
-    classified; the measures are undefined where ``nus`` is None."""
-    entanglement = {
-        label: EntanglementReport(
-            pair=pair, nu_minus=nu, e_n=None if nu is None else _e_n(nu)
-        )
-        for (label, pair), nu in zip(parsed, nus or [None] * len(parsed))
-    }
-    return PointReport(
-        stable=max_real is not None and max_real < 0.0,
-        margin=None if max_real is None else -max_real,
-        entanglement=entanglement, efficiency=_efficiency(entanglement),
-        state=state, oracle_deviation=oracle_deviation, error=error,
+def _reports(
+    parsed: _Parsed, error: Sequence[str | None], max_real: np.ndarray | None = None,
+    state: list[SemiclassicalState] | None = None, nu: np.ndarray | None = None,
+    deviation: np.ndarray | None = None,
+) -> Reports:
+    """The reports of N points from their columns: ``max_real`` and ``state`` are
+    None for points never classified, ``nu`` NaN or None where undefined."""
+    n = len(error)
+    nu = np.full((n, len(parsed)), np.nan) if nu is None else nu
+    # _e_n value by value: np.log differs from math.log in the last bit of some
+    e_n = [[x if x != x else _e_n(x) for x in row] for row in nu.tolist()]
+    ab = am = None  # the last requested of each, found by == (Mode hashes in Python)
+    for j, (_, pair) in enumerate(parsed):
+        ab = j if pair in _EFFICIENCY_DENOMINATOR else ab
+        am = j if pair in _EFFICIENCY_NUMERATOR else am
+    efficiency = [
+        np.nan if ab is None or am is None else transformation_efficiency(row[ab], row[am])
+        for row in e_n
+    ]
+    return Reports(
+        tuple(parsed), np.zeros(n, bool) if max_real is None else max_real < 0.0,
+        np.full(n, np.nan) if max_real is None else -max_real, nu,
+        np.array(e_n).reshape(nu.shape), np.array(efficiency, dtype=float),
+        np.asarray(error, dtype=object), np.full(n, np.nan) if deviation is None else deviation,
+        np.array([None] * n if state is None else state, dtype=object),
     )
 
 
 def _steady_state(
-    a: np.ndarray,
-    d: np.ndarray,
-    scale: np.ndarray,
-    eigs: np.ndarray,
-    vecs: np.ndarray,
+    a: np.ndarray, d: np.ndarray, scale: np.ndarray, eigs: np.ndarray, vecs: np.ndarray,
     pairs: list[tuple[Mode, Mode]],
 ) -> tuple[np.ndarray, np.ndarray, list[str | None]]:
     """Stage 2: the steady state and nu_- per pair of a stack of stable points.
@@ -313,7 +337,7 @@ def _steady_state(
     each drift. One Lyapunov stack and one nu_- stack run over the points,
     each point keeping its own gates. Returns V (N, 10, 10), nu_- (N, pairs)
     and each point's first error, the Lyapunov solve's before its pairs', or
-    None; the V and nu_- of a point with an error are undefined.
+    None; a point with an error has an undefined V and NaN nu_-.
     """
     v, errors = solve_lyapunov_stack(a, d, scale, eigs, vecs)
     # the 4x4 blocks of every pair at every point, as one stack; the V of a
@@ -323,18 +347,17 @@ def _steady_state(
     blocks = v[:, idx[:, :, None], idx[:, None, :]].reshape(-1, 4, 4)
     with np.errstate(invalid="ignore"):
         nu, block_errors = nu_minus_stack(blocks)
-    first_errors = [
-        next(
-            (str(e) for e in (errors[k], *block_errors[k * n : (k + 1) * n]) if e is not None),
-            None,
-        )
-        for k in range(len(a))
-    ]
-    return v, nu.reshape(len(a), n), first_errors
+    first_errors = [None if e is None else str(e) for e in errors]
+    for j in [j for j, e in enumerate(block_errors) if e is not None]:
+        if first_errors[j // n] is None:
+            first_errors[j // n] = str(block_errors[j])
+    nu = nu.reshape(len(a), n)
+    nu[[e is not None for e in first_errors]] = np.nan
+    return v, nu, first_errors
 
 
 def _working_points(
-    params_list: list[SystemParams],
+    params_list: Points,
 ) -> tuple[np.ndarray, np.ndarray, list[SemiclassicalState], np.ndarray, np.ndarray,
            np.ndarray, np.ndarray]:
     """Stage 1 of the module docstring on a non-empty stack of valid
@@ -352,12 +375,12 @@ def _working_points(
         raise NumericalError("non-finite entry in the drift or diffusion matrix")
     eigs, vecs, max_real = stability_stack(a, scale)
     # every later branch of every point whose first branch is unstable
-    tries = [(k, s) for k in np.flatnonzero(~(max_real < 0.0)) for s in branches[k][1:]]
+    tries = [(k, s) for k in (~(max_real < 0.0)).nonzero()[0] for s in branches[k][1:]]
     if tries:
         points = [k for k, _ in tries]
-        a_tries = drift_stack([params_list[k] for k in points], [state for _, state in tries])
+        a_tries = drift_stack(take(params_list, points), [state for _, state in tries])
         found = stability_stack(a_tries, scale[points])
-        for j in np.flatnonzero(found[2] < 0.0):
+        for j in (found[2] < 0.0).nonzero()[0]:
             k, state = tries[j]
             if not max_real[k] < 0.0:
                 states[k], a[k] = state, a_tries[j]
@@ -365,79 +388,57 @@ def _working_points(
     return scale, d, states, a, eigs, vecs, max_real
 
 
-def _solve_chunk(
-    params_list: list[SystemParams],
-    parsed: list[tuple[str, tuple[Mode, Mode]]],
-    oracle: bool,
-) -> list[PointReport]:
-    """The two stages of the module docstring on a non-empty chunk of valid
-    parameter sets, one report each, and with ``oracle`` one exact-flow stack
-    over the points stage 2 solved; an :class:`OmmlabError` raised on the way
-    raises for the chunk.
+def _solve_chunk(points: Points, parsed: _Parsed, oracle: bool) -> Reports:
+    """The two stages of the module docstring on a non-empty stack of valid
+    points, and with ``oracle`` one exact-flow stack over the points stage 2
+    solved; an :class:`OmmlabError` raised on the way raises for the stack.
     """
-    scale, d, states, a, eigs, vecs, max_real = _working_points(params_list)
+    scale, d, states, a, eigs, vecs, max_real = _working_points(points)
     stable = max_real < 0.0
     keep = slice(None) if stable.all() else stable
     v, nu, errors = _steady_state(
         a[keep], d[keep], scale[keep], eigs[keep], vecs[keep], [pair for _, pair in parsed]
     )
-    deviations: list[float | None] = [None] * len(errors)
-    oracle_errors: list[str | None] = [None] * len(errors)
-    solved = [j for j, error in enumerate(errors) if error is None] if oracle else []
-    if solved:
-        k = np.flatnonzero(stable)[solved]
-        v_flow, flow_errors = integrate_to_steady_state_stack(a[k], d[k], scale[k])
-        deviation = np.linalg.norm(v[solved] - v_flow, axis=(1, 2)) / np.linalg.norm(
-            v[solved], axis=(1, 2)
+    measured, error = nu, np.array(errors, dtype=object)
+    if keep is stable:  # some points are unstable: place the stable ones' rows
+        measured = np.full((len(states), len(parsed)), np.nan)
+        measured[stable], error = nu, np.full(len(states), None, dtype=object)
+        error[stable] = errors
+    deviation = np.full(len(states), np.nan)
+    ok = np.equal(errors, None)
+    solved = stable.nonzero()[0][ok] if oracle else []
+    if len(solved):
+        v_flow, flow_errors = integrate_to_steady_state_stack(
+            a[solved], d[solved], scale[solved], eigs[solved]
         )
-        for j, dev, error in zip(solved, deviation.tolist(), flow_errors):
-            if error is None:
-                deviations[j] = dev
-            else:
-                oracle_errors[j] = f"oracle: {error}"
-    rows = iter(zip(nu.tolist(), errors, deviations, oracle_errors))
-    reports = []
-    for state, max_k, stable_k in zip(states, max_real.tolist(), stable):
-        nus, error, deviation, oracle_error = next(rows) if stable_k else (None,) * 4
-        if error is not None:
-            nus = None
-        reports.append(_report(parsed, error or oracle_error, max_k, state, nus, deviation))
-    return reports
+        # NaN, no deviation, where the flow failed and left V_flow NaN
+        gap = np.linalg.norm(v[ok] - v_flow, axis=(1, 2))
+        deviation[solved] = gap / np.linalg.norm(v[ok], axis=(1, 2))
+        error[solved] = [None if e is None else f"oracle: {e}" for e in flow_errors]
+    return _reports(parsed, error, max_real, states, measured, deviation)
 
 
-def _evaluate_chunk(
-    params_list: list[SystemParams | OmmlabError],
-    parsed: list[tuple[str, tuple[Mode, Mode]]],
-    *,
-    oracle: bool = False,
-) -> list[PointReport]:
-    """Evaluate a chunk of operating points end to end, one report each.
+def _evaluate_chunk(points: Points, parsed: _Parsed, *, oracle: bool = False) -> Reports:
+    """Evaluate a non-empty stack of valid points end to end.
 
-    The chunk's valid points go through the two stages as one stack. Should
-    a stacked call raise an :class:`OmmlabError` for the chunk, its halves
+    The points go through the two stages as one stack. Should a stacked call
+    raise an :class:`OmmlabError` for the stack, its halves, taken by index,
     are evaluated again, so a point that raises costs about 2 log2(N)
-    stacked solves, and at a chunk of one the error becomes its row. An
-    :class:`OmmlabError` in place of a parameter set stands for a point whose
-    parameters failed validation, and becomes its error row. With
+    stacked solves, and at a stack of one the error becomes its row. With
     ``oracle``, the solved points of a stack are also relaxed along the exact
     flow, as one more stack, and compared; a point whose relaxation fails
     keeps its measures and gets an ``oracle:`` error.
     """
-    valid = [params for params in params_list if not isinstance(params, OmmlabError)]
     try:
-        solved = _solve_chunk(valid, parsed, oracle) if valid else []
+        return _solve_chunk(points, parsed, oracle)
     except OmmlabError as exc:
-        if len(valid) == 1:
-            solved = [_report(parsed, str(exc))]
-        else:
-            half = len(valid) // 2
-            solved = _evaluate_chunk(valid[:half], parsed, oracle=oracle)
-            solved += _evaluate_chunk(valid[half:], parsed, oracle=oracle)
-    rows = iter(solved)
-    return [
-        _report(parsed, str(params)) if isinstance(params, OmmlabError) else next(rows)
-        for params in params_list
-    ]
+        if len(points) == 1:
+            return _reports(parsed, [str(exc)])
+        half = len(points) // 2
+        return _joined([
+            _evaluate_chunk(take(points, index), parsed, oracle=oracle)
+            for index in (np.arange(half), np.arange(half, len(points)))
+        ])
 
 
 def evaluate_point(
@@ -454,8 +455,7 @@ def evaluate_point(
     reported in the ``error`` field rather than raised, so sweeps keep going.
     The point is a chunk of one, evaluated exactly as a sweep evaluates it.
     """
-    parsed = _parse_pairs(tuple(pairs))
-    return _evaluate_chunk([params], parsed, oracle=oracle)[0]
+    return _evaluate_chunk([params], _parse_pairs(tuple(pairs)), oracle=oracle)[0]
 
 
 def run_sweep(
@@ -468,11 +468,13 @@ def run_sweep(
 ) -> SweepResult:
     """Evaluate a grid of operating points.
 
-    The grid is row-major with axis1 as the outer loop, and is cut by index
-    into chunks of :data:`CHUNK_SIZE` points, each solved as one stack. The
-    axis-1 value is set once per row and the axis-2 value once per point. A
-    point whose parameters fail validation (for example a negative
-    temperature reached by the axis) is recorded as an error row. Chunks are
+    The grid is row-major with axis1 as the outer loop. Each axis value is
+    checked once, by its :data:`SWEEP_AXES` setter on ``params``; a point
+    whose axis-1 value fails validation (a negative temperature, say) is an
+    error row with that value's error, else with its axis-2 value's, as
+    setting both on the point would give: no domain rule ties two sweepable
+    fields. The grid is cut by index into chunks of :data:`CHUNK_SIZE`
+    points, whose valid points are solved as one stack. Chunks are
     independent, so ``threads`` > 1 runs them on a bounded thread pool;
     results are merged in chunk order, which makes the output independent of
     scheduling. The default is one thread and no pool.
@@ -482,47 +484,42 @@ def run_sweep(
     pair_tuple = tuple(pairs)
     parsed = _parse_pairs(pair_tuple)
     values1 = spec.axis1.values()
-    values2 = spec.axis2.values() if spec.axis2 is not None else None
+    values2 = None if spec.axis2 is None else spec.axis2.values()
     n2 = 1 if values2 is None else len(values2)
-    set1 = SWEEP_AXES[spec.axis1.name]
-    set2 = SWEEP_AXES[spec.axis2.name] if spec.axis2 is not None else None
+    grid = np.arange(len(values1) * n2)
+    axes = [(spec.axis1, values1, grid // n2)]
+    if values2 is not None:
+        axes.append((spec.axis2, values2, grid % n2))
+    swept, error = {}, np.full(len(grid), None, dtype=object)
+    for axis, values, at in reversed(axes):  # axis 2 first: an axis-1 error wins
+        field = next(param.field for param in PARAM_TABLE if param.key == axis.name)
+        column, errors = np.full(len(values), np.nan), np.full(len(values), None, dtype=object)
+        for k, value in enumerate(values.tolist()):
+            try:
+                column[k] = getattr(SWEEP_AXES[axis.name](params, value), field)
+            except OmmlabError as exc:
+                errors[k] = str(exc)
+        swept[field] = column[at]
+        error = np.where(np.equal(errors[at], None), error, errors[at])
+    valid = np.flatnonzero(np.equal(error, None))
+    failed = np.flatnonzero(np.not_equal(error, None))
 
-    rows: list[SystemParams | OmmlabError] = []
-    for v1 in values1:
-        try:
-            rows.append(set1(params, float(v1)))
-        except OmmlabError as exc:
-            rows.append(exc)
+    def work(index: np.ndarray) -> Reports:
+        points = SweptParams(params, {field: column[index] for field, column in swept.items()})
+        return _evaluate_chunk(points, parsed, oracle=oracle)
 
-    def point(index: int) -> SystemParams | OmmlabError:
-        i1, i2 = divmod(index, n2)
-        row = rows[i1]
-        if set2 is None or isinstance(row, OmmlabError):
-            return row
-        try:
-            return set2(row, float(values2[i2]))
-        except OmmlabError as exc:
-            return exc
-
-    total = len(values1) * n2
-
-    def work(start: int) -> list[PointReport]:
-        stop = min(start + CHUNK_SIZE, total)
-        return _evaluate_chunk(
-            [point(index) for index in range(start, stop)], parsed, oracle=oracle
-        )
-
-    starts = range(0, total, CHUNK_SIZE)
+    # the valid points of each run of CHUNK_SIZE grid points
+    chunks = np.split(valid, np.searchsorted(valid, grid[CHUNK_SIZE::CHUNK_SIZE]))
+    chunks = [index for index in chunks if len(index)]
     if threads == 1:
-        chunks = [work(start) for start in starts]
+        solved = [work(index) for index in chunks]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(work, starts))
-
+            solved = list(pool.map(work, chunks))
+    rows = [*solved, _reports(parsed, error[failed])]
     return SweepResult(
-        params=params, spec=spec, pairs=pair_tuple,
-        values1=values1, values2=values2,
-        reports=[report for chunk in chunks for report in chunk],
+        params=params, spec=spec, pairs=pair_tuple, values1=values1, values2=values2,
+        reports=_joined(rows, np.argsort(np.concatenate([*chunks, failed]))),
     )
 
 
@@ -531,29 +528,20 @@ def run_sweep(
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value: float | None) -> str:
-    """Nine significant digits, empty cell for missing values."""
-    if value is None:
-        return ""
-    return format(value, ".9g")
+def _fmt(values: np.ndarray) -> list[str]:
+    """Nine significant digits of each value, an empty cell for NaN (a
+    missing value)."""
+    return [format(x, ".9g") if x == x else "" for x in values.tolist()]
 
 
 def _spec_snapshot(spec: SweepSpec, pairs: tuple[str, ...]) -> dict[str, Any]:
     def axis_dict(axis: Axis | None) -> dict[str, Any] | None:
-        if axis is None:
-            return None
-        return {
-            "name": axis.name,
-            "start": float(axis.start),
-            "stop": float(axis.stop),
+        return None if axis is None else {
+            "name": axis.name, "start": float(axis.start), "stop": float(axis.stop),
             "count": axis.count,
         }
 
-    return {
-        "axis1": axis_dict(spec.axis1),
-        "axis2": axis_dict(spec.axis2),
-        "pairs": list(pairs),
-    }
+    return {"axis1": axis_dict(spec.axis1), "axis2": axis_dict(spec.axis2), "pairs": list(pairs)}
 
 
 def write_csv(
@@ -565,37 +553,30 @@ def write_csv(
     the sweep description; a timestamp line is added unless ``reproducible``
     is set, in which case the bytes depend only on the inputs.
     """
-    spec = result.spec
-    lines = [f"# ommlab {VERSION}"]
-    lines.append(
-        "# params: " + json.dumps(config_snapshot(result.params), sort_keys=True)
-    )
-    lines.append(
-        "# sweep: " + json.dumps(_spec_snapshot(spec, result.pairs), sort_keys=True)
-    )
+    spec, two_d = result.spec, result.values2 is not None
+    lines = [
+        f"# ommlab {VERSION}",
+        "# params: " + json.dumps(config_snapshot(result.params), sort_keys=True),
+        "# sweep: " + json.dumps(_spec_snapshot(spec, result.pairs), sort_keys=True),
+    ]
     if not reproducible:
         lines.append("# generated: " + datetime.now(timezone.utc).isoformat())
+    axis2 = ["axis2_name", "axis2_value"] if two_d else []
+    header = ["axis1_name", "axis1_value", *axis2, "stable", *(f"E_{p}" for p in result.pairs)]
+    lines.append(",".join([*header, "efficiency"]))
 
-    header = ["axis1_name", "axis1_value"]
-    two_d = result.values2 is not None
+    # each axis value and each measure is formatted once
+    n2 = len(result.values2) if two_d else 1
+    axis1 = [f"{spec.axis1.name},{cell}" for cell in _fmt(result.values1)]
+    cells = [[cell for cell in axis1 for _ in range(n2)]]
     if two_d:
-        header += ["axis2_name", "axis2_value"]
-    header.append("stable")
-    header += [f"E_{label}" for label in result.pairs]
-    header.append("efficiency")
-    lines.append(",".join(header))
-
-    n2 = 1 if result.values2 is None else len(result.values2)
-    for index, report in enumerate(result.reports):
-        i1, i2 = divmod(index, n2)
-        row = [spec.axis1.name, _fmt(float(result.values1[i1]))]
-        if two_d:
-            row += [spec.axis2.name, _fmt(float(result.values2[i2]))]
-        row.append("true" if report.stable else "false")
-        for label in result.pairs:
-            row.append(_fmt(report.entanglement[label].e_n))
-        row.append(_fmt(report.efficiency))
-        lines.append(",".join(row))
+        cells.append([f"{spec.axis2.name},{cell}" for cell in _fmt(result.values2)])
+        cells[-1] *= len(result.values1)
+    table = result.reports
+    cells.append(["true" if stable else "false" for stable in table.stable.tolist()])
+    cells += [_fmt(column) for column in table.e_n.T]
+    cells.append(_fmt(table.efficiency))
+    lines += map(",".join, zip(*cells))
 
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
 
@@ -614,10 +595,8 @@ def write_pgm(result: SweepResult, pair: str, path: str | Path) -> None:
         raise DomainError(f"pair {pair!r} was not requested in this sweep")
     width = len(result.values1)
     height = len(result.values2)
-    # None, for unstable, failed and missing points, reads as NaN
-    values = np.array(
-        [r.entanglement[pair].e_n if r.stable else None for r in result.reports], dtype=float
-    ).reshape(width, height).T
+    # NaN for unstable, failed and missing points
+    values = result.reports.e_n[:, result.pairs.index(pair)].reshape(width, height).T
     known = ~np.isnan(values)
     pixels = np.zeros((height, width), dtype=np.uint8)
     if known.any():
@@ -633,6 +612,7 @@ __all__ = [
     "Axis",
     "DEFAULT_PAIRS",
     "PointReport",
+    "Reports",
     "RunConfig",
     "SWEEP_AXES",
     "SweepResult",

@@ -53,7 +53,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateOperatingPointError, NumericalError
-from .model import SystemParams, _check, _Real, columns, laser_drive_strength, rabi_frequency
+from .model import (
+    Points, SystemParams, _check, _Real, columns, laser_drive_strength, rabi_frequency, take,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -227,7 +229,7 @@ class _Displacement:
     ``eq9_verbatim``. Every parameter and coefficient is an (N,) column.
     """
 
-    def __init__(self, params_list: list[SystemParams]) -> None:
+    def __init__(self, params_list: Points) -> None:
         (
             self.omega_b, self.g_c, self.g_m, self.kappa_m, self.delta_m, delta_c2, sign,
             verbatim, self.kappa_a, self.kappa_c1, self.kappa_c2, self.delta_a,
@@ -349,9 +351,7 @@ class _Displacement:
         return q, steps
 
 
-def _derived_branches(
-    params_list: list[SystemParams],
-) -> list[tuple[SemiclassicalState, ...]]:
+def _derived_branches(params_list: Points) -> list[tuple[SemiclassicalState, ...]]:
     """The branches of a stack of derived-mode points: the roots of q = F(q)
     with F' < 1, ordered by |F'|, each with its amplitudes and couplings."""
     disp = _Displacement(params_list)
@@ -392,40 +392,39 @@ def _derived_branches(
     return [tuple(states[end - n : end]) for end, n in zip(ends, counts.tolist())]
 
 
-def _direct_branches(params_list: list[SystemParams]) -> list[tuple[SemiclassicalState]]:
+def _direct_branches(params_list: Points) -> list[tuple[SemiclassicalState]]:
     """The one branch of each point of a direct-mode stack: the configured
     effective couplings at face value, with zero static displacement."""
     g_c, g_mb, sign, delta_c2, delta_m, p_laser, kappa_c2, wavelength, v_yig, rho = columns(
         params_list, "g_c_eff", "g_mb_eff", "delta_c2_sign", "delta_c2", "delta_m", "p_laser",
         "kappa_c2", "lambda_laser", "v_yig", "rho_spin",
     )
-    b_field = [params.b_field for params in params_list]
-    rabi = rabi_frequency(np.array([b or 0.0 for b in b_field]), v_yig, rho).tolist()
+    # an unset b_field reads as NaN, and so does its Rabi frequency
+    (b_field,) = columns(params_list, "b_field").astype(float)
+    rabi = rabi_frequency(b_field, v_yig, rho).tolist()
     drive_e = laser_drive_strength(p_laser, kappa_c2, wavelength)
     states = zip(
         g_c.astype(complex).tolist(), g_mb.astype(complex).tolist(),
         (sign * delta_c2).tolist(), delta_m.tolist(), drive_e.tolist(),
-        [None if b is None else r for b, r in zip(b_field, rabi)],
+        [None if r != r else r for r in rabi],
     )
     return [(SemiclassicalState(0.0, None, None, *fields, 0, None),) for fields in states]
 
 
-def solve_semiclassics_stack(
-    params_list: list[SystemParams],
-) -> list[tuple[SemiclassicalState, ...]]:
-    """Working-point branches for a stack of parameter sets, in order.
+def solve_semiclassics_stack(params_list: Points) -> list[tuple[SemiclassicalState, ...]]:
+    """Working-point branches for a stack of points, in order.
 
     A direct-mode point has one branch. The points of each mode are solved
     together, as the module docstring describes; an error at any of them
     raises for the stack.
     """
-    derived = [params for params in params_list if params.coupling_mode == "derived"]
-    direct = [params for params in params_list if params.coupling_mode == "direct"]
-    solved = {
-        "derived": iter(_derived_branches(derived) if derived else ()),
-        "direct": iter(_direct_branches(direct) if direct else ()),
-    }
-    return [next(solved[params.coupling_mode]) for params in params_list]
+    modes = columns(params_list, "coupling_mode")[0].tolist()
+    solved = {}
+    for name, branches in (("derived", _derived_branches), ("direct", _direct_branches)):
+        index = [k for k, mode in enumerate(modes) if mode == name]
+        points = params_list if len(index) == len(modes) else take(params_list, index)
+        solved[name] = iter(branches(points) if index else ())
+    return [next(solved[mode]) for mode in modes]
 
 
 def solve_semiclassics(params: SystemParams) -> SemiclassicalState:

@@ -43,13 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (
-    DiffusionMatrix,
-    DriftMatrix,
-    _as_matrix,
-    stability,
-    stability_stack,
-)
+from .dynamics import DiffusionMatrix, DriftMatrix, _as_matrix, stability
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -247,14 +241,14 @@ def solve_lyapunov_stack(
     undefined, and per point the error that point raises, or None.
     """
     errors: list[OmmlabError | None] = [None] * len(a)
-    for i in np.flatnonzero(_asymmetric(d)):
+    for i in _asymmetric(d).nonzero()[0]:
         errors[i] = DomainError("diffusion must be symmetric")
     a_s = a / scale[:, None, None]
     d_s = d / scale[:, None, None]
     raw = _eigenbasis_solve(eigenvalues / scale[:, None], eigenvectors, d_s)
     v = _symmetrized(raw)
     residual = _relative_residual(a_s, v, d_s)
-    missed = np.flatnonzero(~(residual <= _RESIDUAL_RTOL))
+    missed = (~(residual <= _RESIDUAL_RTOL)).nonzero()[0]
     for i in missed:
         if errors[i] is None:
             try:
@@ -267,10 +261,11 @@ def solve_lyapunov_stack(
     asym = np.abs(raw - _transpose(raw)).max(axis=(-2, -1))
     warn = asym > _ASYMMETRY_RTOL * _max_abs_scale(raw)
     negative = (np.diagonal(v, axis1=-2, axis2=-1) < 0.0).any(axis=-1)
-    for i, error in enumerate(errors):
-        if error is not None:
+    over = ~(residual <= _RESIDUAL_RTOL)
+    for i in (over | warn | negative).nonzero()[0]:
+        if errors[i] is not None:
             continue
-        if not residual[i] <= _RESIDUAL_RTOL:
+        if over[i]:
             errors[i] = NumericalError(
                 f"Lyapunov residual {residual[i]:.3e} ||D||_F exceeds "
                 f"{_RESIDUAL_RTOL:.0e} ||D||_F"
@@ -351,6 +346,7 @@ def integrate_to_steady_state_stack(
     a: np.ndarray,
     d: np.ndarray,
     scale: np.ndarray,
+    eigenvalues: np.ndarray,
     v0: np.ndarray | None = None,
     dt: np.ndarray | None = None,
     *,
@@ -361,11 +357,12 @@ def integrate_to_steady_state_stack(
     dV/dt = A V + V A^T + D to its fixed point.
 
     ``a`` and ``d`` are (N, n, n) in rad/s, ``scale`` (N,) is each point's
-    natural frequency, ``v0`` (N, n, n) defaults to the vacuum and ``dt``
-    (N,), in seconds, to 0.05 / spectral radius. One
-    :func:`ommlab.dynamics.stability_stack` gives the verdict, the radius and
-    the slowest decay, not V. Pass k checks ||A V + V A^T + D||_F against
-    ``rtol`` ||D||_F, then advances V by 2^k steps, V <- Phi V Phi^T + Q
+    natural frequency, ``eigenvalues`` (N, n) are each drift's, as returned
+    by :func:`ommlab.dynamics.stability_stack`, and give the verdict, the
+    spectral radius and the slowest decay, not V. ``v0`` (N, n, n) defaults
+    to the vacuum and ``dt`` (N,), in seconds, to 0.05 / spectral radius. Pass
+    k checks ||A V + V A^T + D||_F against ``rtol`` ||D||_F, then advances V
+    by 2^k steps, V <- Phi V Phi^T + Q
     (:func:`_flow`), and doubles Phi and Q, so the checks fall after 0, 1,
     3, 7, ... steps. A point freezes at its first passing check, whatever the
     other points do, and fails with :class:`ConvergenceError` at its first
@@ -378,10 +375,10 @@ def integrate_to_steady_state_stack(
     None; an unstable drift gets :class:`StabilityError` and a step above
     0.1 / spectral radius :class:`DomainError`.
     """
-    eigs, _, max_real = stability_stack(a, scale)
+    max_real = eigenvalues.real.max(axis=-1)
     a_s = a / scale[:, None, None]
     d_s = d / scale[:, None, None]
-    radius = np.abs(eigs).max(axis=-1) / scale
+    radius = np.abs(eigenvalues).max(axis=-1) / scale
     with np.errstate(divide="ignore"):
         h = _FLOW_STEP_FRACTION / radius if dt is None else dt * scale
         budget = np.ceil(horizon * scale / -max_real / h)
@@ -467,9 +464,9 @@ def integrate_to_steady_state(
     0.1/spectral radius is rejected. The flow starts from the vacuum
     covariance (identity over two) unless ``v0`` is given, stops when
     ||dV/dt||_F drops to ``rtol`` times ||D||_F, and gives up past ``horizon``
-    times the slowest decay time. This is
-    :func:`integrate_to_steady_state_stack` on a stack of one; the error it
-    returns for the point is raised.
+    times the slowest decay time. This is :func:`integrate_to_steady_state_stack`
+    on a stack of one, given the eigenvalues of :func:`ommlab.dynamics.stability`;
+    the error it returns for the point is raised.
     """
     if not rtol > 0.0:
         raise DomainError("rtol must be strictly positive")
@@ -487,7 +484,7 @@ def integrate_to_steady_state(
             raise DomainError("v0 shape must match the drift")
         _require_symmetric(v, "v0")
     out, errors = integrate_to_steady_state_stack(
-        a_arr[None], d_arr[None], np.array([s]), v[None],
+        a_arr[None], d_arr[None], np.array([s]), stability(a).eigenvalues[None], v[None],
         None if dt is None else np.array([dt]), rtol=rtol, horizon=horizon,
     )
     if errors[0] is not None:

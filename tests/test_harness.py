@@ -289,7 +289,7 @@ class TestDefaultPoint:
         ) as eigvals:
             report = evaluate_point(default_params(), pairs=("ab",), oracle=True)
         assert report.oracle_deviation is not None
-        assert eig.call_count == 2  # the point's stack, then the oracle's drift
+        assert eig.call_count == 1  # the point's stack; the oracle reuses its eigenvalues
         assert eigvals.call_count == 0
 
     #: one chunk of the paper's detuning map, every point stable
@@ -362,7 +362,7 @@ class TestPointFailures:
         self.assert_stable_without_measures(report, default_point, message)
 
     def test_oracle_convergence_error_keeps_the_measures(self, default_point):
-        def flow_fails(a, d, scale):
+        def flow_fails(a, d, scale, eigenvalues):
             return np.full_like(a, np.nan), [ConvergenceError("the flow did not converge")]
 
         with mock.patch.object(harness, "integrate_to_steady_state_stack", flow_fails):
@@ -572,25 +572,171 @@ class TestWorkingPointBranches:
         assert solve.call_count == 9
 
 
+def _set_on_the_point(params, spec, result, i1, i2):
+    """Grid point (i1, i2) set point by point: the axis-1 setter on the base,
+    then the axis-2 setter on that row. Returns the point, or the message of
+    the first setter that raises."""
+    try:
+        point = SWEEP_AXES[spec.axis1.name](params, float(result.values1[i1]))
+        if spec.axis2 is not None:
+            point = SWEEP_AXES[spec.axis2.name](point, float(result.values2[i2]))
+    except DomainError as exc:
+        return str(exc)
+    return point
+
+
+#: a derived sub-map whose T axis crosses 0: stable, unstable and error rows
+MIXED_SPEC = SweepSpec(Axis("T", -0.02, 0.02, 5), Axis("delta_m_over_wb", -1.5, 1.5, 7))
+MIXED_BASE = {"coupling_mode": "derived", "b_field_t": 1.1e-3, "g_c_hz": 1.5e3}
+
+
+def _reference_csv_rows(result):
+    """The CSV body written report by report, one row at a time: the reference
+    for the writer that formats columns."""
+
+    def fmt(value):
+        return "" if value is None else format(value, ".9g")
+
+    n2 = 1 if result.values2 is None else len(result.values2)
+    lines = []
+    for index, report in enumerate(result.reports):
+        i1, i2 = divmod(index, n2)
+        row = [result.spec.axis1.name, fmt(float(result.values1[i1]))]
+        if result.values2 is not None:
+            row += [result.spec.axis2.name, fmt(float(result.values2[i2]))]
+        row.append("true" if report.stable else "false")
+        row += [fmt(report.entanglement[label].e_n) for label in result.pairs]
+        row.append(fmt(report.efficiency))
+        lines.append(",".join(row))
+    return lines
+
+
+class TestColumnarSweep:
+    """Checking each axis value once, and writing from columns, give what
+    setting each point and writing report by report give."""
+
+    def test_each_error_is_the_per_point_setters_message(self):
+        # T below 0 breaks axis 1, g_n1 below 0 axis 2; (0, 0) breaks both
+        spec = SweepSpec(Axis("T", -0.01, 0.01, 3), Axis("g_n1_hz", -1e6, 1e6, 3))
+        params = default_params()
+        result = run_sweep(params, spec, ("ab",))
+        for i1 in range(3):
+            for i2 in range(3):
+                expected = _set_on_the_point(params, spec, result, i1, i2)
+                report = result.report_at(i1, i2)
+                if isinstance(expected, str):
+                    assert report.error == expected
+                    assert report.margin is None and report.state is None
+                else:
+                    assert report == evaluate_point(expected, ("ab",))
+        both = result.report_at(0, 0).error
+        assert "temperature" in both and both == result.report_at(0, 2).error
+        assert "g_n1" in result.report_at(1, 0).error
+
+    @pytest.mark.parametrize("g_c_eff_axis", [1, 2])
+    def test_derived_base_swept_along_g_c_eff_fails_every_row(self, g_c_eff_axis):
+        # load_config rejects this sweep, run_sweep records it row by row
+        axes = [Axis("delta_m_over_wb", -1.0, 1.0, 2), Axis("g_c_eff_hz", 1e6, 2e6, 2)]
+        spec = SweepSpec(*(axes if g_c_eff_axis == 2 else axes[::-1]))
+        params = default_params(**MIXED_BASE)
+        result = run_sweep(params, spec, ("ab",))
+        message = "derived coupling mode must not carry g_c_eff or g_mb_eff"
+        assert len(result.reports) == 4
+        for index, report in enumerate(result.reports):
+            expected = _set_on_the_point(params, spec, result, *divmod(index, 2))
+            assert report.error == expected and expected.startswith(message)
+
+    def test_each_axis_value_is_set_once(self, monkeypatch):
+        calls = collections.Counter()
+        for name in ("delta_a_over_wb", "delta_c1_over_wb"):
+            setter = SWEEP_AXES[name]
+            monkeypatch.setitem(
+                SWEEP_AXES, name,
+                lambda p, v, name=name, setter=setter: calls.update([name]) or setter(p, v),
+            )
+        spec = SweepSpec(Axis("delta_a_over_wb", -2.0, 0.0, 9), Axis("delta_c1_over_wb", 0, 2, 7))
+        result = run_sweep(default_params(), spec, ("ab",))
+        assert len(result.reports) == 63
+        assert calls == {"delta_a_over_wb": 9, "delta_c1_over_wb": 7}
+
+    def test_e_n_column_is_math_log_value_by_value(self):
+        # np.log differs from math.log in the last bit of some values, and a
+        # sweep's E_N column must equal the lone point's formula bit for bit;
+        # a vacuum nu of 1/2 gives +0.0 (np.maximum would keep -0.0)
+        nu = np.random.default_rng(7).uniform(0.44, 0.51, size=(400, 3))
+        nu[0] = [0.5, np.nan, 0.5]
+        parsed = [(label, parse_pair(label)) for label in DEFAULT_PAIRS]
+        e_n = harness._reports(parsed, [None] * 400, nu=nu).e_n
+        expected = [[max(0.0, -math.log(2.0 * x)) for x in row] for row in nu[1:].tolist()]
+        assert e_n[1:].tolist() == expected
+        assert (np.maximum(0.0, -np.log(2.0 * nu[1:])) != expected).any()
+        assert e_n[0, 0] == 0.0 and math.copysign(1.0, e_n[0, 2]) == 1.0
+        assert math.isnan(e_n[0, 1])
+
+    @pytest.fixture(scope="class")
+    def mixed(self):
+        params = default_params(**MIXED_BASE)
+        return params, run_sweep(params, MIXED_SPEC, ("ab", "am", "c2b"))
+
+    def test_mixed_map_has_every_kind_of_row(self, mixed):
+        _, result = mixed
+        kinds = collections.Counter(
+            "error" if r.error else "stable" if r.stable else "unstable" for r in result.reports
+        )
+        assert kinds == {"stable": 18, "unstable": 3, "error": 14}
+
+    def test_every_report_equals_its_lone_evaluation(self, mixed):
+        params, result = mixed
+        for index, report in enumerate(result.reports):
+            point = _set_on_the_point(params, MIXED_SPEC, result, *divmod(index, 7))
+            if isinstance(point, str):
+                assert report.error == point and not report.stable
+                assert all(e.e_n is None for e in report.entanglement.values())
+            else:
+                assert report == evaluate_point(point, result.pairs)
+        assert list(result.reports) == [result.report_at(*divmod(k, 7)) for k in range(35)]
+
+    def test_csv_bytes_equal_the_row_by_row_writer(self, mixed, tmp_path):
+        _, result = mixed
+        path = tmp_path / "mixed.csv"
+        write_csv(result, path, reproducible=True)
+        lines = path.read_bytes().decode("ascii").split("\n")
+        assert lines[-1] == "" and lines[4:-1] == _reference_csv_rows(result)
+
+    def test_pgm_bytes_equal_the_report_by_report_heatmap(self, mixed, tmp_path):
+        _, result = mixed
+        values = np.array(
+            [r.entanglement["am"].e_n if r.stable else None for r in result.reports], dtype=float
+        ).reshape(5, 7).T
+        known = ~np.isnan(values)
+        pixels = np.zeros((7, 5), dtype=np.uint8)
+        lo, hi = values[known].min(), values[known].max()
+        pixels[known] = np.rint(255.0 * (values[known] - lo) / (hi - lo))
+        write_pgm(result, "am", tmp_path / "mixed.pgm")
+        assert (tmp_path / "mixed.pgm").read_bytes() == b"P5\n5 7\n255\n" + pixels.tobytes()
+
+
 class TestRunSweep:
     def test_report_at_rejects_indices_outside_the_grid(self):
+        # point k of the grid is the error row "k", so a report names its index
         def result(values2):
             n2 = 1 if values2 is None else len(values2)
+            rows = harness._reports([("ab", parse_pair("ab"))], [str(k) for k in range(3 * n2)])
             return harness.SweepResult(
                 params=default_params(), spec=None, pairs=("ab",),
-                values1=np.arange(3.0), values2=values2,
-                reports=list(range(3 * n2)),
+                values1=np.arange(3.0), values2=values2, reports=rows,
             )
 
+        def at(grid, *index):
+            return int(grid.report_at(*index).error)
+
         grid = result(np.arange(2.0))
-        assert [grid.report_at(i1, i2) for i1 in range(3) for i2 in range(2)] == list(
-            range(6)
-        )
+        assert [at(grid, i1, i2) for i1 in range(3) for i2 in range(2)] == list(range(6))
         for i1, i2 in ((0, 2), (-1, 0), (3, 0), (0, -1)):
             with pytest.raises(IndexError, match="3x2 grid"):
                 grid.report_at(i1, i2)
         line = result(None)
-        assert [line.report_at(i1) for i1 in range(3)] == [0, 1, 2]
+        assert [at(line, i1) for i1 in range(3)] == [0, 1, 2]
         for i1, i2 in ((0, 1), (3, 0), (-1, 0)):
             with pytest.raises(IndexError, match="3x1 grid"):
                 line.report_at(i1, i2)

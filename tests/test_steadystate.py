@@ -511,9 +511,10 @@ class TestFlowStack:
         a2, d2 = single_cavity(kappa=1.1, delta=0.9)
         unstable = np.array([[3.0, 1.0], [-1.0, 3.0]])
         rho = np.max(np.abs(np.linalg.eigvals(a1)))
+        a = np.array([a1, unstable, a1, a2])
         v, errors = steadystate.integrate_to_steady_state_stack(
-            np.array([a1, unstable, a1, a2]), np.array([d1, np.eye(2), d1, d2]),
-            np.ones(4), dt=np.array([0.05, 0.05, 0.2, 0.05]) / rho,
+            a, np.array([d1, np.eye(2), d1, d2]), np.ones(4), stability_stack(a, np.ones(4))[0],
+            dt=np.array([0.05, 0.05, 0.2, 0.05]) / rho,
         )
         assert errors[0] is None and errors[3] is None
         assert isinstance(errors[1], StabilityError)
@@ -524,8 +525,9 @@ class TestFlowStack:
 
     def test_a_point_past_its_horizon_fails_alone(self):
         a, d = single_cavity()
+        eigs = stability_stack(np.array([a, a]), np.ones(2))[0]
         v, errors = steadystate.integrate_to_steady_state_stack(
-            np.array([a, a]), np.array([d, d]), np.ones(2),
+            np.array([a, a]), np.array([d, d]), np.ones(2), eigs,
             np.array([0.5 * np.eye(2), 5.0 * np.eye(2)]), horizon=1e-3,
         )
         assert errors[0] is None
@@ -536,7 +538,9 @@ class TestFlowStack:
     def test_a_lone_point_builds_no_kronecker_operator(self):
         # an n^2 x n^2 operator of the 10x10 system alone takes 80 kB
         p, drift, diffusion = default_system()
-        args = drift.a[None], diffusion.d[None], np.array([p.omega_b])
+        scale = np.array([p.omega_b])
+        eigs = stability_stack(drift.a[None], scale)[0]
+        args = drift.a[None], diffusion.d[None], scale, eigs
         steadystate.integrate_to_steady_state_stack(*args)
         tracemalloc.start()
         try:
