@@ -13,7 +13,6 @@ from .dynamics import (
     DIM,
     DiffusionMatrix,
     DriftMatrix,
-    MODE_LABELS,
     StabilityReport,
     build_diffusion,
     build_drift,
@@ -95,7 +94,6 @@ __all__ = [
     "DomainError",
     "DriftMatrix",
     "EntanglementReport",
-    "MODE_LABELS",
     "Mode",
     "NumericalError",
     "OmmlabError",

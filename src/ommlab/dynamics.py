@@ -30,8 +30,6 @@ from .semiclassics import SemiclassicalState
 #: Phase-space dimension: five modes, two quadratures each.
 DIM = 10
 
-MODE_LABELS = ("atom", "cavity1", "cavity2", "phonon", "magnon")
-
 
 @dataclass(frozen=True)
 class DriftMatrix:
@@ -88,8 +86,8 @@ class StabilityReport:
 
 # Entry (i, j) of the drift is sign(k) times term |k| of drift_stack, for k the entry
 # below. The terms: 0 is zero, then the ten parameters it reads first, the shifted
-# detunings, and |G| cos and |G| sin of the rotated phase of each coupling. Row p
-# holds the backaction as g_c_backaction = "y_quadrature" places it.
+# detunings, and |G| cos and |G| sin of the phase of each coupling. Row p holds the
+# backaction where the quadratic interaction Hamiltonian places it.
 _KA, _K1, _K2, _KM, _DA, _D1, _WB, _GB, _G1, _G2 = range(1, 11)
 _D2, _DM, _GCC, _GMC, _GCS, _GMS = range(11, 17)
 _DRIFT_LAYOUT = np.array([
@@ -112,30 +110,22 @@ def drift_stack(params_list: Points, states: Sequence[SemiclassicalState]) -> np
     """The 10x10 drift matrices of a stack of working points, (N, 10, 10).
 
     The atom and cavity-1 blocks rotate at the bare detunings; cavity 2 and
-    the magnon rotate at the shifted detunings carried by each state.
-    Coupling phases rotate the quadratures the mechanical element talks to:
-    the drive column picks up (cos, sin) of theta + arg(G), with arg(0) = 0,
-    and the backaction row is placed per ``g_c_backaction`` (see
-    SystemParams).
+    the magnon rotate at the shifted detunings carried by each state. The
+    column and row each coupling G gives the mechanical element hold |G| cos
+    and |G| sin of arg(G), with arg(0) = 0: a table fill, see _DRIFT_LAYOUT.
     """
     fields = columns(
         params_list, "kappa_a", "kappa_c1", "kappa_c2", "kappa_m", "delta_a", "delta_c1",
-        "omega_b", "gamma_b", "g_n1", "g_n2", "theta_c", "theta_m",
+        "omega_b", "gamma_b", "g_n1", "g_n2",
     )
     state = columns(states, "delta_c2_eff", "delta_m_eff", "g_c_eff", "g_mb_eff")
     g_eff = state[2:]
     g = np.hypot(g_eff.real, g_eff.imag)
-    theta = fields[10:] + np.where(g == 0.0, 0.0, np.arctan2(g_eff.imag, g_eff.real))
-    g_cos, g_sin = g * np.cos(theta), g * np.sin(theta)
-    terms = np.concatenate([np.zeros_like(g[:1]), fields[:10], state[:2].real, g_cos, g_sin])
-    a = terms.T[:, _DRIFT_TERM] * _DRIFT_SIGN
-    # the x_quadrature placement puts the backaction on the driven quadrature
-    (backaction,) = columns(params_list, "g_c_backaction").tolist()
-    x_backaction = [b == "x_quadrature" for b in backaction]
-    if any(x_backaction):
-        a[x_backaction, 7, 4] = -g_cos[0, x_backaction]
-        a[x_backaction, 7, 5] = -g_sin[0, x_backaction]
-    return a
+    phase = np.where(g == 0.0, 0.0, np.arctan2(g_eff.imag, g_eff.real))
+    terms = np.concatenate(
+        [np.zeros_like(g[:1]), fields, state[:2].real, g * np.cos(phase), g * np.sin(phase)]
+    )
+    return terms.T[:, _DRIFT_TERM] * _DRIFT_SIGN
 
 
 def build_drift(params: SystemParams, state: SemiclassicalState) -> DriftMatrix:
@@ -229,7 +219,6 @@ __all__ = [
     "DIM",
     "DiffusionMatrix",
     "DriftMatrix",
-    "MODE_LABELS",
     "StabilityReport",
     "build_diffusion",
     "build_drift",

@@ -25,7 +25,6 @@ with one block in it.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
@@ -75,32 +74,17 @@ _MODE_ROWS = {
     Mode.MAGNON: (8, 9),
 }
 
-#: Abbreviations sorted longest first so "c2b" tokenizes as ("c2", "b").
-_ABBREV_ORDER = ("c1", "c2", "a", "b", "m")
-_ABBREV_TO_MODE = {mode.value: mode for mode in Mode}
+#: Every pair label, the abbreviations of two distinct modes ("c2b" is cavity 2
+#: and the phonon), with its modes: a label parses in one lookup.
+_PAIRS = {m1.value + m2.value: (m1, m2) for m1 in Mode for m2 in Mode if m1 is not m2}
 
 
-@functools.lru_cache(maxsize=None)
 def parse_pair(label: str) -> tuple[Mode, Mode]:
-    """Parse a pair label like "am" or "c2b" into two distinct modes (memoized:
-    every point parses its pairs)."""
-    if not isinstance(label, str) or not label:
-        raise DomainError(f"pair label must be a non-empty string, got {label!r}")
-    modes: list[Mode] = []
-    rest = label
-    while rest:
-        for abbrev in _ABBREV_ORDER:
-            if rest.startswith(abbrev):
-                modes.append(_ABBREV_TO_MODE[abbrev])
-                rest = rest[len(abbrev):]
-                break
-        else:
-            raise DomainError(f"cannot parse pair label {label!r}")
-    if len(modes) != 2:
-        raise DomainError(f"pair label {label!r} must name exactly two modes")
-    if modes[0] is modes[1]:
-        raise DomainError(f"pair label {label!r} names the same mode twice")
-    return modes[0], modes[1]
+    """Parse a pair label like "am" or "c2b" into two distinct modes."""
+    if not isinstance(label, str) or label not in _PAIRS:
+        modes = ", ".join(mode.value for mode in Mode)
+        raise DomainError(f"pair label {label!r} must name two distinct modes of {modes}")
+    return _PAIRS[label]
 
 
 def pair_label(pair: tuple[Mode, Mode]) -> str:

@@ -28,6 +28,7 @@ results come back as :class:`Reports` columns, which the writers read.
 from __future__ import annotations
 
 import json
+import operator
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -237,11 +238,13 @@ def _parse_axis(raw: Any, which: str) -> Axis:
 
 
 def _parse_pairs(raw: Any) -> _Parsed:
-    """(label, modes) of each pair in ``raw``, a non-empty list of distinct labels."""
-    if not isinstance(raw, (list, tuple)) or not raw:
+    """(label, modes) of each pair in ``raw``, a non-empty list of distinct labels
+    (or from the library any iterable of them that is not a string)."""
+    labels = () if isinstance(raw, (str, Mapping)) or not isinstance(raw, Iterable) else tuple(raw)
+    if not labels:
         raise ConfigError("pairs must be a non-empty list of labels")
     parsed: _Parsed = []
-    for item in raw:
+    for item in labels:
         if not isinstance(item, str):
             raise ConfigError(f"pair label must be a string, got {item!r}")
         try:
@@ -455,7 +458,7 @@ def evaluate_point(
     reported in the ``error`` field rather than raised, so sweeps keep going.
     The point is a chunk of one, evaluated exactly as a sweep evaluates it.
     """
-    return _evaluate_chunk([params], _parse_pairs(tuple(pairs)), oracle=oracle)[0]
+    return _evaluate_chunk([params], _parse_pairs(pairs), oracle=oracle)[0]
 
 
 def run_sweep(
@@ -479,10 +482,13 @@ def run_sweep(
     results are merged in chunk order, which makes the output independent of
     scheduling. The default is one thread and no pool.
     """
+    try:
+        threads = operator.index(threads)
+    except TypeError:
+        raise DomainError(f"threads must be an integer, got {threads!r}") from None
     if threads < 1:
         raise DomainError("threads must be at least 1")
-    pair_tuple = tuple(pairs)
-    parsed = _parse_pairs(pair_tuple)
+    parsed = _parse_pairs(pairs)
     values1 = spec.axis1.values()
     values2 = None if spec.axis2 is None else spec.axis2.values()
     n2 = 1 if values2 is None else len(values2)
@@ -518,7 +524,8 @@ def run_sweep(
             solved = list(pool.map(work, chunks))
     rows = [*solved, _reports(parsed, error[failed])]
     return SweepResult(
-        params=params, spec=spec, pairs=pair_tuple, values1=values1, values2=values2,
+        params=params, spec=spec, pairs=tuple(label for label, _ in parsed),
+        values1=values1, values2=values2,
         reports=_joined(rows, np.argsort(np.concatenate([*chunks, failed]))),
     )
 
@@ -526,6 +533,14 @@ def run_sweep(
 # ---------------------------------------------------------------------------
 # artifacts
 # ---------------------------------------------------------------------------
+
+
+def _write(path: str | Path, data: bytes) -> None:
+    """Write ``data`` to ``path``; an OSError becomes an :class:`OmmlabError`."""
+    try:
+        Path(path).write_bytes(data)
+    except OSError as exc:
+        raise OmmlabError(f"cannot write {path}: {exc}") from exc
 
 
 def _fmt(values: np.ndarray) -> list[str]:
@@ -578,7 +593,7 @@ def write_csv(
     cells.append(_fmt(table.efficiency))
     lines += map(",".join, zip(*cells))
 
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
+    _write(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
 def write_pgm(result: SweepResult, pair: str, path: str | Path) -> None:
@@ -605,7 +620,7 @@ def write_pgm(result: SweepResult, pair: str, path: str | Path) -> None:
             pixels[known] = np.rint(255.0 * (values[known] - vmin) / (vmax - vmin))
 
     header = f"P5\n{width} {height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + pixels.tobytes())
+    _write(path, header + pixels.tobytes())
 
 
 __all__ = [

@@ -42,10 +42,10 @@ class Param:
     ``unit`` says how a config value becomes a field value: ``"hz"`` is a
     rate in Hz stored in rad/s (times 2 pi), ``"wb"`` a multiple of the
     mechanical frequency omega_b, and None keeps the value as is (SI units,
-    kelvin, radians, strings and flags). ``kind`` is the config value's type.
+    kelvin, strings and flags). ``kind`` is the config value's type.
     ``rule`` is the field's domain check in :class:`SystemParams`:
-    ``"positive"``, ``"non_negative"`` (both also finite), ``"finite"``, a
-    tuple of the allowed values, or None. A ``nullable`` key may be null; a
+    ``"positive"``, ``"non_negative"`` (both also finite), a tuple of the
+    allowed values, or None. A ``nullable`` key may be null; a
     ``sweepable`` one may name a sweep axis.
     """
 
@@ -101,10 +101,6 @@ PARAM_TABLE: tuple[Param, ...] = (
     Param("rho_spin_m3", "rho_spin", 4.22e27, None, float, "positive"),
     Param("coupling_mode", "coupling_mode", "direct", None, str, ("direct", "derived")),
     Param("delta_c2_sign", "delta_c2_sign", -1.0, None, float, (1.0, -1.0)),
-    Param("g_c_backaction", "g_c_backaction", "y_quadrature", None, str,
-          ("y_quadrature", "x_quadrature")),
-    Param("theta_c_rad", "theta_c", 0.0, None, float, "finite"),
-    Param("theta_m_rad", "theta_m", 0.0, None, float, "finite"),
     Param("eq9_verbatim", "eq9_verbatim", False, None, bool, None),
 )
 
@@ -113,7 +109,6 @@ PARAM_TABLE: tuple[Param, ...] = (
 # fields are gathered here once rather than looked up row by row.
 _POSITIVE = tuple(p.field for p in PARAM_TABLE if p.rule == "positive")
 _NON_NEGATIVE = tuple(p.field for p in PARAM_TABLE if p.rule == "non_negative")
-_FINITE = tuple(p.field for p in PARAM_TABLE if p.rule == "finite")
 _CHOICES = tuple((p.field, p.rule) for p in PARAM_TABLE if isinstance(p.rule, tuple))
 _NULLABLE = frozenset(p.field for p in PARAM_TABLE if p.nullable)
 
@@ -127,24 +122,15 @@ class SystemParams:
     ``coupling_mode == "derived"``; in direct mode they ride along as
     metadata.
 
-    Convention knobs:
-
-    delta_c2_sign
-        Sign applied to ``delta_c2`` before the radiation-pressure shift.
-        Quoted operating points for this system state the driven cavity's
-        detuning in the opposite sense to the Langevin convention used by the
-        drift builder; the default -1.0 maps the quoted red-detuned values
-        onto the cooling branch that produces the reported entanglement.
-        Set +1.0 to read delta_c2 in the same sense as the other detunings.
-    g_c_backaction
-        Which cavity quadrature the mechanical backaction row couples to.
-        "y_quadrature" (default) is the placement generated by the quadratic
-        interaction Hamiltonian and keeps the dynamics symplectic;
-        "x_quadrature" places the backaction on the driven quadrature itself,
-        which no Hamiltonian generates but is retained for convention studies.
-    theta_c, theta_m
-        Extra quadrature-rotation angles applied to the cavity-2 and magnon
-        coupling phases inside the drift builder.
+    One sign convention is configurable, ``delta_c2_sign``: the sign applied
+    to ``delta_c2`` before the radiation-pressure shift. Quoted operating
+    points for this system state the driven cavity's detuning in the
+    opposite sense to the Langevin convention used by the drift builder; the
+    default -1.0 maps the quoted red-detuned values onto the cooling branch
+    that produces the reported entanglement. Set +1.0 to read delta_c2 in the
+    same sense as the other detunings. Where the backaction enters the drift
+    and the coupling phases are fixed by the interaction Hamiltonian, not
+    configured (docs/drift_conventions.md).
     """
 
     omega_m: float
@@ -172,9 +158,6 @@ class SystemParams:
     rho_spin: float
     coupling_mode: str
     delta_c2_sign: float
-    g_c_backaction: str
-    theta_c: float
-    theta_m: float
     eq9_verbatim: bool
 
     def __post_init__(self) -> None:
@@ -186,9 +169,6 @@ class SystemParams:
             value = values[name]
             if not (0.0 <= value < math.inf if value is not None else name in _NULLABLE):
                 raise DomainError(f"{name} must be finite and non-negative")
-        for name in _FINITE:
-            if not math.isfinite(values[name]):
-                raise DomainError(f"{name} must be finite")
         for name, allowed in _CHOICES:
             if values[name] not in allowed:
                 raise DomainError(

@@ -210,6 +210,27 @@ class TestSweep:
         assert f"wrote {pgm}" in out
         assert pgm.read_bytes().startswith(b"P5\n3 2\n255\n")
 
+    def test_unwritable_csv_path_fails_cleanly(self, capsys, tmp_path):
+        config = self.sweep_config(tmp_path)
+        out_path = tmp_path / "missing" / "map.csv"
+        rc, _, err = run_cli(capsys, "sweep", "--config", str(config), "--out", str(out_path))
+        assert rc == 1
+        assert err.startswith(f"error: cannot write {out_path}: ")
+        assert err.count("\n") == 1
+
+    def test_unwritable_heatmap_path_fails_cleanly(self, capsys, tmp_path):
+        config = self.sweep_config(tmp_path)
+        out_path = tmp_path / "map.csv"
+        (tmp_path / "map.ab.pgm").mkdir()  # a directory where the heatmap goes
+        rc, out, err = run_cli(
+            capsys, "sweep", "--config", str(config), "--out", str(out_path),
+            "--heatmap", "ab",
+        )
+        assert rc == 1
+        assert f"wrote {out_path} (6 points)" in out
+        assert err.startswith(f"error: cannot write {tmp_path / 'map.ab.pgm'}: ")
+        assert err.count("\n") == 1
+
     def test_default_runs_no_pool(self, capsys, tmp_path):
         config = self.sweep_config(tmp_path)
         with mock.patch.object(harness, "ThreadPoolExecutor") as pool:

@@ -54,7 +54,7 @@ class TestPairLabels:
         assert parse_pair(label) == modes
         assert pair_label(modes) == label
 
-    @pytest.mark.parametrize("bad", ["", "a", "abm", "ax", "aa", "c2c2", 3])
+    @pytest.mark.parametrize("bad", ["", "a", "abm", "ax", "aa", "c2c2", 3, ["a", "b"]])
     def test_rejects_malformed_labels(self, bad):
         with pytest.raises(DomainError):
             parse_pair(bad)

@@ -181,14 +181,22 @@ class TestLoadConfig:
             load_config(path)
 
     @pytest.mark.parametrize(
-        "pairs, message", [((), "non-empty"), (("ab", "ab"), "duplicate"), (("ax",), "pair")]
+        "pairs, message",
+        [
+            ((), "non-empty"), (("ab", "ab"), "duplicate"), (("ax",), "pair"),
+            ("ab", "non-empty list"),  # a string is not a list of labels
+        ],
     )
     def test_evaluate_point_checks_pairs_as_a_config_does(self, pairs, message):
         with pytest.raises(ConfigError, match=message):
             evaluate_point(default_params(), pairs=pairs)
 
     @pytest.mark.parametrize(
-        "pairs, message", [([], "non-empty"), (["am", "am"], "duplicate"), (["ax"], "pair")]
+        "pairs, message",
+        [
+            ([], "non-empty"), (["am", "am"], "duplicate"), (["ax"], "pair"),
+            ("am", "non-empty list"),  # a string is not a list of labels
+        ],
     )
     def test_run_sweep_checks_pairs_as_a_config_does(self, pairs, message):
         spec = SweepSpec(Axis("T", 0.01, 0.02, 2))
@@ -925,6 +933,14 @@ class TestRunSweep:
         spec = SweepSpec(axis1=Axis(name="T", start=0.001, stop=0.01, count=2))
         with pytest.raises(DomainError):
             run_sweep(default_params(), spec, threads=0)
+
+    def test_threads_must_be_an_integer(self):
+        spec = SweepSpec(axis1=Axis(name="T", start=0.001, stop=0.01, count=2))
+        for threads in ("2", 2.5, None):
+            with pytest.raises(DomainError, match="threads must be an integer"):
+                run_sweep(default_params(), spec, threads=threads)
+        # any integer type will do
+        assert len(run_sweep(default_params(), spec, threads=np.int64(2)).reports) == 2
 
     def test_fine_grids_agree_on_the_best_operating_point(self):
         # the location of the strongest atom-magnon entanglement should not

@@ -218,6 +218,13 @@ class TestConfigIngestion:
         with pytest.raises(ConfigError, match="^unknown config keys: p_microwave_w$"):
             default_params(p_microwave_w=1.44e-3)
 
+    @pytest.mark.parametrize("key", ["g_c_backaction", "theta_c_rad", "theta_m_rad"])
+    def test_removed_convention_key_is_rejected_by_name(self, key):
+        # the backaction placement and the coupling phases are fixed by the
+        # interaction Hamiltonian (docs/drift_conventions.md)
+        with pytest.raises(ConfigError, match=f"^unknown config keys: {key}$"):
+            default_params(**{key: 0.0})
+
     def test_negative_temperature_rejected(self):
         with pytest.raises(ConfigError, match="temperature"):
             default_params(T=-0.01)
@@ -234,11 +241,6 @@ class TestConfigIngestion:
         assert default_params(delta_c2_sign=1.0).delta_c2_sign == 1.0
         with pytest.raises(ConfigError):
             default_params(delta_c2_sign=0.5)
-
-    def test_backaction_placement_enum(self):
-        assert default_params(g_c_backaction="x_quadrature").g_c_backaction == "x_quadrature"
-        with pytest.raises(ConfigError):
-            default_params(g_c_backaction="z_quadrature")
 
     def test_eq9_verbatim_must_be_bool(self):
         with pytest.raises(ConfigError, match="eq9_verbatim"):
@@ -271,7 +273,7 @@ class TestConfigIngestion:
         assert via_mapping == via_kwargs
 
     def test_snapshot_round_trips(self):
-        p = default_params(delta_c2_over_wb=-1.1, T=0.123, theta_c_rad=0.4)
+        p = default_params(delta_c2_over_wb=-1.1, T=0.123)
         snap = config_snapshot(p)
         assert set(snap) == set(DEFAULT_CONFIG)
         q = params_from_mapping(snap)
@@ -415,11 +417,11 @@ class TestParamTable:
         "param", [p for p in PARAM_TABLE if p.rule is not None], ids=lambda p: p.key
     )
     def test_domain_rule_rejects_by_name(self, param):
-        bad = {"positive": 0.0, "non_negative": -1.0, "finite": float("inf")}
+        bad = {"positive": 0.0, "non_negative": -1.0}
         value = bad.get(param.rule, "bogus" if param.kind is str else 0.5)
         with pytest.raises(ConfigError, match=f"{param.key}|{param.field}"):
             default_params(**{param.key: value})
-        if param.rule in ("finite", "positive", "non_negative"):
+        if param.rule in ("positive", "non_negative"):
             # the config parser stops inf first; the field rule catches it too
             with pytest.raises(DomainError, match=param.field):
                 dataclasses.replace(default_params(), **{param.field: float("inf")})
