@@ -13,22 +13,16 @@ from .dynamics import (
     DIM,
     DiffusionMatrix,
     DriftMatrix,
-    StabilityReport,
     build_diffusion,
     build_drift,
-    stability,
 )
 from .entanglement import (
     EntanglementReport,
     Mode,
-    log_negativity,
     nu_minus_via_partial_transpose,
-    pair_label,
     parse_pair,
     random_two_mode_covariance,
-    symplectic_nu_minus,
     transformation_efficiency,
-    two_mode_block,
 )
 from .errors import (
     ConfigError,
@@ -73,7 +67,6 @@ from .semiclassics import (
 )
 from .steadystate import (
     CovarianceMatrix,
-    integrate_to_steady_state,
     physicality_margin,
     solve_lyapunov,
     symplectic_form,
@@ -101,7 +94,6 @@ __all__ = [
     "RunConfig",
     "SemiclassicalState",
     "StabilityError",
-    "StabilityReport",
     "SweepResult",
     "SweepSpec",
     "SystemParams",
@@ -113,14 +105,11 @@ __all__ = [
     "default_params",
     "effective_couplings",
     "evaluate_point",
-    "integrate_to_steady_state",
     "laser_drive_strength",
     "load_config",
-    "log_negativity",
     "magnon_average",
     "mechanical_displacement",
     "nu_minus_via_partial_transpose",
-    "pair_label",
     "params_from_mapping",
     "parse_pair",
     "physicality_margin",
@@ -129,12 +118,9 @@ __all__ = [
     "run_sweep",
     "solve_lyapunov",
     "solve_semiclassics",
-    "stability",
     "symplectic_form",
-    "symplectic_nu_minus",
     "thermal_occupation",
     "transformation_efficiency",
-    "two_mode_block",
     "write_csv",
     "write_pgm",
 ]

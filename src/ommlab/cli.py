@@ -17,16 +17,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import build_diffusion, build_drift
 from .entanglement import (
-    log_negativity,
+    _e_n,
+    nu_minus_stack,
     nu_minus_via_partial_transpose,
     random_two_mode_covariance,
-    symplectic_nu_minus,
 )
 from .errors import OmmlabError
 from .harness import (
     VERSION,
+    _check_heatmap,
     _working_points,
     evaluate_point,
     load_config,
@@ -35,8 +35,7 @@ from .harness import (
     write_pgm,
 )
 from .model import TWO_PI
-from .semiclassics import solve_semiclassics
-from .steadystate import physicality_margin, solve_lyapunov
+from .steadystate import physicality_margin, solve_lyapunov, solve_lyapunov_stack
 
 
 def _fmt(value: float | None) -> str:
@@ -69,6 +68,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if config.sweep is None:
         print("error: the config has no sweep block", file=sys.stderr)
         return 1
+    # every output is checked before the grid is solved
+    for pair in args.heatmap or []:
+        _check_heatmap(config.sweep.axis2 is not None, config.pairs, pair)
+    out_dir = Path(args.out).parent
+    if not out_dir.is_dir():
+        raise OmmlabError(f"cannot write {args.out}: {out_dir} is not a directory")
     result = run_sweep(
         config.params,
         config.sweep,
@@ -135,19 +140,24 @@ def _cmd_selftest(_args: argparse.Namespace) -> int:
         [[ch * np.eye(2), sh * np.diag([1.0, -1.0])],
          [sh * np.diag([1.0, -1.0]), ch * np.eye(2)]]
     )
-    e_n = log_negativity(tms)
-    check("two-mode-squeezed-EN", abs(e_n - 2 * r) < 1e-9, f"E_N {e_n:.12f}")
+    nu, errors = nu_minus_stack(np.array([tms, 0.5 * np.eye(4)]))
+    e_n = _e_n(nu[0])
+    ok = errors[0] is None and abs(e_n - 2 * r) < 1e-9
+    check("two-mode-squeezed-EN", ok, f"E_N {e_n:.12f}")
 
     # vacuum is separable
-    check("vacuum-EN-zero", log_negativity(0.5 * np.eye(4)) == 0.0)
+    check("vacuum-EN-zero", errors[1] is None and _e_n(nu[1]) == 0.0)
 
     # closed form vs eigenvalue route on random states
     rng = np.random.default_rng(20260825)
-    worst = 0.0
-    for _ in range(50):
-        v0 = random_two_mode_covariance(rng)
-        worst = max(worst, abs(symplectic_nu_minus(v0) - nu_minus_via_partial_transpose(v0)))
-    check("nu-minus-cross-check", worst < 1e-10, f"worst |delta nu| {worst:.3e}")
+    blocks = np.array([random_two_mode_covariance(rng) for _ in range(50)])
+    nu, errors = nu_minus_stack(blocks)
+    spectral = np.array([nu_minus_via_partial_transpose(v0) for v0 in blocks])
+    worst = float(np.max(np.abs(nu - spectral)))
+    check(
+        "nu-minus-cross-check", all(e is None for e in errors) and worst < 1e-10,
+        f"worst |delta nu| {worst:.3e}",
+    )
 
     # default operating point: stable, physical, deterministic
     try:
@@ -160,11 +170,11 @@ def _cmd_selftest(_args: argparse.Namespace) -> int:
             for k in config.pairs
         )
         check("default-point-deterministic", same)
-        state = solve_semiclassics(config.params)
-        drift = build_drift(config.params, state)
-        diffusion = build_diffusion(config.params)
-        cov = solve_lyapunov(drift, diffusion, scale=config.params.omega_b)
-        margin = physicality_margin(cov)
+        # V of the branch evaluate_point keeps, from stage 1 of the harness
+        scale, d, _, a, eigs, vecs, _ = _working_points([config.params])
+        v, errors = solve_lyapunov_stack(a, d, scale, eigs, vecs)
+        stable = first.stable and errors[0] is None
+        margin = physicality_margin(v[0]) if stable else -math.inf
         check("default-point-physical", margin >= -1e-8, f"min eig {margin:.3e}")
     except OmmlabError as exc:
         check("default-point-stable", False, str(exc))

@@ -13,7 +13,7 @@ and the steady-state covariance solves A V + V A^T + D = 0.
 
 Sweeps build and classify (N, 10, 10) stacks a chunk at a time with
 :func:`drift_stack`, :func:`diffusion_stack` and :func:`stability_stack`;
-:func:`build_drift`, :func:`build_diffusion` and :func:`stability` are stacks of one.
+:func:`build_drift` and :func:`build_diffusion` are stacks of one.
 """
 
 from __future__ import annotations
@@ -58,30 +58,6 @@ class DiffusionMatrix:
         if self.d.shape != (DIM, DIM):
             raise DomainError(f"diffusion matrix must be {DIM}x{DIM}")
         self.d.setflags(write=False)
-
-    @property
-    def diagonal(self) -> np.ndarray:
-        return np.diagonal(self.d)
-
-
-@dataclass(frozen=True)
-class StabilityReport:
-    """Eigenvalues of the drift and the verdict they imply.
-
-    Asymptotic stability requires every eigenvalue to sit strictly in the
-    left half plane. ``margin`` is -max(Re), positive when stable.
-    ``eigenvectors`` holds the right eigenvectors as columns, in the order of
-    ``eigenvalues``; the steady-state solve works in that basis.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    max_real: float
-    stable: bool
-
-    @property
-    def margin(self) -> float:
-        return -self.max_real
 
 
 # Entry (i, j) of the drift is sign(k) times term |k| of drift_stack, for k the entry
@@ -159,17 +135,6 @@ def build_diffusion(params: SystemParams) -> DiffusionMatrix:
     return DiffusionMatrix(d=diffusion_stack([params])[0])
 
 
-def _as_matrix(a: DriftMatrix | np.ndarray) -> tuple[np.ndarray, float]:
-    """Unwrap a drift argument into (array, natural scale)."""
-    if isinstance(a, DriftMatrix):
-        return a.a, a.omega_b
-    arr = np.asarray(a, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DomainError("drift must be a square matrix")
-    scale = float(np.max(np.abs(arr)))
-    return arr, scale if scale > 0.0 else 1.0
-
-
 def stability_stack(
     a: np.ndarray, scale: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -178,10 +143,12 @@ def stability_stack(
     Each matrix is divided by its own entry of ``scale`` (shape (N,)) to keep
     the problem well conditioned; LAPACK dgeev with vectors runs on each
     (numpy loops over the stack), and the eigenvalues are scaled back. Every
-    row is sorted by real part, then imaginary part, exactly as
-    :func:`stability` sorts one matrix. Returns the eigenvalues (N, n), the
-    right eigenvectors as columns (N, n, n) in that order, and max Re (N,).
-    Raises :class:`NumericalError` when the eigensolve fails for the stack.
+    row is sorted by real part, then imaginary part, so results are
+    deterministic. Returns the eigenvalues (N, n), the right eigenvectors as
+    columns (N, n, n) in that order, and max Re (N,): a drift is
+    asymptotically stable when its max Re is strictly negative, and -max Re
+    is its stability margin. Raises :class:`NumericalError` when the
+    eigensolve fails for the stack.
     """
     try:
         eigs, vecs = np.linalg.eig(a / scale[:, None, None])
@@ -194,36 +161,13 @@ def stability_stack(
     return eigs, vecs, eigs.real.max(axis=-1)
 
 
-def stability(a: DriftMatrix | np.ndarray) -> StabilityReport:
-    """Classify a drift matrix by its spectrum.
-
-    Eigenvalues and right eigenvectors come from one call of the QR algorithm
-    on the balanced Hessenberg form (LAPACK dgeev with vectors), computed on
-    the matrix scaled by its natural frequency to keep the problem well
-    conditioned; the eigenvalues are scaled back to rad/s. Both are returned
-    sorted by real part, then imaginary part, so reports are deterministic.
-    This is :func:`stability_stack` on a stack of one.
-    """
-    arr, scale = _as_matrix(a)
-    eigs, vecs, max_real = stability_stack(arr[None], np.array([scale]))
-    eigs, vecs = eigs[0], vecs[0]
-    eigs.setflags(write=False)
-    vecs.setflags(write=False)
-    max_real = float(max_real[0])
-    return StabilityReport(
-        eigenvalues=eigs, eigenvectors=vecs, max_real=max_real, stable=max_real < 0.0
-    )
-
-
 __all__ = [
     "DIM",
     "DiffusionMatrix",
     "DriftMatrix",
-    "StabilityReport",
     "build_diffusion",
     "build_drift",
     "diffusion_stack",
     "drift_stack",
-    "stability",
     "stability_stack",
 ]

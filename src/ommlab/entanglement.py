@@ -18,8 +18,7 @@ closed form loses half its digits.
 
 :func:`nu_minus_stack` evaluates the closed form over an (N, 4, 4) stack of
 blocks, with the clamps and the spectral route decided for each block on its
-own; :func:`symplectic_nu_minus` and :func:`log_negativity` are that stack
-with one block in it.
+own.
 """
 
 from __future__ import annotations
@@ -31,12 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError, OmmlabError
-from .steadystate import (
-    CovarianceMatrix,
-    _asymmetric,
-    _require_symmetric,
-    symplectic_form,
-)
+from .steadystate import _asymmetric, _require_symmetric, symplectic_form
 
 #: Tolerance scale for the radicand and inner-argument clamps: tiny negative
 #: values are roundoff and clamp to zero, anything worse is an error.
@@ -87,31 +81,6 @@ def parse_pair(label: str) -> tuple[Mode, Mode]:
     return _PAIRS[label]
 
 
-def pair_label(pair: tuple[Mode, Mode]) -> str:
-    return pair[0].value + pair[1].value
-
-
-def two_mode_block(
-    v: CovarianceMatrix | np.ndarray, mode1: Mode, mode2: Mode
-) -> np.ndarray:
-    """Extract the 4x4 covariance block of two distinct modes."""
-    if mode1 is mode2:
-        raise DomainError("two_mode_block needs two distinct modes")
-    arr = v.v if isinstance(v, CovarianceMatrix) else np.asarray(v, dtype=float)
-    if arr.shape != (10, 10):
-        raise DomainError("expected the full 10x10 covariance")
-    rows = mode1.rows + mode2.rows
-    return arr[np.ix_(rows, rows)].copy()
-
-
-def _check_two_mode(v0: np.ndarray) -> np.ndarray:
-    arr = np.asarray(v0, dtype=float)
-    if arr.shape != (4, 4):
-        raise DomainError("expected a 4x4 two-mode covariance")
-    _require_symmetric(arr, "two-mode covariance")
-    return arr
-
-
 def _det2(b: np.ndarray) -> np.ndarray:
     """Determinant of each 2x2 matrix in a stack."""
     return b[..., 0, 0] * b[..., 1, 1] - b[..., 0, 1] * b[..., 1, 0]
@@ -120,12 +89,16 @@ def _det2(b: np.ndarray) -> np.ndarray:
 def nu_minus_stack(blocks: np.ndarray) -> tuple[np.ndarray, list[OmmlabError | None]]:
     """Smaller symplectic eigenvalue of each partially transposed block.
 
-    ``blocks`` is an (N, 4, 4) stack of two-mode covariances. Each block is
-    checked and evaluated as :func:`symplectic_nu_minus` evaluates one: its
-    symmetry, the radicand and inner-argument clamps, the spectral route at a
-    nearly degenerate symplectic spectrum, and a vanishing nu_-. Returns nu_-
-    (N,), undefined where a block failed, and per block the error it raises,
-    or None.
+    ``blocks`` is an (N, 4, 4) stack of two-mode covariances, each checked
+    for symmetry and evaluated through the determinant closed form on its
+    own. The radicand and the inner argument are clamped at zero when they
+    dip below it by roundoff; dips beyond 1e-12 (relative to the natural
+    square scale of the block) mean the input was not a physical covariance
+    and fail the block. At a nearly degenerate symplectic spectrum (radicand
+    below 1e-6 Sigma^2) the closed form loses half its digits, and
+    :func:`nu_minus_via_partial_transpose` supplies nu_- instead. A vanishing
+    nu_- fails its block too. Returns nu_- (N,), undefined where a block
+    failed, and per block the error it raises, or None.
     """
     # the determinants of the four 2x2 blocks of each, [n, I, J] of block (I, J)
     det = _det2(blocks.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4))
@@ -169,23 +142,6 @@ def nu_minus_stack(blocks: np.ndarray) -> tuple[np.ndarray, list[OmmlabError | N
     return nu, errors
 
 
-def symplectic_nu_minus(v0: np.ndarray) -> float:
-    """Smaller symplectic eigenvalue of the partially transposed state.
-
-    Evaluated through the determinant closed form. The radicand and the inner
-    argument are clamped at zero when they dip below it by roundoff; dips
-    beyond 1e-12 (relative to the natural square scale of the matrix) mean
-    the input was not a physical covariance and raise instead. At a nearly
-    degenerate symplectic spectrum (radicand below 1e-6 Sigma^2) the closed
-    form loses half its digits, and :func:`nu_minus_via_partial_transpose`
-    supplies nu_- instead. This is :func:`nu_minus_stack` on a stack of one.
-    """
-    nu, errors = nu_minus_stack(_check_two_mode(v0)[None])
-    if errors[0] is not None:
-        raise errors[0]
-    return float(nu[0])
-
-
 def nu_minus_via_partial_transpose(v0: np.ndarray) -> float:
     """Same quantity via the spectrum of i Omega V-tilde; independent path.
 
@@ -193,7 +149,10 @@ def nu_minus_via_partial_transpose(v0: np.ndarray) -> float:
     V-tilde = P V0 P with P = diag(1, 1, 1, -1); the symplectic spectrum is
     |eig(i Omega V-tilde)|.
     """
-    arr = _check_two_mode(v0)
+    arr = np.asarray(v0, dtype=float)
+    if arr.shape != (4, 4):
+        raise DomainError("expected a 4x4 two-mode covariance")
+    _require_symmetric(arr, "two-mode covariance")
     p = np.diag([1.0, 1.0, 1.0, -1.0])
     v_tilde = p @ arr @ p
     omega = symplectic_form(2)
@@ -202,23 +161,6 @@ def nu_minus_via_partial_transpose(v0: np.ndarray) -> float:
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolve failed: {exc}") from exc
     return float(np.min(np.abs(eigs)))
-
-
-def log_negativity(
-    v: CovarianceMatrix | np.ndarray, pair: tuple[Mode, Mode] | None = None
-) -> float:
-    """Logarithmic negativity E_N = max(0, -ln 2 nu) of a bipartition.
-
-    Accepts either a 4x4 two-mode covariance directly, or the full 10x10
-    covariance together with the pair of modes to reduce to.
-    """
-    if pair is not None:
-        block = two_mode_block(v, pair[0], pair[1])
-    else:
-        block = v.v if isinstance(v, CovarianceMatrix) else np.asarray(v, dtype=float)
-        if block.shape == (10, 10):
-            raise DomainError("a 10x10 covariance needs an explicit mode pair")
-    return _e_n(symplectic_nu_minus(block))
 
 
 def _e_n(nu: float) -> float:
@@ -291,13 +233,9 @@ def transformation_efficiency(e_ab: float, e_am: float) -> float | None:
 __all__ = [
     "EntanglementReport",
     "Mode",
-    "log_negativity",
     "nu_minus_stack",
     "nu_minus_via_partial_transpose",
-    "pair_label",
     "parse_pair",
     "random_two_mode_covariance",
-    "symplectic_nu_minus",
     "transformation_efficiency",
-    "two_mode_block",
 ]

@@ -596,6 +596,15 @@ def write_csv(
     _write(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
+def _check_heatmap(two_d: bool, pairs: tuple[str, ...], pair: str) -> None:
+    """Raise :class:`DomainError` unless a sweep over ``pairs``, 2D when
+    ``two_d``, can draw a heatmap of ``pair``."""
+    if not two_d:
+        raise DomainError("heatmaps need a 2D sweep")
+    if pair not in pairs:
+        raise DomainError(f"pair {pair!r} was not requested in this sweep")
+
+
 def write_pgm(result: SweepResult, pair: str, path: str | Path) -> None:
     """Render one pair's entanglement grid as a binary PGM heatmap.
 
@@ -604,10 +613,7 @@ def write_pgm(result: SweepResult, pair: str, path: str | Path) -> None:
     0..255; unstable, failed, and missing points render as 0, and an
     all-equal field renders as all zeros.
     """
-    if result.values2 is None:
-        raise DomainError("heatmaps need a 2D sweep")
-    if pair not in result.pairs:
-        raise DomainError(f"pair {pair!r} was not requested in this sweep")
+    _check_heatmap(result.values2 is not None, result.pairs, pair)
     width = len(result.values1)
     height = len(result.values2)
     # NaN for unstable, failed and missing points

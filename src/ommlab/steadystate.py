@@ -17,19 +17,20 @@ falls back to scipy's Schur-based Bartels-Stewart solver.
 :func:`solve_lyapunov_stack` runs this solve over an (N, n, n) stack of
 points at once (numpy's batched inv and matmul); each point is gated, and
 sent to the fallback, on its own, and its failure is returned for it alone.
-:func:`solve_lyapunov` is that stack with one point in it. The
-independent route follows the exact flow of dV/dt = A V + V A^T + D until
-the right-hand side is numerically zero: over a step h it is
-V <- Phi V Phi^T + Q_h, with Phi and Q_h from one matrix exponential of a
-2n x 2n block (Van Loan, IEEE TAC 23, 395, 1978), and 2^k steps are the same
-map with Phi and Q_h doubled k times (Smith, SIAM J. Appl. Math. 16, 198,
-1968). It uses scipy's Pade scaling-and-squaring ``expm``; the drift's
-eigenvalues set its step and horizon, and its eigenvectors are not used (see
-:func:`integrate_to_steady_state_stack`; :func:`integrate_to_steady_state`
-is a stack of one). For a stable A both
-routes must agree, which is the package's main internal consistency check.
-Both take their stability verdict from the drift's eigenvalues
-(:func:`ommlab.dynamics.stability` and its stacked form).
+:func:`solve_lyapunov` is that stack with one point in it, and the one entry
+that takes a drift and diffusion as arrays or as their wrapper types.
+
+The independent route, :func:`integrate_to_steady_state_stack`, follows the
+exact flow of dV/dt = A V + V A^T + D until the right-hand side is
+numerically zero: over a step h it is V <- Phi V Phi^T + Q_h, with Phi and
+Q_h from one matrix exponential of a 2n x 2n block (Van Loan, IEEE TAC 23,
+395, 1978), and 2^k steps are the same map with Phi and Q_h doubled k times
+(Smith, SIAM J. Appl. Math. 16, 198, 1968). It uses scipy's Pade
+scaling-and-squaring ``expm``; the drift's eigenvalues set its step and
+horizon, and its eigenvectors are not used. For a stable A both routes must
+agree, which is the package's main internal consistency check. Both take
+their stability verdict from the drift's eigenvalues, as
+:func:`ommlab.dynamics.stability_stack` returns them.
 
 All solves run in dimensionless form: A and D are scaled by a natural
 frequency first (the mechanical frequency for the physical pipeline), so the
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DiffusionMatrix, DriftMatrix, _as_matrix, stability
+from .dynamics import DiffusionMatrix, DriftMatrix, stability_stack
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -126,28 +127,6 @@ class CovarianceMatrix:
         if np.any(np.diagonal(self.v) < 0.0):
             raise DomainError("variances on the diagonal must be non-negative")
         self.v.setflags(write=False)
-
-    @property
-    def n_modes(self) -> int:
-        return self.v.shape[0] // 2
-
-
-def _checked_system(
-    a: DriftMatrix | np.ndarray,
-    d: DiffusionMatrix | np.ndarray,
-    scale: float | None,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Checked A and D arrays and the scale of one point."""
-    a_arr, natural = _as_matrix(a)
-    d_arr = d.d if isinstance(d, DiffusionMatrix) else np.asarray(d, dtype=float)
-    if d_arr.shape != a_arr.shape:
-        raise DomainError("drift and diffusion shapes must match")
-    _require_symmetric(d_arr, "diffusion")
-    if scale is None:
-        scale = natural
-    if not scale > 0.0:
-        raise DomainError("scale must be strictly positive")
-    return a_arr, d_arr, scale
 
 
 def _unstable(max_real: float) -> StabilityError:
@@ -291,21 +270,36 @@ def solve_lyapunov(
 ) -> CovarianceMatrix:
     """Solve A V + V A^T + D = 0 for the stationary covariance V.
 
-    Requires an asymptotically stable A: one call of
-    :func:`ommlab.dynamics.stability` gives the verdict and the eigenpairs.
-    This is :func:`solve_lyapunov_stack` on a stack of one (eigenbasis solve,
-    Schur fallback when the basis is singular, worse conditioned than
-    :data:`_EIGENBASIS_COND_MAX` or misses the 1e-10 residual gate, the
-    asymmetry warning); the error it returns for the point is raised.
+    ``a`` and ``d`` are square arrays of one shape or the wrapper types. The
+    drift's natural scale is its ``omega_b``, or for an array its largest
+    |entry| (1 for a zero drift); ``scale``, the frequency the solve divides
+    by, defaults to it. Requires an asymptotically stable A:
+    :func:`ommlab.dynamics.stability_stack` at the natural scale gives the
+    verdict and the eigenpairs. This is :func:`solve_lyapunov_stack` on a
+    stack of one (eigenbasis solve, Schur fallback when the basis is
+    singular, worse conditioned than :data:`_EIGENBASIS_COND_MAX` or misses
+    the 1e-10 residual gate, the asymmetry warning); the error it returns for
+    the point is raised.
     """
-    a_arr, d_arr, s = _checked_system(a, d, scale)
-    report = stability(a)
-    if not report.stable:
-        raise _unstable(report.max_real)
-    v, errors = solve_lyapunov_stack(
-        a_arr[None], d_arr[None], np.array([s]),
-        report.eigenvalues[None], report.eigenvectors[None],
-    )
+    if isinstance(a, DriftMatrix):
+        a_arr, natural = a.a, a.omega_b
+    else:
+        a_arr = np.asarray(a, dtype=float)
+        if a_arr.ndim != 2 or a_arr.shape[0] != a_arr.shape[1]:
+            raise DomainError("drift must be a square matrix")
+        natural = float(np.max(np.abs(a_arr)))
+        natural = natural if natural > 0.0 else 1.0
+    d_arr = d.d if isinstance(d, DiffusionMatrix) else np.asarray(d, dtype=float)
+    if d_arr.shape != a_arr.shape:
+        raise DomainError("drift and diffusion shapes must match")
+    _require_symmetric(d_arr, "diffusion")
+    s = np.array([natural if scale is None else scale], dtype=float)
+    if not s[0] > 0.0:
+        raise DomainError("scale must be strictly positive")
+    eigs, vecs, max_real = stability_stack(a_arr[None], np.array([natural]))
+    if not max_real[0] < 0.0:
+        raise _unstable(max_real[0])
+    v, errors = solve_lyapunov_stack(a_arr[None], d_arr[None], s, eigs, vecs)
     if errors[0] is not None:
         raise errors[0]
     return CovarianceMatrix(v=v[0])
@@ -447,60 +441,18 @@ def integrate_to_steady_state_stack(
     return out, errors
 
 
-def integrate_to_steady_state(
-    a: DriftMatrix | np.ndarray,
-    d: DiffusionMatrix | np.ndarray,
-    v0: np.ndarray | CovarianceMatrix | None = None,
-    dt: float | None = None,
-    *,
-    rtol: float = _FLOW_RTOL,
-    horizon: float = _FLOW_HORIZON,
-    scale: float | None = None,
-) -> CovarianceMatrix:
-    """Relax dV/dt = A V + V A^T + D to its fixed point along the exact flow.
-
-    ``dt`` is the base step in seconds (of the same unit system as ``a``);
-    the default is 0.05 divided by the spectral radius, and anything above
-    0.1/spectral radius is rejected. The flow starts from the vacuum
-    covariance (identity over two) unless ``v0`` is given, stops when
-    ||dV/dt||_F drops to ``rtol`` times ||D||_F, and gives up past ``horizon``
-    times the slowest decay time. This is :func:`integrate_to_steady_state_stack`
-    on a stack of one, given the eigenvalues of :func:`ommlab.dynamics.stability`;
-    the error it returns for the point is raised.
-    """
-    if not rtol > 0.0:
-        raise DomainError("rtol must be strictly positive")
-    if not horizon > 0.0:
-        raise DomainError("horizon must be strictly positive")
-    a_arr, d_arr, s = _checked_system(a, d, scale)
-    n = a_arr.shape[0]
-    if dt is not None and not dt * s > 0.0:
-        raise DomainError("dt must be strictly positive")
-    if v0 is None:
-        v = 0.5 * np.eye(n)
-    else:
-        v = v0.v if isinstance(v0, CovarianceMatrix) else np.asarray(v0, dtype=float)
-        if v.shape != (n, n):
-            raise DomainError("v0 shape must match the drift")
-        _require_symmetric(v, "v0")
-    out, errors = integrate_to_steady_state_stack(
-        a_arr[None], d_arr[None], np.array([s]), stability(a).eigenvalues[None], v[None],
-        None if dt is None else np.array([dt]), rtol=rtol, horizon=horizon,
-    )
-    if errors[0] is not None:
-        raise errors[0]
-    return CovarianceMatrix(v=out[0])
-
-
 def physicality_margin(v: CovarianceMatrix | np.ndarray) -> float:
     """Smallest eigenvalue of V + (i/2) Omega.
 
     Non-negative (up to roundoff) exactly when V is a bona fide quantum
-    covariance matrix in the vacuum-is-one-half convention.
+    covariance matrix in the vacuum-is-one-half convention. A V with an
+    infinite or NaN entry has no margin and raises :class:`DomainError`.
     """
     arr = v.v if isinstance(v, CovarianceMatrix) else np.asarray(v, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] % 2 != 0:
         raise DomainError("covariance must be square with even dimension")
+    if not np.isfinite(arr).all():
+        raise DomainError("covariance must be finite")
     omega = symplectic_form(arr.shape[0] // 2)
     h = arr + 0.5j * omega
     try:
@@ -511,7 +463,6 @@ def physicality_margin(v: CovarianceMatrix | np.ndarray) -> float:
 
 __all__ = [
     "CovarianceMatrix",
-    "integrate_to_steady_state",
     "integrate_to_steady_state_stack",
     "physicality_margin",
     "solve_lyapunov",

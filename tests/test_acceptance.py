@@ -18,20 +18,19 @@ from ommlab import (
     build_drift,
     default_params,
     evaluate_point,
-    integrate_to_steady_state,
-    log_negativity,
     nu_minus_via_partial_transpose,
     physicality_margin,
     random_two_mode_covariance,
     solve_lyapunov,
     solve_semiclassics,
-    stability,
-    symplectic_nu_minus,
     thermal_occupation,
 )
 from ommlab.cli import main
+from ommlab.dynamics import stability_stack
+from ommlab.entanglement import _e_n, nu_minus_stack
 from ommlab.harness import SWEEP_AXES, Axis, SweepSpec, run_sweep
 from ommlab.model import config_snapshot
+from ommlab.steadystate import integrate_to_steady_state_stack
 
 SET_DELTA_A = SWEEP_AXES["delta_a_over_wb"]
 SET_DELTA_C1 = SWEEP_AXES["delta_c1_over_wb"]
@@ -110,19 +109,21 @@ def test_direct_steady_state_matches_rk4_relaxation_on_random_draws(capsys):
         params = default_params(**overrides)
         state = solve_semiclassics(params)
         drift = build_drift(params, state)
-        report = stability(drift)
-        if not report.stable:
+        scale = np.array([params.omega_b])
+        eigs, _, max_real = stability_stack(drift.a[None], scale)
+        if not max_real[0] < 0.0:
             rejected += 1
             continue
         accepted += 1
         diffusion = build_diffusion(params)
         v_direct = solve_lyapunov(drift, diffusion, scale=params.omega_b).v
-        rho = float(np.max(np.abs(report.eigenvalues)))
-        v_rk4 = integrate_to_steady_state(
-            drift, diffusion, dt=0.099 / rho, scale=params.omega_b
-        ).v
+        rho = float(np.max(np.abs(eigs)))
+        v_rk4, errors = integrate_to_steady_state_stack(
+            drift.a[None], diffusion.d[None], scale, eigs, dt=np.array([0.099 / rho])
+        )
+        assert errors == [None], errors
         deviation = float(
-            np.linalg.norm(v_direct - v_rk4) / np.linalg.norm(v_direct)
+            np.linalg.norm(v_direct - v_rk4[0]) / np.linalg.norm(v_direct)
         )
         worst = max(worst, deviation)
 
@@ -168,23 +169,24 @@ def test_rk4_oracle_agrees_across_the_paper_panel(capsys):
 def test_log_negativity_closed_form_against_analytic_and_spectral_oracles(capsys):
     t0 = time.perf_counter()
 
-    worst_tms = 0.0
-    for r in (0.1, 0.5, 1.0):
+    squeezes = (0.1, 0.5, 1.0)
+    blocks = []
+    for r in squeezes:
         ch, sh = 0.5 * math.cosh(2 * r), 0.5 * math.sinh(2 * r)
         z = np.diag([1.0, -1.0])
-        tms = np.block([[ch * np.eye(2), sh * z], [sh * z, ch * np.eye(2)]])
-        worst_tms = max(worst_tms, abs(log_negativity(tms) - 2 * r))
-
-    vacuum_e_n = log_negativity(0.5 * np.eye(4))
+        blocks.append(np.block([[ch * np.eye(2), sh * z], [sh * z, ch * np.eye(2)]]))
+    blocks.append(0.5 * np.eye(4))
+    nu, errors = nu_minus_stack(np.array(blocks))
+    assert errors == [None] * 4, errors
+    worst_tms = max(abs(_e_n(nu_k) - 2 * r) for nu_k, r in zip(nu, squeezes))
+    vacuum_e_n = _e_n(nu[3])
 
     rng = np.random.default_rng(7)
-    worst_nu = 0.0
-    for _ in range(1000):
-        v = random_two_mode_covariance(rng)
-        worst_nu = max(
-            worst_nu,
-            abs(symplectic_nu_minus(v) - nu_minus_via_partial_transpose(v)),
-        )
+    v = np.array([random_two_mode_covariance(rng) for _ in range(1000)])
+    nu, errors = nu_minus_stack(v)
+    assert errors == [None] * 1000
+    spectral = [nu_minus_via_partial_transpose(v_k) for v_k in v]
+    worst_nu = float(np.max(np.abs(nu - spectral)))
 
     elapsed = time.perf_counter() - t0
     ok = (
@@ -218,8 +220,8 @@ def test_detuning_maps_produce_physical_covariances_everywhere(capsys):
                 params = SET_DELTA_C1(row_base, float(dc1))
                 state = solve_semiclassics(params)
                 drift = build_drift(params, state)
-                report = stability(drift)
-                if not report.stable:
+                _, _, max_real = stability_stack(drift.a[None], np.array([params.omega_b]))
+                if not max_real[0] < 0.0:
                     unstable_points += 1
                     continue
                 stable_points += 1

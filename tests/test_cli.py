@@ -1,14 +1,16 @@
 """Command-line interface, driven in process through main(argv)."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from ommlab import NumericalError, harness, steadystate
+from ommlab import NumericalError, cli, harness, steadystate
 from ommlab.cli import main
 
 
@@ -231,6 +233,34 @@ class TestSweep:
         assert err.startswith(f"error: cannot write {tmp_path / 'map.ab.pgm'}: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "axis2, pairs, heatmap, out_dir, message",
+        [
+            (False, ["ab"], "ab", ".", "heatmaps need a 2D sweep"),
+            (True, ["am"], "ab", ".", "pair 'ab' was not requested in this sweep"),
+            (True, ["ab"], None, "missing", "cannot write {out}: "),
+        ],
+        ids=["1d-heatmap", "unrequested-pair", "missing-directory"],
+    )
+    def test_bad_outputs_fail_before_the_grid_is_solved(
+        self, capsys, tmp_path, axis2, pairs, heatmap, out_dir, message
+    ):
+        config = self.sweep_config(tmp_path, pairs=pairs)
+        if not axis2:
+            doc = json.loads(config.read_text())
+            del doc["sweep"]["axis2"]
+            config.write_text(json.dumps(doc))
+        out = tmp_path / out_dir / "map.csv"
+        argv = ["sweep", "--config", str(config), "--out", str(out)]
+        argv += ["--heatmap", heatmap] if heatmap else []
+        with mock.patch.object(cli, "run_sweep", side_effect=AssertionError) as solve:
+            rc, stdout, err = run_cli(capsys, *argv)
+        solve.assert_not_called()
+        assert rc == 1
+        assert stdout == ""
+        assert err.startswith("error: " + message.format(out=out))
+        assert err.count("\n") == 1
+
     def test_default_runs_no_pool(self, capsys, tmp_path):
         config = self.sweep_config(tmp_path)
         with mock.patch.object(harness, "ThreadPoolExecutor") as pool:
@@ -314,9 +344,11 @@ class TestEntryPoints:
         assert exc.value.code == 2
 
     def test_module_execution(self):
+        src = Path(cli.__file__).resolve().parents[1]
         proc = subprocess.run(
             [sys.executable, "-m", "ommlab", "--version"],
             capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "ommlab 0.1.0"

@@ -15,10 +15,9 @@ from ommlab import (
     build_drift,
     default_params,
     solve_semiclassics,
-    stability,
     thermal_occupation,
 )
-from ommlab.dynamics import DIM, DriftMatrix, diffusion_stack, drift_stack
+from ommlab.dynamics import DIM, DriftMatrix, diffusion_stack, drift_stack, stability_stack
 from ommlab.model import TWO_PI
 from ommlab.semiclassics import solve_semiclassics_stack
 
@@ -234,10 +233,6 @@ class TestDiffusion:
         d = build_diffusion(default_params()).d
         assert np.all((d - np.diag(np.diagonal(d))) == 0.0)
 
-    def test_diagonal_property(self):
-        d = build_diffusion(default_params())
-        np.testing.assert_array_equal(d.diagonal, np.diagonal(d.d))
-
 
 def char_poly_coefficients(a: np.ndarray) -> np.ndarray:
     """det(lambda I - A) coefficients via the Faddeev-LeVerrier recursion.
@@ -276,18 +271,18 @@ def routh_hurwitz_stable(coeffs: np.ndarray) -> bool:
 
 class TestStability:
     def test_plain_contraction(self):
-        report = stability(-np.eye(3))
-        assert report.stable
-        assert report.margin == pytest.approx(1.0, rel=1e-12)
+        _, _, max_real = stability_stack(-np.eye(3)[None], np.ones(1))
+        assert max_real[0] < 0.0
+        assert -max_real[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_marginal_growth_detected(self):
-        report = stability(np.diag([1e-3, -1.0]))
-        assert not report.stable
-        assert report.max_real == pytest.approx(1e-3, rel=1e-9)
+        _, _, max_real = stability_stack(np.diag([1e-3, -1.0])[None], np.ones(1))
+        assert not max_real[0] < 0.0
+        assert max_real[0] == pytest.approx(1e-3, rel=1e-9)
 
     def test_eigenvalues_sorted_and_conjugate(self):
-        report = stability(build_drift(default_params(), solve_semiclassics(default_params())))
-        eigs = report.eigenvalues
+        p = default_params()
+        eigs = stability_stack(drift_at()[None], np.array([p.omega_b]))[0][0]
         assert len(eigs) == DIM
         order = np.lexsort((eigs.imag, eigs.real))
         assert np.all(order == np.arange(DIM))
@@ -297,30 +292,23 @@ class TestStability:
 
     def test_eigenvectors_match_sorted_eigenvalues(self):
         p = default_params()
-        drift = build_drift(p, solve_semiclassics(p))
-        report = stability(drift)
-        vecs = report.eigenvectors
-        assert vecs.shape == (DIM, DIM)
-        assert not vecs.flags.writeable
+        a = drift_at()
+        eigs, vecs, _ = stability_stack(a[None], np.array([p.omega_b]))
+        assert vecs.shape == (1, DIM, DIM)
         # column k is the right eigenvector of eigenvalue k, in sorted order
-        np.testing.assert_allclose(
-            drift.a @ vecs, vecs * report.eigenvalues, atol=1e-9 * p.omega_b
-        )
+        np.testing.assert_allclose(a @ vecs[0], vecs[0] * eigs[0], atol=1e-9 * p.omega_b)
 
     def test_default_point_margin(self):
         p = default_params()
-        report = stability(build_drift(p, solve_semiclassics(p)))
-        assert report.stable
-        assert report.margin == pytest.approx(2623055.823813708, rel=1e-6)
+        _, _, max_real = stability_stack(drift_at()[None], np.array([p.omega_b]))
+        assert max_real[0] < 0.0
+        assert -max_real[0] == pytest.approx(2623055.823813708, rel=1e-6)
 
     def test_known_unstable_point(self):
         p = default_params(delta_m_over_wb=-1.0)
-        report = stability(build_drift(p, solve_semiclassics(p)))
-        assert not report.stable
-
-    def test_rejects_non_square(self):
-        with pytest.raises(DomainError):
-            stability(np.zeros((3, 4)))
+        a = drift_at(delta_m_over_wb=-1.0)
+        _, _, max_real = stability_stack(a[None], np.array([p.omega_b]))
+        assert not max_real[0] < 0.0
 
     def test_agrees_with_routh_hurwitz(self):
         # 100 jittered operating points, the magnon detuning drawn wide so a
@@ -332,21 +320,25 @@ class TestStability:
             "delta_a_over_wb", "delta_c1_over_wb", "delta_c2_over_wb", "T",
         ]
         wb = TWO_PI * 40e6
-        n_unstable = 0
+        draws = []
         for _ in range(100):
             factors = rng.uniform(0.4, 1.6, size=len(keys))
             overrides = {k: DEFAULT_CONFIG[k] * f for k, f in zip(keys, factors)}
             overrides["delta_m_over_wb"] = rng.uniform(-1.2, 1.2)
-            p = default_params(**overrides)
-            a = build_drift(p, solve_semiclassics(p)).a
-            report = stability(a)
-            if abs(report.max_real) / wb < 1e-6:
+            draws.append(overrides)
+        # each drift is scaled by its own largest |entry|, as a lone array is
+        a = np.array([drift_at(**overrides) for overrides in draws])
+        _, _, max_real = stability_stack(a, np.abs(a).max(axis=(1, 2)))
+        n_unstable = 0
+        for overrides, a_k, max_real_k in zip(draws, a, max_real):
+            if abs(max_real_k) / wb < 1e-6:
                 continue  # too close to the boundary for a binary cross-check
-            verdict = routh_hurwitz_stable(char_poly_coefficients(a / wb))
-            assert verdict == report.stable, overrides
-            n_unstable += 0 if report.stable else 1
+            stable = max_real_k < 0.0
+            verdict = routh_hurwitz_stable(char_poly_coefficients(a_k / wb))
+            assert verdict == stable, overrides
+            n_unstable += 0 if stable else 1
         assert n_unstable >= 5  # the draw must actually exercise both branches
 
     def test_eigensolver_failure_wrapped(self):
         with pytest.raises((NumericalError, DomainError)):
-            stability(np.full((3, 3), np.nan))
+            stability_stack(np.full((1, 3, 3), np.nan), np.ones(1))

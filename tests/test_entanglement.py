@@ -17,19 +17,16 @@ from ommlab import (
     build_drift,
     default_params,
     evaluate_point,
-    log_negativity,
+    harness,
     nu_minus_via_partial_transpose,
-    pair_label,
     parse_pair,
     physicality_margin,
     random_two_mode_covariance,
     solve_lyapunov,
     solve_semiclassics,
-    symplectic_nu_minus,
     transformation_efficiency,
-    two_mode_block,
 )
-from ommlab.entanglement import nu_minus_stack
+from ommlab.entanglement import _e_n, nu_minus_stack
 
 
 def two_mode_squeezed(r: float) -> np.ndarray:
@@ -52,7 +49,6 @@ class TestPairLabels:
     )
     def test_round_trip(self, label, modes):
         assert parse_pair(label) == modes
-        assert pair_label(modes) == label
 
     @pytest.mark.parametrize("bad", ["", "a", "abm", "ax", "aa", "c2c2", 3, ["a", "b"]])
     def test_rejects_malformed_labels(self, bad):
@@ -65,12 +61,23 @@ class TestPairLabels:
         assert Mode.MAGNON.rows == (8, 9)
 
 
+def stage_two_blocks(v, pairs):
+    """The 4x4 blocks of the covariance ``v`` that harness stage 2 hands to
+    :func:`nu_minus_stack`, one per pair, with V standing in for its solve."""
+    with mock.patch.object(
+        harness, "solve_lyapunov_stack", return_value=(v[None], [None])
+    ), mock.patch.object(harness, "nu_minus_stack", wraps=nu_minus_stack) as nu:
+        # one point: only the length of the drift stack is read
+        harness._steady_state(np.zeros((1, 10, 10)), None, None, None, None, pairs)
+    return nu.call_args.args[0]
+
+
 class TestTwoModeBlock:
     def test_picks_the_right_rows(self):
         v = np.zeros((10, 10))
         v[0, 0], v[8, 8] = 1.0, 2.0
         v[0, 8] = v[8, 0] = 3.0
-        block = two_mode_block(v, Mode.ATOM, Mode.MAGNON)
+        (block,) = stage_two_blocks(v, [(Mode.ATOM, Mode.MAGNON)])
         assert block[0, 0] == 1.0 and block[2, 2] == 2.0
         assert block[0, 2] == 3.0 and block[2, 0] == 3.0
 
@@ -78,26 +85,17 @@ class TestTwoModeBlock:
         rng = np.random.default_rng(3)
         v = rng.normal(size=(10, 10))
         v = 0.5 * (v + v.T)
-        ab = two_mode_block(v, Mode.ATOM, Mode.PHONON)
-        ba = two_mode_block(v, Mode.PHONON, Mode.ATOM)
+        ab, ba = stage_two_blocks(v, [(Mode.ATOM, Mode.PHONON), (Mode.PHONON, Mode.ATOM)])
         perm = [2, 3, 0, 1]
         np.testing.assert_array_equal(ba, ab[np.ix_(perm, perm)])
 
     def test_vacuum_reduces_to_vacuum(self):
-        block = two_mode_block(0.5 * np.eye(10), Mode.CAVITY1, Mode.MAGNON)
+        (block,) = stage_two_blocks(0.5 * np.eye(10), [(Mode.CAVITY1, Mode.MAGNON)])
         np.testing.assert_array_equal(block, 0.5 * np.eye(4))
-
-    def test_needs_full_covariance(self):
-        with pytest.raises(DomainError):
-            two_mode_block(np.eye(4), Mode.ATOM, Mode.PHONON)
-
-    def test_needs_distinct_modes(self):
-        with pytest.raises(DomainError):
-            two_mode_block(np.eye(10), Mode.ATOM, Mode.ATOM)
 
     def test_returns_a_copy(self):
         v = 0.5 * np.eye(10)
-        block = two_mode_block(v, Mode.ATOM, Mode.PHONON)
+        (block,) = stage_two_blocks(v, [(Mode.ATOM, Mode.PHONON)])
         block[0, 0] = 99.0
         assert v[0, 0] == 0.5
 
@@ -106,73 +104,81 @@ class TestLogNegativity:
     @pytest.mark.parametrize("r", [0.1, 0.5, 1.0])
     def test_two_mode_squeezed_value(self, r):
         # E_N of a two-mode squeezed vacuum is exactly 2r
-        assert log_negativity(two_mode_squeezed(r)) == pytest.approx(2 * r, abs=1e-9)
+        nu, errors = nu_minus_stack(two_mode_squeezed(r)[None])
+        assert errors == [None]
+        assert _e_n(nu[0]) == pytest.approx(2 * r, abs=1e-9)
 
     def test_vacuum_is_exactly_zero(self):
-        assert log_negativity(0.5 * np.eye(4)) == 0.0
+        nu, errors = nu_minus_stack(0.5 * np.eye(4)[None])
+        assert errors == [None]
+        assert _e_n(nu[0]) == 0.0
 
     def test_separable_thermal_product_is_zero(self):
-        v = np.diag([1.5, 1.5, 0.7, 0.7])
-        assert log_negativity(v) == 0.0
-
-    def test_full_covariance_needs_pair(self):
-        v = 0.5 * np.eye(10)
-        assert log_negativity(v, (Mode.ATOM, Mode.MAGNON)) == 0.0
-        with pytest.raises(DomainError):
-            log_negativity(v)
+        nu, errors = nu_minus_stack(np.diag([1.5, 1.5, 0.7, 0.7])[None])
+        assert errors == [None]
+        assert _e_n(nu[0]) == 0.0
 
     def test_asymmetric_input_rejected(self):
         v = 0.5 * np.eye(4)
         v[0, 1] = 1e-3
-        with pytest.raises(DomainError):
-            log_negativity(v)
+        _, errors = nu_minus_stack(v[None])
+        assert isinstance(errors[0], DomainError)
 
     def test_local_rotations_do_not_change_it(self):
         rng = np.random.default_rng(17)
         v = two_mode_squeezed(0.8)
-        base = log_negativity(v)
+        rotated = [v]
         for _ in range(16):
             phi1, phi2 = rng.uniform(0, 2 * math.pi, size=2)
             s = np.zeros((4, 4))
             for k, phi in ((0, phi1), (2, phi2)):
                 c, sn = math.cos(phi), math.sin(phi)
                 s[k : k + 2, k : k + 2] = [[c, sn], [-sn, c]]
-            rotated = s @ v @ s.T
-            assert log_negativity(rotated) == pytest.approx(base, abs=1e-10)
+            rotated.append(s @ v @ s.T)
+        nu, errors = nu_minus_stack(np.array(rotated))
+        assert errors == [None] * 17
+        base, *others = (_e_n(x) for x in nu)
+        assert others == pytest.approx([base] * 16, abs=1e-10)
 
     def test_symmetric_under_mode_swap(self):
         rng = np.random.default_rng(23)
         perm = [2, 3, 0, 1]
-        for _ in range(25):
-            v = random_two_mode_covariance(rng)
-            swapped = v[np.ix_(perm, perm)]
-            assert log_negativity(swapped) == pytest.approx(
-                log_negativity(v), abs=1e-12
-            )
+        v = np.array([random_two_mode_covariance(rng) for _ in range(25)])
+        swapped = v[:, perm][:, :, perm]
+        nu, errors = nu_minus_stack(np.concatenate([v, swapped]))
+        assert errors == [None] * 50
+        e_n = [_e_n(x) for x in nu]
+        assert e_n[25:] == pytest.approx(e_n[:25], abs=1e-12)
 
     @given(eps=st.sampled_from([0.01, 0.03, 0.1, 0.3]), seed=st.integers(0, 2**31))
     @settings(max_examples=40, deadline=None)
     def test_added_noise_never_helps(self, eps, seed):
         v = random_two_mode_covariance(np.random.default_rng(seed))
-        assert log_negativity(v + eps * np.eye(4)) <= log_negativity(v) + 1e-12
+        nu, errors = nu_minus_stack(np.array([v + eps * np.eye(4), v]))
+        assert errors == [None, None]
+        assert _e_n(nu[0]) <= _e_n(nu[1]) + 1e-12
 
 
 class TestSymplecticNuMinus:
     def test_vacuum_value(self):
-        assert symplectic_nu_minus(0.5 * np.eye(4)) == pytest.approx(0.5, rel=1e-14)
+        nu, errors = nu_minus_stack(0.5 * np.eye(4)[None])
+        assert errors == [None]
+        assert nu[0] == pytest.approx(0.5, rel=1e-14)
 
     def test_two_mode_squeezed_value(self):
         r = 0.5
-        nu = symplectic_nu_minus(two_mode_squeezed(r))
-        assert nu == pytest.approx(0.5 * math.exp(-2 * r), rel=1e-12)
+        nu, errors = nu_minus_stack(two_mode_squeezed(r)[None])
+        assert errors == [None]
+        assert nu[0] == pytest.approx(0.5 * math.exp(-2 * r), rel=1e-12)
 
     def test_closed_form_matches_partial_transpose_spectrum(self):
         rng = np.random.default_rng(20260825)
-        for _ in range(200):
-            v = random_two_mode_covariance(rng)
-            closed = symplectic_nu_minus(v)
-            spectral = nu_minus_via_partial_transpose(v)
-            assert abs(closed - spectral) <= 1e-10 * max(1.0, closed)
+        v = np.array([random_two_mode_covariance(rng) for _ in range(200)])
+        closed, errors = nu_minus_stack(v)
+        assert errors == [None] * 200
+        for v_k, closed_k in zip(v, closed):
+            spectral = nu_minus_via_partial_transpose(v_k)
+            assert abs(closed_k - spectral) <= 1e-10 * max(1.0, closed_k)
 
     @given(
         n=st.floats(min_value=0.5, max_value=5.0),
@@ -199,7 +205,9 @@ class TestSymplecticNuMinus:
             )
         v = s_local @ (n * np.eye(4)) @ s_local.T
         v = 0.5 * (v + v.T)
-        assert symplectic_nu_minus(v) == pytest.approx(n, rel=1e-12)
+        nu, errors = nu_minus_stack(v[None])
+        assert errors == [None]
+        assert nu[0] == pytest.approx(n, rel=1e-12)
 
     def test_decoupled_point_matches_spectral_route(self):
         # all couplings off: every pair of optical, atomic and magnon modes is
@@ -214,7 +222,8 @@ class TestSymplecticNuMinus:
             build_drift(params, state), build_diffusion(params), scale=params.omega_b
         )
         for label, rep in report.entanglement.items():
-            nu = nu_minus_via_partial_transpose(two_mode_block(cov, *rep.pair))
+            rows = rep.pair[0].rows + rep.pair[1].rows
+            nu = nu_minus_via_partial_transpose(cov.v[np.ix_(rows, rows)])
             assert rep.e_n == pytest.approx(max(0.0, -math.log(2.0 * nu)), abs=1e-12)
 
     def test_unphysical_input_raises(self):
@@ -223,12 +232,12 @@ class TestSymplecticNuMinus:
         v = np.block(
             [[0.1 * np.eye(2), 5.0 * np.eye(2)], [5.0 * np.eye(2), 0.1 * np.eye(2)]]
         )
-        with pytest.raises(NumericalError):
-            symplectic_nu_minus(v)
+        _, errors = nu_minus_stack(v[None])
+        assert isinstance(errors[0], NumericalError)
 
     def test_wrong_shape_rejected(self):
         with pytest.raises(DomainError):
-            symplectic_nu_minus(np.eye(6))
+            nu_minus_via_partial_transpose(np.eye(6))
 
 
 class TestNuMinusStack:
@@ -241,7 +250,7 @@ class TestNuMinusStack:
         assert errors[0] is None and errors[2] is None
         assert isinstance(errors[1], error_type)
         assert match in str(errors[1])
-        assert nu[0] == nu[2] == symplectic_nu_minus(self.GOOD)
+        assert nu[0] == nu[2] == nu_minus_stack(self.GOOD[None])[0][0]
 
     def test_asymmetric_block(self):
         bad = 0.5 * np.eye(4)

@@ -29,9 +29,9 @@ from ommlab import (
     write_csv,
     write_pgm,
 )
-from ommlab import build_diffusion, build_drift, solve_semiclassics, stability, steadystate
+from ommlab import build_diffusion, build_drift, solve_semiclassics, steadystate
 from ommlab import DegenerateOperatingPointError, rabi_frequency, semiclassics
-from ommlab.dynamics import stability_stack
+from ommlab.dynamics import drift_stack, stability_stack
 from ommlab import harness
 from ommlab.entanglement import nu_minus_stack, parse_pair
 from ommlab.harness import CHUNK_SIZE, SWEEP_AXES
@@ -394,6 +394,12 @@ class TestWorkingPointBranches:
     }
 
     @staticmethod
+    def margins(p, branches):
+        """Each branch's stability margin, from one drift stack and eig."""
+        a = drift_stack([p] * len(branches), branches)
+        return list(-stability_stack(a, np.full(len(branches), p.omega_b))[2])
+
+    @staticmethod
     def reorder(monkeypatch, pick):
         solve = harness.solve_semiclassics_stack
         monkeypatch.setattr(
@@ -404,7 +410,7 @@ class TestWorkingPointBranches:
     def test_reference_point_has_one_stable_branch_of_three(self):
         p = default_params(**self.DERIVED)
         branches = solve_semiclassics_stack([p])[0]
-        verdicts = [stability(build_drift(p, b)).stable for b in branches]
+        verdicts = [margin > 0.0 for margin in self.margins(p, branches)]
         assert verdicts == [True, False, False]
         assert evaluate_point(p).state == branches[0]
 
@@ -424,7 +430,7 @@ class TestWorkingPointBranches:
         report = evaluate_point(p)
         assert report.error is None and not report.stable
         assert report.state == first
-        assert report.margin == stability(build_drift(p, first)).margin
+        assert [report.margin] == self.margins(p, [first])
         assert all(rep.e_n is None for rep in report.entanglement.values())
 
 
@@ -433,11 +439,12 @@ class TestWorkingPointBranches:
         first, second = solve_semiclassics_stack([p])[0]
         assert first.q_avg == pytest.approx(-6.48e4, rel=1e-3)
         assert second.q_avg == pytest.approx(-1.27e4, rel=1e-2)
-        assert stability(build_drift(p, first)).margin == pytest.approx(-1.30e5, rel=1e-2)
+        margins = self.margins(p, [first, second])
+        assert margins[0] == pytest.approx(-1.30e5, rel=1e-2)
         report = evaluate_point(p)
         assert report.error is None and report.stable
         assert report.state == second
-        assert report.margin == stability(build_drift(p, second)).margin
+        assert report.margin == margins[1]
         assert report.margin == pytest.approx(4.05e5, rel=1e-2)
         assert all(rep.e_n is not None for rep in report.entanglement.values())
 
@@ -456,7 +463,7 @@ class TestWorkingPointBranches:
         # later branches too
         p = default_params(**self.TWO_STABLE)
         branches = solve_semiclassics_stack([p])[0]
-        margins = [stability(build_drift(p, b)).margin for b in branches]
+        margins = self.margins(p, branches)
         assert [margin > 0.0 for margin in margins] == [True, True, False]
         self.reorder(
             monkeypatch,

@@ -26,9 +26,9 @@ from ommlab import (
     params_from_mapping,
     rabi_frequency,
     solve_semiclassics,
-    stability,
 )
 from ommlab import semiclassics
+from ommlab.dynamics import stability_stack
 from ommlab.model import TWO_PI
 
 
@@ -465,7 +465,8 @@ class TestDisplacementRoots:
             assert settled
             assert q0 == pytest.approx(q, rel=1e-11)
             # and the branch evaluate_point reports has the verdict of that q
-            verdict = stability(build_drift(p, state_at(p, q))).stable
+            a = build_drift(p, state_at(p, q)).a
+            verdict = stability_stack(a[None], np.array([p.omega_b]))[2][0] < 0.0
             assert evaluate_point(p, ("ab",)).stable == verdict
 
     def test_diverging_iteration_point_is_unstable_not_an_error(self):
@@ -481,7 +482,8 @@ class TestDisplacementRoots:
         h = 1e-6 * abs(q)
         slope = (displacement_map(p, q + h) - displacement_map(p, q - h)) / (2 * h)
         assert slope == pytest.approx(-3.8, rel=0.01)
-        assert stability(build_drift(p, report.state)).margin == report.margin
+        a = build_drift(p, report.state).a
+        assert -stability_stack(a[None], np.array([p.omega_b]))[2][0] == report.margin
 
     def test_iterations_count_the_newton_steps(self):
         # the companion eigenvalues are close to the roots already, so the

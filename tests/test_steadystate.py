@@ -23,7 +23,6 @@ from ommlab import (
     build_drift,
     default_params,
     evaluate_point,
-    integrate_to_steady_state,
     physicality_margin,
     solve_lyapunov,
     solve_semiclassics,
@@ -32,6 +31,7 @@ from ommlab import (
 )
 from ommlab import steadystate
 from ommlab.dynamics import stability_stack
+from ommlab.steadystate import integrate_to_steady_state_stack
 
 
 def single_cavity(kappa=2.0, delta=0.7):
@@ -144,7 +144,7 @@ class TestSymplecticForm:
 class TestCovarianceMatrix:
     def test_accepts_vacuum(self):
         cm = CovarianceMatrix(v=0.5 * np.eye(4))
-        assert cm.n_modes == 2
+        np.testing.assert_array_equal(cm.v, 0.5 * np.eye(4))
 
     def test_rejects_odd_dimension(self):
         with pytest.raises(DomainError):
@@ -198,6 +198,10 @@ class TestSolveLyapunov:
         state = solve_semiclassics(p)
         with pytest.raises(StabilityError):
             solve_lyapunov(build_drift(p, state), build_diffusion(p), scale=p.omega_b)
+
+    def test_rejects_non_square(self):
+        with pytest.raises(DomainError, match="square"):
+            solve_lyapunov(np.zeros((3, 4)), np.zeros((3, 4)))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DomainError):
@@ -326,6 +330,17 @@ class TestLyapunovStack:
         assert np.max(np.abs(v[0] - 0.5 * np.eye(2))) <= 1e-12
 
 
+def relax(a, d, scale, **kwargs):
+    """:func:`integrate_to_steady_state_stack` on (N, n, n) stacks, given the
+    eigenvalues :func:`stability_stack` finds at the same scales."""
+    return integrate_to_steady_state_stack(a, d, scale, stability_stack(a, scale)[0], **kwargs)
+
+
+def max_abs(a):
+    """Each drift's largest |entry|, (N,): a lone array drift's natural scale."""
+    return np.abs(a).max(axis=(-2, -1))
+
+
 class TestRelaxationIntegrator:
     def test_verdict_comes_from_one_stability_call(self):
         a, d = single_cavity()
@@ -334,7 +349,8 @@ class TestRelaxationIntegrator:
         ) as eig, mock.patch.object(
             np.linalg, "eigvals", wraps=np.linalg.eigvals
         ) as eigvals:
-            integrate_to_steady_state(a, d)
+            _, errors = relax(a[None], d[None], max_abs(a[None]))
+        assert errors == [None]
         assert eig.call_count == 1
         assert eigvals.call_count == 0
 
@@ -343,15 +359,14 @@ class TestRelaxationIntegrator:
         a = np.array([[3.0, 1.0], [-1.0, 3.0]])
         with pytest.raises(StabilityError) as direct:
             solve_lyapunov(a, np.eye(2))
-        with pytest.raises(StabilityError) as oracle:
-            integrate_to_steady_state(a, np.eye(2))
-        assert str(oracle.value) == str(direct.value)
-        assert "max Re eig = 3.000000e+00" in str(oracle.value)
+        _, errors = relax(a[None], np.eye(2)[None], max_abs(a[None]))
+        assert isinstance(errors[0], StabilityError)
+        assert str(errors[0]) == str(direct.value)
+        assert "max Re eig = 3.000000e+00" in str(errors[0])
 
     def test_loop_keeps_no_preallocated_buffers(self):
-        for function in (integrate_to_steady_state, steadystate.integrate_to_steady_state_stack):
-            source = inspect.getsource(function)
-            assert "empty_like" not in source and "out=" not in source
+        source = inspect.getsource(integrate_to_steady_state_stack)
+        assert "empty_like" not in source and "out=" not in source
 
     @pytest.mark.parametrize("system", [single_cavity, two_mode])
     @pytest.mark.parametrize("rtol", [1e-1, 1e-12])
@@ -363,13 +378,16 @@ class TestRelaxationIntegrator:
         v0 = 3.0 * np.eye(len(a))
         dt = 0.07 / np.max(np.abs(np.linalg.eigvals(a)))
         tol = rtol * np.linalg.norm(d)
-        v_doubled = integrate_to_steady_state(a, d, v0=v0, dt=dt, rtol=rtol, scale=1.0).v
+        v_doubled, errors = relax(
+            a[None], d[None], np.ones(1), v0=v0[None], dt=np.array([dt]), rtol=rtol
+        )
+        assert errors == [None]
         if rtol == 1e-1:
             flow = {single_cavity: single_cavity_flow, two_mode: two_mode_flow}[system]
             v_stepped = stepped_flow(flow, a, d, v0, dt, tol)
         else:
             v_stepped = stepped_rk4(a, d, v0, dt, tol)
-        rel = np.linalg.norm(v_doubled - v_stepped) / np.linalg.norm(v_stepped)
+        rel = np.linalg.norm(v_doubled[0] - v_stepped) / np.linalg.norm(v_stepped)
         assert rel <= 1e-10
         v_star = solve_lyapunov(a, d).v
         if rtol == 1e-1:
@@ -380,12 +398,14 @@ class TestRelaxationIntegrator:
         rho = np.max(np.abs(np.linalg.eigvals(a)))
         dt = 0.05 / rho
         budget = math.ceil(0.5 / 2.0 / dt)  # horizon over the decay rate kappa
-        with pytest.raises(ConvergenceError) as exc:
-            integrate_to_steady_state(a, d, v0=5.0 * np.eye(2), horizon=0.5, scale=1.0)
-        found = re.search(
-            r"\((\d+) steps, checked at (\d+); final residual (\S+)\)", str(exc.value)
+        _, errors = relax(
+            a[None], d[None], np.ones(1), v0=5.0 * np.eye(2)[None], horizon=0.5
         )
-        assert found is not None, str(exc.value)
+        assert isinstance(errors[0], ConvergenceError)
+        found = re.search(
+            r"\((\d+) steps, checked at (\d+); final residual (\S+)\)", str(errors[0])
+        )
+        assert found is not None, str(errors[0])
         assert int(found.group(1)) == budget == 11
         assert int(found.group(2)) == 15  # the first 2^K - 1 >= the budget
         v15 = rk4_steps(a, d, 5.0 * np.eye(2), dt, 15)
@@ -401,9 +421,10 @@ class TestRelaxationIntegrator:
         diffusion = build_diffusion(p)
         v_direct = solve_lyapunov(drift, diffusion, scale=p.omega_b).v
         t0 = time.perf_counter()
-        v_rk4 = integrate_to_steady_state(drift, diffusion, scale=p.omega_b).v
+        v_rk4, errors = relax(drift.a[None], diffusion.d[None], np.array([p.omega_b]))
         elapsed = time.perf_counter() - t0
-        rel = np.linalg.norm(v_rk4 - v_direct) / np.linalg.norm(v_direct)
+        assert errors == [None]
+        rel = np.linalg.norm(v_rk4[0] - v_direct) / np.linalg.norm(v_direct)
         assert rel <= 1e-6
         assert elapsed < 1.0
 
@@ -429,11 +450,13 @@ class TestRelaxationIntegrator:
         assert min(residuals) > 1e-12 * np.linalg.norm(d)
         v_direct = solve_lyapunov(drift, diffusion, scale=p.omega_b).v
         with mock.patch.object(scipy.linalg, "expm", wraps=scipy.linalg.expm) as expm:
-            v_flow = integrate_to_steady_state(
-                drift, diffusion, dt=h / p.omega_b, scale=p.omega_b
-            ).v
+            v_flow, errors = relax(
+                drift.a[None], diffusion.d[None], np.array([p.omega_b]),
+                dt=np.array([h / p.omega_b]),
+            )
+        assert errors == [None]
         assert expm.call_count == 2  # the flow of D, then the flow of the residual
-        assert np.linalg.norm(v_flow - v_direct) <= 1e-9 * np.linalg.norm(v_direct)
+        assert np.linalg.norm(v_flow[0] - v_direct) <= 1e-9 * np.linalg.norm(v_direct)
 
     def test_floor_reached_two_checks_before_the_horizon_is_corrected(self):
         # a derived-mode point of the acceptance map, margin 1.6e-5 omega_b:
@@ -450,20 +473,25 @@ class TestRelaxationIntegrator:
 
     def test_vacuum_fixture_from_far_start(self):
         a, d = single_cavity()
-        v = integrate_to_steady_state(a, d, v0=2.0 * np.eye(2)).v
-        assert np.max(np.abs(v - 0.5 * np.eye(2))) <= 1e-10
+        v, errors = relax(a[None], d[None], max_abs(a[None]), v0=2.0 * np.eye(2)[None])
+        assert errors == [None]
+        assert np.max(np.abs(v[0] - 0.5 * np.eye(2))) <= 1e-10
 
     def test_fixed_point_is_left_alone(self):
         p, drift, diffusion = default_system()
-        v_star = solve_lyapunov(drift, diffusion, scale=p.omega_b)
-        v = integrate_to_steady_state(drift, diffusion, v0=v_star, scale=p.omega_b).v
-        assert np.max(np.abs(v - v_star.v)) <= 1e-12 * np.max(np.abs(v_star.v))
+        v_star = solve_lyapunov(drift, diffusion, scale=p.omega_b).v
+        v, errors = relax(
+            drift.a[None], diffusion.d[None], np.array([p.omega_b]), v0=v_star[None]
+        )
+        assert errors == [None]
+        assert np.max(np.abs(v[0] - v_star)) <= 1e-12 * np.max(np.abs(v_star))
 
     def test_agrees_with_direct_solve(self):
         p, drift, diffusion = default_system()
         v_direct = solve_lyapunov(drift, diffusion, scale=p.omega_b).v
-        v_rk4 = integrate_to_steady_state(drift, diffusion, scale=p.omega_b).v
-        rel = np.linalg.norm(v_direct - v_rk4) / np.linalg.norm(v_direct)
+        v_rk4, errors = relax(drift.a[None], diffusion.d[None], np.array([p.omega_b]))
+        assert errors == [None]
+        rel = np.linalg.norm(v_direct - v_rk4[0]) / np.linalg.norm(v_direct)
         assert rel <= 1e-9
 
     def test_result_independent_of_step_size(self):
@@ -471,38 +499,28 @@ class TestRelaxationIntegrator:
         # for every stable step size
         a, d = single_cavity(kappa=1.1, delta=0.9)
         rho = np.max(np.abs(np.linalg.eigvals(a)))
-        v_small = integrate_to_steady_state(a, d, dt=0.01 / rho).v
-        v_large = integrate_to_steady_state(a, d, dt=0.099 / rho).v
-        np.testing.assert_allclose(v_large, v_small, rtol=1e-10, atol=1e-13)
+        a2, d2 = np.array([a, a]), np.array([d, d])
+        v, errors = relax(a2, d2, max_abs(a2), dt=np.array([0.01, 0.099]) / rho)
+        assert errors == [None, None]
+        np.testing.assert_allclose(v[1], v[0], rtol=1e-10, atol=1e-13)
 
     def test_oversized_step_rejected(self):
         a, d = single_cavity()
         rho = np.max(np.abs(np.linalg.eigvals(a)))
-        with pytest.raises(DomainError, match="stability budget"):
-            integrate_to_steady_state(a, d, dt=0.2 / rho)
+        _, errors = relax(a[None], d[None], max_abs(a[None]), dt=np.array([0.2 / rho]))
+        assert isinstance(errors[0], DomainError)
+        assert "stability budget" in str(errors[0])
 
     def test_unstable_drift_rejected(self):
-        with pytest.raises(StabilityError):
-            integrate_to_steady_state(np.eye(2), np.eye(2))
-
-    def test_asymmetric_start_rejected(self):
-        a, d = single_cavity()
-        v0 = np.eye(2)
-        v0[0, 1] = 0.5
-        with pytest.raises(DomainError, match="symmetric"):
-            integrate_to_steady_state(a, d, v0=v0)
+        _, errors = relax(np.eye(2)[None], np.eye(2)[None], np.ones(1))
+        assert isinstance(errors[0], StabilityError)
 
     def test_tiny_horizon_gives_up(self):
         a, d = single_cavity()
-        with pytest.raises(ConvergenceError):
-            integrate_to_steady_state(a, d, v0=5.0 * np.eye(2), horizon=1e-3)
-
-    def test_bad_tolerances_rejected(self):
-        a, d = single_cavity()
-        with pytest.raises(DomainError):
-            integrate_to_steady_state(a, d, rtol=0.0)
-        with pytest.raises(DomainError):
-            integrate_to_steady_state(a, d, horizon=-1.0)
+        _, errors = relax(
+            a[None], d[None], max_abs(a[None]), v0=5.0 * np.eye(2)[None], horizon=1e-3
+        )
+        assert isinstance(errors[0], ConvergenceError)
 
 
 class TestFlowStack:
@@ -519,9 +537,10 @@ class TestFlowStack:
         assert errors[0] is None and errors[3] is None
         assert isinstance(errors[1], StabilityError)
         assert isinstance(errors[2], DomainError) and "stability budget" in str(errors[2])
-        alone = integrate_to_steady_state(a1, d1, dt=0.05 / rho, scale=1.0).v
-        np.testing.assert_array_equal(v[0], alone)
-        np.testing.assert_array_equal(v[3], integrate_to_steady_state(a2, d2, dt=0.05 / rho).v)
+        alone = relax(a1[None], d1[None], np.ones(1), dt=np.array([0.05 / rho]))[0]
+        np.testing.assert_array_equal(v[0], alone[0])
+        alone = relax(a2[None], d2[None], max_abs(a2[None]), dt=np.array([0.05 / rho]))[0]
+        np.testing.assert_array_equal(v[3], alone[0])
 
     def test_a_point_past_its_horizon_fails_alone(self):
         a, d = single_cavity()
@@ -581,3 +600,11 @@ class TestPhysicalityMargin:
         expected = 0.5 * np.eye(10)
         expected[6, 6] = expected[7, 7] = n_b + 0.5
         np.testing.assert_allclose(v, expected, rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_covariance_rejected(self, bad):
+        # no margin, rather than a NaN or an eigensolver failure
+        v = 0.5 * np.eye(4)
+        v[0, 0] = bad
+        with pytest.raises(DomainError, match="finite"):
+            physicality_margin(v)
