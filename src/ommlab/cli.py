@@ -69,11 +69,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print("error: the config has no sweep block", file=sys.stderr)
         return 1
     # every output is checked before the grid is solved
-    for pair in args.heatmap or []:
+    out = Path(args.out)
+    pgms = [(pair, out.with_suffix(f".{pair}.pgm")) for pair in args.heatmap or []]
+    for pair, _ in pgms:
         _check_heatmap(config.sweep.axis2 is not None, config.pairs, pair)
-    out_dir = Path(args.out).parent
-    if not out_dir.is_dir():
-        raise OmmlabError(f"cannot write {args.out}: {out_dir} is not a directory")
+    if not out.parent.is_dir():
+        raise OmmlabError(f"cannot write {args.out}: {out.parent} is not a directory")
+    for path in [out, *(path for _, path in pgms)]:
+        if path.is_dir():
+            raise OmmlabError(f"cannot write {path}: it is a directory")
     result = run_sweep(
         config.params,
         config.sweep,
@@ -84,10 +88,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     write_csv(result, args.out, reproducible=args.reproducible)
     table = result.reports
     print(f"wrote {args.out} ({len(table)} points)")
-    for pair in args.heatmap or []:
-        pgm_path = Path(args.out).with_suffix(f".{pair}.pgm")
-        write_pgm(result, pair, pgm_path)
-        print(f"wrote {pgm_path}")
+    for pair, path in pgms:
+        write_pgm(result, pair, path)
+        print(f"wrote {path}")
     failures = np.count_nonzero(np.not_equal(table.error, None))
     unstable = np.count_nonzero(~table.stable & ~np.isnan(table.margin))
     if unstable:

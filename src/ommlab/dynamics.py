@@ -19,13 +19,12 @@ Sweeps build and classify (N, 10, 10) stacks a chunk at a time with
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .model import Points, SystemParams, columns, thermal_occupation
-from .semiclassics import SemiclassicalState
+from .model import Points, SystemParams, _occupation, columns
+from .semiclassics import SemiclassicalState, state_column
 
 #: Phase-space dimension: five modes, two quadratures each.
 DIM = 10
@@ -82,31 +81,34 @@ _DRIFT_LAYOUT = np.array([
 _DRIFT_TERM, _DRIFT_SIGN = np.abs(_DRIFT_LAYOUT), np.sign(_DRIFT_LAYOUT) * 1.0
 
 
-def drift_stack(params_list: Points, states: Sequence[SemiclassicalState]) -> np.ndarray:
+def drift_stack(params_list: Points, states: np.ndarray) -> np.ndarray:
     """The 10x10 drift matrices of a stack of working points, (N, 10, 10).
 
-    The atom and cavity-1 blocks rotate at the bare detunings; cavity 2 and
-    the magnon rotate at the shifted detunings carried by each state. The
-    column and row each coupling G gives the mechanical element hold |G| cos
-    and |G| sin of arg(G), with arg(0) = 0: a table fill, see _DRIFT_LAYOUT.
+    ``states`` is the (N,) state column of the points' working points (see
+    :data:`~ommlab.semiclassics.STATE_DTYPE`), whose fields are read as
+    arrays. The atom and cavity-1 blocks rotate at the bare detunings; cavity
+    2 and the magnon rotate at the shifted detunings carried by each state.
+    The column and row each coupling G gives the mechanical element hold |G|
+    cos and |G| sin of arg(G), with arg(0) = 0: a table fill, see
+    _DRIFT_LAYOUT.
     """
     fields = columns(
         params_list, "kappa_a", "kappa_c1", "kappa_c2", "kappa_m", "delta_a", "delta_c1",
         "omega_b", "gamma_b", "g_n1", "g_n2",
     )
-    state = columns(states, "delta_c2_eff", "delta_m_eff", "g_c_eff", "g_mb_eff")
-    g_eff = state[2:]
+    g_eff = np.array([states["g_c_eff"], states["g_mb_eff"]])
     g = np.hypot(g_eff.real, g_eff.imag)
     phase = np.where(g == 0.0, 0.0, np.arctan2(g_eff.imag, g_eff.real))
-    terms = np.concatenate(
-        [np.zeros_like(g[:1]), fields, state[:2].real, g * np.cos(phase), g * np.sin(phase)]
-    )
+    terms = np.concatenate([
+        np.zeros_like(g[:1]), fields, [states["delta_c2_eff"], states["delta_m_eff"]],
+        g * np.cos(phase), g * np.sin(phase),
+    ])
     return terms.T[:, _DRIFT_TERM] * _DRIFT_SIGN
 
 
 def build_drift(params: SystemParams, state: SemiclassicalState) -> DriftMatrix:
     """The drift matrix of one working point, a :func:`drift_stack` of one."""
-    return DriftMatrix(a=drift_stack([params], [state])[0], omega_b=params.omega_b)
+    return DriftMatrix(a=drift_stack([params], state_column([state]))[0], omega_b=params.omega_b)
 
 
 #: Where each noise rate of :func:`diffusion_stack` sits in D, flattened: on both
@@ -126,7 +128,7 @@ def diffusion_stack(params_list: Points) -> np.ndarray:
         params_list, "kappa_a", "kappa_c1", "kappa_c2", "gamma_b", "kappa_m", "omega_b",
         "omega_m", "temperature",
     )
-    noise[3:5] *= 2.0 * thermal_occupation(noise[5:7], noise[7]) + 1.0
+    noise[3:5] *= 2.0 * _occupation(noise[5:7], noise[7]) + 1.0
     return (noise[:5].T @ _NOISE_PLACES).reshape(-1, DIM, DIM)
 
 

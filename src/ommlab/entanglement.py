@@ -98,8 +98,11 @@ def nu_minus_stack(blocks: np.ndarray) -> tuple[np.ndarray, list[OmmlabError | N
     below 1e-6 Sigma^2) the closed form loses half its digits, and
     :func:`nu_minus_via_partial_transpose` supplies nu_- instead. A vanishing
     nu_- fails its block too. Returns nu_- (N,), undefined where a block
-    failed, and per block the error it raises, or None.
+    failed, and per block the error it raises, or None. A stack of any other
+    shape raises :class:`DomainError`.
     """
+    if np.ndim(blocks) != 3 or np.shape(blocks)[1:] != (4, 4):
+        raise DomainError(f"expected an (N, 4, 4) stack of covariances, got {np.shape(blocks)}")
     # the determinants of the four 2x2 blocks of each, [n, I, J] of block (I, J)
     det = _det2(blocks.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4))
     det_v1, det_v2, det_v12 = det[:, 0, 0], det[:, 1, 1], det[:, 0, 1]

@@ -8,17 +8,18 @@ recording them, and write a CSV table plus optional PGM heatmaps.
 
 Every point is evaluated by :func:`_evaluate_chunk`, a stack of points at a
 time, in two stages. Stage 1, :func:`_working_points`, picks each point's
-working point: the chunk's semiclassics, diffusions and first-branch drifts
-are built as stacks, and the drifts go through one batched eigensolve. The
-later branches of every point whose first drift is unstable are then tried
-together, in one more drift stack and eigensolve, and a point keeps its
-earliest stable branch, else its first. ``ommlab stability`` prints the
-spectrum stage 1 keeps. Stage 2 solves the steady state of the stable
-points: one Lyapunov stack, in the eigenbases stage 1 found, then one nu_-
-stack over every requested pair. One failure rule holds throughout: an error
-that a stacked call raises for the chunk sends its halves through again, and
-at a chunk of one the error becomes the point's row; the Lyapunov solve and
-nu_- keep their errors per point.
+working point: the chunk's branches come as a state column, its diffusions
+and first-branch drifts as stacks, and the drifts go through one batched
+eigensolve. The later branches of every point whose first drift is unstable
+are then tried together, in one more drift stack whose eigenvalues alone
+screen them; the few that pass get a batched eigensolve with vectors, and a
+point keeps its earliest stable branch, else its first. ``ommlab stability``
+prints the spectrum stage 1 keeps. Stage 2 solves the steady state of the
+stable points: one Lyapunov stack, in the eigenbases stage 1 found, then one
+nu_- stack over every requested pair. One failure rule holds throughout: an
+error that a stacked call raises for the chunk sends its halves through
+again, and at a chunk of one the error becomes the point's row; the Lyapunov
+solve and nu_- keep their errors per point.
 :func:`evaluate_point` is a stack of one. :func:`run_sweep` checks each axis
 value once and hands each chunk of :data:`CHUNK_SIZE` grid points to the
 stages as the base parameters plus one array per swept field; a stack's
@@ -47,7 +48,7 @@ from .model import (
     PARAM_TABLE, Param, Points, SweptParams, SystemParams, _require_real, columns,
     config_snapshot, params_from_mapping, take,
 )
-from .semiclassics import SemiclassicalState, solve_semiclassics_stack
+from .semiclassics import SemiclassicalState, solve_semiclassics_stack, state_at, state_column
 from .steadystate import integrate_to_steady_state_stack, solve_lyapunov_stack
 
 VERSION = "0.1.0"
@@ -58,6 +59,13 @@ VERSION = "0.1.0"
 #: run_sweep took 630 us per point at chunks of 1 and 65-82 us at 64-512 (medians
 #: of 5); 128, 256 and 512 tie within noise there and on the 41x41 derived map.
 CHUNK_SIZE = 128
+
+#: A later branch whose largest real part of an eigenvalue, in units of omega_b
+#: and from ``eigvals``, is this or more gets no eigensolve with vectors: it is
+#: unstable by far more than two eigensolves of one drift can differ (about
+#: sqrt(machine epsilon) at a coalescing pair). The least such part of a later
+#: branch was 4.6e-5 over the 41x41 derived map and 3000 jittered points.
+_SCREEN = 1e-6
 
 #: Bipartitions reported when a config does not say otherwise.
 DEFAULT_PAIRS = ("ab", "am", "c2b")
@@ -155,9 +163,11 @@ def _known(value: Any) -> Any:
 @dataclass(eq=False)
 class Reports(Sequence[PointReport]):
     """The reports of N points as columns, (N, pairs) for ``nu_minus`` and
-    ``e_n`` and (N,) for the rest, NaN standing for None; each
-    :class:`PointReport` is built when it is read. ``pairs`` holds each
-    requested pair as (label, modes). Equal to any sequence of the same reports.
+    ``e_n`` and (N,) for the rest, NaN standing for None; ``state`` is the
+    state column of each point's kept branch. Each :class:`PointReport`, and
+    its :class:`~ommlab.semiclassics.SemiclassicalState`, is built when it is
+    read. ``pairs`` holds each requested pair as (label, modes). Equal to any
+    sequence of the same reports.
     """
 
     pairs: tuple[tuple[str, tuple[Mode, Mode]], ...]
@@ -185,7 +195,7 @@ class Reports(Sequence[PointReport]):
         margin, efficiency, deviation = (
             _known(x.item(k)) for x in (self.margin, self.efficiency, self.oracle_deviation)
         )
-        stable, state, error = self.stable.item(k), self.state[k], self.error[k]
+        stable, state, error = self.stable.item(k), state_at(self.state, k), self.error[k]
         return PointReport(stable, margin, entanglement, efficiency, state, deviation, error)
 
     def __eq__(self, other: object) -> bool:
@@ -303,7 +313,7 @@ def load_config(path: str | Path | None) -> RunConfig:
 
 def _reports(
     parsed: _Parsed, error: Sequence[str | None], max_real: np.ndarray | None = None,
-    state: list[SemiclassicalState] | None = None, nu: np.ndarray | None = None,
+    state: np.ndarray | None = None, nu: np.ndarray | None = None,
     deviation: np.ndarray | None = None,
 ) -> Reports:
     """The reports of N points from their columns: ``max_real`` and ``state`` are
@@ -325,7 +335,7 @@ def _reports(
         np.full(n, np.nan) if max_real is None else -max_real, nu,
         np.array(e_n).reshape(nu.shape), np.array(efficiency, dtype=float),
         np.asarray(error, dtype=object), np.full(n, np.nan) if deviation is None else deviation,
-        np.array([None] * n if state is None else state, dtype=object),
+        state_column([None] * n) if state is None else state,
     )
 
 
@@ -361,33 +371,46 @@ def _steady_state(
 
 def _working_points(
     params_list: Points,
-) -> tuple[np.ndarray, np.ndarray, list[SemiclassicalState], np.ndarray, np.ndarray,
-           np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Stage 1 of the module docstring on a non-empty stack of valid
     parameter sets; an :class:`OmmlabError` raised on the way raises for the
     stack. Returns the mechanical frequencies (N,) that scale the solves, the
-    diffusions (N, 10, 10), and each point's kept state, drift (N, 10, 10),
-    eigenvalues (N, 10), eigenvectors (N, 10, 10) and max Re (N,).
+    diffusions (N, 10, 10), and each point's kept state as a state column
+    (N,), drift (N, 10, 10), eigenvalues (N, 10), eigenvectors (N, 10, 10)
+    and max Re (N,).
     """
     (scale,) = columns(params_list, "omega_b")
     d = diffusion_stack(params_list)
-    branches = solve_semiclassics_stack(params_list)
-    states = [point[0] for point in branches]
+    branches, offsets = solve_semiclassics_stack(params_list)
+    states = branches if len(branches) == len(scale) else branches[offsets[:-1]]
     a = drift_stack(params_list, states)
     if not (np.isfinite(a).all() and np.isfinite(d).all()):
         raise NumericalError("non-finite entry in the drift or diffusion matrix")
     eigs, vecs, max_real = stability_stack(a, scale)
-    # every later branch of every point whose first branch is unstable
-    tries = [(k, s) for k in (~(max_real < 0.0)).nonzero()[0] for s in branches[k][1:]]
-    if tries:
-        points = [k for k, _ in tries]
-        a_tries = drift_stack(take(params_list, points), [state for _, state in tries])
-        found = stability_stack(a_tries, scale[points])
-        for j in (found[2] < 0.0).nonzero()[0]:
-            k, state = tries[j]
-            if not max_real[k] < 0.0:
-                states[k], a[k] = state, a_tries[j]
-                eigs[k], vecs[k], max_real[k] = (column[j] for column in found)
+    unstable = ~(max_real < 0.0)
+    if len(branches) > len(scale) and np.count_nonzero(unstable):
+        # every later branch of every point whose first branch is unstable, in
+        # point order, screened by its eigenvalues alone
+        owner = np.repeat(np.arange(len(scale)), np.diff(offsets))
+        later = unstable[owner]
+        later[offsets[:-1]] = False
+        tries = later.nonzero()[0]
+        points = owner[tries]
+        a_tries = drift_stack(take(params_list, points), branches[tries])
+        try:
+            screen = np.linalg.eigvals(a_tries / scale[points, None, None]).real.max(axis=-1)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"eigensolve failed: {exc}") from exc
+        passed = screen < _SCREEN
+        if passed.any():
+            tries, points, a_tries = tries[passed], points[passed], a_tries[passed]
+            found = stability_stack(a_tries, scale[points])
+            stable = (found[2] < 0.0).nonzero()[0]
+            # the earliest stable try of each point
+            kept, first = np.unique(points[stable], return_index=True)
+            j = stable[first]
+            states[kept], a[kept] = branches[tries[j]], a_tries[j]
+            eigs[kept], vecs[kept], max_real[kept] = (column[j] for column in found)
     return scale, d, states, a, eigs, vecs, max_real
 
 

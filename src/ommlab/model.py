@@ -198,10 +198,18 @@ class SystemParams:
 @dataclass(frozen=True)
 class SweptParams:
     """N parameter sets that are ``base`` but for the fields in ``swept``, each
-    an (N,) array of checked values in field units: a sweep's chunk."""
+    an (N,) array in field units held to its field's rule: a sweep's chunk."""
 
     base: SystemParams
     swept: Mapping[str, np.ndarray]
+
+    def __post_init__(self) -> None:
+        # the stacks use the fields without the helpers' own domain checks
+        for name, values in self.swept.items():
+            if name in _POSITIVE and not np.all((values > 0.0) & (values < math.inf)):
+                raise DomainError(f"{name} must be finite and strictly positive")
+            if name in _NON_NEGATIVE and not np.all((values >= 0.0) & (values < math.inf)):
+                raise DomainError(f"{name} must be finite and non-negative")
 
     def __len__(self) -> int:
         return len(next(iter(self.swept.values())))
@@ -211,14 +219,16 @@ class SweptParams:
 Points = Sequence[SystemParams] | SweptParams
 
 
-def columns(records: Sequence[Any] | SweptParams, *fields: str) -> np.ndarray:
-    """The named attributes of N records, one (N,) row per field: how a stack reads
-    its points. Flags read as 0.0 and 1.0; a field read alone keeps its type."""
-    if isinstance(records, SweptParams):
-        n, base, swept = len(records), records.base, records.swept
-        return np.array([swept[f] if f in swept else np.full(n, getattr(base, f)) for f in fields])
+def columns(points: Points, *fields: str, dtype: type = float) -> np.ndarray:
+    """The named fields of N points, one (N,) row per field of ``dtype``: how a
+    stack reads its points. As floats, flags read as 0.0 and 1.0 and None as NaN."""
+    if isinstance(points, SweptParams):
+        n, base, swept = len(points), points.base, points.swept
+        return np.array(
+            [swept[f] if f in swept else np.full(n, getattr(base, f)) for f in fields], dtype
+        )
     get = operator.attrgetter(*fields)
-    return np.array([get(record) for record in records]).reshape(len(records), len(fields)).T
+    return np.array([get(p) for p in points], dtype).reshape(len(points), len(fields)).T
 
 
 def take(points: Points, index: Sequence[int]) -> Points:
@@ -250,10 +260,7 @@ def thermal_occupation(omega: _Real, temperature: _Real) -> _Real:
     """
     _check(omega <= 0.0, "omega must be strictly positive")
     _check(temperature < 0.0, "temperature must be non-negative")
-    cold = temperature == 0.0
-    x = _hbar * omega / (_k_boltzmann * np.where(cold, 1.0, temperature))
-    # an infinite exponent gives exactly 0.0, without overflow
-    return _real(1.0 / np.expm1(np.where(cold | (x > _BOSE_OVERFLOW_CUTOFF), np.inf, x)))
+    return _real(_occupation(omega, temperature))
 
 
 def rabi_frequency(b_field: _Real, volume: _Real, spin_density: _Real) -> _Real:
@@ -266,8 +273,7 @@ def rabi_frequency(b_field: _Real, volume: _Real, spin_density: _Real) -> _Real:
     _check(b_field < 0.0, "b_field must be non-negative")
     _check((volume <= 0.0) | (spin_density <= 0.0),
            "volume and spin_density must be strictly positive")
-    root_spins = np.sqrt(spin_density * volume)
-    return _real((math.sqrt(5.0) / 4.0) * GYROMAGNETIC_RATIO * root_spins * b_field)
+    return _real(_rabi(b_field, volume, spin_density))
 
 
 def laser_drive_strength(power: _Real, kappa: _Real, wavelength: _Real) -> _Real:
@@ -279,8 +285,25 @@ def laser_drive_strength(power: _Real, kappa: _Real, wavelength: _Real) -> _Real
     _check(power < 0.0, "power must be non-negative")
     _check(kappa <= 0.0, "kappa must be strictly positive")
     _check(wavelength <= 0.0, "wavelength must be strictly positive")
-    omega_l = TWO_PI * _c_light / wavelength
-    return _real(np.sqrt(2.0 * power * kappa / (_hbar * omega_l)))
+    return _real(_drive(power, kappa, wavelength))
+
+
+# The three formulas without their domain checks, for the stacks: the fields of
+# a SystemParams, and the columns of a SweptParams, are checked when it is built.
+
+def _occupation(omega: _Real, temperature: _Real) -> _Real:
+    cold = temperature == 0.0
+    x = _hbar * omega / (_k_boltzmann * np.where(cold, 1.0, temperature))
+    # an infinite exponent gives exactly 0.0, without overflow
+    return 1.0 / np.expm1(np.where(cold | (x > _BOSE_OVERFLOW_CUTOFF), np.inf, x))
+
+
+def _rabi(b_field: _Real, volume: _Real, spin_density: _Real) -> _Real:
+    return (math.sqrt(5.0) / 4.0) * GYROMAGNETIC_RATIO * np.sqrt(spin_density * volume) * b_field
+
+
+def _drive(power: _Real, kappa: _Real, wavelength: _Real) -> _Real:
+    return np.sqrt(2.0 * power * kappa / (_hbar * (TWO_PI * _c_light / wavelength)))
 
 
 # ---------------------------------------------------------------------------

@@ -35,9 +35,11 @@ Two ways to get there:
   cross-check.
 
 :func:`solve_semiclassics_stack` solves the points of each mode in a stack
-together. Which branch is a point's working point is the harness's choice,
-made in its stage 1 on the eigensolve of each branch's drift: the first
-dynamically stable branch, else the first branch, reported unstable. So
+together, and returns their branches as columns: a state column, one
+:data:`STATE_DTYPE` record per branch, and each point's offsets into it.
+Which branch is a point's working point is the harness's choice, made in
+its stage 1 on the spectrum of each branch's drift: the first dynamically
+stable branch, else the first branch, reported unstable. So
 :func:`solve_semiclassics`, which returns the first branch, need not return
 the working point; ``evaluate_point(params).state`` is that. An error at any
 point of a stack raises for the whole stack, and the harness then solves the
@@ -48,13 +50,14 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from typing import Any, Iterable
 
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateOperatingPointError, NumericalError
 from .model import (
-    Points, SystemParams, _check, _Real, columns, laser_drive_strength, rabi_frequency, take,
+    Points, SystemParams, _check, _drive, _rabi, _Real, columns, take,
 )
 
 logger = logging.getLogger(__name__)
@@ -107,6 +110,43 @@ class SemiclassicalState:
     rabi: float | None
     iterations: int
     c2_mismatch: float | None
+
+
+#: A :class:`SemiclassicalState` as one record. A stack of working points is a
+#: state column, an array of these, whose fields are the columns; NaN stands
+#: for None, and a NaN ``q_avg`` for no state at all.
+STATE_DTYPE = np.dtype([
+    ("q_avg", float), ("m_avg", complex), ("c2_avg", complex), ("g_c_eff", complex),
+    ("g_mb_eff", complex), ("delta_c2_eff", float), ("delta_m_eff", float),
+    ("drive_e", float), ("rabi", float), ("iterations", int), ("c2_mismatch", float),
+])
+
+#: The record of no state.
+_NO_STATE = (math.nan,) * 9 + (0, math.nan)
+
+
+def _states(n: int, *fields: Any) -> np.ndarray:
+    """A column of ``n`` states from a value or (n,) array per field."""
+    states = np.empty(n, STATE_DTYPE)
+    for name, values in zip(STATE_DTYPE.names, fields):
+        states[name] = values
+    return states
+
+
+def state_at(states: np.ndarray, k: int) -> SemiclassicalState | None:
+    """The state at row ``k`` of a state column, or None where it has none."""
+    values = states[k].item()
+    if values[0] != values[0]:
+        return None
+    return SemiclassicalState(*[None if x != x else x for x in values])
+
+
+def state_column(states: Iterable[SemiclassicalState | None]) -> np.ndarray:
+    """The state column of ``states``, the inverse of :func:`state_at`."""
+    return np.array([
+        _NO_STATE if s is None else tuple(math.nan if x is None else x for x in astuple(s))
+        for s in states
+    ], STATE_DTYPE)
 
 
 def magnon_average(
@@ -242,8 +282,8 @@ class _Displacement:
             "rho_spin",
         )
         self.delta_c2_signed = sign * delta_c2
-        self.drive_e = laser_drive_strength(p_laser, self.kappa_c2, lambda_laser)
-        self.rabi = rabi_frequency(b_field, v_yig, rho_spin)
+        self.drive_e = _drive(p_laser, self.kappa_c2, lambda_laser)
+        self.rabi = _rabi(b_field, v_yig, rho_spin)
         self.m0 = np.where(verbatim, delta_c2, self.delta_m)
         self.m1 = np.where(verbatim, 0.0, self.g_m)
 
@@ -351,9 +391,10 @@ class _Displacement:
         return q, steps
 
 
-def _derived_branches(params_list: Points) -> list[tuple[SemiclassicalState, ...]]:
-    """The branches of a stack of derived-mode points: the roots of q = F(q)
-    with F' < 1, ordered by |F'|, each with its amplitudes and couplings."""
+def _derived_branches(params_list: Points) -> tuple[np.ndarray, np.ndarray]:
+    """The branches of a stack of derived-mode points and their offsets, as
+    :func:`solve_semiclassics_stack` returns them: the roots of q = F(q) with
+    F' < 1, ordered by |F'|, each with its amplitudes and couplings."""
     disp = _Displacement(params_list)
     roots, steps = disp.roots()
     with np.errstate(invalid="ignore"):
@@ -380,51 +421,53 @@ def _derived_branches(params_list: Points) -> list[tuple[SemiclassicalState, ...
     c2_avg = cavity2_average_closed_form(*c2_args)
     mismatch = _cavity2(c2_avg, *c2_args)
     g_c_eff, g_mb_eff = effective_couplings(disp.g_c[pt], c2_avg, disp.g_m[pt], m_avg)
-    states = [
-        SemiclassicalState(*fields)
-        for fields in zip(
-            q.tolist(), m_avg.tolist(), c2_avg.tolist(), g_c_eff.tolist(),
-            g_mb_eff.tolist(), delta_c2_eff.tolist(), delta_m_eff.tolist(),
-            c2_args[0].tolist(), disp.rabi[pt].tolist(), steps.tolist(), mismatch.tolist(),
-        )
-    ]
-    ends = np.cumsum(counts).tolist()
-    return [tuple(states[end - n : end]) for end, n in zip(ends, counts.tolist())]
+    states = _states(
+        len(q), q, m_avg, c2_avg, g_c_eff, g_mb_eff, delta_c2_eff, delta_m_eff, c2_args[0],
+        disp.rabi[pt], steps, mismatch,
+    )
+    return states, np.concatenate([[0], np.cumsum(counts)])
 
 
-def _direct_branches(params_list: Points) -> list[tuple[SemiclassicalState]]:
-    """The one branch of each point of a direct-mode stack: the configured
-    effective couplings at face value, with zero static displacement."""
-    g_c, g_mb, sign, delta_c2, delta_m, p_laser, kappa_c2, wavelength, v_yig, rho = columns(
-        params_list, "g_c_eff", "g_mb_eff", "delta_c2_sign", "delta_c2", "delta_m", "p_laser",
-        "kappa_c2", "lambda_laser", "v_yig", "rho_spin",
+def _direct_branches(params_list: Points) -> tuple[np.ndarray, np.ndarray]:
+    """The one branch of each point of a direct-mode stack and their offsets:
+    the configured effective couplings at face value, with zero static
+    displacement."""
+    g_c, g_mb, sign, delta_c2, delta_m, p_laser, kappa_c2, wavelength, b_field, v_yig, rho = (
+        columns(params_list, "g_c_eff", "g_mb_eff", "delta_c2_sign", "delta_c2", "delta_m",
+                "p_laser", "kappa_c2", "lambda_laser", "b_field", "v_yig", "rho_spin")
     )
     # an unset b_field reads as NaN, and so does its Rabi frequency
-    (b_field,) = columns(params_list, "b_field").astype(float)
-    rabi = rabi_frequency(b_field, v_yig, rho).tolist()
-    drive_e = laser_drive_strength(p_laser, kappa_c2, wavelength)
-    states = zip(
-        g_c.astype(complex).tolist(), g_mb.astype(complex).tolist(),
-        (sign * delta_c2).tolist(), delta_m.tolist(), drive_e.tolist(),
-        [None if r != r else r for r in rabi],
+    states = _states(
+        len(g_c), 0.0, math.nan, math.nan, g_c, g_mb, sign * delta_c2, delta_m,
+        _drive(p_laser, kappa_c2, wavelength), _rabi(b_field, v_yig, rho), 0, math.nan,
     )
-    return [(SemiclassicalState(0.0, None, None, *fields, 0, None),) for fields in states]
+    return states, np.arange(len(g_c) + 1)
 
 
-def solve_semiclassics_stack(params_list: Points) -> list[tuple[SemiclassicalState, ...]]:
-    """Working-point branches for a stack of points, in order.
+def solve_semiclassics_stack(params_list: Points) -> tuple[np.ndarray, np.ndarray]:
+    """Working-point branches for a stack of points, as columns.
 
-    A direct-mode point has one branch. The points of each mode are solved
+    Returns a state column of every point's branches, one point after
+    another (B,), and the offsets (N + 1,) at which each point's branches
+    start: point k's are ``states[offsets[k]:offsets[k + 1]]``. A
+    direct-mode point has one branch. The points of each mode are solved
     together, as the module docstring describes; an error at any of them
     raises for the stack.
     """
-    modes = columns(params_list, "coupling_mode")[0].tolist()
-    solved = {}
-    for name, branches in (("derived", _derived_branches), ("direct", _direct_branches)):
-        index = [k for k, mode in enumerate(modes) if mode == name]
-        points = params_list if len(index) == len(modes) else take(params_list, index)
-        solved[name] = iter(branches(points) if index else ())
-    return [next(solved[mode]) for mode in modes]
+    (derived,) = columns(params_list, "coupling_mode", dtype=object) == "derived"
+    n_derived = np.count_nonzero(derived)
+    if n_derived in (0, len(derived)):
+        return (_derived_branches if n_derived else _direct_branches)(params_list)
+    (states, offsets), (direct, _) = (
+        branches(take(params_list, rows.nonzero()[0]))
+        for rows, branches in ((derived, _derived_branches), (~derived, _direct_branches))
+    )
+    counts = np.ones(len(derived), dtype=int)
+    counts[derived] = np.diff(offsets)
+    of_derived = np.repeat(derived, counts)
+    merged = np.empty(len(of_derived), STATE_DTYPE)
+    merged[of_derived], merged[~of_derived] = states, direct
+    return merged, np.concatenate([[0], np.cumsum(counts)])
 
 
 def solve_semiclassics(params: SystemParams) -> SemiclassicalState:
@@ -433,10 +476,11 @@ def solve_semiclassics(params: SystemParams) -> SemiclassicalState:
     In derived mode this need not be the working point the harness keeps
     (see the module docstring).
     """
-    return solve_semiclassics_stack([params])[0][0]
+    return state_at(solve_semiclassics_stack([params])[0], 0)
 
 
 __all__ = [
+    "STATE_DTYPE",
     "SemiclassicalState",
     "cavity2_average_closed_form",
     "effective_couplings",
@@ -444,4 +488,6 @@ __all__ = [
     "mechanical_displacement",
     "solve_semiclassics",
     "solve_semiclassics_stack",
+    "state_at",
+    "state_column",
 ]

@@ -229,9 +229,8 @@ class TestSweep:
             "--heatmap", "ab",
         )
         assert rc == 1
-        assert f"wrote {out_path} (6 points)" in out
-        assert err.startswith(f"error: cannot write {tmp_path / 'map.ab.pgm'}: ")
-        assert err.count("\n") == 1
+        assert out == "" and not out_path.exists()
+        assert err == f"error: cannot write {tmp_path / 'map.ab.pgm'}: it is a directory\n"
 
     @pytest.mark.parametrize(
         "axis2, pairs, heatmap, out_dir, message",
@@ -239,8 +238,13 @@ class TestSweep:
             (False, ["ab"], "ab", ".", "heatmaps need a 2D sweep"),
             (True, ["am"], "ab", ".", "pair 'ab' was not requested in this sweep"),
             (True, ["ab"], None, "missing", "cannot write {out}: "),
+            (True, ["ab"], None, "map.csv", "cannot write {out}: it is a directory"),
+            (True, ["ab"], "ab", "map.ab.pgm", "cannot write {pgm}: it is a directory"),
         ],
-        ids=["1d-heatmap", "unrequested-pair", "missing-directory"],
+        ids=[
+            "1d-heatmap", "unrequested-pair", "missing-directory", "csv-is-a-directory",
+            "pgm-is-a-directory",
+        ],
     )
     def test_bad_outputs_fail_before_the_grid_is_solved(
         self, capsys, tmp_path, axis2, pairs, heatmap, out_dir, message
@@ -250,6 +254,9 @@ class TestSweep:
             doc = json.loads(config.read_text())
             del doc["sweep"]["axis2"]
             config.write_text(json.dumps(doc))
+        if out_dir.startswith("map."):  # an output path that is a directory
+            (tmp_path / out_dir).mkdir()
+            out_dir = "."
         out = tmp_path / out_dir / "map.csv"
         argv = ["sweep", "--config", str(config), "--out", str(out)]
         argv += ["--heatmap", heatmap] if heatmap else []
@@ -258,7 +265,7 @@ class TestSweep:
         solve.assert_not_called()
         assert rc == 1
         assert stdout == ""
-        assert err.startswith("error: " + message.format(out=out))
+        assert err.startswith("error: " + message.format(out=out, pgm=out.with_suffix(".ab.pgm")))
         assert err.count("\n") == 1
 
     def test_default_runs_no_pool(self, capsys, tmp_path):

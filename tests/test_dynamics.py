@@ -19,7 +19,7 @@ from ommlab import (
 )
 from ommlab.dynamics import DIM, DriftMatrix, diffusion_stack, drift_stack, stability_stack
 from ommlab.model import TWO_PI
-from ommlab.semiclassics import solve_semiclassics_stack
+from ommlab.semiclassics import solve_semiclassics_stack, state_at
 
 
 def drift_at(**overrides) -> np.ndarray:
@@ -167,24 +167,27 @@ LATER_BRANCH = {
 class TestDriftStack:
     @staticmethod
     def mixed_stack():
-        """Every branch of points that take each path through the builders."""
-        points = []
+        """Every branch of points that take each path through the builders:
+        each branch's parameters, and their state column."""
+        params_list, branches = [], []
         for overrides in (
             {}, DERIVED, LATER_BRANCH, {"T": 0.0}, {"g_c_eff_hz": 0.0},
         ):
             p = default_params(**overrides)
-            points += [(p, state) for state in solve_semiclassics_stack([p])[0]]
-        return points
+            states, offsets = solve_semiclassics_stack([p])
+            assert offsets.tolist() == [0, len(states)]
+            params_list += [p] * len(states)
+            branches.append(states)
+        return params_list, np.concatenate(branches)
 
     def test_stacks_equal_their_stacks_of_one(self):
-        points = self.mixed_stack()
-        assert len(points) == 8
-        params_list, states = zip(*points)
+        params_list, states = self.mixed_stack()
+        assert len(states) == 8
         a, d = drift_stack(params_list, states), diffusion_stack(params_list)
         assert a.shape == d.shape == (8, DIM, DIM)
-        for i, (p, state) in enumerate(points):
-            assert a[i].tobytes() == drift_stack([p], [state])[0].tobytes()
-            assert a[i].tobytes() == build_drift(p, state).a.tobytes()
+        for i, p in enumerate(params_list):
+            assert a[i].tobytes() == drift_stack([p], states[i : i + 1])[0].tobytes()
+            assert a[i].tobytes() == build_drift(p, state_at(states, i)).a.tobytes()
             assert d[i].tobytes() == diffusion_stack([p])[0].tobytes()
             assert d[i].tobytes() == build_diffusion(p).d.tobytes()
 

@@ -279,6 +279,11 @@ class TestNuMinusStack:
             np.zeros((4, 4)), NumericalError, "vanishing symplectic eigenvalue"
         )
 
+    @pytest.mark.parametrize("shape", [(1, 6, 6), (1, 8, 8), (2, 2, 8), (4, 4), (1, 4, 4, 1)])
+    def test_wrong_shape_rejected(self, shape):
+        with pytest.raises(DomainError, match=r"\(N, 4, 4\) stack"):
+            nu_minus_stack(np.full(shape, 0.5))
+
 
 class TestRandomCovariances:
     def test_generated_states_are_physical(self):

@@ -35,7 +35,7 @@ from ommlab.dynamics import drift_stack, stability_stack
 from ommlab import harness
 from ommlab.entanglement import nu_minus_stack, parse_pair
 from ommlab.harness import CHUNK_SIZE, SWEEP_AXES
-from ommlab.semiclassics import solve_semiclassics_stack
+from ommlab.semiclassics import solve_semiclassics_stack, state_at
 
 # Frozen outputs of the default operating point. These pin the full pipeline
 # (semiclassics through log-negativity) against accidental drift; they are
@@ -394,6 +394,13 @@ class TestWorkingPointBranches:
     }
 
     @staticmethod
+    def branches(p):
+        """The state column of one point's branches."""
+        states, offsets = solve_semiclassics_stack([p])
+        assert offsets.tolist() == [0, len(states)]
+        return states
+
+    @staticmethod
     def margins(p, branches):
         """Each branch's stability margin, from one drift stack and eig."""
         a = drift_stack([p] * len(branches), branches)
@@ -401,18 +408,22 @@ class TestWorkingPointBranches:
 
     @staticmethod
     def reorder(monkeypatch, pick):
+        """Hand stage 1 ``pick`` of each point's branches, a state column."""
         solve = harness.solve_semiclassics_stack
-        monkeypatch.setattr(
-            harness, "solve_semiclassics_stack",
-            lambda params_list: [pick(branches) for branches in solve(params_list)],
-        )
+
+        def picked(params_list):
+            states, offsets = solve(params_list)
+            kept = [pick(states[start:end]) for start, end in zip(offsets[:-1], offsets[1:])]
+            return np.concatenate(kept), np.cumsum([0] + [len(point) for point in kept])
+
+        monkeypatch.setattr(harness, "solve_semiclassics_stack", picked)
 
     def test_reference_point_has_one_stable_branch_of_three(self):
         p = default_params(**self.DERIVED)
-        branches = solve_semiclassics_stack([p])[0]
+        branches = self.branches(p)
         verdicts = [margin > 0.0 for margin in self.margins(p, branches)]
         assert verdicts == [True, False, False]
-        assert evaluate_point(p).state == branches[0]
+        assert evaluate_point(p).state == state_at(branches, 0)
 
     def test_stable_branch_found_behind_unstable_ones(self, monkeypatch):
         # listed last, the stable branch is still the one reported, with the
@@ -425,25 +436,26 @@ class TestWorkingPointBranches:
 
     def test_no_stable_branch_reports_the_first(self, monkeypatch):
         p = default_params(**self.DERIVED)
-        first = solve_semiclassics_stack([p])[0][1]
+        first = self.branches(p)[1:2]
         self.reorder(monkeypatch, lambda branches: branches[1:])
         report = evaluate_point(p)
         assert report.error is None and not report.stable
-        assert report.state == first
-        assert [report.margin] == self.margins(p, [first])
+        assert report.state == state_at(first, 0)
+        assert [report.margin] == self.margins(p, first)
         assert all(rep.e_n is None for rep in report.entanglement.values())
 
 
     def test_a_later_branch_is_the_working_point(self):
         p = default_params(**self.LATER_BRANCH)
-        first, second = solve_semiclassics_stack([p])[0]
-        assert first.q_avg == pytest.approx(-6.48e4, rel=1e-3)
-        assert second.q_avg == pytest.approx(-1.27e4, rel=1e-2)
-        margins = self.margins(p, [first, second])
+        branches = self.branches(p)
+        first, second = branches["q_avg"]
+        assert first == pytest.approx(-6.48e4, rel=1e-3)
+        assert second == pytest.approx(-1.27e4, rel=1e-2)
+        margins = self.margins(p, branches)
         assert margins[0] == pytest.approx(-1.30e5, rel=1e-2)
         report = evaluate_point(p)
         assert report.error is None and report.stable
-        assert report.state == second
+        assert report.state == state_at(branches, 1)
         assert report.margin == margins[1]
         assert report.margin == pytest.approx(4.05e5, rel=1e-2)
         assert all(rep.e_n is not None for rep in report.entanglement.values())
@@ -462,15 +474,15 @@ class TestWorkingPointBranches:
         # is the working point, alone and in a chunk whose other points try
         # later branches too
         p = default_params(**self.TWO_STABLE)
-        branches = solve_semiclassics_stack([p])[0]
+        branches = self.branches(p)
         margins = self.margins(p, branches)
         assert [margin > 0.0 for margin in margins] == [True, True, False]
         self.reorder(
             monkeypatch,
-            lambda found: tuple(found[i] for i in order) if found == branches else found,
+            lambda found: found[list(order)] if found.tobytes() == branches.tobytes() else found,
         )
         report = evaluate_point(p)
-        assert report.stable and report.state == branches[order[1]]
+        assert report.stable and report.state == state_at(branches, order[1])
         assert report.margin == margins[order[1]]
         chunk = [default_params(), default_params(**self.LATER_BRANCH), p]
         parsed = [(label, parse_pair(label)) for label in DEFAULT_PAIRS]
@@ -479,32 +491,63 @@ class TestWorkingPointBranches:
         assert reports[2] == report
 
     def test_stage_one_takes_at_most_two_eigensolves_per_chunk(self, monkeypatch):
-        # one drift stack and eigensolve for the first branches, at most one
-        # more of each for every later branch of the chunk
-        chunks = []
-
-        def count(name):
-            call = getattr(harness, name)
-
-            def counted(*args):
-                if name == "solve_semiclassics_stack":
-                    chunks.append(collections.Counter())
-                else:
-                    chunks[-1][name] += 1
-                return call(*args)
-
-            monkeypatch.setattr(harness, name, counted)
-
-        for name in ("solve_semiclassics_stack", "drift_stack", "stability_stack"):
-            count(name)
+        # one eig with vectors for the first branches of a chunk; every later
+        # branch of a point whose first branch is unstable goes through one
+        # batched eigvals as a screen, and only the tries that pass it through
+        # a second eig, whose verdict and eigenpairs are the ones kept
         spec = SweepSpec(
             Axis("delta_c2_over_wb", -2.0, 0.0, 41), Axis("delta_m_over_wb", 0.0, 2.0, 41)
         )
-        result = run_sweep(default_params(**self.DERIVED), spec, ("ab", "am"))
+        params = default_params(**self.DERIVED)
+        points = [
+            dataclasses.replace(params, delta_c2=x * params.omega_b, delta_m=y * params.omega_b)
+            for x in np.linspace(-2.0, 0.0, 41) for y in np.linspace(0.0, 2.0, 41)
+        ]
+        states, offsets = solve_semiclassics_stack(points)
+        a = drift_stack(points, states[offsets[:-1]])
+        unstable = ~(stability_stack(a, np.full(len(points), params.omega_b))[2] < 0.0)
+        tries = int(np.sum(np.diff(offsets)[unstable] - 1))
+        assert tries == 734
+
+        eig_rows, screened = [], []
+        eig, eigvals = np.linalg.eig, np.linalg.eigvals
+
+        def counted_eig(a):
+            eig_rows.append(len(a))
+            return eig(a)
+
+        def counted_eigvals(a):
+            if a.shape[-1] == 10:  # not a displacement polynomial's companion
+                screened.append(len(a))
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eig", counted_eig)
+        monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
+        result = run_sweep(params, spec, ("ab", "am"))
         assert all(report.error is None for report in result.reports)
-        assert len(chunks) == math.ceil(41 * 41 / CHUNK_SIZE)
-        calls = [(chunk["drift_stack"], chunk["stability_stack"]) for chunk in chunks]
-        assert set(calls) <= {(1, 1), (2, 2)} and (2, 2) in calls
+        # no try on this map passes: the first branches are all the eig sees
+        assert sum(eig_rows) == 41 * 41
+        assert len(eig_rows) == math.ceil(41 * 41 / CHUNK_SIZE)
+        assert sum(screened) == tries and len(screened) <= len(eig_rows)
+
+        # a point whose second branch is kept, and one whose two stable
+        # branches are tried behind its unstable one: both pass the screen,
+        # and the earlier of the second point's is kept
+        later, two = default_params(**self.LATER_BRANCH), default_params(**self.TWO_STABLE)
+        kept = [self.branches(later)[1:2], self.branches(two)[:1]]
+        self.reorder(monkeypatch, lambda found: found[[2, 0, 1]] if len(found) == 3 else found)
+        eig_rows.clear()
+        screened.clear()
+        scale, _, states, a, eigs, vecs, max_real = harness._working_points([later, two])
+        assert eig_rows == [2, 3] and screened == [3]
+        for k, (p, branch) in enumerate(zip([later, two], kept)):
+            assert states[k : k + 1].tobytes() == branch.tobytes()
+            drift = drift_stack([p], branch)
+            np.testing.assert_array_equal(a[k], drift[0])
+            found = stability_stack(drift, scale[k : k + 1])
+            for got, want in zip((eigs, vecs, max_real), found):
+                np.testing.assert_array_equal(got[k], want[0])
+            assert max_real[k] < 0.0
 
     def test_later_branch_row_in_a_chunk_equals_its_lone_evaluation(self):
         points = _chunk_points()
@@ -688,6 +731,47 @@ class TestColumnarSweep:
         assert e_n[0, 0] == 0.0 and math.copysign(1.0, e_n[0, 2]) == 1.0
         assert math.isnan(e_n[0, 1])
 
+    def test_no_state_is_built_until_a_report_is_read(self, monkeypatch):
+        # stage 1 keeps every branch as columns: a derived map of two chunks,
+        # some of whose points try later branches, builds no state object
+        built = []
+        init = semiclassics.SemiclassicalState.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(semiclassics.SemiclassicalState, "__init__", counted)
+        spec = SweepSpec(Axis("delta_c2_over_wb", -2.0, 0.0, 12), Axis("delta_m_over_wb", 0, 2, 12))
+        result = run_sweep(default_params(**TestWorkingPointBranches.DERIVED), spec, ("ab",))
+        assert len(result.reports) == 144 > CHUNK_SIZE and not result.reports.stable.all()
+        assert built == []
+        state = result.report_at(5, 7).state
+        assert len(built) == 1 and state.m_avg is not None and state.c2_mismatch is not None
+
+    @pytest.mark.parametrize("b_field_t", [None, 1e-3])
+    def test_state_column_round_trips_every_none(self, b_field_t):
+        # a direct point has no amplitudes and no mismatch, and no Rabi
+        # frequency without a b_field; an error row has no state. Each reads
+        # back as None from the joined columns of two chunks and the failed
+        # rows, at one thread and at two
+        params = default_params(b_field_t=b_field_t)
+        spec = SweepSpec(Axis("T", -0.01, 0.03, 5), Axis("delta_a_over_wb", -1.2, -0.8, 30))
+        results = [run_sweep(params, spec, ("ab",), threads=n) for n in (1, 2)]
+        assert results[0].reports == results[1].reports
+        reports = results[0].reports
+        assert len(reports) == 150
+        for index, report in enumerate(reports):
+            point = _set_on_the_point(params, spec, results[0], *divmod(index, 30))
+            if isinstance(point, str):
+                assert report.error == point and report.state is None
+                continue
+            state = report.state
+            assert state == evaluate_point(point, ("ab",)).state
+            assert state.m_avg is None and state.c2_avg is None and state.c2_mismatch is None
+            assert (state.rabi is None) == (b_field_t is None)
+        assert sum(report.state is None for report in reports) == 30
+
     @pytest.fixture(scope="class")
     def mixed(self):
         params = default_params(**MIXED_BASE)
@@ -826,7 +910,7 @@ class TestRunSweep:
             assert {"stable", "unstable"} in chunks
             assert "error" not in kinds
             assert any(
-                len(solve_semiclassics_stack([point_at(index)])[0]) > 1
+                solve_semiclassics_stack([point_at(index)])[1][1] > 1
                 for index, kind in enumerate(kinds) if kind == "unstable"
             )
 

@@ -190,6 +190,28 @@ class TestArrayArguments:
             fn(*columns)
 
 
+class TestSweptParams:
+    """A chunk's swept columns are held to the rules of their fields, with the
+    message a parameter set out of the domain raises: the stacks read them
+    without the helpers' own checks."""
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [("temperature", -0.01), ("omega_b", 0.0), ("g_n1", math.inf), ("p_laser", -1e-3)],
+    )
+    def test_out_of_domain_column_rejected(self, field, bad):
+        base = default_params()
+        with pytest.raises(DomainError) as one_set:
+            dataclasses.replace(base, **{field: bad})
+        good = getattr(base, field)
+        with pytest.raises(DomainError, match=f"^{re.escape(str(one_set.value))}$"):
+            model.SweptParams(base, {field: np.array([good, bad, good])})
+
+    def test_checked_columns_pass(self):
+        swept = {"temperature": np.array([0.0, 0.2]), "delta_a": np.array([-1e9, 1e9])}
+        assert len(model.SweptParams(default_params(), swept)) == 2
+
+
 class TestConfigIngestion:
     def test_defaults_convert_to_angular_units(self):
         p = default_params()

@@ -216,9 +216,11 @@ class TestSolveSemiclassicsDirect:
             default_params(T=0.0),
             default_params(delta_c2_sign=1.0),
         ]
-        stack = semiclassics.solve_semiclassics_stack(points)
-        for p, branches in zip(points, stack):
-            (alone,) = semiclassics.solve_semiclassics_stack([p])
+        stack, offsets = semiclassics.solve_semiclassics_stack(points)
+        assert offsets.tolist() == [0, 1, 2, 3, 4]
+        for k, p in enumerate(points):
+            alone, alone_offsets = semiclassics.solve_semiclassics_stack([p])
+            assert alone_offsets.tolist() == [0, 1]
             reference = semiclassics.SemiclassicalState(
                 q_avg=0.0, m_avg=None, c2_avg=None, g_c_eff=complex(p.g_c_eff),
                 g_mb_eff=complex(p.g_mb_eff), delta_c2_eff=p.delta_c2_sign * p.delta_c2,
@@ -229,12 +231,13 @@ class TestSolveSemiclassicsDirect:
                 ),
                 iterations=0, c2_mismatch=None,
             )
-            assert len(branches) == len(alone) == 1
+            assert len(alone) == 1
             for field in dataclasses.fields(reference):
                 want = getattr(reference, field.name)
-                for got in (getattr(branches[0], field.name), getattr(alone[0], field.name)):
+                for state in (semiclassics.state_at(stack, k), semiclassics.state_at(alone, 0)):
+                    got = getattr(state, field.name)
                     assert type(got) is type(want) and repr(got) == repr(want), field.name
-        assert [branches[0].rabi is None for branches in stack] == [True, False, True, True]
+        assert np.isnan(stack["rabi"]).tolist() == [True, False, True, True]
 
 
 class TestSolveSemiclassicsDerived:
@@ -322,11 +325,11 @@ class TestSolveSemiclassicsDerived:
             lambda *args: exact(*args) * (1.0 + 1e-6),
         )
         with caplog.at_level(logging.WARNING, logger=semiclassics.__name__):
-            branches = semiclassics.solve_semiclassics_stack(
+            branches, offsets = semiclassics.solve_semiclassics_stack(
                 [default_params(**self.OVERRIDES)]
-            )[0]
-            assert len(branches) == 3
-            assert all(b.c2_mismatch == pytest.approx(1e-6, rel=1e-5) for b in branches)
+            )
+            assert offsets.tolist() == [0, 3]
+            assert all(m == pytest.approx(1e-6, rel=1e-5) for m in branches["c2_mismatch"])
             assert len(caplog.records) == 1
             args = (7.7e11, KAPPA_A, KAPPA_C1, KAPPA_C2, DELTA_A, DELTA_C1,
                     DELTA_C2_EFF, G1, G2)
@@ -339,7 +342,7 @@ class TestSolveSemiclassicsDerived:
         # the working point is a stack of one: one stacked 3x3 LU
         # cross-checks the closed form at all of its branches
         p = default_params(**self.OVERRIDES)
-        assert len(semiclassics.solve_semiclassics_stack([p])[0]) == 3
+        assert semiclassics.solve_semiclassics_stack([p])[1].tolist() == [0, 3]
         with mock.patch.object(
             semiclassics.np.linalg, "solve", wraps=np.linalg.solve
         ) as solve:
@@ -426,8 +429,9 @@ class TestDisplacementRoots:
         )
         roots = semiclassics._Displacement([p]).roots()[0][0]
         roots = roots[np.isfinite(roots)]
-        branches = semiclassics.solve_semiclassics_stack([p])[0]
-        branch_q = np.array([b.q_avg for b in branches])
+        branches, offsets = semiclassics.solve_semiclassics_stack([p])
+        assert offsets.tolist() == [0, len(branches)]
+        branch_q = branches["q_avg"]
 
         # every sign change of F(q) - q is a returned root; a falling one is
         # a root with F' < 1, so a branch
@@ -488,7 +492,8 @@ class TestDisplacementRoots:
     def test_iterations_count_the_newton_steps(self):
         # the companion eigenvalues are close to the roots already, so the
         # polish takes a few Newton steps, not the fixed point's dozen
-        branches = semiclassics.solve_semiclassics_stack(
+        branches, offsets = semiclassics.solve_semiclassics_stack(
             [default_params(**self.OVERRIDES)]
-        )[0]
-        assert all(1 <= b.iterations <= 3 for b in branches)
+        )
+        assert offsets.tolist() == [0, 3]
+        assert all(1 <= n <= 3 for n in branches["iterations"].tolist())
