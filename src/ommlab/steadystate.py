@@ -21,16 +21,16 @@ sent to the fallback, on its own, and its failure is returned for it alone.
 that takes a drift and diffusion as arrays or as their wrapper types.
 
 The independent route, :func:`integrate_to_steady_state_stack`, follows the
-exact flow of dV/dt = A V + V A^T + D until the right-hand side is
-numerically zero: over a step h it is V <- Phi V Phi^T + Q_h, with Phi and
-Q_h from one matrix exponential of a 2n x 2n block (Van Loan, IEEE TAC 23,
-395, 1978), and 2^k steps are the same map with Phi and Q_h doubled k times
-(Smith, SIAM J. Appl. Math. 16, 198, 1968). It uses scipy's Pade
-scaling-and-squaring ``expm``; the drift's eigenvalues set its step and
-horizon, and its eigenvectors are not used. For a stable A both routes must
-agree, which is the package's main internal consistency check. Both take
-their stability verdict from the drift's eigenvalues, as
-:func:`ommlab.dynamics.stability_stack` returns them.
+exact flow of dV/dt = A V + V A^T + D from V0, V(t) = Phi_t V0 Phi_t^T + Q_t:
+one matrix exponential of a 2n x 2n block gives the pair over a step h (Van
+Loan, IEEE TAC 23, 395, 1978), and k doublings of the pair alone give it over
+2^k steps (Smith, SIAM J. Appl. Math. 16, 198, 1968). The residual at t is
+Phi_t R0 Phi_t^T, so V is formed and checked once ||Phi_t||_F^2 ||R0||_F
+passes. It uses scipy's Pade scaling-and-squaring ``expm``; the drift's
+eigenvalues set its step and horizon, and its eigenvectors are not used.
+For a stable A both routes must agree, which is the package's main internal
+consistency check. Both take their stability verdict from the drift's
+eigenvalues, as :func:`ommlab.dynamics.stability_stack` returns them.
 
 All solves run in dimensionless form: A and D are scaled by a natural
 frequency first (the mechanical frequency for the physical pipeline), so the
@@ -66,11 +66,12 @@ _ASYMMETRY_RTOL = 1e-9
 #: fail. The physical maps stay below cond 10.
 _EIGENBASIS_COND_MAX = 1e3
 
-#: Exact-flow defaults: base step as a fraction of the spectral radius, its
-#: largest allowed value, stopping tolerance relative to ||D||_F, and horizon
-#: in units of the slowest decay.
-_FLOW_STEP_FRACTION = 0.05
-_FLOW_MAX_STEP_FRACTION = 0.1
+#: Exact-flow defaults: base step and its cap in units of 1 / spectral radius,
+#: stopping tolerance relative to ||D||_F, and horizon in slowest decay times.
+#: The cap is the block exponential's accuracy: the worst oracle deviation on
+#: the acceptance maps, below 1.7e-10 from 0.05 to 1.6, reaches 1.1e-9 at 3.2.
+_FLOW_STEP_FRACTION = 1.0
+_FLOW_MAX_STEP_FRACTION = 2.0
 _FLOW_RTOL = 1e-12
 _FLOW_HORIZON = 50.0
 
@@ -336,6 +337,12 @@ def _square_sums(x: np.ndarray) -> np.ndarray:
     return np.einsum("nij,nij->n", x, x)
 
 
+def _rhs(a_s: np.ndarray, v: np.ndarray, d_s: np.ndarray) -> np.ndarray:
+    """A V + V A^T + D of each point of a stack, for symmetric V and D."""
+    av = a_s @ v
+    return av + _transpose(av) + d_s
+
+
 def integrate_to_steady_state_stack(
     a: np.ndarray,
     d: np.ndarray,
@@ -354,90 +361,97 @@ def integrate_to_steady_state_stack(
     natural frequency, ``eigenvalues`` (N, n) are each drift's, as returned
     by :func:`ommlab.dynamics.stability_stack`, and give the verdict, the
     spectral radius and the slowest decay, not V. ``v0`` (N, n, n) defaults
-    to the vacuum and ``dt`` (N,), in seconds, to 0.05 / spectral radius. Pass
-    k checks ||A V + V A^T + D||_F against ``rtol`` ||D||_F, then advances V
-    by 2^k steps, V <- Phi V Phi^T + Q
-    (:func:`_flow`), and doubles Phi and Q, so the checks fall after 0, 1,
-    3, 7, ... steps. A point freezes at its first passing check, whatever the
-    other points do, and fails with :class:`ConvergenceError` at its first
-    check at or past ``horizon`` slowest decay times. The flow takes the
-    residual R to Phi R Phi^T, so a residual above ||Phi||_F^2 times the one
-    before it is the plain update's roundoff floor, and that point takes the
-    pass in correction form, V <- V + int_0^T e^(A s) R e^(A^T s) ds over
-    the same T, from a flow of R doubled alike. Returns V (N, n, n),
-    symmetrized, undefined for failed points, and each point's error or
-    None; an unstable drift gets :class:`StabilityError` and a step above
-    0.1 / spectral radius :class:`DomainError`.
+    to the vacuum and ``dt`` (N,), in seconds, to 1 / spectral radius. A
+    point whose residual R0 at step 0 is within ``rtol`` ||D||_F keeps V0.
+    Over 2^k steps the flow from V = 0, (Phi, Q) from :func:`_flow` doubled k
+    times, gives V = Phi V0 Phi^T + Q with residual Phi R0 Phi^T. A point is
+    read, V and its residual formed, only at the first 2^k where
+    ||Phi||_F^2 ||R0||_F passes or that reaches ``horizon`` slowest decay
+    times. It freezes at its first passing read, whatever the other points
+    do; a read at the horizon that misses gives :class:`ConvergenceError`,
+    and a certified read that misses is the plain form's roundoff floor:
+    that point takes V + int_0^t e^(A s) R e^(A^T s) ds, the flow of R over
+    the same t, doubled alike, and is read again at 2t. Returns V (N, n, n),
+    symmetrized, NaN for failed points, and each point's error or None:
+    :class:`StabilityError` for an unstable drift, :class:`DomainError` for
+    a step not positive or above the block exponential's accuracy limit,
+    2 / spectral radius. An ``rtol`` or ``horizon`` not finite and positive,
+    or a ``v0`` not shaped like ``a``, raises :class:`DomainError`.
     """
+    for name, value in (("rtol", rtol), ("horizon", horizon)):
+        if not 0.0 < value < np.inf:
+            raise DomainError(f"{name} must be finite and positive")
+    if v0 is not None and np.shape(v0) != a.shape:
+        raise DomainError(f"v0 must have the drifts' shape {a.shape}")
     max_real = eigenvalues.real.max(axis=-1)
     a_s = a / scale[:, None, None]
     d_s = d / scale[:, None, None]
     radius = np.abs(eigenvalues).max(axis=-1) / scale
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         h = _FLOW_STEP_FRACTION / radius if dt is None else dt * scale
         budget = np.ceil(horizon * scale / -max_real / h)
     errors: list[OmmlabError | None] = [None] * len(a)
     for i in range(len(a)):
         if not max_real[i] < 0.0:
             errors[i] = _unstable(max_real[i])
-        elif h[i] > _FLOW_MAX_STEP_FRACTION / radius[i]:
+        elif not 0.0 < h[i] <= _FLOW_MAX_STEP_FRACTION / radius[i]:
             errors[i] = DomainError(
-                "dt exceeds the stability budget of "
-                f"{_FLOW_MAX_STEP_FRACTION} / spectral radius"
+                f"dt must be positive and at most {_FLOW_MAX_STEP_FRACTION:g} / spectral "
+                "radius, the accuracy limit of the block exponential"
             )
-    d_norm = np.sqrt(np.add.reduce(d_s * d_s, axis=(-2, -1)))
+    d_norm = np.sqrt(_square_sums(d_s))
     tol = rtol * np.where(d_norm > 0.0, d_norm, 1.0)
-    v = np.broadcast_to(0.5 * np.eye(a.shape[-1]), a.shape) if v0 is None else v0
     out = np.full(a.shape, np.nan)
-
     live = np.flatnonzero([error is None for error in errors])
+    v = np.eye(a.shape[-1])[None].repeat(len(live), 0) * 0.5 if v0 is None else v0[live]
+    r0 = np.sqrt(_square_sums(_rhs(a_s[live], v, d_s[live])))
+    fixed = r0 <= tol[live]
+    out[live[fixed]] = 0.5 * (v[fixed] + _transpose(v[fixed]))
+    live, v, r0 = live[~fixed], v[~fixed], r0[~fixed]
     a_s, d_s, h, tol, budget = (x[live] for x in (a_s, d_s, h, tol, budget))
     phi, q = _flow(a_s, d_s, h)
-    # V and Q_h side by side: one congruence by Phi advances V and doubles Q_h
-    vq = np.stack([v[live], q], axis=1)
-    # the flow takes R to Phi R Phi^T, so ||R||_F falls by at least the
-    # factor ||Phi||_F^2 over a pass: a residual above this bound is the plain
-    # update's roundoff floor, and that point's pass is a correction
-    bound = np.full(len(live), np.inf)
-    steps = passes = 0
-    first_budget = budget.min(initial=np.inf)
+    # ||Phi||_F is at least Phi's spectral radius e^(-gamma t), gamma the
+    # slowest decay, so no point is due before e^(-2 gamma t) ||R0||_F passes
+    first = np.fmin(budget, np.log(r0 / tol) * scale[live] / (-2.0 * max_real[live] * h))
+    # which points hold their corrected V, at this pass's step, in place of V0
+    corrected = np.zeros(len(live), dtype=bool)
+    steps, passes = 1, 0
     while len(live):
-        v = vq[:, 0]
-        # V is symmetric up to roundoff, and this R exactly
-        av = a_s @ v
-        r = av + _transpose(av) + d_s
-        residual = np.sqrt(_square_sums(r))
-        # the usual pass: no point passes, reaches its budget or stalls
-        if steps >= first_budget or ((residual <= tol) | (residual > bound)).any():
-            done = residual <= tol
-            over = ~done & (steps >= budget)
-            out[live[done]] = 0.5 * (v[done] + _transpose(v[done]))
-            for i, tol_i, budget_i, res in zip(
-                live[over], tol[over], budget[over], residual[over]
-            ):
+        read = (
+            np.flatnonzero(corrected | (steps >= budget) | (_square_sums(phi) * r0 <= tol))
+            if steps >= first.min()
+            else ()
+        )
+        if len(read):
+            plain = read[~corrected[read]]
+            v[plain] = phi[plain] @ v[plain] @ _transpose(phi[plain]) + q[plain]
+            r = _rhs(a_s[read], v[read], d_s[read])
+            residual = np.sqrt(_square_sums(r))
+            done = residual <= tol[read]
+            over = ~done & (steps >= budget[read])
+            out[live[read[done]]] = 0.5 * (v[read[done]] + _transpose(v[read[done]]))
+            for i, j, res in zip(live[read[over]], read[over], residual[over]):
                 errors[i] = ConvergenceError(
-                    f"the exact flow did not reach ||dV/dt||_F <= {tol_i:.3e} within "
-                    f"the horizon ({budget_i:.0f} steps, checked at {steps}; final "
+                    f"the exact flow did not reach ||dV/dt||_F <= {tol[j]:.3e} within "
+                    f"the horizon ({budget[j]:.0f} steps, checked at {steps}; final "
                     f"residual {res:.3e})"
                 )
-            keep = ~(done | over)
-            live, a_s, d_s, h, tol, budget, vq, v, r, residual, bound, phi = (
-                x[keep] for x in (live, a_s, d_s, h, tol, budget, vq, v, r, residual, bound, phi)
+            floor = ~(done | over)
+            if floor.any():
+                phi_r, g = _flow(a_s[read[floor]], r[floor], h[read[floor]])
+                for _ in range(passes):
+                    phi_r, g = _doubled(phi_r, g)
+                v[read[floor]] += g
+                corrected[read[floor]], first[read[floor]] = True, 0.0
+            keep = np.ones(len(live), dtype=bool)
+            keep[read[~floor]] = False
+            live, a_s, d_s, h, tol, budget, first, v, r0, phi, q, corrected = (
+                x[keep]
+                for x in (live, a_s, d_s, h, tol, budget, first, v, r0, phi, q, corrected)
             )
-            first_budget = budget.min(initial=np.inf)
-            stalled = np.flatnonzero(residual > bound)
-        else:
-            stalled = ()
-        bound = residual * _square_sums(phi)
-        vq = phi[:, None] @ vq @ _transpose(phi)[:, None] + vq[:, 1:]
-        if len(stalled):
-            phi_r, g = _flow(a_s[stalled], r[stalled], h[stalled])
-            for _ in range(passes):
-                phi_r, g = _doubled(phi_r, g)
-            vq[stalled, 0] = v[stalled] + g
-        phi = phi @ phi
-        steps = 2 * steps + 1
-        passes += 1
+        if len(live):
+            phi, q = _doubled(phi, q)
+            steps, passes = 2 * steps, passes + 1
     return out, errors
 
 
