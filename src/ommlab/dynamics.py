@@ -100,7 +100,7 @@ def drift_stack(params_list: Points, states: np.ndarray) -> np.ndarray:
     g = np.hypot(g_eff.real, g_eff.imag)
     phase = np.where(g == 0.0, 0.0, np.arctan2(g_eff.imag, g_eff.real))
     terms = np.concatenate([
-        np.zeros_like(g[:1]), fields, [states["delta_c2_eff"], states["delta_m_eff"]],
+        np.zeros((1, len(states))), fields, [states["delta_c2_eff"], states["delta_m_eff"]],
         g * np.cos(phase), g * np.sin(phase),
     ])
     return terms.T[:, _DRIFT_TERM] * _DRIFT_SIGN

@@ -81,11 +81,6 @@ def parse_pair(label: str) -> tuple[Mode, Mode]:
     return _PAIRS[label]
 
 
-def _det2(b: np.ndarray) -> np.ndarray:
-    """Determinant of each 2x2 matrix in a stack."""
-    return b[..., 0, 0] * b[..., 1, 1] - b[..., 0, 1] * b[..., 1, 0]
-
-
 def nu_minus_stack(blocks: np.ndarray) -> tuple[np.ndarray, list[OmmlabError | None]]:
     """Smaller symplectic eigenvalue of each partially transposed block.
 
@@ -96,52 +91,54 @@ def nu_minus_stack(blocks: np.ndarray) -> tuple[np.ndarray, list[OmmlabError | N
     square scale of the block) mean the input was not a physical covariance
     and fail the block. At a nearly degenerate symplectic spectrum (radicand
     below 1e-6 Sigma^2) the closed form loses half its digits, and
-    :func:`nu_minus_via_partial_transpose` supplies nu_- instead. A vanishing
-    nu_- fails its block too. Returns nu_- (N,), undefined where a block
-    failed, and per block the error it raises, or None. A stack of any other
-    shape raises :class:`DomainError`.
+    :func:`nu_minus_via_partial_transpose` supplies nu_- instead. A block
+    with a NaN or an infinite entry, and a vanishing nu_-, fail their block
+    too. Returns nu_- (N,), undefined where a block failed, and per block the
+    error it raises, or None. A stack of any other shape raises
+    :class:`DomainError`.
     """
     if np.ndim(blocks) != 3 or np.shape(blocks)[1:] != (4, 4):
         raise DomainError(f"expected an (N, 4, 4) stack of covariances, got {np.shape(blocks)}")
-    # the determinants of the four 2x2 blocks of each, [n, I, J] of block (I, J)
-    det = _det2(blocks.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4))
-    det_v1, det_v2, det_v12 = det[:, 0, 0], det[:, 1, 1], det[:, 0, 1]
-    det_v0 = np.linalg.det(blocks)
-    sigma = det_v1 + det_v2 - 2.0 * det_v12
-    sigma_sq = sigma * sigma
-
-    radicand = sigma_sq - 4.0 * det_v0
-    inner = 0.5 * (sigma - np.sqrt(np.maximum(radicand, 0.0)))
-    nu = np.sqrt(np.maximum(inner, 0.0))
-    bad_radicand = radicand < -_CLAMP_TOL * np.maximum(1.0, sigma_sq)
-    bad_inner = inner < -_CLAMP_TOL * np.maximum(1.0, np.abs(sigma))
-    degenerate = radicand <= _DEGENERATE_RTOL * sigma * sigma
-
+    # a block with a NaN or an infinite entry fails as such below, unwarned
+    with np.errstate(invalid="ignore"):
+        # the four 2x2 blocks of each, b[n, I, J] the block (I, J), and their determinants
+        b = blocks.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4)
+        det = b[..., 0, 0] * b[..., 1, 1] - b[..., 0, 1] * b[..., 1, 0]
+        sigma = det[:, 0, 0] + det[:, 1, 1] - 2.0 * det[:, 0, 1]
+        det_v0 = np.linalg.det(blocks)
+        sigma_sq = sigma * sigma
+        radicand = sigma_sq - 4.0 * det_v0
+        inner = 0.5 * (sigma - np.sqrt(np.maximum(radicand, 0.0)))
+        nu = np.sqrt(np.maximum(inner, 0.0))
+        degenerate = radicand <= _DEGENERATE_RTOL * sigma * sigma
+        asymmetric = _asymmetric(blocks)
+    nonfinite = ~np.isfinite(blocks).all(axis=(-2, -1))
     errors: list[OmmlabError | None] = [None] * len(blocks)
-    asymmetric = _asymmetric(blocks)
-    for i in (asymmetric | bad_radicand | bad_inner | degenerate).nonzero()[0]:
-        if asymmetric[i]:
+    # a radicand that fails its clamp is degenerate too, and an inner argument
+    # below zero leaves nu_- = 0
+    flagged = nonfinite | asymmetric | degenerate | (nu <= 0.0)
+    for i in flagged.nonzero()[0]:
+        if nonfinite[i]:
+            errors[i] = DomainError("two-mode covariance must be finite")
+        elif asymmetric[i]:
             errors[i] = DomainError("two-mode covariance must be symmetric")
-        elif bad_radicand[i]:
+        elif radicand[i] < -_CLAMP_TOL * max(1.0, sigma_sq[i]):
             errors[i] = NumericalError(
                 f"negative radicand {radicand[i]:.3e} in the symplectic eigenvalue; "
                 "input is not a physical covariance"
             )
-        elif bad_inner[i]:
+        elif inner[i] < -_CLAMP_TOL * max(1.0, abs(sigma[i])):
             errors[i] = NumericalError(
                 f"negative argument {inner[i]:.3e} under the square root; "
                 "input is not a physical covariance"
             )
-        else:
+        elif degenerate[i]:
             try:
                 nu[i] = nu_minus_via_partial_transpose(blocks[i])
             except OmmlabError as exc:
                 errors[i] = exc
-    for i in (nu <= 0.0).nonzero()[0]:
-        if errors[i] is None:
-            errors[i] = NumericalError(
-                "vanishing symplectic eigenvalue; state is singular"
-            )
+        if errors[i] is None and nu[i] <= 0.0:
+            errors[i] = NumericalError("vanishing symplectic eigenvalue; state is singular")
     return nu, errors
 
 

@@ -49,7 +49,7 @@ from .model import (
     config_snapshot, params_from_mapping, take,
 )
 from .semiclassics import SemiclassicalState, solve_semiclassics_stack, state_at, state_column
-from .steadystate import integrate_to_steady_state_stack, solve_lyapunov_stack
+from .steadystate import _frobenius, integrate_to_steady_state_stack, solve_lyapunov_stack
 
 VERSION = "0.1.0"
 
@@ -358,12 +358,11 @@ def _steady_state(
     n = len(pairs)
     idx = np.array([mode1.rows + mode2.rows for mode1, mode2 in pairs])
     blocks = v[:, idx[:, :, None], idx[:, None, :]].reshape(-1, 4, 4)
-    with np.errstate(invalid="ignore"):
-        nu, block_errors = nu_minus_stack(blocks)
+    nu, block_errors = nu_minus_stack(blocks)
     first_errors = [None if e is None else str(e) for e in errors]
-    for j in [j for j, e in enumerate(block_errors) if e is not None]:
-        if first_errors[j // n] is None:
-            first_errors[j // n] = str(block_errors[j])
+    for j, error in enumerate(block_errors):
+        if error is not None and first_errors[j // n] is None:
+            first_errors[j // n] = str(error)
     nu = nu.reshape(len(a), n)
     nu[[e is not None for e in first_errors]] = np.nan
     return v, nu, first_errors
@@ -431,15 +430,15 @@ def _solve_chunk(points: Points, parsed: _Parsed, oracle: bool) -> Reports:
         measured[stable], error = nu, np.full(len(states), None, dtype=object)
         error[stable] = errors
     deviation = np.full(len(states), np.nan)
-    ok = np.equal(errors, None)
+    ok = np.equal(errors, None) if oracle else []
     solved = stable.nonzero()[0][ok] if oracle else []
     if len(solved):
+        rows, v = (slice(None), v) if len(solved) == len(states) else (solved, v[ok])
         v_flow, flow_errors = integrate_to_steady_state_stack(
-            a[solved], d[solved], scale[solved], eigs[solved]
+            a[rows], d[rows], scale[rows], eigs[rows]
         )
         # NaN, no deviation, where the flow failed and left V_flow NaN
-        gap = np.linalg.norm(v[ok] - v_flow, axis=(1, 2))
-        deviation[solved] = gap / np.linalg.norm(v[ok], axis=(1, 2))
+        deviation[solved] = _frobenius(v - v_flow) / _frobenius(v)
         error[solved] = [None if e is None else f"oracle: {e}" for e in flow_errors]
     return _reports(parsed, error, max_real, states, measured, deviation)
 
@@ -506,6 +505,8 @@ def run_sweep(
     scheduling. The default is one thread and no pool.
     """
     try:
+        if isinstance(threads, bool):  # an integer to operator.index, not a count
+            raise TypeError
         threads = operator.index(threads)
     except TypeError:
         raise DomainError(f"threads must be an integer, got {threads!r}") from None

@@ -454,7 +454,7 @@ def solve_semiclassics_stack(params_list: Points) -> tuple[np.ndarray, np.ndarra
     together, as the module docstring describes; an error at any of them
     raises for the stack.
     """
-    (derived,) = columns(params_list, "coupling_mode", dtype=object) == "derived"
+    (derived,) = columns(params_list, "coupling_mode", dtype=str) == "derived"
     n_derived = np.count_nonzero(derived)
     if n_derived in (0, len(derived)):
         return (_derived_branches if n_derived else _direct_branches)(params_list)

@@ -97,6 +97,8 @@ def _max_abs_scale(x: np.ndarray) -> np.ndarray:
 
 def _asymmetric(x: np.ndarray) -> np.ndarray:
     """Which matrices of a stack are not symmetric to 1e-10 of max(1, max |X|)."""
+    if (x == _transpose(x)).all():  # exactly symmetric, as built here: two passes, not six
+        return np.zeros(x.shape[:-2], dtype=bool)
     return np.abs(x - _transpose(x)).max(axis=(-2, -1)) > 1e-10 * _max_abs_scale(x)
 
 
@@ -193,12 +195,16 @@ def _symmetrized(raw: np.ndarray) -> np.ndarray:
     return v
 
 
+def _frobenius(x: np.ndarray) -> np.ndarray:
+    """||X||_F of each matrix of a stack, as np.linalg.norm sums it, bit for bit."""
+    return np.sqrt(np.add.reduce(x * x, axis=(-2, -1)))
+
+
 def _relative_residual(a_s: np.ndarray, v: np.ndarray, d_s: np.ndarray) -> np.ndarray:
     """||A V + V A^T + D||_F / ||D||_F of each point; 0 where D vanishes."""
     r = a_s @ v + v @ _transpose(a_s) + d_s
-    # np.linalg.norm's Frobenius sums, without its per-call overhead
-    d_norm, r_norm = (np.sqrt(np.add.reduce(x * x, axis=(-2, -1))) for x in (d_s, r))
-    return np.divide(r_norm, d_norm, out=np.zeros_like(r_norm), where=d_norm != 0.0)
+    d_norm, r_norm = _frobenius(d_s), _frobenius(r)
+    return np.divide(r_norm, d_norm, out=np.zeros(r_norm.shape), where=d_norm != 0.0)
 
 
 def solve_lyapunov_stack(
@@ -220,29 +226,30 @@ def solve_lyapunov_stack(
     variances. Returns V (N, n, n), exactly symmetric, rows of failed points
     undefined, and per point the error that point raises, or None.
     """
-    errors: list[OmmlabError | None] = [None] * len(a)
-    for i in _asymmetric(d).nonzero()[0]:
-        errors[i] = DomainError("diffusion must be symmetric")
     a_s = a / scale[:, None, None]
     d_s = d / scale[:, None, None]
     raw = _eigenbasis_solve(eigenvalues / scale[:, None], eigenvectors, d_s)
     v = _symmetrized(raw)
     residual = _relative_residual(a_s, v, d_s)
-    missed = (~(residual <= _RESIDUAL_RTOL)).nonzero()[0]
-    for i in missed:
-        if errors[i] is None:
+    over = ~(residual <= _RESIDUAL_RTOL)
+    asymmetric_d = _asymmetric(d)
+    errors: list[OmmlabError | None] = [None] * len(a)
+    missed = over.nonzero()[0]
+    if len(missed):
+        for i in missed[~asymmetric_d[missed]]:
             try:
                 raw[i] = _schur_solve(a_s[i], d_s[i])
             except NumericalError as exc:
                 errors[i] = exc
-    if missed.size:
         v[missed] = _symmetrized(raw[missed])
         residual[missed] = _relative_residual(a_s[missed], v[missed], d_s[missed])
+        over = ~(residual <= _RESIDUAL_RTOL)
     asym = np.abs(raw - _transpose(raw)).max(axis=(-2, -1))
     warn = asym > _ASYMMETRY_RTOL * _max_abs_scale(raw)
-    negative = (np.diagonal(v, axis1=-2, axis2=-1) < 0.0).any(axis=-1)
-    over = ~(residual <= _RESIDUAL_RTOL)
-    for i in (over | warn | negative).nonzero()[0]:
+    negative = (v.diagonal(axis1=-2, axis2=-1) < 0.0).any(axis=-1)
+    for i in (asymmetric_d | over | warn | negative).nonzero()[0]:
+        if asymmetric_d[i]:
+            errors[i] = DomainError("diffusion must be symmetric")
         if errors[i] is not None:
             continue
         if over[i]:
@@ -390,69 +397,75 @@ def integrate_to_steady_state_stack(
     with np.errstate(divide="ignore", invalid="ignore"):
         h = _FLOW_STEP_FRACTION / radius if dt is None else dt * scale
         budget = np.ceil(horizon * scale / -max_real / h)
+        valid = (max_real < 0.0) & (0.0 < h) & (h <= _FLOW_MAX_STEP_FRACTION / radius)
     errors: list[OmmlabError | None] = [None] * len(a)
-    for i in range(len(a)):
-        if not max_real[i] < 0.0:
-            errors[i] = _unstable(max_real[i])
-        elif not 0.0 < h[i] <= _FLOW_MAX_STEP_FRACTION / radius[i]:
-            errors[i] = DomainError(
-                f"dt must be positive and at most {_FLOW_MAX_STEP_FRACTION:g} / spectral "
-                "radius, the accuracy limit of the block exponential"
-            )
+    for i in (~valid).nonzero()[0]:
+        errors[i] = _unstable(max_real[i]) if not max_real[i] < 0.0 else DomainError(
+            f"dt must be positive and at most {_FLOW_MAX_STEP_FRACTION:g} / spectral "
+            "radius, the accuracy limit of the block exponential"
+        )
     d_norm = np.sqrt(_square_sums(d_s))
     tol = rtol * np.where(d_norm > 0.0, d_norm, 1.0)
-    out = np.full(a.shape, np.nan)
-    live = np.flatnonzero([error is None for error in errors])
-    v = np.eye(a.shape[-1])[None].repeat(len(live), 0) * 0.5 if v0 is None else v0[live]
-    r0 = np.sqrt(_square_sums(_rhs(a_s[live], v, d_s[live])))
-    fixed = r0 <= tol[live]
-    out[live[fixed]] = 0.5 * (v[fixed] + _transpose(v[fixed]))
-    live, v, r0 = live[~fixed], v[~fixed], r0[~fixed]
-    a_s, d_s, h, tol, budget = (x[live] for x in (a_s, d_s, h, tol, budget))
+    v = np.eye(a.shape[-1])[None].repeat(len(a), 0) * 0.5 if v0 is None else np.array(v0, float)
+    r0 = np.sqrt(_square_sums(_rhs(a_s, v, d_s)))
+    fixed = valid & (r0 <= tol)
+    # V of each point as it is read, symmetrized once at the end
+    out = np.where(fixed[:, None, None], v, np.nan)
+    live = (valid & ~fixed).nonzero()[0]
+    if len(live) < len(a):
+        a_s, d_s, scale, max_real, h, tol, budget, v, r0 = (
+            x[live] for x in (a_s, d_s, scale, max_real, h, tol, budget, v, r0)
+        )
     phi, q = _flow(a_s, d_s, h)
     # ||Phi||_F is at least Phi's spectral radius e^(-gamma t), gamma the
     # slowest decay, so no point is due before e^(-2 gamma t) ||R0||_F passes
-    first = np.fmin(budget, np.log(r0 / tol) * scale[live] / (-2.0 * max_real[live] * h))
+    first = np.fmin(budget, np.log(r0 / tol) * scale / (-2.0 * max_real * h))
     # which points hold their corrected V, at this pass's step, in place of V0
     corrected = np.zeros(len(live), dtype=bool)
-    steps, passes = 1, 0
+    steps, passes, due = 1, 0, first.min(initial=np.inf)
     while len(live):
-        read = (
-            np.flatnonzero(corrected | (steps >= budget) | (_square_sums(phi) * r0 <= tol))
-            if steps >= first.min()
-            else ()
-        )
-        if len(read):
-            plain = read[~corrected[read]]
-            v[plain] = phi[plain] @ v[plain] @ _transpose(phi[plain]) + q[plain]
-            r = _rhs(a_s[read], v[read], d_s[read])
+        index = () if steps < due else (
+            corrected | (steps >= budget) | (_square_sums(phi) * r0 <= tol)
+        ).nonzero()[0]
+        if len(index):
+            at = slice(None) if len(index) == len(live) else index  # all of them: a slice
+            fresh = index[~corrected[index]] if np.count_nonzero(corrected) else at
+            v[fresh] = phi[fresh] @ v[fresh] @ _transpose(phi[fresh]) + q[fresh]
+            r = _rhs(a_s[at], v[at], d_s[at])
             residual = np.sqrt(_square_sums(r))
-            done = residual <= tol[read]
-            over = ~done & (steps >= budget[read])
-            out[live[read[done]]] = 0.5 * (v[read[done]] + _transpose(v[read[done]]))
-            for i, j, res in zip(live[read[over]], read[over], residual[over]):
-                errors[i] = ConvergenceError(
-                    f"the exact flow did not reach ||dV/dt||_F <= {tol[j]:.3e} within "
-                    f"the horizon ({budget[j]:.0f} steps, checked at {steps}; final "
-                    f"residual {res:.3e})"
+            done = residual <= tol[at]
+            out[live[at]] = v[at]
+            floor = index[:0]
+            if not done.all():
+                missed, r, residual = index[~done], r[~done], residual[~done]
+                over = steps >= budget[missed]
+                for j, res in zip(missed[over], residual[over]):
+                    errors[live[j]] = ConvergenceError(
+                        f"the exact flow did not reach ||dV/dt||_F <= {tol[j]:.3e} within "
+                        f"the horizon ({budget[j]:.0f} steps, checked at {steps}; final "
+                        f"residual {res:.3e})"
+                    )
+                    out[live[j]] = np.nan
+                floor = missed[~over]
+                if len(floor):
+                    phi_r, g = _flow(a_s[floor], r[~over], h[floor])
+                    for _ in range(passes):
+                        phi_r, g = _doubled(phi_r, g)
+                    v[floor] += g
+                    corrected[floor], first[floor] = True, 0.0
+            if len(index) == len(live) and not len(floor):  # every point is finished
+                break
+            if len(floor) < len(index):  # drop the points that are finished
+                keep = np.ones(len(live), dtype=bool)
+                keep[index], keep[floor] = False, True
+                live, a_s, d_s, h, tol, budget, first, v, r0, phi, q, corrected = (
+                    x[keep]
+                    for x in (live, a_s, d_s, h, tol, budget, first, v, r0, phi, q, corrected)
                 )
-            floor = ~(done | over)
-            if floor.any():
-                phi_r, g = _flow(a_s[read[floor]], r[floor], h[read[floor]])
-                for _ in range(passes):
-                    phi_r, g = _doubled(phi_r, g)
-                v[read[floor]] += g
-                corrected[read[floor]], first[read[floor]] = True, 0.0
-            keep = np.ones(len(live), dtype=bool)
-            keep[read[~floor]] = False
-            live, a_s, d_s, h, tol, budget, first, v, r0, phi, q, corrected = (
-                x[keep]
-                for x in (live, a_s, d_s, h, tol, budget, first, v, r0, phi, q, corrected)
-            )
-        if len(live):
-            phi, q = _doubled(phi, q)
-            steps, passes = 2 * steps, passes + 1
-    return out, errors
+            due = first.min()
+        phi, q = _doubled(phi, q)
+        steps, passes = 2 * steps, passes + 1
+    return 0.5 * (out + _transpose(out)), errors
 
 
 def physicality_margin(v: CovarianceMatrix | np.ndarray) -> float:

@@ -279,6 +279,20 @@ class TestNuMinusStack:
             np.zeros((4, 4)), NumericalError, "vanishing symplectic eigenvalue"
         )
 
+    def test_non_finite_blocks_fail_alone(self):
+        # each block with a NaN or an infinite entry fails alone, not as nu_- = NaN
+        bad = []
+        for row, col, value in [(0, 0, np.nan), (0, 0, np.inf), (1, 1, -np.inf), (0, 2, np.inf)]:
+            block = 0.5 * np.eye(4)
+            block[row, col] = block[col, row] = value
+            bad.append(block)
+        nu, errors = nu_minus_stack(np.array([bad[0], self.GOOD, *bad[1:]]))
+        assert errors[1] is None
+        assert nu[1] == nu_minus_stack(self.GOOD[None])[0][0]
+        for error in errors[:1] + errors[2:]:
+            assert isinstance(error, DomainError)
+            assert str(error) == "two-mode covariance must be finite"
+
     @pytest.mark.parametrize("shape", [(1, 6, 6), (1, 8, 8), (2, 2, 8), (4, 4), (1, 4, 4, 1)])
     def test_wrong_shape_rejected(self, shape):
         with pytest.raises(DomainError, match=r"\(N, 4, 4\) stack"):

@@ -1,6 +1,7 @@
 """Config loading, sweep execution, and CSV/PGM artifact formats."""
 
 import collections
+import contextlib
 import dataclasses
 import json
 import math
@@ -283,6 +284,22 @@ class TestDefaultPoint:
             env={**os.environ, "PYTHONPATH": str(src)},
         )
         assert out.stdout.strip() == "False"
+
+    def test_lone_oracle_point_call_budget(self):
+        # one solve of each kind, counted rather than timed: a lone point may
+        # not hide a second eigensolve, basis inverse, nu_- stack or flow
+        import scipy.linalg
+
+        calls = [(np.linalg, "eig"), (np.linalg, "eigvals"), (np.linalg, "inv"),
+                 (np.linalg, "det"), (scipy.linalg, "expm")]
+        with contextlib.ExitStack() as stack:
+            counted = [
+                stack.enter_context(mock.patch.object(owner, name, wraps=getattr(owner, name)))
+                for owner, name in calls
+            ]
+            report = evaluate_point(default_params(), oracle=True)
+        assert report.error is None and report.oracle_deviation < 1e-9
+        assert [call.call_count for call in counted] == [1, 0, 1, 1, 1]
 
     def test_oracle_deviation_is_tiny(self):
         report = evaluate_point(default_params(), pairs=("ab",), oracle=True)
@@ -1027,7 +1044,7 @@ class TestRunSweep:
 
     def test_threads_must_be_an_integer(self):
         spec = SweepSpec(axis1=Axis(name="T", start=0.001, stop=0.01, count=2))
-        for threads in ("2", 2.5, None):
+        for threads in ("2", 2.5, None, True, False):
             with pytest.raises(DomainError, match="threads must be an integer"):
                 run_sweep(default_params(), spec, threads=threads)
         # any integer type will do

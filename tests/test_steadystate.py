@@ -31,6 +31,7 @@ from ommlab import (
 )
 from ommlab import steadystate
 from ommlab.dynamics import stability_stack
+from ommlab.entanglement import nu_minus_stack
 from ommlab.harness import CHUNK_SIZE, Axis, SweepSpec, run_sweep
 from ommlab.steadystate import integrate_to_steady_state_stack
 
@@ -560,6 +561,54 @@ class TestFlowStack:
         assert isinstance(errors[1], ConvergenceError)
         assert "checked at 1" in str(errors[1])
         np.testing.assert_array_equal(v[0], 0.5 * np.eye(2))
+
+    def test_mixed_stack_keeps_each_point_as_it_is_alone(self):
+        # every kind of point in one stack: unstable, an over-cap step, at its
+        # fixed point (read at step 0), past its horizon, stalled at the plain
+        # form's floor (corrected), and ordinary points
+        def system(**overrides):
+            p = default_params(**overrides)
+            return build_drift(p, solve_semiclassics(p)).a, build_diffusion(p).d, p.omega_b
+
+        ordinary, other = system(), system(T=0.0, delta_m_over_wb=-0.5)
+        stalls = system(delta_m_over_wb=-0.974)
+        unstable = (ordinary[0] + 0.1 * ordinary[2] * np.eye(10), *ordinary[1:])
+        points = [unstable, ordinary, ordinary, ordinary, stalls, ordinary, other]
+        a, d, scale = (np.array(column) for column in zip(*points))
+        eigs = stability_stack(a, scale)[0]
+        dt = 1.0 / np.abs(eigs).max(axis=-1)
+        dt[2] *= 4.0  # above the cap of 2 / spectral radius
+        dt[4] *= 0.05  # a step at which the plain update stalls above the tolerance
+        v0 = np.array([0.5 * np.eye(10)] * len(points))
+        v0[3] = solve_lyapunov(*ordinary[:2], scale=ordinary[2]).v  # its fixed point
+        v0[5] = 1e100 * np.eye(10)  # too far out to relax within the horizon
+        with mock.patch.object(steadystate, "_flow", wraps=steadystate._flow) as flow:
+            v, errors = integrate_to_steady_state_stack(a, d, scale, eigs, v0, dt)
+        # the flow of D over the four points that move, then of point 4's residual
+        assert [call.args[0].shape[0] for call in flow.call_args_list] == [4, 1]
+        assert [type(e) for e in errors] == [
+            StabilityError, type(None), DomainError, type(None), type(None),
+            ConvergenceError, type(None),
+        ]
+        np.testing.assert_array_equal(v[3], v0[3])
+        for k in range(len(points)):
+            alone, alone_errors = integrate_to_steady_state_stack(
+                *(x[k:k + 1] for x in (a, d, scale, eigs, v0, dt))
+            )
+            np.testing.assert_array_equal(v[k], alone[0])
+            assert repr(errors[k]) == repr(alone_errors[0])
+
+    @pytest.mark.parametrize("n", [2, 10])
+    def test_empty_stacks(self, n):
+        empty = np.zeros((0, n, n))
+        eigs, vecs, max_real = stability_stack(empty, np.zeros(0))
+        assert (eigs.shape, vecs.shape, max_real.shape) == ((0, n), (0, n, n), (0,))
+        v, errors = steadystate.solve_lyapunov_stack(empty, empty, np.zeros(0), eigs, vecs)
+        assert v.shape == (0, n, n) and errors == []
+        v, errors = integrate_to_steady_state_stack(empty, empty, np.zeros(0), eigs)
+        assert v.shape == (0, n, n) and errors == []
+        nu, errors = nu_minus_stack(np.zeros((0, 4, 4)))
+        assert nu.shape == (0,) and errors == []
 
     def test_a_lone_point_builds_no_kronecker_operator(self):
         # an n^2 x n^2 operator of the 10x10 system alone takes 80 kB
