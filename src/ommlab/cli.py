@@ -110,7 +110,7 @@ def _cmd_stability(args: argparse.Namespace) -> int:
     *_, eigs, _, max_real = _working_points([config.params])
     max_real = float(max_real[0])
     print("eigenvalues (rad/s), sorted by real part:")
-    for eig in eigs[0]:
+    for eig in eigs[0] * config.params.omega_b:
         print(f"  {eig.real:+.9e}  {eig.imag:+.9e}j   ({eig.real / TWO_PI:+.4e} Hz)")
     print(f"stable={'true' if max_real < 0.0 else 'false'}")
     print(f"margin_rad_s={-max_real:.9g}")
@@ -174,8 +174,8 @@ def _cmd_selftest(_args: argparse.Namespace) -> int:
         )
         check("default-point-deterministic", same)
         # V of the branch evaluate_point keeps, from stage 1 of the harness
-        scale, d, _, a, eigs, vecs, _ = _working_points([config.params])
-        v, errors = solve_lyapunov_stack(a, d, scale, eigs, vecs)
+        d, _, a, eigs, vecs, _ = _working_points([config.params])
+        v, errors = solve_lyapunov_stack(a, d, eigs, vecs)
         stable = first.stable and errors[0] is None
         margin = physicality_margin(v[0]) if stable else -math.inf
         check("default-point-physical", margin >= -1e-8, f"min eig {margin:.3e}")

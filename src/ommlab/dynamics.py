@@ -11,6 +11,10 @@ mechanical oscillator (6, 7), magnon (8, 9). The fluctuations obey
 
 and the steady-state covariance solves A V + V A^T + D = 0.
 
+The builders return A and D in rad/s. :func:`stability_stack` takes a stack
+in any one unit and returns eigenvalues in that unit; the harness hands it
+each point's drift in units of that point's mechanical frequency omega_b.
+
 Sweeps build and classify (N, 10, 10) stacks a chunk at a time with
 :func:`drift_stack`, :func:`diffusion_stack` and :func:`stability_stack`;
 :func:`build_drift` and :func:`build_diffusion` are stacks of one.
@@ -32,14 +36,9 @@ DIM = 10
 
 @dataclass(frozen=True)
 class DriftMatrix:
-    """Drift matrix A of the linearized Langevin equations, rad/s.
-
-    ``omega_b`` rides along as the natural frequency scale used to
-    de-dimensionalize solves.
-    """
+    """Drift matrix A of the linearized Langevin equations, rad/s."""
 
     a: np.ndarray
-    omega_b: float
 
     def __post_init__(self) -> None:
         if self.a.shape != (DIM, DIM):
@@ -108,7 +107,7 @@ def drift_stack(params_list: Points, states: np.ndarray) -> np.ndarray:
 
 def build_drift(params: SystemParams, state: SemiclassicalState) -> DriftMatrix:
     """The drift matrix of one working point, a :func:`drift_stack` of one."""
-    return DriftMatrix(a=drift_stack([params], state_column([state]))[0], omega_b=params.omega_b)
+    return DriftMatrix(a=drift_stack([params], state_column([state]))[0])
 
 
 #: Where each noise rate of :func:`diffusion_stack` sits in D, flattened: on both
@@ -137,15 +136,12 @@ def build_diffusion(params: SystemParams) -> DiffusionMatrix:
     return DiffusionMatrix(d=diffusion_stack([params])[0])
 
 
-def stability_stack(
-    a: np.ndarray, scale: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def stability_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenpairs of every drift in an (N, n, n) stack, from one batched eig.
 
-    Each matrix is divided by its own entry of ``scale`` (shape (N,)) to keep
-    the problem well conditioned; LAPACK dgeev with vectors runs on each
-    (numpy loops over the stack), and the eigenvalues are scaled back. Every
-    row is sorted by real part, then imaginary part, so results are
+    LAPACK dgeev with vectors runs on each matrix (numpy loops over the
+    stack), and the eigenvalues come in the stack's own unit. Every row is
+    sorted by real part, then imaginary part, so results are
     deterministic. Returns the eigenvalues (N, n), the right eigenvectors as
     columns (N, n, n) in that order, and max Re (N,): a drift is
     asymptotically stable when its max Re is strictly negative, and -max Re
@@ -153,12 +149,12 @@ def stability_stack(
     eigensolve fails for the stack.
     """
     try:
-        eigs, vecs = np.linalg.eig(a / scale[:, None, None])
+        eigs, vecs = np.linalg.eig(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolve failed: {exc}") from exc
     order = np.lexsort((eigs.imag, eigs.real), axis=-1)
     points = np.arange(len(a))[:, None]
-    eigs = eigs[points, order] * scale[:, None]
+    eigs = eigs[points, order]
     vecs = vecs[points[:, :, None], np.arange(a.shape[-1])[:, None], order[:, None, :]]
     return eigs, vecs, eigs.real.max(axis=-1)
 

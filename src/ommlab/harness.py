@@ -340,19 +340,18 @@ def _reports(
 
 
 def _steady_state(
-    a: np.ndarray, d: np.ndarray, scale: np.ndarray, eigs: np.ndarray, vecs: np.ndarray,
-    pairs: list[tuple[Mode, Mode]],
+    a: np.ndarray, d: np.ndarray, eigs: np.ndarray, vecs: np.ndarray, pairs: list[tuple[Mode, Mode]]
 ) -> tuple[np.ndarray, np.ndarray, list[str | None]]:
     """Stage 2: the steady state and nu_- per pair of a stack of stable points.
 
-    ``a`` and ``d`` are (N, 10, 10) in rad/s, ``scale`` (N,) is each point's
-    mechanical frequency, and the eigenpairs are those stage 1 found for
-    each drift. One Lyapunov stack and one nu_- stack run over the points,
-    each point keeping its own gates. Returns V (N, 10, 10), nu_- (N, pairs)
-    and each point's first error, the Lyapunov solve's before its pairs', or
-    None; a point with an error has an undefined V and NaN nu_-.
+    ``a``, ``d`` (N, 10, 10) and the eigenpairs are those stage 1 found for
+    each point, in units of its omega_b. One Lyapunov stack and one nu_-
+    stack run over the points, each point keeping its own gates. Returns V
+    (N, 10, 10), nu_- (N, pairs) and each point's first error, the Lyapunov
+    solve's before its pairs', or None; a point with an error has an
+    undefined V and NaN nu_-.
     """
-    v, errors = solve_lyapunov_stack(a, d, scale, eigs, vecs)
+    v, errors = solve_lyapunov_stack(a, d, eigs, vecs)
     # the 4x4 blocks of every pair at every point, as one stack; the V of a
     # failed point is undefined (NaN after a failed fallback), its nu_- unread
     n = len(pairs)
@@ -370,22 +369,24 @@ def _steady_state(
 
 def _working_points(
     params_list: Points,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Stage 1 of the module docstring on a non-empty stack of valid
     parameter sets; an :class:`OmmlabError` raised on the way raises for the
-    stack. Returns the mechanical frequencies (N,) that scale the solves, the
-    diffusions (N, 10, 10), and each point's kept state as a state column
-    (N,), drift (N, 10, 10), eigenvalues (N, 10), eigenvectors (N, 10, 10)
-    and max Re (N,).
+    stack. Returns the diffusions (N, 10, 10), and each point's kept state as
+    a state column (N,), drift (N, 10, 10), eigenvalues (N, 10),
+    eigenvectors (N, 10, 10) and max Re (N,). This is where the units are
+    set: each point's drifts and diffusion are divided by its omega_b, once,
+    and the stacks after it work in those units. Only max Re, which the
+    reports' margin reads, is returned in rad/s.
     """
     (scale,) = columns(params_list, "omega_b")
-    d = diffusion_stack(params_list)
+    d = diffusion_stack(params_list) / scale[:, None, None]
     branches, offsets = solve_semiclassics_stack(params_list)
     states = branches if len(branches) == len(scale) else branches[offsets[:-1]]
-    a = drift_stack(params_list, states)
+    a = drift_stack(params_list, states) / scale[:, None, None]
     if not (np.isfinite(a).all() and np.isfinite(d).all()):
         raise NumericalError("non-finite entry in the drift or diffusion matrix")
-    eigs, vecs, max_real = stability_stack(a, scale)
+    eigs, vecs, max_real = stability_stack(a)
     unstable = ~(max_real < 0.0)
     if len(branches) > len(scale) and np.count_nonzero(unstable):
         # every later branch of every point whose first branch is unstable, in
@@ -396,21 +397,22 @@ def _working_points(
         tries = later.nonzero()[0]
         points = owner[tries]
         a_tries = drift_stack(take(params_list, points), branches[tries])
+        a_tries /= scale[points, None, None]
         try:
-            screen = np.linalg.eigvals(a_tries / scale[points, None, None]).real.max(axis=-1)
+            screen = np.linalg.eigvals(a_tries).real.max(axis=-1)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"eigensolve failed: {exc}") from exc
         passed = screen < _SCREEN
         if passed.any():
             tries, points, a_tries = tries[passed], points[passed], a_tries[passed]
-            found = stability_stack(a_tries, scale[points])
+            found = stability_stack(a_tries)
             stable = (found[2] < 0.0).nonzero()[0]
             # the earliest stable try of each point
             kept, first = np.unique(points[stable], return_index=True)
             j = stable[first]
             states[kept], a[kept] = branches[tries[j]], a_tries[j]
             eigs[kept], vecs[kept], max_real[kept] = (column[j] for column in found)
-    return scale, d, states, a, eigs, vecs, max_real
+    return d, states, a, eigs, vecs, max_real * scale
 
 
 def _solve_chunk(points: Points, parsed: _Parsed, oracle: bool) -> Reports:
@@ -418,11 +420,11 @@ def _solve_chunk(points: Points, parsed: _Parsed, oracle: bool) -> Reports:
     points, and with ``oracle`` one exact-flow stack over the points stage 2
     solved; an :class:`OmmlabError` raised on the way raises for the stack.
     """
-    scale, d, states, a, eigs, vecs, max_real = _working_points(points)
+    d, states, a, eigs, vecs, max_real = _working_points(points)
     stable = max_real < 0.0
     keep = slice(None) if stable.all() else stable
     v, nu, errors = _steady_state(
-        a[keep], d[keep], scale[keep], eigs[keep], vecs[keep], [pair for _, pair in parsed]
+        a[keep], d[keep], eigs[keep], vecs[keep], [pair for _, pair in parsed]
     )
     measured, error = nu, np.array(errors, dtype=object)
     if keep is stable:  # some points are unstable: place the stable ones' rows
@@ -434,9 +436,7 @@ def _solve_chunk(points: Points, parsed: _Parsed, oracle: bool) -> Reports:
     solved = stable.nonzero()[0][ok] if oracle else []
     if len(solved):
         rows, v = (slice(None), v) if len(solved) == len(states) else (solved, v[ok])
-        v_flow, flow_errors = integrate_to_steady_state_stack(
-            a[rows], d[rows], scale[rows], eigs[rows]
-        )
+        v_flow, flow_errors = integrate_to_steady_state_stack(a[rows], d[rows], eigs[rows])
         # NaN, no deviation, where the flow failed and left V_flow NaN
         deviation[solved] = _frobenius(v - v_flow) / _frobenius(v)
         error[solved] = [None if e is None else f"oracle: {e}" for e in flow_errors]

@@ -32,9 +32,11 @@ For a stable A both routes must agree, which is the package's main internal
 consistency check. Both take their stability verdict from the drift's
 eigenvalues, as :func:`ommlab.dynamics.stability_stack` returns them.
 
-All solves run in dimensionless form: A and D are scaled by a natural
-frequency first (the mechanical frequency for the physical pipeline), so the
-tolerances below do not depend on the unit system.
+The stacks take A and D in one unit of frequency, whatever it is, and work
+in it: the harness gives them each point's in units of its mechanical
+frequency omega_b. Their gates are relative, so the unit does not matter,
+except for the max(1, .) floor of the symmetry checks. :func:`solve_lyapunov`
+takes rad/s, or any unit, and divides by one scale before the stacks.
 """
 
 from __future__ import annotations
@@ -96,7 +98,8 @@ def _max_abs_scale(x: np.ndarray) -> np.ndarray:
 
 
 def _asymmetric(x: np.ndarray) -> np.ndarray:
-    """Which matrices of a stack are not symmetric to 1e-10 of max(1, max |X|)."""
+    """Which matrices of a stack are not symmetric to 1e-10 of max(1, max |X|),
+    the floor read in the stack's own unit."""
     if (x == _transpose(x)).all():  # exactly symmetric, as built here: two passes, not six
         return np.zeros(x.shape[:-2], dtype=bool)
     return np.abs(x - _transpose(x)).max(axis=(-2, -1)) > 1e-10 * _max_abs_scale(x)
@@ -133,16 +136,14 @@ class CovarianceMatrix:
 
 
 def _unstable(max_real: float) -> StabilityError:
-    """The error of a drift whose largest real part is ``max_real`` (rad/s)."""
+    """The error of a drift whose largest real part is ``max_real``."""
     return StabilityError(
         f"drift is not asymptotically stable (max Re eig = {max_real:.6e})"
     )
 
 
-def _eigenbasis_solve(
-    lam: np.ndarray, vecs: np.ndarray, d_s: np.ndarray
-) -> np.ndarray:
-    """Raw V = Re S W S^H for each point of a stack, from its scaled eigenpairs.
+def _eigenbasis_solve(lam: np.ndarray, vecs: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Raw V = Re S W S^H for each point of a stack, from its eigenpairs.
 
     A point whose basis S is singular, or whose condition estimate exceeds
     :data:`_EIGENBASIS_COND_MAX`, gets an all-NaN V, which the residual gate
@@ -159,14 +160,14 @@ def _eigenbasis_solve(
             except np.linalg.LinAlgError:
                 pass
     cond = np.abs(vecs).sum(axis=-2).max(axis=-1) * np.abs(vecs_inv).sum(axis=-2).max(axis=-1)
-    c = vecs_inv @ d_s @ _transpose(vecs_inv.conj())
+    c = vecs_inv @ d @ _transpose(vecs_inv.conj())
     w = -c / (lam[:, :, None] + lam.conj()[:, None, :])
     raw = (vecs @ w @ _transpose(vecs.conj())).real
     raw[~(cond <= _EIGENBASIS_COND_MAX)] = np.nan
     return raw
 
 
-def _schur_solve(a_s: np.ndarray, d_s: np.ndarray) -> np.ndarray:
+def _schur_solve(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Raw V of one point from scipy's Bartels-Stewart solver (Comm. ACM 15,
     820, 1972).
 
@@ -176,7 +177,7 @@ def _schur_solve(a_s: np.ndarray, d_s: np.ndarray) -> np.ndarray:
     import scipy.linalg
 
     try:
-        return scipy.linalg.solve_continuous_lyapunov(a_s, -d_s)
+        return scipy.linalg.solve_continuous_lyapunov(a, -d)
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise NumericalError(f"Schur-based Lyapunov solve failed: {exc}") from exc
 
@@ -200,37 +201,32 @@ def _frobenius(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(x * x, axis=(-2, -1)))
 
 
-def _relative_residual(a_s: np.ndarray, v: np.ndarray, d_s: np.ndarray) -> np.ndarray:
-    """||A V + V A^T + D||_F / ||D||_F of each point; 0 where D vanishes."""
-    r = a_s @ v + v @ _transpose(a_s) + d_s
-    d_norm, r_norm = _frobenius(d_s), _frobenius(r)
-    return np.divide(r_norm, d_norm, out=np.zeros(r_norm.shape), where=d_norm != 0.0)
+def _relative_residual(a: np.ndarray, v: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """||A V + V A^T + D||_F / ||D||_F of each point; where D vanishes, the
+    absolute residual, so that a NaN V still misses the gate."""
+    r = a @ v + v @ _transpose(a) + d
+    d_norm = _frobenius(d)
+    return _frobenius(r) / np.where(d_norm != 0.0, d_norm, 1.0)
 
 
 def solve_lyapunov_stack(
-    a: np.ndarray,
-    d: np.ndarray,
-    scale: np.ndarray,
-    eigenvalues: np.ndarray,
-    eigenvectors: np.ndarray,
+    a: np.ndarray, d: np.ndarray, eigenvalues: np.ndarray, eigenvectors: np.ndarray
 ) -> tuple[np.ndarray, list[OmmlabError | None]]:
     """Stationary covariances of a stack of stable points, solved together.
 
-    ``a`` and ``d`` are (N, n, n) in rad/s, ``scale`` (N,) is each point's
-    natural frequency, and the eigenpairs are each drift's, as returned by
-    :func:`ommlab.dynamics.stability_stack`. A point with an asymmetric D
-    fails at once; the others' eigenbasis results are screened with the 1e-10
-    residual gate (a NaN residual misses it) and those that miss go to the
-    Schur fallback, whose results are symmetrized and gated in turn. Each
-    point that passes is checked for the asymmetry warning and non-negative
-    variances. Returns V (N, n, n), exactly symmetric, rows of failed points
-    undefined, and per point the error that point raises, or None.
+    ``a`` and ``d`` are (N, n, n) in one unit, and the eigenpairs are each
+    drift's, as :func:`ommlab.dynamics.stability_stack` returns them. A
+    point with an asymmetric D fails at once; the others' eigenbasis results
+    are screened with the 1e-10 residual gate (a NaN residual misses it) and
+    those that miss go to the Schur fallback, whose results are symmetrized
+    and gated in turn. Each point that passes is checked for the asymmetry
+    warning and non-negative variances. Returns V (N, n, n), exactly
+    symmetric, rows of failed points undefined, and per point the error that
+    point raises, or None.
     """
-    a_s = a / scale[:, None, None]
-    d_s = d / scale[:, None, None]
-    raw = _eigenbasis_solve(eigenvalues / scale[:, None], eigenvectors, d_s)
+    raw = _eigenbasis_solve(eigenvalues, eigenvectors, d)
     v = _symmetrized(raw)
-    residual = _relative_residual(a_s, v, d_s)
+    residual = _relative_residual(a, v, d)
     over = ~(residual <= _RESIDUAL_RTOL)
     asymmetric_d = _asymmetric(d)
     errors: list[OmmlabError | None] = [None] * len(a)
@@ -238,11 +234,11 @@ def solve_lyapunov_stack(
     if len(missed):
         for i in missed[~asymmetric_d[missed]]:
             try:
-                raw[i] = _schur_solve(a_s[i], d_s[i])
+                raw[i] = _schur_solve(a[i], d[i])
             except NumericalError as exc:
                 errors[i] = exc
         v[missed] = _symmetrized(raw[missed])
-        residual[missed] = _relative_residual(a_s[missed], v[missed], d_s[missed])
+        residual[missed] = _relative_residual(a[missed], v[missed], d[missed])
         over = ~(residual <= _RESIDUAL_RTOL)
     asym = np.abs(raw - _transpose(raw)).max(axis=(-2, -1))
     warn = asym > _ASYMMETRY_RTOL * _max_abs_scale(raw)
@@ -278,42 +274,39 @@ def solve_lyapunov(
 ) -> CovarianceMatrix:
     """Solve A V + V A^T + D = 0 for the stationary covariance V.
 
-    ``a`` and ``d`` are square arrays of one shape or the wrapper types. The
-    drift's natural scale is its ``omega_b``, or for an array its largest
-    |entry| (1 for a zero drift); ``scale``, the frequency the solve divides
-    by, defaults to it. Requires an asymptotically stable A:
-    :func:`ommlab.dynamics.stability_stack` at the natural scale gives the
-    verdict and the eigenpairs. This is :func:`solve_lyapunov_stack` on a
-    stack of one (eigenbasis solve, Schur fallback when the basis is
-    singular, worse conditioned than :data:`_EIGENBASIS_COND_MAX` or misses
-    the 1e-10 residual gate, the asymmetry warning); the error it returns for
-    the point is raised.
+    ``a`` and ``d`` are square arrays of one shape or the wrapper types, in
+    rad/s or any one unit. Both are divided by ``scale``, by default the
+    drift's largest |entry| (1 for a zero drift), and
+    :func:`ommlab.dynamics.stability_stack` then gives the verdict and the
+    eigenpairs; an A that is not asymptotically stable raises. This is
+    :func:`solve_lyapunov_stack` on a stack of one (eigenbasis solve, Schur
+    fallback when the basis is singular, worse conditioned than
+    :data:`_EIGENBASIS_COND_MAX` or misses the 1e-10 residual gate, the
+    asymmetry warning); the error it returns for the point is raised.
     """
-    if isinstance(a, DriftMatrix):
-        a_arr, natural = a.a, a.omega_b
-    else:
-        a_arr = np.asarray(a, dtype=float)
-        if a_arr.ndim != 2 or a_arr.shape[0] != a_arr.shape[1]:
-            raise DomainError("drift must be a square matrix")
-        natural = float(np.max(np.abs(a_arr)))
-        natural = natural if natural > 0.0 else 1.0
+    a_arr = a.a if isinstance(a, DriftMatrix) else np.asarray(a, dtype=float)
+    if a_arr.ndim != 2 or a_arr.shape[0] != a_arr.shape[1]:
+        raise DomainError("drift must be a square matrix")
     d_arr = d.d if isinstance(d, DiffusionMatrix) else np.asarray(d, dtype=float)
     if d_arr.shape != a_arr.shape:
         raise DomainError("drift and diffusion shapes must match")
     _require_symmetric(d_arr, "diffusion")
-    s = np.array([natural if scale is None else scale], dtype=float)
-    if not s[0] > 0.0:
+    if scale is None:
+        scale = float(np.max(np.abs(a_arr)))
+        scale = scale if scale > 0.0 else 1.0
+    if not scale > 0.0:
         raise DomainError("scale must be strictly positive")
-    eigs, vecs, max_real = stability_stack(a_arr[None], np.array([natural]))
+    a_s, d_s = a_arr[None] / scale, d_arr[None] / scale
+    eigs, vecs, max_real = stability_stack(a_s)
     if not max_real[0] < 0.0:
-        raise _unstable(max_real[0])
-    v, errors = solve_lyapunov_stack(a_arr[None], d_arr[None], s, eigs, vecs)
+        raise _unstable(max_real[0] * scale)
+    v, errors = solve_lyapunov_stack(a_s, d_s, eigs, vecs)
     if errors[0] is not None:
         raise errors[0]
     return CovarianceMatrix(v=v[0])
 
 
-def _flow(a_s: np.ndarray, forcing: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _flow(a: np.ndarray, forcing: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Phi = e^(A h) and int_0^h e^(A s) F e^(A^T s) ds of each point of a stack.
 
     Both come from one batched scipy ``expm`` of the Van Loan blocks
@@ -323,11 +316,11 @@ def _flow(a_s: np.ndarray, forcing: np.ndarray, h: np.ndarray) -> tuple[np.ndarr
     """
     import scipy.linalg
 
-    n = a_s.shape[-1]
-    block = np.zeros((len(a_s), 2 * n, 2 * n))
-    block[:, :n, :n] = -a_s
+    n = a.shape[-1]
+    block = np.zeros((len(a), 2 * n, 2 * n))
+    block[:, :n, :n] = -a
     block[:, :n, n:] = forcing
-    block[:, n:, n:] = _transpose(a_s)
+    block[:, n:, n:] = _transpose(a)
     e = scipy.linalg.expm(block * h[:, None, None])
     phi = _transpose(e[:, n:, n:]).copy()
     return phi, phi @ e[:, :n, n:].copy()
@@ -344,16 +337,15 @@ def _square_sums(x: np.ndarray) -> np.ndarray:
     return np.einsum("nij,nij->n", x, x)
 
 
-def _rhs(a_s: np.ndarray, v: np.ndarray, d_s: np.ndarray) -> np.ndarray:
+def _rhs(a: np.ndarray, v: np.ndarray, d: np.ndarray) -> np.ndarray:
     """A V + V A^T + D of each point of a stack, for symmetric V and D."""
-    av = a_s @ v
-    return av + _transpose(av) + d_s
+    av = a @ v
+    return av + _transpose(av) + d
 
 
 def integrate_to_steady_state_stack(
     a: np.ndarray,
     d: np.ndarray,
-    scale: np.ndarray,
     eigenvalues: np.ndarray,
     v0: np.ndarray | None = None,
     dt: np.ndarray | None = None,
@@ -364,15 +356,15 @@ def integrate_to_steady_state_stack(
     """Relax each point of a stack along the exact flow of
     dV/dt = A V + V A^T + D to its fixed point.
 
-    ``a`` and ``d`` are (N, n, n) in rad/s, ``scale`` (N,) is each point's
-    natural frequency, ``eigenvalues`` (N, n) are each drift's, as returned
-    by :func:`ommlab.dynamics.stability_stack`, and give the verdict, the
-    spectral radius and the slowest decay, not V. ``v0`` (N, n, n) defaults
-    to the vacuum and ``dt`` (N,), in seconds, to 1 / spectral radius. A
-    point whose residual R0 at step 0 is within ``rtol`` ||D||_F keeps V0.
-    Over 2^k steps the flow from V = 0, (Phi, Q) from :func:`_flow` doubled k
-    times, gives V = Phi V0 Phi^T + Q with residual Phi R0 Phi^T. A point is
-    read, V and its residual formed, only at the first 2^k where
+    ``a`` and ``d`` are (N, n, n) in one unit, ``eigenvalues`` (N, n) are
+    each drift's, as :func:`ommlab.dynamics.stability_stack` returns them,
+    and give the verdict, the spectral radius and the slowest decay, not V.
+    ``v0`` (N, n, n) defaults to the vacuum and ``dt`` (N,), in the inverse
+    of that unit, to 1 / spectral radius. A point whose residual R0 at step
+    0 is within ``rtol`` ||D||_F keeps V0. Over 2^k steps the flow from
+    V = 0, (Phi, Q) from :func:`_flow` doubled k times, gives
+    V = Phi V0 Phi^T + Q with residual Phi R0 Phi^T. A point is read, V and
+    its residual formed, only at the first 2^k where
     ||Phi||_F^2 ||R0||_F passes or that reaches ``horizon`` slowest decay
     times. It freezes at its first passing read, whatever the other points
     do; a read at the horizon that misses gives :class:`ConvergenceError`,
@@ -391,12 +383,10 @@ def integrate_to_steady_state_stack(
     if v0 is not None and np.shape(v0) != a.shape:
         raise DomainError(f"v0 must have the drifts' shape {a.shape}")
     max_real = eigenvalues.real.max(axis=-1)
-    a_s = a / scale[:, None, None]
-    d_s = d / scale[:, None, None]
-    radius = np.abs(eigenvalues).max(axis=-1) / scale
+    radius = np.abs(eigenvalues).max(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        h = _FLOW_STEP_FRACTION / radius if dt is None else dt * scale
-        budget = np.ceil(horizon * scale / -max_real / h)
+        h = _FLOW_STEP_FRACTION / radius if dt is None else dt
+        budget = np.ceil(horizon / -max_real / h)
         valid = (max_real < 0.0) & (0.0 < h) & (h <= _FLOW_MAX_STEP_FRACTION / radius)
     errors: list[OmmlabError | None] = [None] * len(a)
     for i in (~valid).nonzero()[0]:
@@ -404,22 +394,22 @@ def integrate_to_steady_state_stack(
             f"dt must be positive and at most {_FLOW_MAX_STEP_FRACTION:g} / spectral "
             "radius, the accuracy limit of the block exponential"
         )
-    d_norm = np.sqrt(_square_sums(d_s))
+    d_norm = np.sqrt(_square_sums(d))
     tol = rtol * np.where(d_norm > 0.0, d_norm, 1.0)
     v = np.eye(a.shape[-1])[None].repeat(len(a), 0) * 0.5 if v0 is None else np.array(v0, float)
-    r0 = np.sqrt(_square_sums(_rhs(a_s, v, d_s)))
+    r0 = np.sqrt(_square_sums(_rhs(a, v, d)))
     fixed = valid & (r0 <= tol)
     # V of each point as it is read, symmetrized once at the end
     out = np.where(fixed[:, None, None], v, np.nan)
     live = (valid & ~fixed).nonzero()[0]
     if len(live) < len(a):
-        a_s, d_s, scale, max_real, h, tol, budget, v, r0 = (
-            x[live] for x in (a_s, d_s, scale, max_real, h, tol, budget, v, r0)
+        a, d, max_real, h, tol, budget, v, r0 = (
+            x[live] for x in (a, d, max_real, h, tol, budget, v, r0)
         )
-    phi, q = _flow(a_s, d_s, h)
+    phi, q = _flow(a, d, h)
     # ||Phi||_F is at least Phi's spectral radius e^(-gamma t), gamma the
     # slowest decay, so no point is due before e^(-2 gamma t) ||R0||_F passes
-    first = np.fmin(budget, np.log(r0 / tol) * scale / (-2.0 * max_real * h))
+    first = np.fmin(budget, np.log(r0 / tol) / (-2.0 * max_real * h))
     # which points hold their corrected V, at this pass's step, in place of V0
     corrected = np.zeros(len(live), dtype=bool)
     steps, passes, due = 1, 0, first.min(initial=np.inf)
@@ -431,7 +421,7 @@ def integrate_to_steady_state_stack(
             at = slice(None) if len(index) == len(live) else index  # all of them: a slice
             fresh = index[~corrected[index]] if np.count_nonzero(corrected) else at
             v[fresh] = phi[fresh] @ v[fresh] @ _transpose(phi[fresh]) + q[fresh]
-            r = _rhs(a_s[at], v[at], d_s[at])
+            r = _rhs(a[at], v[at], d[at])
             residual = np.sqrt(_square_sums(r))
             done = residual <= tol[at]
             out[live[at]] = v[at]
@@ -448,7 +438,7 @@ def integrate_to_steady_state_stack(
                     out[live[j]] = np.nan
                 floor = missed[~over]
                 if len(floor):
-                    phi_r, g = _flow(a_s[floor], r[~over], h[floor])
+                    phi_r, g = _flow(a[floor], r[~over], h[floor])
                     for _ in range(passes):
                         phi_r, g = _doubled(phi_r, g)
                     v[floor] += g
@@ -458,9 +448,8 @@ def integrate_to_steady_state_stack(
             if len(floor) < len(index):  # drop the points that are finished
                 keep = np.ones(len(live), dtype=bool)
                 keep[index], keep[floor] = False, True
-                live, a_s, d_s, h, tol, budget, first, v, r0, phi, q, corrected = (
-                    x[keep]
-                    for x in (live, a_s, d_s, h, tol, budget, first, v, r0, phi, q, corrected)
+                live, a, d, h, tol, budget, first, v, r0, phi, q, corrected = (
+                    x[keep] for x in (live, a, d, h, tol, budget, first, v, r0, phi, q, corrected)
                 )
             due = first.min()
         phi, q = _doubled(phi, q)

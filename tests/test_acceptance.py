@@ -109,8 +109,9 @@ def test_direct_steady_state_matches_rk4_relaxation_on_random_draws(capsys):
         params = default_params(**overrides)
         state = solve_semiclassics(params)
         drift = build_drift(params, state)
-        scale = np.array([params.omega_b])
-        eigs, _, max_real = stability_stack(drift.a[None], scale)
+        # the stacks take A and D in units of omega_b, as the harness gives them
+        a = drift.a[None] / params.omega_b
+        eigs, _, max_real = stability_stack(a)
         if not max_real[0] < 0.0:
             rejected += 1
             continue
@@ -119,7 +120,7 @@ def test_direct_steady_state_matches_rk4_relaxation_on_random_draws(capsys):
         v_direct = solve_lyapunov(drift, diffusion, scale=params.omega_b).v
         rho = float(np.max(np.abs(eigs)))
         v_rk4, errors = integrate_to_steady_state_stack(
-            drift.a[None], diffusion.d[None], scale, eigs, dt=np.array([0.099 / rho])
+            a, diffusion.d[None] / params.omega_b, eigs, dt=np.array([0.099 / rho])
         )
         assert errors == [None], errors
         deviation = float(
@@ -220,7 +221,7 @@ def test_detuning_maps_produce_physical_covariances_everywhere(capsys):
                 params = SET_DELTA_C1(row_base, float(dc1))
                 state = solve_semiclassics(params)
                 drift = build_drift(params, state)
-                _, _, max_real = stability_stack(drift.a[None], np.array([params.omega_b]))
+                _, _, max_real = stability_stack(drift.a[None] / params.omega_b)
                 if not max_real[0] < 0.0:
                     unstable_points += 1
                     continue

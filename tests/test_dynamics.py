@@ -146,7 +146,7 @@ class TestDriftLayout:
 
     def test_wrapper_validates_shape(self):
         with pytest.raises(DomainError):
-            DriftMatrix(a=np.zeros((4, 4)), omega_b=1.0)
+            DriftMatrix(a=np.zeros((4, 4)))
 
     def test_matrix_is_read_only(self):
         a = drift_at()
@@ -274,18 +274,18 @@ def routh_hurwitz_stable(coeffs: np.ndarray) -> bool:
 
 class TestStability:
     def test_plain_contraction(self):
-        _, _, max_real = stability_stack(-np.eye(3)[None], np.ones(1))
+        _, _, max_real = stability_stack(-np.eye(3)[None])
         assert max_real[0] < 0.0
         assert -max_real[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_marginal_growth_detected(self):
-        _, _, max_real = stability_stack(np.diag([1e-3, -1.0])[None], np.ones(1))
+        _, _, max_real = stability_stack(np.diag([1e-3, -1.0])[None])
         assert not max_real[0] < 0.0
         assert max_real[0] == pytest.approx(1e-3, rel=1e-9)
 
     def test_eigenvalues_sorted_and_conjugate(self):
         p = default_params()
-        eigs = stability_stack(drift_at()[None], np.array([p.omega_b]))[0][0]
+        eigs = stability_stack(drift_at()[None] / p.omega_b)[0][0]
         assert len(eigs) == DIM
         order = np.lexsort((eigs.imag, eigs.real))
         assert np.all(order == np.arange(DIM))
@@ -295,22 +295,22 @@ class TestStability:
 
     def test_eigenvectors_match_sorted_eigenvalues(self):
         p = default_params()
-        a = drift_at()
-        eigs, vecs, _ = stability_stack(a[None], np.array([p.omega_b]))
+        a = drift_at() / p.omega_b
+        eigs, vecs, _ = stability_stack(a[None])
         assert vecs.shape == (1, DIM, DIM)
         # column k is the right eigenvector of eigenvalue k, in sorted order
-        np.testing.assert_allclose(a @ vecs[0], vecs[0] * eigs[0], atol=1e-9 * p.omega_b)
+        np.testing.assert_allclose(a @ vecs[0], vecs[0] * eigs[0], atol=1e-9)
 
     def test_default_point_margin(self):
         p = default_params()
-        _, _, max_real = stability_stack(drift_at()[None], np.array([p.omega_b]))
+        _, _, max_real = stability_stack(drift_at()[None] / p.omega_b)
         assert max_real[0] < 0.0
-        assert -max_real[0] == pytest.approx(2623055.823813708, rel=1e-6)
+        assert -max_real[0] * p.omega_b == pytest.approx(2623055.823813708, rel=1e-6)
 
     def test_known_unstable_point(self):
         p = default_params(delta_m_over_wb=-1.0)
         a = drift_at(delta_m_over_wb=-1.0)
-        _, _, max_real = stability_stack(a[None], np.array([p.omega_b]))
+        _, _, max_real = stability_stack(a[None] / p.omega_b)
         assert not max_real[0] < 0.0
 
     def test_agrees_with_routh_hurwitz(self):
@@ -331,7 +331,9 @@ class TestStability:
             draws.append(overrides)
         # each drift is scaled by its own largest |entry|, as a lone array is
         a = np.array([drift_at(**overrides) for overrides in draws])
-        _, _, max_real = stability_stack(a, np.abs(a).max(axis=(1, 2)))
+        scale = np.abs(a).max(axis=(1, 2))
+        _, _, max_real = stability_stack(a / scale[:, None, None])
+        max_real *= scale
         n_unstable = 0
         for overrides, a_k, max_real_k in zip(draws, a, max_real):
             if abs(max_real_k) / wb < 1e-6:
@@ -344,4 +346,4 @@ class TestStability:
 
     def test_eigensolver_failure_wrapped(self):
         with pytest.raises((NumericalError, DomainError)):
-            stability_stack(np.full((1, 3, 3), np.nan), np.ones(1))
+            stability_stack(np.full((1, 3, 3), np.nan))

@@ -68,7 +68,7 @@ def stage_two_blocks(v, pairs):
         harness, "solve_lyapunov_stack", return_value=(v[None], [None])
     ), mock.patch.object(harness, "nu_minus_stack", wraps=nu_minus_stack) as nu:
         # one point: only the length of the drift stack is read
-        harness._steady_state(np.zeros((1, 10, 10)), None, None, None, None, pairs)
+        harness._steady_state(np.zeros((1, 10, 10)), None, None, None, pairs)
     return nu.call_args.args[0]
 
 

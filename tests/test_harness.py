@@ -387,7 +387,7 @@ class TestPointFailures:
         self.assert_stable_without_measures(report, default_point, message)
 
     def test_oracle_convergence_error_keeps_the_measures(self, default_point):
-        def flow_fails(a, d, scale, eigenvalues):
+        def flow_fails(a, d, eigenvalues):
             return np.full_like(a, np.nan), [ConvergenceError("the flow did not converge")]
 
         with mock.patch.object(harness, "integrate_to_steady_state_stack", flow_fails):
@@ -419,9 +419,9 @@ class TestWorkingPointBranches:
 
     @staticmethod
     def margins(p, branches):
-        """Each branch's stability margin, from one drift stack and eig."""
-        a = drift_stack([p] * len(branches), branches)
-        return list(-stability_stack(a, np.full(len(branches), p.omega_b))[2])
+        """Each branch's stability margin (rad/s), from one drift stack and eig."""
+        a = drift_stack([p] * len(branches), branches) / p.omega_b
+        return list(-stability_stack(a)[2] * p.omega_b)
 
     @staticmethod
     def reorder(monkeypatch, pick):
@@ -521,8 +521,8 @@ class TestWorkingPointBranches:
             for x in np.linspace(-2.0, 0.0, 41) for y in np.linspace(0.0, 2.0, 41)
         ]
         states, offsets = solve_semiclassics_stack(points)
-        a = drift_stack(points, states[offsets[:-1]])
-        unstable = ~(stability_stack(a, np.full(len(points), params.omega_b))[2] < 0.0)
+        a = drift_stack(points, states[offsets[:-1]]) / params.omega_b
+        unstable = ~(stability_stack(a)[2] < 0.0)
         tries = int(np.sum(np.diff(offsets)[unstable] - 1))
         assert tries == 734
 
@@ -555,15 +555,17 @@ class TestWorkingPointBranches:
         self.reorder(monkeypatch, lambda found: found[[2, 0, 1]] if len(found) == 3 else found)
         eig_rows.clear()
         screened.clear()
-        scale, _, states, a, eigs, vecs, max_real = harness._working_points([later, two])
+        _, states, a, eigs, vecs, max_real = harness._working_points([later, two])
         assert eig_rows == [2, 3] and screened == [3]
         for k, (p, branch) in enumerate(zip([later, two], kept)):
             assert states[k : k + 1].tobytes() == branch.tobytes()
-            drift = drift_stack([p], branch)
+            # stage 1 keeps drifts and eigenvalues in units of omega_b, max Re in rad/s
+            drift = drift_stack([p], branch) / p.omega_b
             np.testing.assert_array_equal(a[k], drift[0])
-            found = stability_stack(drift, scale[k : k + 1])
-            for got, want in zip((eigs, vecs, max_real), found):
-                np.testing.assert_array_equal(got[k], want[0])
+            found_eigs, found_vecs, found_max_real = stability_stack(drift)
+            np.testing.assert_array_equal(eigs[k], found_eigs[0])
+            np.testing.assert_array_equal(vecs[k], found_vecs[0])
+            assert max_real[k] == found_max_real[0] * p.omega_b
             assert max_real[k] < 0.0
 
     def test_later_branch_row_in_a_chunk_equals_its_lone_evaluation(self):
@@ -1116,8 +1118,11 @@ class TestStackedCore:
 
     @classmethod
     def steady_state(cls, a, d, scale):
-        eigs, vecs, _ = stability_stack(a, scale)
-        return harness._steady_state(a, d, scale, eigs, vecs, cls.PAIRS)
+        """Stage 2 on drifts and diffusions given with each point's scale,
+        in that scale's units as stage 1 hands them over."""
+        a, d = a / scale[:, None, None], d / scale[:, None, None]
+        eigs, vecs, _ = stability_stack(a)
+        return harness._steady_state(a, d, eigs, vecs, cls.PAIRS)
 
     @pytest.fixture(scope="class")
     def stack(self):
@@ -1217,7 +1222,7 @@ class TestStackedCore:
         # make the basis of the nearly defective point (index 1) singular
         a, d, scale, (v, nu, errors), _ = stack
         inv = np.linalg.inv
-        basis = stability_stack(a[1:2], scale[1:2])[1][0]
+        basis = stability_stack(a[1:2] / scale[1])[1][0]
 
         def inv_singular_at_point_1(x):
             if x.ndim == 3 or np.array_equal(x, basis):

@@ -69,7 +69,25 @@ def test_benchmark_reads_states_as_objects(overrides):
     assert type(ommlab.solve_semiclassics(p)) is ommlab.SemiclassicalState
     report = ommlab.evaluate_point(p)
     assert type(report.state) is ommlab.SemiclassicalState
-    _, _, _, a, _, _, _ = ommlab.harness._working_points([p])
-    assert ommlab.build_drift(p, report.state).a.tobytes() == a[0].tobytes()
+    _, _, a, _, _, _ = ommlab.harness._working_points([p])
+    # stage 1 holds the drift in units of omega_b
+    assert (ommlab.build_drift(p, report.state).a / p.omega_b).tobytes() == a[0].tobytes()
     moved = dataclasses.replace(report.state, q_avg=report.state.q_avg * (1 + 1e-7) + 1.0)
     assert moved.q_avg != report.state.q_avg and moved.g_c_eff == report.state.g_c_eff
+
+
+@pytest.mark.parametrize("overrides", [{}, LATER_BRANCH], ids=["direct", "later-branch"])
+def test_benchmark_reference_covariance_is_stage_two(overrides):
+    # perfbench/ checks a point against solve_lyapunov on the rad/s drift and
+    # diffusion of its state at scale omega_b: the same V, to the bit, as the
+    # harness's own stage 2 on the stacks stage 1 scaled
+    p = ommlab.default_params(**overrides)
+    report = ommlab.evaluate_point(p)
+    d, _, a, eigs, vecs, _ = ommlab.harness._working_points([p])
+    pairs = [ommlab.entanglement.parse_pair(label) for label in report.entanglement]
+    v, _, errors = ommlab.harness._steady_state(a, d, eigs, vecs, pairs)
+    assert errors == [None]
+    reference = ommlab.solve_lyapunov(
+        ommlab.build_drift(p, report.state), ommlab.build_diffusion(p), scale=p.omega_b
+    )
+    assert reference.v.tobytes() == v[0].tobytes()

@@ -470,7 +470,7 @@ class TestDisplacementRoots:
             assert q0 == pytest.approx(q, rel=1e-11)
             # and the branch evaluate_point reports has the verdict of that q
             a = build_drift(p, state_at(p, q)).a
-            verdict = stability_stack(a[None], np.array([p.omega_b]))[2][0] < 0.0
+            verdict = stability_stack(a[None] / p.omega_b)[2][0] < 0.0
             assert evaluate_point(p, ("ab",)).stable == verdict
 
     def test_diverging_iteration_point_is_unstable_not_an_error(self):
@@ -487,7 +487,7 @@ class TestDisplacementRoots:
         slope = (displacement_map(p, q + h) - displacement_map(p, q - h)) / (2 * h)
         assert slope == pytest.approx(-3.8, rel=0.01)
         a = build_drift(p, report.state).a
-        assert -stability_stack(a[None], np.array([p.omega_b]))[2][0] == report.margin
+        assert -stability_stack(a[None] / p.omega_b)[2][0] * p.omega_b == report.margin
 
     def test_iterations_count_the_newton_steps(self):
         # the companion eigenvalues are close to the roots already, so the

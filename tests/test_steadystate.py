@@ -298,9 +298,8 @@ class TestLyapunovStack:
     @staticmethod
     def solve(a, d):
         a, d = np.array(a), np.array(d)
-        scale = np.ones(len(a))
-        eigs, vecs, _ = stability_stack(a, scale)
-        return steadystate.solve_lyapunov_stack(a, d, scale, eigs, vecs)
+        eigs, vecs, _ = stability_stack(a)
+        return steadystate.solve_lyapunov_stack(a, d, eigs, vecs)
 
     def test_asymmetric_diffusion_fails_its_row_without_the_fallback(self):
         a, d = single_cavity()
@@ -335,11 +334,63 @@ class TestLyapunovStack:
         assert "non-negative" in str(errors[1])
         assert np.max(np.abs(v[0] - 0.5 * np.eye(2))) <= 1e-12
 
+    def test_zero_noise_with_an_ill_conditioned_basis_falls_back(self):
+        # a Jordan block in a random basis: the eigenbasis solve marks its V
+        # NaN, and with D = 0 only the absolute residual can send it on
+        q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(2, 2)))
+        a = q @ np.array([[-1.0, 1.0], [1e-18, -1.0]]) @ q.T
+        d = np.zeros((2, 2))
+        with mock.patch.object(
+            steadystate, "_schur_solve", wraps=steadystate._schur_solve
+        ) as schur:
+            v, errors = self.solve([a], [d])
+        assert schur.call_count == 1
+        assert errors == [None]
+        np.testing.assert_array_equal(v[0], np.zeros((2, 2)))
+        np.testing.assert_array_equal(solve_lyapunov(a, d).v, np.zeros((2, 2)))
+
+
+class TestUnitFreeStacks:
+    """The stacks work in whatever unit their drifts and diffusions are in:
+    two physical points, in rad/s divided by c, give eigenvalues that scale
+    as 1 / c, the same V and the same flow errors for every c."""
+
+    @staticmethod
+    def stacks(c):
+        points = [default_params(), default_params(delta_a_over_wb=-0.3)]
+        a = np.array([build_drift(p, solve_semiclassics(p)).a for p in points]) / c
+        d = np.array([build_diffusion(p).d for p in points]) / c
+        eigs, vecs, max_real = stability_stack(a)
+        v, errors = steadystate.solve_lyapunov_stack(a, d, eigs, vecs)
+        v_flow, flow_errors = integrate_to_steady_state_stack(a, d, eigs)
+        return eigs * c, max_real * c, (v, errors), (v_flow, flow_errors)
+
+    @pytest.mark.parametrize(
+        "c", [1.0, default_params().omega_b, 1e9], ids=["1", "omega_b", "1e9"]
+    )
+    def test_same_results_in_any_unit(self, c):
+        eigs, max_real, (v, errors), (v_flow, flow_errors) = self.stacks(c)
+        want_eigs, want_max_real, (want_v, want_errors), (want_flow, want_flow_errors) = (
+            self.stacks(default_params().omega_b)
+        )
+        assert np.abs(eigs - want_eigs).max() <= 1e-12 * np.abs(want_eigs).max()
+        np.testing.assert_allclose(max_real, want_max_real, rtol=1e-12)
+        assert errors == want_errors == [None, None]
+        assert flow_errors == want_flow_errors == [None, None]
+        for got, want in ((v, want_v), (v_flow, want_flow)):
+            distance = np.linalg.norm(got - want, axis=(1, 2))
+            assert (distance <= 1e-12 * np.linalg.norm(want, axis=(1, 2))).all()
+
 
 def relax(a, d, scale, **kwargs):
-    """:func:`integrate_to_steady_state_stack` on (N, n, n) stacks, given the
-    eigenvalues :func:`stability_stack` finds at the same scales."""
-    return integrate_to_steady_state_stack(a, d, scale, stability_stack(a, scale)[0], **kwargs)
+    """:func:`integrate_to_steady_state_stack`, with the eigenvalues
+    :func:`stability_stack` finds, on (N, n, n) stacks each divided by its
+    ``scale`` (N,) first, as stage 1 divides by omega_b; a ``dt`` in the
+    inverse of the drifts' own unit is converted alike."""
+    if "dt" in kwargs:
+        kwargs["dt"] = kwargs["dt"] * scale
+    a, d = a / scale[:, None, None], d / scale[:, None, None]
+    return integrate_to_steady_state_stack(a, d, stability_stack(a)[0], **kwargs)
 
 
 def max_abs(a):
@@ -361,11 +412,12 @@ class TestRelaxationIntegrator:
         assert eigvals.call_count == 0
 
     def test_unstable_message_matches_the_direct_solve(self):
-        # max Re eig is given in the drift's own units, not the scaled ones
+        # max Re eig is given in the stack's own units: here the drift's, as
+        # solve_lyapunov gives it whatever scale it divides by
         a = np.array([[3.0, 1.0], [-1.0, 3.0]])
         with pytest.raises(StabilityError) as direct:
             solve_lyapunov(a, np.eye(2))
-        _, errors = relax(a[None], np.eye(2)[None], max_abs(a[None]))
+        _, errors = relax(a[None], np.eye(2)[None], np.ones(1))
         assert isinstance(errors[0], StabilityError)
         assert str(errors[0]) == str(direct.value)
         assert "max Re eig = 3.000000e+00" in str(errors[0])
@@ -538,7 +590,7 @@ class TestFlowStack:
         rho = np.max(np.abs(np.linalg.eigvals(a1)))
         a = np.array([a1, unstable, a1, a2])
         v, errors = steadystate.integrate_to_steady_state_stack(
-            a, np.array([d1, np.eye(2), d1, d2]), np.ones(4), stability_stack(a, np.ones(4))[0],
+            a, np.array([d1, np.eye(2), d1, d2]), stability_stack(a)[0],
             dt=np.array([0.05, 0.05, 4.0, 0.05]) / rho,
         )
         assert errors[0] is None and errors[3] is None
@@ -552,9 +604,9 @@ class TestFlowStack:
 
     def test_a_point_past_its_horizon_fails_alone(self):
         a, d = single_cavity()
-        eigs = stability_stack(np.array([a, a]), np.ones(2))[0]
+        eigs = stability_stack(np.array([a, a]))[0]
         v, errors = steadystate.integrate_to_steady_state_stack(
-            np.array([a, a]), np.array([d, d]), np.ones(2), eigs,
+            np.array([a, a]), np.array([d, d]), eigs,
             np.array([0.5 * np.eye(2), 5.0 * np.eye(2)]), horizon=1e-3,
         )
         assert errors[0] is None
@@ -575,7 +627,8 @@ class TestFlowStack:
         unstable = (ordinary[0] + 0.1 * ordinary[2] * np.eye(10), *ordinary[1:])
         points = [unstable, ordinary, ordinary, ordinary, stalls, ordinary, other]
         a, d, scale = (np.array(column) for column in zip(*points))
-        eigs = stability_stack(a, scale)[0]
+        a, d = a / scale[:, None, None], d / scale[:, None, None]
+        eigs = stability_stack(a)[0]
         dt = 1.0 / np.abs(eigs).max(axis=-1)
         dt[2] *= 4.0  # above the cap of 2 / spectral radius
         dt[4] *= 0.05  # a step at which the plain update stalls above the tolerance
@@ -583,7 +636,7 @@ class TestFlowStack:
         v0[3] = solve_lyapunov(*ordinary[:2], scale=ordinary[2]).v  # its fixed point
         v0[5] = 1e100 * np.eye(10)  # too far out to relax within the horizon
         with mock.patch.object(steadystate, "_flow", wraps=steadystate._flow) as flow:
-            v, errors = integrate_to_steady_state_stack(a, d, scale, eigs, v0, dt)
+            v, errors = integrate_to_steady_state_stack(a, d, eigs, v0, dt)
         # the flow of D over the four points that move, then of point 4's residual
         assert [call.args[0].shape[0] for call in flow.call_args_list] == [4, 1]
         assert [type(e) for e in errors] == [
@@ -593,7 +646,7 @@ class TestFlowStack:
         np.testing.assert_array_equal(v[3], v0[3])
         for k in range(len(points)):
             alone, alone_errors = integrate_to_steady_state_stack(
-                *(x[k:k + 1] for x in (a, d, scale, eigs, v0, dt))
+                *(x[k:k + 1] for x in (a, d, eigs, v0, dt))
             )
             np.testing.assert_array_equal(v[k], alone[0])
             assert repr(errors[k]) == repr(alone_errors[0])
@@ -601,11 +654,11 @@ class TestFlowStack:
     @pytest.mark.parametrize("n", [2, 10])
     def test_empty_stacks(self, n):
         empty = np.zeros((0, n, n))
-        eigs, vecs, max_real = stability_stack(empty, np.zeros(0))
+        eigs, vecs, max_real = stability_stack(empty)
         assert (eigs.shape, vecs.shape, max_real.shape) == ((0, n), (0, n, n), (0,))
-        v, errors = steadystate.solve_lyapunov_stack(empty, empty, np.zeros(0), eigs, vecs)
+        v, errors = steadystate.solve_lyapunov_stack(empty, empty, eigs, vecs)
         assert v.shape == (0, n, n) and errors == []
-        v, errors = integrate_to_steady_state_stack(empty, empty, np.zeros(0), eigs)
+        v, errors = integrate_to_steady_state_stack(empty, empty, eigs)
         assert v.shape == (0, n, n) and errors == []
         nu, errors = nu_minus_stack(np.zeros((0, 4, 4)))
         assert nu.shape == (0,) and errors == []
@@ -613,9 +666,8 @@ class TestFlowStack:
     def test_a_lone_point_builds_no_kronecker_operator(self):
         # an n^2 x n^2 operator of the 10x10 system alone takes 80 kB
         p, drift, diffusion = default_system()
-        scale = np.array([p.omega_b])
-        eigs = stability_stack(drift.a[None], scale)[0]
-        args = drift.a[None], diffusion.d[None], scale, eigs
+        a, d = drift.a[None] / p.omega_b, diffusion.d[None] / p.omega_b
+        args = a, d, stability_stack(a)[0]
         steadystate.integrate_to_steady_state_stack(*args)
         tracemalloc.start()
         try:
