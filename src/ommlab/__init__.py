@@ -21,8 +21,6 @@ from .entanglement import (
     Mode,
     nu_minus_via_partial_transpose,
     parse_pair,
-    random_two_mode_covariance,
-    transformation_efficiency,
 )
 from .errors import (
     ConfigError,
@@ -52,10 +50,7 @@ from .model import (
     SystemParams,
     config_snapshot,
     default_params,
-    laser_drive_strength,
     params_from_mapping,
-    rabi_frequency,
-    thermal_occupation,
 )
 from .semiclassics import (
     SemiclassicalState,
@@ -105,7 +100,6 @@ __all__ = [
     "default_params",
     "effective_couplings",
     "evaluate_point",
-    "laser_drive_strength",
     "load_config",
     "magnon_average",
     "mechanical_displacement",
@@ -113,14 +107,10 @@ __all__ = [
     "params_from_mapping",
     "parse_pair",
     "physicality_margin",
-    "rabi_frequency",
-    "random_two_mode_covariance",
     "run_sweep",
     "solve_lyapunov",
     "solve_semiclassics",
     "symplectic_form",
-    "thermal_occupation",
-    "transformation_efficiency",
     "write_csv",
     "write_pgm",
 ]

@@ -11,22 +11,19 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .entanglement import (
-    _e_n,
-    nu_minus_stack,
-    nu_minus_via_partial_transpose,
-    random_two_mode_covariance,
-)
+from .entanglement import Mode, _e_n, nu_minus_stack, nu_minus_via_partial_transpose
 from .errors import OmmlabError
 from .harness import (
     VERSION,
     _check_heatmap,
+    _steady_state,
     _working_points,
     evaluate_point,
     load_config,
@@ -35,7 +32,7 @@ from .harness import (
     write_pgm,
 )
 from .model import TWO_PI
-from .steadystate import physicality_margin, solve_lyapunov, solve_lyapunov_stack
+from .steadystate import physicality_margin, solve_lyapunov
 
 
 def _fmt(value: float | None) -> str:
@@ -151,20 +148,26 @@ def _cmd_selftest(_args: argparse.Namespace) -> int:
     # vacuum is separable
     check("vacuum-EN-zero", errors[1] is None and _e_n(nu[1]) == 0.0)
 
-    # closed form vs eigenvalue route on random states
-    rng = np.random.default_rng(20260825)
-    blocks = np.array([random_two_mode_covariance(rng) for _ in range(50)])
-    nu, errors = nu_minus_stack(blocks)
-    spectral = np.array([nu_minus_via_partial_transpose(v0) for v0 in blocks])
-    worst = float(np.max(np.abs(nu - spectral)))
-    check(
-        "nu-minus-cross-check", all(e is None for e in errors) and worst < 1e-10,
-        f"worst |delta nu| {worst:.3e}",
-    )
+    # V and nu_- of all ten pairs at the default point, from stages 1 and 2 of
+    # the harness: the pipeline's nu_- against the eigenvalue route on its V
+    config = load_config(None)
+    pairs = list(itertools.combinations(Mode, 2))
+    try:
+        d, _, a, eigs, vecs, _ = _working_points([config.params])
+        v, nu, errors = _steady_state(a, d, eigs, vecs, pairs)
+        error = errors[0]
+    except OmmlabError as exc:
+        error = str(exc)
+    worst, detail = math.inf, error
+    if error is None:
+        rows = [mode1.rows + mode2.rows for mode1, mode2 in pairs]
+        spectral = [nu_minus_via_partial_transpose(v[0][np.ix_(r, r)]) for r in rows]
+        worst = float(np.max(np.abs(nu[0] - spectral)))
+        detail = f"worst |delta nu| {worst:.3e}"
+    check("nu-minus-cross-check", worst < 1e-10, detail)
 
     # default operating point: stable, physical, deterministic
     try:
-        config = load_config(None)
         first = evaluate_point(config.params, config.pairs)
         second = evaluate_point(config.params, config.pairs)
         check("default-point-stable", first.stable and first.error is None)
@@ -173,11 +176,8 @@ def _cmd_selftest(_args: argparse.Namespace) -> int:
             for k in config.pairs
         )
         check("default-point-deterministic", same)
-        # V of the branch evaluate_point keeps, from stage 1 of the harness
-        d, _, a, eigs, vecs, _ = _working_points([config.params])
-        v, errors = solve_lyapunov_stack(a, d, eigs, vecs)
-        stable = first.stable and errors[0] is None
-        margin = physicality_margin(v[0]) if stable else -math.inf
+        # the V of the cross-check, of the branch evaluate_point keeps
+        margin = physicality_margin(v[0]) if first.stable and error is None else -math.inf
         check("default-point-physical", margin >= -1e-8, f"min eig {margin:.3e}")
     except OmmlabError as exc:
         check("default-point-stable", False, str(exc))

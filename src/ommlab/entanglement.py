@@ -177,65 +177,10 @@ class EntanglementReport:
     e_n: float | None
 
 
-def random_two_mode_covariance(rng: np.random.Generator) -> np.ndarray:
-    """Draw a random physical two-mode covariance matrix.
-
-    Built as S N S^T with N a thermal diagonal (symplectic eigenvalues in
-    [0.5, 5]) and S a random symplectic composed of local squeezes, a
-    two-mode squeeze, and local rotations. Covers separable and entangled,
-    pure and mixed states.
-    """
-    nu1, nu2 = rng.uniform(0.5, 5.0, size=2)
-    thermal = np.diag([nu1, nu1, nu2, nu2])
-
-    s1, s2 = rng.uniform(-1.0, 1.0, size=2)
-    local_squeeze = np.diag([math.exp(s1), math.exp(-s1), math.exp(s2), math.exp(-s2)])
-
-    r = rng.uniform(0.0, 1.5)
-    ch, sh = math.cosh(r), math.sinh(r)
-    tms = np.array(
-        [
-            [ch, 0.0, sh, 0.0],
-            [0.0, ch, 0.0, -sh],
-            [sh, 0.0, ch, 0.0],
-            [0.0, -sh, 0.0, ch],
-        ]
-    )
-
-    def rotation(phi: float) -> np.ndarray:
-        c, s = math.cos(phi), math.sin(phi)
-        return np.array([[c, s], [-s, c]])
-
-    phi1, phi2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
-    local_rot = np.zeros((4, 4))
-    local_rot[0:2, 0:2] = rotation(phi1)
-    local_rot[2:4, 2:4] = rotation(phi2)
-
-    s_total = local_rot @ tms @ local_squeeze
-    v = s_total @ thermal @ s_total.T
-    return 0.5 * (v + v.T)
-
-
-def transformation_efficiency(e_ab: float, e_am: float) -> float | None:
-    """Ratio E_am / E_ab of magnon-side to phonon-side atomic entanglement.
-
-    Returns None (the designated undefined marker) when the denominator
-    vanishes; never raises a division error. Negative inputs are outside the
-    domain since log-negativities are non-negative by construction.
-    """
-    if e_ab < 0.0 or e_am < 0.0:
-        raise DomainError("log-negativities are non-negative")
-    if e_ab == 0.0:
-        return None
-    return e_am / e_ab
-
-
 __all__ = [
     "EntanglementReport",
     "Mode",
     "nu_minus_stack",
     "nu_minus_via_partial_transpose",
     "parse_pair",
-    "random_two_mode_covariance",
-    "transformation_efficiency",
 ]

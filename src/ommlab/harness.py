@@ -40,9 +40,7 @@ from typing import Any, Callable, Iterable, Mapping
 import numpy as np
 
 from .dynamics import diffusion_stack, drift_stack, stability_stack
-from .entanglement import (
-    EntanglementReport, Mode, _e_n, nu_minus_stack, parse_pair, transformation_efficiency,
-)
+from .entanglement import EntanglementReport, Mode, _e_n, nu_minus_stack, parse_pair
 from .errors import ConfigError, DomainError, NumericalError, OmmlabError
 from .model import (
     PARAM_TABLE, Param, Points, SweptParams, SystemParams, _require_real, columns,
@@ -90,6 +88,14 @@ SWEEP_AXES: dict[str, Callable[[SystemParams, float], SystemParams]] = {
 }
 
 
+def _integer(value: Any, error: OmmlabError) -> int:
+    """``value`` as a Python int where :func:`operator.index` takes it, else raise
+    ``error``; a bool is an integer to operator.index, but not a count."""
+    if not isinstance(value, bool) and hasattr(type(value), "__index__"):
+        return operator.index(value)
+    raise error
+
+
 @dataclass(frozen=True)
 class Axis:
     """One sweep axis: evenly spaced values of a named quantity."""
@@ -105,8 +111,10 @@ class Axis:
                 f"unknown sweep axis {self.name!r}; "
                 f"valid axes: {', '.join(sorted(SWEEP_AXES))}"
             )
-        if not isinstance(self.count, int) or isinstance(self.count, bool):
-            raise ConfigError("axis count must be an integer")
+        # a Python int, which the CSV header's json.dumps can write
+        object.__setattr__(
+            self, "count", _integer(self.count, ConfigError("axis count must be an integer"))
+        )
         if self.count < 2:
             raise ConfigError("axis count must be at least 2")
         for attr in ("start", "stop"):
@@ -326,8 +334,9 @@ def _reports(
     for j, (_, pair) in enumerate(parsed):
         ab = j if pair in _EFFICIENCY_DENOMINATOR else ab
         am = j if pair in _EFFICIENCY_NUMERATOR else am
+    # E_am / E_ab, undefined (NaN) where E_ab = 0: the E_N are max(0, .), never negative
     efficiency = [
-        np.nan if ab is None or am is None else transformation_efficiency(row[ab], row[am])
+        np.nan if ab is None or am is None or row[ab] == 0.0 else row[am] / row[ab]
         for row in e_n
     ]
     return Reports(
@@ -504,12 +513,7 @@ def run_sweep(
     results are merged in chunk order, which makes the output independent of
     scheduling. The default is one thread and no pool.
     """
-    try:
-        if isinstance(threads, bool):  # an integer to operator.index, not a count
-            raise TypeError
-        threads = operator.index(threads)
-    except TypeError:
-        raise DomainError(f"threads must be an integer, got {threads!r}") from None
+    threads = _integer(threads, DomainError(f"threads must be an integer, got {threads!r}"))
     if threads < 1:
         raise DomainError("threads must be at least 1")
     parsed = _parse_pairs(pairs)

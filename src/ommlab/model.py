@@ -1,4 +1,4 @@
-"""System parameters, unit conventions, and elementary physics helpers.
+"""System parameters, unit conventions, and the input formulas the stacks use.
 
 Everything downstream works in angular units (rad/s). Configuration happens in
 laboratory units (Hz for rates and couplings, multiples of the mechanical
@@ -204,7 +204,7 @@ class SweptParams:
     swept: Mapping[str, np.ndarray]
 
     def __post_init__(self) -> None:
-        # the stacks use the fields without the helpers' own domain checks
+        # the stacks' formulas check no domain of their own
         for name, values in self.swept.items():
             if name in _POSITIVE and not np.all((values > 0.0) & (values < math.inf)):
                 raise DomainError(f"{name} must be finite and strictly positive")
@@ -245,53 +245,18 @@ def _check(bad: Any, message: str, error: type[Exception] = DomainError) -> None
         raise error(message)
 
 
-def _real(x: np.ndarray) -> float | np.ndarray:
-    """``x`` as a float when it is a scalar, else as it is."""
-    return float(x) if np.ndim(x) == 0 else x
+# The three input formulas. They check no domain: the fields of a SystemParams,
+# and the columns of a SweptParams, are held to their rules when it is built.
+# Each takes scalars or equal-shape arrays.
 
-
-def thermal_occupation(omega: _Real, temperature: _Real) -> _Real:
+def _occupation(omega: _Real, temperature: _Real) -> _Real:
     """Mean thermal occupation of a bath mode at angular frequency omega.
 
     Returns 1/(exp(hbar omega / k_B T) - 1), computed with expm1 so small
     arguments stay accurate. Exactly 0.0 at zero temperature, and 0.0 once
     the exponent would overflow double precision (the true value is below
-    the smallest normal float long before that). Takes scalars or arrays.
+    the smallest normal float long before that).
     """
-    _check(omega <= 0.0, "omega must be strictly positive")
-    _check(temperature < 0.0, "temperature must be non-negative")
-    return _real(_occupation(omega, temperature))
-
-
-def rabi_frequency(b_field: _Real, volume: _Real, spin_density: _Real) -> _Real:
-    """Collective Rabi frequency of the driven magnon mode, rad/s.
-
-    Omega = (sqrt(5)/4) gamma sqrt(rho V) B_0 for a fully polarized
-    ferrimagnetic sphere of volume V, spin density rho, in a drive field of
-    amplitude B_0. Takes scalars or equal-shape arrays.
-    """
-    _check(b_field < 0.0, "b_field must be non-negative")
-    _check((volume <= 0.0) | (spin_density <= 0.0),
-           "volume and spin_density must be strictly positive")
-    return _real(_rabi(b_field, volume, spin_density))
-
-
-def laser_drive_strength(power: _Real, kappa: _Real, wavelength: _Real) -> _Real:
-    """Coherent drive amplitude E = sqrt(2 P kappa / (hbar omega_L)), rad/s.
-
-    omega_L is the laser angular frequency 2 pi c / wavelength and kappa the
-    decay rate of the driven cavity. Takes scalars or equal-shape arrays.
-    """
-    _check(power < 0.0, "power must be non-negative")
-    _check(kappa <= 0.0, "kappa must be strictly positive")
-    _check(wavelength <= 0.0, "wavelength must be strictly positive")
-    return _real(_drive(power, kappa, wavelength))
-
-
-# The three formulas without their domain checks, for the stacks: the fields of
-# a SystemParams, and the columns of a SweptParams, are checked when it is built.
-
-def _occupation(omega: _Real, temperature: _Real) -> _Real:
     cold = temperature == 0.0
     x = _hbar * omega / (_k_boltzmann * np.where(cold, 1.0, temperature))
     # an infinite exponent gives exactly 0.0, without overflow
@@ -299,10 +264,21 @@ def _occupation(omega: _Real, temperature: _Real) -> _Real:
 
 
 def _rabi(b_field: _Real, volume: _Real, spin_density: _Real) -> _Real:
+    """Collective Rabi frequency of the driven magnon mode, rad/s.
+
+    Omega = (sqrt(5)/4) gamma sqrt(rho V) B_0 for a fully polarized
+    ferrimagnetic sphere of volume V, spin density rho, in a drive field of
+    amplitude B_0.
+    """
     return (math.sqrt(5.0) / 4.0) * GYROMAGNETIC_RATIO * np.sqrt(spin_density * volume) * b_field
 
 
 def _drive(power: _Real, kappa: _Real, wavelength: _Real) -> _Real:
+    """Coherent drive amplitude E = sqrt(2 P kappa / (hbar omega_L)), rad/s.
+
+    omega_L is the laser angular frequency 2 pi c / wavelength and kappa the
+    decay rate of the driven cavity.
+    """
     return np.sqrt(2.0 * power * kappa / (_hbar * (TWO_PI * _c_light / wavelength)))
 
 
@@ -398,8 +374,5 @@ __all__ = [
     "columns",
     "config_snapshot",
     "default_params",
-    "laser_drive_strength",
     "params_from_mapping",
-    "rabi_frequency",
-    "thermal_occupation",
 ]

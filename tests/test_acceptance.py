@@ -20,10 +20,8 @@ from ommlab import (
     evaluate_point,
     nu_minus_via_partial_transpose,
     physicality_margin,
-    random_two_mode_covariance,
     solve_lyapunov,
     solve_semiclassics,
-    thermal_occupation,
 )
 from ommlab.cli import main
 from ommlab.dynamics import stability_stack
@@ -31,6 +29,7 @@ from ommlab.entanglement import _e_n, nu_minus_stack
 from ommlab.harness import SWEEP_AXES, Axis, SweepSpec, run_sweep
 from ommlab.model import config_snapshot
 from ommlab.steadystate import integrate_to_steady_state_stack
+from references import occupation, random_two_mode_covariance
 
 SET_DELTA_A = SWEEP_AXES["delta_a_over_wb"]
 SET_DELTA_C1 = SWEEP_AXES["delta_c1_over_wb"]
@@ -69,8 +68,8 @@ def test_decoupled_modes_relax_to_exact_thermal_vacuum(capsys):
     v10 = solve_lyapunov(
         build_drift(params, state), build_diffusion(params), scale=params.omega_b
     ).v
-    n_b = thermal_occupation(params.omega_b, params.temperature)
-    n_m = thermal_occupation(params.omega_m, params.temperature)
+    n_b = occupation(params.omega_b, params.temperature)
+    n_m = occupation(params.omega_m, params.temperature)
     expected = np.diag([0.5] * 6 + [n_b + 0.5] * 2 + [n_m + 0.5] * 2)
     dev10 = float(np.max(np.abs(v10 - expected) / np.diag(expected).max()))
 

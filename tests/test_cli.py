@@ -163,14 +163,34 @@ class TestStability:
 
 
 class TestSelftest:
+    CHECKS = [
+        "decoupled-cavity-vacuum", "two-mode-squeezed-EN", "vacuum-EN-zero",
+        "nu-minus-cross-check", "default-point-stable", "default-point-deterministic",
+        "default-point-physical",
+    ]
+
     def test_all_checks_pass(self, capsys):
         rc, out, _ = run_cli(capsys, "selftest")
         assert rc == 0
         lines = out.splitlines()
         assert lines[-1] == "OK (0 failures)"
-        checks = lines[:-1]
-        assert len(checks) == 7
-        assert all(line.startswith("PASS ") for line in checks)
+        assert lines[:-1] == [f"PASS {name}" for name in self.CHECKS]
+
+    def test_cross_check_fails_on_a_shifted_nu_minus(self, capsys):
+        # the pipeline's nu_-, 1e-9 off, is caught by the 1e-10 bound
+        exact = harness.nu_minus_stack
+
+        def shifted(blocks):
+            nu, errors = exact(blocks)
+            return nu + 1e-9, errors
+
+        with mock.patch.object(harness, "nu_minus_stack", shifted):
+            rc, out, _ = run_cli(capsys, "selftest")
+        assert rc == 1
+        lines = out.splitlines()
+        assert lines[3].startswith("FAIL nu-minus-cross-check: worst |delta nu| 1.0")
+        assert [line.split()[1].rstrip(":") for line in lines[:-1]] == self.CHECKS
+        assert lines[-1] == "FAILED (1 failures)"
 
 
 class TestSweep:

@@ -15,11 +15,11 @@ from ommlab import (
     build_drift,
     default_params,
     solve_semiclassics,
-    thermal_occupation,
 )
 from ommlab.dynamics import DIM, DriftMatrix, diffusion_stack, drift_stack, stability_stack
 from ommlab.model import TWO_PI
 from ommlab.semiclassics import solve_semiclassics_stack, state_at
+from references import occupation
 
 
 def drift_at(**overrides) -> np.ndarray:
@@ -222,8 +222,8 @@ class TestDiffusion:
     def test_thermal_factors(self):
         p = default_params()  # 10 mK
         d = build_diffusion(p)
-        n_b = thermal_occupation(p.omega_b, p.temperature)
-        n_m = thermal_occupation(p.omega_m, p.temperature)
+        n_b = occupation(p.omega_b, p.temperature)
+        n_m = occupation(p.omega_m, p.temperature)
         assert d.d[7, 7] == pytest.approx(p.gamma_b * (2 * n_b + 1), rel=1e-12)
         assert d.d[8, 8] == pytest.approx(p.kappa_m * (2 * n_m + 1), rel=1e-12)
         assert d.d[8, 8] == d.d[9, 9]

@@ -21,12 +21,11 @@ from ommlab import (
     nu_minus_via_partial_transpose,
     parse_pair,
     physicality_margin,
-    random_two_mode_covariance,
     solve_lyapunov,
     solve_semiclassics,
-    transformation_efficiency,
 )
 from ommlab.entanglement import _e_n, nu_minus_stack
+from references import random_two_mode_covariance
 
 
 def two_mode_squeezed(r: float) -> np.ndarray:
@@ -310,20 +309,3 @@ class TestRandomCovariances:
         a = random_two_mode_covariance(np.random.default_rng(42))
         b = random_two_mode_covariance(np.random.default_rng(42))
         np.testing.assert_array_equal(a, b)
-
-
-class TestTransformationEfficiency:
-    def test_plain_ratio(self):
-        assert transformation_efficiency(0.5, 0.25) == pytest.approx(0.5)
-
-    def test_zero_numerator(self):
-        assert transformation_efficiency(0.5, 0.0) == 0.0
-
-    def test_undefined_when_denominator_vanishes(self):
-        assert transformation_efficiency(0.0, 0.3) is None
-
-    def test_negative_inputs_rejected(self):
-        with pytest.raises(DomainError):
-            transformation_efficiency(-0.1, 0.3)
-        with pytest.raises(DomainError):
-            transformation_efficiency(0.1, -0.3)

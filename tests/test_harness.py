@@ -31,12 +31,13 @@ from ommlab import (
     write_pgm,
 )
 from ommlab import build_diffusion, build_drift, solve_semiclassics, steadystate
-from ommlab import DegenerateOperatingPointError, rabi_frequency, semiclassics
+from ommlab import DegenerateOperatingPointError, semiclassics
 from ommlab.dynamics import drift_stack, stability_stack
 from ommlab import harness
 from ommlab.entanglement import nu_minus_stack, parse_pair
 from ommlab.harness import CHUNK_SIZE, SWEEP_AXES
 from ommlab.semiclassics import solve_semiclassics_stack, state_at
+from references import rabi
 
 # Frozen outputs of the default operating point. These pin the full pipeline
 # (semiclassics through log-negativity) against accidental drift; they are
@@ -57,10 +58,26 @@ class TestAxis:
         with pytest.raises(ConfigError, match="valid axes"):
             Axis(name="kappa_a", start=0.0, stop=1.0, count=3)
 
-    @pytest.mark.parametrize("count", [1, 0, -2, 2.0, True])
-    def test_bad_count(self, count):
-        with pytest.raises(ConfigError):
+    @pytest.mark.parametrize(
+        "count, message",
+        [
+            (1, "at least 2"), (0, "at least 2"), (-2, "at least 2"),
+            (np.int64(1), "at least 2"), (2.0, "an integer"), (3.0, "an integer"),
+            (True, "an integer"), ("3", "an integer"), (None, "an integer"),
+        ],
+    )
+    def test_bad_count(self, count, message):
+        with pytest.raises(ConfigError, match=f"^axis count must be {message}$"):
             Axis(name="T", start=0.0, stop=1.0, count=count)
+
+    def test_numpy_integer_count_is_stored_as_an_int(self, tmp_path):
+        axis = Axis("T", 0.01, 0.02, np.int64(3))
+        assert type(axis.count) is int and axis.count == 3
+        result = run_sweep(default_params(), SweepSpec(axis), ("ab",))
+        path = tmp_path / "count.csv"
+        write_csv(result, path, reproducible=True)
+        sweep_line = path.read_text().splitlines()[2]
+        assert '"count": 3' in sweep_line
 
     @pytest.mark.parametrize("start", [float("nan"), float("inf"), "0", True])
     def test_bad_endpoint(self, start):
@@ -399,6 +416,52 @@ class TestPointFailures:
         assert report.efficiency == default_point.efficiency
 
 
+class TestEfficiencyColumn:
+    """E_am / E_ab as :func:`harness._reports` builds it from the rows' E_N."""
+
+    PAIRS = [(label, parse_pair(label)) for label in ("ab", "am")]
+
+    @staticmethod
+    def reports(nu, pairs=PAIRS, error=None):
+        nu = np.array(nu, dtype=float)
+        error = [None] * len(nu) if error is None else error
+        return harness._reports(pairs, error, np.full(len(nu), -1.0), None, nu)
+
+    def test_plain_ratio_is_the_division(self):
+        table = self.reports([[0.3, 0.4]])
+        e_ab, e_am = table.e_n[0].tolist()
+        assert 0.0 < e_am < e_ab
+        assert table.efficiency[0] == e_am / e_ab
+        assert table[0].efficiency == e_am / e_ab
+
+    def test_no_magnon_entanglement_gives_zero(self):
+        table = self.reports([[0.3, 0.5]])
+        assert table.e_n[0, 1] == 0.0
+        assert table[0].efficiency == 0.0
+
+    def test_undefined_without_phonon_entanglement(self, tmp_path):
+        table = self.reports([[0.7, 0.4], [0.3, 0.4]])
+        assert table.e_n[0, 0] == 0.0
+        assert table[0].efficiency is None and table[1].efficiency is not None
+        spec = SweepSpec(Axis("T", 0.01, 0.02, 2))
+        result = harness.SweepResult(
+            default_params(), spec, ("ab", "am"), spec.axis1.values(), None, table
+        )
+        path = tmp_path / "efficiency.csv"
+        write_csv(result, path, reproducible=True)
+        rows = [line.split(",") for line in path.read_text().splitlines()[4:]]
+        assert rows[0][-1] == "" and float(rows[1][-1]) > 0.0
+
+    def test_failed_point_has_none(self):
+        table = self.reports([[np.nan, np.nan]], error=["Lyapunov solve failed"])
+        assert table[0].efficiency is None
+
+    @pytest.mark.parametrize("labels", [("ab", "c2b"), ("am", "c2b")])
+    def test_none_unless_both_pairs_are_requested(self, labels):
+        pairs = [(label, parse_pair(label)) for label in labels]
+        assert self.reports([[0.3, 0.4]], pairs)[0].efficiency is None
+
+
 class TestWorkingPointBranches:
     """A point takes its first dynamically stable branch, else its first."""
 
@@ -607,7 +670,7 @@ class TestWorkingPointBranches:
         """Make the working-point solve raise for any stack that holds the
         point ``BAD``, as a degenerate point would."""
         bad = default_params(**cls.BAD)
-        bad_rabi = rabi_frequency(bad.b_field, bad.v_yig, bad.rho_spin)
+        bad_rabi = rabi(bad.b_field, bad.v_yig, bad.rho_spin)
         exact = semiclassics.magnon_average
 
         def magnon_average(rabi, *args):

@@ -20,16 +20,15 @@ from ommlab import (
     default_params,
     effective_couplings,
     evaluate_point,
-    laser_drive_strength,
     magnon_average,
     mechanical_displacement,
     params_from_mapping,
-    rabi_frequency,
     solve_semiclassics,
 )
 from ommlab import semiclassics
 from ommlab.dynamics import stability_stack
 from ommlab.model import TWO_PI
+import references
 
 
 class TestMagnonAverage:
@@ -198,7 +197,7 @@ class TestSolveSemiclassicsDirect:
     def test_drive_strength_always_reported(self):
         p = default_params()
         state = solve_semiclassics(p)
-        expected = laser_drive_strength(p.p_laser, p.kappa_c2, p.lambda_laser)
+        expected = references.drive(p.p_laser, p.kappa_c2, p.lambda_laser)
         assert state.drive_e == pytest.approx(expected, rel=1e-14)
         assert state.rabi is None  # no b_field configured
 
@@ -225,8 +224,8 @@ class TestSolveSemiclassicsDirect:
                 q_avg=0.0, m_avg=None, c2_avg=None, g_c_eff=complex(p.g_c_eff),
                 g_mb_eff=complex(p.g_mb_eff), delta_c2_eff=p.delta_c2_sign * p.delta_c2,
                 delta_m_eff=p.delta_m,
-                drive_e=laser_drive_strength(p.p_laser, p.kappa_c2, p.lambda_laser),
-                rabi=None if p.b_field is None else rabi_frequency(
+                drive_e=references.drive(p.p_laser, p.kappa_c2, p.lambda_laser),
+                rabi=None if p.b_field is None else references.rabi(
                     p.b_field, p.v_yig, p.rho_spin
                 ),
                 iterations=0, c2_mismatch=None,
@@ -271,8 +270,8 @@ class TestSolveSemiclassicsDerived:
         # re-derive <q> with a from-scratch loop over the same physics
         p = default_params(**self.OVERRIDES)
         state = solve_semiclassics(p)
-        rabi = rabi_frequency(p.b_field, p.v_yig, p.rho_spin)
-        drive = laser_drive_strength(p.p_laser, p.kappa_c2, p.lambda_laser)
+        rabi = references.rabi(p.b_field, p.v_yig, p.rho_spin)
+        drive = references.drive(p.p_laser, p.kappa_c2, p.lambda_laser)
         q = 0.0
         for _ in range(100):
             m = rabi / complex(p.kappa_m, p.delta_m + p.g_m * q)
@@ -364,8 +363,8 @@ def displacement_map(p, q):
     """F(q) = (g_c |<c2>|^2 - g_m |<m>|^2) / omega_b at an array of q, with <c2>
     from the full 3x3 system by batched LU rather than the closed form."""
     q = np.asarray(q, dtype=float)
-    rabi = rabi_frequency(p.b_field, p.v_yig, p.rho_spin)
-    drive = laser_drive_strength(p.p_laser, p.kappa_c2, p.lambda_laser)
+    rabi = references.rabi(p.b_field, p.v_yig, p.rho_spin)
+    drive = references.drive(p.p_laser, p.kappa_c2, p.lambda_laser)
     magnon_detuning = p.delta_c2 if p.eq9_verbatim else p.delta_m + p.g_m * q
     m_sq = rabi**2 / (p.kappa_m**2 + magnon_detuning**2)
     mat = np.zeros(q.shape + (3, 3), dtype=complex)
@@ -382,8 +381,8 @@ def displacement_map(p, q):
 
 def state_at(p, q):
     """A working point at displacement q, built from scratch."""
-    rabi = rabi_frequency(p.b_field, p.v_yig, p.rho_spin)
-    drive = laser_drive_strength(p.p_laser, p.kappa_c2, p.lambda_laser)
+    rabi = references.rabi(p.b_field, p.v_yig, p.rho_spin)
+    drive = references.drive(p.p_laser, p.kappa_c2, p.lambda_laser)
     delta_m_eff = p.delta_m + p.g_m * q
     delta_c2_eff = p.delta_c2_sign * p.delta_c2 - p.g_c * q
     m = rabi / complex(p.kappa_m, p.delta_c2 if p.eq9_verbatim else delta_m_eff)

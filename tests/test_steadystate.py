@@ -27,13 +27,13 @@ from ommlab import (
     solve_lyapunov,
     solve_semiclassics,
     symplectic_form,
-    thermal_occupation,
 )
 from ommlab import steadystate
 from ommlab.dynamics import stability_stack
 from ommlab.entanglement import nu_minus_stack
 from ommlab.harness import CHUNK_SIZE, Axis, SweepSpec, run_sweep
 from ommlab.steadystate import integrate_to_steady_state_stack
+from references import occupation
 
 
 def single_cavity(kappa=2.0, delta=0.7):
@@ -793,7 +793,7 @@ class TestPhysicalityMargin:
         p = default_params(g_n1_hz=0.0, g_n2_hz=0.0, g_c_eff_hz=0.0, g_mb_eff_hz=0.0)
         state = solve_semiclassics(p)
         v = solve_lyapunov(build_drift(p, state), build_diffusion(p), scale=p.omega_b).v
-        n_b = thermal_occupation(p.omega_b, p.temperature)
+        n_b = occupation(p.omega_b, p.temperature)
         expected = 0.5 * np.eye(10)
         expected[6, 6] = expected[7, 7] = n_b + 0.5
         np.testing.assert_allclose(v, expected, rtol=1e-9, atol=1e-9)
