@@ -107,7 +107,7 @@ def _cmd_stability(args: argparse.Namespace) -> int:
     *_, eigs, _, max_real = _working_points([config.params])
     max_real = float(max_real[0])
     print("eigenvalues (rad/s), sorted by real part:")
-    for eig in eigs[0] * config.params.omega_b:
+    for eig in eigs[0][np.lexsort((eigs[0].imag, eigs[0].real))] * config.params.omega_b:
         print(f"  {eig.real:+.9e}  {eig.imag:+.9e}j   ({eig.real / TWO_PI:+.4e} Hz)")
     print(f"stable={'true' if max_real < 0.0 else 'false'}")
     print(f"margin_rad_s={-max_real:.9g}")

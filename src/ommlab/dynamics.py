@@ -140,22 +140,17 @@ def stability_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenpairs of every drift in an (N, n, n) stack, from one batched eig.
 
     LAPACK dgeev with vectors runs on each matrix (numpy loops over the
-    stack), and the eigenvalues come in the stack's own unit. Every row is
-    sorted by real part, then imaginary part, so results are
-    deterministic. Returns the eigenvalues (N, n), the right eigenvectors as
-    columns (N, n, n) in that order, and max Re (N,): a drift is
-    asymptotically stable when its max Re is strictly negative, and -max Re
-    is its stability margin. Raises :class:`NumericalError` when the
-    eigensolve fails for the stack.
+    stack), and the eigenvalues come in the stack's own unit, in dgeev's
+    order, each complex one next to its conjugate. Returns the eigenvalues
+    (N, n), the right eigenvectors as columns (N, n, n) in that order, and
+    max Re (N,): a drift is asymptotically stable when its max Re is
+    strictly negative, and -max Re is its stability margin. Raises
+    :class:`NumericalError` when the eigensolve fails for the stack.
     """
     try:
         eigs, vecs = np.linalg.eig(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolve failed: {exc}") from exc
-    order = np.lexsort((eigs.imag, eigs.real), axis=-1)
-    points = np.arange(len(a))[:, None]
-    eigs = eigs[points, order]
-    vecs = vecs[points[:, :, None], np.arange(a.shape[-1])[:, None], order[:, None, :]]
     return eigs, vecs, eigs.real.max(axis=-1)
 
 

@@ -117,8 +117,10 @@ class Axis:
         )
         if self.count < 2:
             raise ConfigError("axis count must be at least 2")
-        for attr in ("start", "stop"):
-            _require_real(f"axis {attr}", getattr(self, attr))
+        start = _require_real("axis start", self.start)
+        stop = _require_real("axis stop", self.stop)
+        if not np.isfinite(stop - start):  # np.linspace would overflow
+            raise ConfigError(f"axis stop - start must be finite, got {stop!r} - {start!r}")
 
     def values(self) -> np.ndarray:
         return np.linspace(float(self.start), float(self.stop), self.count)

@@ -21,13 +21,16 @@ sent to the fallback, on its own, and its failure is returned for it alone.
 that takes a drift and diffusion as arrays or as their wrapper types.
 
 The independent route, :func:`integrate_to_steady_state_stack`, follows the
-exact flow of dV/dt = A V + V A^T + D from V0, V(t) = Phi_t V0 Phi_t^T + Q_t:
+exact flow of dV/dt = A V + V A^T + D from the vacuum V0 = I / 2,
+V(t) = Phi_t V0 Phi_t^T + Q_t:
 one matrix exponential of a 2n x 2n block gives the pair over a step h (Van
 Loan, IEEE TAC 23, 395, 1978), and k doublings of the pair alone give it over
 2^k steps (Smith, SIAM J. Appl. Math. 16, 198, 1968). The residual at t is
 Phi_t R0 Phi_t^T, so V is formed and checked once ||Phi_t||_F^2 ||R0||_F
 passes. It uses scipy's Pade scaling-and-squaring ``expm``; the drift's
 eigenvalues set its step and horizon, and its eigenvectors are not used.
+Its start, step, tolerance and horizon are this module's, one
+configuration for every caller.
 For a stable A both routes must agree, which is the package's main internal
 consistency check. Both take their stability verdict from the drift's
 eigenvalues, as :func:`ommlab.dynamics.stability_stack` returns them.
@@ -68,12 +71,13 @@ _ASYMMETRY_RTOL = 1e-9
 #: fail. The physical maps stay below cond 10.
 _EIGENBASIS_COND_MAX = 1e3
 
-#: Exact-flow defaults: base step and its cap in units of 1 / spectral radius,
-#: stopping tolerance relative to ||D||_F, and horizon in slowest decay times.
-#: The cap is the block exponential's accuracy: the worst oracle deviation on
-#: the acceptance maps, below 1.7e-10 from 0.05 to 1.6, reaches 1.1e-9 at 3.2.
+#: The exact flow's step, in units of 1 / spectral radius, kept within the
+#: block exponential's accuracy: the worst oracle deviation on the acceptance
+#: maps stays below 1.7e-10 for steps from 0.05 to 1.6 and reaches 1.1e-9 at 3.2.
 _FLOW_STEP_FRACTION = 1.0
-_FLOW_MAX_STEP_FRACTION = 2.0
+
+#: The exact flow's stopping tolerance relative to ||D||_F, and its horizon in
+#: slowest decay times.
 _FLOW_RTOL = 1e-12
 _FLOW_HORIZON = 50.0
 
@@ -197,14 +201,22 @@ def _symmetrized(raw: np.ndarray) -> np.ndarray:
 
 
 def _frobenius(x: np.ndarray) -> np.ndarray:
-    """||X||_F of each matrix of a stack, as np.linalg.norm sums it, bit for bit."""
-    return np.sqrt(np.add.reduce(x * x, axis=(-2, -1)))
+    """||X||_F of each matrix of an (N, n, n) stack (einsum: half the time of
+    x * x and a reduce on (128, 10, 10) stacks)."""
+    return np.sqrt(np.einsum("nij,nij->n", x, x))
+
+
+def _rhs(a: np.ndarray, v: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """A V + V A^T + D of each point of a stack, for symmetric V."""
+    av = a @ v
+    return av + _transpose(av) + d
 
 
 def _relative_residual(a: np.ndarray, v: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """||A V + V A^T + D||_F / ||D||_F of each point; where D vanishes, the
+    """||A V + V A^T + D||_F / ||D||_F of each point, for a V exactly
+    symmetric, as :func:`_symmetrized` leaves it; where D vanishes, the
     absolute residual, so that a NaN V still misses the gate."""
-    r = a @ v + v @ _transpose(a) + d
+    r = _rhs(a, v, d)
     d_norm = _frobenius(d)
     return _frobenius(r) / np.where(d_norm != 0.0, d_norm, 1.0)
 
@@ -331,73 +343,45 @@ def _doubled(phi: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return phi @ phi, phi @ q @ _transpose(phi) + q
 
 
-def _square_sums(x: np.ndarray) -> np.ndarray:
-    """||X||_F^2 of each matrix of a stack (einsum: half the time of x * x
-    and a reduce on (128, 10, 10) stacks)."""
-    return np.einsum("nij,nij->n", x, x)
-
-
-def _rhs(a: np.ndarray, v: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """A V + V A^T + D of each point of a stack, for symmetric V and D."""
-    av = a @ v
-    return av + _transpose(av) + d
-
-
 def integrate_to_steady_state_stack(
-    a: np.ndarray,
-    d: np.ndarray,
-    eigenvalues: np.ndarray,
-    v0: np.ndarray | None = None,
-    dt: np.ndarray | None = None,
-    *,
-    rtol: float = _FLOW_RTOL,
-    horizon: float = _FLOW_HORIZON,
+    a: np.ndarray, d: np.ndarray, eigenvalues: np.ndarray
 ) -> tuple[np.ndarray, list[OmmlabError | None]]:
-    """Relax each point of a stack along the exact flow of
+    """Relax each point of a stack from the vacuum along the exact flow of
     dV/dt = A V + V A^T + D to its fixed point.
 
     ``a`` and ``d`` are (N, n, n) in one unit, ``eigenvalues`` (N, n) are
     each drift's, as :func:`ommlab.dynamics.stability_stack` returns them,
     and give the verdict, the spectral radius and the slowest decay, not V.
-    ``v0`` (N, n, n) defaults to the vacuum and ``dt`` (N,), in the inverse
-    of that unit, to 1 / spectral radius. A point whose residual R0 at step
-    0 is within ``rtol`` ||D||_F keeps V0. Over 2^k steps the flow from
-    V = 0, (Phi, Q) from :func:`_flow` doubled k times, gives
-    V = Phi V0 Phi^T + Q with residual Phi R0 Phi^T. A point is read, V and
-    its residual formed, only at the first 2^k where
-    ||Phi||_F^2 ||R0||_F passes or that reaches ``horizon`` slowest decay
-    times. It freezes at its first passing read, whatever the other points
-    do; a read at the horizon that misses gives :class:`ConvergenceError`,
-    and a certified read that misses is the plain form's roundoff floor:
-    that point takes V + int_0^t e^(A s) R e^(A^T s) ds, the flow of R over
-    the same t, doubled alike, and is read again at 2t. Returns V (N, n, n),
+    Every point starts at V0 = I / 2 and steps by
+    :data:`_FLOW_STEP_FRACTION` / spectral radius; it stops within
+    :data:`_FLOW_RTOL` ||D||_F and gives up after :data:`_FLOW_HORIZON`
+    slowest decay times, all three read when the function is called. A
+    point whose residual R0 at step 0 is within the tolerance keeps V0. Over
+    2^k steps the flow from V = 0, (Phi, Q) from :func:`_flow` doubled k
+    times, gives V = Phi V0 Phi^T + Q with residual Phi R0 Phi^T. A point
+    is read, V and its residual formed, only at the first 2^k where
+    ||Phi||_F^2 ||R0||_F passes or that reaches the horizon. It freezes at
+    its first passing read, whatever the other points do; a read at the
+    horizon that misses gives :class:`ConvergenceError`, and a certified
+    read that misses is the plain form's roundoff floor: that point takes
+    V + int_0^t e^(A s) R e^(A^T s) ds, the flow of R over the same t,
+    doubled alike, and is read again at 2t. Returns V (N, n, n),
     symmetrized, NaN for failed points, and each point's error or None:
-    :class:`StabilityError` for an unstable drift, :class:`DomainError` for
-    a step not positive or above the block exponential's accuracy limit,
-    2 / spectral radius. An ``rtol`` or ``horizon`` not finite and positive,
-    or a ``v0`` not shaped like ``a``, raises :class:`DomainError`.
+    :class:`StabilityError` for an unstable drift.
     """
-    for name, value in (("rtol", rtol), ("horizon", horizon)):
-        if not 0.0 < value < np.inf:
-            raise DomainError(f"{name} must be finite and positive")
-    if v0 is not None and np.shape(v0) != a.shape:
-        raise DomainError(f"v0 must have the drifts' shape {a.shape}")
     max_real = eigenvalues.real.max(axis=-1)
     radius = np.abs(eigenvalues).max(axis=-1)
+    valid = max_real < 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        h = _FLOW_STEP_FRACTION / radius if dt is None else dt
-        budget = np.ceil(horizon / -max_real / h)
-        valid = (max_real < 0.0) & (0.0 < h) & (h <= _FLOW_MAX_STEP_FRACTION / radius)
+        h = _FLOW_STEP_FRACTION / radius
+        budget = np.ceil(_FLOW_HORIZON / -max_real / h)
     errors: list[OmmlabError | None] = [None] * len(a)
     for i in (~valid).nonzero()[0]:
-        errors[i] = _unstable(max_real[i]) if not max_real[i] < 0.0 else DomainError(
-            f"dt must be positive and at most {_FLOW_MAX_STEP_FRACTION:g} / spectral "
-            "radius, the accuracy limit of the block exponential"
-        )
-    d_norm = np.sqrt(_square_sums(d))
-    tol = rtol * np.where(d_norm > 0.0, d_norm, 1.0)
-    v = np.eye(a.shape[-1])[None].repeat(len(a), 0) * 0.5 if v0 is None else np.array(v0, float)
-    r0 = np.sqrt(_square_sums(_rhs(a, v, d)))
+        errors[i] = _unstable(max_real[i])
+    d_norm = _frobenius(d)
+    tol = _FLOW_RTOL * np.where(d_norm > 0.0, d_norm, 1.0)
+    v = np.eye(a.shape[-1])[None].repeat(len(a), 0) * 0.5
+    r0 = _frobenius(_rhs(a, v, d))
     fixed = valid & (r0 <= tol)
     # V of each point as it is read, symmetrized once at the end
     out = np.where(fixed[:, None, None], v, np.nan)
@@ -415,14 +399,14 @@ def integrate_to_steady_state_stack(
     steps, passes, due = 1, 0, first.min(initial=np.inf)
     while len(live):
         index = () if steps < due else (
-            corrected | (steps >= budget) | (_square_sums(phi) * r0 <= tol)
+            corrected | (steps >= budget) | (_frobenius(phi) ** 2 * r0 <= tol)
         ).nonzero()[0]
         if len(index):
             at = slice(None) if len(index) == len(live) else index  # all of them: a slice
             fresh = index[~corrected[index]] if np.count_nonzero(corrected) else at
             v[fresh] = phi[fresh] @ v[fresh] @ _transpose(phi[fresh]) + q[fresh]
             r = _rhs(a[at], v[at], d[at])
-            residual = np.sqrt(_square_sums(r))
+            residual = _frobenius(r)
             done = residual <= tol[at]
             out[live[at]] = v[at]
             floor = index[:0]

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -114,14 +115,32 @@ class TestStability:
         ]
         assert reals == sorted(reals)
 
+    @pytest.mark.parametrize("later_branch", [False, True], ids=["default", "later_branch"])
+    def test_spectrum_comes_out_sorted_by_real_then_imaginary_part(
+        self, capsys, tmp_path, later_branch
+    ):
+        # stage 1 keeps eig's own order; the printout sorts it
+        argv = ["stability"]
+        if later_branch:
+            argv += ["--config", str(write_config(tmp_path, self.LATER_BRANCH))]
+        _, out, _ = run_cli(capsys, *argv)
+        rows = [
+            (float(l.split()[0]), float(l.split()[1].rstrip("j")))
+            for l in out.splitlines()
+            if l.startswith("  ")
+        ]
+        assert len(rows) == 10 and rows == sorted(rows)
+
+    #: A derived point whose first branch is unstable and whose second, the
+    #: working point, is stable.
+    LATER_BRANCH = {
+        "coupling_mode": "derived", "b_field_t": 3.3e-3, "g_c_hz": 960,
+        "g_m_hz": 280, "p_laser_w": 4e-3, "delta_c2_over_wb": 0.28,
+        "delta_m_over_wb": -2.3, "delta_a_over_wb": 1.0, "delta_c1_over_wb": 1.8,
+    }
+
     def test_reports_the_working_point_that_point_reports(self, capsys, tmp_path):
-        # a derived point whose first branch is unstable and whose second,
-        # the working point, is stable
-        path = write_config(tmp_path, {
-            "coupling_mode": "derived", "b_field_t": 3.3e-3, "g_c_hz": 960,
-            "g_m_hz": 280, "p_laser_w": 4e-3, "delta_c2_over_wb": 0.28,
-            "delta_m_over_wb": -2.3, "delta_a_over_wb": 1.0, "delta_c1_over_wb": 1.8,
-        })
+        path = write_config(tmp_path, self.LATER_BRANCH)
         lines = {}
         for command in ("stability", "point"):
             rc, out, _ = run_cli(capsys, command, "--config", str(path))
@@ -218,6 +237,22 @@ class TestSweep:
         assert body.startswith("# ommlab ")
         # version, params, sweep, timestamp; then the header and six rows
         assert body.count("\n") == 4 + 1 + 6
+
+    def test_axis_span_that_overflows_fails_cleanly(self, capsys, tmp_path):
+        config = write_config(tmp_path, {"sweep": {
+            "axis1": {"name": "delta_a_over_wb", "start": -1e308, "stop": 1e308, "count": 3},
+        }})
+        out_path = tmp_path / "map.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run_cli(
+                capsys, "sweep", "--config", str(config), "--out", str(out_path)
+            )
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "axis stop - start must be finite" in err
+        assert not out_path.exists()
 
     def test_heatmap_written_next_to_csv(self, capsys, tmp_path):
         config = self.sweep_config(tmp_path, pairs=["am", "ab"])

@@ -84,6 +84,12 @@ class TestAxis:
         with pytest.raises(ConfigError):
             Axis(name="T", start=start, stop=1.0, count=3)
 
+    @pytest.mark.parametrize("start, stop", [(-1e308, 1e308), (1e308, -1e308)])
+    def test_span_that_overflows_rejected(self, start, stop):
+        # each end is finite, but stop - start is not: np.linspace would overflow
+        with pytest.raises(ConfigError, match="^axis stop - start must be finite"):
+            Axis("delta_a_over_wb", start, stop, 3)
+
     def test_duplicate_axes_rejected(self):
         axis = Axis(name="T", start=0.0, stop=1.0, count=3)
         with pytest.raises(ConfigError, match="different"):

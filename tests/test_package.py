@@ -3,6 +3,10 @@ benchmark under perfbench/ imports stay there."""
 
 import dataclasses
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -91,3 +95,22 @@ def test_benchmark_reference_covariance_is_stage_two(overrides):
         ommlab.build_drift(p, report.state), ommlab.build_diffusion(p), scale=p.omega_b
     )
     assert reference.v.tobytes() == v[0].tobytes()
+
+
+def test_cold_start_imports_no_scipy():
+    # the benchmark's set-up imports the package and its CLI and evaluates a
+    # point; an eager scipy import (scipy.constants alone takes 0.2 s) would
+    # cost more than the rest of that set-up
+    code = (
+        "import sys, ommlab, ommlab.cli; "
+        "report = ommlab.evaluate_point(ommlab.default_params()); "
+        "assert report.error is None; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    src = Path(ommlab.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.stdout.strip() == "[]"

@@ -5,6 +5,7 @@ import math
 import re
 import time
 import tracemalloc
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -36,9 +37,11 @@ from ommlab.steadystate import integrate_to_steady_state_stack
 from references import occupation
 
 
-def single_cavity(kappa=2.0, delta=0.7):
+def single_cavity(kappa=2.0, delta=0.7, n=0.0):
+    """A damped rotating mode whose bath holds ``n`` quanta: its steady state
+    is (n + 1/2) I, the vacuum at n = 0."""
     a = np.array([[-kappa, delta], [-delta, -kappa]])
-    d = kappa * np.eye(2)
+    d = kappa * (2.0 * n + 1.0) * np.eye(2)
     return a, d
 
 
@@ -49,14 +52,15 @@ def default_system():
 
 
 def two_mode():
-    """Two damped rotating modes exchanging excitations at rate 0.35."""
+    """Two damped rotating modes exchanging excitations at rate 0.35, each
+    with a bath of 2 quanta."""
     a = np.array([
         [-0.6, 1.3, 0.0, 0.35],
         [-1.3, -0.6, -0.35, 0.0],
         [0.0, 0.35, -0.9, 0.8],
         [-0.35, 0.0, -0.8, -0.9],
     ])
-    d = np.diag([0.6, 0.6, 2.7, 2.7])
+    d = np.diag([3.0, 3.0, 4.5, 4.5])
     return a, d
 
 
@@ -85,12 +89,12 @@ def stepped_rk4(a, d, v, dt, tol):
     return v
 
 
-def single_cavity_flow(v0, t, kappa=2.0, delta=0.7):
+def single_cavity_flow(v0, t, kappa=2.0, delta=0.7, n=0.0):
     """V(t) of :func:`single_cavity` in closed form: e^(At) = e^(-kappa t) R(delta t)."""
     c, s = math.cos(delta * t), math.sin(delta * t)
     rot = np.array([[c, s], [-s, c]])
     decay = math.exp(-2.0 * kappa * t)
-    return decay * rot @ v0 @ rot.T + 0.5 * (1.0 - decay) * np.eye(2)
+    return decay * rot @ v0 @ rot.T + (n + 0.5) * (1.0 - decay) * np.eye(2)
 
 
 def two_mode_flow(v0, t):
@@ -382,15 +386,12 @@ class TestUnitFreeStacks:
             assert (distance <= 1e-12 * np.linalg.norm(want, axis=(1, 2))).all()
 
 
-def relax(a, d, scale, **kwargs):
+def relax(a, d, scale):
     """:func:`integrate_to_steady_state_stack`, with the eigenvalues
     :func:`stability_stack` finds, on (N, n, n) stacks each divided by its
-    ``scale`` (N,) first, as stage 1 divides by omega_b; a ``dt`` in the
-    inverse of the drifts' own unit is converted alike."""
-    if "dt" in kwargs:
-        kwargs["dt"] = kwargs["dt"] * scale
+    ``scale`` (N,) first, as stage 1 divides by omega_b."""
     a, d = a / scale[:, None, None], d / scale[:, None, None]
-    return integrate_to_steady_state_stack(a, d, stability_stack(a)[0], **kwargs)
+    return integrate_to_steady_state_stack(a, d, stability_stack(a)[0])
 
 
 def max_abs(a):
@@ -422,26 +423,35 @@ class TestRelaxationIntegrator:
         assert str(errors[0]) == str(direct.value)
         assert "max Re eig = 3.000000e+00" in str(errors[0])
 
+    def test_takes_only_the_drifts_diffusions_and_eigenvalues(self):
+        # start, step, tolerance and horizon are the module's, not the caller's
+        params = inspect.signature(integrate_to_steady_state_stack).parameters
+        assert list(params) == ["a", "d", "eigenvalues"]
+
     def test_loop_keeps_no_preallocated_buffers(self):
         source = inspect.getsource(integrate_to_steady_state_stack)
         assert "empty_like" not in source and "out=" not in source
 
     @pytest.mark.parametrize("system", [single_cavity, two_mode])
     @pytest.mark.parametrize("rtol", [0.3, 1e-12])
-    def test_doubling_follows_plain_stepping(self, system, rtol):
+    def test_doubling_follows_plain_stepping(self, system, rtol, monkeypatch):
         # a loose rtol stops mid-transient, so the trajectory itself is
         # compared with the closed-form flow read at the same time; the
-        # converged result is compared with plain RK4 stepping
+        # converged result is compared with plain RK4 stepping. The cavity's
+        # bath holds 2 quanta, so that the flow from the vacuum moves.
+        system, flow = {
+            single_cavity: (partial(single_cavity, n=2.0), partial(single_cavity_flow, n=2.0)),
+            two_mode: (two_mode, two_mode_flow),
+        }[system]
         a, d = system()
-        v0 = 3.0 * np.eye(len(a))
+        v0 = 0.5 * np.eye(len(a))
         dt = 0.07 / np.max(np.abs(np.linalg.eigvals(a)))
         tol = rtol * np.linalg.norm(d)
-        v_doubled, errors = relax(
-            a[None], d[None], np.ones(1), v0=v0[None], dt=np.array([dt]), rtol=rtol
-        )
+        monkeypatch.setattr(steadystate, "_FLOW_STEP_FRACTION", 0.07)
+        monkeypatch.setattr(steadystate, "_FLOW_RTOL", rtol)
+        v_doubled, errors = relax(a[None], d[None], np.ones(1))
         assert errors == [None]
         if rtol == 0.3:
-            flow = {single_cavity: single_cavity_flow, two_mode: two_mode_flow}[system]
             v_stepped = stepped_flow(flow, a, d, v0, dt, tol)
         else:
             v_stepped = stepped_rk4(a, d, v0, dt, tol)
@@ -451,15 +461,14 @@ class TestRelaxationIntegrator:
         if rtol == 0.3:
             assert np.linalg.norm(v_stepped - v_star) > 1e-2 * np.linalg.norm(v_star)
 
-    def test_convergence_error_gives_budget_and_final_residual(self):
-        a, d = single_cavity()
+    def test_convergence_error_gives_budget_and_final_residual(self, monkeypatch):
+        a, d = single_cavity(n=2.0)
         rho = np.max(np.abs(np.linalg.eigvals(a)))
         dt = 0.05 / rho
         budget = math.ceil(0.5 / 2.0 / dt)  # horizon over the decay rate kappa
-        _, errors = relax(
-            a[None], d[None], np.ones(1), v0=5.0 * np.eye(2)[None], dt=np.array([dt]),
-            horizon=0.5,
-        )
+        monkeypatch.setattr(steadystate, "_FLOW_STEP_FRACTION", 0.05)
+        monkeypatch.setattr(steadystate, "_FLOW_HORIZON", 0.5)
+        _, errors = relax(a[None], d[None], np.ones(1))
         assert isinstance(errors[0], ConvergenceError)
         found = re.search(
             r"\((\d+) steps, checked at (\d+); final residual (\S+)\)", str(errors[0])
@@ -467,7 +476,7 @@ class TestRelaxationIntegrator:
         assert found is not None, str(errors[0])
         assert int(found.group(1)) == budget == 11
         assert int(found.group(2)) == 16  # the first 2^K >= the budget
-        v16 = single_cavity_flow(5.0 * np.eye(2), 16 * dt)
+        v16 = single_cavity_flow(0.5 * np.eye(2), 16 * dt, n=2.0)
         expected = np.linalg.norm(lyapunov_rhs(a, d, v16))
         assert float(found.group(3)) == pytest.approx(expected, rel=1e-3)
 
@@ -487,7 +496,9 @@ class TestRelaxationIntegrator:
         assert rel <= 1e-6
         assert elapsed < 1.0
 
-    def test_plain_flow_stalls_near_the_boundary_and_one_correction_converges(self):
+    def test_plain_flow_stalls_near_the_boundary_and_one_correction_converges(
+        self, monkeypatch
+    ):
         # at dt = 0.05 / spectral radius the plain update V <- Phi V Phi^T + Q
         # stalls at a roundoff floor above the tolerance; the point stalls
         # once, and its correction pass takes it below
@@ -508,42 +519,47 @@ class TestRelaxationIntegrator:
             phi, q = phi @ phi, q + phi @ q @ phi.T
         assert min(residuals) > 1e-12 * np.linalg.norm(d)
         v_direct = solve_lyapunov(drift, diffusion, scale=p.omega_b).v
+        monkeypatch.setattr(steadystate, "_FLOW_STEP_FRACTION", 0.05)
         with mock.patch.object(scipy.linalg, "expm", wraps=scipy.linalg.expm) as expm:
-            v_flow, errors = relax(
-                drift.a[None], diffusion.d[None], np.array([p.omega_b]),
-                dt=np.array([h / p.omega_b]),
-            )
+            v_flow, errors = relax(drift.a[None], diffusion.d[None], np.array([p.omega_b]))
         assert errors == [None]
         assert expm.call_count == 2  # the flow of D, then the flow of the residual
         assert np.linalg.norm(v_flow[0] - v_direct) <= 1e-9 * np.linalg.norm(v_direct)
 
-    def test_floor_reached_two_checks_before_the_horizon_is_corrected(self):
+    def test_floor_reached_two_checks_before_the_horizon_is_corrected(self, monkeypatch):
         # a derived-mode point of the acceptance map, margin 1.6e-5 omega_b:
-        # its plain update reaches the floor at the check 2^25 - 1, still
-        # falling but by less than ||Phi||_F^2 allows, and two checks before
-        # its horizon, so the stall must be seen before the residual rises
+        # at 0.05 / spectral radius its plain update reaches the floor at the
+        # check 2^26, still falling but by less than ||Phi||_F^2 allows, and
+        # the next check, 2^27 steps, is past its horizon of 1.3e8, so the
+        # stall must be seen there (at the default step nothing stalls)
         p = default_params(
             coupling_mode="derived", b_field_t=1.1e-3, g_c_hz=1.5e3,
             delta_c2_over_wb=-1.55, delta_m_over_wb=2.0,
         )
-        report = evaluate_point(p, ("ab",), oracle=True)
+        monkeypatch.setattr(steadystate, "_FLOW_STEP_FRACTION", 0.05)
+        with mock.patch.object(steadystate, "_flow", wraps=steadystate._flow) as flow:
+            report = evaluate_point(p, ("ab",), oracle=True)
         assert report.error is None
+        assert flow.call_count == 2  # the flow of D, then the flow of the residual
         assert report.oracle_deviation <= 1e-9
 
-    def test_vacuum_fixture_from_far_start(self):
-        a, d = single_cavity()
-        v, errors = relax(a[None], d[None], max_abs(a[None]), v0=2.0 * np.eye(2)[None])
+    def test_thermal_fixture_from_far_start(self):
+        # from the vacuum to 2 I, four times as far out
+        a, d = single_cavity(n=1.5)
+        v, errors = relax(a[None], d[None], max_abs(a[None]))
         assert errors == [None]
-        assert np.max(np.abs(v[0] - 0.5 * np.eye(2))) <= 1e-10
+        assert np.max(np.abs(v[0] - 2.0 * np.eye(2))) <= 1e-10
 
     def test_fixed_point_is_left_alone(self):
-        p, drift, diffusion = default_system()
-        v_star = solve_lyapunov(drift, diffusion, scale=p.omega_b).v
-        v, errors = relax(
-            drift.a[None], diffusion.d[None], np.array([p.omega_b]), v0=v_star[None]
-        )
+        # every coupling off at T = 0: each mode's steady state is its vacuum,
+        # the start, whose residual is exactly zero
+        p = default_params(T=0.0, g_n1_hz=0.0, g_n2_hz=0.0, g_c_eff_hz=0.0, g_mb_eff_hz=0.0)
+        drift, diffusion = build_drift(p, solve_semiclassics(p)), build_diffusion(p)
+        with mock.patch.object(steadystate, "_flow", wraps=steadystate._flow) as flow:
+            v, errors = relax(drift.a[None], diffusion.d[None], np.array([p.omega_b]))
         assert errors == [None]
-        assert np.max(np.abs(v[0] - v_star)) <= 1e-12 * np.max(np.abs(v_star))
+        assert [call.args[0].shape[0] for call in flow.call_args_list] == [0]
+        np.testing.assert_array_equal(v[0], 0.5 * np.eye(10))
 
     def test_agrees_with_direct_solve(self):
         p, drift, diffusion = default_system()
@@ -553,100 +569,94 @@ class TestRelaxationIntegrator:
         rel = np.linalg.norm(v_direct - v_rk4[0]) / np.linalg.norm(v_direct)
         assert rel <= 1e-9
 
-    def test_result_independent_of_step_size(self):
-        # the flow is affine, so the RK4 fixed point is the Lyapunov solution
-        # for every stable step size
-        a, d = single_cavity(kappa=1.1, delta=0.9)
-        rho = np.max(np.abs(np.linalg.eigvals(a)))
-        a2, d2 = np.array([a, a]), np.array([d, d])
-        v, errors = relax(a2, d2, max_abs(a2), dt=np.array([0.01, 0.099]) / rho)
-        assert errors == [None, None]
+    def test_result_independent_of_step_size(self, monkeypatch):
+        # the flow is exact, so its fixed point is the Lyapunov solution for
+        # every step size
+        a, d = single_cavity(kappa=1.1, delta=0.9, n=1.5)
+        v = []
+        for fraction in (0.01, 0.099):
+            monkeypatch.setattr(steadystate, "_FLOW_STEP_FRACTION", fraction)
+            v_flow, errors = relax(a[None], d[None], max_abs(a[None]))
+            assert errors == [None]
+            v.append(v_flow[0])
         np.testing.assert_allclose(v[1], v[0], rtol=1e-10, atol=1e-13)
-
-    def test_oversized_step_rejected(self):
-        a, d = single_cavity()
-        rho = np.max(np.abs(np.linalg.eigvals(a)))
-        _, errors = relax(a[None], d[None], max_abs(a[None]), dt=np.array([4.0 / rho]))
-        assert isinstance(errors[0], DomainError)
-        assert "accuracy limit of the block exponential" in str(errors[0])
 
     def test_unstable_drift_rejected(self):
         _, errors = relax(np.eye(2)[None], np.eye(2)[None], np.ones(1))
         assert isinstance(errors[0], StabilityError)
 
-    def test_tiny_horizon_gives_up(self):
-        a, d = single_cavity()
-        _, errors = relax(
-            a[None], d[None], max_abs(a[None]), v0=5.0 * np.eye(2)[None], horizon=1e-3
-        )
+    def test_tiny_horizon_gives_up(self, monkeypatch):
+        a, d = single_cavity(n=2.0)
+        monkeypatch.setattr(steadystate, "_FLOW_HORIZON", 1e-3)
+        _, errors = relax(a[None], d[None], max_abs(a[None]))
         assert isinstance(errors[0], ConvergenceError)
 
 
 class TestFlowStack:
     def test_each_point_keeps_its_own_result_and_error(self):
-        a1, d1 = single_cavity()
-        a2, d2 = single_cavity(kappa=1.1, delta=0.9)
+        a1, d1 = single_cavity(n=2.0)
+        a2, d2 = single_cavity(kappa=1.1, delta=0.9, n=1.5)
         unstable = np.array([[3.0, 1.0], [-1.0, 3.0]])
-        rho = np.max(np.abs(np.linalg.eigvals(a1)))
-        a = np.array([a1, unstable, a1, a2])
+        a = np.array([a1, unstable, a2])
         v, errors = steadystate.integrate_to_steady_state_stack(
-            a, np.array([d1, np.eye(2), d1, d2]), stability_stack(a)[0],
-            dt=np.array([0.05, 0.05, 4.0, 0.05]) / rho,
+            a, np.array([d1, np.eye(2), d2]), stability_stack(a)[0]
         )
-        assert errors[0] is None and errors[3] is None
+        assert errors[0] is None and errors[2] is None
         assert isinstance(errors[1], StabilityError)
-        assert isinstance(errors[2], DomainError)
-        assert "accuracy limit of the block exponential" in str(errors[2])
-        alone = relax(a1[None], d1[None], np.ones(1), dt=np.array([0.05 / rho]))[0]
+        alone = relax(a1[None], d1[None], np.ones(1))[0]
         np.testing.assert_array_equal(v[0], alone[0])
-        alone = relax(a2[None], d2[None], max_abs(a2[None]), dt=np.array([0.05 / rho]))[0]
-        np.testing.assert_array_equal(v[3], alone[0])
+        alone = relax(a2[None], d2[None], np.ones(1))[0]
+        np.testing.assert_array_equal(v[2], alone[0])
 
-    def test_a_point_past_its_horizon_fails_alone(self):
+    def test_a_point_past_its_horizon_fails_alone(self, monkeypatch):
+        # one drift, two baths: at the vacuum the first point starts at its
+        # fixed point, R0 = 0, and the thermal one starts far from it
         a, d = single_cavity()
+        d_thermal = single_cavity(n=2.0)[1]
         eigs = stability_stack(np.array([a, a]))[0]
+        monkeypatch.setattr(steadystate, "_FLOW_HORIZON", 1e-3)
         v, errors = steadystate.integrate_to_steady_state_stack(
-            np.array([a, a]), np.array([d, d]), eigs,
-            np.array([0.5 * np.eye(2), 5.0 * np.eye(2)]), horizon=1e-3,
+            np.array([a, a]), np.array([d, d_thermal]), eigs
         )
         assert errors[0] is None
         assert isinstance(errors[1], ConvergenceError)
         assert "checked at 1" in str(errors[1])
         np.testing.assert_array_equal(v[0], 0.5 * np.eye(2))
 
-    def test_mixed_stack_keeps_each_point_as_it_is_alone(self):
-        # every kind of point in one stack: unstable, an over-cap step, at its
-        # fixed point (read at step 0), past its horizon, stalled at the plain
-        # form's floor (corrected), and ordinary points
+    def test_mixed_stack_keeps_each_point_as_it_is_alone(self, monkeypatch):
+        # every kind of point in one stack: unstable, at its fixed point (read
+        # at step 0), stalled at the plain form's floor (corrected), past its
+        # horizon, and ordinary points; at 0.05 / spectral radius, a step at
+        # which the plain update of the near-boundary point stalls above the
+        # tolerance
         def system(**overrides):
             p = default_params(**overrides)
             return build_drift(p, solve_semiclassics(p)).a, build_diffusion(p).d, p.omega_b
 
         ordinary, other = system(), system(T=0.0, delta_m_over_wb=-0.5)
         stalls = system(delta_m_over_wb=-0.974)
+        # every coupling off at T = 0: its steady state is the vacuum, the start
+        vacuum = system(T=0.0, g_n1_hz=0.0, g_n2_hz=0.0, g_c_eff_hz=0.0, g_mb_eff_hz=0.0)
+        # 1e-100 of the noise: a steady state too far from the vacuum, in units
+        # of its tolerance, to relax within the horizon
+        quiet = (ordinary[0], 1e-100 * ordinary[1], ordinary[2])
         unstable = (ordinary[0] + 0.1 * ordinary[2] * np.eye(10), *ordinary[1:])
-        points = [unstable, ordinary, ordinary, ordinary, stalls, ordinary, other]
+        points = [unstable, ordinary, vacuum, stalls, quiet, other]
         a, d, scale = (np.array(column) for column in zip(*points))
         a, d = a / scale[:, None, None], d / scale[:, None, None]
         eigs = stability_stack(a)[0]
-        dt = 1.0 / np.abs(eigs).max(axis=-1)
-        dt[2] *= 4.0  # above the cap of 2 / spectral radius
-        dt[4] *= 0.05  # a step at which the plain update stalls above the tolerance
-        v0 = np.array([0.5 * np.eye(10)] * len(points))
-        v0[3] = solve_lyapunov(*ordinary[:2], scale=ordinary[2]).v  # its fixed point
-        v0[5] = 1e100 * np.eye(10)  # too far out to relax within the horizon
+        monkeypatch.setattr(steadystate, "_FLOW_STEP_FRACTION", 0.05)
         with mock.patch.object(steadystate, "_flow", wraps=steadystate._flow) as flow:
-            v, errors = integrate_to_steady_state_stack(a, d, eigs, v0, dt)
-        # the flow of D over the four points that move, then of point 4's residual
+            v, errors = integrate_to_steady_state_stack(a, d, eigs)
+        # the flow of D over the four points that move, then of point 3's residual
         assert [call.args[0].shape[0] for call in flow.call_args_list] == [4, 1]
         assert [type(e) for e in errors] == [
-            StabilityError, type(None), DomainError, type(None), type(None),
-            ConvergenceError, type(None),
+            StabilityError, type(None), type(None), type(None), ConvergenceError, type(None),
         ]
-        np.testing.assert_array_equal(v[3], v0[3])
+        np.testing.assert_array_equal(v[2], 0.5 * np.eye(10))
         for k in range(len(points)):
             alone, alone_errors = integrate_to_steady_state_stack(
-                *(x[k:k + 1] for x in (a, d, eigs, v0, dt))
+                *(x[k:k + 1] for x in (a, d, eigs))
             )
             np.testing.assert_array_equal(v[k], alone[0])
             assert repr(errors[k]) == repr(alone_errors[0])
@@ -678,32 +688,6 @@ class TestFlowStack:
         assert peak < 100 * 100 * 8
 
 
-class TestFlowArguments:
-    @pytest.mark.parametrize("dt", [0.0, math.nan, -0.05, math.inf])
-    def test_a_step_that_is_not_finite_and_positive_fails_its_point(self, dt):
-        a, d = single_cavity()
-        v, errors = relax(
-            np.array([a, a]), np.array([d, d]), np.ones(2), dt=np.array([dt, 0.05])
-        )
-        assert isinstance(errors[0], DomainError)
-        assert "dt must be positive and at most 2 / spectral radius" in str(errors[0])
-        assert np.isnan(v[0]).all()
-        assert errors[1] is None
-
-    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
-    @pytest.mark.parametrize("name", ["rtol", "horizon"])
-    def test_rtol_and_horizon_must_be_finite_and_positive(self, name, value):
-        a, d = single_cavity()
-        with pytest.raises(DomainError, match=f"{name} must be finite and positive"):
-            relax(a[None], d[None], np.ones(1), **{name: value})
-
-    @pytest.mark.parametrize("shape", [(2, 2), (2, 2, 2), (1, 4, 4)])
-    def test_a_start_not_shaped_like_the_drifts_raises(self, shape):
-        a, d = single_cavity()
-        with pytest.raises(DomainError, match="v0 must have the drifts' shape"):
-            relax(a[None], d[None], np.ones(1), v0=np.full(shape, 0.5))
-
-
 class TestFlowEdgeCases:
     """At each edge the first certified read passes, with no correction, and
     agrees with the direct solve."""
@@ -731,7 +715,8 @@ class TestFlowEdgeCases:
 class TestFlowWork:
     """Exact counts of the flow's work, so the pass structure cannot grow
     unseen: one flow of D per stack, one residual per point at step 0 and one
-    per read, one doubling per pass."""
+    per read, one doubling per pass. The Lyapunov gate forms its residuals
+    with the same helper, once per point before the flow."""
 
     def counted(self):
         return (
@@ -745,8 +730,8 @@ class TestFlowWork:
             report = evaluate_point(default_params(), ("ab",), oracle=True)
         assert report.oracle_deviation <= 1e-9
         assert flow.call_count == 1
-        # step 0, then one read at 2^11 steps of 1 / spectral radius
-        assert [call.args[1].shape[0] for call in rhs.call_args_list] == [1, 1]
+        # the gate, step 0, then one read at 2^11 steps of 1 / spectral radius
+        assert [call.args[1].shape[0] for call in rhs.call_args_list] == [1, 1, 1]
         assert doubled.call_count == 11
 
     def test_a_chunk_takes_one_flow_and_reads_each_point_once(self):
@@ -759,12 +744,13 @@ class TestFlowWork:
             result = run_sweep(default_params(), spec, ("ab",), threads=1, oracle=True)
         assert all(r.oracle_deviation is not None for r in result.reports)
         assert [call.args[0].shape[0] for call in flow.call_args_list] == [CHUNK_SIZE, 16]
-        # each chunk: every point's step 0 in one call, then one read per point
+        # each chunk: every point's gate and step 0 in one call each, then one
+        # read per point
         rows = [call.args[1].shape[0] for call in rhs.call_args_list]
         ends = np.cumsum(rows)
-        second = int(np.searchsorted(ends, 2 * CHUNK_SIZE)) + 1
-        assert rows[0] == CHUNK_SIZE and ends[second - 1] == 2 * CHUNK_SIZE
-        assert rows[second] == 16 and ends[-1] == 2 * (CHUNK_SIZE + 16)
+        second = int(np.searchsorted(ends, 3 * CHUNK_SIZE)) + 1
+        assert rows[:2] == [CHUNK_SIZE] * 2 and ends[second - 1] == 3 * CHUNK_SIZE
+        assert rows[second:second + 2] == [16] * 2 and ends[-1] == 3 * (CHUNK_SIZE + 16)
 
 
 class TestPhysicalityMargin:
