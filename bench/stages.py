@@ -1,0 +1,201 @@
+#!/usr/bin/env python3
+"""Timings of the per-point pipeline, from a lone point to the paper map.
+
+Run from the root of a source checkout (the package is imported from its
+``src/``):
+
+    python3 bench/stages.py --out BENCH_1.json
+    python3 bench/stages.py --against ../parent --out BENCH_1.json
+
+Each repeat starts one worker process per checkout, which times every row
+of :data:`ROWS` once after a warm-up call of each. With ``--against PATH``
+the same worker runs on ``PATH/src`` too, the two sides of a repeat in
+alternating order, so that both see the same drift in machine speed. The
+output JSON holds the settings, an environment block, and for each side and
+row the runs of every repeat with their median and quartiles; with
+``--against``, ``wins`` counts the repeats in which this checkout did
+better than the other. BLAS is held to one thread, as the sweeps run
+single-threaded.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse
+import json
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from importlib import metadata
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: Each row's unit, which way is better, and what it times.
+ROWS = {
+    "point_us": ("us", "lower", "a lone evaluate_point at the default parameters"),
+    "point_oracle_us": ("us", "lower", "the same with oracle=True"),
+    "oracle_stack_point_us": ("us", "lower", "the oracle stack on the default point"),
+    "oracle_stack_chunk_us_per_pt": (
+        "us", "lower", "the oracle stack on the map's first chunk, per point"),
+    "sweep_pts_per_s": ("1/s", "higher", "run_sweep of the detuning map, threads=1"),
+    "sweep_oracle_pts_per_s": ("1/s", "higher", "the same with oracle=True"),
+    "sweep_oracle_over_plain": (
+        "ratio", "lower", "time of the sweep with the oracle over the plain sweep"),
+}
+
+
+def _seconds(call, count: int) -> float:
+    """Mean wall time of ``count`` calls of ``call``."""
+    t0 = time.perf_counter()
+    for _ in range(count):
+        call()
+    return (time.perf_counter() - t0) / count
+
+
+def _oracle_stack(steadystate):
+    """The checkout's oracle stack, as a function of (a, d, eigenvalues)."""
+    if hasattr(steadystate, "solve_lyapunov_vech_stack"):
+        return lambda a, d, eigs: steadystate.solve_lyapunov_vech_stack(a, d)
+    # checkouts that relax along the exact flow instead
+    return steadystate.integrate_to_steady_state_stack
+
+
+def worker(calls: int, grid: int) -> dict[str, float]:
+    """One timing of every row in this process, on the ommlab it imports."""
+    from ommlab import default_params, evaluate_point, harness, steadystate
+    from ommlab.harness import CHUNK_SIZE, SWEEP_AXES, Axis, SweepSpec, run_sweep
+
+    params = default_params()
+    spec = SweepSpec(Axis("delta_a_over_wb", -2.0, 0.0, grid),
+                     Axis("delta_c1_over_wb", 0.0, 2.0, grid))
+    chunk = [
+        SWEEP_AXES["delta_c1_over_wb"](SWEEP_AXES["delta_a_over_wb"](params, float(x)), float(y))
+        for x in spec.axis1.values() for y in spec.axis2.values()
+    ][:CHUNK_SIZE]
+    oracle = _oracle_stack(steadystate)
+    # stage 1's drifts, diffusions and eigenvalues, in units of omega_b
+    stacks = [
+        (a, d, eigs)
+        for d, _, a, eigs, _, _ in map(harness._working_points, ([params], chunk))
+    ]
+
+    timed = {
+        "point_us": (lambda: evaluate_point(params), calls, 1e6),
+        "point_oracle_us": (lambda: evaluate_point(params, oracle=True), calls, 1e6),
+        "oracle_stack_point_us": (lambda: oracle(*stacks[0]), calls, 1e6),
+        "oracle_stack_chunk_us_per_pt": (
+            lambda: oracle(*stacks[1]), max(1, calls // len(chunk)), 1e6 / len(chunk)),
+        "sweep_s": (lambda: run_sweep(params, spec, ("ab", "am")), 1, 1.0),
+        "sweep_oracle_s": (lambda: run_sweep(params, spec, ("ab", "am"), oracle=True), 1, 1.0),
+    }
+    out = {}
+    for name, (call, count, scale) in timed.items():
+        call()  # warm-up: lazy imports and tables
+        out[name] = _seconds(call, count) * scale
+    points = grid * grid
+    return {
+        **{name: out[name] for name in ROWS if name in out},
+        "sweep_pts_per_s": points / out["sweep_s"],
+        "sweep_oracle_pts_per_s": points / out["sweep_oracle_s"],
+        "sweep_oracle_over_plain": out["sweep_oracle_s"] / out["sweep_s"],
+    }
+
+
+def _run_worker(src: Path, calls: int, grid: int) -> dict[str, float]:
+    """:func:`worker` in a fresh interpreter that imports ommlab from ``src``."""
+    proc = subprocess.run(
+        [sys.executable, __file__, "--worker", "--calls", str(calls), "--grid", str(grid)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    if proc.returncode != 0:
+        raise SystemExit(f"worker on {src} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _summary(runs: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(runs, n=4) if len(runs) > 1 else runs * 3
+    return {"median": median, "q1": q1, "q3": q3, "runs": runs}
+
+
+def _version(package: str) -> str | None:
+    try:
+        return metadata.version(package)
+    except metadata.PackageNotFoundError:
+        return None
+
+
+def environment() -> dict:
+    return {
+        "python": platform.python_version(),
+        "numpy": _version("numpy"),
+        "scipy": _version("scipy"),
+        "blas_threads": int(os.environ["OPENBLAS_NUM_THREADS"]),
+        "cores": os.cpu_count(),
+        "cores_usable": len(os.sched_getaffinity(0)),
+        "machine": platform.machine(),
+        "loadavg_1min_at_start": os.getloadavg()[0],
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", help="JSON file to write")
+    parser.add_argument("--against", type=Path, help="root of a second checkout to alternate with")
+    parser.add_argument("--repeats", type=int, default=9, help="worker runs per side (default 9)")
+    parser.add_argument("--calls", type=int, default=500,
+                        help="calls per timing of a lone-point row (default 500)")
+    parser.add_argument("--grid", type=int, default=51, help="map points per axis (default 51)")
+    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker:
+        print(json.dumps(worker(args.calls, args.grid)))
+        return 0
+    if args.out is None:
+        parser.error("--out is required")
+    sides = {"checkout": ROOT / "src"}
+    if args.against is not None:
+        sides["against"] = args.against.resolve() / "src"
+    env = environment()
+    runs: dict[str, list[dict[str, float]]] = {side: [] for side in sides}
+    for repeat in range(args.repeats):
+        order = list(sides) if repeat % 2 == 0 else list(sides)[::-1]
+        for side in order:
+            runs[side].append(_run_worker(sides[side], args.calls, args.grid))
+    results = {
+        side: {row: _summary([run[row] for run in side_runs]) for row in ROWS}
+        for side, side_runs in runs.items()
+    }
+    report = {
+        "settings": {
+            "repeats": args.repeats, "calls": args.calls, "grid": args.grid,
+            "sides": list(sides),
+        },
+        "environment": env,
+        "rows": {row: dict(zip(("unit", "better", "what"), spec)) for row, spec in ROWS.items()},
+        "results": results,
+    }
+    if args.against is not None:
+        report["wins"] = {
+            row: sum(
+                (mine < theirs) if better == "lower" else (mine > theirs)
+                for mine, theirs in zip(results["checkout"][row]["runs"],
+                                        results["against"][row]["runs"])
+            )
+            for row, (_, better, _) in ROWS.items()
+        }
+    Path(args.out).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    for row in ROWS:
+        line = " ".join(f"{side} {results[side][row]['median']:.4g}" for side in results)
+        print(f"{row}: {line}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -5,7 +5,7 @@ magnetostrictively.
 
 The pipeline: physical parameters -> semiclassical working point -> linearized
 drift and diffusion matrices -> steady-state covariance (Lyapunov solve, with
-an independent relaxation along the exact flow as cross-check) -> bipartite
+an independent solve in Kronecker form as cross-check) -> bipartite
 logarithmic negativities and detuning/temperature sweeps.
 """
 

@@ -199,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_point.add_argument("--config", help="JSON config path (defaults when omitted)")
     p_point.add_argument(
         "--oracle", action="store_true",
-        help="cross-check the covariance against the exact-flow relaxation",
+        help="cross-check the covariance against a Kronecker-form solve",
     )
     p_point.set_defaults(func=_cmd_point)
 
@@ -217,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument(
         "--oracle", action="store_true",
-        help="cross-check every point against the exact-flow relaxation",
+        help="cross-check every point against a Kronecker-form solve",
     )
     p_sweep.set_defaults(func=_cmd_sweep)
 

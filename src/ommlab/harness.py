@@ -47,7 +47,7 @@ from .model import (
     config_snapshot, params_from_mapping, take,
 )
 from .semiclassics import SemiclassicalState, solve_semiclassics_stack, state_at, state_column
-from .steadystate import _frobenius, integrate_to_steady_state_stack, solve_lyapunov_stack
+from .steadystate import _frobenius, solve_lyapunov_stack, solve_lyapunov_vech_stack
 
 VERSION = "0.1.0"
 
@@ -152,8 +152,8 @@ class PointReport:
     ``entanglement`` is keyed by the requested pair labels. Unstable or
     failed points carry None measures; ``error`` holds the reason for
     failures. ``oracle_deviation`` is the relative Frobenius distance between
-    the direct Lyapunov solution and the relaxation along the exact flow, when
-    requested.
+    the direct Lyapunov solution and the Kronecker-form solve of the same
+    equation, when requested.
     """
 
     stable: bool
@@ -428,8 +428,8 @@ def _working_points(
 
 def _solve_chunk(points: Points, parsed: _Parsed, oracle: bool) -> Reports:
     """The two stages of the module docstring on a non-empty stack of valid
-    points, and with ``oracle`` one exact-flow stack over the points stage 2
-    solved; an :class:`OmmlabError` raised on the way raises for the stack.
+    points, and with ``oracle`` one Kronecker-form stack over the points
+    stage 2 solved; an :class:`OmmlabError` raised on the way raises for it.
     """
     d, states, a, eigs, vecs, max_real = _working_points(points)
     stable = max_real < 0.0
@@ -447,10 +447,10 @@ def _solve_chunk(points: Points, parsed: _Parsed, oracle: bool) -> Reports:
     solved = stable.nonzero()[0][ok] if oracle else []
     if len(solved):
         rows, v = (slice(None), v) if len(solved) == len(states) else (solved, v[ok])
-        v_flow, flow_errors = integrate_to_steady_state_stack(a[rows], d[rows], eigs[rows])
-        # NaN, no deviation, where the flow failed and left V_flow NaN
-        deviation[solved] = _frobenius(v - v_flow) / _frobenius(v)
-        error[solved] = [None if e is None else f"oracle: {e}" for e in flow_errors]
+        v_oracle, oracle_errors = solve_lyapunov_vech_stack(a[rows], d[rows])
+        # NaN, no deviation, where the oracle failed and left its V NaN
+        deviation[solved] = _frobenius(v - v_oracle) / _frobenius(v)
+        error[solved] = [None if e is None else f"oracle: {e}" for e in oracle_errors]
     return _reports(parsed, error, max_real, states, measured, deviation)
 
 
@@ -461,8 +461,8 @@ def _evaluate_chunk(points: Points, parsed: _Parsed, *, oracle: bool = False) ->
     raise an :class:`OmmlabError` for the stack, its halves, taken by index,
     are evaluated again, so a point that raises costs about 2 log2(N)
     stacked solves, and at a stack of one the error becomes its row. With
-    ``oracle``, the solved points of a stack are also relaxed along the exact
-    flow, as one more stack, and compared; a point whose relaxation fails
+    ``oracle``, the solved points of a stack are also solved in Kronecker
+    form, as one more stack, and compared; a point whose second solve fails
     keeps its measures and gets an ``oracle:`` error.
     """
     try:

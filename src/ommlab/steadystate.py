@@ -1,4 +1,4 @@
-"""Steady-state covariance: direct Lyapunov solve and exact-flow cross-check.
+"""Steady-state covariance: direct Lyapunov solve and Kronecker-form cross-check.
 
 The stationary covariance V of the linearized system solves
 
@@ -20,20 +20,14 @@ sent to the fallback, on its own, and its failure is returned for it alone.
 :func:`solve_lyapunov` is that stack with one point in it, and the one entry
 that takes a drift and diffusion as arrays or as their wrapper types.
 
-The independent route, :func:`integrate_to_steady_state_stack`, follows the
-exact flow of dV/dt = A V + V A^T + D from the vacuum V0 = I / 2,
-V(t) = Phi_t V0 Phi_t^T + Q_t:
-one matrix exponential of a 2n x 2n block gives the pair over a step h (Van
-Loan, IEEE TAC 23, 395, 1978), and k doublings of the pair alone give it over
-2^k steps (Smith, SIAM J. Appl. Math. 16, 198, 1968). The residual at t is
-Phi_t R0 Phi_t^T, so V is formed and checked once ||Phi_t||_F^2 ||R0||_F
-passes. It uses scipy's Pade scaling-and-squaring ``expm``; the drift's
-eigenvalues set its step and horizon, and its eigenvectors are not used.
-Its start, step, tolerance and horizon are this module's, one
-configuration for every caller.
+The independent route, :func:`solve_lyapunov_vech_stack`, solves the same
+equation in Kronecker form: the n(n+1)/2 entries of the symmetric V on and
+above the diagonal are the unknowns of one linear system per point, 55
+square for the 10x10 system, solved by LU. It reads no eigenpairs, imports
+no scipy, and has no tolerance or horizon of its own.
 For a stable A both routes must agree, which is the package's main internal
-consistency check. Both take their stability verdict from the drift's
-eigenvalues, as :func:`ommlab.dynamics.stability_stack` returns them.
+consistency check. The stability verdict is the direct route's, from the
+drift's eigenvalues as :func:`ommlab.dynamics.stability_stack` returns them.
 
 The stacks take A and D in one unit of frequency, whatever it is, and work
 in it: the harness gives them each point's in units of its mechanical
@@ -44,6 +38,7 @@ takes rad/s, or any unit, and divides by one scale before the stacks.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -51,7 +46,6 @@ import numpy as np
 
 from .dynamics import DiffusionMatrix, DriftMatrix, stability_stack
 from .errors import (
-    ConvergenceError,
     DomainError,
     NumericalError,
     OmmlabError,
@@ -71,15 +65,10 @@ _ASYMMETRY_RTOL = 1e-9
 #: fail. The physical maps stay below cond 10.
 _EIGENBASIS_COND_MAX = 1e3
 
-#: The exact flow's step, in units of 1 / spectral radius, kept within the
-#: block exponential's accuracy: the worst oracle deviation on the acceptance
-#: maps stays below 1.7e-10 for steps from 0.05 to 1.6 and reaches 1.1e-9 at 3.2.
-_FLOW_STEP_FRACTION = 1.0
-
-#: The exact flow's stopping tolerance relative to ||D||_F, and its horizon in
-#: slowest decay times.
-_FLOW_RTOL = 1e-12
-_FLOW_HORIZON = 50.0
+#: Points per batched LU of the Kronecker-form solve; 32 operators of 55 x 55
+#: take 0.8 MB. On a 128-point chunk of the paper map (2 cores, OpenBLAS at one
+#: thread) the stack took 28 us a point in blocks of 32 or 64, 30 at 8 or 128.
+_VECH_BLOCK = 32
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -137,13 +126,6 @@ class CovarianceMatrix:
         if np.any(np.diagonal(self.v) < 0.0):
             raise DomainError("variances on the diagonal must be non-negative")
         self.v.setflags(write=False)
-
-
-def _unstable(max_real: float) -> StabilityError:
-    """The error of a drift whose largest real part is ``max_real``."""
-    return StabilityError(
-        f"drift is not asymptotically stable (max Re eig = {max_real:.6e})"
-    )
 
 
 def _eigenbasis_solve(lam: np.ndarray, vecs: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -206,19 +188,13 @@ def _frobenius(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("nij,nij->n", x, x))
 
 
-def _rhs(a: np.ndarray, v: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """A V + V A^T + D of each point of a stack, for symmetric V."""
-    av = a @ v
-    return av + _transpose(av) + d
-
-
 def _relative_residual(a: np.ndarray, v: np.ndarray, d: np.ndarray) -> np.ndarray:
     """||A V + V A^T + D||_F / ||D||_F of each point, for a V exactly
     symmetric, as :func:`_symmetrized` leaves it; where D vanishes, the
     absolute residual, so that a NaN V still misses the gate."""
-    r = _rhs(a, v, d)
+    av = a @ v
     d_norm = _frobenius(d)
-    return _frobenius(r) / np.where(d_norm != 0.0, d_norm, 1.0)
+    return _frobenius(av + _transpose(av) + d) / np.where(d_norm != 0.0, d_norm, 1.0)
 
 
 def solve_lyapunov_stack(
@@ -311,134 +287,79 @@ def solve_lyapunov(
     a_s, d_s = a_arr[None] / scale, d_arr[None] / scale
     eigs, vecs, max_real = stability_stack(a_s)
     if not max_real[0] < 0.0:
-        raise _unstable(max_real[0] * scale)
+        raise StabilityError(
+            f"drift is not asymptotically stable (max Re eig = {max_real[0] * scale:.6e})"
+        )
     v, errors = solve_lyapunov_stack(a_s, d_s, eigs, vecs)
     if errors[0] is not None:
         raise errors[0]
     return CovarianceMatrix(v=v[0])
 
 
-def _flow(a: np.ndarray, forcing: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Phi = e^(A h) and int_0^h e^(A s) F e^(A^T s) ds of each point of a stack.
-
-    Both come from one batched scipy ``expm`` of the Van Loan blocks
-    [[-A, F], [0, A^T]] h (IEEE TAC 23, 395, 1978), whose exponential is
-    [[., X], [0, Phi^T]] with the integral Phi X. scipy is imported here
-    only, as for the Schur fallback.
-    """
-    import scipy.linalg
-
-    n = a.shape[-1]
-    block = np.zeros((len(a), 2 * n, 2 * n))
-    block[:, :n, :n] = -a
-    block[:, :n, n:] = forcing
-    block[:, n:, n:] = _transpose(a)
-    e = scipy.linalg.expm(block * h[:, None, None])
-    phi = _transpose(e[:, n:, n:]).copy()
-    return phi, phi @ e[:, :n, n:].copy()
-
-
-def _doubled(phi: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The flow over twice the time: Phi^2 and Phi Q Phi^T + Q (Smith 1968)."""
-    return phi @ phi, phi @ q @ _transpose(phi) + q
+@functools.cache
+def _vech_gathers(n: int) -> tuple[np.ndarray, ...]:
+    """Index tables of the Kronecker-form operator of n x n matrices: the rows
+    and columns (i, j), i <= j, of the m = n(n+1)/2 entries of vech V, then
+    for each sum in row (i, j) of A V + V A^T = sum_k A_ik V_kj + sum_k A_jk V_ik
+    the flat positions in the (m, m) operator it reaches and the flat indices
+    into A it puts there. The first gives v_pq the coefficient A_iq where
+    j = p, else A_ip where j = q; the second A_jq where i = p, else A_jp where
+    i = q. For n = 10 each reaches 550 of the 3025 entries, the two 955."""
+    rows, cols = np.triu_indices(n)
+    i, j, p, q = rows[:, None], cols[:, None], rows[None, :], cols[None, :]
+    first = np.where(j == p, i * n + q, np.where(j == q, i * n + p, -1)).ravel()
+    second = np.where(i == p, j * n + q, np.where(i == q, j * n + p, -1)).ravel()
+    at_first, at_second = np.flatnonzero(first >= 0), np.flatnonzero(second >= 0)
+    tables = (rows, cols, at_first, first[at_first], at_second, second[at_second])
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
-def integrate_to_steady_state_stack(
-    a: np.ndarray, d: np.ndarray, eigenvalues: np.ndarray
+def solve_lyapunov_vech_stack(
+    a: np.ndarray, d: np.ndarray
 ) -> tuple[np.ndarray, list[OmmlabError | None]]:
-    """Relax each point of a stack from the vacuum along the exact flow of
-    dV/dt = A V + V A^T + D to its fixed point.
-
-    ``a`` and ``d`` are (N, n, n) in one unit, ``eigenvalues`` (N, n) are
-    each drift's, as :func:`ommlab.dynamics.stability_stack` returns them,
-    and give the verdict, the spectral radius and the slowest decay, not V.
-    Every point starts at V0 = I / 2 and steps by
-    :data:`_FLOW_STEP_FRACTION` / spectral radius; it stops within
-    :data:`_FLOW_RTOL` ||D||_F and gives up after :data:`_FLOW_HORIZON`
-    slowest decay times, all three read when the function is called. A
-    point whose residual R0 at step 0 is within the tolerance keeps V0. Over
-    2^k steps the flow from V = 0, (Phi, Q) from :func:`_flow` doubled k
-    times, gives V = Phi V0 Phi^T + Q with residual Phi R0 Phi^T. A point
-    is read, V and its residual formed, only at the first 2^k where
-    ||Phi||_F^2 ||R0||_F passes or that reaches the horizon. It freezes at
-    its first passing read, whatever the other points do; a read at the
-    horizon that misses gives :class:`ConvergenceError`, and a certified
-    read that misses is the plain form's roundoff floor: that point takes
-    V + int_0^t e^(A s) R e^(A^T s) ds, the flow of R over the same t,
-    doubled alike, and is read again at 2t. Returns V (N, n, n),
-    symmetrized, NaN for failed points, and each point's error or None:
-    :class:`StabilityError` for an unstable drift.
-    """
-    max_real = eigenvalues.real.max(axis=-1)
-    radius = np.abs(eigenvalues).max(axis=-1)
-    valid = max_real < 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = _FLOW_STEP_FRACTION / radius
-        budget = np.ceil(_FLOW_HORIZON / -max_real / h)
+    """Solve A V + V A^T + D = 0 for each point of an (N, n, n) stack, D
+    symmetric, in Kronecker form: LU with partial pivoting (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, ch. 16) of each point's operator
+    on vech V, from :func:`_vech_gathers`, against -vech D, :data:`_VECH_BLOCK`
+    points to a batched call and point by point in a block whose call raises.
+    The operator is singular exactly where two eigenvalues of A sum to zero,
+    never for a stable A; no verdict is given. Returns V, exactly symmetric,
+    and per point None, or a :class:`NumericalError` and an all-NaN V where V
+    is not finite."""
+    n = a.shape[-1]
+    rows, cols, at_first, first, at_second, second = _vech_gathers(n)
+    m = len(rows)
+    v = np.empty(a.shape)
+    for start in range(0, len(a), _VECH_BLOCK):
+        at = slice(start, start + _VECH_BLOCK)
+        flat = a[at].reshape(-1, n * n)
+        # each sum gathered only where it reaches: 3 against 24 us a point for
+        # two gathers of all m^2 entries from a zero-padded A, on blocks of 32
+        op = np.zeros((len(flat), m * m))
+        op[:, at_first] = flat[:, first]
+        op[:, at_second] += flat[:, second]
+        op = op.reshape(-1, m, m)
+        rhs = -d[at, rows, cols][..., None]
+        try:
+            x = np.linalg.solve(op, rhs)
+        except np.linalg.LinAlgError:
+            # some operator is singular: solve point by point, leaving those NaN
+            x = np.full_like(rhs, np.nan)
+            for k in range(len(op)):
+                try:
+                    x[k] = np.linalg.solve(op[k], rhs[k])
+                except np.linalg.LinAlgError:
+                    pass
+        v[at, rows, cols] = v[at, cols, rows] = x[..., 0]
     errors: list[OmmlabError | None] = [None] * len(a)
-    for i in (~valid).nonzero()[0]:
-        errors[i] = _unstable(max_real[i])
-    d_norm = _frobenius(d)
-    tol = _FLOW_RTOL * np.where(d_norm > 0.0, d_norm, 1.0)
-    v = np.eye(a.shape[-1])[None].repeat(len(a), 0) * 0.5
-    r0 = _frobenius(_rhs(a, v, d))
-    fixed = valid & (r0 <= tol)
-    # V of each point as it is read, symmetrized once at the end
-    out = np.where(fixed[:, None, None], v, np.nan)
-    live = (valid & ~fixed).nonzero()[0]
-    if len(live) < len(a):
-        a, d, max_real, h, tol, budget, v, r0 = (
-            x[live] for x in (a, d, max_real, h, tol, budget, v, r0)
+    for i in (~np.isfinite(v).all(axis=(-2, -1))).nonzero()[0]:
+        errors[i] = NumericalError(
+            "Kronecker-form Lyapunov solve failed: singular operator or non-finite solution"
         )
-    phi, q = _flow(a, d, h)
-    # ||Phi||_F is at least Phi's spectral radius e^(-gamma t), gamma the
-    # slowest decay, so no point is due before e^(-2 gamma t) ||R0||_F passes
-    first = np.fmin(budget, np.log(r0 / tol) / (-2.0 * max_real * h))
-    # which points hold their corrected V, at this pass's step, in place of V0
-    corrected = np.zeros(len(live), dtype=bool)
-    steps, passes, due = 1, 0, first.min(initial=np.inf)
-    while len(live):
-        index = () if steps < due else (
-            corrected | (steps >= budget) | (_frobenius(phi) ** 2 * r0 <= tol)
-        ).nonzero()[0]
-        if len(index):
-            at = slice(None) if len(index) == len(live) else index  # all of them: a slice
-            fresh = index[~corrected[index]] if np.count_nonzero(corrected) else at
-            v[fresh] = phi[fresh] @ v[fresh] @ _transpose(phi[fresh]) + q[fresh]
-            r = _rhs(a[at], v[at], d[at])
-            residual = _frobenius(r)
-            done = residual <= tol[at]
-            out[live[at]] = v[at]
-            floor = index[:0]
-            if not done.all():
-                missed, r, residual = index[~done], r[~done], residual[~done]
-                over = steps >= budget[missed]
-                for j, res in zip(missed[over], residual[over]):
-                    errors[live[j]] = ConvergenceError(
-                        f"the exact flow did not reach ||dV/dt||_F <= {tol[j]:.3e} within "
-                        f"the horizon ({budget[j]:.0f} steps, checked at {steps}; final "
-                        f"residual {res:.3e})"
-                    )
-                    out[live[j]] = np.nan
-                floor = missed[~over]
-                if len(floor):
-                    phi_r, g = _flow(a[floor], r[~over], h[floor])
-                    for _ in range(passes):
-                        phi_r, g = _doubled(phi_r, g)
-                    v[floor] += g
-                    corrected[floor], first[floor] = True, 0.0
-            if len(index) == len(live) and not len(floor):  # every point is finished
-                break
-            if len(floor) < len(index):  # drop the points that are finished
-                keep = np.ones(len(live), dtype=bool)
-                keep[index], keep[floor] = False, True
-                live, a, d, h, tol, budget, first, v, r0, phi, q, corrected = (
-                    x[keep] for x in (live, a, d, h, tol, budget, first, v, r0, phi, q, corrected)
-                )
-            due = first.min()
-        phi, q = _doubled(phi, q)
-        steps, passes = 2 * steps, passes + 1
-    return 0.5 * (out + _transpose(out)), errors
+        v[i] = np.nan
+    return v, errors
 
 
 def physicality_margin(v: CovarianceMatrix | np.ndarray) -> float:
@@ -463,9 +384,9 @@ def physicality_margin(v: CovarianceMatrix | np.ndarray) -> float:
 
 __all__ = [
     "CovarianceMatrix",
-    "integrate_to_steady_state_stack",
     "physicality_margin",
     "solve_lyapunov",
     "solve_lyapunov_stack",
+    "solve_lyapunov_vech_stack",
     "symplectic_form",
 ]

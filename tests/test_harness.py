@@ -17,7 +17,6 @@ import pytest
 from ommlab import (
     Axis,
     ConfigError,
-    ConvergenceError,
     DEFAULT_PAIRS,
     DomainError,
     NumericalError,
@@ -310,11 +309,12 @@ class TestDefaultPoint:
 
     def test_lone_oracle_point_call_budget(self):
         # one solve of each kind, counted rather than timed: a lone point may
-        # not hide a second eigensolve, basis inverse, nu_- stack or flow
+        # not hide a second eigensolve, basis inverse, nu_- stack or oracle
+        # solve, and the oracle runs no matrix exponential
         import scipy.linalg
 
         calls = [(np.linalg, "eig"), (np.linalg, "eigvals"), (np.linalg, "inv"),
-                 (np.linalg, "det"), (scipy.linalg, "expm")]
+                 (np.linalg, "det"), (np.linalg, "solve"), (scipy.linalg, "expm")]
         with contextlib.ExitStack() as stack:
             counted = [
                 stack.enter_context(mock.patch.object(owner, name, wraps=getattr(owner, name)))
@@ -322,7 +322,18 @@ class TestDefaultPoint:
             ]
             report = evaluate_point(default_params(), oracle=True)
         assert report.error is None and report.oracle_deviation < 1e-9
-        assert [call.call_count for call in counted] == [1, 0, 1, 1, 1]
+        assert [call.call_count for call in counted] == [1, 0, 1, 1, 1, 0]
+
+    def test_stiff_derived_point_has_no_oracle_error(self):
+        # an eq9_verbatim point with rho / gamma about 1e8, where a relaxation
+        # from the vacuum stopped short of its tolerance
+        p = default_params(
+            eq9_verbatim=True, coupling_mode="derived", b_field_t=1.1e-3, g_c_hz=1.5e3,
+            delta_c2_over_wb=-1.8684146445878467, delta_m_over_wb=0.7502738500170149,
+        )
+        report = evaluate_point(p, oracle=True)
+        assert report.error is None
+        assert report.oracle_deviation <= 1e-9
 
     def test_oracle_deviation_is_tiny(self):
         report = evaluate_point(default_params(), pairs=("ab",), oracle=True)
@@ -346,8 +357,8 @@ class TestDefaultPoint:
     )
 
     def test_oracle_deviation_is_the_same_alone_and_in_a_chunk(self):
-        # from the point near the stability boundary, which freezes last and
-        # after a correction pass, to points that freeze several checks earlier
+        # from the point near the stability boundary to points in the
+        # chunk's second and last blocks of the oracle's batched solve
         spec = SweepSpec(Axis("delta_m_over_wb", -0.974, 0.5, CHUNK_SIZE))
         result = run_sweep(default_params(), spec, ("ab",), oracle=True)
         for i in (0, 1, 40, CHUNK_SIZE - 1):
@@ -356,15 +367,44 @@ class TestDefaultPoint:
             assert alone.oracle_deviation is not None
             assert alone.oracle_deviation == result.report_at(i).oracle_deviation
 
-    def test_a_chunk_makes_one_expm_call(self):
-        import scipy.linalg
-
+    def test_a_chunk_makes_four_oracle_solve_calls(self):
         base = default_params(delta_c2_over_wb=-0.8)
-        with mock.patch.object(scipy.linalg, "expm", wraps=scipy.linalg.expm) as expm:
+        with mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solve:
             result = run_sweep(base, self.CHUNK_SPEC, ("ab",), oracle=True)
         assert all(r.oracle_deviation is not None for r in result.reports)
-        assert expm.call_count == 1
-        assert expm.call_args.args[0].shape == (CHUNK_SIZE, 20, 20)
+        assert [call.args[0].shape for call in solve.call_args_list] == [(32, 55, 55)] * 4
+
+    def test_oracle_sees_only_the_points_stage_two_solved(self):
+        # a chunk of unstable and stable points, one of whose Lyapunov solves
+        # fails: the oracle gets the drifts of the others, in order
+        spec = SweepSpec(Axis("delta_m_over_wb", -1.2, 0.5, 16))
+        base = default_params()
+        stable_only = run_sweep(base, spec, ("ab",))
+        stable = [k for k, r in enumerate(stable_only.reports) if r.stable]
+        assert 0 < len(stable) < 16
+        failing = stable[1]
+
+        def one_point_fails(a, d, eigs, vecs):
+            v, errors = steadystate.solve_lyapunov_stack(a, d, eigs, vecs)
+            errors[1] = NumericalError("Lyapunov solve failed: test")
+            return v, errors
+
+        with mock.patch.object(
+            harness, "solve_lyapunov_stack", one_point_fails
+        ), mock.patch.object(
+            harness, "solve_lyapunov_vech_stack", wraps=harness.solve_lyapunov_vech_stack
+        ) as oracle:
+            result = run_sweep(base, spec, ("ab",), oracle=True)
+        assert oracle.call_count == 1
+        checked = [k for k in stable if k != failing]
+        a = oracle.call_args.args[0]
+        points = [SWEEP_AXES["delta_m_over_wb"](base, float(x)) for x in spec.axis1.values()]
+        want = np.array([harness._working_points([points[k]])[2][0] for k in checked])
+        np.testing.assert_array_equal(a, want)
+        assert result.report_at(failing).error == "Lyapunov solve failed: test"
+        assert result.report_at(failing).oracle_deviation is None
+        assert all(result.report_at(k).oracle_deviation is not None for k in checked)
+        assert all(not result.report_at(k).stable for k in range(16) if k not in stable)
 
     def test_unstable_point_reports_margin_without_measures(self):
         params = SWEEP_AXES["delta_m_over_wb"](default_params(), -1.0)
@@ -409,13 +449,13 @@ class TestPointFailures:
             report = evaluate_point(default_params())
         self.assert_stable_without_measures(report, default_point, message)
 
-    def test_oracle_convergence_error_keeps_the_measures(self, default_point):
-        def flow_fails(a, d, eigenvalues):
-            return np.full_like(a, np.nan), [ConvergenceError("the flow did not converge")]
+    def test_oracle_failure_keeps_the_measures(self, default_point):
+        def oracle_fails(a, d):
+            return np.full_like(a, np.nan), [NumericalError("the oracle failed")]
 
-        with mock.patch.object(harness, "integrate_to_steady_state_stack", flow_fails):
+        with mock.patch.object(harness, "solve_lyapunov_vech_stack", oracle_fails):
             report = evaluate_point(default_params(), oracle=True)
-        assert report.error == "oracle: the flow did not converge"
+        assert report.error == "oracle: the oracle failed"
         assert report.oracle_deviation is None
         assert report.stable and report.margin == default_point.margin
         assert report.entanglement == default_point.entanglement

@@ -100,11 +100,13 @@ def test_benchmark_reference_covariance_is_stage_two(overrides):
 def test_cold_start_imports_no_scipy():
     # the benchmark's set-up imports the package and its CLI and evaluates a
     # point; an eager scipy import (scipy.constants alone takes 0.2 s) would
-    # cost more than the rest of that set-up
+    # cost more than the rest of that set-up. The oracle imports none either.
     code = (
         "import sys, ommlab, ommlab.cli; "
         "report = ommlab.evaluate_point(ommlab.default_params()); "
         "assert report.error is None; "
+        "report = ommlab.evaluate_point(ommlab.default_params(), oracle=True); "
+        "assert report.error is None and report.oracle_deviation < 1e-9; "
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
     src = Path(ommlab.__file__).resolve().parents[1]
