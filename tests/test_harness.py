@@ -17,6 +17,7 @@ import pytest
 from ommlab import (
     Axis,
     ConfigError,
+    ConvergenceError,
     DEFAULT_PAIRS,
     DomainError,
     NumericalError,
@@ -348,7 +349,7 @@ class TestDefaultPoint:
         ) as eigvals:
             report = evaluate_point(default_params(), pairs=("ab",), oracle=True)
         assert report.oracle_deviation is not None
-        assert eig.call_count == 1  # the point's stack; the oracle reuses its eigenvalues
+        assert eig.call_count == 1  # the point's stack; the oracle reads no eigenpairs
         assert eigvals.call_count == 0
 
     #: one chunk of the paper's detuning map, every point stable
@@ -449,13 +450,31 @@ class TestPointFailures:
             report = evaluate_point(default_params())
         self.assert_stable_without_measures(report, default_point, message)
 
-    def test_oracle_failure_keeps_the_measures(self, default_point):
+    def test_oracle_convergence_error_keeps_the_measures(self, default_point):
+        # the harness passes on whatever error the oracle reports for a point,
+        # of any class, under its "oracle:" prefix
         def oracle_fails(a, d):
-            return np.full_like(a, np.nan), [NumericalError("the oracle failed")]
+            return np.full_like(a, np.nan), [ConvergenceError("the oracle did not converge")]
 
         with mock.patch.object(harness, "solve_lyapunov_vech_stack", oracle_fails):
             report = evaluate_point(default_params(), oracle=True)
-        assert report.error == "oracle: the oracle failed"
+        assert report.error == "oracle: the oracle did not converge"
+        assert report.oracle_deviation is None
+        assert report.stable and report.margin == default_point.margin
+        assert report.entanglement == default_point.entanglement
+        assert report.efficiency == default_point.efficiency
+
+    def test_oracle_failure_keeps_the_measures(self, default_point):
+        # the Kronecker-form solve itself fails: its LU raises in the batched
+        # call and again for the lone point, and it leaves the point's V NaN
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        with mock.patch.object(np.linalg, "solve", singular):
+            report = evaluate_point(default_params(), oracle=True)
+        assert report.error == (
+            "oracle: Kronecker-form Lyapunov solve failed: singular operator or non-finite solution"
+        )
         assert report.oracle_deviation is None
         assert report.stable and report.margin == default_point.margin
         assert report.entanglement == default_point.entanglement

@@ -2,6 +2,7 @@
 
 import inspect
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -18,14 +19,16 @@ from ommlab import (
     build_diffusion,
     build_drift,
     default_params,
+    evaluate_point,
     physicality_margin,
     solve_lyapunov,
     solve_semiclassics,
     symplectic_form,
 )
-from ommlab import steadystate
+from ommlab import harness, steadystate
 from ommlab.dynamics import stability_stack
 from ommlab.entanglement import nu_minus_stack
+from ommlab.harness import CHUNK_SIZE, Axis, SweepSpec, run_sweep
 from ommlab.steadystate import solve_lyapunov_vech_stack
 from references import occupation
 
@@ -356,12 +359,52 @@ def system(**overrides):
 
 class TestRelaxationIntegrator:
     """The Kronecker-form oracle, :func:`solve_lyapunov_vech_stack`, on
-    systems whose steady state is known."""
+    systems whose steady state is known, and the stability verdict of the
+    oracle path, which is stage 1's."""
+
+    def test_verdict_comes_from_one_stability_call(self):
+        # stage 1's eigensolve, and none in the oracle, which reads no eigenpairs
+        a, d = single_cavity()
+        with mock.patch.object(
+            np.linalg, "eig", wraps=np.linalg.eig
+        ) as eig, mock.patch.object(
+            np.linalg, "eigvals", wraps=np.linalg.eigvals
+        ) as eigvals:
+            max_real = stability_stack(a[None])[2]
+            _, errors = solve_lyapunov_vech_stack(a[None], d[None])
+        assert max_real[0] < 0.0 and errors == [None]
+        assert eig.call_count == 1
+        assert eigvals.call_count == 0
+
+    def test_unstable_message_matches_the_direct_solve(self):
+        # with the oracle on, an unstable point's margin is minus the max Re
+        # eig, in rad/s, that solve_lyapunov's StabilityError gives
+        a, d, omega_b = system(delta_m_over_wb=-1.0)
+        with pytest.raises(StabilityError) as direct:
+            solve_lyapunov(a, d, scale=omega_b)
+        report = evaluate_point(default_params(delta_m_over_wb=-1.0), ("ab",), oracle=True)
+        assert not report.stable and report.error is None
+        assert f"(max Re eig = {-report.margin:.6e})" in str(direct.value)
+        assert "max Re eig = 2.074467e+06" in str(direct.value)
+
+    def test_unstable_drift_rejected(self):
+        # by stage 1: the oracle is never called on the point
+        with mock.patch.object(
+            harness, "solve_lyapunov_vech_stack", wraps=solve_lyapunov_vech_stack
+        ) as oracle_stack:
+            report = evaluate_point(default_params(delta_m_over_wb=-1.0), ("ab",), oracle=True)
+        assert not report.stable and report.margin < 0.0
+        assert report.oracle_deviation is None
+        assert oracle_stack.call_count == 0
 
     def test_takes_only_the_drifts_and_diffusions(self):
         # no eigenpairs, tolerance or horizon: the stability verdict is stage 1's
         params = inspect.signature(solve_lyapunov_vech_stack).parameters
         assert list(params) == ["a", "d"]
+
+    def test_loop_keeps_no_preallocated_buffers(self):
+        source = inspect.getsource(solve_lyapunov_vech_stack)
+        assert "empty_like" not in source and "out=" not in source
 
     @pytest.mark.parametrize("n", [2, 4, 10])
     def test_operator_matches_its_definition(self, n):
@@ -419,6 +462,24 @@ class TestRelaxationIntegrator:
         assert errors == [None]
         rel = np.linalg.norm(v_direct - v[0]) / np.linalg.norm(v_direct)
         assert rel <= 1e-12
+
+    def test_result_independent_of_step_size(self, monkeypatch):
+        # the loop steps over the stack _VECH_BLOCK points at a time; each
+        # point's LU is its own, so V and the errors are the same bit for bit
+        # at every step, a singular point in a block included
+        points = [system(delta_m_over_wb=x) for x in np.linspace(-0.97, 0.5, 9)]
+        points[4] = (np.zeros((10, 10)), *points[4][1:])
+        a, d, scale = (np.array(column) for column in zip(*points))
+        a, d = a / scale[:, None, None], d / scale[:, None, None]
+        results = []
+        for step in (1, 4, 32):
+            monkeypatch.setattr(steadystate, "_VECH_BLOCK", step)
+            results.append(solve_lyapunov_vech_stack(a, d))
+        v, errors = results[0]
+        assert [e is None for e in errors] == [k != 4 for k in range(9)]
+        for other_v, other_errors in results[1:]:
+            np.testing.assert_array_equal(other_v, v)
+            assert [repr(e) for e in other_errors] == [repr(e) for e in errors]
 
 
 class TestFlowStack:
@@ -487,6 +548,21 @@ class TestFlowStack:
             assert repr(errors[k]) == repr(alone_errors[0])
 
 
+    def test_a_lone_point_builds_no_kronecker_operator(self):
+        # no n^2 x n^2 operator I (x) A + A (x) I, which for the 10x10 system
+        # alone takes 80 kB: the operator on vech V is 55 x 55, 24 kB
+        p, drift, diffusion = default_system()
+        a, d = drift.a[None] / p.omega_b, diffusion.d[None] / p.omega_b
+        solve_lyapunov_vech_stack(a, d)
+        tracemalloc.start()
+        try:
+            solve_lyapunov_vech_stack(a, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 100 * 8
+
+
 class TestFlowEdgeCases:
     """At each edge the Kronecker-form solve agrees with the direct solve."""
 
@@ -505,6 +581,31 @@ class TestFlowEdgeCases:
         # the direct solve takes its Schur fallback here; the oracle reads no basis
         a, d = nearly_defective(delta, seed=1)
         self.assert_agrees(a, d, float(np.abs(a).max()))
+
+
+class TestFlowWork:
+    """Exact counts of the oracle's work, so its pass structure cannot grow
+    unseen: one Kronecker-form stack per chunk, and each point's operator
+    gathered and solved once, _VECH_BLOCK points to a call."""
+
+    def test_a_chunk_takes_one_flow_and_reads_each_point_once(self):
+        # 144 points, every one stable and solved: chunks of 128 and 16, each
+        # passed through the oracle in one stack
+        spec = SweepSpec(
+            Axis("delta_a_over_wb", -2.0, 0.0, 12), Axis("delta_c1_over_wb", 0.0, 2.0, 12)
+        )
+        with mock.patch.object(
+            harness, "solve_lyapunov_vech_stack", wraps=solve_lyapunov_vech_stack
+        ) as oracle_stack, mock.patch.object(
+            np.linalg, "solve", wraps=np.linalg.solve
+        ) as solve:
+            result = run_sweep(default_params(), spec, ("ab",), threads=1, oracle=True)
+        assert all(r.oracle_deviation is not None for r in result.reports)
+        assert [call.args[0].shape[0] for call in oracle_stack.call_args_list] == [CHUNK_SIZE, 16]
+        block = steadystate._VECH_BLOCK
+        assert [call.args[0].shape[0] for call in solve.call_args_list] == (
+            [block] * (CHUNK_SIZE // block) + [16]
+        )
 
 
 class TestPhysicalityMargin:
