@@ -41,6 +41,14 @@ ROOT = Path(__file__).resolve().parents[1]
 ROWS = {
     "point_us": ("us", "lower", "a lone evaluate_point at the default parameters"),
     "point_oracle_us": ("us", "lower", "the same with oracle=True"),
+    "point_derived_us": (
+        "us", "lower", "a lone evaluate_point at the derived-mode reference point"),
+    "stage1_point_us": ("us", "lower", "stage 1 (harness._working_points) of the default point"),
+    "lyapunov_point_us": ("us", "lower", "the Lyapunov stack on the default point"),
+    "nu_minus_point_us": ("us", "lower", "the nu_- stack on the default point's three pairs"),
+    "report_point_us": (
+        "us", "lower", "the report hand-off of the default point: pairs parsed, "
+        "its Reports built and read"),
     "oracle_stack_point_us": ("us", "lower", "the oracle stack on the default point"),
     "oracle_stack_chunk_us_per_pt": (
         "us", "lower", "the oracle stack on the map's first chunk, per point"),
@@ -67,12 +75,19 @@ def _oracle_stack(steadystate):
     return steadystate.integrate_to_steady_state_stack
 
 
+#: The derived-mode reference point: every branch of it solved, the first kept.
+DERIVED = {"coupling_mode": "derived", "b_field_t": 1.1e-3, "g_c_hz": 1.5e3}
+
+
 def worker(calls: int, grid: int) -> dict[str, float]:
     """One timing of every row in this process, on the ommlab it imports."""
-    from ommlab import default_params, evaluate_point, harness, steadystate
-    from ommlab.harness import CHUNK_SIZE, SWEEP_AXES, Axis, SweepSpec, run_sweep
+    import numpy as np
+
+    from ommlab import default_params, entanglement, evaluate_point, harness, steadystate
+    from ommlab.harness import CHUNK_SIZE, DEFAULT_PAIRS, SWEEP_AXES, Axis, SweepSpec, run_sweep
 
     params = default_params()
+    derived = default_params(**DERIVED)
     spec = SweepSpec(Axis("delta_a_over_wb", -2.0, 0.0, grid),
                      Axis("delta_c1_over_wb", 0.0, 2.0, grid))
     chunk = [
@@ -86,9 +101,27 @@ def worker(calls: int, grid: int) -> dict[str, float]:
         for d, _, a, eigs, _, _ in map(harness._working_points, ([params], chunk))
     ]
 
+    # the default point's stages, fed as harness feeds them
+    d, states, a, eigs, vecs, max_real = harness._working_points([params])
+    v, lyapunov_errors = steadystate.solve_lyapunov_stack(a, d, eigs, vecs)
+    rows = np.array([m1.rows + m2.rows for m1, m2 in map(entanglement.parse_pair, DEFAULT_PAIRS)])
+    blocks = v[:, rows[:, :, None], rows[:, None, :]].reshape(-1, 4, 4)
+    nu = entanglement.nu_minus_stack(blocks)[0].reshape(1, -1)
+    errors = [None if e is None else str(e) for e in lyapunov_errors]
+
+    def report():
+        parsed = harness._parse_pairs(DEFAULT_PAIRS)
+        return harness._reports(parsed, errors, max_real, states, nu)[0]
+
     timed = {
         "point_us": (lambda: evaluate_point(params), calls, 1e6),
         "point_oracle_us": (lambda: evaluate_point(params, oracle=True), calls, 1e6),
+        "point_derived_us": (lambda: evaluate_point(derived), calls, 1e6),
+        "stage1_point_us": (lambda: harness._working_points([params]), calls, 1e6),
+        "lyapunov_point_us": (
+            lambda: steadystate.solve_lyapunov_stack(a, d, eigs, vecs), calls, 1e6),
+        "nu_minus_point_us": (lambda: entanglement.nu_minus_stack(blocks), calls, 1e6),
+        "report_point_us": (report, calls, 1e6),
         "oracle_stack_point_us": (lambda: oracle(*stacks[0]), calls, 1e6),
         "oracle_stack_chunk_us_per_pt": (
             lambda: oracle(*stacks[1]), max(1, calls // len(chunk)), 1e6 / len(chunk)),

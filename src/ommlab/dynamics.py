@@ -16,7 +16,8 @@ in any one unit and returns eigenvalues in that unit; the harness hands it
 each point's drift in units of that point's mechanical frequency omega_b.
 
 Sweeps build and classify (N, 10, 10) stacks a chunk at a time with
-:func:`drift_stack`, :func:`diffusion_stack` and :func:`stability_stack`;
+:func:`drift_stack`, :func:`diffusion_stack` (which read rows of the chunk's
+point table, :func:`ommlab.model.columns`) and :func:`stability_stack`;
 :func:`build_drift` and :func:`build_diffusion` are stacks of one.
 """
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .model import Points, SystemParams, _occupation, columns
+from .model import SystemParams, _occupation, columns, rows
 from .semiclassics import SemiclassicalState, state_column
 
 #: Phase-space dimension: five modes, two quadratures each.
@@ -78,9 +79,13 @@ _DRIFT_LAYOUT = np.array([
     [   0,     0,     0,     0,     0,     0, -_GMS,     0,  -_DM,  -_KM],  # y_m
 ])
 _DRIFT_TERM, _DRIFT_SIGN = np.abs(_DRIFT_LAYOUT), np.sign(_DRIFT_LAYOUT) * 1.0
+_DRIFT_ROWS = rows(
+    "kappa_a", "kappa_c1", "kappa_c2", "kappa_m", "delta_a", "delta_c1", "omega_b", "gamma_b",
+    "g_n1", "g_n2",
+)
 
 
-def drift_stack(params_list: Points, states: np.ndarray) -> np.ndarray:
+def drift_stack(table: np.ndarray, states: np.ndarray) -> np.ndarray:
     """The 10x10 drift matrices of a stack of working points, (N, 10, 10).
 
     ``states`` is the (N,) state column of the points' working points (see
@@ -91,49 +96,47 @@ def drift_stack(params_list: Points, states: np.ndarray) -> np.ndarray:
     cos and |G| sin of arg(G), with arg(0) = 0: a table fill, see
     _DRIFT_LAYOUT.
     """
-    fields = columns(
-        params_list, "kappa_a", "kappa_c1", "kappa_c2", "kappa_m", "delta_a", "delta_c1",
-        "omega_b", "gamma_b", "g_n1", "g_n2",
-    )
     g_eff = np.array([states["g_c_eff"], states["g_mb_eff"]])
     g = np.hypot(g_eff.real, g_eff.imag)
     phase = np.where(g == 0.0, 0.0, np.arctan2(g_eff.imag, g_eff.real))
-    terms = np.concatenate([
-        np.zeros((1, len(states))), fields, [states["delta_c2_eff"], states["delta_m_eff"]],
-        g * np.cos(phase), g * np.sin(phase),
-    ])
+    terms = np.empty((17, len(states)))
+    terms[0] = 0.0
+    terms[1:11] = table[_DRIFT_ROWS]
+    terms[11], terms[12] = states["delta_c2_eff"], states["delta_m_eff"]
+    terms[13:15] = g * np.cos(phase)
+    terms[15:] = g * np.sin(phase)
     return terms.T[:, _DRIFT_TERM] * _DRIFT_SIGN
 
 
 def build_drift(params: SystemParams, state: SemiclassicalState) -> DriftMatrix:
     """The drift matrix of one working point, a :func:`drift_stack` of one."""
-    return DriftMatrix(a=drift_stack([params], state_column([state]))[0])
+    return DriftMatrix(a=drift_stack(columns([params]), state_column([state]))[0])
 
 
 #: Where each noise rate of :func:`diffusion_stack` sits in D, flattened: on both
 #: quadratures of its mode, but gamma_b (2 N_b + 1) on p alone.
 _NOISE_ON_DIAGONAL = np.insert(np.repeat(np.eye(5), [2, 2, 2, 1, 2], 1), 6, 0.0, 1)
 _NOISE_PLACES = (_NOISE_ON_DIAGONAL[:, :, None] * np.eye(DIM)).reshape(5, DIM * DIM)
+_NOISE_ROWS = rows(
+    "kappa_a", "kappa_c1", "kappa_c2", "gamma_b", "kappa_m", "omega_b", "omega_m", "temperature"
+)
 
 
-def diffusion_stack(params_list: Points) -> np.ndarray:
+def diffusion_stack(table: np.ndarray) -> np.ndarray:
     """The diagonal diffusion matrices of a stack of points, (N, 10, 10).
 
     Optical and atomic baths enter at zero occupation; the mechanical and
     magnon baths carry their thermal factors 2 N + 1. The momentum row is the
     only mechanical entry because thermal force noise drives p directly.
     """
-    noise = columns(
-        params_list, "kappa_a", "kappa_c1", "kappa_c2", "gamma_b", "kappa_m", "omega_b",
-        "omega_m", "temperature",
-    )
+    noise = table[_NOISE_ROWS]
     noise[3:5] *= 2.0 * _occupation(noise[5:7], noise[7]) + 1.0
     return (noise[:5].T @ _NOISE_PLACES).reshape(-1, DIM, DIM)
 
 
 def build_diffusion(params: SystemParams) -> DiffusionMatrix:
     """The diffusion matrix of one point, a :func:`diffusion_stack` of one."""
-    return DiffusionMatrix(d=diffusion_stack([params])[0])
+    return DiffusionMatrix(d=diffusion_stack(columns([params]))[0])
 
 
 def stability_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -7,44 +7,48 @@ evaluate a 1D or 2D grid of operating points, tolerate per-point failures by
 recording them, and write a CSV table plus optional PGM heatmaps.
 
 Every point is evaluated by :func:`_evaluate_chunk`, a stack of points at a
-time, in two stages. Stage 1, :func:`_working_points`, picks each point's
-working point: the chunk's branches come as a state column, its diffusions
-and first-branch drifts as stacks, and the drifts go through one batched
-eigensolve. The later branches of every point whose first drift is unstable
-are then tried together, in one more drift stack whose eigenvalues alone
-screen them; the few that pass get a batched eigensolve with vectors, and a
-point keeps its earliest stable branch, else its first. ``ommlab stability``
-prints the spectrum stage 1 keeps. Stage 2 solves the steady state of the
-stable points: one Lyapunov stack, in the eigenbases stage 1 found, then one
-nu_- stack over every requested pair. One failure rule holds throughout: an
-error that a stacked call raises for the chunk sends its halves through
-again, and at a chunk of one the error becomes the point's row; the Lyapunov
-solve and nu_- keep their errors per point.
-:func:`evaluate_point` is a stack of one. :func:`run_sweep` checks each axis
-value once and hands each chunk of :data:`CHUNK_SIZE` grid points to the
-stages as the base parameters plus one array per swept field; a stack's
-results come back as :class:`Reports` columns, which the writers read.
+time, in two stages. Stage 1, :func:`_working_points`, reads the chunk's
+parameters once, as one point table (:func:`ommlab.model.columns`), and
+picks each point's working point: the chunk's branches come as a state
+column, its diffusions and first-branch drifts as stacks built from rows of
+that table, and the drifts go through one batched eigensolve. The later
+branches of every point whose first drift is unstable are then tried
+together, in one more drift stack whose eigenvalues alone screen them; the
+few that pass get a batched eigensolve with vectors, and a point keeps its
+earliest stable branch, else its first. ``ommlab stability`` prints the
+spectrum stage 1 keeps. Stage 2 solves the steady state of the stable
+points: one Lyapunov stack, in the eigenbases stage 1 found, then one nu_-
+stack over every requested pair. One failure rule holds throughout: an error
+that a stacked call raises for the chunk sends its halves through again, and
+at a chunk of one the error becomes the point's row; the Lyapunov solve and
+nu_- keep their errors per point. :func:`evaluate_point` is a stack of one;
+the requested pairs are parsed, and their blocks in V located, once per
+tuple. :func:`run_sweep` checks each axis value once and hands each chunk of
+:data:`CHUNK_SIZE` grid points to the stages as the base parameters plus one
+array per swept field; a stack's results come back as :class:`Reports`
+columns, which the writers read.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import operator
-from collections.abc import Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any
 
 import numpy as np
 
-from .dynamics import diffusion_stack, drift_stack, stability_stack
+from .dynamics import DIM, diffusion_stack, drift_stack, stability_stack
 from .entanglement import EntanglementReport, Mode, _e_n, nu_minus_stack, parse_pair
 from .errors import ConfigError, DomainError, NumericalError, OmmlabError
 from .model import (
     PARAM_TABLE, Param, Points, SweptParams, SystemParams, _require_real, columns,
-    config_snapshot, params_from_mapping, take,
+    config_snapshot, params_from_mapping, rows, take,
 )
 from .semiclassics import SemiclassicalState, solve_semiclassics_stack, state_at, state_column
 from .steadystate import _frobenius, solve_lyapunov_stack, solve_lyapunov_vech_stack
@@ -65,6 +69,9 @@ CHUNK_SIZE = 128
 #: branch was 4.6e-5 over the 41x41 derived map and 3000 jittered points.
 _SCREEN = 1e-6
 
+#: The point table's row of omega_b, each point's unit of frequency.
+_OMEGA_B = rows("omega_b")[0]
+
 #: Bipartitions reported when a config does not say otherwise.
 DEFAULT_PAIRS = ("ab", "am", "c2b")
 
@@ -73,7 +80,7 @@ _EFFICIENCY_NUMERATOR = ((Mode.ATOM, Mode.MAGNON), (Mode.MAGNON, Mode.ATOM))
 _EFFICIENCY_DENOMINATOR = ((Mode.ATOM, Mode.PHONON), (Mode.PHONON, Mode.ATOM))
 
 #: Requested pairs as (label, modes), in order.
-_Parsed = list[tuple[str, tuple[Mode, Mode]]]
+_Parsed = Sequence[tuple[str, tuple[Mode, Mode]]]
 
 
 def _axis_setter(param: Param) -> Callable[[SystemParams, float], SystemParams]:
@@ -202,11 +209,11 @@ class Reports(Sequence[PointReport]):
             label: EntanglementReport(pair, _known(nu), _known(e_n))
             for (label, pair), nu, e_n in zip(self.pairs, nus, e_ns)
         }
-        margin, efficiency, deviation = (
-            _known(x.item(k)) for x in (self.margin, self.efficiency, self.oracle_deviation)
+        return PointReport(
+            self.stable.item(k), _known(self.margin.item(k)), entanglement,
+            _known(self.efficiency.item(k)), state_at(self.state, k),
+            _known(self.oracle_deviation.item(k)), self.error[k],
         )
-        stable, state, error = self.stable.item(k), state_at(self.state, k), self.error[k]
-        return PointReport(stable, margin, entanglement, efficiency, state, deviation, error)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Sequence) and list(self) == list(other)
@@ -263,7 +270,16 @@ def _parse_pairs(raw: Any) -> _Parsed:
     labels = () if isinstance(raw, (str, Mapping)) or not isinstance(raw, Iterable) else tuple(raw)
     if not labels:
         raise ConfigError("pairs must be a non-empty list of labels")
-    parsed: _Parsed = []
+    try:
+        return _parsed(labels)
+    except TypeError:  # an unhashable label, so not a string: refused, uncached
+        return _parsed.__wrapped__(labels)
+
+
+@functools.lru_cache(maxsize=64)
+def _parsed(labels: tuple[Any, ...]) -> _Parsed:
+    """:func:`_parse_pairs` of a tuple of labels, kept per tuple unless it raises."""
+    parsed: list[tuple[str, tuple[Mode, Mode]]] = []
     for item in labels:
         if not isinstance(item, str):
             raise ConfigError(f"pair label must be a string, got {item!r}")
@@ -274,7 +290,7 @@ def _parse_pairs(raw: Any) -> _Parsed:
         if any(label == item for label, _ in parsed):
             raise ConfigError(f"duplicate pair label {item!r}")
         parsed.append((item, pair))
-    return parsed
+    return tuple(parsed)
 
 
 def load_config(path: str | Path | None) -> RunConfig:
@@ -366,16 +382,26 @@ def _steady_state(
     # the 4x4 blocks of every pair at every point, as one stack; the V of a
     # failed point is undefined (NaN after a failed fallback), its nu_- unread
     n = len(pairs)
-    idx = np.array([mode1.rows + mode2.rows for mode1, mode2 in pairs])
-    blocks = v[:, idx[:, :, None], idx[:, None, :]].reshape(-1, 4, 4)
+    blocks = v.reshape(-1, DIM * DIM)[:, _pair_blocks(tuple(pairs))].reshape(-1, 4, 4)
     nu, block_errors = nu_minus_stack(blocks)
+    nu = nu.reshape(len(a), n)
+    if errors.count(None) == len(errors) and block_errors.count(None) == len(block_errors):
+        return v, nu, errors
     first_errors = [None if e is None else str(e) for e in errors]
     for j, error in enumerate(block_errors):
         if error is not None and first_errors[j // n] is None:
             first_errors[j // n] = str(error)
-    nu = nu.reshape(len(a), n)
-    nu[[e is not None for e in first_errors]] = np.nan
+    nu[[k for k, e in enumerate(first_errors) if e is not None]] = np.nan
     return v, nu, first_errors
+
+
+@functools.lru_cache(maxsize=64)
+def _pair_blocks(pairs: tuple[tuple[Mode, Mode], ...]) -> np.ndarray:
+    """Where the 4x4 block of each pair lies in a flattened V, (pairs * 16,)."""
+    idx = np.array([mode1.rows + mode2.rows for mode1, mode2 in pairs])
+    flat = (idx[:, :, None] * DIM + idx[:, None, :]).ravel()
+    flat.setflags(write=False)
+    return flat
 
 
 def _working_points(
@@ -390,16 +416,17 @@ def _working_points(
     and the stacks after it work in those units. Only max Re, which the
     reports' margin reads, is returned in rad/s.
     """
-    (scale,) = columns(params_list, "omega_b")
-    d = diffusion_stack(params_list) / scale[:, None, None]
-    branches, offsets = solve_semiclassics_stack(params_list)
+    table = columns(params_list)
+    scale = table[_OMEGA_B]
+    per_scale = scale[:, None, None]
+    d = diffusion_stack(table) / per_scale
+    branches, offsets = solve_semiclassics_stack(table)
     states = branches if len(branches) == len(scale) else branches[offsets[:-1]]
-    a = drift_stack(params_list, states) / scale[:, None, None]
-    if not (np.isfinite(a).all() and np.isfinite(d).all()):
+    a = drift_stack(table, states) / per_scale
+    if np.count_nonzero(np.isfinite(a) & np.isfinite(d)) < a.size:
         raise NumericalError("non-finite entry in the drift or diffusion matrix")
     eigs, vecs, max_real = stability_stack(a)
-    unstable = ~(max_real < 0.0)
-    if len(branches) > len(scale) and np.count_nonzero(unstable):
+    if len(branches) > len(scale) and np.count_nonzero(unstable := ~(max_real < 0.0)):
         # every later branch of every point whose first branch is unstable, in
         # point order, screened by its eigenvalues alone
         owner = np.repeat(np.arange(len(scale)), np.diff(offsets))
@@ -407,8 +434,8 @@ def _working_points(
         later[offsets[:-1]] = False
         tries = later.nonzero()[0]
         points = owner[tries]
-        a_tries = drift_stack(take(params_list, points), branches[tries])
-        a_tries /= scale[points, None, None]
+        a_tries = drift_stack(table[:, points], branches[tries])
+        a_tries /= per_scale[points]
         try:
             screen = np.linalg.eigvals(a_tries).real.max(axis=-1)
         except np.linalg.LinAlgError as exc:
@@ -433,24 +460,27 @@ def _solve_chunk(points: Points, parsed: _Parsed, oracle: bool) -> Reports:
     """
     d, states, a, eigs, vecs, max_real = _working_points(points)
     stable = max_real < 0.0
-    keep = slice(None) if stable.all() else stable
+    # the rows stage 2 solves: all, as a slice that copies nothing, or the stable ones
+    rows = slice(None) if np.count_nonzero(stable) == len(stable) else stable.nonzero()[0]
     v, nu, errors = _steady_state(
-        a[keep], d[keep], eigs[keep], vecs[keep], [pair for _, pair in parsed]
+        a[rows], d[rows], eigs[rows], vecs[rows], [pair for _, pair in parsed]
     )
     measured, error = nu, np.array(errors, dtype=object)
-    if keep is stable:  # some points are unstable: place the stable ones' rows
+    if not isinstance(rows, slice):  # some points are unstable: place the stable ones' rows
         measured = np.full((len(states), len(parsed)), np.nan)
-        measured[stable], error = nu, np.full(len(states), None, dtype=object)
-        error[stable] = errors
+        measured[rows], error = nu, np.full(len(states), None, dtype=object)
+        error[rows] = errors
     deviation = np.full(len(states), np.nan)
-    ok = np.equal(errors, None) if oracle else []
-    solved = stable.nonzero()[0][ok] if oracle else []
-    if len(solved):
-        rows, v = (slice(None), v) if len(solved) == len(states) else (solved, v[ok])
+    solved = [k for k, e in enumerate(errors) if e is None] if oracle else []
+    if solved:
+        if len(solved) < len(errors):
+            v, rows = v[solved], np.arange(len(states))[rows][solved]
         v_oracle, oracle_errors = solve_lyapunov_vech_stack(a[rows], d[rows])
         # NaN, no deviation, where the oracle failed and left its V NaN
-        deviation[solved] = _frobenius(v - v_oracle) / _frobenius(v)
-        error[solved] = [None if e is None else f"oracle: {e}" for e in oracle_errors]
+        norms = _frobenius(np.concatenate((v - v_oracle, v)))
+        deviation[rows] = norms[: len(v)] / norms[len(v) :]
+        if oracle_errors.count(None) < len(oracle_errors):
+            error[rows] = [None if e is None else f"oracle: {e}" for e in oracle_errors]
     return _reports(parsed, error, max_real, states, measured, deviation)
 
 

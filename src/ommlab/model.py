@@ -194,6 +194,11 @@ class SystemParams:
             if not self.p_laser > 0.0:
                 raise DomainError("derived coupling mode needs strictly positive p_laser")
 
+    @property
+    def derived(self) -> bool:
+        """The coupling mode as the flag that a point table reads."""
+        return self.coupling_mode == "derived"
+
 
 @dataclass(frozen=True)
 class SweptParams:
@@ -218,17 +223,29 @@ class SweptParams:
 #: The points of a stack: parameter sets, or a base set and swept columns.
 Points = Sequence[SystemParams] | SweptParams
 
+#: The rows of a point table, see :func:`columns`: every field of
+#: :class:`SystemParams` in field order, the coupling mode as the flag ``derived``.
+TABLE_FIELDS = tuple("derived" if p.field == "coupling_mode" else p.field for p in PARAM_TABLE)
+_READ = operator.attrgetter(*TABLE_FIELDS)
+_ROW = {field: k for k, field in enumerate(TABLE_FIELDS)}
 
-def columns(points: Points, *fields: str, dtype: type = float) -> np.ndarray:
-    """The named fields of N points, one (N,) row per field of ``dtype``: how a
-    stack reads its points. As floats, flags read as 0.0 and 1.0 and None as NaN."""
+
+def rows(*fields: str) -> np.ndarray:
+    """The rows of ``fields`` in a point table."""
+    return np.array([_ROW[field] for field in fields])
+
+
+def columns(points: Points) -> np.ndarray:
+    """The point table of N points, (len(TABLE_FIELDS), N): row k holds field
+    ``TABLE_FIELDS[k]`` of each point, flags as 0.0 and 1.0 and None as NaN.
+    A stack reads its points once, here; its builders take rows of the table."""
     if isinstance(points, SweptParams):
-        n, base, swept = len(points), points.base, points.swept
-        return np.array(
-            [swept[f] if f in swept else np.full(n, getattr(base, f)) for f in fields], dtype
-        )
-    get = operator.attrgetter(*fields)
-    return np.array([get(p) for p in points], dtype).reshape(len(points), len(fields)).T
+        table = np.empty((len(TABLE_FIELDS), len(points)))
+        table[:] = np.array(_READ(points.base), float)[:, None]
+        for field, values in points.swept.items():
+            table[_ROW[field]] = values
+        return table
+    return np.array([_READ(p) for p in points], float).reshape(-1, len(TABLE_FIELDS)).T
 
 
 def take(points: Points, index: Sequence[int]) -> Points:
@@ -258,7 +275,8 @@ def _occupation(omega: _Real, temperature: _Real) -> _Real:
     the smallest normal float long before that).
     """
     cold = temperature == 0.0
-    x = _hbar * omega / (_k_boltzmann * np.where(cold, 1.0, temperature))
+    # T, or 1 where T = 0, which the next line sends to infinity: no division by zero
+    x = _hbar * omega / (_k_boltzmann * (temperature + cold))
     # an infinite exponent gives exactly 0.0, without overflow
     return 1.0 / np.expm1(np.where(cold | (x > _BOSE_OVERFLOW_CUTOFF), np.inf, x))
 
@@ -368,6 +386,7 @@ __all__ = [
     "PARAM_KEYS",
     "PARAM_TABLE",
     "Param",
+    "TABLE_FIELDS",
     "SweptParams",
     "SystemParams",
     "TWO_PI",
@@ -375,4 +394,5 @@ __all__ = [
     "config_snapshot",
     "default_params",
     "params_from_mapping",
+    "rows",
 ]

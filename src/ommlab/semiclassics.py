@@ -56,9 +56,7 @@ from typing import Any, Iterable
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateOperatingPointError, NumericalError
-from .model import (
-    Points, SystemParams, _check, _drive, _rabi, _Real, columns, take,
-)
+from .model import SystemParams, _check, _drive, _rabi, _Real, columns, rows
 
 logger = logging.getLogger(__name__)
 
@@ -123,6 +121,9 @@ STATE_DTYPE = np.dtype([
 
 #: The record of no state.
 _NO_STATE = (math.nan,) * 9 + (0, math.nan)
+
+#: A direct-mode state before its couplings, detunings, drive and Rabi frequency.
+_DIRECT_STATE = np.array((0.0, math.nan, math.nan, 0, 0, 0, 0, 0, 0, 0, math.nan), STATE_DTYPE)
 
 
 def _states(n: int, *fields: Any) -> np.ndarray:
@@ -257,6 +258,13 @@ def effective_couplings(
     return 1j * root2 * g_c * c2_avg, 1j * root2 * g_m * m_avg
 
 
+_DISPLACEMENT_ROWS = rows(
+    "omega_b", "g_c", "g_m", "kappa_m", "delta_m", "delta_c2", "delta_c2_sign", "eq9_verbatim",
+    "kappa_a", "kappa_c1", "kappa_c2", "delta_a", "delta_c1", "g_n1", "g_n2", "p_laser",
+    "lambda_laser", "b_field", "v_yig", "rho_spin",
+)
+
+
 class _Displacement:
     """The displacement map of a stack of derived-mode points,
 
@@ -269,18 +277,13 @@ class _Displacement:
     ``eq9_verbatim``. Every parameter and coefficient is an (N,) column.
     """
 
-    def __init__(self, params_list: Points) -> None:
+    def __init__(self, table: np.ndarray) -> None:
         (
             self.omega_b, self.g_c, self.g_m, self.kappa_m, self.delta_m, delta_c2, sign,
             verbatim, self.kappa_a, self.kappa_c1, self.kappa_c2, self.delta_a,
             self.delta_c1, self.g_n1, self.g_n2, p_laser, lambda_laser, b_field, v_yig,
             rho_spin,
-        ) = columns(
-            params_list, "omega_b", "g_c", "g_m", "kappa_m", "delta_m", "delta_c2",
-            "delta_c2_sign", "eq9_verbatim", "kappa_a", "kappa_c1", "kappa_c2", "delta_a",
-            "delta_c1", "g_n1", "g_n2", "p_laser", "lambda_laser", "b_field", "v_yig",
-            "rho_spin",
-        )
+        ) = table[_DISPLACEMENT_ROWS]
         self.delta_c2_signed = sign * delta_c2
         self.drive_e = _drive(p_laser, self.kappa_c2, lambda_laser)
         self.rabi = _rabi(b_field, v_yig, rho_spin)
@@ -391,11 +394,11 @@ class _Displacement:
         return q, steps
 
 
-def _derived_branches(params_list: Points) -> tuple[np.ndarray, np.ndarray]:
+def _derived_branches(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The branches of a stack of derived-mode points and their offsets, as
     :func:`solve_semiclassics_stack` returns them: the roots of q = F(q) with
     F' < 1, ordered by |F'|, each with its amplitudes and couplings."""
-    disp = _Displacement(params_list)
+    disp = _Displacement(table)
     roots, steps = disp.roots()
     with np.errstate(invalid="ignore"):
         slope = disp(roots)[1]
@@ -409,7 +412,7 @@ def _derived_branches(params_list: Points) -> tuple[np.ndarray, np.ndarray]:
     )
     taken = np.arange(5) < counts[:, None]
     q, steps = roots[order][taken], steps[order][taken]
-    pt = np.repeat(np.arange(len(params_list)), counts)
+    pt = np.repeat(np.arange(len(counts)), counts)
 
     delta_m_eff = disp.delta_m[pt] + disp.g_m[pt] * q
     delta_c2_eff = disp.delta_c2_signed[pt] - disp.g_c[pt] * q
@@ -428,24 +431,34 @@ def _derived_branches(params_list: Points) -> tuple[np.ndarray, np.ndarray]:
     return states, np.concatenate([[0], np.cumsum(counts)])
 
 
-def _direct_branches(params_list: Points) -> tuple[np.ndarray, np.ndarray]:
+_DERIVED = rows("derived")[0]
+_DIRECT_ROWS = rows(
+    "g_c_eff", "g_mb_eff", "delta_c2_sign", "delta_c2", "delta_m", "p_laser", "kappa_c2",
+    "lambda_laser", "b_field", "v_yig", "rho_spin",
+)
+
+
+def _direct_branches(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The one branch of each point of a direct-mode stack and their offsets:
     the configured effective couplings at face value, with zero static
     displacement."""
     g_c, g_mb, sign, delta_c2, delta_m, p_laser, kappa_c2, wavelength, b_field, v_yig, rho = (
-        columns(params_list, "g_c_eff", "g_mb_eff", "delta_c2_sign", "delta_c2", "delta_m",
-                "p_laser", "kappa_c2", "lambda_laser", "b_field", "v_yig", "rho_spin")
+        table[_DIRECT_ROWS]
     )
+    states = _DIRECT_STATE.repeat(len(g_c))
     # an unset b_field reads as NaN, and so does its Rabi frequency
-    states = _states(
-        len(g_c), 0.0, math.nan, math.nan, g_c, g_mb, sign * delta_c2, delta_m,
-        _drive(p_laser, kappa_c2, wavelength), _rabi(b_field, v_yig, rho), 0, math.nan,
-    )
+    for name, values in (
+        ("g_c_eff", g_c), ("g_mb_eff", g_mb), ("delta_c2_eff", sign * delta_c2),
+        ("delta_m_eff", delta_m), ("drive_e", _drive(p_laser, kappa_c2, wavelength)),
+        ("rabi", _rabi(b_field, v_yig, rho)),
+    ):
+        states[name] = values
     return states, np.arange(len(g_c) + 1)
 
 
-def solve_semiclassics_stack(params_list: Points) -> tuple[np.ndarray, np.ndarray]:
-    """Working-point branches for a stack of points, as columns.
+def solve_semiclassics_stack(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Working-point branches for a stack of points, from their point table
+    (:func:`ommlab.model.columns`), as columns.
 
     Returns a state column of every point's branches, one point after
     another (B,), and the offsets (N + 1,) at which each point's branches
@@ -454,13 +467,14 @@ def solve_semiclassics_stack(params_list: Points) -> tuple[np.ndarray, np.ndarra
     together, as the module docstring describes; an error at any of them
     raises for the stack.
     """
-    (derived,) = columns(params_list, "coupling_mode", dtype=str) == "derived"
+    derived = table[_DERIVED] != 0.0
     n_derived = np.count_nonzero(derived)
     if n_derived in (0, len(derived)):
-        return (_derived_branches if n_derived else _direct_branches)(params_list)
+        return (_derived_branches if n_derived else _direct_branches)(table)
     (states, offsets), (direct, _) = (
-        branches(take(params_list, rows.nonzero()[0]))
-        for rows, branches in ((derived, _derived_branches), (~derived, _direct_branches))
+        branches(table[:, rows]) for rows, branches in (
+            (derived, _derived_branches), (~derived, _direct_branches)
+        )
     )
     counts = np.ones(len(derived), dtype=int)
     counts[derived] = np.diff(offsets)
@@ -476,7 +490,7 @@ def solve_semiclassics(params: SystemParams) -> SemiclassicalState:
     In derived mode this need not be the working point the harness keeps
     (see the module docstring).
     """
-    return state_at(solve_semiclassics_stack([params])[0], 0)
+    return state_at(solve_semiclassics_stack(columns([params]))[0], 0)
 
 
 __all__ = [

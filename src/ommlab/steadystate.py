@@ -52,6 +52,8 @@ from .errors import (
     StabilityError,
 )
 
+_EPS = np.finfo(float).eps
+
 #: Relative Frobenius residual allowed on the Lyapunov equation.
 _RESIDUAL_RTOL = 1e-10
 
@@ -85,17 +87,13 @@ def _transpose(x: np.ndarray) -> np.ndarray:
     return x.swapaxes(-1, -2)
 
 
-def _max_abs_scale(x: np.ndarray) -> np.ndarray:
-    """max(1, max |X|) of each matrix in a stack."""
-    return np.maximum(1.0, np.abs(x).max(axis=(-2, -1)))
-
-
 def _asymmetric(x: np.ndarray) -> np.ndarray:
     """Which matrices of a stack are not symmetric to 1e-10 of max(1, max |X|),
     the floor read in the stack's own unit."""
-    if (x == _transpose(x)).all():  # exactly symmetric, as built here: two passes, not six
+    if not np.count_nonzero(x != _transpose(x)):  # exactly symmetric, as built here
         return np.zeros(x.shape[:-2], dtype=bool)
-    return np.abs(x - _transpose(x)).max(axis=(-2, -1)) > 1e-10 * _max_abs_scale(x)
+    scale = np.maximum(1.0, np.abs(x).max(axis=(-2, -1)))
+    return np.abs(x - _transpose(x)).max(axis=(-2, -1)) > 1e-10 * scale
 
 
 def _require_symmetric(arr: np.ndarray, name: str) -> None:
@@ -145,12 +143,13 @@ def _eigenbasis_solve(lam: np.ndarray, vecs: np.ndarray, d: np.ndarray) -> np.nd
                 vecs_inv[i] = np.linalg.inv(s)
             except np.linalg.LinAlgError:
                 pass
-    cond = np.abs(vecs).sum(axis=-2).max(axis=-1) * np.abs(vecs_inv).sum(axis=-2).max(axis=-1)
+    # ||S||_1 and ||S^-1||_1, from one pass over [S, S^-1]
+    norms = np.abs(np.concatenate((vecs, vecs_inv), axis=-1)).sum(axis=-2)
+    norms = norms.reshape(len(vecs), 2, vecs.shape[-1]).max(axis=-1)
     c = vecs_inv @ d @ _transpose(vecs_inv.conj())
     w = -c / (lam[:, :, None] + lam.conj()[:, None, :])
     raw = (vecs @ w @ _transpose(vecs.conj())).real
-    raw[~(cond <= _EIGENBASIS_COND_MAX)] = np.nan
-    return raw
+    return np.where((norms[:, 0] * norms[:, 1] <= _EIGENBASIS_COND_MAX)[:, None, None], raw, np.nan)
 
 
 def _schur_solve(a: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -168,23 +167,27 @@ def _schur_solve(a: np.ndarray, d: np.ndarray) -> np.ndarray:
         raise NumericalError(f"Schur-based Lyapunov solve failed: {exc}") from exc
 
 
-def _symmetrized(raw: np.ndarray) -> np.ndarray:
-    """0.5 (V + V^T) of each matrix, with roundoff-level entries set to zero.
+def _symmetrized(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """0.5 (V + V^T) of each matrix, with roundoff-level entries set to zero,
+    max |V - V^T| and max(1, max |0.5 (V + V^T)|).
 
     Entries within machine epsilon of max(1, max |V|) of their own matrix are
     below the solve's own forward error. Clearing them keeps structural zeros
     of V (decoupled quadratures) free of roundoff that would otherwise depend
     on the scale.
     """
-    v = 0.5 * (raw + _transpose(raw))
-    floor = np.finfo(float).eps * _max_abs_scale(v)
-    v[np.abs(v) <= floor[..., None, None]] = 0.0
-    return v
+    raw_t = _transpose(raw)
+    v = 0.5 * (raw + raw_t)
+    abs_v = np.abs(v)
+    scale = np.maximum(1.0, abs_v.max(axis=(-2, -1)))
+    v = np.where(abs_v <= _EPS * scale[:, None, None], 0.0, v)
+    return v, np.abs(raw - raw_t).max(axis=(-2, -1)), scale
 
 
 def _frobenius(x: np.ndarray) -> np.ndarray:
     """||X||_F of each matrix of an (N, n, n) stack (einsum: half the time of
-    x * x and a reduce on (128, 10, 10) stacks)."""
+    x * x and a reduce on (128, 10, 10) stacks), each bit for bit the same
+    whatever else is in the stack."""
     return np.sqrt(np.einsum("nij,nij->n", x, x))
 
 
@@ -193,8 +196,9 @@ def _relative_residual(a: np.ndarray, v: np.ndarray, d: np.ndarray) -> np.ndarra
     symmetric, as :func:`_symmetrized` leaves it; where D vanishes, the
     absolute residual, so that a NaN V still misses the gate."""
     av = a @ v
-    d_norm = _frobenius(d)
-    return _frobenius(av + _transpose(av) + d) / np.where(d_norm != 0.0, d_norm, 1.0)
+    norms = _frobenius(np.concatenate((av + _transpose(av) + d, d)))
+    d_norm = norms[len(a):]
+    return norms[: len(a)] / np.where(d_norm != 0.0, d_norm, 1.0)
 
 
 def solve_lyapunov_stack(
@@ -213,7 +217,7 @@ def solve_lyapunov_stack(
     point raises, or None.
     """
     raw = _eigenbasis_solve(eigenvalues, eigenvectors, d)
-    v = _symmetrized(raw)
+    v, asym, scale = _symmetrized(raw)
     residual = _relative_residual(a, v, d)
     over = ~(residual <= _RESIDUAL_RTOL)
     asymmetric_d = _asymmetric(d)
@@ -225,12 +229,12 @@ def solve_lyapunov_stack(
                 raw[i] = _schur_solve(a[i], d[i])
             except NumericalError as exc:
                 errors[i] = exc
-        v[missed] = _symmetrized(raw[missed])
+        v[missed], asym[missed], scale[missed] = _symmetrized(raw[missed])
         residual[missed] = _relative_residual(a[missed], v[missed], d[missed])
         over = ~(residual <= _RESIDUAL_RTOL)
-    asym = np.abs(raw - _transpose(raw)).max(axis=(-2, -1))
-    warn = asym > _ASYMMETRY_RTOL * _max_abs_scale(raw)
-    negative = (v.diagonal(axis1=-2, axis2=-1) < 0.0).any(axis=-1)
+    # max |V| <= max |raw V|: below the bound on the first, below it on the second
+    warn = asym > _ASYMMETRY_RTOL * scale
+    negative = v.diagonal(axis1=-2, axis2=-1).min(axis=-1) < 0.0
     for i in (asymmetric_d | over | warn | negative).nonzero()[0]:
         if asymmetric_d[i]:
             errors[i] = DomainError("diffusion must be symmetric")
@@ -242,7 +246,7 @@ def solve_lyapunov_stack(
                 f"{_RESIDUAL_RTOL:.0e} ||D||_F"
             )
             continue
-        if warn[i]:
+        if warn[i] and asym[i] > _ASYMMETRY_RTOL * max(1.0, np.abs(raw[i]).max()):
             warnings.warn(
                 f"Lyapunov solution asymmetry {asym[i]:.3e} exceeds "
                 f"{_ASYMMETRY_RTOL:.0e} of max |V|; solve may be ill conditioned",
@@ -298,19 +302,28 @@ def solve_lyapunov(
 
 @functools.cache
 def _vech_gathers(n: int) -> tuple[np.ndarray, ...]:
-    """Index tables of the Kronecker-form operator of n x n matrices: the rows
-    and columns (i, j), i <= j, of the m = n(n+1)/2 entries of vech V, then
-    for each sum in row (i, j) of A V + V A^T = sum_k A_ik V_kj + sum_k A_jk V_ik
-    the flat positions in the (m, m) operator it reaches and the flat indices
-    into A it puts there. The first gives v_pq the coefficient A_iq where
-    j = p, else A_ip where j = q; the second A_jq where i = p, else A_jp where
-    i = q. For n = 10 each reaches 550 of the 3025 entries, the two 955."""
+    """Index tables of the Kronecker-form operator of n x n matrices: the flat
+    position in V of each of the m = n(n+1)/2 entries of vech V, (i, j) with
+    i <= j, and the entry of vech V at each flat position; then for the two
+    sums in row (i, j) of A V + V A^T = sum_k A_ik V_kj + sum_k A_jk V_ik, the
+    flat positions in the (m, m) operator that the first reaches or the
+    second alone, with the flat indices into A they put there, and the
+    positions both reach, with the second's. The first gives v_pq the
+    coefficient A_iq where j = p, else A_ip where j = q; the second A_jq
+    where i = p, else A_jp where i = q. For n = 10 each reaches 550 of the
+    3025 entries, the two 955, both 145."""
     rows, cols = np.triu_indices(n)
     i, j, p, q = rows[:, None], cols[:, None], rows[None, :], cols[None, :]
     first = np.where(j == p, i * n + q, np.where(j == q, i * n + p, -1)).ravel()
     second = np.where(i == p, j * n + q, np.where(i == q, j * n + p, -1)).ravel()
-    at_first, at_second = np.flatnonzero(first >= 0), np.flatnonzero(second >= 0)
-    tables = (rows, cols, at_first, first[at_first], at_second, second[at_second])
+    unvech = np.empty((n, n), dtype=int)
+    unvech[rows, cols] = unvech[cols, rows] = np.arange(len(rows))
+    at_set = np.flatnonzero((first >= 0) | (second >= 0))
+    at_add = np.flatnonzero((first >= 0) & (second >= 0))
+    tables = (
+        rows * n + cols, unvech.ravel(), at_set,
+        np.where(first >= 0, first, second)[at_set], at_add, second[at_add],
+    )
     for table in tables:
         table.setflags(write=False)
     return tables
@@ -329,8 +342,8 @@ def solve_lyapunov_vech_stack(
     and per point None, or a :class:`NumericalError` and an all-NaN V where V
     is not finite."""
     n = a.shape[-1]
-    rows, cols, at_first, first, at_second, second = _vech_gathers(n)
-    m = len(rows)
+    vech, unvech, at_set, src_set, at_add, src_add = _vech_gathers(n)
+    m = len(vech)
     v = np.empty(a.shape)
     for start in range(0, len(a), _VECH_BLOCK):
         at = slice(start, start + _VECH_BLOCK)
@@ -338,10 +351,10 @@ def solve_lyapunov_vech_stack(
         # each sum gathered only where it reaches: 3 against 24 us a point for
         # two gathers of all m^2 entries from a zero-padded A, on blocks of 32
         op = np.zeros((len(flat), m * m))
-        op[:, at_first] = flat[:, first]
-        op[:, at_second] += flat[:, second]
+        op[:, at_set] = flat[:, src_set]
+        op[:, at_add] += flat[:, src_add]
         op = op.reshape(-1, m, m)
-        rhs = -d[at, rows, cols][..., None]
+        rhs = -d[at].reshape(-1, n * n)[:, vech, None]
         try:
             x = np.linalg.solve(op, rhs)
         except np.linalg.LinAlgError:
@@ -352,7 +365,7 @@ def solve_lyapunov_vech_stack(
                     x[k] = np.linalg.solve(op[k], rhs[k])
                 except np.linalg.LinAlgError:
                     pass
-        v[at, rows, cols] = v[at, cols, rows] = x[..., 0]
+        v[at] = x[:, unvech, 0].reshape(-1, n, n)
     errors: list[OmmlabError | None] = [None] * len(a)
     for i in (~np.isfinite(v).all(axis=(-2, -1))).nonzero()[0]:
         errors[i] = NumericalError(

@@ -17,7 +17,7 @@ from ommlab import (
     solve_semiclassics,
 )
 from ommlab.dynamics import DIM, DriftMatrix, diffusion_stack, drift_stack, stability_stack
-from ommlab.model import TWO_PI
+from ommlab.model import TWO_PI, columns
 from ommlab.semiclassics import solve_semiclassics_stack, state_at
 from references import occupation
 
@@ -174,7 +174,7 @@ class TestDriftStack:
             {}, DERIVED, LATER_BRANCH, {"T": 0.0}, {"g_c_eff_hz": 0.0},
         ):
             p = default_params(**overrides)
-            states, offsets = solve_semiclassics_stack([p])
+            states, offsets = solve_semiclassics_stack(columns([p]))
             assert offsets.tolist() == [0, len(states)]
             params_list += [p] * len(states)
             branches.append(states)
@@ -183,12 +183,13 @@ class TestDriftStack:
     def test_stacks_equal_their_stacks_of_one(self):
         params_list, states = self.mixed_stack()
         assert len(states) == 8
-        a, d = drift_stack(params_list, states), diffusion_stack(params_list)
+        table = columns(params_list)
+        a, d = drift_stack(table, states), diffusion_stack(table)
         assert a.shape == d.shape == (8, DIM, DIM)
         for i, p in enumerate(params_list):
-            assert a[i].tobytes() == drift_stack([p], states[i : i + 1])[0].tobytes()
+            assert a[i].tobytes() == drift_stack(columns([p]), states[i : i + 1])[0].tobytes()
             assert a[i].tobytes() == build_drift(p, state_at(states, i)).a.tobytes()
-            assert d[i].tobytes() == diffusion_stack([p])[0].tobytes()
+            assert d[i].tobytes() == diffusion_stack(columns([p]))[0].tobytes()
             assert d[i].tobytes() == build_diffusion(p).d.tobytes()
 
     def test_coupling_phase(self):

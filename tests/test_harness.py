@@ -31,11 +31,12 @@ from ommlab import (
     write_pgm,
 )
 from ommlab import build_diffusion, build_drift, solve_semiclassics, steadystate
-from ommlab import DegenerateOperatingPointError, semiclassics
+from ommlab import DegenerateOperatingPointError, dynamics, semiclassics
 from ommlab.dynamics import drift_stack, stability_stack
 from ommlab import harness
 from ommlab.entanglement import nu_minus_stack, parse_pair
 from ommlab.harness import CHUNK_SIZE, SWEEP_AXES
+from ommlab.model import columns, config_snapshot, rows
 from ommlab.semiclassics import solve_semiclassics_stack, state_at
 from references import rabi
 
@@ -336,6 +337,28 @@ class TestDefaultPoint:
         assert report.error is None
         assert report.oracle_deviation <= 1e-9
 
+    @pytest.mark.parametrize("delta_c2, delta_m", [
+        (-1.7587378066359114, 0.7265917117738873),
+        (-1.6363456585699114, 1.3812595647101173),
+    ])
+    def test_stiff_census_points_match_the_schur_solve(self, delta_c2, delta_m):
+        # two eq9_verbatim points of the shifted-map census, where the
+        # Kronecker-form oracle is the outlier: stage 2 agrees with scipy's
+        # Bartels-Stewart solve to 2.0e-10 and 7.0e-11, the bound 5e-10
+        p = default_params(
+            eq9_verbatim=True, coupling_mode="derived", b_field_t=1.1e-3, g_c_hz=1.5e3,
+            delta_c2_over_wb=delta_c2, delta_m_over_wb=delta_m,
+        )
+        import scipy.linalg
+
+        d, _, a, eigs, vecs, max_real = harness._working_points([p])
+        assert max_real[0] < 0.0
+        v, _, errors = harness._steady_state(a, d, eigs, vecs, [parse_pair("ab")])
+        assert errors == [None]
+        reference = scipy.linalg.solve_continuous_lyapunov(a[0], -d[0])
+        assert np.linalg.norm(v[0] - reference) <= 5e-10 * np.linalg.norm(reference)
+        assert evaluate_point(p).error is None
+
     def test_oracle_deviation_is_tiny(self):
         report = evaluate_point(default_params(), pairs=("ab",), oracle=True)
         assert report.oracle_deviation is not None
@@ -367,6 +390,61 @@ class TestDefaultPoint:
             alone = evaluate_point(point, ("ab",), oracle=True)
             assert alone.oracle_deviation is not None
             assert alone.oracle_deviation == result.report_at(i).oracle_deviation
+
+    def test_jittered_oracle_points_are_the_same_alone_and_in_a_chunk(self):
+        # 16 points, each of the 15 parameters the benchmark's oracle points
+        # jitter moved by up to 20% as it moves them: each lone report, the
+        # oracle deviation included, is its row of one chunk of all 16
+        keys = (
+            "delta_a_over_wb", "delta_c1_over_wb", "delta_c2_over_wb", "delta_m_over_wb",
+            "g_c_eff_hz", "g_mb_eff_hz", "g_n1_hz", "g_n2_hz", "gamma_b_hz", "kappa_a_hz",
+            "kappa_c1_hz", "kappa_c2_hz", "kappa_m_hz", "omega_b_hz", "T",
+        )
+        base = config_snapshot(default_params())
+        rng = np.random.default_rng(7)
+        points = [
+            default_params(**{key: base[key] * rng.uniform(0.8, 1.2) for key in keys})
+            for _ in range(16)
+        ]
+        pairs = ("ab", "am", "c2b")
+        chunk = harness._evaluate_chunk(points, harness._parse_pairs(pairs), oracle=True)
+        assert sum(report.oracle_deviation is not None for report in chunk) >= 8
+        for point, row in zip(points, chunk):
+            assert repr(evaluate_point(point, pairs, oracle=True)) == repr(row)
+
+    @pytest.mark.parametrize("overrides", [{}, {
+        "coupling_mode": "derived", "b_field_t": 3.3e-3, "g_c_hz": 960, "g_m_hz": 280,
+        "p_laser_w": 4e-3, "delta_c2_over_wb": 0.28, "delta_m_over_wb": -2.3,
+        "delta_a_over_wb": 1.0, "delta_c1_over_wb": 1.8,
+    }], ids=["direct", "derived-later-branch"])
+    def test_a_lone_point_reads_its_parameters_once(self, overrides):
+        # one point table per stack: the drift of a later branch (the derived
+        # point keeps its second branch), too, takes its rows from it
+        with contextlib.ExitStack() as stack:
+            reads = [
+                stack.enter_context(mock.patch.object(owner, "columns", wraps=columns))
+                for owner in (harness, dynamics, semiclassics)
+            ]
+            report = evaluate_point(default_params(**overrides), oracle=True)
+        assert report.error is None and report.stable
+        assert sum(read.call_count for read in reads) == 1
+
+    def test_repeated_pairs_are_parsed_once(self):
+        # the parse of a tuple of labels is kept; a bad label raises every time
+        labels = ("c1m", "ab", "c2b")
+        harness._parsed.cache_clear()
+        with mock.patch.object(harness, "parse_pair", wraps=parse_pair) as parse:
+            first = harness._parse_pairs(list(labels))
+            assert parse.call_count == 3
+            second = harness._parse_pairs(labels)
+        assert parse.call_count == 3
+        assert second is first and isinstance(first, tuple)
+        assert first == tuple((label, parse_pair(label)) for label in labels)
+        for _ in range(2):
+            with pytest.raises(ConfigError, match="pair label 'xy'"):
+                harness._parse_pairs(("ab", "xy"))
+            with pytest.raises(ConfigError, match="duplicate pair label 'ab'"):
+                harness._parse_pairs(("ab", "ab"))
 
     def test_a_chunk_makes_four_oracle_solve_calls(self):
         base = default_params(delta_c2_over_wb=-0.8)
@@ -541,14 +619,14 @@ class TestWorkingPointBranches:
     @staticmethod
     def branches(p):
         """The state column of one point's branches."""
-        states, offsets = solve_semiclassics_stack([p])
+        states, offsets = solve_semiclassics_stack(columns([p]))
         assert offsets.tolist() == [0, len(states)]
         return states
 
     @staticmethod
     def margins(p, branches):
         """Each branch's stability margin (rad/s), from one drift stack and eig."""
-        a = drift_stack([p] * len(branches), branches) / p.omega_b
+        a = drift_stack(columns([p] * len(branches)), branches) / p.omega_b
         return list(-stability_stack(a)[2] * p.omega_b)
 
     @staticmethod
@@ -648,8 +726,8 @@ class TestWorkingPointBranches:
             dataclasses.replace(params, delta_c2=x * params.omega_b, delta_m=y * params.omega_b)
             for x in np.linspace(-2.0, 0.0, 41) for y in np.linspace(0.0, 2.0, 41)
         ]
-        states, offsets = solve_semiclassics_stack(points)
-        a = drift_stack(points, states[offsets[:-1]]) / params.omega_b
+        states, offsets = solve_semiclassics_stack(columns(points))
+        a = drift_stack(columns(points), states[offsets[:-1]]) / params.omega_b
         unstable = ~(stability_stack(a)[2] < 0.0)
         tries = int(np.sum(np.diff(offsets)[unstable] - 1))
         assert tries == 734
@@ -688,7 +766,7 @@ class TestWorkingPointBranches:
         for k, (p, branch) in enumerate(zip([later, two], kept)):
             assert states[k : k + 1].tobytes() == branch.tobytes()
             # stage 1 keeps drifts and eigenvalues in units of omega_b, max Re in rad/s
-            drift = drift_stack([p], branch) / p.omega_b
+            drift = drift_stack(columns([p]), branch) / p.omega_b
             np.testing.assert_array_equal(a[k], drift[0])
             found_eigs, found_vecs, found_max_real = stability_stack(drift)
             np.testing.assert_array_equal(eigs[k], found_eigs[0])
@@ -716,7 +794,7 @@ class TestWorkingPointBranches:
         parsed = [(label, parse_pair(label)) for label in DEFAULT_PAIRS]
         with pytest.warns(RuntimeWarning, match="overflow"):
             with pytest.raises(NumericalError, match="displacement polynomial"):
-                solve_semiclassics_stack([good, bad])
+                solve_semiclassics_stack(columns([good, bad]))
             first, error = harness._evaluate_chunk([good, bad], parsed)
         assert first == evaluate_point(good)
         assert error.error.startswith("displacement polynomial root solve failed")
@@ -754,7 +832,7 @@ class TestWorkingPointBranches:
         parsed = [(label, parse_pair(label)) for label in DEFAULT_PAIRS]
         bad = self.fail_at_bad(monkeypatch)
         with pytest.raises(DegenerateOperatingPointError):
-            solve_semiclassics_stack([good, bad, good])
+            solve_semiclassics_stack(columns([good, bad, good]))
         first, error, last = harness._evaluate_chunk([good, bad, good], parsed)
         assert error.error == "magnon response denominator vanishes"
         assert error.state is None and error.margin is None and not error.stable
@@ -1057,7 +1135,7 @@ class TestRunSweep:
             assert {"stable", "unstable"} in chunks
             assert "error" not in kinds
             assert any(
-                solve_semiclassics_stack([point_at(index)])[1][1] > 1
+                solve_semiclassics_stack(columns([point_at(index)]))[1][1] > 1
                 for index, kind in enumerate(kinds) if kind == "unstable"
             )
 
@@ -1289,11 +1367,10 @@ class TestStackedCore:
         parsed = self.PARSED
         build = harness.drift_stack
 
-        def nan_drift_at_point_1(params_list, states):
-            a = build(params_list, states)
-            for i, params in enumerate(params_list):
-                if params is points[1]:
-                    a[i, 3, 2] = np.nan
+        def nan_drift_at_point_1(table, states):
+            # point 1 is the only one at delta_m = -omega_b
+            a = build(table, states)
+            a[table[rows("delta_m")[0]] == points[1].delta_m, 3, 2] = np.nan
             return a
 
         with mock.patch.object(harness, "drift_stack", nan_drift_at_point_1):

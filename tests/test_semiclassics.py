@@ -27,7 +27,7 @@ from ommlab import (
 )
 from ommlab import semiclassics
 from ommlab.dynamics import stability_stack
-from ommlab.model import TWO_PI
+from ommlab.model import TWO_PI, columns
 import references
 
 
@@ -215,10 +215,10 @@ class TestSolveSemiclassicsDirect:
             default_params(T=0.0),
             default_params(delta_c2_sign=1.0),
         ]
-        stack, offsets = semiclassics.solve_semiclassics_stack(points)
+        stack, offsets = semiclassics.solve_semiclassics_stack(columns(points))
         assert offsets.tolist() == [0, 1, 2, 3, 4]
         for k, p in enumerate(points):
-            alone, alone_offsets = semiclassics.solve_semiclassics_stack([p])
+            alone, alone_offsets = semiclassics.solve_semiclassics_stack(columns([p]))
             assert alone_offsets.tolist() == [0, 1]
             reference = semiclassics.SemiclassicalState(
                 q_avg=0.0, m_avg=None, c2_avg=None, g_c_eff=complex(p.g_c_eff),
@@ -325,7 +325,7 @@ class TestSolveSemiclassicsDerived:
         )
         with caplog.at_level(logging.WARNING, logger=semiclassics.__name__):
             branches, offsets = semiclassics.solve_semiclassics_stack(
-                [default_params(**self.OVERRIDES)]
+                columns([default_params(**self.OVERRIDES)])
             )
             assert offsets.tolist() == [0, 3]
             assert all(m == pytest.approx(1e-6, rel=1e-5) for m in branches["c2_mismatch"])
@@ -341,7 +341,7 @@ class TestSolveSemiclassicsDerived:
         # the working point is a stack of one: one stacked 3x3 LU
         # cross-checks the closed form at all of its branches
         p = default_params(**self.OVERRIDES)
-        assert semiclassics.solve_semiclassics_stack([p])[1].tolist() == [0, 3]
+        assert semiclassics.solve_semiclassics_stack(columns([p]))[1].tolist() == [0, 3]
         with mock.patch.object(
             semiclassics.np.linalg, "solve", wraps=np.linalg.solve
         ) as solve:
@@ -426,9 +426,9 @@ class TestDisplacementRoots:
             b_field_t=1.1e-3 * b_field, g_c_hz=1.5e3 * g_c, g_m_hz=20.0 * g_m,
             delta_c2_over_wb=delta_c2, delta_m_over_wb=delta_m,
         )
-        roots = semiclassics._Displacement([p]).roots()[0][0]
+        roots = semiclassics._Displacement(columns([p])).roots()[0][0]
         roots = roots[np.isfinite(roots)]
-        branches, offsets = semiclassics.solve_semiclassics_stack([p])
+        branches, offsets = semiclassics.solve_semiclassics_stack(columns([p]))
         assert offsets.tolist() == [0, len(branches)]
         branch_q = branches["q_avg"]
 
@@ -492,7 +492,7 @@ class TestDisplacementRoots:
         # the companion eigenvalues are close to the roots already, so the
         # polish takes a few Newton steps, not the fixed point's dozen
         branches, offsets = semiclassics.solve_semiclassics_stack(
-            [default_params(**self.OVERRIDES)]
+            columns([default_params(**self.OVERRIDES)])
         )
         assert offsets.tolist() == [0, 3]
         assert all(1 <= n <= 3 for n in branches["iterations"].tolist())
