@@ -51,8 +51,15 @@ ROWS = {
         "its Reports built and read"),
     "oracle_stack_point_us": ("us", "lower", "the oracle stack on the default point"),
     "oracle_stack_chunk_us_per_pt": (
-        "us", "lower", "the oracle stack on the map's first chunk, per point"),
+        "us", "lower", "the oracle stack on the map's first chunk, per point, "
+        "timed over 25 calls"),
+    "stage1_derived_chunk_us_per_pt": (
+        "us", "lower", "stage 1 on the derived map's first chunk, per point, "
+        "timed over 25 calls"),
     "sweep_pts_per_s": ("1/s", "higher", "run_sweep of the detuning map, threads=1"),
+    "sweep_failing_pts_per_s": (
+        "1/s", "higher", "the same with a NaN at drift entry (3, 2) of every point at the "
+        "18th delta_c1 value, one point per grid row"),
     "sweep_oracle_pts_per_s": ("1/s", "higher", "the same with oracle=True"),
     "sweep_oracle_over_plain": (
         "ratio", "lower", "time of the sweep with the oracle over the plain sweep"),
@@ -78,6 +85,17 @@ def _oracle_stack(steadystate):
 #: The derived-mode reference point: every branch of it solved, the first kept.
 DERIVED = {"coupling_mode": "derived", "b_field_t": 1.1e-3, "g_c_hz": 1.5e3}
 
+#: Calls of a chunk row per timing: one slow call moves it by a 25th.
+CHUNK_CALLS = 25
+
+
+def _grid_points(params, spec, setters):
+    """The points of a 2D sweep, row-major, each set as a lone point is."""
+    return [
+        setters[spec.axis2.name](setters[spec.axis1.name](params, float(x)), float(y))
+        for x in spec.axis1.values() for y in spec.axis2.values()
+    ]
+
 
 def worker(calls: int, grid: int) -> dict[str, float]:
     """One timing of every row in this process, on the ommlab it imports."""
@@ -85,24 +103,26 @@ def worker(calls: int, grid: int) -> dict[str, float]:
 
     from ommlab import default_params, entanglement, evaluate_point, harness, steadystate
     from ommlab.harness import CHUNK_SIZE, DEFAULT_PAIRS, SWEEP_AXES, Axis, SweepSpec, run_sweep
+    from ommlab.model import rows as table_rows
 
     params = default_params()
     derived = default_params(**DERIVED)
     spec = SweepSpec(Axis("delta_a_over_wb", -2.0, 0.0, grid),
                      Axis("delta_c1_over_wb", 0.0, 2.0, grid))
-    chunk = [
-        SWEEP_AXES["delta_c1_over_wb"](SWEEP_AXES["delta_a_over_wb"](params, float(x)), float(y))
-        for x in spec.axis1.values() for y in spec.axis2.values()
-    ][:CHUNK_SIZE]
+    chunk = _grid_points(params, spec, SWEEP_AXES)[:CHUNK_SIZE]
+    derived_spec = SweepSpec(Axis("delta_c2_over_wb", -2.0, 0.0, grid),
+                             Axis("delta_m_over_wb", 0.0, 2.0, grid))
+    derived_chunk = _grid_points(derived, derived_spec, SWEEP_AXES)[:CHUNK_SIZE]
     oracle = _oracle_stack(steadystate)
     # stage 1's drifts, diffusions and eigenvalues, in units of omega_b
     stacks = [
         (a, d, eigs)
-        for d, _, a, eigs, _, _ in map(harness._working_points, ([params], chunk))
+        for d, _, a, eigs, *_ in map(harness._working_points, ([params], chunk))
     ]
 
     # the default point's stages, fed as harness feeds them
-    d, states, a, eigs, vecs, max_real = harness._working_points([params])
+    # checkouts whose stage 1 keeps its errors per point return them seventh
+    d, states, a, eigs, vecs, max_real = harness._working_points([params])[:6]
     v, lyapunov_errors = steadystate.solve_lyapunov_stack(a, d, eigs, vecs)
     rows = np.array([m1.rows + m2.rows for m1, m2 in map(entanglement.parse_pair, DEFAULT_PAIRS)])
     blocks = v[:, rows[:, :, None], rows[:, None, :]].reshape(-1, 4, 4)
@@ -112,6 +132,24 @@ def worker(calls: int, grid: int) -> dict[str, float]:
     def report():
         parsed = harness._parse_pairs(DEFAULT_PAIRS)
         return harness._reports(parsed, errors, max_real, states, nu)[0]
+
+    # the failing map: its drifts as stage 1 builds them, with a NaN at every
+    # point of the 18th delta_c1 value
+    build = harness.drift_stack
+    nan_at = float(spec.axis2.values()[min(17, grid - 1)]) * params.omega_b
+    delta_c1 = table_rows("delta_c1")[0]
+
+    def failing_drift(table, states):
+        a = build(table, states)
+        a[table[delta_c1] == nan_at, 3, 2] = np.nan
+        return a
+
+    def failing_sweep():
+        harness.drift_stack = failing_drift
+        try:
+            return run_sweep(params, spec, ("ab", "am"))
+        finally:
+            harness.drift_stack = build
 
     timed = {
         "point_us": (lambda: evaluate_point(params), calls, 1e6),
@@ -124,8 +162,11 @@ def worker(calls: int, grid: int) -> dict[str, float]:
         "report_point_us": (report, calls, 1e6),
         "oracle_stack_point_us": (lambda: oracle(*stacks[0]), calls, 1e6),
         "oracle_stack_chunk_us_per_pt": (
-            lambda: oracle(*stacks[1]), max(1, calls // len(chunk)), 1e6 / len(chunk)),
+            lambda: oracle(*stacks[1]), CHUNK_CALLS, 1e6 / len(chunk)),
+        "stage1_derived_chunk_us_per_pt": (
+            lambda: harness._working_points(derived_chunk), CHUNK_CALLS, 1e6 / len(derived_chunk)),
         "sweep_s": (lambda: run_sweep(params, spec, ("ab", "am")), 1, 1.0),
+        "sweep_failing_s": (failing_sweep, 1, 1.0),
         "sweep_oracle_s": (lambda: run_sweep(params, spec, ("ab", "am"), oracle=True), 1, 1.0),
     }
     out = {}
@@ -136,6 +177,7 @@ def worker(calls: int, grid: int) -> dict[str, float]:
     return {
         **{name: out[name] for name in ROWS if name in out},
         "sweep_pts_per_s": points / out["sweep_s"],
+        "sweep_failing_pts_per_s": points / out["sweep_failing_s"],
         "sweep_oracle_pts_per_s": points / out["sweep_oracle_s"],
         "sweep_oracle_over_plain": out["sweep_oracle_s"] / out["sweep_s"],
     }

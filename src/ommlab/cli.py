@@ -104,7 +104,9 @@ def _cmd_stability(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     # the spectrum of the working point the harness keeps, which in derived
     # mode need not be the first branch solve_semiclassics returns
-    *_, eigs, _, max_real = _working_points([config.params])
+    *_, eigs, _, max_real, errors = _working_points([config.params])
+    if errors[0] is not None:
+        raise errors[0]
     max_real = float(max_real[0])
     print("eigenvalues (rad/s), sorted by real part:")
     for eig in eigs[0][np.lexsort((eigs[0].imag, eigs[0].real))] * config.params.omega_b:
@@ -152,13 +154,11 @@ def _cmd_selftest(_args: argparse.Namespace) -> int:
     # the harness: the pipeline's nu_- against the eigenvalue route on its V
     config = load_config(None)
     pairs = list(itertools.combinations(Mode, 2))
-    try:
-        d, _, a, eigs, vecs, _ = _working_points([config.params])
+    d, _, a, eigs, vecs, _, (error,) = _working_points([config.params])
+    if error is None:
         v, nu, errors = _steady_state(a, d, eigs, vecs, pairs)
         error = errors[0]
-    except OmmlabError as exc:
-        error = str(exc)
-    worst, detail = math.inf, error
+    worst, detail = math.inf, str(error)
     if error is None:
         rows = [mode1.rows + mode2.rows for mode1, mode2 in pairs]
         spectral = [nu_minus_via_partial_transpose(v[0][np.ix_(r, r)]) for r in rows]

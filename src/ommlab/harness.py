@@ -18,15 +18,16 @@ few that pass get a batched eigensolve with vectors, and a point keeps its
 earliest stable branch, else its first. ``ommlab stability`` prints the
 spectrum stage 1 keeps. Stage 2 solves the steady state of the stable
 points: one Lyapunov stack, in the eigenbases stage 1 found, then one nu_-
-stack over every requested pair. One failure rule holds throughout: an error
-that a stacked call raises for the chunk sends its halves through again, and
-at a chunk of one the error becomes the point's row; the Lyapunov solve and
-nu_- keep their errors per point. :func:`evaluate_point` is a stack of one;
-the requested pairs are parsed, and their blocks in V located, once per
-tuple. :func:`run_sweep` checks each axis value once and hands each chunk of
-:data:`CHUNK_SIZE` grid points to the stages as the base parameters plus one
-array per swept field; a stack's results come back as :class:`Reports`
-columns, which the writers read.
+stack over every requested pair. One failure rule holds throughout: every
+check keeps its failures per point, a batched call that raises is made again
+point by point within its block (:func:`ommlab.errors._batched`), and a point
+with an error is left out of the chunk's later batched calls, so that it
+keeps the first error of its pipeline, as its row. :func:`evaluate_point` is
+a stack of one; the requested pairs are parsed, and their blocks in V
+located, once per tuple. :func:`run_sweep` checks each axis value once and
+hands each chunk of :data:`CHUNK_SIZE` grid points to the stages as the base
+parameters plus one array per swept field; a stack's results come back as
+:class:`Reports` columns, which the writers read.
 """
 
 from __future__ import annotations
@@ -45,10 +46,10 @@ import numpy as np
 
 from .dynamics import DIM, diffusion_stack, drift_stack, stability_stack
 from .entanglement import EntanglementReport, Mode, _e_n, nu_minus_stack, parse_pair
-from .errors import ConfigError, DomainError, NumericalError, OmmlabError
+from .errors import ConfigError, DomainError, NumericalError, OmmlabError, _batched
 from .model import (
     PARAM_TABLE, Param, Points, SweptParams, SystemParams, _require_real, columns,
-    config_snapshot, params_from_mapping, rows, take,
+    config_snapshot, params_from_mapping, rows,
 )
 from .semiclassics import SemiclassicalState, solve_semiclassics_stack, state_at, state_column
 from .steadystate import _frobenius, solve_lyapunov_stack, solve_lyapunov_vech_stack
@@ -404,29 +405,32 @@ def _pair_blocks(pairs: tuple[tuple[Mode, Mode], ...]) -> np.ndarray:
     return flat
 
 
-def _working_points(
-    params_list: Points,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _working_points(params_list: Points) -> tuple[np.ndarray, ...]:
     """Stage 1 of the module docstring on a non-empty stack of valid
-    parameter sets; an :class:`OmmlabError` raised on the way raises for the
-    stack. Returns the diffusions (N, 10, 10), and each point's kept state as
-    a state column (N,), drift (N, 10, 10), eigenvalues (N, 10),
-    eigenvectors (N, 10, 10) and max Re (N,). This is where the units are
-    set: each point's drifts and diffusion are divided by its omega_b, once,
-    and the stacks after it work in those units. Only max Re, which the
-    reports' margin reads, is returned in rad/s.
+    parameter sets. Returns the diffusions (N, 10, 10), and each point's kept
+    state as a state column (N,), drift (N, 10, 10), eigenvalues (N, 10),
+    eigenvectors (N, 10, 10), max Re (N,) and first error, or None (N,); a
+    point with an error has no state, a NaN max Re and undefined other rows.
+    This is where the units are set: each point's drifts and diffusion are
+    divided by its omega_b, once, and the stacks after it work in those
+    units. Only max Re, which the reports' margin reads, is returned in rad/s.
     """
     table = columns(params_list)
     scale = table[_OMEGA_B]
     per_scale = scale[:, None, None]
     d = diffusion_stack(table) / per_scale
-    branches, offsets = solve_semiclassics_stack(table)
+    branches, offsets, errors = solve_semiclassics_stack(table)
     states = branches if len(branches) == len(scale) else branches[offsets[:-1]]
     a = drift_stack(table, states) / per_scale
-    if np.count_nonzero(np.isfinite(a) & np.isfinite(d)) < a.size:
-        raise NumericalError("non-finite entry in the drift or diffusion matrix")
-    eigs, vecs, max_real = stability_stack(a)
-    if len(branches) > len(scale) and np.count_nonzero(unstable := ~(max_real < 0.0)):
+    finite = np.isfinite(a) & np.isfinite(d)
+    if np.count_nonzero(finite) < a.size:
+        errors[~finite.all(axis=(1, 2)) & np.equal(errors, None)] = NumericalError(
+            "non-finite entry in the drift or diffusion matrix"
+        )
+    eigs, vecs, max_real = _batched(stability_stack, _no_spectrum, a, errors=errors)
+    if len(branches) > len(scale) and np.count_nonzero(
+        unstable := ~(max_real < 0.0) & np.equal(errors, None)
+    ):
         # every later branch of every point whose first branch is unstable, in
         # point order, screened by its eigenvalues alone
         owner = np.repeat(np.arange(len(scale)), np.diff(offsets))
@@ -436,29 +440,41 @@ def _working_points(
         points = owner[tries]
         a_tries = drift_stack(table[:, points], branches[tries])
         a_tries /= per_scale[points]
-        try:
-            screen = np.linalg.eigvals(a_tries).real.max(axis=-1)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"eigensolve failed: {exc}") from exc
-        passed = screen < _SCREEN
+        screen = _batched(
+            np.linalg.eigvals, lambda n: np.full((n, DIM), np.nan + 0j), a_tries,
+            owner=points, errors=errors, message="eigensolve failed: ",
+        )
+        passed = screen.real.max(axis=-1) < _SCREEN
         if passed.any():
             tries, points, a_tries = tries[passed], points[passed], a_tries[passed]
-            found = stability_stack(a_tries)
+            found = _batched(stability_stack, _no_spectrum, a_tries, owner=points, errors=errors)
             stable = (found[2] < 0.0).nonzero()[0]
             # the earliest stable try of each point
             kept, first = np.unique(points[stable], return_index=True)
             j = stable[first]
             states[kept], a[kept] = branches[tries[j]], a_tries[j]
             eigs[kept], vecs[kept], max_real[kept] = (column[j] for column in found)
-    return d, states, a, eigs, vecs, max_real * scale
+    if errors.tolist().count(None) < len(errors):
+        failed = np.not_equal(errors, None)
+        states[failed], max_real[failed] = state_column([None]), np.nan
+    return d, states, a, eigs, vecs, max_real * scale, errors
 
 
-def _solve_chunk(points: Points, parsed: _Parsed, oracle: bool) -> Reports:
-    """The two stages of the module docstring on a non-empty stack of valid
-    points, and with ``oracle`` one Kronecker-form stack over the points
-    stage 2 solved; an :class:`OmmlabError` raised on the way raises for it.
+def _no_spectrum(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`stability_stack` of n drifts that have none: all NaN."""
+    return np.full((n, DIM), np.nan + 0j), np.full((n, DIM, DIM), np.nan + 0j), np.full(n, np.nan)
+
+
+def _evaluate_chunk(points: Points, parsed: _Parsed, *, oracle: bool = False) -> Reports:
+    """Evaluate a non-empty stack of valid points end to end.
+
+    The points go through the two stages of the module docstring as one
+    stack, and a point with an error in either keeps the first as its row.
+    With ``oracle``, the points stage 2 solved are also solved in Kronecker
+    form, as one more stack, and compared; a point whose second solve fails
+    keeps its measures and gets an ``oracle:`` error.
     """
-    d, states, a, eigs, vecs, max_real = _working_points(points)
+    d, states, a, eigs, vecs, max_real, failed = _working_points(points)
     stable = max_real < 0.0
     # the rows stage 2 solves: all, as a slice that copies nothing, or the stable ones
     rows = slice(None) if np.count_nonzero(stable) == len(stable) else stable.nonzero()[0]
@@ -468,7 +484,8 @@ def _solve_chunk(points: Points, parsed: _Parsed, oracle: bool) -> Reports:
     measured, error = nu, np.array(errors, dtype=object)
     if not isinstance(rows, slice):  # some points are unstable: place the stable ones' rows
         measured = np.full((len(states), len(parsed)), np.nan)
-        measured[rows], error = nu, np.full(len(states), None, dtype=object)
+        measured[rows] = nu
+        error = np.array([e if e is None else str(e) for e in failed.tolist()], dtype=object)
         error[rows] = errors
     deviation = np.full(len(states), np.nan)
     solved = [k for k, e in enumerate(errors) if e is None] if oracle else []
@@ -482,29 +499,6 @@ def _solve_chunk(points: Points, parsed: _Parsed, oracle: bool) -> Reports:
         if oracle_errors.count(None) < len(oracle_errors):
             error[rows] = [None if e is None else f"oracle: {e}" for e in oracle_errors]
     return _reports(parsed, error, max_real, states, measured, deviation)
-
-
-def _evaluate_chunk(points: Points, parsed: _Parsed, *, oracle: bool = False) -> Reports:
-    """Evaluate a non-empty stack of valid points end to end.
-
-    The points go through the two stages as one stack. Should a stacked call
-    raise an :class:`OmmlabError` for the stack, its halves, taken by index,
-    are evaluated again, so a point that raises costs about 2 log2(N)
-    stacked solves, and at a stack of one the error becomes its row. With
-    ``oracle``, the solved points of a stack are also solved in Kronecker
-    form, as one more stack, and compared; a point whose second solve fails
-    keeps its measures and gets an ``oracle:`` error.
-    """
-    try:
-        return _solve_chunk(points, parsed, oracle)
-    except OmmlabError as exc:
-        if len(points) == 1:
-            return _reports(parsed, [str(exc)])
-        half = len(points) // 2
-        return _joined([
-            _evaluate_chunk(take(points, index), parsed, oracle=oracle)
-            for index in (np.arange(half), np.arange(half, len(points)))
-        ])
 
 
 def evaluate_point(

@@ -248,13 +248,6 @@ def columns(points: Points) -> np.ndarray:
     return np.array([_READ(p) for p in points], float).reshape(-1, len(TABLE_FIELDS)).T
 
 
-def take(points: Points, index: Sequence[int]) -> Points:
-    """The points of a stack at ``index``, as a stack of the same kind."""
-    if isinstance(points, SweptParams):
-        return SweptParams(points.base, {f: v[index] for f, v in points.swept.items()})
-    return [points[k] for k in index]
-
-
 def _check(bad: Any, message: str, error: type[Exception] = DomainError) -> None:
     """Raise ``error(message)`` where a scalar or array comparison ``bad``
     holds anywhere (ndarray.any costs 3x more on small stacks)."""

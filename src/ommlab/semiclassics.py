@@ -41,9 +41,9 @@ Which branch is a point's working point is the harness's choice, made in
 its stage 1 on the spectrum of each branch's drift: the first dynamically
 stable branch, else the first branch, reported unstable. So
 :func:`solve_semiclassics`, which returns the first branch, need not return
-the working point; ``evaluate_point(params).state`` is that. An error at any
-point of a stack raises for the whole stack, and the harness then solves the
-stack's halves apart, down to the point that raises.
+the working point; ``evaluate_point(params).state`` is that. An error stays
+with its point: the stack returns each point's first error, and the
+branches of a point with one are undefined.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from typing import Any, Iterable
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateOperatingPointError, NumericalError
+from .errors import ConvergenceError, DegenerateOperatingPointError, _batched
 from .model import SystemParams, _check, _drive, _rabi, _Real, columns, rows
 
 logger = logging.getLogger(__name__)
@@ -316,8 +316,9 @@ class _Displacement:
         slope = -2.0 * f_c * (vr * wr + vi * wi) / q_c + 2.0 * f_m * m1 * det_m / q_m
         return f_c - f_m, slope
 
-    def _candidates(self, rows: np.ndarray) -> np.ndarray:
-        """Real-root candidates of q = F(q) at ``rows``, points of one degree.
+    def _candidates(self, rows: np.ndarray, errors: np.ndarray) -> np.ndarray:
+        """Real-root candidates of q = F(q) at ``rows``, points of one degree;
+        a point whose eigensolve fails has none, and its error in ``errors``.
 
         In x = q / s with s = |u / v|, |u + v q|^2 = |u|^2 Qc(x) with
         Qc = x^2 + 2 c x + 1, c the cosine between u and v. The magnon term
@@ -352,28 +353,30 @@ class _Displacement:
         companion = np.zeros((len(s), degree, degree))
         companion[:, 0, :] = -coeffs[:, 1:]
         companion[:, np.arange(1, degree), np.arange(degree - 1)] = 1.0
-        try:
-            x = np.linalg.eigvals(companion)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"displacement polynomial root solve failed: {exc}") from exc
+        x = _batched(
+            np.linalg.eigvals, lambda n: np.full((n, degree), np.nan + 0j), companion,
+            owner=rows.nonzero()[0], errors=errors,
+            message="displacement polynomial root solve failed: ",
+        )
         real = np.abs(x.imag) <= _REAL_ROOT_RTOL * np.abs(x)
         return np.where(real, x.real * s[:, None], np.nan)
 
-    def roots(self) -> tuple[np.ndarray, np.ndarray]:
-        """The real roots of q = F(q), (N, 5) ascending and NaN-padded, and the
-        Newton steps that polished each.
+    def roots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The real roots of q = F(q), (N, 5) ascending and NaN-padded, the
+        Newton steps that polished each, and each point's error or None.
 
         The points of each degree share one batched ``eigvals``. Newton's
         method on F(q) - q starts from every candidate; each stops at its own
         first small step, so that its result does not depend on the rest of
         the stack. A candidate that diverges or is still moving after the
         step budget is dropped, and candidates that polish onto one root
-        count once.
+        count once. A point whose eigensolve fails has no root.
         """
         q = np.full((len(self.m1), 5), np.nan)
+        errors = np.full(len(q), None, dtype=object)
         for rows, degree in ((self.m1 != 0.0, 5), (self.m1 == 0.0, 3)):
             if rows.any():
-                q[rows, :degree] = self._candidates(rows)
+                q[rows, :degree] = self._candidates(rows, errors)
 
         steps = np.zeros(q.shape, dtype=int)
         active = np.isfinite(q)
@@ -391,21 +394,37 @@ class _Displacement:
         order = (np.arange(len(q))[:, None], np.argsort(q, axis=1))
         q, steps = q[order], steps[order]
         q[:, 1:][np.abs(np.diff(q, axis=1)) <= _SAME_ROOT_RTOL * np.abs(q[:, 1:])] = np.nan
-        return q, steps
+        return q, steps, errors
 
 
-def _derived_branches(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The branches of a stack of derived-mode points and their offsets, as
-    :func:`solve_semiclassics_stack` returns them: the roots of q = F(q) with
-    F' < 1, ordered by |F'|, each with its amplitudes and couplings."""
+def _amplitudes(*args: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """<m>, <c2> and the mismatch of its cross-check at a stack of branches,
+    from the arguments of :func:`magnon_average`, then of
+    :func:`cavity2_average_closed_form`."""
+    rabi, kappa_m, det_m, *c2_args = args
+    m_avg = magnon_average(rabi, kappa_m, det_m)
+    c2_avg = cavity2_average_closed_form(*c2_args)
+    return m_avg, c2_avg, _cavity2(c2_avg, *c2_args)
+
+
+def _derived_branches(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The branches of a stack of derived-mode points, their offsets and the
+    points' errors, as :func:`solve_semiclassics_stack` returns them: the
+    roots of q = F(q) with F' < 1, ordered by |F'|, each with its amplitudes
+    and couplings."""
     disp = _Displacement(table)
-    roots, steps = disp.roots()
+    roots, steps, errors = disp.roots()
     with np.errstate(invalid="ignore"):
         slope = disp(roots)[1]
         static = np.isfinite(roots) & (slope < 1.0)
     counts = static.sum(axis=1)
     if not counts.all():
-        raise ConvergenceError("no real root of the displacement polynomial has F'(q) < 1")
+        errors[(counts == 0) & np.equal(errors, None)] = ConvergenceError(
+            "no real root of the displacement polynomial has F'(q) < 1"
+        )
+        # a point without a root keeps one branch all the same, left out of
+        # the amplitudes' stack for its error
+        counts = np.maximum(counts, 1)
     order = (
         np.arange(len(roots))[:, None],
         np.argsort(np.where(static, np.abs(slope), np.inf), axis=1, kind="stable"),
@@ -416,19 +435,21 @@ def _derived_branches(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     delta_m_eff = disp.delta_m[pt] + disp.g_m[pt] * q
     delta_c2_eff = disp.delta_c2_signed[pt] - disp.g_c[pt] * q
-    m_avg = magnon_average(disp.rabi[pt], disp.kappa_m[pt], disp.m0[pt] + disp.m1[pt] * q)
     c2_args = (
         disp.drive_e[pt], disp.kappa_a[pt], disp.kappa_c1[pt], disp.kappa_c2[pt],
         disp.delta_a[pt], disp.delta_c1[pt], delta_c2_eff, disp.g_n1[pt], disp.g_n2[pt],
     )
-    c2_avg = cavity2_average_closed_form(*c2_args)
-    mismatch = _cavity2(c2_avg, *c2_args)
+    m_avg, c2_avg, mismatch = _batched(
+        _amplitudes, lambda n: (*np.full((2, n), np.nan + 0j), np.full(n, np.nan)),
+        disp.rabi[pt], disp.kappa_m[pt], disp.m0[pt] + disp.m1[pt] * q, *c2_args,
+        owner=pt, errors=errors,
+    )
     g_c_eff, g_mb_eff = effective_couplings(disp.g_c[pt], c2_avg, disp.g_m[pt], m_avg)
     states = _states(
         len(q), q, m_avg, c2_avg, g_c_eff, g_mb_eff, delta_c2_eff, delta_m_eff, c2_args[0],
         disp.rabi[pt], steps, mismatch,
     )
-    return states, np.concatenate([[0], np.cumsum(counts)])
+    return states, np.concatenate([[0], np.cumsum(counts)]), errors
 
 
 _DERIVED = rows("derived")[0]
@@ -438,10 +459,10 @@ _DIRECT_ROWS = rows(
 )
 
 
-def _direct_branches(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The one branch of each point of a direct-mode stack and their offsets:
-    the configured effective couplings at face value, with zero static
-    displacement."""
+def _direct_branches(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one branch of each point of a direct-mode stack, their offsets and
+    errors (none): the configured effective couplings at face value, with
+    zero static displacement."""
     g_c, g_mb, sign, delta_c2, delta_m, p_laser, kappa_c2, wavelength, b_field, v_yig, rho = (
         table[_DIRECT_ROWS]
     )
@@ -453,25 +474,25 @@ def _direct_branches(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ("rabi", _rabi(b_field, v_yig, rho)),
     ):
         states[name] = values
-    return states, np.arange(len(g_c) + 1)
+    return states, np.arange(len(g_c) + 1), np.full(len(g_c), None, dtype=object)
 
 
-def solve_semiclassics_stack(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def solve_semiclassics_stack(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Working-point branches for a stack of points, from their point table
     (:func:`ommlab.model.columns`), as columns.
 
     Returns a state column of every point's branches, one point after
     another (B,), and the offsets (N + 1,) at which each point's branches
-    start: point k's are ``states[offsets[k]:offsets[k + 1]]``. A
-    direct-mode point has one branch. The points of each mode are solved
-    together, as the module docstring describes; an error at any of them
-    raises for the stack.
+    start: point k's are ``states[offsets[k]:offsets[k + 1]]``, and each
+    point's first error, or None (N,). A direct-mode point has one branch; a
+    point with an error has at least one, undefined. The points of each mode
+    are solved together, as the module docstring describes.
     """
     derived = table[_DERIVED] != 0.0
     n_derived = np.count_nonzero(derived)
     if n_derived in (0, len(derived)):
         return (_derived_branches if n_derived else _direct_branches)(table)
-    (states, offsets), (direct, _) = (
+    (states, offsets, failed), (direct, _, _) = (
         branches(table[:, rows]) for rows, branches in (
             (derived, _derived_branches), (~derived, _direct_branches)
         )
@@ -481,16 +502,21 @@ def solve_semiclassics_stack(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     of_derived = np.repeat(derived, counts)
     merged = np.empty(len(of_derived), STATE_DTYPE)
     merged[of_derived], merged[~of_derived] = states, direct
-    return merged, np.concatenate([[0], np.cumsum(counts)])
+    errors = np.full(len(derived), None, dtype=object)
+    errors[derived] = failed
+    return merged, np.concatenate([[0], np.cumsum(counts)]), errors
 
 
 def solve_semiclassics(params: SystemParams) -> SemiclassicalState:
     """The first branch of one parameter set, a stack of one.
 
     In derived mode this need not be the working point the harness keeps
-    (see the module docstring).
+    (see the module docstring). The point's error, if it has one, is raised.
     """
-    return state_at(solve_semiclassics_stack(columns([params]))[0], 0)
+    states, _, (error,) = solve_semiclassics_stack(columns([params]))
+    if error is not None:
+        raise error
+    return state_at(states, 0)
 
 
 __all__ = [

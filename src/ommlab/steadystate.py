@@ -50,6 +50,7 @@ from .errors import (
     NumericalError,
     OmmlabError,
     StabilityError,
+    _batched,
 )
 
 _EPS = np.finfo(float).eps
@@ -133,16 +134,7 @@ def _eigenbasis_solve(lam: np.ndarray, vecs: np.ndarray, d: np.ndarray) -> np.nd
     :data:`_EIGENBASIS_COND_MAX`, gets an all-NaN V, which the residual gate
     then sends to the fallback.
     """
-    try:
-        vecs_inv = np.linalg.inv(vecs)
-    except np.linalg.LinAlgError:
-        # some S is singular: invert point by point and mark those points
-        vecs_inv = np.full_like(vecs, np.nan)
-        for i, s in enumerate(vecs):
-            try:
-                vecs_inv[i] = np.linalg.inv(s)
-            except np.linalg.LinAlgError:
-                pass
+    vecs_inv = _batched(np.linalg.inv, lambda n: np.full(vecs[:n].shape, np.nan, vecs.dtype), vecs)
     # ||S||_1 and ||S^-1||_1, from one pass over [S, S^-1]
     norms = np.abs(np.concatenate((vecs, vecs_inv), axis=-1)).sum(axis=-2)
     norms = norms.reshape(len(vecs), 2, vecs.shape[-1]).max(axis=-1)
@@ -355,16 +347,7 @@ def solve_lyapunov_vech_stack(
         op[:, at_add] += flat[:, src_add]
         op = op.reshape(-1, m, m)
         rhs = -d[at].reshape(-1, n * n)[:, vech, None]
-        try:
-            x = np.linalg.solve(op, rhs)
-        except np.linalg.LinAlgError:
-            # some operator is singular: solve point by point, leaving those NaN
-            x = np.full_like(rhs, np.nan)
-            for k in range(len(op)):
-                try:
-                    x[k] = np.linalg.solve(op[k], rhs[k])
-                except np.linalg.LinAlgError:
-                    pass
+        x = _batched(np.linalg.solve, lambda n: np.full((n, m, 1), np.nan), op, rhs)
         v[at] = x[:, unvech, 0].reshape(-1, n, n)
     errors: list[OmmlabError | None] = [None] * len(a)
     for i in (~np.isfinite(v).all(axis=(-2, -1))).nonzero()[0]:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from ommlab import NumericalError, cli, harness, steadystate
+from ommlab import params_from_mapping, solve_semiclassics
 from ommlab.cli import main
 
 
@@ -179,6 +180,32 @@ class TestStability:
         assert rc == 1
         assert out == ""
         assert err == "error: no working point\n"
+
+
+class TestOverflowingPoint:
+    """No mock: at p_laser = 1e300 W the drive amplitude overflows, and the
+    roots of the displacement polynomial cannot be found."""
+
+    CONFIG = {"coupling_mode": "derived", "b_field_t": 1.1e-3, "g_c_hz": 1.5e3, "p_laser_w": 1e300}
+    MESSAGE = "displacement polynomial root solve failed: Array must not contain infs or NaNs"
+
+    @pytest.mark.parametrize("command, line", [("stability", "error: "), ("point", "error=")])
+    def test_commands_exit_1_with_the_points_error(self, tmp_path, command, line):
+        path = write_config(tmp_path, self.CONFIG)
+        src = Path(cli.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "ommlab", command, "--config", str(path)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert line + self.MESSAGE in proc.stderr.splitlines()
+        assert "Traceback" not in proc.stderr
+
+    def test_library_call_raises_the_points_error(self):
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(NumericalError) as raised:
+                solve_semiclassics(params_from_mapping(self.CONFIG))
+        assert type(raised.value) is NumericalError and str(raised.value) == self.MESSAGE
 
 
 class TestSelftest:

@@ -174,7 +174,7 @@ class TestDriftStack:
             {}, DERIVED, LATER_BRANCH, {"T": 0.0}, {"g_c_eff_hz": 0.0},
         ):
             p = default_params(**overrides)
-            states, offsets = solve_semiclassics_stack(columns([p]))
+            states, offsets, _ = solve_semiclassics_stack(columns([p]))
             assert offsets.tolist() == [0, len(states)]
             params_list += [p] * len(states)
             branches.append(states)

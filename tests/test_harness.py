@@ -3,6 +3,7 @@
 import collections
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -351,7 +352,7 @@ class TestDefaultPoint:
         )
         import scipy.linalg
 
-        d, _, a, eigs, vecs, max_real = harness._working_points([p])
+        d, _, a, eigs, vecs, max_real, _ = harness._working_points([p])
         assert max_real[0] < 0.0
         v, _, errors = harness._steady_state(a, d, eigs, vecs, [parse_pair("ab")])
         assert errors == [None]
@@ -619,7 +620,7 @@ class TestWorkingPointBranches:
     @staticmethod
     def branches(p):
         """The state column of one point's branches."""
-        states, offsets = solve_semiclassics_stack(columns([p]))
+        states, offsets, _ = solve_semiclassics_stack(columns([p]))
         assert offsets.tolist() == [0, len(states)]
         return states
 
@@ -635,9 +636,9 @@ class TestWorkingPointBranches:
         solve = harness.solve_semiclassics_stack
 
         def picked(params_list):
-            states, offsets = solve(params_list)
+            states, offsets, errors = solve(params_list)
             kept = [pick(states[start:end]) for start, end in zip(offsets[:-1], offsets[1:])]
-            return np.concatenate(kept), np.cumsum([0] + [len(point) for point in kept])
+            return np.concatenate(kept), np.cumsum([0] + [len(point) for point in kept]), errors
 
         monkeypatch.setattr(harness, "solve_semiclassics_stack", picked)
 
@@ -726,7 +727,7 @@ class TestWorkingPointBranches:
             dataclasses.replace(params, delta_c2=x * params.omega_b, delta_m=y * params.omega_b)
             for x in np.linspace(-2.0, 0.0, 41) for y in np.linspace(0.0, 2.0, 41)
         ]
-        states, offsets = solve_semiclassics_stack(columns(points))
+        states, offsets, _ = solve_semiclassics_stack(columns(points))
         a = drift_stack(columns(points), states[offsets[:-1]]) / params.omega_b
         unstable = ~(stability_stack(a)[2] < 0.0)
         tries = int(np.sum(np.diff(offsets)[unstable] - 1))
@@ -761,7 +762,7 @@ class TestWorkingPointBranches:
         self.reorder(monkeypatch, lambda found: found[[2, 0, 1]] if len(found) == 3 else found)
         eig_rows.clear()
         screened.clear()
-        _, states, a, eigs, vecs, max_real = harness._working_points([later, two])
+        _, states, a, eigs, vecs, max_real, _ = harness._working_points([later, two])
         assert eig_rows == [2, 3] and screened == [3]
         for k, (p, branch) in enumerate(zip([later, two], kept)):
             assert states[k : k + 1].tobytes() == branch.tobytes()
@@ -793,9 +794,11 @@ class TestWorkingPointBranches:
         bad = default_params(**self.OVERFLOW)
         parsed = [(label, parse_pair(label)) for label in DEFAULT_PAIRS]
         with pytest.warns(RuntimeWarning, match="overflow"):
-            with pytest.raises(NumericalError, match="displacement polynomial"):
-                solve_semiclassics_stack(columns([good, bad]))
+            states, offsets, errors = solve_semiclassics_stack(columns([good, bad]))
             first, error = harness._evaluate_chunk([good, bad], parsed)
+        assert errors[0] is None and isinstance(errors[1], NumericalError)
+        assert str(errors[1]).startswith("displacement polynomial root solve failed")
+        assert offsets[2] - offsets[1] == 1 and state_at(states, offsets[1]) is None
         assert first == evaluate_point(good)
         assert error.error.startswith("displacement polynomial root solve failed")
         assert error.state is None and error.margin is None and not error.stable
@@ -825,34 +828,162 @@ class TestWorkingPointBranches:
         return bad
 
     def test_error_in_a_stack_stays_with_its_point(self, monkeypatch):
-        # the stacked working-point solve raises for the chunk, whose halves
-        # are then evaluated apart, down to the point that raises
+        # the stacked working-point solve raises for the stack, is made again
+        # point by point, and gives the point that raises its own error
         good = default_params(**self.DERIVED)
         alone = evaluate_point(good)
         parsed = [(label, parse_pair(label)) for label in DEFAULT_PAIRS]
         bad = self.fail_at_bad(monkeypatch)
-        with pytest.raises(DegenerateOperatingPointError):
-            solve_semiclassics_stack(columns([good, bad, good]))
+        _, _, errors = solve_semiclassics_stack(columns([good, bad, good]))
+        assert errors[0] is None and errors[2] is None
+        assert isinstance(errors[1], DegenerateOperatingPointError)
         first, error, last = harness._evaluate_chunk([good, bad, good], parsed)
         assert error.error == "magnon response denominator vanishes"
         assert error.state is None and error.margin is None and not error.stable
         assert first == alone and last == alone
 
-    def test_a_failing_chunk_is_bisected(self, monkeypatch):
-        # one point of 16 raises: the chunk is halved down to it, which takes
-        # 2 log2(16) + 1 = 9 stacked solves (one point at a time took 17),
-        # and every row is the one the point gets alone
+    def test_a_failing_point_adds_only_its_retried_block(self, monkeypatch):
+        # one point of 16 fails its eigensolve: the chunk makes the stage-1
+        # eig, eigvals and solve calls of the clean chunk, but for the block
+        # retried point by point, and every row is the one the point gets alone
         points = [
             default_params(**{**self.DERIVED, "delta_m_over_wb": x})
             for x in np.linspace(0.5, 1.5, 15)
         ]
-        points.insert(11, self.fail_at_bad(monkeypatch))
+        points.insert(11, default_params(**self.BAD))
         parsed = [(label, parse_pair(label)) for label in ("ab", "am")]
-        alone = [harness._evaluate_chunk([p], parsed)[0] for p in points]
-        assert alone[11].error == "magnon response denominator vanishes"
-        with mock.patch.object(harness, "_solve_chunk", wraps=harness._solve_chunk) as solve:
-            assert harness._evaluate_chunk(points, parsed) == alone
-        assert solve.call_count == 9
+        bad_drift = harness._working_points(points[11:12])[2][0]
+        calls = []
+        originals = {name: getattr(np.linalg, name) for name in ("eig", "eigvals", "solve")}
+
+        def recorded(name, fail):
+            def call(x, *rest):
+                calls.append((name, len(x)))
+                if fail and any(np.array_equal(m, bad_drift) for m in x):
+                    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+                return originals[name](x, *rest)
+            return call
+
+        for name in originals:
+            monkeypatch.setattr(np.linalg, name, recorded(name, False))
+        clean = harness._evaluate_chunk(points, parsed)
+        assert all(report.error is None for report in clean)
+        clean_calls, calls[:] = calls[:], []
+        monkeypatch.setattr(np.linalg, "eig", recorded("eig", True))
+        reports = harness._evaluate_chunk(points, parsed)
+        k = clean_calls.index(("eig", 16))
+        assert calls == clean_calls[: k + 1] + [("eig", 1)] * 16 + clean_calls[k + 1 :]
+        assert reports[11].error == "eigensolve failed: Eigenvalues did not converge"
+        assert reports == [harness._evaluate_chunk([p], parsed)[0] for p in points]
+        assert [r == c for r, c in zip(reports, clean)] == [i != 11 for i in range(16)]
+
+
+class TestStageOneFailures:
+    """Each stage-1 check fails one point between good ones in one chunk: the
+    point's row keeps its message, with no state and no margin, and every
+    row is the one its point gets alone, bit for bit. Real inputs fail where
+    they exist; elsewhere a LAPACK call is made to fail on any stack that
+    holds the failing point's matrix, the batched call and the point's own.
+    The non-finite drift check has its test in TestStackedCore."""
+
+    DERIVED = TestWorkingPointBranches.DERIVED
+    LATER_BRANCH = TestWorkingPointBranches.LATER_BRANCH
+    GOOD = [{}, DERIVED, LATER_BRANCH]
+
+    @staticmethod
+    def assert_fails_alone(bad, message, warns=contextlib.nullcontext):
+        points = [default_params(**over) for over in TestStageOneFailures.GOOD]
+        points.insert(1, bad)
+        parsed = [(label, parse_pair(label)) for label in DEFAULT_PAIRS]
+        with warns():
+            reports = harness._evaluate_chunk(points, parsed)
+            alone = [evaluate_point(p) for p in points]
+        assert reports[1].error == message
+        assert not reports[1].stable and reports[1].margin is None and reports[1].state is None
+        assert [repr(r) for r in reports] == [repr(r) for r in alone]
+        assert all(r.error is None for k, r in enumerate(reports) if k != 1)
+
+    @staticmethod
+    def failing(monkeypatch, name, holds_bad, raised=True):
+        """np.linalg.``name`` raising on a stack for which ``holds_bad`` is
+        true, or, with ``raised`` False, returning inf in the rows it marks."""
+        exact = getattr(np.linalg, name)
+
+        def call(x, *rest):
+            bad = holds_bad(x)
+            if raised and np.any(bad):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            out = exact(x, *rest)
+            if not raised:
+                out[bad] = np.inf
+            return out
+
+        monkeypatch.setattr(np.linalg, name, call)
+
+    def test_displacement_roots(self):
+        # the drive amplitude, and with it the polynomial, overflows
+        self.assert_fails_alone(
+            default_params(**{**self.DERIVED, "p_laser_w": 1e300}),
+            "displacement polynomial root solve failed: Array must not contain infs or NaNs",
+            functools.partial(pytest.warns, RuntimeWarning, match="overflow"),
+        )
+
+    def test_no_statically_stable_root(self, monkeypatch):
+        # the cubic of the eq9_verbatim point, the chunk's only one, gets
+        # roots off the real axis
+        exact = np.linalg.eigvals
+
+        def eigvals(x):
+            roots = exact(x)
+            return roots + 1j * np.abs(roots) if x.shape[-1] == 3 else roots
+
+        monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+        self.assert_fails_alone(
+            default_params(**self.DERIVED, eq9_verbatim=True),
+            "no real root of the displacement polynomial has F'(q) < 1",
+        )
+
+    def test_magnon_denominator(self):
+        # kappa_m about 6e-40 rad/s, and the magnon detuning Delta_c2 = 0
+        self.assert_fails_alone(
+            default_params(
+                **self.DERIVED, eq9_verbatim=True, delta_c2_over_wb=0.0, kappa_m_hz=1e-40
+            ),
+            "magnon response denominator vanishes",
+        )
+
+    def test_cavity_denominator(self):
+        bad = default_params(
+            **self.DERIVED, kappa_a_hz=1e-20, kappa_c1_hz=1e-20, delta_a_over_wb=0.0,
+            delta_c1_over_wb=0.0, g_n1_hz=0.0, g_n2_hz=0.0,
+        )
+        self.assert_fails_alone(
+            bad, "cavity response denominator vanishes; the operating point is degenerate"
+        )
+
+    @pytest.mark.parametrize("raised, message", [
+        (True, "cavity response system is singular; the operating point is degenerate"),
+        (False, "cavity response system is numerically degenerate"),
+    ])
+    def test_cavity_cross_check(self, monkeypatch, raised, message):
+        bad = default_params(**self.DERIVED, delta_a_over_wb=-0.9)
+        self.failing(
+            monkeypatch, "solve",
+            lambda x: (x.shape[-1] == 3) & (x[:, 0, 0].imag == bad.delta_a), raised,
+        )
+        self.assert_fails_alone(bad, message)
+
+    @pytest.mark.parametrize("name, overrides", [
+        ("eig", {"g_n1_hz": 4.1e6}),  # the first branch's eigensolve
+        ("eigvals", {**LATER_BRANCH, "gamma_b_hz": 101.0}),  # a later branch's screen
+        ("eig", {**LATER_BRANCH, "gamma_b_hz": 101.0}),  # its eigensolve
+    ])
+    def test_stability(self, monkeypatch, name, overrides):
+        bad = default_params(**overrides)
+        # the drift stage 1 keeps, a later branch's for the later-branch point
+        drift = harness._working_points([bad])[2][0]
+        self.failing(monkeypatch, name, lambda x: [np.array_equal(m, drift) for m in x])
+        self.assert_fails_alone(bad, "eigensolve failed: Eigenvalues did not converge")
 
 
 def _set_on_the_point(params, spec, result, i1, i2):
@@ -1430,7 +1561,8 @@ class TestStackedCore:
         basis = stability_stack(a[1:2] / scale[1])[1][0]
 
         def inv_singular_at_point_1(x):
-            if x.ndim == 3 or np.array_equal(x, basis):
+            # the batched call fails, and the point's own call, as a stack of one
+            if len(x) > 1 or np.array_equal(x[0], basis):
                 raise np.linalg.LinAlgError("Singular matrix")
             return inv(x)
 

@@ -73,7 +73,7 @@ def test_benchmark_reads_states_as_objects(overrides):
     assert type(ommlab.solve_semiclassics(p)) is ommlab.SemiclassicalState
     report = ommlab.evaluate_point(p)
     assert type(report.state) is ommlab.SemiclassicalState
-    _, _, a, _, _, _ = ommlab.harness._working_points([p])
+    _, _, a, _, _, _, _ = ommlab.harness._working_points([p])
     # stage 1 holds the drift in units of omega_b
     assert (ommlab.build_drift(p, report.state).a / p.omega_b).tobytes() == a[0].tobytes()
     moved = dataclasses.replace(report.state, q_avg=report.state.q_avg * (1 + 1e-7) + 1.0)
@@ -87,7 +87,7 @@ def test_benchmark_reference_covariance_is_stage_two(overrides):
     # harness's own stage 2 on the stacks stage 1 scaled
     p = ommlab.default_params(**overrides)
     report = ommlab.evaluate_point(p)
-    d, _, a, eigs, vecs, _ = ommlab.harness._working_points([p])
+    d, _, a, eigs, vecs, _, _ = ommlab.harness._working_points([p])
     pairs = [ommlab.entanglement.parse_pair(label) for label in report.entanglement]
     v, _, errors = ommlab.harness._steady_state(a, d, eigs, vecs, pairs)
     assert errors == [None]

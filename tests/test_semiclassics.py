@@ -215,10 +215,10 @@ class TestSolveSemiclassicsDirect:
             default_params(T=0.0),
             default_params(delta_c2_sign=1.0),
         ]
-        stack, offsets = semiclassics.solve_semiclassics_stack(columns(points))
+        stack, offsets, _ = semiclassics.solve_semiclassics_stack(columns(points))
         assert offsets.tolist() == [0, 1, 2, 3, 4]
         for k, p in enumerate(points):
-            alone, alone_offsets = semiclassics.solve_semiclassics_stack(columns([p]))
+            alone, alone_offsets, _ = semiclassics.solve_semiclassics_stack(columns([p]))
             assert alone_offsets.tolist() == [0, 1]
             reference = semiclassics.SemiclassicalState(
                 q_avg=0.0, m_avg=None, c2_avg=None, g_c_eff=complex(p.g_c_eff),
@@ -324,7 +324,7 @@ class TestSolveSemiclassicsDerived:
             lambda *args: exact(*args) * (1.0 + 1e-6),
         )
         with caplog.at_level(logging.WARNING, logger=semiclassics.__name__):
-            branches, offsets = semiclassics.solve_semiclassics_stack(
+            branches, offsets, _ = semiclassics.solve_semiclassics_stack(
                 columns([default_params(**self.OVERRIDES)])
             )
             assert offsets.tolist() == [0, 3]
@@ -428,7 +428,7 @@ class TestDisplacementRoots:
         )
         roots = semiclassics._Displacement(columns([p])).roots()[0][0]
         roots = roots[np.isfinite(roots)]
-        branches, offsets = semiclassics.solve_semiclassics_stack(columns([p]))
+        branches, offsets, _ = semiclassics.solve_semiclassics_stack(columns([p]))
         assert offsets.tolist() == [0, len(branches)]
         branch_q = branches["q_avg"]
 
@@ -491,7 +491,7 @@ class TestDisplacementRoots:
     def test_iterations_count_the_newton_steps(self):
         # the companion eigenvalues are close to the roots already, so the
         # polish takes a few Newton steps, not the fixed point's dozen
-        branches, offsets = semiclassics.solve_semiclassics_stack(
+        branches, offsets, _ = semiclassics.solve_semiclassics_stack(
             columns([default_params(**self.OVERRIDES)])
         )
         assert offsets.tolist() == [0, 3]
