@@ -4,9 +4,10 @@ pressure to a mechanical oscillator that a magnon mode drives
 magnetostrictively.
 
 The pipeline: physical parameters -> semiclassical working point -> linearized
-drift and diffusion matrices -> steady-state covariance (Lyapunov solve, with
-an independent solve in Kronecker form as cross-check) -> bipartite
-logarithmic negativities and detuning/temperature sweeps.
+drift and diffusion matrices -> steady-state covariance (Lyapunov solve in
+the drift's eigenbasis, with a solve in Kronecker form as its one fallback
+and, elsewhere, as an independent cross-check) -> bipartite logarithmic
+negativities and detuning/temperature sweeps. The package needs numpy only.
 """
 
 from .dynamics import (

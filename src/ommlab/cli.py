@@ -156,7 +156,7 @@ def _cmd_selftest(_args: argparse.Namespace) -> int:
     pairs = list(itertools.combinations(Mode, 2))
     d, _, a, eigs, vecs, _, (error,) = _working_points([config.params])
     if error is None:
-        v, nu, errors = _steady_state(a, d, eigs, vecs, pairs)
+        v, nu, errors, _ = _steady_state(a, d, eigs, vecs, pairs)
         error = errors[0]
     worst, detail = math.inf, str(error)
     if error is None:

@@ -1,4 +1,4 @@
-"""Steady-state covariance: direct Lyapunov solve and Kronecker-form cross-check.
+"""Steady-state covariance: direct Lyapunov solve and Kronecker-form solve.
 
 The stationary covariance V of the linearized system solves
 
@@ -12,7 +12,7 @@ equation into Lambda W + W Lambda^H = -S^-1 D S^-H, solved entrywise:
 
 Near an exceptional point the eigenvectors coalesce and S becomes ill
 conditioned; there, or when the result misses the residual gate, the solve
-falls back to scipy's Schur-based Bartels-Stewart solver.
+falls back to the Kronecker-form route below, the only fallback.
 
 :func:`solve_lyapunov_stack` runs this solve over an (N, n, n) stack of
 points at once (numpy's batched inv and matmul); each point is gated, and
@@ -20,14 +20,16 @@ sent to the fallback, on its own, and its failure is returned for it alone.
 :func:`solve_lyapunov` is that stack with one point in it, and the one entry
 that takes a drift and diffusion as arrays or as their wrapper types.
 
-The independent route, :func:`solve_lyapunov_vech_stack`, solves the same
-equation in Kronecker form: the n(n+1)/2 entries of the symmetric V on and
-above the diagonal are the unknowns of one linear system per point, 55
-square for the 10x10 system, solved by LU. It reads no eigenpairs, imports
-no scipy, and has no tolerance or horizon of its own.
-For a stable A both routes must agree, which is the package's main internal
-consistency check. The stability verdict is the direct route's, from the
-drift's eigenvalues as :func:`ommlab.dynamics.stability_stack` returns them.
+The Kronecker-form route, :func:`solve_lyapunov_vech_stack`, solves the same
+equation as a linear system: the n(n+1)/2 entries of the symmetric V on and
+above the diagonal are the unknowns of one system per point, 55 square for
+the 10x10 system, solved by LU. It reads no eigenpairs and has no tolerance
+or horizon of its own. At a point the eigenbasis solve kept, it is an
+independent cross-check, the package's main internal consistency check: for
+a stable A both routes must agree. At a fallback point it is the solve
+itself, and the residual gate is that point's evidence. Nothing here imports
+scipy. The stability verdict is the direct route's, from the drift's
+eigenvalues as :func:`ommlab.dynamics.stability_stack` returns them.
 
 The stacks take A and D in one unit of frequency, whatever it is, and work
 in it: the harness gives them each point's in units of its mechanical
@@ -144,21 +146,6 @@ def _eigenbasis_solve(lam: np.ndarray, vecs: np.ndarray, d: np.ndarray) -> np.nd
     return np.where((norms[:, 0] * norms[:, 1] <= _EIGENBASIS_COND_MAX)[:, None, None], raw, np.nan)
 
 
-def _schur_solve(a: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Raw V of one point from scipy's Bartels-Stewart solver (Comm. ACM 15,
-    820, 1972).
-
-    scipy is imported here only: the fallback is rare, and the import takes
-    longer than a sweep's whole set-up.
-    """
-    import scipy.linalg
-
-    try:
-        return scipy.linalg.solve_continuous_lyapunov(a, -d)
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise NumericalError(f"Schur-based Lyapunov solve failed: {exc}") from exc
-
-
 def _symmetrized(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """0.5 (V + V^T) of each matrix, with roundoff-level entries set to zero,
     max |V - V^T| and max(1, max |0.5 (V + V^T)|).
@@ -195,32 +182,34 @@ def _relative_residual(a: np.ndarray, v: np.ndarray, d: np.ndarray) -> np.ndarra
 
 def solve_lyapunov_stack(
     a: np.ndarray, d: np.ndarray, eigenvalues: np.ndarray, eigenvectors: np.ndarray
-) -> tuple[np.ndarray, list[OmmlabError | None]]:
+) -> tuple[np.ndarray, list[OmmlabError | None], np.ndarray]:
     """Stationary covariances of a stack of stable points, solved together.
 
     ``a`` and ``d`` are (N, n, n) in one unit, and the eigenpairs are each
     drift's, as :func:`ommlab.dynamics.stability_stack` returns them. A
     point with an asymmetric D fails at once; the others' eigenbasis results
     are screened with the 1e-10 residual gate (a NaN residual misses it) and
-    those that miss go to the Schur fallback, whose results are symmetrized
-    and gated in turn. Each point that passes is checked for the asymmetry
-    warning and non-negative variances. Returns V (N, n, n), exactly
-    symmetric, rows of failed points undefined, and per point the error that
-    point raises, or None.
+    those that miss go, together, to the Kronecker-form fallback,
+    :func:`solve_lyapunov_vech_stack`, whose results are symmetrized and
+    gated in turn; a point it fails keeps its error. Each point that passes
+    is checked for the asymmetry warning and non-negative variances. Returns
+    V (N, n, n), exactly symmetric, rows of failed points undefined, per
+    point the error that point raises, or None, and the mask (N,) of the
+    points solved in Kronecker form, for which that solve is no independent
+    check.
     """
     raw = _eigenbasis_solve(eigenvalues, eigenvectors, d)
     v, asym, scale = _symmetrized(raw)
     residual = _relative_residual(a, v, d)
     over = ~(residual <= _RESIDUAL_RTOL)
     asymmetric_d = _asymmetric(d)
+    kronecker = over & ~asymmetric_d
     errors: list[OmmlabError | None] = [None] * len(a)
-    missed = over.nonzero()[0]
-    if len(missed):
-        for i in missed[~asymmetric_d[missed]]:
-            try:
-                raw[i] = _schur_solve(a[i], d[i])
-            except NumericalError as exc:
-                errors[i] = exc
+    if kronecker.any():
+        missed = kronecker.nonzero()[0]
+        raw[missed], fallback_errors = solve_lyapunov_vech_stack(a[missed], d[missed])
+        for i, error in zip(missed, fallback_errors):
+            errors[i] = error
         v[missed], asym[missed], scale[missed] = _symmetrized(raw[missed])
         residual[missed] = _relative_residual(a[missed], v[missed], d[missed])
         over = ~(residual <= _RESIDUAL_RTOL)
@@ -247,7 +236,7 @@ def solve_lyapunov_stack(
             )
         if negative[i]:
             errors[i] = DomainError("variances on the diagonal must be non-negative")
-    return v, errors
+    return v, errors, kronecker
 
 
 def solve_lyapunov(
@@ -263,9 +252,9 @@ def solve_lyapunov(
     drift's largest |entry| (1 for a zero drift), and
     :func:`ommlab.dynamics.stability_stack` then gives the verdict and the
     eigenpairs; an A that is not asymptotically stable raises. This is
-    :func:`solve_lyapunov_stack` on a stack of one (eigenbasis solve, Schur
-    fallback when the basis is singular, worse conditioned than
-    :data:`_EIGENBASIS_COND_MAX` or misses the 1e-10 residual gate, the
+    :func:`solve_lyapunov_stack` on a stack of one (eigenbasis solve,
+    Kronecker-form fallback when the basis is singular, worse conditioned
+    than :data:`_EIGENBASIS_COND_MAX` or misses the 1e-10 residual gate, the
     asymmetry warning); the error it returns for the point is raised.
     """
     a_arr = a.a if isinstance(a, DriftMatrix) else np.asarray(a, dtype=float)
@@ -286,7 +275,7 @@ def solve_lyapunov(
         raise StabilityError(
             f"drift is not asymptotically stable (max Re eig = {max_real[0] * scale:.6e})"
         )
-    v, errors = solve_lyapunov_stack(a_s, d_s, eigs, vecs)
+    v, errors, _ = solve_lyapunov_stack(a_s, d_s, eigs, vecs)
     if errors[0] is not None:
         raise errors[0]
     return CovarianceMatrix(v=v[0])

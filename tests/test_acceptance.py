@@ -85,7 +85,7 @@ def test_decoupled_modes_relax_to_exact_thermal_vacuum(capsys):
     assert elapsed < 1.0
 
 
-def test_direct_steady_state_matches_rk4_relaxation_on_random_draws(capsys):
+def test_direct_steady_state_matches_kronecker_solve_on_random_draws(capsys):
     t0 = time.perf_counter()
     rng = np.random.default_rng(20260825)
     base = config_snapshot(default_params())
@@ -136,7 +136,7 @@ def test_direct_steady_state_matches_rk4_relaxation_on_random_draws(capsys):
     assert elapsed < 60.0
 
 
-def test_rk4_oracle_agrees_across_the_paper_panel(capsys):
+def test_kronecker_oracle_agrees_across_the_paper_panel(capsys):
     t0 = time.perf_counter()
     spec = SweepSpec(
         Axis("delta_a_over_wb", float(DELTA_A_GRID[0]), float(DELTA_A_GRID[-1]), 51),

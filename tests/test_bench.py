@@ -18,7 +18,7 @@ def test_stage_bench_writes_its_keys_on_a_tiny_input(tmp_path):
     )
     report = json.loads(out.read_text())
     rows = [
-        "point_us", "point_oracle_us", "point_derived_us", "stage1_point_us",
+        "point_us", "point_oracle_us", "point_derived_us", "fallback_point_us", "stage1_point_us",
         "lyapunov_point_us", "nu_minus_point_us", "report_point_us", "oracle_stack_point_us",
         "oracle_stack_chunk_us_per_pt", "stage1_derived_chunk_us_per_pt", "sweep_pts_per_s",
         "sweep_failing_pts_per_s", "sweep_oracle_pts_per_s", "sweep_oracle_over_plain",

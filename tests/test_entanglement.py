@@ -64,7 +64,7 @@ def stage_two_blocks(v, pairs):
     """The 4x4 blocks of the covariance ``v`` that harness stage 2 hands to
     :func:`nu_minus_stack`, one per pair, with V standing in for its solve."""
     with mock.patch.object(
-        harness, "solve_lyapunov_stack", return_value=(v[None], [None])
+        harness, "solve_lyapunov_stack", return_value=(v[None], [None], np.zeros(1, bool))
     ), mock.patch.object(harness, "nu_minus_stack", wraps=nu_minus_stack) as nu:
         # one point: only the length of the drift stack is read
         harness._steady_state(np.zeros((1, 10, 10)), None, None, None, pairs)

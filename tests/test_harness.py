@@ -291,7 +291,7 @@ class TestDefaultPoint:
         assert eigvals.call_count == 0
 
     def test_point_evaluation_leaves_scipy_out(self):
-        # the Lyapunov solve imports scipy only on its rare fallback branch
+        # neither the Lyapunov solve nor its Kronecker-form fallback imports scipy
         code = (
             "import sys, ommlab; "
             "report = ommlab.evaluate_point(ommlab.default_params()); "
@@ -354,11 +354,50 @@ class TestDefaultPoint:
 
         d, _, a, eigs, vecs, max_real, _ = harness._working_points([p])
         assert max_real[0] < 0.0
-        v, _, errors = harness._steady_state(a, d, eigs, vecs, [parse_pair("ab")])
+        v, _, errors, _ = harness._steady_state(a, d, eigs, vecs, [parse_pair("ab")])
         assert errors == [None]
         reference = scipy.linalg.solve_continuous_lyapunov(a[0], -d[0])
         assert np.linalg.norm(v[0] - reference) <= 5e-10 * np.linalg.norm(reference)
         assert evaluate_point(p).error is None
+
+    @pytest.mark.parametrize("delta_c2, delta_m, gated", [
+        (-1.550279006421079, 0.34808353387762303, True),
+        (-1.802001207619217, 1.2732372919639303, True),
+        (-1.623386972770771, 1.4038934407622188, True),
+        (-1.5540922357302556, 0.3869404411091681, True),
+        (-1.5603198767736242, 1.7083320046923478, True),
+        (-1.5551056325062236, 0.39600451393090963, False),
+    ])
+    def test_census_fallback_points(self, delta_c2, delta_m, gated):
+        # the six eq9_verbatim points of the 200-shift census whose eigenbasis
+        # solve misses the residual gate, each within 5e-8 omega_b of
+        # instability: one Kronecker-form fallback solve each, five within
+        # 1e-8 of scipy's Bartels-Stewart solve (5.5e-9 at worst), the sixth
+        # still over the gate; the oracle skips them, as it would rerun the
+        # same solve
+        p = default_params(
+            eq9_verbatim=True, coupling_mode="derived", b_field_t=1.1e-3, g_c_hz=1.5e3,
+            delta_c2_over_wb=delta_c2, delta_m_over_wb=delta_m,
+        )
+        import scipy.linalg
+
+        d, _, a, eigs, vecs, _, _ = harness._working_points([p])
+        with mock.patch.object(
+            steadystate, "solve_lyapunov_vech_stack", wraps=steadystate.solve_lyapunov_vech_stack
+        ) as fallback:
+            v, _, errors, kronecker = harness._steady_state(a, d, eigs, vecs, [parse_pair("ab")])
+        assert fallback.call_count == 1 and kronecker.tolist() == [True]
+        with mock.patch.object(harness, "solve_lyapunov_vech_stack") as oracle:
+            report = evaluate_point(p, oracle=True)
+        oracle.assert_not_called()
+        assert report.error == errors[0] and report.oracle_deviation is None
+        if gated:
+            assert errors == [None] and report.entanglement["ab"].e_n is not None
+            reference = scipy.linalg.solve_continuous_lyapunov(a[0], -d[0])
+            assert np.linalg.norm(v[0] - reference) <= 1e-8 * np.linalg.norm(reference)
+        else:
+            assert errors[0].startswith("Lyapunov residual ")
+            assert errors[0].endswith(" ||D||_F exceeds 1e-10 ||D||_F")
 
     def test_oracle_deviation_is_tiny(self):
         report = evaluate_point(default_params(), pairs=("ab",), oracle=True)
@@ -465,9 +504,9 @@ class TestDefaultPoint:
         failing = stable[1]
 
         def one_point_fails(a, d, eigs, vecs):
-            v, errors = steadystate.solve_lyapunov_stack(a, d, eigs, vecs)
+            v, errors, kronecker = steadystate.solve_lyapunov_stack(a, d, eigs, vecs)
             errors[1] = NumericalError("Lyapunov solve failed: test")
-            return v, errors
+            return v, errors, kronecker
 
         with mock.patch.object(
             harness, "solve_lyapunov_stack", one_point_fails
@@ -496,6 +535,12 @@ class TestDefaultPoint:
         assert report.efficiency is None
 
 
+def _failing_fallback(message):
+    """A Kronecker-form Lyapunov stack that fails every point it is given,
+    through its own error return: NaN V and ``message``."""
+    return lambda a, d: (np.full(a.shape, np.nan), [NumericalError(message)] * len(a))
+
+
 class TestPointFailures:
     """A stable point whose later stage fails keeps its stability verdict."""
 
@@ -507,12 +552,12 @@ class TestPointFailures:
         assert report.efficiency is None
 
     def test_failed_lyapunov_solve(self, default_point):
-        message = "Schur-based Lyapunov solve failed: test"
+        message = "Kronecker-form Lyapunov solve failed: test"
         with mock.patch.object(
             steadystate, "_eigenbasis_solve",
             side_effect=lambda lam, vecs, d_s: np.full(d_s.shape, np.nan),
         ), mock.patch.object(
-            steadystate, "_schur_solve", side_effect=NumericalError(message)
+            steadystate, "solve_lyapunov_vech_stack", side_effect=_failing_fallback(message)
         ):
             report = evaluate_point(default_params())
         self.assert_stable_without_measures(report, default_point, message)
@@ -1473,24 +1518,25 @@ class TestStackedCore:
         ]
         a, d, scale = (np.array(column) for column in zip(*points))
         with mock.patch.object(
-            steadystate, "_schur_solve", wraps=steadystate._schur_solve
-        ) as schur:
-            v, nu, errors = self.steady_state(a, d, scale)
-        return a, d, scale, (v, nu, errors), schur.call_count
+            steadystate, "solve_lyapunov_vech_stack", wraps=steadystate.solve_lyapunov_vech_stack
+        ) as fallback:
+            v, nu, errors, kronecker = self.steady_state(a, d, scale)
+        return a, d, scale, (v, nu, errors, kronecker), fallback.call_count
 
     def test_every_point_equals_its_stack_of_one(self, stack):
-        a, d, scale, (v, nu, errors), _ = stack
+        a, d, scale, (v, nu, errors, kronecker), _ = stack
         for i in range(len(a)):
-            v1, nu1, errors1 = self.steady_state(
+            v1, nu1, errors1, kronecker1 = self.steady_state(
                 a[i : i + 1], d[i : i + 1], scale[i : i + 1]
             )
             np.testing.assert_array_equal(v[i], v1[0])
             np.testing.assert_array_equal(nu[i], nu1[0])
-            assert errors[i] == errors1[0]
+            assert errors[i] == errors1[0] and kronecker[i] == kronecker1[0]
 
     def test_failures_stay_with_their_point(self, stack):
-        _, _, _, (_, nu, errors), schur_calls = stack
-        assert schur_calls == 1  # the nearly defective point only
+        _, _, _, (_, nu, errors, kronecker), fallback_calls = stack
+        assert fallback_calls == 1  # the nearly defective point only
+        assert kronecker.tolist() == [False, True, False, False, False]
         assert errors == [None] * 5 and np.all(nu > 0.0)
 
         # a non-finite drift fails the chunk's check, and only its own row
@@ -1515,8 +1561,8 @@ class TestStackedCore:
     def test_lyapunov_and_nu_minus_errors_stay_with_their_point(self, stack):
         # point 1 (nearly defective) fails its fallback Lyapunov solve and
         # one of its pairs; point 3 fails one pair; each keeps its first error
-        a, d, scale, (v, nu, errors), _ = stack
-        lyapunov_message = "Schur-based Lyapunov solve failed: test"
+        a, d, scale, (v, nu, errors, _), _ = stack
+        lyapunov_message = "Kronecker-form Lyapunov solve failed: test"
         nu_message = "vanishing symplectic eigenvalue; state is singular"
 
         def failing_blocks(blocks):
@@ -1526,9 +1572,10 @@ class TestStackedCore:
             return nu, block_errors
 
         with mock.patch.object(
-            steadystate, "_schur_solve", side_effect=NumericalError(lyapunov_message)
+            steadystate, "solve_lyapunov_vech_stack",
+            side_effect=_failing_fallback(lyapunov_message),
         ), mock.patch.object(harness, "nu_minus_stack", failing_blocks):
-            v2, nu2, errors2 = self.steady_state(a, d, scale)
+            v2, nu2, errors2, _ = self.steady_state(a, d, scale)
         assert errors2 == [None, lyapunov_message, None, nu_message, None]
         for i in (0, 2, 4):
             np.testing.assert_array_equal(v2[i], v[i])
@@ -1556,7 +1603,7 @@ class TestStackedCore:
 
     def test_singular_basis_falls_back_for_its_point_only(self, stack):
         # make the basis of the nearly defective point (index 1) singular
-        a, d, scale, (v, nu, errors), _ = stack
+        a, d, scale, (v, nu, errors, _), _ = stack
         inv = np.linalg.inv
         basis = stability_stack(a[1:2] / scale[1])[1][0]
 
@@ -1569,10 +1616,10 @@ class TestStackedCore:
         with mock.patch.object(
             np.linalg, "inv", side_effect=inv_singular_at_point_1
         ), mock.patch.object(
-            steadystate, "_schur_solve", wraps=steadystate._schur_solve
-        ) as schur:
-            v2, nu2, errors2 = self.steady_state(a, d, scale)
-        assert schur.call_count == 1
+            steadystate, "solve_lyapunov_vech_stack", wraps=steadystate.solve_lyapunov_vech_stack
+        ) as fallback:
+            v2, nu2, errors2, _ = self.steady_state(a, d, scale)
+        assert fallback.call_count == 1
         assert errors2 == errors
         np.testing.assert_array_equal(nu2, nu)
 
@@ -1582,14 +1629,14 @@ class TestStackedCore:
         assert not names & {"solved", "nus"}
 
     def test_every_returned_covariance_is_exactly_symmetric(self, stack):
-        _, _, _, (v, _, errors), _ = stack
+        _, _, _, (v, _, errors, _), _ = stack
         assert errors == [None] * len(v)
         np.testing.assert_array_equal(v, np.swapaxes(v, 1, 2))
 
     def test_roundoff_floor_is_per_point(self, stack):
         # entries between epsilon and 1e6 epsilon of max |V| survive at the
         # small point; a floor taken from the stack's largest V would clear them
-        _, _, _, (v, _, _), _ = stack
+        _, _, _, (v, _, _, _), _ = stack
         small = np.abs(v[3])
         eps = np.finfo(float).eps
         assert np.any((small > eps) & (small <= 1e6 * eps))

@@ -89,7 +89,7 @@ def test_benchmark_reference_covariance_is_stage_two(overrides):
     report = ommlab.evaluate_point(p)
     d, _, a, eigs, vecs, _, _ = ommlab.harness._working_points([p])
     pairs = [ommlab.entanglement.parse_pair(label) for label in report.entanglement]
-    v, _, errors = ommlab.harness._steady_state(a, d, eigs, vecs, pairs)
+    v, _, errors, _ = ommlab.harness._steady_state(a, d, eigs, vecs, pairs)
     assert errors == [None]
     reference = ommlab.solve_lyapunov(
         ommlab.build_drift(p, report.state), ommlab.build_diffusion(p), scale=p.omega_b
@@ -100,13 +100,20 @@ def test_benchmark_reference_covariance_is_stage_two(overrides):
 def test_cold_start_imports_no_scipy():
     # the benchmark's set-up imports the package and its CLI and evaluates a
     # point; an eager scipy import (scipy.constants alone takes 0.2 s) would
-    # cost more than the rest of that set-up. The oracle imports none either.
+    # cost more than the rest of that set-up. The oracle imports none either,
+    # nor does the Lyapunov solve's fallback.
     code = (
         "import sys, ommlab, ommlab.cli; "
         "report = ommlab.evaluate_point(ommlab.default_params()); "
         "assert report.error is None; "
         "report = ommlab.evaluate_point(ommlab.default_params(), oracle=True); "
         "assert report.error is None and report.oracle_deviation < 1e-9; "
+        # the census gate point, whose Lyapunov solve takes the fallback
+        "report = ommlab.evaluate_point(ommlab.default_params(eq9_verbatim=True, "
+        "coupling_mode='derived', b_field_t=1.1e-3, g_c_hz=1.5e3, "
+        "delta_c2_over_wb=-1.550279006421079, delta_m_over_wb=0.34808353387762303), "
+        "oracle=True); "
+        "assert report.error is None and report.oracle_deviation is None; "
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
     src = Path(ommlab.__file__).resolve().parents[1]

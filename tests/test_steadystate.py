@@ -165,9 +165,9 @@ class TestSolveLyapunov:
 
     def test_default_point_stays_in_the_eigenbasis(self):
         p, drift, diffusion = default_system()
-        with mock.patch.object(steadystate, "_schur_solve") as schur:
+        with mock.patch.object(steadystate, "solve_lyapunov_vech_stack") as fallback:
             v = solve_lyapunov(drift, diffusion, scale=p.omega_b).v
-        schur.assert_not_called()
+        fallback.assert_not_called()
         v_ref = scipy.linalg.solve_continuous_lyapunov(
             drift.a / p.omega_b, -diffusion.d / p.omega_b
         )
@@ -191,13 +191,14 @@ class TestSolveLyapunov:
     )
     @example(delta=0.0, seed=0)  # exactly defective: S is singular
     @settings(max_examples=25, deadline=None)
-    def test_nearly_defective_drift_takes_the_schur_fallback(self, delta, seed):
+    def test_nearly_defective_drift_takes_the_kronecker_fallback(self, delta, seed):
+        # scipy's Schur solve is the reference
         a, d = nearly_defective(delta, seed)
         with mock.patch.object(
-            steadystate, "_schur_solve", wraps=steadystate._schur_solve
-        ) as schur:
+            steadystate, "solve_lyapunov_vech_stack", wraps=solve_lyapunov_vech_stack
+        ) as fallback:
             v = solve_lyapunov(a, d, scale=1.0).v
-        assert schur.call_count == 1
+        assert fallback.call_count == 1
         assert np.linalg.norm(a @ v + v @ a.T + d) <= 1e-10 * np.linalg.norm(d)
         v_ref = scipy.linalg.solve_continuous_lyapunov(a, -d)
         assert np.max(np.abs(v - v_ref)) <= 1e-12 * np.max(np.abs(v_ref))
@@ -207,17 +208,19 @@ class TestSolveLyapunov:
         with mock.patch.object(
             steadystate, "_eigenbasis_solve", return_value=np.eye(2)[None]
         ), mock.patch.object(
-            steadystate, "_schur_solve", wraps=steadystate._schur_solve
-        ) as schur:
+            steadystate, "solve_lyapunov_vech_stack", wraps=solve_lyapunov_vech_stack
+        ) as fallback:
             v = solve_lyapunov(a, d).v
-        assert schur.call_count == 1
+        assert fallback.call_count == 1
         assert np.max(np.abs(v - 0.5 * np.eye(2))) <= 1e-12
 
     def test_fallback_missing_the_gate_raises(self):
         a, d = single_cavity()
         with mock.patch.object(
             steadystate, "_eigenbasis_solve", return_value=np.full((1, 2, 2), np.nan)
-        ), mock.patch.object(steadystate, "_schur_solve", return_value=np.eye(2)):
+        ), mock.patch.object(
+            steadystate, "solve_lyapunov_vech_stack", return_value=(np.eye(2)[None], [None])
+        ):
             with pytest.raises(NumericalError, match="residual"):
                 solve_lyapunov(a, d)
 
@@ -250,10 +253,11 @@ class TestLyapunovStack:
         d_bad = d.copy()
         d_bad[0, 1] = 0.1
         with mock.patch.object(
-            steadystate, "_schur_solve", wraps=steadystate._schur_solve
-        ) as schur:
-            v, errors = self.solve([a, a], [d, d_bad])
-        schur.assert_not_called()
+            steadystate, "solve_lyapunov_vech_stack", wraps=solve_lyapunov_vech_stack
+        ) as fallback:
+            v, errors, kronecker = self.solve([a, a], [d, d_bad])
+        fallback.assert_not_called()
+        assert not kronecker.any()
         assert errors[0] is None
         assert isinstance(errors[1], DomainError)
         assert str(errors[1]) == "diffusion must be symmetric"
@@ -265,14 +269,14 @@ class TestLyapunovStack:
         raw = np.array([0.5 * np.eye(2) + skew, 0.5 * np.eye(2)])
         with mock.patch.object(steadystate, "_eigenbasis_solve", return_value=raw):
             with pytest.warns(RuntimeWarning, match="asymmetry") as record:
-                v, errors = self.solve([a, a], [d, d])
+                v, errors, _ = self.solve([a, a], [d, d])
         assert len(record) == 1
         assert errors == [None, None]
         np.testing.assert_array_equal(v, [0.5 * np.eye(2)] * 2)
 
     def test_negative_variance_fails_its_row(self):
         a, d = single_cavity()
-        v, errors = self.solve([a, -np.eye(2)], [d, np.diag([1.0, -1.0])])
+        v, errors, _ = self.solve([a, -np.eye(2)], [d, np.diag([1.0, -1.0])])
         assert errors[0] is None
         assert isinstance(errors[1], DomainError)
         assert "non-negative" in str(errors[1])
@@ -285,10 +289,11 @@ class TestLyapunovStack:
         a = q @ np.array([[-1.0, 1.0], [1e-18, -1.0]]) @ q.T
         d = np.zeros((2, 2))
         with mock.patch.object(
-            steadystate, "_schur_solve", wraps=steadystate._schur_solve
-        ) as schur:
-            v, errors = self.solve([a], [d])
-        assert schur.call_count == 1
+            steadystate, "solve_lyapunov_vech_stack", wraps=solve_lyapunov_vech_stack
+        ) as fallback:
+            v, errors, kronecker = self.solve([a], [d])
+        assert fallback.call_count == 1
+        assert kronecker.tolist() == [True]
         assert errors == [None]
         np.testing.assert_array_equal(v[0], np.zeros((2, 2)))
         np.testing.assert_array_equal(solve_lyapunov(a, d).v, np.zeros((2, 2)))
@@ -305,7 +310,7 @@ class TestUnitFreeStacks:
         a = np.array([build_drift(p, solve_semiclassics(p)).a for p in points]) / c
         d = np.array([build_diffusion(p).d for p in points]) / c
         eigs, vecs, max_real = stability_stack(a)
-        v, errors = steadystate.solve_lyapunov_stack(a, d, eigs, vecs)
+        v, errors, _ = steadystate.solve_lyapunov_stack(a, d, eigs, vecs)
         v_oracle, oracle_errors = solve_lyapunov_vech_stack(a, d)
         return eigs * c, max_real * c, (v, errors), (v_oracle, oracle_errors)
 
@@ -513,8 +518,8 @@ class TestFlowStack:
         empty = np.zeros((0, n, n))
         eigs, vecs, max_real = stability_stack(empty)
         assert (eigs.shape, vecs.shape, max_real.shape) == ((0, n), (0, n, n), (0,))
-        v, errors = steadystate.solve_lyapunov_stack(empty, empty, eigs, vecs)
-        assert v.shape == (0, n, n) and errors == []
+        v, errors, kronecker = steadystate.solve_lyapunov_stack(empty, empty, eigs, vecs)
+        assert v.shape == (0, n, n) and errors == [] and kronecker.shape == (0,)
         with mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solve:
             v, errors = solve_lyapunov_vech_stack(empty, empty)
         assert v.shape == (0, n, n) and errors == []
@@ -564,7 +569,9 @@ class TestFlowStack:
 
 
 class TestFlowEdgeCases:
-    """At each edge the Kronecker-form solve agrees with the direct solve."""
+    """At each edge the Kronecker-form solve agrees with a second solve: the
+    direct one at the physical edges, scipy's Schur solve where the direct
+    solve falls back to the Kronecker form itself."""
 
     def assert_agrees(self, a, d, scale):
         v_direct = solve_lyapunov(a, d, scale=scale).v
@@ -578,17 +585,22 @@ class TestFlowEdgeCases:
 
     @pytest.mark.parametrize("delta", [1e-5, 1e-9])
     def test_nearly_coalescing_eigenvectors(self, delta):
-        # the direct solve takes its Schur fallback here; the oracle reads no basis
+        # the direct solve falls back to the Kronecker form here, so scipy's
+        # Bartels-Stewart solve is the reference
         a, d = nearly_defective(delta, seed=1)
-        self.assert_agrees(a, d, float(np.abs(a).max()))
+        scale = float(np.abs(a).max())
+        v, errors = oracle(a[None], d[None], np.array([scale]))
+        assert errors == [None]
+        v_ref = scipy.linalg.solve_continuous_lyapunov(a / scale, -d / scale)
+        assert np.linalg.norm(v[0] - v_ref) <= 1e-9 * np.linalg.norm(v_ref)
 
 
-class TestFlowWork:
+class TestOracleWork:
     """Exact counts of the oracle's work, so its pass structure cannot grow
     unseen: one Kronecker-form stack per chunk, and each point's operator
     gathered and solved once, _VECH_BLOCK points to a call."""
 
-    def test_a_chunk_takes_one_flow_and_reads_each_point_once(self):
+    def test_a_chunk_takes_one_oracle_stack_and_reads_each_point_once(self):
         # 144 points, every one stable and solved: chunks of 128 and 16, each
         # passed through the oracle in one stack
         spec = SweepSpec(
