@@ -77,14 +77,6 @@ def _seconds(call, count: int) -> float:
     return (time.perf_counter() - t0) / count
 
 
-def _oracle_stack(steadystate):
-    """The checkout's oracle stack, as a function of (a, d, eigenvalues)."""
-    if hasattr(steadystate, "solve_lyapunov_vech_stack"):
-        return lambda a, d, eigs: steadystate.solve_lyapunov_vech_stack(a, d)
-    # checkouts that relax along the exact flow instead
-    return steadystate.integrate_to_steady_state_stack
-
-
 #: The derived-mode reference point: every branch of it solved, the first kept.
 DERIVED = {"coupling_mode": "derived", "b_field_t": 1.1e-3, "g_c_hz": 1.5e3}
 
@@ -111,7 +103,7 @@ def worker(calls: int, grid: int) -> dict[str, float]:
     """One timing of every row in this process, on the ommlab it imports."""
     import numpy as np
 
-    from ommlab import default_params, entanglement, evaluate_point, harness, steadystate
+    from ommlab import default_params, entanglement, evaluate_point, harness, model, steadystate
     from ommlab.harness import CHUNK_SIZE, DEFAULT_PAIRS, SWEEP_AXES, Axis, SweepSpec, run_sweep
     from ommlab.model import rows as table_rows
 
@@ -124,16 +116,17 @@ def worker(calls: int, grid: int) -> dict[str, float]:
     derived_spec = SweepSpec(Axis("delta_c2_over_wb", -2.0, 0.0, grid),
                              Axis("delta_m_over_wb", 0.0, 2.0, grid))
     derived_chunk = _grid_points(derived, derived_spec, SWEEP_AXES)[:CHUNK_SIZE]
-    oracle = _oracle_stack(steadystate)
-    # stage 1's drifts, diffusions and eigenvalues, in units of omega_b
-    stacks = [
-        (a, d, eigs)
-        for d, _, a, eigs, *_ in map(harness._working_points, ([params], chunk))
-    ]
+    # stage 1 of a list of points, point table included: checkouts whose stage
+    # 1 takes the list build the table inside it
+    stage1 = harness._working_points if hasattr(model, "SweptParams") else (
+        lambda points: harness._working_points(model.columns(points)))
+    oracle = steadystate.solve_lyapunov_vech_stack
+    # stage 1's drifts and diffusions, in units of omega_b
+    stacks = [(a, d) for d, _, a, *_ in map(stage1, ([params], chunk))]
 
     # the default point's stages, fed as harness feeds them
     # checkouts whose stage 1 keeps its errors per point return them seventh
-    d, states, a, eigs, vecs, max_real = harness._working_points([params])[:6]
+    d, states, a, eigs, vecs, max_real = stage1([params])[:6]
     # checkouts that mark the points solved in Kronecker form return the mask third
     v, lyapunov_errors = steadystate.solve_lyapunov_stack(a, d, eigs, vecs)[:2]
     rows = np.array([m1.rows + m2.rows for m1, m2 in map(entanglement.parse_pair, DEFAULT_PAIRS)])
@@ -168,7 +161,7 @@ def worker(calls: int, grid: int) -> dict[str, float]:
         "point_oracle_us": (lambda: evaluate_point(params, oracle=True), calls, 1e6),
         "point_derived_us": (lambda: evaluate_point(derived), calls, 1e6),
         "fallback_point_us": (lambda: evaluate_point(fallback), calls, 1e6),
-        "stage1_point_us": (lambda: harness._working_points([params]), calls, 1e6),
+        "stage1_point_us": (lambda: stage1([params]), calls, 1e6),
         "lyapunov_point_us": (
             lambda: steadystate.solve_lyapunov_stack(a, d, eigs, vecs), calls, 1e6),
         "nu_minus_point_us": (lambda: entanglement.nu_minus_stack(blocks), calls, 1e6),
@@ -177,7 +170,7 @@ def worker(calls: int, grid: int) -> dict[str, float]:
         "oracle_stack_chunk_us_per_pt": (
             lambda: oracle(*stacks[1]), CHUNK_CALLS, 1e6 / len(chunk)),
         "stage1_derived_chunk_us_per_pt": (
-            lambda: harness._working_points(derived_chunk), CHUNK_CALLS, 1e6 / len(derived_chunk)),
+            lambda: stage1(derived_chunk), CHUNK_CALLS, 1e6 / len(derived_chunk)),
         "sweep_s": (lambda: run_sweep(params, spec, ("ab", "am")), 1, 1.0),
         "sweep_failing_s": (failing_sweep, 1, 1.0),
         "sweep_oracle_s": (lambda: run_sweep(params, spec, ("ab", "am"), oracle=True), 1, 1.0),

@@ -31,7 +31,7 @@ from .harness import (
     write_csv,
     write_pgm,
 )
-from .model import TWO_PI
+from .model import TWO_PI, columns
 from .steadystate import physicality_margin, solve_lyapunov
 
 
@@ -104,7 +104,7 @@ def _cmd_stability(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     # the spectrum of the working point the harness keeps, which in derived
     # mode need not be the first branch solve_semiclassics returns
-    *_, eigs, _, max_real, errors = _working_points([config.params])
+    *_, eigs, _, max_real, errors = _working_points(columns([config.params]))
     if errors[0] is not None:
         raise errors[0]
     max_real = float(max_real[0])
@@ -154,7 +154,7 @@ def _cmd_selftest(_args: argparse.Namespace) -> int:
     # the harness: the pipeline's nu_- against the eigenvalue route on its V
     config = load_config(None)
     pairs = list(itertools.combinations(Mode, 2))
-    d, _, a, eigs, vecs, _, (error,) = _working_points([config.params])
+    d, _, a, eigs, vecs, _, (error,) = _working_points(columns([config.params]))
     if error is None:
         v, nu, errors, _ = _steady_state(a, d, eigs, vecs, pairs)
         error = errors[0]

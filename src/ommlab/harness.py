@@ -7,9 +7,9 @@ evaluate a 1D or 2D grid of operating points, tolerate per-point failures by
 recording them, and write a CSV table plus optional PGM heatmaps.
 
 Every point is evaluated by :func:`_evaluate_chunk`, a stack of points at a
-time, in two stages. Stage 1, :func:`_working_points`, reads the chunk's
-parameters once, as one point table (:func:`ommlab.model.columns`), and
-picks each point's working point: the chunk's branches come as a state
+time, in two stages. Stage 1, :func:`_working_points`, takes the chunk's
+parameters as one point table (:func:`ommlab.model.columns`) and picks each
+point's working point: the chunk's branches come as a state
 column, its diffusions and first-branch drifts as stacks built from rows of
 that table, and the drifts go through one batched eigensolve. The later
 branches of every point whose first drift is unstable are then tried
@@ -24,10 +24,11 @@ point by point within its block (:func:`ommlab.errors._batched`), and a point
 with an error is left out of the chunk's later batched calls, so that it
 keeps the first error of its pipeline, as its row. :func:`evaluate_point` is
 a stack of one; the requested pairs are parsed, and their blocks in V
-located, once per tuple. :func:`run_sweep` checks each axis value once and
-hands each chunk of :data:`CHUNK_SIZE` grid points to the stages as the base
-parameters plus one array per swept field; a stack's results come back as
-:class:`Reports` columns, which the writers read.
+located, once per tuple. :func:`run_sweep` checks each axis value once, the
+one domain check a swept value gets, and hands each chunk of
+:data:`CHUNK_SIZE` grid points to the stages as a point table: the base
+parameters' column, copied, with the swept rows written in. A stack's
+results come back as :class:`Reports` columns, which the writers read.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ from .dynamics import DIM, diffusion_stack, drift_stack, stability_stack
 from .entanglement import EntanglementReport, Mode, _e_n, nu_minus_stack, parse_pair
 from .errors import ConfigError, DomainError, NumericalError, OmmlabError, _batched
 from .model import (
-    PARAM_TABLE, Param, Points, SweptParams, SystemParams, _require_real, columns,
-    config_snapshot, params_from_mapping, rows,
+    PARAM_TABLE, Param, SystemParams, _require_real, columns, config_snapshot,
+    params_from_mapping, rows,
 )
 from .semiclassics import SemiclassicalState, solve_semiclassics_stack, state_at, state_column
 from .steadystate import _frobenius, solve_lyapunov_stack, solve_lyapunov_vech_stack
@@ -409,9 +410,9 @@ def _pair_blocks(pairs: tuple[tuple[Mode, Mode], ...]) -> np.ndarray:
     return flat
 
 
-def _working_points(params_list: Points) -> tuple[np.ndarray, ...]:
-    """Stage 1 of the module docstring on a non-empty stack of valid
-    parameter sets. Returns the diffusions (N, 10, 10), and each point's kept
+def _working_points(table: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Stage 1 of the module docstring on the point table of a non-empty stack
+    of valid points. Returns the diffusions (N, 10, 10), and each point's kept
     state as a state column (N,), drift (N, 10, 10), eigenvalues (N, 10),
     eigenvectors (N, 10, 10), max Re (N,) and first error, or None (N,); a
     point with an error has no state, a NaN max Re and undefined other rows.
@@ -419,7 +420,6 @@ def _working_points(params_list: Points) -> tuple[np.ndarray, ...]:
     divided by its omega_b, once, and the stacks after it work in those
     units. Only max Re, which the reports' margin reads, is returned in rad/s.
     """
-    table = columns(params_list)
     scale = table[_OMEGA_B]
     per_scale = scale[:, None, None]
     d = diffusion_stack(table) / per_scale
@@ -469,8 +469,8 @@ def _no_spectrum(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.full((n, DIM), np.nan + 0j), np.full((n, DIM, DIM), np.nan + 0j), np.full(n, np.nan)
 
 
-def _evaluate_chunk(points: Points, parsed: _Parsed, *, oracle: bool = False) -> Reports:
-    """Evaluate a non-empty stack of valid points end to end.
+def _evaluate_chunk(table: np.ndarray, parsed: _Parsed, *, oracle: bool = False) -> Reports:
+    """Evaluate the point table of a non-empty stack of valid points end to end.
 
     The points go through the two stages of the module docstring as one
     stack, and a point with an error in either keeps the first as its row.
@@ -478,7 +478,7 @@ def _evaluate_chunk(points: Points, parsed: _Parsed, *, oracle: bool = False) ->
     solved in Kronecker form, as one more stack, and compared; a point whose
     second solve fails keeps its measures and gets an ``oracle:`` error.
     """
-    d, states, a, eigs, vecs, max_real, failed = _working_points(points)
+    d, states, a, eigs, vecs, max_real, failed = _working_points(table)
     stable = max_real < 0.0
     # the rows stage 2 solves: all, as a slice that copies nothing, or the stable ones
     rows = slice(None) if np.count_nonzero(stable) == len(stable) else stable.nonzero()[0]
@@ -519,7 +519,7 @@ def evaluate_point(
     reported in the ``error`` field rather than raised, so sweeps keep going.
     The point is a chunk of one, evaluated exactly as a sweep evaluates it.
     """
-    return _evaluate_chunk([params], _parse_pairs(pairs), oracle=oracle)[0]
+    return _evaluate_chunk(columns([params]), _parse_pairs(pairs), oracle=oracle)[0]
 
 
 def run_sweep(
@@ -533,12 +533,14 @@ def run_sweep(
     """Evaluate a grid of operating points.
 
     The grid is row-major with axis1 as the outer loop. Each axis value is
-    checked once, by its :data:`SWEEP_AXES` setter on ``params``; a point
-    whose axis-1 value fails validation (a negative temperature, say) is an
+    checked once, by its :data:`SWEEP_AXES` setter on ``params``, which holds
+    it to its field's rule in :class:`SystemParams`; the stacks check none.
+    A point whose axis-1 value fails (a negative temperature, say) is an
     error row with that value's error, else with its axis-2 value's, as
     setting both on the point would give: no domain rule ties two sweepable
     fields. The grid is cut by index into chunks of :data:`CHUNK_SIZE`
-    points, whose valid points are solved as one stack. Chunks are
+    points, whose valid points are solved as one stack, a point table of
+    copies of the column of ``params`` with the swept rows written in. Chunks are
     independent, so ``threads`` > 1 runs them on a bounded thread pool;
     results are merged in chunk order, which makes the output independent of
     scheduling. The default is one thread and no pool.
@@ -567,10 +569,13 @@ def run_sweep(
         error = np.where(np.equal(errors[at], None), error, errors[at])
     valid = np.flatnonzero(np.equal(error, None))
     failed = np.flatnonzero(np.not_equal(error, None))
+    base = columns([params])
 
     def work(index: np.ndarray) -> Reports:
-        points = SweptParams(params, {field: column[index] for field, column in swept.items()})
-        return _evaluate_chunk(points, parsed, oracle=oracle)
+        table = np.repeat(base, len(index), axis=1)
+        for field, column in swept.items():
+            table[rows(field)] = column[index]
+        return _evaluate_chunk(table, parsed, oracle=oracle)
 
     # the valid points of each run of CHUNK_SIZE grid points
     chunks = np.split(valid, np.searchsorted(valid, grid[CHUNK_SIZE::CHUNK_SIZE]))
@@ -580,11 +585,11 @@ def run_sweep(
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             solved = list(pool.map(work, chunks))
-    rows = [*solved, _reports(parsed, error[failed])]
+    parts = [*solved, _reports(parsed, error[failed])]
     return SweepResult(
         params=params, spec=spec, pairs=tuple(label for label, _ in parsed),
         values1=values1, values2=values2,
-        reports=_joined(rows, np.argsort(np.concatenate([*chunks, failed]))),
+        reports=_joined(parts, np.argsort(np.concatenate([*chunks, failed]))),
     )
 
 

@@ -9,6 +9,7 @@ exactly once, when a parameter set is built.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
@@ -200,29 +201,6 @@ class SystemParams:
         return self.coupling_mode == "derived"
 
 
-@dataclass(frozen=True)
-class SweptParams:
-    """N parameter sets that are ``base`` but for the fields in ``swept``, each
-    an (N,) array in field units held to its field's rule: a sweep's chunk."""
-
-    base: SystemParams
-    swept: Mapping[str, np.ndarray]
-
-    def __post_init__(self) -> None:
-        # the stacks' formulas check no domain of their own
-        for name, values in self.swept.items():
-            if name in _POSITIVE and not np.all((values > 0.0) & (values < math.inf)):
-                raise DomainError(f"{name} must be finite and strictly positive")
-            if name in _NON_NEGATIVE and not np.all((values >= 0.0) & (values < math.inf)):
-                raise DomainError(f"{name} must be finite and non-negative")
-
-    def __len__(self) -> int:
-        return len(next(iter(self.swept.values())))
-
-
-#: The points of a stack: parameter sets, or a base set and swept columns.
-Points = Sequence[SystemParams] | SweptParams
-
 #: The rows of a point table, see :func:`columns`: every field of
 #: :class:`SystemParams` in field order, the coupling mode as the flag ``derived``.
 TABLE_FIELDS = tuple("derived" if p.field == "coupling_mode" else p.field for p in PARAM_TABLE)
@@ -235,16 +213,10 @@ def rows(*fields: str) -> np.ndarray:
     return np.array([_ROW[field] for field in fields])
 
 
-def columns(points: Points) -> np.ndarray:
-    """The point table of N points, (len(TABLE_FIELDS), N): row k holds field
-    ``TABLE_FIELDS[k]`` of each point, flags as 0.0 and 1.0 and None as NaN.
-    A stack reads its points once, here; its builders take rows of the table."""
-    if isinstance(points, SweptParams):
-        table = np.empty((len(TABLE_FIELDS), len(points)))
-        table[:] = np.array(_READ(points.base), float)[:, None]
-        for field, values in points.swept.items():
-            table[_ROW[field]] = values
-        return table
+def columns(points: Sequence[SystemParams]) -> np.ndarray:
+    """The point table of N parameter sets, (len(TABLE_FIELDS), N): row k holds
+    field ``TABLE_FIELDS[k]`` of each point, flags as 0.0 and 1.0 and None as
+    NaN. A stack reads its points once, here; its builders take rows of the table."""
     return np.array([_READ(p) for p in points], float).reshape(-1, len(TABLE_FIELDS)).T
 
 
@@ -255,9 +227,9 @@ def _check(bad: Any, message: str, error: type[Exception] = DomainError) -> None
         raise error(message)
 
 
-# The three input formulas. They check no domain: the fields of a SystemParams,
-# and the columns of a SweptParams, are held to their rules when it is built.
-# Each takes scalars or equal-shape arrays.
+# The three input formulas. They check no domain: a SystemParams holds its
+# fields to their rules, and harness.run_sweep each swept value. Each takes
+# scalars or equal-shape arrays.
 
 def _occupation(omega: _Real, temperature: _Real) -> _Real:
     """Mean thermal occupation of a bath mode at angular frequency omega.
@@ -306,7 +278,7 @@ PARAM_KEYS = frozenset(DEFAULT_CONFIG)
 
 
 def _require_real(what: str, value: Any) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{what} must be a real number, got {value!r}")
     v = float(value)
     if not math.isfinite(v):
@@ -380,7 +352,6 @@ __all__ = [
     "PARAM_TABLE",
     "Param",
     "TABLE_FIELDS",
-    "SweptParams",
     "SystemParams",
     "TWO_PI",
     "columns",

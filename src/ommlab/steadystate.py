@@ -70,7 +70,7 @@ _ASYMMETRY_RTOL = 1e-9
 #: fail. The physical maps stay below cond 10.
 _EIGENBASIS_COND_MAX = 1e3
 
-#: Points per batched LU of the Kronecker-form solve; 32 operators of 55 x 55
+#: The points per batched LU of the Kronecker-form solve; 32 operators of 55 x 55
 #: take 0.8 MB. On a 128-point chunk of the paper map (2 cores, OpenBLAS at one
 #: thread) the stack took 28 us a point in blocks of 32 or 64, 30 at 8 or 128.
 _VECH_BLOCK = 32

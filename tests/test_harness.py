@@ -37,7 +37,7 @@ from ommlab.dynamics import drift_stack, stability_stack
 from ommlab import harness
 from ommlab.entanglement import nu_minus_stack, parse_pair
 from ommlab.harness import CHUNK_SIZE, SWEEP_AXES
-from ommlab.model import columns, config_snapshot, rows
+from ommlab.model import PARAM_TABLE, columns, config_snapshot, rows
 from ommlab.semiclassics import solve_semiclassics_stack, state_at
 from references import rabi
 
@@ -53,8 +53,10 @@ DEFAULT_MARGIN = 2623055.823813708
 
 class TestAxis:
     def test_values_are_linspace(self):
-        axis = Axis(name="T", start=0.001, stop=0.4, count=5)
-        np.testing.assert_allclose(axis.values(), np.linspace(0.001, 0.4, 5))
+        # any real endpoints but bools, numpy scalars too
+        for start in (0.001, np.float32(0.001), np.int64(0), np.int32(0)):
+            axis = Axis(name="T", start=start, stop=0.4, count=5)
+            np.testing.assert_allclose(axis.values(), np.linspace(float(start), 0.4, 5))
 
     def test_unknown_name_lists_valid_axes(self):
         with pytest.raises(ConfigError, match="valid axes"):
@@ -352,7 +354,7 @@ class TestDefaultPoint:
         )
         import scipy.linalg
 
-        d, _, a, eigs, vecs, max_real, _ = harness._working_points([p])
+        d, _, a, eigs, vecs, max_real, _ = harness._working_points(columns([p]))
         assert max_real[0] < 0.0
         v, _, errors, _ = harness._steady_state(a, d, eigs, vecs, [parse_pair("ab")])
         assert errors == [None]
@@ -381,7 +383,7 @@ class TestDefaultPoint:
         )
         import scipy.linalg
 
-        d, _, a, eigs, vecs, _, _ = harness._working_points([p])
+        d, _, a, eigs, vecs, _, _ = harness._working_points(columns([p]))
         with mock.patch.object(
             steadystate, "solve_lyapunov_vech_stack", wraps=steadystate.solve_lyapunov_vech_stack
         ) as fallback:
@@ -447,7 +449,7 @@ class TestDefaultPoint:
             for _ in range(16)
         ]
         pairs = ("ab", "am", "c2b")
-        chunk = harness._evaluate_chunk(points, harness._parse_pairs(pairs), oracle=True)
+        chunk = harness._evaluate_chunk(columns(points), harness._parse_pairs(pairs), oracle=True)
         assert sum(report.oracle_deviation is not None for report in chunk) >= 8
         for point, row in zip(points, chunk):
             assert repr(evaluate_point(point, pairs, oracle=True)) == repr(row)
@@ -518,7 +520,7 @@ class TestDefaultPoint:
         checked = [k for k in stable if k != failing]
         a = oracle.call_args.args[0]
         points = [SWEEP_AXES["delta_m_over_wb"](base, float(x)) for x in spec.axis1.values()]
-        want = np.array([harness._working_points([points[k]])[2][0] for k in checked])
+        want = np.array([harness._working_points(columns([points[k]]))[2][0] for k in checked])
         np.testing.assert_array_equal(a, want)
         assert result.report_at(failing).error == "Lyapunov solve failed: test"
         assert result.report_at(failing).oracle_deviation is None
@@ -755,7 +757,7 @@ class TestWorkingPointBranches:
         assert report.margin == margins[order[1]]
         chunk = [default_params(), default_params(**self.LATER_BRANCH), p]
         parsed = [(label, parse_pair(label)) for label in DEFAULT_PAIRS]
-        reports = harness._evaluate_chunk(chunk, parsed)
+        reports = harness._evaluate_chunk(columns(chunk), parsed)
         assert reports == [evaluate_point(point) for point in chunk]
         assert reports[2] == report
 
@@ -807,7 +809,7 @@ class TestWorkingPointBranches:
         self.reorder(monkeypatch, lambda found: found[[2, 0, 1]] if len(found) == 3 else found)
         eig_rows.clear()
         screened.clear()
-        _, states, a, eigs, vecs, max_real, _ = harness._working_points([later, two])
+        _, states, a, eigs, vecs, max_real, _ = harness._working_points(columns([later, two]))
         assert eig_rows == [2, 3] and screened == [3]
         for k, (p, branch) in enumerate(zip([later, two], kept)):
             assert states[k : k + 1].tobytes() == branch.tobytes()
@@ -823,7 +825,7 @@ class TestWorkingPointBranches:
     def test_later_branch_row_in_a_chunk_equals_its_lone_evaluation(self):
         points = _chunk_points()
         parsed = [(label, parse_pair(label)) for label in DEFAULT_PAIRS]
-        reports = harness._evaluate_chunk(points, parsed)
+        reports = harness._evaluate_chunk(columns(points), parsed)
         assert reports[3] == evaluate_point(points[3])
         assert reports[3].state.q_avg == pytest.approx(-1.27e4, rel=1e-2)
         assert [r.stable for r in reports] == [True, False, True, True]
@@ -840,7 +842,7 @@ class TestWorkingPointBranches:
         parsed = [(label, parse_pair(label)) for label in DEFAULT_PAIRS]
         with pytest.warns(RuntimeWarning, match="overflow"):
             states, offsets, errors = solve_semiclassics_stack(columns([good, bad]))
-            first, error = harness._evaluate_chunk([good, bad], parsed)
+            first, error = harness._evaluate_chunk(columns([good, bad]), parsed)
         assert errors[0] is None and isinstance(errors[1], NumericalError)
         assert str(errors[1]).startswith("displacement polynomial root solve failed")
         assert offsets[2] - offsets[1] == 1 and state_at(states, offsets[1]) is None
@@ -882,7 +884,7 @@ class TestWorkingPointBranches:
         _, _, errors = solve_semiclassics_stack(columns([good, bad, good]))
         assert errors[0] is None and errors[2] is None
         assert isinstance(errors[1], DegenerateOperatingPointError)
-        first, error, last = harness._evaluate_chunk([good, bad, good], parsed)
+        first, error, last = harness._evaluate_chunk(columns([good, bad, good]), parsed)
         assert error.error == "magnon response denominator vanishes"
         assert error.state is None and error.margin is None and not error.stable
         assert first == alone and last == alone
@@ -897,7 +899,7 @@ class TestWorkingPointBranches:
         ]
         points.insert(11, default_params(**self.BAD))
         parsed = [(label, parse_pair(label)) for label in ("ab", "am")]
-        bad_drift = harness._working_points(points[11:12])[2][0]
+        bad_drift = harness._working_points(columns(points[11:12]))[2][0]
         calls = []
         originals = {name: getattr(np.linalg, name) for name in ("eig", "eigvals", "solve")}
 
@@ -911,15 +913,15 @@ class TestWorkingPointBranches:
 
         for name in originals:
             monkeypatch.setattr(np.linalg, name, recorded(name, False))
-        clean = harness._evaluate_chunk(points, parsed)
+        clean = harness._evaluate_chunk(columns(points), parsed)
         assert all(report.error is None for report in clean)
         clean_calls, calls[:] = calls[:], []
         monkeypatch.setattr(np.linalg, "eig", recorded("eig", True))
-        reports = harness._evaluate_chunk(points, parsed)
+        reports = harness._evaluate_chunk(columns(points), parsed)
         k = clean_calls.index(("eig", 16))
         assert calls == clean_calls[: k + 1] + [("eig", 1)] * 16 + clean_calls[k + 1 :]
         assert reports[11].error == "eigensolve failed: Eigenvalues did not converge"
-        assert reports == [harness._evaluate_chunk([p], parsed)[0] for p in points]
+        assert reports == [harness._evaluate_chunk(columns([p]), parsed)[0] for p in points]
         assert [r == c for r, c in zip(reports, clean)] == [i != 11 for i in range(16)]
 
 
@@ -941,7 +943,7 @@ class TestStageOneFailures:
         points.insert(1, bad)
         parsed = [(label, parse_pair(label)) for label in DEFAULT_PAIRS]
         with warns():
-            reports = harness._evaluate_chunk(points, parsed)
+            reports = harness._evaluate_chunk(columns(points), parsed)
             alone = [evaluate_point(p) for p in points]
         assert reports[1].error == message
         assert not reports[1].stable and reports[1].margin is None and reports[1].state is None
@@ -1026,7 +1028,7 @@ class TestStageOneFailures:
     def test_stability(self, monkeypatch, name, overrides):
         bad = default_params(**overrides)
         # the drift stage 1 keeps, a later branch's for the later-branch point
-        drift = harness._working_points([bad])[2][0]
+        drift = harness._working_points(columns([bad]))[2][0]
         self.failing(monkeypatch, name, lambda x: [np.array_equal(m, drift) for m in x])
         self.assert_fails_alone(bad, "eigensolve failed: Eigenvalues did not converge")
 
@@ -1074,23 +1076,33 @@ class TestColumnarSweep:
     """Checking each axis value once, and writing from columns, give what
     setting each point and writing report by report give."""
 
+    #: Every sweepable field with a domain rule, by config key: run_sweep's
+    #: check of each axis value is the only one its swept values get.
+    RULED = {p.key: p.field for p in PARAM_TABLE if p.sweepable and p.rule is not None}
+
     def test_each_error_is_the_per_point_setters_message(self):
-        # T below 0 breaks axis 1, g_n1 below 0 axis 2; (0, 0) breaks both
-        spec = SweepSpec(Axis("T", -0.01, 0.01, 3), Axis("g_n1_hz", -1e6, 1e6, 3))
+        # each ruled field on axis 1, the next on axis 2: values below 0 break
+        # an axis, and (0, 0) breaks both
+        names = [*self.RULED]
         params = default_params()
-        result = run_sweep(params, spec, ("ab",))
-        for i1 in range(3):
-            for i2 in range(3):
-                expected = _set_on_the_point(params, spec, result, i1, i2)
-                report = result.report_at(i1, i2)
-                if isinstance(expected, str):
-                    assert report.error == expected
-                    assert report.margin is None and report.state is None
-                else:
-                    assert report == evaluate_point(expected, ("ab",))
-        both = result.report_at(0, 0).error
-        assert "temperature" in both and both == result.report_at(0, 2).error
-        assert "g_n1" in result.report_at(1, 0).error
+        for name1, name2 in zip(names, names[1:] + names[:1]):
+            spec = SweepSpec(*(
+                Axis(name, *((-0.01, 0.01) if name == "T" else (-1e6, 1e6)), 3)
+                for name in (name1, name2)
+            ))
+            result = run_sweep(params, spec, ("ab",))
+            for i1 in range(3):
+                for i2 in range(3):
+                    expected = _set_on_the_point(params, spec, result, i1, i2)
+                    report = result.report_at(i1, i2)
+                    if isinstance(expected, str):
+                        assert report.error == expected
+                        assert report.margin is None and report.state is None
+                    else:
+                        assert report == evaluate_point(expected, ("ab",))
+            both = result.report_at(0, 0).error
+            assert both.startswith(self.RULED[name1]) and both == result.report_at(0, 2).error
+            assert result.report_at(1, 0).error.startswith(self.RULED[name2])
 
     @pytest.mark.parametrize("g_c_eff_axis", [1, 2])
     def test_derived_base_swept_along_g_c_eff_fails_every_row(self, g_c_eff_axis):
@@ -1551,12 +1563,12 @@ class TestStackedCore:
             return a
 
         with mock.patch.object(harness, "drift_stack", nan_drift_at_point_1):
-            reports = harness._evaluate_chunk(points, parsed)
+            reports = harness._evaluate_chunk(columns(points), parsed)
         assert reports[1].error == "non-finite entry in the drift or diffusion matrix"
         assert reports[1].margin is None and reports[1].state is None
         assert not reports[1].stable
         for i in (0, 2, 3):
-            assert reports[i] == harness._evaluate_chunk([points[i]], parsed)[0]
+            assert reports[i] == harness._evaluate_chunk(columns([points[i]]), parsed)[0]
 
     def test_lyapunov_and_nu_minus_errors_stay_with_their_point(self, stack):
         # point 1 (nearly defective) fails its fallback Lyapunov solve and
@@ -1584,7 +1596,7 @@ class TestStackedCore:
     def test_failed_batched_eigensolve_reruns_point_by_point(self):
         points = _chunk_points()
         parsed = self.PARSED
-        reports = harness._evaluate_chunk(points, parsed)
+        reports = harness._evaluate_chunk(columns(points), parsed)
         eig = np.linalg.eig
 
         def eig_failing_on_stacks(x):
@@ -1593,11 +1605,11 @@ class TestStackedCore:
             return eig(x)
 
         with mock.patch.object(np.linalg, "eig", side_effect=eig_failing_on_stacks):
-            assert harness._evaluate_chunk(points, parsed) == reports
+            assert harness._evaluate_chunk(columns(points), parsed) == reports
         with mock.patch.object(
             np.linalg, "eig", side_effect=np.linalg.LinAlgError("no convergence")
         ):
-            (failed,) = harness._evaluate_chunk(points[:1], parsed)
+            (failed,) = harness._evaluate_chunk(columns(points[:1]), parsed)
         assert failed.error == "eigensolve failed: no convergence"
         assert failed.margin is None and failed.state is None and not failed.stable
 

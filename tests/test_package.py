@@ -4,6 +4,8 @@ benchmark under perfbench/ imports stay there."""
 import dataclasses
 import importlib
 import os
+import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -57,6 +59,23 @@ def test_benchmark_imports_stay_exported():
         assert [name for name in names if not hasattr(mod, name)] == [], module
 
 
+def test_readme_module_names_resolve():
+    # README names library entries as `module.name`; a renamed or deleted one
+    # must not stay there
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    modules = {info.name for info in pkgutil.iter_modules(ommlab.__path__)}
+    named = {
+        (module, name) for module, name in re.findall(r"`(\w+)\.(\w+)[^`]*`", readme)
+        if module in modules
+    }
+    assert named
+    missing = [
+        f"{module}.{name}" for module, name in sorted(named)
+        if not hasattr(importlib.import_module(f"ommlab.{module}"), name)
+    ]
+    assert missing == []
+
+
 #: A derived point whose kept working point is its second branch.
 LATER_BRANCH = {
     "coupling_mode": "derived", "b_field_t": 3.3e-3, "g_c_hz": 960, "g_m_hz": 280,
@@ -73,7 +92,7 @@ def test_benchmark_reads_states_as_objects(overrides):
     assert type(ommlab.solve_semiclassics(p)) is ommlab.SemiclassicalState
     report = ommlab.evaluate_point(p)
     assert type(report.state) is ommlab.SemiclassicalState
-    _, _, a, _, _, _, _ = ommlab.harness._working_points([p])
+    _, _, a, _, _, _, _ = ommlab.harness._working_points(ommlab.model.columns([p]))
     # stage 1 holds the drift in units of omega_b
     assert (ommlab.build_drift(p, report.state).a / p.omega_b).tobytes() == a[0].tobytes()
     moved = dataclasses.replace(report.state, q_avg=report.state.q_avg * (1 + 1e-7) + 1.0)
@@ -87,7 +106,7 @@ def test_benchmark_reference_covariance_is_stage_two(overrides):
     # harness's own stage 2 on the stacks stage 1 scaled
     p = ommlab.default_params(**overrides)
     report = ommlab.evaluate_point(p)
-    d, _, a, eigs, vecs, _, _ = ommlab.harness._working_points([p])
+    d, _, a, eigs, vecs, _, _ = ommlab.harness._working_points(ommlab.model.columns([p]))
     pairs = [ommlab.entanglement.parse_pair(label) for label in report.entanglement]
     v, _, errors, _ = ommlab.harness._steady_state(a, d, eigs, vecs, pairs)
     assert errors == [None]
