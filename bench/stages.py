@@ -28,6 +28,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse
 import json
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -54,12 +55,18 @@ ROWS = {
         "its Reports built and read"),
     "oracle_stack_point_us": ("us", "lower", "the oracle stack on the default point"),
     "oracle_stack_chunk_us_per_pt": (
-        "us", "lower", "the oracle stack on the map's first chunk, per point, "
-        "timed over 25 calls"),
+        "us", "lower", "the oracle stack on the map's first chunk, a stage-2 block "
+        "of 32 points to a call, per point, timed over 25 calls"),
     "stage1_derived_chunk_us_per_pt": (
         "us", "lower", "stage 1 on the derived map's first chunk, per point, "
         "timed over 25 calls"),
     "sweep_pts_per_s": ("1/s", "higher", "run_sweep of the detuning map, threads=1"),
+    "sweep_minflt_per_pt": (
+        "count", "lower", "minor page faults of the process during that sweep, per point"),
+    "sweep_sys_us_per_pt": (
+        "us", "lower", "system CPU time of the process during that sweep, per point"),
+    "sweep_all_cores_pts_per_s": (
+        "1/s", "higher", "run_sweep of the detuning map, threads=os.cpu_count()"),
     "sweep_failing_pts_per_s": (
         "1/s", "higher", "the same with a NaN at drift entry (3, 2) of every point at the "
         "18th delta_c1 value, one point per grid row"),
@@ -89,6 +96,10 @@ FALLBACK = {
 
 #: Calls of a chunk row per timing: one slow call moves it by a 25th.
 CHUNK_CALLS = 25
+
+#: Points per call of the oracle stack, as stage 2 hands them: ``harness.BLOCK_SIZE``,
+#: which a checkout from before stage-2 blocks does not have.
+BLOCK = 32
 
 
 def _grid_points(params, spec, setters):
@@ -138,6 +149,10 @@ def worker(calls: int, grid: int) -> dict[str, float]:
         parsed = harness._parse_pairs(DEFAULT_PAIRS)
         return harness._reports(parsed, errors, max_real, states, nu)[0]
 
+    def oracle_blocks():
+        a, d = stacks[1]
+        return [oracle(a[k:k + BLOCK], d[k:k + BLOCK]) for k in range(0, len(a), BLOCK)]
+
     # the failing map: its drifts as stage 1 builds them, with a NaN at every
     # point of the 18th delta_c1 value
     build = harness.drift_stack
@@ -167,22 +182,30 @@ def worker(calls: int, grid: int) -> dict[str, float]:
         "nu_minus_point_us": (lambda: entanglement.nu_minus_stack(blocks), calls, 1e6),
         "report_point_us": (report, calls, 1e6),
         "oracle_stack_point_us": (lambda: oracle(*stacks[0]), calls, 1e6),
-        "oracle_stack_chunk_us_per_pt": (
-            lambda: oracle(*stacks[1]), CHUNK_CALLS, 1e6 / len(chunk)),
+        "oracle_stack_chunk_us_per_pt": (oracle_blocks, CHUNK_CALLS, 1e6 / len(chunk)),
         "stage1_derived_chunk_us_per_pt": (
             lambda: stage1(derived_chunk), CHUNK_CALLS, 1e6 / len(derived_chunk)),
         "sweep_s": (lambda: run_sweep(params, spec, ("ab", "am")), 1, 1.0),
         "sweep_failing_s": (failing_sweep, 1, 1.0),
         "sweep_oracle_s": (lambda: run_sweep(params, spec, ("ab", "am"), oracle=True), 1, 1.0),
+        "sweep_all_cores_s": (
+            lambda: run_sweep(params, spec, ("ab", "am"), threads=os.cpu_count()), 1, 1.0),
     }
     out = {}
     for name, (call, count, scale) in timed.items():
         call()  # warm-up: lazy imports and tables
         out[name] = _seconds(call, count) * scale
+    # the plain sweep once more, warm, for what it costs the process in the kernel
+    before = resource.getrusage(resource.RUSAGE_SELF)
+    timed["sweep_s"][0]()
+    after = resource.getrusage(resource.RUSAGE_SELF)
     points = grid * grid
     return {
         **{name: out[name] for name in ROWS if name in out},
         "sweep_pts_per_s": points / out["sweep_s"],
+        "sweep_minflt_per_pt": (after.ru_minflt - before.ru_minflt) / points,
+        "sweep_sys_us_per_pt": (after.ru_stime - before.ru_stime) * 1e6 / points,
+        "sweep_all_cores_pts_per_s": points / out["sweep_all_cores_s"],
         "sweep_failing_pts_per_s": points / out["sweep_failing_s"],
         "sweep_oracle_pts_per_s": points / out["sweep_oracle_s"],
         "sweep_oracle_over_plain": out["sweep_oracle_s"] / out["sweep_s"],

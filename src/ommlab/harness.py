@@ -17,18 +17,19 @@ together, in one more drift stack whose eigenvalues alone screen them; the
 few that pass get a batched eigensolve with vectors, and a point keeps its
 earliest stable branch, else its first. ``ommlab stability`` prints the
 spectrum stage 1 keeps. Stage 2 solves the steady state of the stable
-points: one Lyapunov stack, in the eigenbases stage 1 found, then one nu_-
-stack over every requested pair. One failure rule holds throughout: every
-check keeps its failures per point, a batched call that raises is made again
-point by point within its block (:func:`ommlab.errors._batched`), and a point
-with an error is left out of the chunk's later batched calls, so that it
-keeps the first error of its pipeline, as its row. :func:`evaluate_point` is
-a stack of one; the requested pairs are parsed, and their blocks in V
-located, once per tuple. :func:`run_sweep` checks each axis value once, the
-one domain check a swept value gets, and hands each chunk of
-:data:`CHUNK_SIZE` grid points to the stages as a point table: the base
-parameters' column, copied, with the swept rows written in. A stack's
-results come back as :class:`Reports` columns, which the writers read.
+points, :data:`BLOCK_SIZE` at a time: per block one Lyapunov stack, in the
+eigenbases stage 1 found, then one nu_- stack over every requested pair,
+written at the block's rows. One failure rule holds throughout: every check
+keeps its failures per point, a batched call that raises is made again point
+by point within its block (:func:`ommlab.errors._batched`), and a point with
+an error is left out of the chunk's later batched calls, so that it keeps
+the first error of its pipeline, as its row. :func:`evaluate_point` is a
+stack of one; the requested pairs are parsed, and their blocks in V located,
+once per tuple. :func:`run_sweep` checks each axis value once, the one
+domain check a swept value gets, and hands each chunk of :data:`CHUNK_SIZE`
+grid points to the stages as a point table: the base parameters' column,
+copied, with the swept rows written in. A stack's results come back as
+:class:`Reports` columns, which the writers read.
 """
 
 from __future__ import annotations
@@ -57,12 +58,18 @@ from .steadystate import _frobenius, solve_lyapunov_stack, solve_lyapunov_vech_s
 
 VERSION = "0.1.0"
 
-#: Grid points solved together by one stacked core call: large enough to spread
-#: the fixed cost of the batched numpy calls, small enough that a chunk's arrays
-#: stay at a few MB. On the 51x51 paper map (2 cores, OpenBLAS at one thread)
-#: run_sweep took 630 us per point at chunks of 1 and 65-82 us at 64-512 (medians
-#: of 5); 128, 256 and 512 tie within noise there and on the 41x41 derived map.
+#: Grid points whose stage 1 runs as one stack: enough to spread the fixed cost
+#: of its batched numpy calls; stage 2 takes them BLOCK_SIZE at a time. On the
+#: 51x51 paper map (2 cores, OpenBLAS at one thread) run_sweep took 630 us per
+#: point at chunks of 1 and 65-82 us at 64-512 (medians of 5); 128, 256 and 512
+#: tie within noise there and on the 41x41 derived map.
 CHUNK_SIZE = 128
+
+#: Stable points per stage-2 stack (Lyapunov, nu_-, Kronecker form), set here
+#: alone: a block's complex stacks (50 kB) are reused by the allocator, where a
+#: chunk's (205 kB) are faulted in afresh each time; its Kronecker-form
+#: operators take 0.8 MB, 28 us a point on the paper map (30 in blocks of 128).
+BLOCK_SIZE = 32
 
 #: A later branch whose largest real part of an eigenvalue, in units of omega_b
 #: and from ``eigvals``, is this or more gets no eigensolve with vectors: it is
@@ -472,37 +479,35 @@ def _no_spectrum(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _evaluate_chunk(table: np.ndarray, parsed: _Parsed, *, oracle: bool = False) -> Reports:
     """Evaluate the point table of a non-empty stack of valid points end to end.
 
-    The points go through the two stages of the module docstring as one
-    stack, and a point with an error in either keeps the first as its row.
-    With ``oracle``, the points stage 2 solved in their eigenbasis are also
-    solved in Kronecker form, as one more stack, and compared; a point whose
-    second solve fails keeps its measures and gets an ``oracle:`` error.
+    Stage 1 runs over the whole stack, stage 2 over its stable points
+    :data:`BLOCK_SIZE` at a time, each block's results written at its own
+    rows; a point with an error in either keeps the first as its row. With
+    ``oracle``, the points of a block that stage 2 solved in their eigenbasis
+    are also solved in Kronecker form and compared; a point whose second
+    solve fails keeps its measures and gets an ``oracle:`` error.
     """
     d, states, a, eigs, vecs, max_real, failed = _working_points(table)
-    stable = max_real < 0.0
-    # the rows stage 2 solves: all, as a slice that copies nothing, or the stable ones
-    rows = slice(None) if np.count_nonzero(stable) == len(stable) else stable.nonzero()[0]
-    v, nu, errors, kronecker = _steady_state(
-        a[rows], d[rows], eigs[rows], vecs[rows], [pair for _, pair in parsed]
-    )
-    measured, error = nu, np.array(errors, dtype=object)
-    if not isinstance(rows, slice):  # some points are unstable: place the stable ones' rows
-        measured = np.full((len(states), len(parsed)), np.nan)
-        measured[rows] = nu
-        error = np.array([e if e is None else str(e) for e in failed.tolist()], dtype=object)
-        error[rows] = errors
+    pairs = [pair for _, pair in parsed]
+    nu = np.full((len(states), len(pairs)), np.nan)
+    error = np.array([e if e is None else str(e) for e in failed.tolist()], dtype=object)
     deviation = np.full(len(states), np.nan)
-    solved = [k for k, e in enumerate(errors) if e is None and not kronecker[k]] if oracle else []
-    if solved:
-        if len(solved) < len(errors):
-            v, rows = v[solved], np.arange(len(states))[rows][solved]
-        v_oracle, oracle_errors = solve_lyapunov_vech_stack(a[rows], d[rows])
-        # NaN, no deviation, where the oracle failed and left its V NaN
-        norms = _frobenius(np.concatenate((v - v_oracle, v)))
-        deviation[rows] = norms[: len(v)] / norms[len(v) :]
-        if oracle_errors.count(None) < len(oracle_errors):
-            error[rows] = [None if e is None else f"oracle: {e}" for e in oracle_errors]
-    return _reports(parsed, error, max_real, states, measured, deviation)
+    stable = (max_real < 0.0).nonzero()[0]
+    for start in range(0, len(stable), BLOCK_SIZE):
+        at = stable[start : start + BLOCK_SIZE]
+        # take, not a[at]: the same copy in under half the time on a lone point
+        block = [x.take(at, axis=0) for x in (a, d, eigs, vecs)]
+        v, nu[at], errors, kronecker = _steady_state(*block, pairs)
+        error[at] = errors
+        solved = [k for k, e in enumerate(errors) if oracle and e is None and not kronecker[k]]
+        if solved:
+            at, v, a_at, d_at = (x.take(solved, axis=0) for x in (at, v, *block[:2]))
+            v_oracle, oracle_errors = solve_lyapunov_vech_stack(a_at, d_at)
+            # NaN, no deviation, where the oracle failed and left its V NaN
+            norms = _frobenius(np.concatenate((v - v_oracle, v)))
+            deviation[at] = norms[: len(v)] / norms[len(v) :]
+            if oracle_errors.count(None) < len(oracle_errors):
+                error[at] = [None if e is None else f"oracle: {e}" for e in oracle_errors]
+    return _reports(parsed, error, max_real, states, nu, deviation)
 
 
 def evaluate_point(

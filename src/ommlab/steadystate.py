@@ -18,7 +18,8 @@ falls back to the Kronecker-form route below, the only fallback.
 points at once (numpy's batched inv and matmul); each point is gated, and
 sent to the fallback, on its own, and its failure is returned for it alone.
 :func:`solve_lyapunov` is that stack with one point in it, and the one entry
-that takes a drift and diffusion as arrays or as their wrapper types.
+that takes a drift and diffusion as arrays or as their wrapper types. Each
+stack is one batch; :data:`ommlab.harness.BLOCK_SIZE` sets its points.
 
 The Kronecker-form route, :func:`solve_lyapunov_vech_stack`, solves the same
 equation as a linear system: the n(n+1)/2 entries of the symmetric V on and
@@ -69,11 +70,6 @@ _ASYMMETRY_RTOL = 1e-9
 #: max |V| at cond 3e2 and 1e-10 at 3e3, where the residual gate starts to
 #: fail. The physical maps stay below cond 10.
 _EIGENBASIS_COND_MAX = 1e3
-
-#: The points per batched LU of the Kronecker-form solve; 32 operators of 55 x 55
-#: take 0.8 MB. On a 128-point chunk of the paper map (2 cores, OpenBLAS at one
-#: thread) the stack took 28 us a point in blocks of 32 or 64, 30 at 8 or 128.
-_VECH_BLOCK = 32
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -315,29 +311,27 @@ def solve_lyapunov_vech_stack(
 ) -> tuple[np.ndarray, list[OmmlabError | None]]:
     """Solve A V + V A^T + D = 0 for each point of an (N, n, n) stack, D
     symmetric, in Kronecker form: LU with partial pivoting (Higham, *Accuracy
-    and Stability of Numerical Algorithms*, ch. 16) of each point's operator
-    on vech V, from :func:`_vech_gathers`, against -vech D, :data:`_VECH_BLOCK`
-    points to a batched call and point by point in a block whose call raises.
-    The operator is singular exactly where two eigenvalues of A sum to zero,
-    never for a stable A; no verdict is given. Returns V, exactly symmetric,
-    and per point None, or a :class:`NumericalError` and an all-NaN V where V
-    is not finite."""
+    and Stability of Numerical Algorithms*, ch. 16) of each point's operator on
+    vech V, from :func:`_vech_gathers`, against -vech D, in one batched call of
+    at most a stage-2 block (:data:`ommlab.harness.BLOCK_SIZE` points, 24 kB
+    each), point by point should it raise. The operator is singular exactly
+    where two eigenvalues of A sum to zero, never for a stable A; no verdict is
+    given. Returns V, exactly symmetric, and per point None, or a
+    :class:`NumericalError` and an all-NaN V where V is not finite."""
+    if not len(a):
+        return np.empty(a.shape), []
     n = a.shape[-1]
     vech, unvech, at_set, src_set, at_add, src_add = _vech_gathers(n)
     m = len(vech)
-    v = np.empty(a.shape)
-    for start in range(0, len(a), _VECH_BLOCK):
-        at = slice(start, start + _VECH_BLOCK)
-        flat = a[at].reshape(-1, n * n)
-        # each sum gathered only where it reaches: 3 against 24 us a point for
-        # two gathers of all m^2 entries from a zero-padded A, on blocks of 32
-        op = np.zeros((len(flat), m * m))
-        op[:, at_set] = flat[:, src_set]
-        op[:, at_add] += flat[:, src_add]
-        op = op.reshape(-1, m, m)
-        rhs = -d[at].reshape(-1, n * n)[:, vech, None]
-        x = _batched(np.linalg.solve, lambda n: np.full((n, m, 1), np.nan), op, rhs)
-        v[at] = x[:, unvech, 0].reshape(-1, n, n)
+    flat = a.reshape(-1, n * n)
+    # each sum gathered only where it reaches: 3 against 24 us a point for
+    # two gathers of all m^2 entries from a zero-padded A, on stacks of 32
+    op = np.zeros((len(flat), m * m))
+    op[:, at_set] = flat[:, src_set]
+    op[:, at_add] += flat[:, src_add]
+    rhs = -d.reshape(-1, n * n)[:, vech, None]
+    x = _batched(np.linalg.solve, lambda n: np.full((n, m, 1), np.nan), op.reshape(-1, m, m), rhs)
+    v = x[:, unvech, 0].reshape(a.shape)
     errors: list[OmmlabError | None] = [None] * len(a)
     for i in (~np.isfinite(v).all(axis=(-2, -1))).nonzero()[0]:
         errors[i] = NumericalError(

@@ -21,6 +21,7 @@ def test_stage_bench_writes_its_keys_on_a_tiny_input(tmp_path):
         "point_us", "point_oracle_us", "point_derived_us", "fallback_point_us", "stage1_point_us",
         "lyapunov_point_us", "nu_minus_point_us", "report_point_us", "oracle_stack_point_us",
         "oracle_stack_chunk_us_per_pt", "stage1_derived_chunk_us_per_pt", "sweep_pts_per_s",
+        "sweep_minflt_per_pt", "sweep_sys_us_per_pt", "sweep_all_cores_pts_per_s",
         "sweep_failing_pts_per_s", "sweep_oracle_pts_per_s", "sweep_oracle_over_plain",
     ]
     assert sorted(report) == ["environment", "results", "rows", "settings"]
@@ -29,7 +30,12 @@ def test_stage_bench_writes_its_keys_on_a_tiny_input(tmp_path):
     for row in rows:
         summary = report["results"]["checkout"][row]
         assert sorted(summary) == ["median", "q1", "q3", "runs"]
-        assert len(summary["runs"]) == 1 and summary["runs"][0] > 0.0
+        assert len(summary["runs"]) == 1
+        # a 3x3 sweep may cost the process no page fault or system time
+        if row in ("sweep_minflt_per_pt", "sweep_sys_us_per_pt"):
+            assert summary["runs"][0] >= 0.0
+        else:
+            assert summary["runs"][0] > 0.0
     assert {"python", "numpy", "scipy", "blas_threads", "cores"} <= set(report["environment"])
 
 

@@ -36,7 +36,7 @@ from ommlab import DegenerateOperatingPointError, dynamics, semiclassics
 from ommlab.dynamics import drift_stack, stability_stack
 from ommlab import harness
 from ommlab.entanglement import nu_minus_stack, parse_pair
-from ommlab.harness import CHUNK_SIZE, SWEEP_AXES
+from ommlab.harness import BLOCK_SIZE, CHUNK_SIZE, SWEEP_AXES
 from ommlab.model import PARAM_TABLE, columns, config_snapshot, rows
 from ommlab.semiclassics import solve_semiclassics_stack, state_at
 from references import rabi
@@ -1338,6 +1338,57 @@ class TestRunSweep:
         sizes = [len(call.args[0]) for call in eig.call_args_list]
         assert max(sizes) <= CHUNK_SIZE
         assert sum(sizes) == len(result.reports) == 51 * 51
+
+    def test_no_stage_two_call_sees_more_than_a_block(self):
+        # the paper map with the oracle: the eigenbasis solve's inv, the nu_-
+        # stack's det (one 4x4 block per pair) and the Kronecker-form solve
+        # each see at most 32 points (BLOCK_SIZE), and every point once
+        params = default_params(delta_c2_over_wb=-0.8, T=0.01)
+        spec = SweepSpec(
+            axis1=Axis(name="delta_a_over_wb", start=-2.0, stop=0.0, count=51),
+            axis2=Axis(name="delta_c1_over_wb", start=0.0, stop=2.0, count=51),
+        )
+        pairs = ("ab", "am")
+        with mock.patch.object(np.linalg, "inv", wraps=np.linalg.inv) as inv, mock.patch.object(
+            np.linalg, "det", wraps=np.linalg.det
+        ) as det, mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solve:
+            result = run_sweep(params, spec, pairs, oracle=True)
+        assert all(r.stable and r.oracle_deviation is not None for r in result.reports)
+        calls = [(inv, (10, 10), 1), (det, (4, 4), len(pairs)), (solve, (55, 55), 1)]
+        for call, shape, per_point in calls:
+            shapes = [c.args[0].shape for c in call.call_args_list]
+            assert {s[1:] for s in shapes} == {shape}
+            assert max(s[0] for s in shapes) == 32 * per_point
+            assert sum(s[0] for s in shapes) == 51 * 51 * per_point
+
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_stage_two_blocks_write_their_own_rows(self, oracle):
+        # one chunk of 64 points, 59 stable and 5 unstable among them (4 to
+        # 8): stage 2 takes the stable ones in blocks of 32 and 27, and one
+        # point of the second block fails its Lyapunov solve; every row is
+        # that point's alone, and the error stays on its own row
+        params = default_params()
+        spec = SweepSpec(Axis("delta_m_over_wb", -1.2, 0.5, 64))
+        points = [SWEEP_AXES["delta_m_over_wb"](params, float(x)) for x in spec.axis1.values()]
+        failing = 45
+        drift = harness._working_points(columns([points[failing]]))[2][0]
+        message = "Lyapunov solve failed: test"
+
+        def one_point_fails(a, d, eigs, vecs):
+            v, errors, kronecker = steadystate.solve_lyapunov_stack(a, d, eigs, vecs)
+            for k in (a == drift).all(axis=(1, 2)).nonzero()[0]:
+                errors[k] = NumericalError(message)
+            return v, errors, kronecker
+
+        with mock.patch.object(harness, "solve_lyapunov_stack", one_point_fails):
+            result = run_sweep(params, spec, ("ab", "am"), oracle=oracle)
+            alone = [evaluate_point(p, ("ab", "am"), oracle=oracle) for p in points]
+        stable = [k for k, report in enumerate(alone) if report.stable]
+        assert len(stable) == 59 and stable.index(failing) >= BLOCK_SIZE
+        assert [k for k in range(64) if k not in stable] == list(range(4, 9))
+        assert [repr(report) for report in result.reports] == list(map(repr, alone))
+        assert [k for k, report in enumerate(result.reports) if report.error] == [failing]
+        assert result.reports[failing].error == message
 
     def test_chunked_thread_pool_does_not_change_bytes(self, tmp_path):
         # 23 x 17 = 391 points: three full chunks and a partial fourth one

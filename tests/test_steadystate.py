@@ -28,7 +28,7 @@ from ommlab import (
 from ommlab import harness, steadystate
 from ommlab.dynamics import stability_stack
 from ommlab.entanglement import nu_minus_stack
-from ommlab.harness import CHUNK_SIZE, Axis, SweepSpec, run_sweep
+from ommlab.harness import BLOCK_SIZE, CHUNK_SIZE, Axis, SweepSpec, run_sweep
 from ommlab.steadystate import solve_lyapunov_vech_stack
 from references import occupation
 
@@ -468,18 +468,24 @@ class TestRelaxationIntegrator:
         rel = np.linalg.norm(v_direct - v[0]) / np.linalg.norm(v_direct)
         assert rel <= 1e-12
 
-    def test_result_independent_of_step_size(self, monkeypatch):
-        # the loop steps over the stack _VECH_BLOCK points at a time; each
-        # point's LU is its own, so V and the errors are the same bit for bit
-        # at every step, a singular point in a block included
+    def test_result_independent_of_step_size(self):
+        # the points handed over in stacks of 1 (each alone), 4 or 32 (all
+        # nine in one): each point's LU is its own, so V and the errors are
+        # the same bit for bit at every step, a singular point in a stack
+        # included
         points = [system(delta_m_over_wb=x) for x in np.linspace(-0.97, 0.5, 9)]
         points[4] = (np.zeros((10, 10)), *points[4][1:])
         a, d, scale = (np.array(column) for column in zip(*points))
         a, d = a / scale[:, None, None], d / scale[:, None, None]
         results = []
         for step in (1, 4, 32):
-            monkeypatch.setattr(steadystate, "_VECH_BLOCK", step)
-            results.append(solve_lyapunov_vech_stack(a, d))
+            parts = [
+                solve_lyapunov_vech_stack(a[k : k + step], d[k : k + step])
+                for k in range(0, len(a), step)
+            ]
+            results.append((
+                np.concatenate([v for v, _ in parts]), [e for _, errors in parts for e in errors]
+            ))
         v, errors = results[0]
         assert [e is None for e in errors] == [k != 4 for k in range(9)]
         for other_v, other_errors in results[1:]:
@@ -528,7 +534,7 @@ class TestFlowStack:
         assert nu.shape == (0,) and errors == []
 
     def test_mixed_stack_keeps_each_point_as_it_is_alone(self):
-        # every kind of point, over two blocks: ordinary points, one near the
+        # every kind of point, in one stack: ordinary points, one near the
         # stability boundary, one whose steady state is the vacuum, one with
         # 1e-100 of its noise, an unstable drift (the oracle gives no verdict:
         # its V solves the equation), and a singular and a NaN drift that
@@ -541,7 +547,7 @@ class TestFlowStack:
         singular = (np.zeros((10, 10)), *ordinary[1:])
         nan = (np.full((10, 10), np.nan), *ordinary[1:])
         kinds = [unstable, ordinary, vacuum, near, singular, quiet, nan, other]
-        points = kinds * 5  # 40 points: a full block of 32 and one of 8
+        points = kinds * 5  # 40 points, more than a stage-2 block
         a, d, scale = (np.array(column) for column in zip(*points))
         a, d = a / scale[:, None, None], d / scale[:, None, None]
         v, errors = solve_lyapunov_vech_stack(a, d)
@@ -597,12 +603,12 @@ class TestFlowEdgeCases:
 
 class TestOracleWork:
     """Exact counts of the oracle's work, so its pass structure cannot grow
-    unseen: one Kronecker-form stack per chunk, and each point's operator
-    gathered and solved once, _VECH_BLOCK points to a call."""
+    unseen: one Kronecker-form stack per stage-2 block, and each point's
+    operator gathered and solved once, BLOCK_SIZE points to a call."""
 
-    def test_a_chunk_takes_one_oracle_stack_and_reads_each_point_once(self):
-        # 144 points, every one stable and solved: chunks of 128 and 16, each
-        # passed through the oracle in one stack
+    def test_a_block_takes_one_oracle_stack_and_reads_each_point_once(self):
+        # 144 points, every one stable and solved: chunks of 128 and 16,
+        # whose points pass through the oracle a stage-2 block to a stack
         spec = SweepSpec(
             Axis("delta_a_over_wb", -2.0, 0.0, 12), Axis("delta_c1_over_wb", 0.0, 2.0, 12)
         )
@@ -613,11 +619,9 @@ class TestOracleWork:
         ) as solve:
             result = run_sweep(default_params(), spec, ("ab",), threads=1, oracle=True)
         assert all(r.oracle_deviation is not None for r in result.reports)
-        assert [call.args[0].shape[0] for call in oracle_stack.call_args_list] == [CHUNK_SIZE, 16]
-        block = steadystate._VECH_BLOCK
-        assert [call.args[0].shape[0] for call in solve.call_args_list] == (
-            [block] * (CHUNK_SIZE // block) + [16]
-        )
+        blocks = [BLOCK_SIZE] * (CHUNK_SIZE // BLOCK_SIZE) + [16]
+        assert [call.args[0].shape[0] for call in oracle_stack.call_args_list] == blocks
+        assert [call.args[0].shape[0] for call in solve.call_args_list] == blocks
 
 
 class TestPhysicalityMargin:
