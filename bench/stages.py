@@ -27,6 +27,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import json
+import multiprocessing
 import platform
 import resource
 import statistics
@@ -67,6 +68,10 @@ ROWS = {
         "us", "lower", "system CPU time of the process during that sweep, per point"),
     "sweep_all_cores_pts_per_s": (
         "1/s", "higher", "run_sweep of the detuning map, threads=os.cpu_count()"),
+    "machine_two_worker_ratio": (
+        "ratio", "higher", "what the machine gives two workers: the work of two processes "
+        "at once, each timing 40 batched eig calls on 128 random 10x10 matrices, over the "
+        "work of one alone; read sweep_all_cores_pts_per_s over sweep_pts_per_s against it"),
     "sweep_failing_pts_per_s": (
         "1/s", "higher", "the same with a NaN at drift entry (3, 2) of every point at the "
         "18th delta_c1 value, one point per grid row"),
@@ -97,9 +102,42 @@ FALLBACK = {
 #: Calls of a chunk row per timing: one slow call moves it by a 25th.
 CHUNK_CALLS = 25
 
-#: Points per call of the oracle stack, as stage 2 hands them: ``harness.BLOCK_SIZE``,
-#: which a checkout from before stage-2 blocks does not have.
-BLOCK = 32
+#: Batched eigensolves each process of the two-worker probe times.
+PROBE_CALLS = 40
+
+
+def _probe(barrier, seconds) -> None:
+    """Time :data:`PROBE_CALLS` batched eig calls on 128 random 10x10
+    matrices, from the moment every process of the probe is ready."""
+    import numpy as np
+
+    x = np.random.default_rng(0).standard_normal((128, 10, 10))
+    np.linalg.eig(x)
+    barrier.wait()
+    t0 = time.perf_counter()
+    for _ in range(PROBE_CALLS):
+        np.linalg.eig(x)
+    seconds.put(time.perf_counter() - t0)
+
+
+def _two_worker_ratio() -> float:
+    """The work two probe processes do at once over the work of one alone:
+    2 where the machine gives a second worker a whole core, 1 where it gives
+    none."""
+    context = multiprocessing.get_context("spawn")
+
+    def probe(n: int) -> list[float]:
+        barrier, seconds = context.Barrier(n), context.Queue()
+        procs = [context.Process(target=_probe, args=(barrier, seconds)) for _ in range(n)]
+        for proc in procs:
+            proc.start()
+        times = [seconds.get() for _ in procs]
+        for proc in procs:
+            proc.join()
+        return times
+
+    (alone,) = probe(1)
+    return sum(alone / t for t in probe(2))
 
 
 def _grid_points(params, spec, setters):
@@ -127,23 +165,20 @@ def worker(calls: int, grid: int) -> dict[str, float]:
     derived_spec = SweepSpec(Axis("delta_c2_over_wb", -2.0, 0.0, grid),
                              Axis("delta_m_over_wb", 0.0, 2.0, grid))
     derived_chunk = _grid_points(derived, derived_spec, SWEEP_AXES)[:CHUNK_SIZE]
-    # stage 1 of a list of points, point table included: checkouts whose stage
-    # 1 takes the list build the table inside it
-    stage1 = harness._working_points if hasattr(model, "SweptParams") else (
-        lambda points: harness._working_points(model.columns(points)))
+    # stage 1 of a list of points, point table included
+    def stage1(points):
+        return harness._working_points(model.columns(points))
+
     oracle = steadystate.solve_lyapunov_vech_stack
     # stage 1's drifts and diffusions, in units of omega_b
     stacks = [(a, d) for d, _, a, *_ in map(stage1, ([params], chunk))]
 
     # the default point's stages, fed as harness feeds them
-    # checkouts whose stage 1 keeps its errors per point return them seventh
-    d, states, a, eigs, vecs, max_real = stage1([params])[:6]
-    # checkouts that mark the points solved in Kronecker form return the mask third
-    v, lyapunov_errors = steadystate.solve_lyapunov_stack(a, d, eigs, vecs)[:2]
+    d, states, a, eigs, vecs, max_real, _ = stage1([params])
+    v, errors, _ = steadystate.solve_lyapunov_stack(a, d, eigs, vecs)
     rows = np.array([m1.rows + m2.rows for m1, m2 in map(entanglement.parse_pair, DEFAULT_PAIRS)])
     blocks = v[:, rows[:, :, None], rows[:, None, :]].reshape(-1, 4, 4)
     nu = entanglement.nu_minus_stack(blocks)[0].reshape(1, -1)
-    errors = [None if e is None else str(e) for e in lyapunov_errors]
 
     def report():
         parsed = harness._parse_pairs(DEFAULT_PAIRS)
@@ -151,7 +186,8 @@ def worker(calls: int, grid: int) -> dict[str, float]:
 
     def oracle_blocks():
         a, d = stacks[1]
-        return [oracle(a[k:k + BLOCK], d[k:k + BLOCK]) for k in range(0, len(a), BLOCK)]
+        block = harness.BLOCK_SIZE
+        return [oracle(a[k:k + block], d[k:k + block]) for k in range(0, len(a), block)]
 
     # the failing map: its drifts as stage 1 builds them, with a NaN at every
     # point of the 18th delta_c1 value
@@ -206,6 +242,7 @@ def worker(calls: int, grid: int) -> dict[str, float]:
         "sweep_minflt_per_pt": (after.ru_minflt - before.ru_minflt) / points,
         "sweep_sys_us_per_pt": (after.ru_stime - before.ru_stime) * 1e6 / points,
         "sweep_all_cores_pts_per_s": points / out["sweep_all_cores_s"],
+        "machine_two_worker_ratio": _two_worker_ratio(),
         "sweep_failing_pts_per_s": points / out["sweep_failing_s"],
         "sweep_oracle_pts_per_s": points / out["sweep_oracle_s"],
         "sweep_oracle_over_plain": out["sweep_oracle_s"] / out["sweep_s"],

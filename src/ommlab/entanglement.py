@@ -24,7 +24,6 @@ own.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,9 +168,10 @@ def nu_minus_via_partial_transpose(v0: np.ndarray) -> float:
     return float(np.min(np.abs(eigs)))
 
 
-def _e_n(nu: float) -> float:
-    """E_N = max(0, -ln 2 nu) from the smaller symplectic eigenvalue."""
-    return max(0.0, -math.log(2.0 * nu))
+def _e_n(nu: float | np.ndarray) -> float | np.ndarray:
+    """E_N = max(0, -ln 2 nu) of one nu_- or an array of them, NaN kept; at
+    nu_- = 1/2 it is +0.0, where np.maximum would keep -ln 1 = -0.0."""
+    return np.maximum(0.0, 0.0 - np.log(2.0 * nu))
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,10 @@ stack of one; the requested pairs are parsed, and their blocks in V located,
 once per tuple. :func:`run_sweep` checks each axis value once, the one
 domain check a swept value gets, and hands each chunk of :data:`CHUNK_SIZE`
 grid points to the stages as a point table: the base parameters' column,
-copied, with the swept rows written in. A stack's results come back as
-:class:`Reports` columns, which the writers read.
+copied, with the swept rows written in. Errors stay exceptions until
+:func:`_reports` forms each message, E_N and the efficiency, on whole
+columns; a sweep's :class:`Reports`, which the writers read, are one grid
+table, its axis errors in place and each chunk's columns written at its rows.
 """
 
 from __future__ import annotations
@@ -231,14 +233,6 @@ class Reports(Sequence[PointReport]):
         return isinstance(other, Sequence) and list(self) == list(other)
 
 
-def _joined(parts: list[Reports], order: np.ndarray | slice = slice(None)) -> Reports:
-    """The reports of ``parts``, a non-empty list, one after another, at ``order``."""
-    return Reports(parts[0].pairs, *(
-        np.concatenate([getattr(part, f.name) for part in parts])[order]
-        for f in fields(Reports)[1:]
-    ))
-
-
 @dataclass(frozen=True)
 class SweepResult:
     """A grid and its points. ``reports`` holds one report per point in
@@ -298,7 +292,7 @@ def _parsed(labels: tuple[Any, ...]) -> _Parsed:
         try:
             pair = parse_pair(item)
         except DomainError as exc:
-            raise ConfigError(str(exc)) from exc
+            raise ConfigError(*exc.args) from exc
         if any(label == item for label, _ in parsed):
             raise ConfigError(f"duplicate pair label {item!r}")
         parsed.append((item, pair))
@@ -350,46 +344,47 @@ def load_config(path: str | Path | None) -> RunConfig:
 
 
 def _reports(
-    parsed: _Parsed, error: Sequence[str | None], max_real: np.ndarray | None = None,
+    parsed: _Parsed, error: Sequence[Exception | str | None], max_real: np.ndarray | None = None,
     state: np.ndarray | None = None, nu: np.ndarray | None = None,
     deviation: np.ndarray | None = None,
 ) -> Reports:
-    """The reports of N points from their columns: ``max_real`` and ``state`` are
-    None for points never classified, ``nu`` NaN or None where undefined."""
+    """The reports of N points from their columns, the one place that forms error
+    messages, E_N and the efficiency: ``max_real`` and ``state`` are None for
+    points never classified, ``nu`` NaN or None where undefined."""
     n = len(error)
     nu = np.full((n, len(parsed)), np.nan) if nu is None else nu
-    # _e_n value by value: np.log differs from math.log in the last bit of some
-    e_n = [[x if x != x else _e_n(x) for x in row] for row in nu.tolist()]
+    e_n = _e_n(nu)
     ab = am = None  # the last requested of each, found by == (Mode hashes in Python)
     for j, (_, pair) in enumerate(parsed):
         ab = j if pair in _EFFICIENCY_DENOMINATOR else ab
         am = j if pair in _EFFICIENCY_NUMERATOR else am
     # E_am / E_ab, undefined (NaN) where E_ab = 0: the E_N are max(0, .), never negative
-    efficiency = [
-        np.nan if ab is None or am is None or row[ab] == 0.0 else row[am] / row[ab]
-        for row in e_n
-    ]
+    efficiency = np.full(n, np.nan) if ab is None or am is None else (
+        e_n[:, am] / np.where(e_n[:, ab] != 0.0, e_n[:, ab], np.nan)
+    )
+    error = np.asarray(error, dtype=object)
+    if error.tolist().count(None) < n:  # each exception becomes its message
+        error = np.array([e if e is None else str(e) for e in error.tolist()], dtype=object)
     return Reports(
         tuple(parsed), np.zeros(n, bool) if max_real is None else max_real < 0.0,
-        np.full(n, np.nan) if max_real is None else -max_real, nu,
-        np.array(e_n).reshape(nu.shape), np.array(efficiency, dtype=float),
-        np.asarray(error, dtype=object), np.full(n, np.nan) if deviation is None else deviation,
-        state_column([None] * n) if state is None else state,
+        np.full(n, np.nan) if max_real is None else -max_real, nu, e_n, efficiency, error,
+        np.full(n, np.nan) if deviation is None else deviation,
+        state_column([None]).repeat(n) if state is None else state,
     )
 
 
 def _steady_state(
     a: np.ndarray, d: np.ndarray, eigs: np.ndarray, vecs: np.ndarray, pairs: list[tuple[Mode, Mode]]
-) -> tuple[np.ndarray, np.ndarray, list[str | None], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, list[OmmlabError | None], np.ndarray]:
     """Stage 2: the steady state and nu_- per pair of a stack of stable points.
 
     ``a``, ``d`` (N, 10, 10) and the eigenpairs are those stage 1 found for
     each point, in units of its omega_b. One Lyapunov stack and one nu_-
     stack run over the points, each point keeping its own gates. Returns V
-    (N, 10, 10), nu_- (N, pairs), each point's first error, the Lyapunov
-    solve's before its pairs', or None, and the Lyapunov stack's mask of
-    points solved in Kronecker form; a point with an error has an undefined
-    V and NaN nu_-.
+    (N, 10, 10), nu_- (N, pairs), each point's first exception, the
+    Lyapunov solve's before its pairs', or None, and the Lyapunov stack's
+    mask of points solved in Kronecker form; a point with an error has an
+    undefined V and NaN nu_-.
     """
     v, errors, kronecker = solve_lyapunov_stack(a, d, eigs, vecs)
     # the 4x4 blocks of every pair at every point, as one stack; the V of a
@@ -400,12 +395,11 @@ def _steady_state(
     nu = nu.reshape(len(a), n)
     if errors.count(None) == len(errors) and block_errors.count(None) == len(block_errors):
         return v, nu, errors, kronecker
-    first_errors = [None if e is None else str(e) for e in errors]
     for j, error in enumerate(block_errors):
-        if error is not None and first_errors[j // n] is None:
-            first_errors[j // n] = str(error)
-    nu[[k for k, e in enumerate(first_errors) if e is not None]] = np.nan
-    return v, nu, first_errors, kronecker
+        if error is not None and errors[j // n] is None:
+            errors[j // n] = error
+    nu[[k for k, e in enumerate(errors) if e is not None]] = np.nan
+    return v, nu, errors, kronecker
 
 
 @functools.lru_cache(maxsize=64)
@@ -486,10 +480,9 @@ def _evaluate_chunk(table: np.ndarray, parsed: _Parsed, *, oracle: bool = False)
     are also solved in Kronecker form and compared; a point whose second
     solve fails keeps its measures and gets an ``oracle:`` error.
     """
-    d, states, a, eigs, vecs, max_real, failed = _working_points(table)
+    d, states, a, eigs, vecs, max_real, error = _working_points(table)
     pairs = [pair for _, pair in parsed]
     nu = np.full((len(states), len(pairs)), np.nan)
-    error = np.array([e if e is None else str(e) for e in failed.tolist()], dtype=object)
     deviation = np.full(len(states), np.nan)
     stable = (max_real < 0.0).nonzero()[0]
     for start in range(0, len(stable), BLOCK_SIZE):
@@ -506,7 +499,9 @@ def _evaluate_chunk(table: np.ndarray, parsed: _Parsed, *, oracle: bool = False)
             norms = _frobenius(np.concatenate((v - v_oracle, v)))
             deviation[at] = norms[: len(v)] / norms[len(v) :]
             if oracle_errors.count(None) < len(oracle_errors):
-                error[at] = [None if e is None else f"oracle: {e}" for e in oracle_errors]
+                error[at] = [
+                    e if e is None else NumericalError(f"oracle: {e}") for e in oracle_errors
+                ]
     return _reports(parsed, error, max_real, states, nu, deviation)
 
 
@@ -546,9 +541,10 @@ def run_sweep(
     fields. The grid is cut by index into chunks of :data:`CHUNK_SIZE`
     points, whose valid points are solved as one stack, a point table of
     copies of the column of ``params`` with the swept rows written in. Chunks are
-    independent, so ``threads`` > 1 runs them on a bounded thread pool;
-    results are merged in chunk order, which makes the output independent of
-    scheduling. The default is one thread and no pool.
+    independent, so ``threads`` > 1 runs them on a bounded thread pool; the
+    calling thread writes each chunk's columns at its grid rows in chunk
+    order, which makes the output independent of scheduling. The default is
+    one thread and no pool.
     """
     threads = _integer(threads, DomainError(f"threads must be an integer, got {threads!r}"))
     if threads < 1:
@@ -569,11 +565,10 @@ def run_sweep(
             try:
                 column[k] = getattr(SWEEP_AXES[axis.name](params, value), field)
             except OmmlabError as exc:
-                errors[k] = str(exc)
+                errors[k] = exc
         swept[field] = column[at]
         error = np.where(np.equal(errors[at], None), error, errors[at])
     valid = np.flatnonzero(np.equal(error, None))
-    failed = np.flatnonzero(np.not_equal(error, None))
     base = columns([params])
 
     def work(index: np.ndarray) -> Reports:
@@ -590,11 +585,13 @@ def run_sweep(
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             solved = list(pool.map(work, chunks))
-    parts = [*solved, _reports(parsed, error[failed])]
+    reports = _reports(parsed, error)  # the grid's, its axis errors in place
+    for index, chunk in zip(chunks, solved):
+        for f in fields(Reports)[1:]:
+            getattr(reports, f.name)[index] = getattr(chunk, f.name)
     return SweepResult(
         params=params, spec=spec, pairs=tuple(label for label, _ in parsed),
-        values1=values1, values2=values2,
-        reports=_joined(parts, np.argsort(np.concatenate([*chunks, failed]))),
+        values1=values1, values2=values2, reports=reports,
     )
 
 

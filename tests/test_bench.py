@@ -22,7 +22,8 @@ def test_stage_bench_writes_its_keys_on_a_tiny_input(tmp_path):
         "lyapunov_point_us", "nu_minus_point_us", "report_point_us", "oracle_stack_point_us",
         "oracle_stack_chunk_us_per_pt", "stage1_derived_chunk_us_per_pt", "sweep_pts_per_s",
         "sweep_minflt_per_pt", "sweep_sys_us_per_pt", "sweep_all_cores_pts_per_s",
-        "sweep_failing_pts_per_s", "sweep_oracle_pts_per_s", "sweep_oracle_over_plain",
+        "machine_two_worker_ratio", "sweep_failing_pts_per_s", "sweep_oracle_pts_per_s",
+        "sweep_oracle_over_plain",
     ]
     assert sorted(report) == ["environment", "results", "rows", "settings"]
     assert list(report["rows"]) == rows

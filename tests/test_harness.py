@@ -35,7 +35,7 @@ from ommlab import build_diffusion, build_drift, solve_semiclassics, steadystate
 from ommlab import DegenerateOperatingPointError, dynamics, semiclassics
 from ommlab.dynamics import drift_stack, stability_stack
 from ommlab import harness
-from ommlab.entanglement import nu_minus_stack, parse_pair
+from ommlab.entanglement import _e_n, nu_minus_stack, parse_pair
 from ommlab.harness import BLOCK_SIZE, CHUNK_SIZE, SWEEP_AXES
 from ommlab.model import PARAM_TABLE, columns, config_snapshot, rows
 from ommlab.semiclassics import solve_semiclassics_stack, state_at
@@ -392,14 +392,15 @@ class TestDefaultPoint:
         with mock.patch.object(harness, "solve_lyapunov_vech_stack") as oracle:
             report = evaluate_point(p, oracle=True)
         oracle.assert_not_called()
-        assert report.error == errors[0] and report.oracle_deviation is None
+        message = None if errors[0] is None else str(errors[0])
+        assert report.error == message and report.oracle_deviation is None
         if gated:
             assert errors == [None] and report.entanglement["ab"].e_n is not None
             reference = scipy.linalg.solve_continuous_lyapunov(a[0], -d[0])
             assert np.linalg.norm(v[0] - reference) <= 1e-8 * np.linalg.norm(reference)
         else:
-            assert errors[0].startswith("Lyapunov residual ")
-            assert errors[0].endswith(" ||D||_F exceeds 1e-10 ||D||_F")
+            assert message.startswith("Lyapunov residual ")
+            assert message.endswith(" ||D||_F exceeds 1e-10 ||D||_F")
 
     def test_oracle_deviation_is_tiny(self):
         report = evaluate_point(default_params(), pairs=("ab",), oracle=True)
@@ -1130,19 +1131,32 @@ class TestColumnarSweep:
         assert len(result.reports) == 63
         assert calls == {"delta_a_over_wb": 9, "delta_c1_over_wb": 7}
 
-    def test_e_n_column_is_math_log_value_by_value(self):
-        # np.log differs from math.log in the last bit of some values, and a
-        # sweep's E_N column must equal the lone point's formula bit for bit;
-        # a vacuum nu of 1/2 gives +0.0 (np.maximum would keep -0.0)
+    def test_e_n_column_is_one_formula_with_the_lone_point(self):
+        # every E_N is _e_n of its nu_-, on the whole column: a vacuum nu of
+        # 1/2 gives +0.0 (np.maximum alone would keep -0.0) and NaN stays NaN
         nu = np.random.default_rng(7).uniform(0.44, 0.51, size=(400, 3))
         nu[0] = [0.5, np.nan, 0.5]
         parsed = [(label, parse_pair(label)) for label in DEFAULT_PAIRS]
         e_n = harness._reports(parsed, [None] * 400, nu=nu).e_n
-        expected = [[max(0.0, -math.log(2.0 * x)) for x in row] for row in nu[1:].tolist()]
-        assert e_n[1:].tolist() == expected
-        assert (np.maximum(0.0, -np.log(2.0 * nu[1:])) != expected).any()
-        assert e_n[0, 0] == 0.0 and math.copysign(1.0, e_n[0, 2]) == 1.0
+        assert e_n.tobytes() == _e_n(nu).tobytes()
+        assert e_n[0, 0] == 0.0 and math.copysign(1.0, e_n[0, 0]) == 1.0
+        assert e_n[0, 2] == 0.0 and math.copysign(1.0, e_n[0, 2]) == 1.0
         assert math.isnan(e_n[0, 1])
+        # a sweep's column and each lone point's E_N, bit for bit: zeros in
+        # c2m, NaN on the error rows of the negative temperature
+        params, pairs = default_params(), ("ab", "am", "c2m")
+        spec = SweepSpec(Axis("T", -0.01, 0.02, 4), Axis("delta_a_over_wb", -2.0, 0.0, 3))
+        result = run_sweep(params, spec, pairs)
+        column = result.reports.e_n
+        assert column.tobytes() == _e_n(result.reports.nu_minus).tobytes()
+        assert (column == 0.0).any() and np.isnan(column).any()
+        for index, row in enumerate(column):
+            point = _set_on_the_point(params, spec, result, *divmod(index, 3))
+            if isinstance(point, str):
+                assert np.isnan(row).all()
+                continue
+            lone = evaluate_point(point, pairs).entanglement
+            assert np.array([lone[label].e_n for label in pairs]).tobytes() == row.tobytes()
 
     def test_no_state_is_built_until_a_report_is_read(self, monkeypatch):
         # stage 1 keeps every branch as columns: a derived map of two chunks,
@@ -1166,8 +1180,8 @@ class TestColumnarSweep:
     def test_state_column_round_trips_every_none(self, b_field_t):
         # a direct point has no amplitudes and no mismatch, and no Rabi
         # frequency without a b_field; an error row has no state. Each reads
-        # back as None from the joined columns of two chunks and the failed
-        # rows, at one thread and at two
+        # back as None from the grid's columns, two chunks written over its
+        # error rows, at one thread and at two
         params = default_params(b_field_t=b_field_t)
         spec = SweepSpec(Axis("T", -0.01, 0.03, 5), Axis("delta_a_over_wb", -1.2, -0.8, 30))
         results = [run_sweep(params, spec, ("ab",), threads=n) for n in (1, 2)]
@@ -1639,7 +1653,10 @@ class TestStackedCore:
             side_effect=_failing_fallback(lyapunov_message),
         ), mock.patch.object(harness, "nu_minus_stack", failing_blocks):
             v2, nu2, errors2, _ = self.steady_state(a, d, scale)
-        assert errors2 == [None, lyapunov_message, None, nu_message, None]
+        # each point's exception itself, class and message, until the report
+        assert [e if e is None else (type(e), str(e)) for e in errors2] == [
+            None, (NumericalError, lyapunov_message), None, (NumericalError, nu_message), None
+        ]
         for i in (0, 2, 4):
             np.testing.assert_array_equal(v2[i], v[i])
             np.testing.assert_array_equal(nu2[i], nu[i])
