@@ -362,7 +362,7 @@ def system(**overrides):
     return build_drift(p, solve_semiclassics(p)).a, build_diffusion(p).d, p.omega_b
 
 
-class TestRelaxationIntegrator:
+class TestKroneckerSolve:
     """The Kronecker-form oracle, :func:`solve_lyapunov_vech_stack`, on
     systems whose steady state is known, and the stability verdict of the
     oracle path, which is stage 1's."""
@@ -493,7 +493,7 @@ class TestRelaxationIntegrator:
             assert [repr(e) for e in other_errors] == [repr(e) for e in errors]
 
 
-class TestFlowStack:
+class TestKroneckerStack:
     """Each point of the oracle's stack is solved, and fails, on its own."""
 
     def test_each_point_keeps_its_own_result_and_error(self):
@@ -574,7 +574,7 @@ class TestFlowStack:
         assert peak < 100 * 100 * 8
 
 
-class TestFlowEdgeCases:
+class TestKroneckerEdgeCases:
     """At each edge the Kronecker-form solve agrees with a second solve: the
     direct one at the physical edges, scipy's Schur solve where the direct
     solve falls back to the Kronecker form itself."""
