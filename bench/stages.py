@@ -8,14 +8,15 @@ Run from the root of a source checkout (the package is imported from its
     python3 bench/stages.py --against ../parent --out BENCH_1.json
 
 Each repeat starts one worker process per checkout, which times every row
-of :data:`ROWS` once after a warm-up call of each. With ``--against PATH``
-the same worker runs on ``PATH/src`` too, the two sides of a repeat in
-alternating order, so that both see the same drift in machine speed. The
-output JSON holds the settings, an environment block, and for each side and
-row the runs of every repeat with their median and quartiles; with
-``--against``, ``wins`` counts the repeats in which this checkout did
-better than the other. BLAS is held to one thread, as the sweeps run
-single-threaded.
+of :data:`ROWS` once after a warm-up call of each: a sweep row as the
+fastest of :data:`SWEEP_CALLS` sweeps, every other row as the mean of many
+calls. With ``--against PATH`` the same worker runs on ``PATH/src`` too,
+the two sides of a repeat in alternating order, so that both see the same
+drift in machine speed. The output JSON holds the settings, an environment
+block, and for each side and row the runs of every repeat with their median
+and quartiles; with ``--against``, ``wins`` counts the repeats in which this
+checkout did better than the other. BLAS is held to one thread, as the
+sweeps run single-threaded.
 """
 
 from __future__ import annotations
@@ -49,6 +50,12 @@ ROWS = {
         "us", "lower", "a lone evaluate_point at the census gate point, whose "
         "Lyapunov solve takes the fallback"),
     "stage1_point_us": ("us", "lower", "stage 1 (harness._working_points) of the default point"),
+    "semiclassics_point_us": (
+        "us", "lower", "stage 1's solve_semiclassics_stack on the default point"),
+    "drift_point_us": ("us", "lower", "stage 1's drift_stack on the default point"),
+    "diffusion_point_us": ("us", "lower", "stage 1's diffusion_stack on the default point"),
+    "stability_point_us": (
+        "us", "lower", "stage 1's batched stability_stack on the default point"),
     "lyapunov_point_us": ("us", "lower", "the Lyapunov stack on the default point"),
     "nu_minus_point_us": ("us", "lower", "the nu_- stack on the default point's three pairs"),
     "report_point_us": (
@@ -61,17 +68,20 @@ ROWS = {
     "stage1_derived_chunk_us_per_pt": (
         "us", "lower", "stage 1 on the derived map's first chunk, per point, "
         "timed over 25 calls"),
-    "sweep_pts_per_s": ("1/s", "higher", "run_sweep of the detuning map, threads=1"),
+    "sweep_pts_per_s": (
+        "1/s", "higher", "run_sweep of the detuning map, threads=1, the fastest of 3"),
     "sweep_minflt_per_pt": (
         "count", "lower", "minor page faults of the process during that sweep, per point"),
     "sweep_sys_us_per_pt": (
         "us", "lower", "system CPU time of the process during that sweep, per point"),
     "sweep_all_cores_pts_per_s": (
-        "1/s", "higher", "run_sweep of the detuning map, threads=os.cpu_count()"),
+        "1/s", "higher", "run_sweep of the detuning map, threads=os.cpu_count(), the "
+        "fastest of 3"),
     "machine_two_worker_ratio": (
         "ratio", "higher", "what the machine gives two workers: the work of two processes "
         "at once, each timing 40 batched eig calls on 128 random 10x10 matrices, over the "
-        "work of one alone; read sweep_all_cores_pts_per_s over sweep_pts_per_s against it"),
+        "work of one alone, the median of 3 such pairs; read sweep_all_cores_pts_per_s "
+        "over sweep_pts_per_s against it"),
     "sweep_failing_pts_per_s": (
         "1/s", "higher", "the same with a NaN at drift entry (3, 2) of every point at the "
         "18th delta_c1 value, one point per grid row"),
@@ -102,8 +112,15 @@ FALLBACK = {
 #: Calls of a chunk row per timing: one slow call moves it by a 25th.
 CHUNK_CALLS = 25
 
+#: Sweeps a sweep row times; it reads the fastest, which one call slowed by
+#: outside load cannot move.
+SWEEP_CALLS = 3
+
 #: Batched eigensolves each process of the two-worker probe times.
 PROBE_CALLS = 40
+
+#: Alone-and-together runs of the probe; the ratio is their median.
+PROBE_PAIRS = 3
 
 
 def _probe(barrier, seconds) -> None:
@@ -123,7 +140,7 @@ def _probe(barrier, seconds) -> None:
 def _two_worker_ratio() -> float:
     """The work two probe processes do at once over the work of one alone:
     2 where the machine gives a second worker a whole core, 1 where it gives
-    none."""
+    none. The median of :data:`PROBE_PAIRS` runs of each."""
     context = multiprocessing.get_context("spawn")
 
     def probe(n: int) -> list[float]:
@@ -136,8 +153,11 @@ def _two_worker_ratio() -> float:
             proc.join()
         return times
 
-    (alone,) = probe(1)
-    return sum(alone / t for t in probe(2))
+    ratios = []
+    for _ in range(PROBE_PAIRS):
+        (alone,) = probe(1)
+        ratios.append(sum(alone / t for t in probe(2)))
+    return statistics.median(ratios)
 
 
 def _grid_points(params, spec, setters):
@@ -174,7 +194,8 @@ def worker(calls: int, grid: int) -> dict[str, float]:
     stacks = [(a, d) for d, _, a, *_ in map(stage1, ([params], chunk))]
 
     # the default point's stages, fed as harness feeds them
-    d, states, a, eigs, vecs, max_real, _ = stage1([params])
+    table = model.columns([params])
+    d, states, a, eigs, vecs, max_real, stage1_errors = stage1([params])
     v, errors, _ = steadystate.solve_lyapunov_stack(a, d, eigs, vecs)
     rows = np.array([m1.rows + m2.rows for m1, m2 in map(entanglement.parse_pair, DEFAULT_PAIRS)])
     blocks = v[:, rows[:, :, None], rows[:, None, :]].reshape(-1, 4, 4)
@@ -213,6 +234,13 @@ def worker(calls: int, grid: int) -> dict[str, float]:
         "point_derived_us": (lambda: evaluate_point(derived), calls, 1e6),
         "fallback_point_us": (lambda: evaluate_point(fallback), calls, 1e6),
         "stage1_point_us": (lambda: stage1([params]), calls, 1e6),
+        "semiclassics_point_us": (lambda: harness.solve_semiclassics_stack(table), calls, 1e6),
+        "drift_point_us": (lambda: harness.drift_stack(table, states), calls, 1e6),
+        "diffusion_point_us": (lambda: harness.diffusion_stack(table), calls, 1e6),
+        "stability_point_us": (
+            lambda: harness._batched(
+                harness.stability_stack, harness._no_spectrum, a, errors=stage1_errors),
+            calls, 1e6),
         "lyapunov_point_us": (
             lambda: steadystate.solve_lyapunov_stack(a, d, eigs, vecs), calls, 1e6),
         "nu_minus_point_us": (lambda: entanglement.nu_minus_stack(blocks), calls, 1e6),
@@ -230,7 +258,8 @@ def worker(calls: int, grid: int) -> dict[str, float]:
     out = {}
     for name, (call, count, scale) in timed.items():
         call()  # warm-up: lazy imports and tables
-        out[name] = _seconds(call, count) * scale
+        tries = SWEEP_CALLS if name.startswith("sweep_") else 1
+        out[name] = min(_seconds(call, count) for _ in range(tries)) * scale
     # the plain sweep once more, warm, for what it costs the process in the kernel
     before = resource.getrusage(resource.RUSAGE_SELF)
     timed["sweep_s"][0]()

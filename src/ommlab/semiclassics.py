@@ -48,7 +48,6 @@ branches of a point with one are undefined.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import astuple, dataclass
 from typing import Any, Iterable
@@ -57,8 +56,6 @@ import numpy as np
 
 from .errors import ConvergenceError, DegenerateOperatingPointError, _batched
 from .model import SystemParams, _check, _drive, _rabi, _Real, columns, rows
-
-logger = logging.getLogger(__name__)
 
 #: Newton polish of a root of F(q) - q: it ends at the first step smaller
 #: than this fraction of |q|, and a candidate still moving after the step
@@ -75,10 +72,6 @@ _SAME_ROOT_RTOL = 1e-9
 
 #: Denominator floor below which the linear response is treated as singular.
 _SINGULAR_FLOOR = 1e-30
-
-#: Relative disagreement between the linear solve and the closed form for
-#: <c2> beyond which a warning is logged.
-_C2_MISMATCH_WARN = 1e-9
 
 #: A scalar, or an array of one value per point of a stack.
 _Complex = complex | np.ndarray
@@ -204,10 +197,9 @@ def _cavity2(c2_avg: np.ndarray, *args: np.ndarray) -> np.ndarray:
         i g1 <a> + (i Delta_c1 + kappa_c1) <c1>            = E
         i g2 <a> + (i Delta_c2 + kappa_c2) <c2>            = E
 
-    for the whole stack in one pivoted LU call, raises
+    for the whole stack in one pivoted LU call, and raises
     DegenerateOperatingPointError if a system is singular or its solution is
-    not finite, and logs one warning, with the worst mismatch, when any
-    point at a nonzero drive disagrees by more than 1e-9 relative.
+    not finite. Each mismatch is kept as its branch's ``c2_mismatch``.
     """
     drive_e, kappa_a, kappa_c1, kappa_c2, delta_a, delta_c1, delta_c2_eff, g_n1, g_n2 = args
     mat = np.zeros((len(c2_avg), 3, 3), dtype=complex)
@@ -229,13 +221,9 @@ def _cavity2(c2_avg: np.ndarray, *args: np.ndarray) -> np.ndarray:
             "cavity response system is numerically degenerate"
         )
     c2_lin = amps[:, 2, 0]
-    mismatch = np.abs(c2_lin - c2_avg) / np.maximum(
+    return np.abs(c2_lin - c2_avg) / np.maximum(
         np.maximum(np.abs(c2_lin), np.abs(c2_avg)), _SINGULAR_FLOOR
     )
-    flagged = mismatch[(drive_e != 0.0) & (mismatch > _C2_MISMATCH_WARN)]
-    if flagged.size:
-        logger.warning("cavity amplitude formulas disagree by %.3e relative", flagged.max())
-    return mismatch
 
 
 def mechanical_displacement(

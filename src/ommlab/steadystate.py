@@ -11,8 +11,10 @@ equation into Lambda W + W Lambda^H = -S^-1 D S^-H, solved entrywise:
     V = Re S [(-S^-1 D S^-H)_ij / (lambda_i + conj(lambda_j))] S^H.
 
 Near an exceptional point the eigenvectors coalesce and S becomes ill
-conditioned; there, or when the result misses the residual gate, the solve
-falls back to the Kronecker-form route below, the only fallback.
+conditioned; there, or when the raw V is asymmetric or the result misses the
+residual gate, the solve falls back to the Kronecker-form route below, the
+only fallback. The solves report only through what they return: a point's
+error, and whether it took the fallback.
 
 :func:`solve_lyapunov_stack` runs this solve over an (N, n, n) stack of
 points at once (numpy's batched inv and matmul); each point is gated, and
@@ -42,7 +44,6 @@ takes rad/s, or any unit, and divides by one scale before the stacks.
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +62,9 @@ _EPS = np.finfo(float).eps
 #: Relative Frobenius residual allowed on the Lyapunov equation.
 _RESIDUAL_RTOL = 1e-10
 
-#: Asymmetry (relative to max |V|) beyond which the raw solution is suspect.
+#: Asymmetry max |V - V^T| of the raw eigenbasis V, relative to max(1, max |V|),
+#: beyond which the point is solved in Kronecker form instead. On the
+#: physical maps it stays below 5e-15.
 _ASYMMETRY_RTOL = 1e-9
 
 #: Largest 1-norm condition estimate ||S||_1 ||S^-1||_1 of the drift's
@@ -183,54 +186,48 @@ def solve_lyapunov_stack(
 
     ``a`` and ``d`` are (N, n, n) in one unit, and the eigenpairs are each
     drift's, as :func:`ommlab.dynamics.stability_stack` returns them. A
-    point with an asymmetric D fails at once; the others' eigenbasis results
-    are screened with the 1e-10 residual gate (a NaN residual misses it) and
-    those that miss go, together, to the Kronecker-form fallback,
+    point with an asymmetric D fails at once. The others' eigenbasis results
+    are screened twice: by the 1e-10 residual gate (a NaN residual misses
+    it), and by the asymmetry of the raw V, over :data:`_ASYMMETRY_RTOL` of
+    max(1, max |V|) and of max(1, max |raw V|). Those that miss either go,
+    together, to the Kronecker-form fallback,
     :func:`solve_lyapunov_vech_stack`, whose results are symmetrized and
     gated in turn; a point it fails keeps its error. Each point that passes
-    is checked for the asymmetry warning and non-negative variances. Returns
-    V (N, n, n), exactly symmetric, rows of failed points undefined, per
-    point the error that point raises, or None, and the mask (N,) of the
-    points solved in Kronecker form, for which that solve is no independent
-    check.
+    is checked for non-negative variances. Returns V (N, n, n), exactly
+    symmetric, rows of failed points undefined, per point the error that
+    point raises, or None, and the mask (N,) of the points solved in
+    Kronecker form, for which that solve is no independent check.
     """
     raw = _eigenbasis_solve(eigenvalues, eigenvectors, d)
     v, asym, scale = _symmetrized(raw)
     residual = _relative_residual(a, v, d)
-    over = ~(residual <= _RESIDUAL_RTOL)
+    # max |V| <= max |raw V|: over the bound on the first, confirmed on the second
+    skewed = asym > _ASYMMETRY_RTOL * scale
+    if skewed.any():
+        skewed[skewed] = asym[skewed] > _ASYMMETRY_RTOL * np.maximum(
+            1.0, np.abs(raw[skewed]).max(axis=(-2, -1))
+        )
     asymmetric_d = _asymmetric(d)
-    kronecker = over & ~asymmetric_d
+    kronecker = (~(residual <= _RESIDUAL_RTOL) | skewed) & ~asymmetric_d
     errors: list[OmmlabError | None] = [None] * len(a)
     if kronecker.any():
         missed = kronecker.nonzero()[0]
         raw[missed], fallback_errors = solve_lyapunov_vech_stack(a[missed], d[missed])
         for i, error in zip(missed, fallback_errors):
             errors[i] = error
-        v[missed], asym[missed], scale[missed] = _symmetrized(raw[missed])
+        v[missed] = _symmetrized(raw[missed])[0]
         residual[missed] = _relative_residual(a[missed], v[missed], d[missed])
-        over = ~(residual <= _RESIDUAL_RTOL)
-    # max |V| <= max |raw V|: below the bound on the first, below it on the second
-    warn = asym > _ASYMMETRY_RTOL * scale
+    over = ~(residual <= _RESIDUAL_RTOL)
     negative = v.diagonal(axis1=-2, axis2=-1).min(axis=-1) < 0.0
-    for i in (asymmetric_d | over | warn | negative).nonzero()[0]:
+    for i in (asymmetric_d | over | negative).nonzero()[0]:
         if asymmetric_d[i]:
             errors[i] = DomainError("diffusion must be symmetric")
-        if errors[i] is not None:
-            continue
-        if over[i]:
+        elif errors[i] is None and over[i]:
             errors[i] = NumericalError(
                 f"Lyapunov residual {residual[i]:.3e} ||D||_F exceeds "
                 f"{_RESIDUAL_RTOL:.0e} ||D||_F"
             )
-            continue
-        if warn[i] and asym[i] > _ASYMMETRY_RTOL * max(1.0, np.abs(raw[i]).max()):
-            warnings.warn(
-                f"Lyapunov solution asymmetry {asym[i]:.3e} exceeds "
-                f"{_ASYMMETRY_RTOL:.0e} of max |V|; solve may be ill conditioned",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        if negative[i]:
+        elif errors[i] is None:
             errors[i] = DomainError("variances on the diagonal must be non-negative")
     return v, errors, kronecker
 
@@ -249,9 +246,9 @@ def solve_lyapunov(
     :func:`ommlab.dynamics.stability_stack` then gives the verdict and the
     eigenpairs; an A that is not asymptotically stable raises. This is
     :func:`solve_lyapunov_stack` on a stack of one (eigenbasis solve,
-    Kronecker-form fallback when the basis is singular, worse conditioned
-    than :data:`_EIGENBASIS_COND_MAX` or misses the 1e-10 residual gate, the
-    asymmetry warning); the error it returns for the point is raised.
+    Kronecker-form fallback when the basis is singular or worse conditioned
+    than :data:`_EIGENBASIS_COND_MAX`, or the raw V is asymmetric or misses
+    the 1e-10 residual gate); the error it returns for the point is raised.
     """
     a_arr = a.a if isinstance(a, DriftMatrix) else np.asarray(a, dtype=float)
     if a_arr.ndim != 2 or a_arr.shape[0] != a_arr.shape[1]:

@@ -19,6 +19,7 @@ def test_stage_bench_writes_its_keys_on_a_tiny_input(tmp_path):
     report = json.loads(out.read_text())
     rows = [
         "point_us", "point_oracle_us", "point_derived_us", "fallback_point_us", "stage1_point_us",
+        "semiclassics_point_us", "drift_point_us", "diffusion_point_us", "stability_point_us",
         "lyapunov_point_us", "nu_minus_point_us", "report_point_us", "oracle_stack_point_us",
         "oracle_stack_chunk_us_per_pt", "stage1_derived_chunk_us_per_pt", "sweep_pts_per_s",
         "sweep_minflt_per_pt", "sweep_sys_us_per_pt", "sweep_all_cores_pts_per_s",

@@ -3,6 +3,7 @@
 import inspect
 import time
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -263,16 +264,46 @@ class TestLyapunovStack:
         assert str(errors[1]) == "diffusion must be symmetric"
         assert np.max(np.abs(v[0] - 0.5 * np.eye(2))) <= 1e-12
 
-    def test_raw_asymmetry_warns_for_its_row_only(self):
+    def test_raw_asymmetry_sends_its_row_alone_to_the_fallback(self):
+        # a raw V skewed by 1e-6 passes the residual gate once symmetrized,
+        # but its asymmetry, 2e-6, is over 1e-9 of max(1, max |V|): that row
+        # alone is solved in Kronecker form, with no error and no warning
         a, d = single_cavity()
         skew = np.array([[0.0, 1e-6], [-1e-6, 0.0]])
         raw = np.array([0.5 * np.eye(2) + skew, 0.5 * np.eye(2)])
-        with mock.patch.object(steadystate, "_eigenbasis_solve", return_value=raw):
-            with pytest.warns(RuntimeWarning, match="asymmetry") as record:
-                v, errors, _ = self.solve([a, a], [d, d])
-        assert len(record) == 1
+        with mock.patch.object(steadystate, "_eigenbasis_solve", return_value=raw), \
+                mock.patch.object(steadystate, "solve_lyapunov_vech_stack",
+                                  wraps=solve_lyapunov_vech_stack) as fallback, \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v, errors, kronecker = self.solve([a, a], [d, d])
+        assert kronecker.tolist() == [True, False]
+        assert fallback.call_count == 1
+        assert len(fallback.call_args.args[0]) == 1
         assert errors == [None, None]
         np.testing.assert_array_equal(v, [0.5 * np.eye(2)] * 2)
+
+    def test_raw_asymmetry_point_gets_no_oracle_deviation(self):
+        # the default point with a skew of 1e-6 max |V| added to its raw V,
+        # which leaves its symmetric part as it was: the oracle would rerun
+        # the Kronecker-form solve the point took, so it is skipped
+        eigenbasis_solve = steadystate._eigenbasis_solve
+
+        def skewed(*args):
+            raw = eigenbasis_solve(*args)
+            skew = 1e-6 * np.abs(raw).max(axis=(-2, -1))
+            raw[:, 0, 1] += skew
+            raw[:, 1, 0] -= skew
+            return raw
+
+        with mock.patch.object(steadystate, "_eigenbasis_solve", side_effect=skewed), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = evaluate_point(default_params(), oracle=True)
+        plain = evaluate_point(default_params())
+        assert report.error is None and report.oracle_deviation is None
+        for pair, entry in report.entanglement.items():
+            assert entry.e_n == pytest.approx(plain.entanglement[pair].e_n, rel=1e-9)
 
     def test_negative_variance_fails_its_row(self):
         a, d = single_cavity()
